@@ -269,7 +269,7 @@ def _cmd_wave(run: _Run) -> None:
     run.write_json("decay.json", {
         "law": law.law, "coefficient": law.coefficient,
         "residual": law.residual, "residuals": law.residuals,
-        "lamMax": res.lam_max,
+        "lamMax": res.lam_max, "tailConverged": res.tail_converged,
     })
 
 
@@ -286,12 +286,13 @@ def _cmd_verify(run: _Run) -> None:
     z = SpectralPoint(0.02, math.pi / 2)
     lam_b = SpectralPoint(0.4, math.pi / 2)
     outer = bump(grid, chi.pairing_radius + 0.9, 0.5, 0)
+    # single-parameter identities have no second spectral point: blank z cells
     rows = [
         ("two-parameter", lam.modulus, lam.arg, z.modulus, z.arg,
          two_parameter_identity_residual(s, lam, z, chi, f)),
-        ("one-sided", lam.modulus, lam.arg, float("nan"), float("nan"),
+        ("one-sided", lam.modulus, lam.arg, "", "",
          one_sided_identity_residual(s, lam, chi, gfun)),
-        ("boundary-pairing", lam_b.modulus, lam_b.arg, float("nan"), float("nan"),
+        ("boundary-pairing", lam_b.modulus, lam_b.arg, "", "",
          pairing_identity_residual(s, lam_b, outer, chi.pairing_radius)),
     ]
     out = [(name, lm, la, zm, za, r, "pass" if r < 1e-6 else "fail")

@@ -16,106 +16,118 @@ downstream to the Riemann surface of log(lam) automatic.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scatterer import PiecewisePotential, Scatterer
-from .specfun import SpectralPoint, hankel1_with_deriv, jy_with_derivs
+from .specfun import SpectralPoint, bessel_pair
+
+#: one spectral point, a batch of them solved together, or None (zero energy)
+Spectral = SpectralPoint | Sequence[SpectralPoint] | None
 
 
 @dataclass
 class Segment:
+    """One segment for a batch of spectral points: eta and logeta have shape (nlam,).
+
+    Elements with eta = 0 take the harmonic pair (r^l, r^-l), or (1, log r)
+    for l = 0; the others the Bessel pair (J, Y), or (J, H1) when kind is
+    "hankel".
+    """
+
     a: float
     b: float
     l: int
-    kind: str                 # "power" | "bessel" | "hankel"
-    eta: complex = 0.0 + 0.0j
-    logeta: complex = 0.0 + 0.0j
+    kind: str                 # "bessel" | "hankel"
+    eta: np.ndarray
+    logeta: np.ndarray
 
-    def pair(self, r: np.ndarray):
-        """(b1, b2, b1', b2') at radii r."""
+    def pair(self, r: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(b1, b2, b1', b2') at radii r, each of shape (nlam, len(r))."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
+        flat = self.eta == 0
+        if not flat.any():
+            return self._bessel(r, self.eta[:, None], self.logeta[:, None])
+        out = np.empty((4, len(self.eta), len(r)), dtype=complex)
+        out[:, flat] = self._harmonic(r)[:, None, :]
+        if not flat.all():
+            wave = ~flat
+            out[:, wave] = self._bessel(r, self.eta[wave, None], self.logeta[wave, None])
+        return tuple(out)
+
+    def _harmonic(self, r: np.ndarray) -> np.ndarray:
         l = self.l
-        if self.kind == "power":
-            if l == 0:
-                one = np.ones(len(r), dtype=complex)
-                return one, np.log(r) + 0j, np.zeros(len(r), dtype=complex), 1.0 / r + 0j
-            return (
-                r**l + 0j, r ** (-l) + 0j,
-                l * r ** (l - 1) + 0j, -l * r ** (-l - 1) + 0j,
-            )
-        z = self.eta * r
-        logz = self.logeta + np.log(r)
-        if self.kind == "hankel":
-            # (J, H1): J is tame at small |z| where H1, H2 are nearly parallel,
-            # H1 is tame at large Im z where J, Y blow up together, so the
-            # matching determinant never suffers cancellation on the unbounded
-            # exterior segment.
-            J, _, Jd, _ = jy_with_derivs(l, z, logz)
-            H, Hd = hankel1_with_deriv(l, z, logz)
-            return J, H, self.eta * Jd, self.eta * Hd
-        J, Y, Jd, Yd = jy_with_derivs(l, z, logz)
-        return J, Y, self.eta * Jd, self.eta * Yd
+        if l == 0:
+            return np.array([np.ones(len(r)), np.log(r), np.zeros(len(r)), 1.0 / r])
+        return np.array([r**l, r ** (-l), l * r ** (l - 1), -l * r ** (-l - 1)])
 
-    def regular_pair(self, r: np.ndarray):
-        """The member regular at r = 0 (J_l or r^l) and its derivative."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+    def _bessel(self, r: np.ndarray, eta: np.ndarray, logeta: np.ndarray):
+        # (J, H1) on the exterior: J is tame at small |z| where H1, H2 are
+        # nearly parallel, H1 is tame at large Im z where J, Y blow up
+        # together, so the matching determinant never suffers cancellation
+        # on the unbounded exterior segment.
         l = self.l
-        if self.kind == "power":
-            if l == 0:
-                return np.ones(len(r), dtype=complex), np.zeros(len(r), dtype=complex)
-            return r**l + 0j, l * r ** (l - 1) + 0j
-        z = self.eta * r
-        logz = self.logeta + np.log(r)
-        J, _, Jd, _ = jy_with_derivs(l, z, logz)
-        return J, self.eta * Jd
+        z = eta * r
+        J, Y, H = bessel_pair(l, z, logeta + np.log(r))
+        second = H if self.kind == "hankel" else Y
+        for f in (J, second):            # order l + 1 slot -> derivative of order l
+            f[1] = eta * (l / z * f[0] - f[1])
+        return J[0], second[0], J[1], second[1]
 
 
-def _eta_segment(a: float, b: float, l: int, lam2: complex, V: complex) -> Segment:
-    eta2 = lam2 - V
-    if eta2 == 0:
-        return Segment(a, b, l, "power")
-    eta = cmath.sqrt(eta2)
-    return Segment(a, b, l, "bessel", eta, cmath.log(eta))
+def _spectral_batch(lam: Spectral):
+    """(lam, lam^2, log lam) arrays of shape (nlam,); None is zero energy.
+
+    lam^2 and the logs are taken in scalar arithmetic, element by element:
+    numpy's vector complex multiply and log round differently in the last bit.
+    """
+    if lam is None:
+        return np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), np.zeros(1, dtype=complex)
+    pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
+    return (np.array([p.value for p in pts]), np.array([p.value ** 2 for p in pts]),
+            np.array([p.log for p in pts]))
 
 
-def make_segments(s: Scatterer, l: int, lam: SpectralPoint | None, rmax: float) -> list[Segment]:
-    """Segments covering [inner_radius, rmax]; lam=None means zero energy.
+def make_segments(s: Scatterer, l: int, lam: Spectral, rmax: float) -> list[Segment]:
+    """Segments covering [inner_radius, rmax] for a SpectralPoint, a sequence
+    of them (one batch), or lam=None meaning zero energy.
 
-    The exterior (V = 0) segment at nonzero energy uses the (H1, H2) basis on
+    The exterior (V = 0) segment at nonzero energy uses the (J, H1) basis on
     the log cover of lam itself, so only that segment carries log(lam).
     """
+    value, lam2, log = _spectral_batch(lam)
     segs: list[Segment] = []
-    if lam is None:
-        ext = Segment(0.0, 0.0, l, "power")
-        lam2 = 0.0 + 0.0j
-    else:
-        ext = Segment(0.0, 0.0, l, "hankel", lam.value, lam.log)
-        lam2 = lam.value ** 2
+    inner = s.inner_radius
     if isinstance(s, PiecewisePotential):
         edges = s.segment_edges()
         for j, (a, b) in enumerate(zip(edges, edges[1:])):
-            segs.append(_eta_segment(a, b, l, lam2, complex(s.values[j])))
-        segs.append(Segment(edges[-1], rmax, l, ext.kind, ext.eta, ext.logeta))
-    else:
-        segs.append(Segment(s.inner_radius, rmax, l, ext.kind, ext.eta, ext.logeta))
+            eta = np.sqrt(lam2 - complex(s.values[j]))
+            logeta = np.array([cmath.log(e) if e else 0j for e in eta])
+            segs.append(Segment(a, b, l, "bessel", eta, logeta))
+        inner = edges[-1]
+    segs.append(Segment(inner, rmax, l, "hankel", value, log))
     return segs
 
 
 @dataclass
 class PiecewiseSolution:
-    segments: list[Segment]
-    coeffs: list[tuple[complex, complex]]
+    """Per-segment coefficient pairs, each an array over the spectral batch."""
 
-    def at(self, r: float) -> tuple[complex, complex]:
+    segments: list[Segment]
+    coeffs: list[tuple[np.ndarray, np.ndarray]]
+
+    def at(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         u, du = self.eval(np.array([r]))
-        return complex(u[0]), complex(du[0])
+        return u[:, 0], du[:, 0]
 
     def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u, u' at radii r, each of shape (nlam, len(r))."""
         r = np.asarray(r, dtype=float)
-        u = np.empty(len(r), dtype=complex)
-        du = np.empty(len(r), dtype=complex)
+        shape = (len(self.coeffs[0][0]), len(r))
+        u = np.empty(shape, dtype=complex)
+        du = np.empty(shape, dtype=complex)
         done = np.zeros(len(r), dtype=bool)
         for seg, (c1, c2) in zip(self.segments, self.coeffs):
             last = seg is self.segments[-1]
@@ -123,39 +135,51 @@ class PiecewiseSolution:
             if not mask.any():
                 continue
             b1, b2, b1p, b2p = seg.pair(r[mask])
-            u[mask] = c1 * b1 + c2 * b2
-            du[mask] = c1 * b1p + c2 * b2p
+            c1, c2 = c1[:, None], c2[:, None]
+            u[:, mask] = c1 * b1 + c2 * b2
+            du[:, mask] = c1 * b1p + c2 * b2p
             done |= mask
         if not done.all():
             raise ValueError("radii outside the segment cover")
         return u, du
 
 
-def _solve_2x2(seg: Segment, r: float, u: complex, du: complex) -> tuple[complex, complex]:
-    b1, b2, b1p, b2p = (x[0] for x in seg.pair(np.array([r])))
-    det = b1 * b2p - b1p * b2
-    return ( (u * b2p - du * b2) / det, (du * b1 - u * b1p) / det )
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with each real product rounded on its own, as in scalar complex
+    arithmetic; numpy's vector loop fuses multiply-adds instead.  The 2x2
+    glue is tiny, and ill-conditioned fits downstream amplify its last bit,
+    so it keeps the scalar rounding for any batch size."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
-def march_outward(segments: list[Segment], c_first: tuple[complex, complex]) -> PiecewiseSolution:
+def _solve_2x2(seg: Segment, r: float, u: np.ndarray, du: np.ndarray):
+    """Coefficients on seg of the solution with value u, derivative du at r."""
+    b = np.array(seg.pair(np.array([r])))[:, :, 0]          # b1, b2, b1', b2'
+    p = _mul(np.array([b[0], b[2], u, du, du, u]), b[[3, 1, 3, 1, 0, 2]])
+    det = p[0] - p[1]
+    return (p[2] - p[3]) / det, (p[4] - p[5]) / det
+
+
+def _value_at(seg: Segment, r: float, c: tuple[np.ndarray, np.ndarray]):
+    """(u, u') at r of the solution with coefficients c on seg."""
+    p = _mul(np.array([c[0], c[1], c[0], c[1]]), np.array(seg.pair(np.array([r])))[:, :, 0])
+    return p[0] + p[1], p[2] + p[3]
+
+
+def march_outward(segments: list[Segment], c_first) -> PiecewiseSolution:
     coeffs = [c_first]
     for prev, seg in zip(segments, segments[1:]):
-        r = prev.b
-        b1, b2, b1p, b2p = (x[0] for x in prev.pair(np.array([r])))
-        c1, c2 = coeffs[-1]
-        u, du = c1 * b1 + c2 * b2, c1 * b1p + c2 * b2p
-        coeffs.append(_solve_2x2(seg, r, u, du))
+        coeffs.append(_solve_2x2(seg, prev.b, *_value_at(prev, prev.b, coeffs[-1])))
     return PiecewiseSolution(segments, coeffs)
 
 
-def march_inward(segments: list[Segment], c_last: tuple[complex, complex]) -> PiecewiseSolution:
+def march_inward(segments: list[Segment], c_last) -> PiecewiseSolution:
     coeffs = [c_last]
     for nxt, seg in zip(segments[::-1], segments[-2::-1]):
-        r = seg.b
-        b1, b2, b1p, b2p = (x[0] for x in nxt.pair(np.array([r])))
-        c1, c2 = coeffs[0]
-        u, du = c1 * b1 + c2 * b2, c1 * b1p + c2 * b2p
-        coeffs.insert(0, _solve_2x2(seg, r, u, du))
+        coeffs.insert(0, _solve_2x2(seg, seg.b, *_value_at(nxt, seg.b, coeffs[0])))
     return PiecewiseSolution(segments, coeffs)
 
 
@@ -163,23 +187,29 @@ def march_inward(segments: list[Segment], c_last: tuple[complex, complex]) -> Pi
 # the two distinguished solutions of the resolvent construction
 # ----------------------------------------------------------------------------
 
-def regular_solution(s: Scatterer, l: int, lam: SpectralPoint | None, rmax: float) -> PiecewiseSolution:
+def _unit_pair(segs: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    n = len(segs[0].eta)
+    return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+
+
+def regular_solution(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
     """Regular at r = 0 (potential) or satisfying the boundary condition (obstacle)."""
     segs = make_segments(s, l, lam, rmax)
+    one, zero = _unit_pair(segs)
     if isinstance(s, PiecewisePotential):
-        return march_outward(segs, (1.0 + 0.0j, 0.0j))
-    a0 = s.radius
-    u, du = (0.0 + 0.0j, 1.0 + 0.0j) if s.bc == "dirichlet" else (1.0 + 0.0j, 0.0j)
-    return PiecewiseSolution(segs, [_solve_2x2(segs[0], a0, u, du)])
+        return march_outward(segs, (one, zero))
+    u, du = (zero, one) if s.bc == "dirichlet" else (one, zero)
+    return PiecewiseSolution(segs, [_solve_2x2(segs[0], s.radius, u, du)])
 
 
-def outgoing_solution(s: Scatterer, l: int, lam: SpectralPoint, rmax: float) -> PiecewiseSolution:
+def outgoing_solution(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
     """Matches H^(1)_l(lam r) outside the support, continued inward."""
     segs = make_segments(s, l, lam, rmax)
-    return march_inward(segs, (0.0j, 1.0 + 0.0j))
+    one, zero = _unit_pair(segs)
+    return march_inward(segs, (zero, one))
 
 
-def wronskian(phi: PiecewiseSolution, psi: PiecewiseSolution, r: float) -> complex:
+def wronskian(phi: PiecewiseSolution, psi: PiecewiseSolution, r: float) -> np.ndarray:
     """r (phi psi' - phi' psi); constant in r for a common mode equation."""
     u1, du1 = phi.at(r)
     u2, du2 = psi.at(r)

@@ -185,8 +185,8 @@ def potential_values(s: Scatterer, r: np.ndarray) -> np.ndarray:
 def mode_green(s: Scatterer, lam: SpectralPoint, l: int, grid: PanelGrid) -> ResolventSample:
     phi = regular_solution(s, l, lam, grid.rmax)
     psi = outgoing_solution(s, l, lam, grid.rmax)
-    phi_v, phi_d = phi.eval(grid.nodes)
-    psi_v, psi_d = psi.eval(grid.nodes)
+    (phi_v,), (phi_d,) = phi.eval(grid.nodes)
+    (psi_v,), (psi_d,) = psi.eval(grid.nodes)
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v))
     if scale > 0:

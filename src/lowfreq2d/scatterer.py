@@ -8,6 +8,8 @@ so downstream modules get machine-precision oracles instead of ODE steppers.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,24 +116,24 @@ def _h(t: np.ndarray) -> np.ndarray:
 def _bridge(t: np.ndarray):
     """S, S', S'' for the exp(-1/t) partition bridge; S(0)=1, S(1)=0."""
     t = np.asarray(t, dtype=float)
-    A = _h(1.0 - t)
-    B = _h(t)
+    S = np.where(t <= 0.0, 1.0, 0.0)     # the closed ends; S', S'' vanish there
+    Sp = np.zeros_like(S)
+    Spp = np.zeros_like(S)
+    open_ = (t > 0.0) & (t < 1.0)
+    tt = t[open_]
+    st = 1.0 - tt
+    A = _h(st)
+    B = _h(tt)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Ap = np.where(t < 1.0, -A / (1.0 - t) ** 2, 0.0)
-        App = np.where(t < 1.0, A * (1.0 - 2.0 * (1.0 - t)) / (1.0 - t) ** 4, 0.0)
-        Bp = np.where(t > 0.0, B / t**2, 0.0)
-        Bpp = np.where(t > 0.0, B * (1.0 - 2.0 * t) / t**4, 0.0)
-    D = A + B
-    ok = D > 0
-    S = np.where(ok, np.divide(A, D, where=ok), 0.0)
+        Ap = -A / st**2
+        App = A * (1.0 - 2.0 * st) / st**4
+        Bp = B / tt**2
+        Bpp = B * (1.0 - 2.0 * tt) / tt**4
+    D = A + B                            # > 0: t or 1 - t is at least 1/2
     num = Ap * B - A * Bp
-    Sp = np.where(ok, np.divide(num, D * D, where=ok), 0.0)
-    Spp = np.where(
-        ok,
-        np.divide(App * B - A * Bpp, D * D, where=ok)
-        - 2.0 * np.divide(num * (Ap + Bp), D * D * D, where=ok),
-        0.0,
-    )
+    S[open_] = A / D
+    Sp[open_] = num / (D * D)
+    Spp[open_] = (App * B - A * Bpp) / (D * D) - 2.0 * (num * (Ap + Bp) / (D * D * D))
     return S, Sp, Spp
 
 
@@ -259,12 +261,25 @@ class ScattererConfig:
     fit_kmax: int
 
 
+def _parse_float(text: str, line: int | None, key: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse number '{text}'", line, key) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"number must be finite, got '{text}'", line, key)
+    return x
+
+
 def _parse_complex(text: str, line: int, key: str) -> complex:
     t = text.strip().replace(" ", "")
     try:
-        return complex(t.replace("i", "j"))
+        z = complex(t.replace("i", "j"))
     except ValueError:
         raise ConfigError(f"cannot parse complex number '{text}'", line, key) from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number must be finite, got '{text}'", line, key)
+    return z
 
 
 def _format_complex(z: complex) -> str:
@@ -305,10 +320,7 @@ def parse_config(text: str) -> ScattererConfig:
         values_s, vl = take("values")
         if breaks_s is None or values_s is None:
             raise ConfigError("potential needs 'breaks' and 'values'", kline)
-        try:
-            breaks = tuple(float(b) for b in breaks_s.split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse breaks '{breaks_s}'", bl, "breaks") from None
+        breaks = tuple(_parse_float(b, bl, "breaks") for b in breaks_s.split(","))
         values = tuple(_parse_complex(v, vl, "values") for v in values_s.split(","))
         if len(breaks) != len(values):
             raise ConfigError("breaks and values must have the same length", vl, "values")
@@ -320,7 +332,7 @@ def parse_config(text: str) -> ScattererConfig:
         bc, bcl = take("bc", "dirichlet")
         if radius_s is None:
             raise ConfigError("disk needs 'radius'", kline)
-        radius = float(radius_s)
+        radius = _parse_float(radius_s, rl, "radius")
         if radius <= 0:
             raise ConfigError("radius must be positive", rl, "radius")
         if bc not in ("dirichlet", "neumann"):
@@ -330,9 +342,9 @@ def parse_config(text: str) -> ScattererConfig:
         raise ConfigError(f"unknown kind '{kind}'", kline, "kind")
 
     r0_s, r0l = take("cutoff.r0")
-    w_s, _ = take("cutoff.width")
-    r0 = float(r0_s) if r0_s is not None else scatterer.support_radius + 0.5
-    width = float(w_s) if w_s is not None else 1.0
+    w_s, wl = take("cutoff.width")
+    r0 = _parse_float(r0_s, r0l, "cutoff.r0") if r0_s is not None else scatterer.support_radius + 0.5
+    width = _parse_float(w_s, wl, "cutoff.width") if w_s is not None else 1.0
     if r0 < scatterer.support_radius:
         raise ConfigError(
             f"cutoff.r0 = {r0} is inside the scatterer support (radius {scatterer.support_radius})",
@@ -341,13 +353,16 @@ def parse_config(text: str) -> ScattererConfig:
     cutoff = CutoffProfile(r0, width)
 
     g = dict(_GRID_DEFAULTS)
-    for name, cast in (("argDeg", float), ("min", float), ("max", float), ("count", int)):
+    for name in ("argDeg", "min", "max"):
         v, ln = take(f"grid.{name}")
         if v is not None:
-            try:
-                g[name] = cast(v)
-            except ValueError:
-                raise ConfigError(f"cannot parse '{v}'", ln, f"grid.{name}") from None
+            g[name] = _parse_float(v, ln, f"grid.{name}")
+    v, ln = take("grid.count")
+    if v is not None:
+        try:
+            g["count"] = int(v)
+        except ValueError:
+            raise ConfigError(f"cannot parse '{v}'", ln, "grid.count") from None
     if not (0 < g["min"] < g["max"]):
         raise ConfigError("need 0 < grid.min < grid.max")
     f = dict(_FIT_DEFAULTS)

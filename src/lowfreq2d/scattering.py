@@ -58,7 +58,7 @@ def _matching_coeffs(s: Scatterer, lam_real: float, l: int):
     lam = SpectralPoint(lam_real, 0.0)
     R = s.support_radius
     sol = regular_solution(s, l, lam, R + 1.0)
-    u, du = sol.at(R)
+    (u,), (du,) = sol.at(R)
     z = np.array([lam_real * R])
     logz = np.array([lam.log + math.log(R)])
     J, Y, Jd, Yd = (x[0] for x in jy_with_derivs(l, z, logz))
@@ -155,7 +155,7 @@ def outgoing_defect(s: Scatterer, l: int, lam: SpectralPoint) -> complex:
     zeros on the log cover are exactly the resolvent poles of the mode.
     """
     sol = regular_solution(s, l, lam, s.support_radius + 1.0)
-    return complex(sol.coeffs[-1][0])
+    return complex(sol.coeffs[-1][0][0])
 
 
 @dataclass

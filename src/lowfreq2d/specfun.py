@@ -29,6 +29,7 @@ GAMMA0 = complex(LOG2 - EULER, math.pi / 2.0)
 SERIES_RADIUS = 12.0  # |z| crossover between power series and asymptotics
 SERIES_CAP = 80       # hard cap on series terms
 SERIES_EPS = 1e-17    # term/partial-sum stopping ratio
+DISPATCH_BLOCK = 2048 # points per branch dispatch in bessel_pair
 
 
 @dataclass(frozen=True)
@@ -139,21 +140,23 @@ def _hankel_pm_asym(l: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = 4.0 * l * l
     splus = np.ones_like(z)
     sminus = np.ones_like(z)
-    term_p = np.ones_like(z)
-    term_m = np.ones_like(z)
+    term = np.ones_like(z)
     prev = np.full(z.shape, np.inf)
     frozen = np.zeros(z.shape, dtype=bool)
     for k in range(1, 40):
         factor = (mu - (2 * k - 1) ** 2) / (8.0 * k)
-        term_p = term_p * (1j * factor) / z
-        term_m = term_m * (-1j * factor) / z
-        mag = np.abs(term_p)
-        frozen = frozen | (mag > prev)
+        term = term * (1j * factor) / z      # the H^(2) term is (-1)^k times this
+        mag = np.abs(term)
+        frozen |= mag > prev
         keep = ~frozen
-        splus = splus + np.where(keep, term_p, 0.0)
-        sminus = sminus + np.where(keep, term_m, 0.0)
-        prev = np.where(keep, mag, prev)
-        if frozen.all() or np.max(mag[keep]) < SERIES_EPS:
+        add = np.where(keep, term, 0.0)
+        splus += add
+        if k % 2:
+            sminus -= add
+        else:
+            sminus += add
+        np.copyto(prev, mag, where=keep)
+        if frozen.all() or np.max(mag, where=keep, initial=0.0) < SERIES_EPS:
             break
     front = np.sqrt(2.0 / (math.pi * z))   # principal sqrt
     omega = z - l * math.pi / 2.0 - math.pi / 4.0
@@ -166,18 +169,16 @@ def _sheet_index(arg: float | np.ndarray) -> np.ndarray:
     return np.round(np.asarray(arg) / (2.0 * math.pi) - 1e-12 * np.sign(np.asarray(arg)))
 
 
-def _raise_order(l: int, z: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """Order-l value from orders 0 and 1 by the three-term recurrence.
+def _raise_order(l: int, z: np.ndarray, f0: np.ndarray, f1: np.ndarray):
+    """Orders l and l + 1 from orders 0 and 1 by the three-term recurrence.
 
     Stable upward for J, Y and H together as long as l stays below ~|z|
     (oscillatory regime); callers switch to the series otherwise.
     """
-    if l == 0:
-        return f0
-    prev, cur = f0, f1
-    for n in range(1, l):
-        prev, cur = cur, (2.0 * n / z) * cur - prev
-    return cur
+    lo, hi = f0, f1
+    for n in range(1, l + 1):
+        lo, hi = hi, (2.0 * n / z) * hi - lo
+    return lo, hi
 
 
 def _h12_window(l: int, zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,18 +212,22 @@ def _h12_window(l: int, zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-def _jy_big(l: int, z: np.ndarray, logz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_l, Y_l for |z| > SERIES_RADIUS via asymptotics at orders 0, 1 + recurrence."""
+def _jyh_big(l: int, z: np.ndarray, logz: np.ndarray):
+    """(J, Y, H^(1)) at orders (l, l + 1) for |z| > SERIES_RADIUS.
+
+    One sheet reduction and the asymptotics at orders 0 and 1 serve every
+    order through the recurrence; H^(1) is formed directly from the window
+    values, avoiding the J + iY cancellation.
+    """
     arg = np.imag(logz)
     k = _sheet_index(arg)
     zp = np.abs(z) * np.exp(1j * (arg - 2.0 * math.pi * k))
-    h10, h20 = _h12_window(0, zp)
-    h11, h21 = _h12_window(1, zp)
-    J0, Y0 = 0.5 * (h10 + h20), (h10 - h20) / 2j
-    J1, Y1 = 0.5 * (h11 + h21), (h11 - h21) / 2j
-    Y0 = Y0 + 4j * k * J0
-    Y1 = Y1 + 4j * k * J1
-    return _raise_order(l, zp, J0, J1), _raise_order(l, zp, Y0, Y1)
+    low = []
+    for n in (0, 1):
+        h1, h2 = _h12_window(n, zp)
+        J = 0.5 * (h1 + h2)
+        low.append((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J))
+    return tuple(_raise_order(l, zp, f0, f1) for f0, f1 in zip(*low))
 
 
 # ----------------------------------------------------------------------------
@@ -234,64 +239,58 @@ def _series_mask(l: int, z: np.ndarray) -> np.ndarray:
     return (absz <= SERIES_RADIUS) | (l > 0.75 * absz)
 
 
-def jy_arrays(l: int, z: np.ndarray, logz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_l, Y_l for complex arrays z with explicit log branch logz."""
+def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
+    """(J, Y, H) on the log cover, each of shape (2, *z.shape): orders l, l + 1.
+
+    Both orders take the branch of order l + 1 (series for |z| <=
+    SERIES_RADIUS or l + 1 > 0.75|z|, asymptotics beyond), so one dispatch
+    and one sheet reduction serve all six functions, and the upward
+    recurrence never runs past the order its branch was chosen for.  Points
+    go through in blocks of DISPATCH_BLOCK, which bounds the work arrays of
+    the series and asymptotic loops.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     logz = np.atleast_1d(np.asarray(logz, dtype=complex))
-    J = np.empty_like(z)
-    Y = np.empty_like(z)
-    small = _series_mask(l, z)
-    if small.any():
-        Js, Ys = _jy_series(l, z[small], logz[small])
-        J[small] = Js
-        Y[small] = Ys
-    big = ~small
-    if big.any():
-        Jb, Yb = _jy_big(l, z[big], logz[big])
-        J[big] = Jb
-        Y[big] = Yb
-    return J, Y
+    out = np.empty((3, 2, z.size), dtype=complex)
+    zf, logf = z.reshape(-1), logz.reshape(-1)
+    for start in range(0, z.size, DISPATCH_BLOCK):
+        blk = slice(start, start + DISPATCH_BLOCK)
+        zb, logb, ob = zf[blk], logf[blk], out[:, :, blk]
+        small = _series_mask(l + 1, zb)
+        if small.any():
+            zs, logzs = zb[small], logb[small]
+            (J0, Y0), (J1, Y1) = (_jy_series(l + m, zs, logzs) for m in (0, 1))
+            ob[..., small] = [[J0, J1], [Y0, Y1], [J0 + 1j * Y0, J1 + 1j * Y1]]
+        big = ~small
+        if big.any():
+            ob[..., big] = _jyh_big(l, zb[big], logb[big])
+    out = out.reshape((3, 2) + z.shape)
+    return out[0], out[1], out[2]
+
+
+def jy_arrays(l: int, z: np.ndarray, logz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_l, Y_l for complex arrays z with explicit log branch logz."""
+    J, Y, _ = bessel_pair(l, z, logz)
+    return J[0], Y[0]
 
 
 def hankel1_arrays(l: int, z: np.ndarray, logz: np.ndarray) -> np.ndarray:
     """H^(1)_l on the log cover; avoids J + iY cancellation for large |z|."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    logz = np.atleast_1d(np.asarray(logz, dtype=complex))
-    out = np.empty_like(z)
-    small = _series_mask(l, z)
-    if small.any():
-        Js, Ys = _jy_series(l, z[small], logz[small])
-        out[small] = Js + 1j * Ys
-    big = ~small
-    if big.any():
-        arg = np.imag(logz[big])
-        k = _sheet_index(arg)
-        zp = np.abs(z[big]) * np.exp(1j * (arg - 2.0 * math.pi * k))
-        h10, h20 = _h12_window(0, zp)
-        h11, h21 = _h12_window(1, zp)
-        J0, J1 = 0.5 * (h10 + h20), 0.5 * (h11 + h21)
-        H0 = h10 - 4.0 * k * J0
-        H1 = h11 - 4.0 * k * J1
-        out[big] = _raise_order(l, zp, H0, H1)
-    return out
+    return bessel_pair(l, z, logz)[2][0]
 
 
 def jy_with_derivs(l: int, z: np.ndarray, logz: np.ndarray):
     """(J_l, Y_l, J_l', Y_l') via the order-raising recurrence."""
-    J0, Y0 = jy_arrays(l, z, logz)
-    J1, Y1 = jy_arrays(l + 1, z, logz)
+    J, Y, _ = bessel_pair(l, z, logz)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    Jd = l / z * J0 - J1
-    Yd = l / z * Y0 - Y1
-    return J0, Y0, Jd, Yd
+    return J[0], Y[0], l / z * J[0] - J[1], l / z * Y[0] - Y[1]
 
 
 def hankel1_with_deriv(l: int, z: np.ndarray, logz: np.ndarray):
     """(H^(1)_l, d/dz H^(1)_l) on the log cover."""
-    H0 = hankel1_arrays(l, z, logz)
-    H1 = hankel1_arrays(l + 1, z, logz)
+    _, _, H = bessel_pair(l, z, logz)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return H0, l / z * H0 - H1
+    return H[0], l / z * H[0] - H[1]
 
 
 # ----------------------------------------------------------------------------

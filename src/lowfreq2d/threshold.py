@@ -92,7 +92,7 @@ def solve_zero_mode(s: Scatterer, l: int, grid: PanelGrid | None = None,
     if grid is None:
         grid = standard_grid(s, cutoff)
     sol = regular_solution(s, l, None, grid.rmax)
-    c1, c2 = sol.coeffs[-1]
+    (c1,), (c2,) = sol.coeffs[-1]
     if l == 0:
         growing, decaying = c2, c1       # exterior basis (1, log r)
     else:
@@ -101,7 +101,7 @@ def solve_zero_mode(s: Scatterer, l: int, grid: PanelGrid | None = None,
         raise DegenerateScattererError(
             f"mode {l}: both exterior connection coefficients vanish"
         )
-    vals, ders = sol.eval(grid.nodes)
+    (vals,), (ders,) = sol.eval(grid.nodes)
     if l == 0:
         ext = Exterior(c0=decaying, clog=growing)
     else:

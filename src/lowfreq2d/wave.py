@@ -29,11 +29,11 @@ import numpy as np
 from .errors import BoundStateRefusal, ValidationError
 from .quadrature import PanelGrid
 from .radial import RadialFunction
+from .radialsolve import outgoing_solution, regular_solution
 from .resolvent import mode_green
 from .scatterer import Scatterer
 from .scattering import imaginary_axis_poles
 from .specfun import SpectralPoint
-from .util import parallel_map
 
 LAM_FLOOR = 1e-9
 LAM_GEOMETRIC_TOP = 0.5
@@ -137,6 +137,7 @@ class WaveResult:
     values: list[complex]
     lam_max: float
     npanels: int
+    tail_converged: bool          # False: the sweep stopped at LAM_CAP instead
     panels: OscillatoryPanels = field(repr=False, default=None)
 
 
@@ -146,13 +147,11 @@ class _PointResolvent:
     There u(x) = -phi(x) * integral(psi f r dr) / W, with the quadrature
     restricted to the panels carrying f, and W read off the outgoing
     decomposition of the regular solution (the exterior (J, H1) basis has
-    constant mode Wronskian 2i/pi).
+    constant mode Wronskian 2i/pi).  Called with a SpectralPoint or a
+    sequence of them; one batch shares every solve.
     """
 
     def __init__(self, s: Scatterer, f: RadialFunction, x: float):
-        from .radialsolve import outgoing_solution, regular_solution
-        self._outgoing = outgoing_solution
-        self._regular = regular_solution
         self.s = s
         self.x = float(x)
         g = f.grid
@@ -166,26 +165,26 @@ class _PointResolvent:
         self.wf = g.weights[keep] * f.values[keep] * self.nodes
         self.rmax = g.rmax
 
-    def __call__(self, lam: SpectralPoint) -> float:
-        phi = self._regular(self.s, 0, lam, self.rmax)
-        psi = self._outgoing(self.s, 0, lam, self.rmax)
+    def __call__(self, lam) -> np.ndarray:
+        phi = regular_solution(self.s, 0, lam, self.rmax)
+        psi = outgoing_solution(self.s, 0, lam, self.rmax)
         W = phi.coeffs[-1][0] * (2j / math.pi)
         psi_v, _ = psi.eval(self.nodes)
-        integral = np.sum(psi_v * self.wf)
+        integral = np.sum(psi_v * self.wf, axis=1)
         if self.x == 0.0:
             phi_x = phi.coeffs[0][0]     # regular member is 1 at the origin (mode 0)
         else:
             phi_x = phi.at(self.x)[0]
-        return float((-phi_x * integral / W).imag)
+        return (-phi_x * integral / W).imag
 
 
 def _integrand_callable(s: Scatterer, f: RadialFunction, x: float):
     try:
         return _PointResolvent(s, f, x)
     except ValidationError:
-        def slow(lam: SpectralPoint) -> float:
-            u = mode_green(s, lam, 0, f.grid).apply(f)
-            return float(u.value_at(x).imag)
+        def slow(lams) -> np.ndarray:
+            return np.array([mode_green(s, lam, 0, f.grid).apply(f).value_at(x).imag
+                             for lam in lams])
         return slow
 
 
@@ -201,10 +200,13 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     G = _integrand_callable(q.scatterer, q.f, q.x)
 
     def sample_chunk(edges: np.ndarray):
+        # one batched integrand call per panel; a whole chunk per call would
+        # multiply the solution arrays, and so the peak memory
         panel = PanelGrid(edges, nodes_per_panel)
-        vals = np.array(parallel_map(
-            lambda m: G(SpectralPoint(float(m), 0.0)), [float(v) for v in panel.nodes]
-        ))
+        vals = np.concatenate([
+            G([SpectralPoint(float(m), 0.0) for m in row])
+            for row in panel.nodes.reshape(-1, nodes_per_panel)
+        ])
         return panel, vals
 
     # base chunk: geometric into the origin, uniform through moderate lam
@@ -245,7 +247,8 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
         if t > 0 else 0.0j
         for t in q.times
     ]
-    return WaveResult(q, values, float(all_edges[-1]), len(all_edges) - 1, osc)
+    return WaveResult(q, values, float(all_edges[-1]), len(all_edges) - 1,
+                      tail_converged=tail_ok(tail), panels=osc)
 
 
 # ----------------------------------------------------------------------------

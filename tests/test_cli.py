@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from lowfreq2d.cli import main
 
 DISK_CFG = "kind = disk\nradius = 1\nbc = dirichlet\n"
@@ -63,6 +65,10 @@ def _check_verify(code, out):
     for line in lines[1:]:
         assert line.endswith("pass")
         assert float(line.split(",")[5]) < 1e-6
+        assert "nan" not in line.lower().split(",")
+    # single-parameter identities leave the second spectral point blank
+    for line in lines[2:]:
+        assert line.split(",")[3:5] == ["", ""]
 
 
 def test_expand_neumann_matches_prediction(tmp_path):
@@ -109,6 +115,28 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("cfg_text", [
+    "kind = disk\nradius = abc\n",
+    "kind = disk\nradius = inf\n",
+    "kind = disk\nradius = 1\ncutoff.r0 = x\n",
+    "kind = disk\nradius = 1\ncutoff.width = x\n",
+    "kind = disk\nradius = 1\ncutoff.r0 = inf\n",
+    "kind = disk\nradius = 1\ncutoff.width = nan\n",
+    "kind = potential\nbreaks = nan\nvalues = -2.5\n",
+    "kind = potential\nbreaks = 1\nvalues = nan\n",
+    "kind = potential\nbreaks = 1\nvalues = 1+infi\n",
+    "kind = disk\nradius = 1\ngrid.max = inf\n",
+    "kind = disk\nradius = 1\ngrid.min = nan\n",
+    "kind = disk\nradius = 1\ngrid.argDeg = inf\n",
+])
+def test_malformed_or_nonfinite_config_exits_2(tmp_path, capsys, cfg_text):
+    code, out = _run(tmp_path, "bad.cfg", cfg_text, "classify")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert not (out / "classify.json").exists()
 
 
 def test_missing_config_exits_2(tmp_path):

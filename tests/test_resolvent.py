@@ -235,6 +235,26 @@ def test_solution_wronskian_free():
         assert abs(wronskian(phi, psi, r) - 2j / math.pi) < 1e-13
 
 
+def test_batched_solutions_match_single_points():
+    # a batch holding an element with lam^2 = V exactly: that element takes
+    # the harmonic (power) basis on the segment and agrees with its own
+    # single-point solve, as do the Bessel elements beside it
+    from lowfreq2d import PiecewisePotential
+    from lowfreq2d.radialsolve import make_segments, outgoing_solution, regular_solution
+    s = PiecewisePotential((0.6, 1.0), (0.25, -1.5))
+    lams = [SpectralPoint(0.5, 0.0), SpectralPoint(0.7, 0.3), SpectralPoint(2.0, -0.1)]
+    assert list(make_segments(s, 0, lams, 4.0)[0].eta == 0) == [True, False, False]
+    r = np.array([0.3, 0.8, 2.5])
+    for solve in (regular_solution, outgoing_solution):
+        for l in (0, 2):
+            u, du = solve(s, l, lams, 4.0).eval(r)
+            assert u.shape == du.shape == (3, 3)
+            for i, lam in enumerate(lams):
+                u1, du1 = solve(s, l, lam, 4.0).eval(r)
+                assert np.allclose(u[i], u1[0], rtol=1e-13, atol=0)
+                assert np.allclose(du[i], du1[0], rtol=1e-13, atol=0)
+
+
 def test_lam4_log_coefficient_kernel():
     # extract the lam^4 log(lam) coefficient of the free kernel numerically and
     # compare with the tabulated quadrupole-order kernel

@@ -172,3 +172,15 @@ def test_config_roundtrip_property(raw_breaks, raw_values):
             f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}i" for v in values)
     )
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_bridge_closed_ends_exact():
+    # the bridge is evaluated on the open interval only; the closed ends are
+    # assigned, so chi is exactly 1 / 0 there with vanishing derivatives
+    chi = CutoffProfile(1.5, 1.0)
+    r = np.array([1.0, 1.5, 2.0, 2.5, 3.0])
+    c, d, d2 = chi.chi(r), chi.dchi(r), chi.d2chi(r)
+    assert list(c) == [1.0, 1.0, 0.5, 0.0, 0.0]
+    assert list(d[[0, 1, 3, 4]]) == [0.0] * 4 and d[2] < 0.0
+    assert list(d2[[0, 1, 3, 4]]) == [0.0] * 4
+    assert np.all(np.isfinite(chi.laplacian_chi(np.linspace(0.0, 4.0, 4001))))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lowfreq2d import EULER, GAMMA0, GammaConstants, SpectralPoint, bessel_jy, hankel0, hankel1
 from lowfreq2d.errors import DomainError
-from lowfreq2d.specfun import _jy_big, _jy_series
+from lowfreq2d.specfun import _jy_series, _jyh_big
 
 from oracles import EULER_ORACLE, j0_series, j0_prime, y0_series, y0_prime
 
@@ -108,7 +108,7 @@ def test_series_asymptotic_crossover(l):
             z = np.array([mod * np.exp(1j * th)])
             lz = np.array([math.log(mod) + 1j * th])
             Js, Ys = _jy_series(l, z, lz)
-            Jb, Yb = _jy_big(l, z, lz)
+            (Jb, _), (Yb, _), _ = _jyh_big(l, z, lz)
             scale = abs(Js[0]) + abs(Ys[0])
             worst = max(worst, (abs(Js[0] - Jb[0]) + abs(Ys[0] - Yb[0])) / scale)
     assert worst < 1e-8
@@ -129,3 +129,55 @@ def test_hankel_decay_upper_imaginary_axis():
         H = hankel1(0, SpectralPoint(x, math.pi / 2.0))[0]
         model = math.sqrt(2.0 / (math.pi * x)) * math.exp(-x)
         assert 0.8 < abs(H) / model < 1.2
+
+
+def _bessel_pair_error(l, mods, args):
+    """Worst error of bessel_pair against scipy (AMOS) over orders l, l + 1,
+    relative to |J| + |Y| as in the crossover test."""
+    sp = pytest.importorskip("scipy.special")
+    from lowfreq2d.specfun import bessel_pair
+    m, t = (a.ravel() for a in np.meshgrid(mods, args))
+    z = m * np.exp(1j * t)
+    J, Y, H = bessel_pair(l, z, np.log(m) + 1j * t)
+    worst = 0.0
+    for k in (0, 1):
+        ref_j, ref_y = sp.jv(l + k, z), sp.yv(l + k, z)
+        scale = np.abs(ref_j) + np.abs(ref_y)
+        for ours, ref in ((J[k], ref_j), (Y[k], ref_y), (H[k], sp.hankel1(l + k, z))):
+            worst = max(worst, float(np.max(np.abs(ours - ref) / scale)))
+    return worst
+
+
+_PRINCIPAL_ARGS = np.linspace(-math.pi, math.pi, 25)[1:]
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_bessel_pair_against_scipy(l):
+    mods = np.concatenate([[0.05, 0.5, 2.0, 6.0, 9.0, 20.0, 40.0],
+                           np.linspace(11.0, 13.0, 21)])       # the series/asymptotic seam
+    assert _bessel_pair_error(l, mods, _PRINCIPAL_ARGS) < 1e-9
+    assert _bessel_pair_error(l, mods, np.array([0.0])) < 1e-11
+
+
+@pytest.mark.parametrize("l", [9, 10, 11])
+def test_bessel_pair_order_switch_against_scipy(l):
+    # beyond SERIES_RADIUS the series still serves orders above 0.75|z|; both
+    # orders of the pair follow order l + 1 across that switch
+    mods = np.linspace(12.0, 15.5, 15)
+    assert _bessel_pair_error(l, mods, _PRINCIPAL_ARGS) < 5e-9
+    assert _bessel_pair_error(l, mods, np.array([0.0])) < 1e-11
+
+
+def test_bessel_pair_feeds_the_single_order_functions():
+    from lowfreq2d.specfun import (bessel_pair, hankel1_arrays, hankel1_with_deriv,
+                                   jy_arrays, jy_with_derivs)
+    z = np.array([0.3 + 0.1j, 4.0, 12.5 - 3.0j, 30.0j])
+    logz = np.log(z)
+    J, Y, H = bessel_pair(2, z, logz)
+    Ja, Ya = jy_arrays(2, z, logz)
+    assert np.array_equal(J[0], Ja) and np.array_equal(Y[0], Ya)
+    assert np.array_equal(H[0], hankel1_arrays(2, z, logz))
+    _, _, Jd, Yd = jy_with_derivs(2, z, logz)
+    _, Hd = hankel1_with_deriv(2, z, logz)
+    # J' + iY' cancels where H is exponentially small (on the imaginary axis)
+    assert np.allclose((Jd + 1j * Yd)[:3], Hd[:3], rtol=1e-12, atol=0)

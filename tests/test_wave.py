@@ -141,3 +141,28 @@ def test_point_resolvent_fast_path_matches_full_apply(dirichlet_fx, generic_well
         for lam in (SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0)):
             full = mode_green(fx.scatterer, lam, 0, fx.grid).apply(fx.f)
             assert abs(G(lam) - full.value_at(x_obs).imag) < 1e-11
+
+
+@pytest.mark.parametrize("edges", [(0.125, 0.25), (40.0, 40.25)])
+def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edges):
+    # one call per panel (a geometric panel of the base chunk, a tail panel)
+    # gives the per-point values of the restricted-support formula
+    from lowfreq2d import SpectralPoint
+    from lowfreq2d.wave import _PointResolvent
+    nodes = PanelGrid(np.array(edges), 16).nodes
+    for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
+        G = _PointResolvent(fx.scatterer, fx.f, x_obs)
+        batch = G([SpectralPoint(float(m), 0.0) for m in nodes])
+        point = np.array([G(SpectralPoint(float(m), 0.0))[0] for m in nodes])
+        assert batch.shape == nodes.shape
+        assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-13
+
+
+def test_tail_status_reported(wave_free_result, wave_well_result):
+    from lowfreq2d.wave import LAM_CAP
+    # the free sweep runs into the cap before its tail criterion holds; the
+    # repulsive well's integrand dies out inside the base chunk
+    _, free = wave_free_result
+    assert free.lam_max == LAM_CAP and free.tail_converged is False
+    _, well = wave_well_result
+    assert well.lam_max < LAM_CAP and well.tail_converged is True
