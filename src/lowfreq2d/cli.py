@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import LowfreqError, NumericalError, ValidationError
 from .expansion import (attach_predictions, expansion_grid, fit_log_laurent,
@@ -35,6 +33,7 @@ from .scattering import (find_pole_in_disk, imaginary_axis_poles,
                          phase_shift_sweep, sigma_asymptotic)
 from .specfun import SpectralPoint
 from .threshold import classify, report_to_dict
+from .util import log_grid
 from .wave import WaveQuery, decay_fit, evolve
 
 USAGE_EXIT = 64
@@ -44,7 +43,7 @@ NUMERICAL_EXIT = 3
 _COMMANDS = ("classify", "capacity", "expand", "phase", "resonance", "perturb", "wave", "verify")
 
 _DEFAULT_EPSILONS = (-1e-2, -1e-3, 1e-3, 1e-2)
-_DEFAULT_TIMES = tuple(float(t) for t in np.exp(np.linspace(math.log(1e2), math.log(1e6), 9)))
+_DEFAULT_TIMES = tuple(float(t) for t in log_grid(1e2, 1e6, 9))
 
 
 class _UsageError(Exception):
@@ -105,22 +104,20 @@ class _Run:
         )
 
 
+def _source_geometry(cfg: ScattererConfig) -> tuple[float, float]:
+    """Centre and half-width of the canonical source bump."""
+    inner = cfg.scatterer.inner_radius
+    return 0.5 * (inner + cfg.cutoff.r0), 0.8 * 0.5 * (cfg.cutoff.r0 - inner)
+
+
 def canonical_source(cfg: ScattererConfig, grid, mode: int = 0) -> RadialFunction:
     """The documented default test function: a bump centered in the annulus
     between scatterer support (or obstacle boundary) and the cutoff start."""
-    s = cfg.scatterer
-    inner = s.inner_radius
-    center = 0.5 * (inner + cfg.cutoff.r0)
-    half = 0.8 * 0.5 * (cfg.cutoff.r0 - inner)
-    return bump(grid, center, half, mode)
+    return bump(grid, *_source_geometry(cfg), mode)
 
 
 def _source_edges(cfg: ScattererConfig) -> list[float]:
-    s = cfg.scatterer
-    inner = s.inner_radius
-    center = 0.5 * (inner + cfg.cutoff.r0)
-    half = 0.8 * 0.5 * (cfg.cutoff.r0 - inner)
-    return bump_edges(center, half)
+    return bump_edges(*_source_geometry(cfg))
 
 
 def _lambda_grid(cfg: ScattererConfig):
@@ -192,7 +189,7 @@ def _cmd_expand(run: _Run) -> None:
 def _cmd_phase(run: _Run) -> None:
     cfg = run.cfg
     report = classify(cfg.scatterer, cutoff=cfg.cutoff)
-    lams = np.exp(np.linspace(math.log(cfg.grid_min), math.log(cfg.grid_max), cfg.grid_count))
+    lams = log_grid(cfg.grid_min, cfg.grid_max, cfg.grid_count)
     tables = phase_shift_sweep(cfg.scatterer, lams)
     rows = []
     for t in tables:
@@ -233,6 +230,7 @@ def _cmd_perturb(run: _Run) -> None:
         raise ValidationError("perturb needs a potential scatterer")
     report = classify(cfg.scatterer, cutoff=cfg.cutoff)
     mode = _tuned_mode(report)
+    lams = log_grid(cfg.grid_min, cfg.grid_max, cfg.grid_count)
     rows = []
     poles = []
     for eps in _DEFAULT_EPSILONS:
@@ -248,7 +246,6 @@ def _cmd_perturb(run: _Run) -> None:
                 "eps": eps, "mode": mode, "kind": pole.kind,
                 "re": pole.lam.value.real, "im": pole.lam.value.imag,
             })
-        lams = np.exp(np.linspace(math.log(cfg.grid_min), math.log(cfg.grid_max), cfg.grid_count))
         for t in phase_shift_sweep(s_eps, lams):
             rows.append((eps, t.lam, t.sigma.real, t.sigma.imag))
     run.write_csv("perturb.csv", ["eps", "lambda", "sigma_re", "sigma_im"], rows)
@@ -257,10 +254,11 @@ def _cmd_perturb(run: _Run) -> None:
 
 def _cmd_wave(run: _Run) -> None:
     cfg = run.cfg
-    grid = standard_grid(cfg.scatterer, cfg.cutoff, extra_edges=_source_edges(cfg))
+    edges = _source_edges(cfg)
+    grid = standard_grid(cfg.scatterer, cfg.cutoff, extra_edges=edges)
     f = canonical_source(cfg, grid)
     s = cfg.scatterer
-    x_obs = 0.0 if isinstance(s, PiecewisePotential) else 0.5 * (s.inner_radius + _source_edges(cfg)[0])
+    x_obs = 0.0 if isinstance(s, PiecewisePotential) else 0.5 * (s.inner_radius + edges[0])
     q = WaveQuery(s, f, x_obs, _DEFAULT_TIMES)
     res = evolve(q)
     run.write_csv("wave.csv", ["t", "w_re", "w_im"],

@@ -31,7 +31,7 @@ from .resolvent import mode_green
 from .scatterer import Scatterer
 from .specfun import SpectralPoint
 from .threshold import ThresholdReport
-from .util import parallel_map
+from .util import log_grid
 
 CONDITION_LIMIT = 1e12
 
@@ -59,11 +59,11 @@ def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
                    extra_count: int = 8) -> ExpansionGrid:
     """Log-spaced moduli on a main ray (every third point held out) plus a
     secondary ray for robustness across log-branch mistakes."""
-    mods = np.exp(np.linspace(math.log(modmin), math.log(modmax), count))
+    mods = log_grid(modmin, modmax, count)
     pts = [SpectralPoint(float(m), arg) for m in mods]
     held = [(i % 3 == 2) for i in range(count)]
     if extra_arg is not None and extra_count > 0:
-        mods2 = np.exp(np.linspace(math.log(modmin), math.log(modmax), extra_count))
+        mods2 = log_grid(modmin, modmax, extra_count)
         pts += [SpectralPoint(float(m), extra_arg) for m in mods2]
         held += [False] * extra_count
     return ExpansionGrid(tuple(pts), tuple(held))
@@ -75,11 +75,7 @@ def sample_matrix_element(s: Scatterer, f: RadialFunction, g: RadialFunction,
     if not f.same_channel(g):
         return np.zeros(len(pts), dtype=complex)
 
-    def one(lam: SpectralPoint) -> complex:
-        u = mode_green(s, lam, f.mode, f.grid).apply(f)
-        return inner(u, g)
-
-    return np.array(parallel_map(one, list(pts)))
+    return np.array([inner(mode_green(s, lam, f.mode, f.grid).apply(f), g) for lam in pts])
 
 
 # ----------------------------------------------------------------------------
@@ -219,15 +215,15 @@ def _design(terms, pts, shift):
 
 
 def _weighted_lstsq(A, y, w):
+    """Row-weighted, column-normalized least squares: the coefficients, the
+    weighted residual vector and the normalized matrix."""
     Aw = A * w[:, None]
     yw = y * w
     scale = np.max(np.abs(Aw), axis=0)
     scale[scale == 0] = 1.0
     As = Aw / scale[None, :]
     coef, *_ = np.linalg.lstsq(As, yw, rcond=None)
-    resid = As @ coef - yw
-    cond = np.linalg.cond(As)
-    return coef / scale, float(np.linalg.norm(resid)), cond
+    return coef / scale, As @ coef - yw, As
 
 
 def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTerm],
@@ -250,25 +246,18 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
     shift = shift0 if shift0 is not None else complex(SpectralPoint(1.0, 0.0).log)  # 0
 
     def solve(sh):
-        A = _design(terms, pts_tr, sh)
-        return _weighted_lstsq(A, y_tr, w)
+        return _weighted_lstsq(_design(terms, pts_tr, sh), y_tr, w)
+
+    def rvec(xv):
+        r = solve(complex(xv[0], xv[1]))[1]
+        return np.concatenate([r.real, r.imag])
 
     if has_pole and shift0 is None:
         raise ValidationError("pole terms need an initial shift (threshold a or gamma0)")
 
-    coef, rnorm, cond = solve(shift)
     if has_pole and optimize_shift:
         x = np.array([shift.real, shift.imag])
         for _ in range(max_iter):
-            def rvec(xv):
-                A = _design(terms, pts_tr, complex(xv[0], xv[1]))
-                Aw = A * w[:, None]
-                scale = np.max(np.abs(Aw), axis=0)
-                scale[scale == 0] = 1.0
-                cf, *_ = np.linalg.lstsq(Aw / scale, y_tr * w, rcond=None)
-                r = (Aw / scale) @ cf - y_tr * w
-                return np.concatenate([r.real, r.imag])
-
             r0 = rvec(x)
             h = 1e-7 * (1.0 + np.abs(x))
             J = np.column_stack([
@@ -289,8 +278,8 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
             if np.linalg.norm(t * step) < 1e-12 * (1.0 + np.linalg.norm(x)):
                 break
         shift = complex(x[0], x[1])
-        coef, rnorm, cond = solve(shift)
-
+    coef, _, As = solve(shift)
+    cond = np.linalg.cond(As)
     if cond > CONDITION_LIMIT:
         raise IllConditionedFitError(cond)
 
@@ -314,16 +303,6 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
 # ----------------------------------------------------------------------------
 # closed-form predictions from threshold data
 # ----------------------------------------------------------------------------
-
-PREDICTION_PROVENANCE = {
-    "lam^-2": "zero-eigenspace projection coefficient",
-    "lam^-2*(log-a)^-1": "1/r-state pole ladder, resummed",
-    "log^1": "bounded-state rank-one term plus quadrupole-tail correction",
-    "(log-a)^-1": "log-state rank-one pole term",
-    "log^-1": "unshifted ladder k = 1",
-    "log^-2": "unshifted ladder k = 2 (= a x k=1)",
-}
-
 
 def predict_leading_terms(report: ThresholdReport, f: RadialFunction,
                           g: RadialFunction, want: list[str] | None = None) -> dict[str, complex]:

@@ -16,27 +16,21 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as L
 
+from .errors import ValidationError
+
 
 @lru_cache(maxsize=None)
 def _reference(n: int):
-    """GL nodes/weights on [-1, 1] plus the value->Legendre-coefficient map."""
+    """GL nodes/weights on [-1, 1], the value->Legendre-coefficient map, and
+    the node-value maps of the running integral from -1 and of d/dx."""
     x, w = L.leggauss(n)
     # c_k = (2k+1)/2 * sum_i w_i P_k(x_i) v_i  (exact for polynomial v, deg < n)
     V = L.legvander(x, n - 1)              # V[i, k] = P_k(x_i)
     to_coeff = ((2 * np.arange(n) + 1) / 2.0)[:, None] * (V.T * w[None, :])
-    return x, w, to_coeff
-
-
-def _antiderivative_coeffs(c: np.ndarray) -> np.ndarray:
-    """Coefficients of x -> integral_{-1}^{x} p, for p given in Legendre coeffs."""
-    n = len(c)
-    a = np.zeros(n + 1, dtype=complex)
-    a[0] += c[0]
-    a[1] += c[0]
-    for k in range(1, n):
-        a[k + 1] += c[k] / (2 * k + 1)
-        a[k - 1] -= c[k] / (2 * k + 1)
-    return a
+    eye = np.eye(n)
+    cum = L.legvander(x, n) @ L.legint(eye, lbnd=-1) @ to_coeff
+    der = L.legvander(x, n - 2) @ L.legder(eye) @ to_coeff
+    return x, w, to_coeff, cum, der
 
 
 class PanelGrid:
@@ -45,11 +39,12 @@ class PanelGrid:
     def __init__(self, edges, nodes_per_panel: int = 32):
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
-            raise ValueError("panel edges must be strictly increasing, >= 2 entries")
+            raise ValidationError("panel edges must be strictly increasing, >= 2 entries")
         self.edges = edges
         self.n = int(nodes_per_panel)
-        x, w, to_coeff = _reference(self.n)
+        x, w, to_coeff, cum, der = _reference(self.n)
         self._x, self._w, self._to_coeff = x, w, to_coeff
+        self._cum, self._der = cum, der
         half = 0.5 * np.diff(edges)
         mid = 0.5 * (edges[:-1] + edges[1:])
         self.npanels = len(half)
@@ -81,10 +76,6 @@ class PanelGrid:
     def refined(self, factor: int = 2) -> "PanelGrid":
         return PanelGrid(self.edges, self.n * factor)
 
-    def with_edges(self, extra_edges) -> "PanelGrid":
-        merged = np.unique(np.concatenate([self.edges, np.asarray(extra_edges, float)]))
-        return PanelGrid(merged, self.n)
-
     # -- integration ----------------------------------------------------------
 
     def integrate(self, vals: np.ndarray) -> complex:
@@ -100,26 +91,18 @@ class PanelGrid:
         v = np.asarray(vals, dtype=complex).reshape(self.npanels, self.n)
         panel_totals = v @ self._w * self._half
         prefix = np.concatenate([[0.0], np.cumsum(panel_totals)[:-1]])
-        c = self._coeffs(vals)
-        out = np.empty_like(v)
-        for p in range(self.npanels):
-            a = _antiderivative_coeffs(c[p])
-            out[p] = prefix[p] + self._half[p] * L.legval(self._x, a)
-        return out.ravel()
+        return (prefix[:, None] + self._half[:, None] * (v @ self._cum.T)).ravel()
 
     def derivative(self, vals: np.ndarray) -> np.ndarray:
         """d/dr of the sampled function at the nodes (per-panel spectral)."""
-        c = self._coeffs(vals)
-        out = np.empty((self.npanels, self.n), dtype=complex)
-        for p in range(self.npanels):
-            out[p] = L.legval(self._x, L.legder(c[p])) / self._half[p]
-        return out.ravel()
+        v = np.asarray(vals, dtype=complex).reshape(self.npanels, self.n)
+        return ((v @ self._der.T) / self._half[:, None]).ravel()
 
     # -- pointwise evaluation --------------------------------------------------
 
     def _locate(self, r: float) -> tuple[int, float]:
         if not (self.rmin - 1e-12 <= r <= self.rmax + 1e-12):
-            raise ValueError(f"r={r} outside grid [{self.rmin}, {self.rmax}]")
+            raise ValidationError(f"r={r} outside grid [{self.rmin}, {self.rmax}]")
         p = int(np.searchsorted(self.edges, r, side="right") - 1)
         p = min(max(p, 0), self.npanels - 1)
         x = (r - self._mid[p]) / self._half[p]
@@ -135,19 +118,11 @@ class PanelGrid:
         c = self._coeffs(vals)
         return complex(L.legval(x, L.legder(c[p])) / self._half[p])
 
-    def eval_many(self, vals: np.ndarray, rs) -> np.ndarray:
-        c = self._coeffs(vals)
-        out = np.empty(len(rs), dtype=complex)
-        for i, r in enumerate(rs):
-            p, x = self._locate(float(r))
-            out[i] = L.legval(x, c[p])
-        return out
-
 
 def geometric_edges(a: float, b: float, ratio: float = 2.0) -> np.ndarray:
     """Edges from a to b growing geometrically (a > 0)."""
     if not (0 < a < b):
-        raise ValueError("need 0 < a < b")
+        raise ValidationError("need 0 < a < b")
     edges = [a]
     while edges[-1] * ratio < b:
         edges.append(edges[-1] * ratio)

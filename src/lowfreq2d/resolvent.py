@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import AtPoleError, DomainError, ValidationError
 from .quadrature import PanelGrid
-from .radial import Exterior, RadialFunction
+from .radial import RadialFunction
 from .radialsolve import outgoing_solution, regular_solution
 from .scatterer import CutoffProfile, PiecewisePotential, Scatterer, commutator_apply
-from .specfun import GAMMA0, SpectralPoint, hankel0, hankel1
+from .specfun import GAMMA0, SpectralPoint, hankel0, hankel1, hankel1_arrays
 
 POLE_GUARD = 1e-13
 
@@ -325,7 +325,7 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralPoint, phi_src: RadialF
         raise ValidationError("pairing identity implemented for mode 0")
     grid = phi_src.grid
     r = grid.nodes
-    kernel = np.array([0.25j * hankel0(lam.scale(float(rr))) for rr in r])
+    kernel = 0.25j * hankel1_arrays(0, lam.value * r, lam.log + np.log(r))
     mask = r > r1
     lhs = 2.0 * math.pi * grid.integrate(np.where(mask, phi_src.values * kernel * r, 0.0))
     u = apply_resolvent_mode(s, lam, 0, phi_src)

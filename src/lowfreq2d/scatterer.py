@@ -52,9 +52,6 @@ class PiecewisePotential:
     def admissible(self) -> bool:
         return all(complex(v).real >= 0.0 for v in self.values)
 
-    def value_on_segment(self, j: int) -> complex:
-        return complex(self.values[j])
-
     def segment_edges(self) -> list[float]:
         return [0.0, *self.breaks]
 

@@ -22,7 +22,7 @@ from .radialsolve import regular_solution
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralPoint, jy_with_derivs
 from .threshold import ThresholdReport
-from .util import parallel_map
+from .util import log_grid
 
 LMAX_HARD = 40
 TRUNC_TOL = 1e-14
@@ -108,7 +108,7 @@ def phase_shift_sweep(s: Scatterer, lams, lmax: int | None = None) -> list[Phase
     delta_l is unwrapped by half-pi-free steps as lam decreases.
     """
     lams = sorted(float(x) for x in lams)
-    tables = parallel_map(lambda x: phase_shifts(s, x, lmax), lams)
+    tables = [phase_shifts(s, x, lmax) for x in lams]
     all_l = sorted({l for t in tables for l in t.shifts})
     for l in all_l:
         prev = None
@@ -226,7 +226,7 @@ def scan_pole_candidates(s: Scatterer, mode: int, r_search: float = 0.3,
     """Coarse |defect| scan over the search disk; returns seeds, best first."""
     if args is None:
         args = [math.pi / 2, 0.3, -0.1, -0.35, -0.8, -1.5, -2.5]
-    mods = np.exp(np.linspace(math.log(1e-4), math.log(r_search * 0.98), n_r))
+    mods = log_grid(1e-4, r_search * 0.98, n_r)
     cands = []
     for th in args:
         vals = [abs(outgoing_defect(s, mode, SpectralPoint(float(m), th))) for m in mods]
@@ -253,7 +253,7 @@ def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3,
 def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
                          kmax: float = 2.0, n: int = 80) -> list[ResonancePole]:
     """Bound-state search: sign changes of the (real-axis-symmetric) defect on i kappa."""
-    ks = np.exp(np.linspace(math.log(kmin), math.log(kmax), n))
+    ks = log_grid(kmin, kmax, n)
     vals = []
     for k in ks:
         d = outgoing_defect(s, mode, SpectralPoint(float(k), math.pi / 2.0))

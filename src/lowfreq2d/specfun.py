@@ -59,14 +59,6 @@ class SpectralPoint:
         """Multiply the modulus by r > 0 (same sheet)."""
         return SpectralPoint(self.modulus * r, self.arg)
 
-    def rotated(self, dtheta: float) -> "SpectralPoint":
-        return SpectralPoint(self.modulus, self.arg + dtheta)
-
-    @staticmethod
-    def from_complex(z: complex, sheet: int = 0) -> "SpectralPoint":
-        z = complex(z)
-        return SpectralPoint(abs(z), math.atan2(z.imag, z.real) + 2.0 * math.pi * sheet)
-
 
 @dataclass(frozen=True)
 class GammaConstants:

@@ -1,25 +1,12 @@
-"""Shared plumbing: bounded parallel maps over spectral grids."""
+"""Shared plumbing: the log-spaced grids of the spectral sweeps."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 
-_ENV = "LOWFREQ2D_THREADS"
-
-
-def thread_cap() -> int:
-    raw = os.environ.get(_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+import numpy as np
 
 
-def parallel_map(fn, items: list):
-    """map() preserving order; threads capped by LOWFREQ2D_THREADS (default 1)."""
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as ex:
-        return list(ex.map(fn, items))
+def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n points from lo to hi (both > 0), equally spaced in log."""
+    return np.exp(np.linspace(math.log(lo), math.log(hi), n))

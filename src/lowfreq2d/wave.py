@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundStateRefusal, ValidationError
-from .quadrature import PanelGrid
+from .quadrature import PanelGrid, geometric_edges
 from .radial import RadialFunction
 from .radialsolve import outgoing_solution, regular_solution
 from .resolvent import mode_green
@@ -210,10 +210,7 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
         return panel, vals
 
     # base chunk: geometric into the origin, uniform through moderate lam
-    base = [LAM_FLOOR]
-    while base[-1] * 2.0 < LAM_GEOMETRIC_TOP:
-        base.append(base[-1] * 2.0)
-    base.append(LAM_GEOMETRIC_TOP)
+    base = list(geometric_edges(LAM_FLOOR, LAM_GEOMETRIC_TOP))
     lam = LAM_GEOMETRIC_TOP
     while lam < 12.0:
         lam = min(lam + 0.25, 12.0)

@@ -1,9 +1,11 @@
 """Command-line surface: outputs, manifests, exit codes, determinism."""
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +163,23 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def test_traced_layers_importable():
+    # perfbench/spans.py traces each lowfreq2d.<layer> it names and needs every
+    # one of them loaded by the CLI import alone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, lowfreq2d.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(json.loads(proc.stdout))
+    missing = [layer for layer in spans.LAYERS if f"lowfreq2d.{layer}" not in loaded]
+    assert not missing
 
 
 def test_ill_conditioned_fit_exits_3(tmp_path, capsys):

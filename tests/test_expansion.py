@@ -222,14 +222,6 @@ def test_attach_predictions_discrepancies(dirichlet_fx, samples_dirichlet, defau
     assert any(t["label"] == "(log-a)^-1" for t in d["terms"])
 
 
-def test_thread_cap_equivalence(free_fx, monkeypatch):
-    pts = expansion_grid(count=6, extra_arg=None).points
-    serial = sample_matrix_element(free_fx.scatterer, free_fx.f, free_fx.f, pts)
-    monkeypatch.setenv("LOWFREQ2D_THREADS", "4")
-    threaded = sample_matrix_element(free_fx.scatterer, free_fx.f, free_fx.f, pts)
-    assert np.array_equal(serial, threaded)
-
-
 def test_shift_newton_wide_basin(dirichlet_fx, samples_dirichlet, default_grid_pts):
     rep = dirichlet_fx.report
     for off in (0.5, 2.0, -1.5 + 1.0j):

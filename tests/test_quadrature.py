@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as L
 
+from lowfreq2d import (DiskObstacle, PiecewisePotential, ValidationError, bump,
+                       bump_edges, default_cutoff, standard_grid)
 from lowfreq2d.quadrature import PanelGrid, geometric_edges, graded_inner_edges
 
 
@@ -50,13 +53,48 @@ def test_geometric_edges():
 
 
 def test_bad_edges_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         PanelGrid([1.0, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         PanelGrid([0.5])
 
 
 def test_locate_outside():
     g = PanelGrid([0.0, 1.0], 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         g.eval_at(np.zeros(8), 2.0)
+
+
+def _legendre_route(grid, vals):
+    """Per-panel Legendre coefficients integrated/differentiated by legint and
+    legder and summed back with legval: the node-matrix route's reference."""
+    c = grid._coeffs(vals)
+    half = 0.5 * np.diff(grid.edges)
+    x = grid._x
+    totals = np.asarray(vals, complex).reshape(grid.npanels, grid.n) @ grid._w * half
+    prefix = np.concatenate([[0.0], np.cumsum(totals)[:-1]])
+    cum = np.array([prefix[p] + half[p] * L.legval(x, L.legint(c[p], lbnd=-1))
+                    for p in range(grid.npanels)])
+    der = np.array([L.legval(x, L.legder(c[p])) / half[p] for p in range(grid.npanels)])
+    return cum, der
+
+
+@pytest.mark.parametrize("scatterer", [DiskObstacle(1.0, "dirichlet"),
+                                       PiecewisePotential((0.55, 1.0), (-20.0, -7.0))],
+                         ids=["dirichlet-disk", "two-step-well"])
+def test_cumulative_derivative_match_legendre_route(scatterer):
+    chi = default_cutoff(scatterer)
+    center = 0.5 * (scatterer.inner_radius + chi.r0)
+    halfwidth = 0.8 * 0.5 * (chi.r0 - scatterer.inner_radius)
+    grid = standard_grid(scatterer, chi, extra_edges=bump_edges(center, halfwidth))
+    half = 0.5 * np.diff(grid.edges)
+    r = grid.nodes
+    oscillatory = np.exp(1j * 7.0 * r) * np.cos(3.0 * r)
+    for vals in (bump(grid, center, halfwidth).values, oscillatory, np.log(r)):
+        cum_ref, der_ref = _legendre_route(grid, vals)
+        cum = grid.cumulative(vals).reshape(grid.npanels, grid.n)
+        der = grid.derivative(vals).reshape(grid.npanels, grid.n)
+        assert np.max(np.abs(cum - cum_ref)) <= 1e-14 * np.max(np.abs(cum_ref))
+        vmax = np.max(np.abs(np.asarray(vals).reshape(grid.npanels, grid.n)), axis=1)
+        bound = 1e-12 * vmax / half
+        assert np.all(np.max(np.abs(der - der_ref), axis=1) <= bound)
