@@ -15,9 +15,9 @@ from .expansion import (ExpansionGrid, FitReport, FitTerm, LogLaurentSeries,
 from .quadrature import PanelGrid
 from .radial import Exterior, RadialFunction, bump, bump_edges, constant_one, inner, norm_sq, plane_integral
 from .resolvent import (FreeCoeffKernel, ResolventSample, apply_resolvent_mode,
-                        boundary_pairing, free_kernel, free_scatterer, mode_green,
-                        one_sided_identity_residual, pairing_identity_residual,
-                        two_parameter_identity_residual)
+                        boundary_pairing_fourier, boundary_pairing_samples, free_kernel,
+                        free_scatterer, mode_green, one_sided_identity_residual,
+                        pairing_identity_residual, two_parameter_identity_residual)
 from .scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                         Scatterer, ScattererConfig, commutator_apply, default_cutoff,
                         parse_config, serialize_config, standard_grid)
@@ -25,6 +25,6 @@ from .scattering import (PhaseShiftTable, ResonancePole, breit_wigner_metrics,
                          find_pole, find_pole_in_disk, imaginary_axis_poles,
                          outgoing_defect, perturbation_sweep, phase_shift_sweep,
                          phase_shifts, sigma_asymptotic)
-from .specfun import EULER, GAMMA0, GammaConstants, SpectralPoint, bessel_jy, hankel0, hankel1
+from .specfun import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel0, hankel1
 from .threshold import ThresholdMode, ThresholdReport, classify, eigen_projection, solve_zero_mode
 from .wave import DecayReport, WaveQuery, WaveResult, decay_fit, evolve

@@ -34,6 +34,8 @@ from .threshold import ThresholdReport
 from .util import log_grid
 
 CONDITION_LIMIT = 1e12
+EXTRA_COUNT = 8         # points on expansion_grid's secondary ray
+SHIFT_MAX_ITER = 40     # Gauss-Newton steps on the pole shift
 
 
 # ----------------------------------------------------------------------------
@@ -55,17 +57,17 @@ class ExpansionGrid:
 
 
 def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
-                   arg: float = math.pi / 4, extra_arg: float | None = math.pi / 3,
-                   extra_count: int = 8) -> ExpansionGrid:
-    """Log-spaced moduli on a main ray (every third point held out) plus a
-    secondary ray for robustness across log-branch mistakes."""
+                   arg: float = math.pi / 4, extra_arg: float | None = math.pi / 3
+                   ) -> ExpansionGrid:
+    """Log-spaced moduli on a main ray (every third point held out) plus
+    EXTRA_COUNT on a secondary ray for robustness across log-branch mistakes."""
     mods = log_grid(modmin, modmax, count)
     pts = [SpectralPoint(float(m), arg) for m in mods]
     held = [(i % 3 == 2) for i in range(count)]
-    if extra_arg is not None and extra_count > 0:
-        mods2 = log_grid(modmin, modmax, extra_count)
+    if extra_arg is not None:
+        mods2 = log_grid(modmin, modmax, EXTRA_COUNT)
         pts += [SpectralPoint(float(m), extra_arg) for m in mods2]
-        held += [False] * extra_count
+        held += [False] * EXTRA_COUNT
     return ExpansionGrid(tuple(pts), tuple(held))
 
 
@@ -227,8 +229,7 @@ def _weighted_lstsq(A, y, w):
 
 
 def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTerm],
-                    shift0: complex | None = None, optimize_shift: bool = True,
-                    max_iter: int = 40) -> FitReport:
+                    shift0: complex | None = None, optimize_shift: bool = True) -> FitReport:
     """Least-squares fit of the term set; Gauss-Newton on the pole shift."""
     samples = np.asarray(samples, dtype=complex)
     pts = list(grid.points)
@@ -257,7 +258,7 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
 
     if has_pole and optimize_shift:
         x = np.array([shift.real, shift.imag])
-        for _ in range(max_iter):
+        for _ in range(SHIFT_MAX_ITER):
             r0 = rvec(x)
             h = 1e-7 * (1.0 + np.abs(x))
             J = np.column_stack([

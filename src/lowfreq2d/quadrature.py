@@ -18,6 +18,10 @@ from numpy.polynomial import legendre as L
 
 from .errors import ValidationError
 
+GEOMETRIC_RATIO = 2.0   # growth of geometric_edges
+GRADED_COUNT = 8        # panels of graded_inner_edges
+GRADED_RATIO = 5.0      # shrink factor of graded_inner_edges toward 0
+
 
 @lru_cache(maxsize=None)
 def _reference(n: int):
@@ -119,21 +123,22 @@ class PanelGrid:
         return complex(L.legval(x, L.legder(c[p])) / self._half[p])
 
 
-def geometric_edges(a: float, b: float, ratio: float = 2.0) -> np.ndarray:
-    """Edges from a to b growing geometrically (a > 0)."""
+def geometric_edges(a: float, b: float) -> np.ndarray:
+    """Edges from a to b growing by GEOMETRIC_RATIO (a > 0)."""
     if not (0 < a < b):
         raise ValidationError("need 0 < a < b")
     edges = [a]
-    while edges[-1] * ratio < b:
-        edges.append(edges[-1] * ratio)
+    while edges[-1] * GEOMETRIC_RATIO < b:
+        edges.append(edges[-1] * GEOMETRIC_RATIO)
     edges.append(b)
     return np.array(edges)
 
 
-def graded_inner_edges(r_first: float, nsub: int = 8, ratio: float = 5.0) -> np.ndarray:
-    """Edges grading [0, r_first] toward 0 (mild log singularities at the origin)."""
+def graded_inner_edges(r_first: float) -> np.ndarray:
+    """GRADED_COUNT panels grading [0, r_first] toward 0 by GRADED_RATIO (mild
+    log singularities at the origin)."""
     pts = [r_first]
-    for _ in range(nsub - 1):
-        pts.append(pts[-1] / ratio)
+    for _ in range(GRADED_COUNT - 1):
+        pts.append(pts[-1] / GRADED_RATIO)
     pts.append(0.0)
     return np.array(sorted(pts))

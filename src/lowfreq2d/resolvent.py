@@ -239,17 +239,6 @@ def boundary_pairing_fourier(u: RadialFunction, v: RadialFunction, r1: float) ->
     return 2.0 * math.pi * total
 
 
-def boundary_pairing(u: RadialFunction, v: RadialFunction, r1: float,
-                     method: str = "auto") -> complex:
-    if method == "fourier":
-        return boundary_pairing_fourier(u, v, r1)
-    if method == "samples":
-        return boundary_pairing_samples(u, v, r1)
-    if u.exterior is not None and v.exterior is not None:
-        return boundary_pairing_fourier(u, v, r1)
-    return boundary_pairing_samples(u, v, r1)
-
-
 # ----------------------------------------------------------------------------
 # resolvent identities as numerical residual checks
 # ----------------------------------------------------------------------------

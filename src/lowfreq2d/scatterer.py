@@ -18,6 +18,8 @@ from .errors import ConfigError, ValidationError
 from .quadrature import PanelGrid, graded_inner_edges
 from .radial import Exterior, RadialFunction
 
+STANDARD_NODES = 32     # Gauss-Legendre nodes per panel of standard_grid
+
 
 @dataclass(frozen=True)
 class PiecewisePotential:
@@ -55,13 +57,9 @@ class PiecewisePotential:
     def segment_edges(self) -> list[float]:
         return [0.0, *self.breaks]
 
-    def shifted(self, eps: float, bump_values=None) -> "PiecewisePotential":
-        """V + eps * V1 with V1 = 1 on the support by default."""
-        if bump_values is None:
-            bump_values = tuple(1.0 for _ in self.values)
-        return PiecewisePotential(
-            self.breaks, tuple(complex(v) + eps * complex(b) for v, b in zip(self.values, bump_values))
-        )
+    def shifted(self, eps: float) -> "PiecewisePotential":
+        """V + eps on the support."""
+        return PiecewisePotential(self.breaks, tuple(complex(v) + eps for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,8 @@ def commutator_apply(chi: CutoffProfile, u: RadialFunction) -> RadialFunction:
 # standard grids
 # ----------------------------------------------------------------------------
 
-def standard_grid(s: Scatterer, chi: CutoffProfile, nodes_per_panel: int = 32,
-                  rmax: float | None = None, extra_edges=()) -> PanelGrid:
+def standard_grid(s: Scatterer, chi: CutoffProfile, rmax: float | None = None,
+                  extra_edges=()) -> PanelGrid:
     """Panels aligned with potential breakpoints and the cutoff bridge.
 
     The grid reaches one unit past the pairing radius so circle pairings at r1
@@ -228,7 +226,7 @@ def standard_grid(s: Scatterer, chi: CutoffProfile, nodes_per_panel: int = 32,
         edges = sorted(e for e in core if e > 0)
         inner = graded_inner_edges(edges[0])
         all_edges = [*inner[:-1], *edges]
-    return PanelGrid(np.array(all_edges), nodes_per_panel)
+    return PanelGrid(np.array(all_edges), STANDARD_NODES)
 
 
 # ----------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Phase shifts, the scattering phase, its low-frequency law, and pole tracking.
 
-Mode matching against the exterior Bessel pair gives each partial-wave
-S-matrix eigenvalue; the scattering phase is the log-determinant with
-multiplicity two for modes >= 1, with branches unwrapped downward from the
-top of a sweep.  Poles of the meromorphic continuation are zeros of the
-regular solution's outgoing-decomposition coefficient, found by damped
-Newton on the log-cover chart (or its reciprocal near the origin, where the
-logarithmic geometry makes plain charts useless).
+Outside the support the regular solution of a mode is c1 J_l + c2 H^(1)_l.
+Each partial-wave S-matrix eigenvalue is S_l = 1 + 2 c2 / c1; the scattering
+phase is the log-determinant with multiplicity two for modes >= 1, with
+branches unwrapped downward from the top of a sweep.  Poles of the
+meromorphic continuation are zeros of c1, found by damped Newton on the
+log-cover chart (or its reciprocal near the origin, where the logarithmic
+geometry makes plain charts useless).
 """
 
 from __future__ import annotations
@@ -18,14 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasinError, ContinuationError, ShapeMismatchError, ValidationError
-from .radialsolve import regular_solution
+from .radialsolve import Spectral, regular_solution
 from .scatterer import PiecewisePotential, Scatterer
-from .specfun import SpectralPoint, jy_with_derivs
+from .specfun import SpectralPoint
 from .threshold import ThresholdReport
 from .util import log_grid
 
 LMAX_HARD = 40
 TRUNC_TOL = 1e-14
+
+NEWTON_TOL_FACTOR = 1e-12   # Newton stops below this fraction of the seed defect
+NEWTON_MAX_ITER = 60
+SCAN_ARGS = (math.pi / 2, 0.3, -0.1, -0.35, -0.8, -1.5, -2.5)   # rays of the disk scan
+SCAN_COUNT = 25             # moduli per scan ray
+MAX_CANDIDATES = 6          # scan seeds polished by find_pole_in_disk
+AXIS_COUNT = 80             # scan points of imaginary_axis_poles
 
 
 @dataclass
@@ -53,44 +60,38 @@ class ResonancePole:
     iterations: int
 
 
-def _matching_coeffs(s: Scatterer, lam_real: float, l: int):
-    """(A, B) with the regular solution ~ A J_l(lam r) + B Y_l(lam r) outside."""
-    lam = SpectralPoint(lam_real, 0.0)
-    R = s.support_radius
-    sol = regular_solution(s, l, lam, R + 1.0)
-    (u,), (du,) = sol.at(R)
-    z = np.array([lam_real * R])
-    logz = np.array([lam.log + math.log(R)])
-    J, Y, Jd, Yd = (x[0] for x in jy_with_derivs(l, z, logz))
-    D = lam_real * (J * Yd - Jd * Y)       # = 2/(pi R)
-    A = (u * lam_real * Yd - du * Y) / D
-    B = (du * J - u * lam_real * Jd) / D
-    return complex(A), complex(B)
-
-
-def phase_shifts(s: Scatterer, lam: float, lmax: int | None = None) -> PhaseShiftTable:
-    """Partial-wave shifts at one real wavenumber, principal branches."""
-    if lam <= 0:
+def _phase_tables(s: Scatterer, lams: list[float]) -> list[PhaseShiftTable]:
+    """Principal-branch tables on real wavenumbers.  Each mode is solved once
+    for every lam that has not yet met the truncation rule: two consecutive
+    modes with |delta_l| < TRUNC_TOL, or mode LMAX_HARD."""
+    if not all(x > 0 for x in lams):
         raise ValidationError("phase shifts need lam > 0")
-    shifts: dict[int, float] = {}
-    smat: dict[int, complex] = {}
-    small_run = 0
+    pts = [SpectralPoint(x, 0.0) for x in lams]
+    shifts: list[dict[int, float]] = [{} for _ in lams]
+    smat: list[dict[int, complex]] = [{} for _ in lams]
+    small_run = [0] * len(lams)
+    active = list(range(len(lams)))
     l = 0
-    while True:
-        A, B = _matching_coeffs(s, lam, l)
-        S = (A - 1j * B) / (A + 1j * B)
-        delta = 0.5 * cmath.phase(S)
-        shifts[l] = delta
-        smat[l] = S
-        mag = abs(0.5 * cmath.log(S)) if S != 0 else math.inf
-        small_run = small_run + 1 if mag < TRUNC_TOL else 0
+    while active:
+        c1, c2 = regular_solution(s, l, [pts[i] for i in active],
+                                  s.support_radius + 1.0).coeffs[-1]
+        still = []
+        for i, a, b in zip(active, c1, c2):
+            S = 1.0 + 2.0 * complex(b) / complex(a)
+            shifts[i][l] = 0.5 * cmath.phase(S)
+            smat[i][l] = S
+            mag = abs(0.5 * cmath.log(S)) if S != 0 else math.inf
+            small_run[i] = small_run[i] + 1 if mag < TRUNC_TOL else 0
+            if small_run[i] < 2 and l < LMAX_HARD:
+                still.append(i)
+        active = still
         l += 1
-        if lmax is not None and l > lmax:
-            break
-        if lmax is None and (small_run >= 2 or l > LMAX_HARD):
-            break
-    sigma = _sigma_from(shifts, smat)
-    return PhaseShiftTable(lam, shifts, smat, sigma)
+    return [PhaseShiftTable(x, d, sm, _sigma_from(d, sm)) for x, d, sm in zip(lams, shifts, smat)]
+
+
+def phase_shifts(s: Scatterer, lam: float) -> PhaseShiftTable:
+    """Partial-wave shifts at one real wavenumber, principal branches."""
+    return _phase_tables(s, [float(lam)])[0]
 
 
 def _sigma_from(shifts: dict[int, float], smat: dict[int, complex]) -> complex:
@@ -101,14 +102,13 @@ def _sigma_from(shifts: dict[int, float], smat: dict[int, complex]) -> complex:
     return total / (2j * math.pi)
 
 
-def phase_shift_sweep(s: Scatterer, lams, lmax: int | None = None) -> list[PhaseShiftTable]:
+def phase_shift_sweep(s: Scatterer, lams) -> list[PhaseShiftTable]:
     """Tables on a lam grid with delta branches continuous downward from the top.
 
     The top-of-sweep branch is the principal one (continuous from 0), and each
     delta_l is unwrapped by half-pi-free steps as lam decreases.
     """
-    lams = sorted(float(x) for x in lams)
-    tables = [phase_shifts(s, x, lmax) for x in lams]
+    tables = _phase_tables(s, sorted(float(x) for x in lams))
     all_l = sorted({l for t in tables for l in t.shifts})
     for l in all_l:
         prev = None
@@ -121,8 +121,7 @@ def phase_shift_sweep(s: Scatterer, lams, lmax: int | None = None) -> list[Phase
                 d += k * math.pi
                 t.shifts[l] = d
             prev = d
-        # sigma reassembled from unwrapped shifts
-    for t in tables:
+    for t in tables:                          # sigma from the unwrapped shifts
         t.sigma = _sigma_from(t.shifts, t.smatrix)
     return tables
 
@@ -147,15 +146,24 @@ def sigma_asymptotic(report: ThresholdReport, lam: float) -> complex:
 # pole finding on the log cover
 # ----------------------------------------------------------------------------
 
-def outgoing_defect(s: Scatterer, l: int, lam: SpectralPoint) -> complex:
+def outgoing_defect(s: Scatterer, l: int, lam: Spectral):
     """J-component of the regular solution outside the support.
 
     Proportional to the Wronskian of the regular and outgoing solutions
     (the exterior basis Wronskian r(J H' - J' H) = 2i/pi is constant), so its
-    zeros on the log cover are exactly the resolvent poles of the mode.
+    zeros on the log cover are exactly the resolvent poles of the mode.  A
+    potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
+    which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
+    as r^l and has no zero there.  One SpectralPoint gives a complex number,
+    a sequence an array.
     """
     sol = regular_solution(s, l, lam, s.support_radius + 1.0)
-    return complex(sol.coeffs[-1][0][0])
+    c1 = sol.coeffs[-1][0]
+    if l and isinstance(s, PiecewisePotential):
+        norm = math.factorial(l)
+        c1 = np.array([c * norm * (2.0 / e) ** l if e else c
+                       for c, e in zip(c1, sol.segments[0].eta)])
+    return complex(c1[0]) if isinstance(lam, SpectralPoint) else c1
 
 
 @dataclass
@@ -172,14 +180,20 @@ class _Chart:
         zeta = lam.log
         return 1.0 / zeta if self.reciprocal else zeta
 
+    def inside(self, x: complex) -> bool:
+        """Whether x maps into |lam| < 1, the region find_pole searches."""
+        return (1.0 / x if self.reciprocal else x).real < 0.0
 
-def find_pole(s: Scatterer, mode: int, seed: SpectralPoint, *,
-              tol_factor: float = 1e-12, max_iter: int = 60) -> ResonancePole:
+
+def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
     """Damped Newton on the outgoing defect from a seed with |seed| < 0.5.
 
-    Converges when the defect drops below tol_factor of its seed value or
-    below 1e-11 of the local scale |dW/dx| (1 + |x|); near-pole seeds make the
-    first criterion unreachable in double precision, the second not.
+    Converges when the defect drops below NEWTON_TOL_FACTOR of its seed value
+    or below 1e-11 of the local scale |dW/dx| (1 + |x|); near-pole seeds make
+    the first criterion unreachable in double precision, the second not.
+    A trial step out of |lam| < 1 fails like one that does not reduce
+    |defect|: a potential's defect of mode l >= 1 decays like |lam|^-l at
+    large |lam|, and damped Newton would otherwise follow it there.
     """
     if seed.modulus >= 0.5:
         raise ValidationError("seed outside the small-|lam| basin (need |seed| < 0.5)")
@@ -189,16 +203,16 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint, *,
     f0 = abs(f)
     trace = [(seed, f0)]
     local_scale = f0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         h = 1e-7 * (1.0 + abs(x))
-        fp = outgoing_defect(s, mode, chart.to_lam(x + h))
-        fm = outgoing_defect(s, mode, chart.to_lam(x - h))
+        fp, fm = (complex(d) for d in
+                  outgoing_defect(s, mode, [chart.to_lam(x + h), chart.to_lam(x - h)]))
         dfdx = (fp - fm) / (2.0 * h)
         if dfdx == 0:
             break
         local_scale = abs(dfdx) * (1.0 + abs(x))
         lam = chart.to_lam(x)
-        if abs(f) <= tol_factor * f0 or abs(f) <= 1e-11 * local_scale:
+        if abs(f) <= NEWTON_TOL_FACTOR * f0 or abs(f) <= 1e-11 * local_scale:
             kind = "boundState" if abs(lam.arg - math.pi / 2.0) < 1e-8 else "resonance"
             return ResonancePole(lam, mode, 0.0, kind,
                                  abs(f) / max(local_scale, 1e-300), it)
@@ -206,9 +220,10 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint, *,
         t = 1.0
         while t > 1e-6:
             xn = x + t * step
-            fn = outgoing_defect(s, mode, chart.to_lam(xn))
-            if abs(fn) < abs(f):
-                break
+            if chart.inside(xn):
+                fn = outgoing_defect(s, mode, chart.to_lam(xn))
+                if abs(fn) < abs(f):
+                    break
             t *= 0.5
         else:
             break
@@ -221,26 +236,26 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint, *,
     )
 
 
-def scan_pole_candidates(s: Scatterer, mode: int, r_search: float = 0.3,
-                         n_r: int = 25, args=None) -> list[SpectralPoint]:
-    """Coarse |defect| scan over the search disk; returns seeds, best first."""
-    if args is None:
-        args = [math.pi / 2, 0.3, -0.1, -0.35, -0.8, -1.5, -2.5]
-    mods = log_grid(1e-4, r_search * 0.98, n_r)
+def scan_pole_candidates(s: Scatterer, mode: int, r_search: float = 0.3) -> list[SpectralPoint]:
+    """Local minima of |defect| along the SCAN_ARGS rays of the search disk
+    (SCAN_COUNT moduli each, one batch); returns seeds, best first."""
+    n = SCAN_COUNT
+    mods = [float(m) for m in log_grid(1e-4, r_search * 0.98, n)]
+    pts = [SpectralPoint(m, th) for th in SCAN_ARGS for m in mods]
+    vals = [abs(complex(d)) for d in outgoing_defect(s, mode, pts)]
     cands = []
-    for th in args:
-        vals = [abs(outgoing_defect(s, mode, SpectralPoint(float(m), th))) for m in mods]
-        for i in range(1, len(mods) - 1):
-            if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-                cands.append((vals[i], SpectralPoint(float(mods[i]), th)))
+    for ray in range(0, len(pts), n):
+        v = vals[ray:ray + n]
+        for i in range(1, n - 1):
+            if v[i] < v[i - 1] and v[i] < v[i + 1]:
+                cands.append((v[i], pts[ray + i]))
     cands.sort(key=lambda t: t[0])
     return [p for _, p in cands]
 
 
-def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3,
-                      max_candidates: int = 6) -> ResonancePole | None:
+def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3) -> ResonancePole | None:
     """Polish scan candidates; None when no pole converges inside the disk."""
-    for seed in scan_pole_candidates(s, mode, r_search)[:max_candidates]:
+    for seed in scan_pole_candidates(s, mode, r_search)[:MAX_CANDIDATES]:
         try:
             pole = find_pole(s, mode, seed)
         except BasinError:
@@ -251,14 +266,15 @@ def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3,
 
 
 def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
-                         kmax: float = 2.0, n: int = 80) -> list[ResonancePole]:
-    """Bound-state search: sign changes of the (real-axis-symmetric) defect on i kappa."""
-    ks = log_grid(kmin, kmax, n)
-    vals = []
-    for k in ks:
-        d = outgoing_defect(s, mode, SpectralPoint(float(k), math.pi / 2.0))
-        # for selfadjoint scatterers i^mode * defect is real on the axis
-        vals.append((1j ** mode * d).real if s.selfadjoint else abs(d))
+                         kmax: float = 2.0) -> list[ResonancePole]:
+    """Bound-state search: sign changes of the (real-axis-symmetric) defect on
+    i kappa at AXIS_COUNT points (one batch), polished by Newton below
+    kappa = 0.5 and otherwise bisected to machine resolution."""
+    ks = log_grid(kmin, kmax, AXIS_COUNT)
+    defects = outgoing_defect(s, mode, [SpectralPoint(float(k), math.pi / 2.0) for k in ks])
+    # for selfadjoint scatterers i^mode * defect is real on the axis
+    vals = [(1j ** mode * complex(d)).real if s.selfadjoint else abs(complex(d))
+            for d in defects]
     out = []
     for i in range(len(ks) - 1):
         hit = (vals[i] == 0.0) or (vals[i] * vals[i + 1] < 0) if s.selfadjoint else \
@@ -270,38 +286,35 @@ def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
             except BasinError:
                 pole = None
             if pole is None:
-                # bisect directly on the axis for kappa >= 0.5
-                lo, hi = float(ks[i]), float(ks[i + 1])
-                flo = vals[i]
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
+                lo, hi, flo = float(ks[i]), float(ks[i + 1]), vals[i]
+                steps = 0
+                while (mid := 0.5 * (lo + hi)) not in (lo, hi):
                     fm = (1j ** mode * outgoing_defect(s, mode, SpectralPoint(mid, math.pi / 2))).real
                     if flo * fm <= 0:
                         hi = mid
                     else:
                         lo, flo = mid, fm
-                pole = ResonancePole(SpectralPoint(0.5 * (lo + hi), math.pi / 2.0),
-                                     mode, 0.0, "boundState", 0.0, 200)
+                    steps += 1
+                pole = ResonancePole(SpectralPoint(mid, math.pi / 2.0),
+                                     mode, 0.0, "boundState", 0.0, steps)
             out.append(pole)
     return out
 
 
-def perturbation_sweep(s0: PiecewisePotential, mode: int, epsilons,
-                       v1=None, seed_fn=None) -> list[ResonancePole]:
-    """Track the threshold pole of V0 + eps*V1 across the eps list.
+def perturbation_sweep(s0: PiecewisePotential, mode: int, epsilons) -> list[ResonancePole]:
+    """Track the threshold pole of V0 + eps across the eps list.
 
-    seed_fn(eps) supplies the first seed for each sign regime; afterwards the
-    previous pole seeds the next step, with a 10x jump guard.
+    The first seed sits at |lam| = sqrt|eps|, on the imaginary axis for
+    eps < 0 and at arg -0.2 otherwise; afterwards the previous pole seeds the
+    next step, with a 10x jump guard.
     """
     out: list[ResonancePole] = []
     prev: ResonancePole | None = None
     prev_step = None
     for eps in epsilons:
-        s_eps = s0.shifted(eps, v1)
+        s_eps = s0.shifted(eps)
         if prev is not None:
             seed = prev.lam
-        elif seed_fn is not None:
-            seed = seed_fn(eps)
         else:
             seed = SpectralPoint(math.sqrt(abs(eps)), math.pi / 2.0 if eps < 0 else -0.2)
         pole = find_pole(s_eps, mode, seed)

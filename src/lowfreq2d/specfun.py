@@ -60,21 +60,6 @@ class SpectralPoint:
         return SpectralPoint(self.modulus * r, self.arg)
 
 
-@dataclass(frozen=True)
-class GammaConstants:
-    """Euler's constant and the constant sequence of the low-argument Hankel series."""
-
-    euler: float = EULER
-    gamma0: complex = GAMMA0
-
-    def gamma_seq(self, n: int) -> list[complex]:
-        """[gamma_0, ..., gamma_{n-1}] with gamma_m = gamma_{m-1} + 1/m."""
-        out = [self.gamma0]
-        for m in range(1, n):
-            out.append(out[-1] + 1.0 / m)
-        return out
-
-
 @lru_cache(maxsize=None)
 def _harmonic(n: int) -> float:
     return 0.0 if n == 0 else _harmonic(n - 1) + 1.0 / n
@@ -260,29 +245,9 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
     return out[0], out[1], out[2]
 
 
-def jy_arrays(l: int, z: np.ndarray, logz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_l, Y_l for complex arrays z with explicit log branch logz."""
-    J, Y, _ = bessel_pair(l, z, logz)
-    return J[0], Y[0]
-
-
 def hankel1_arrays(l: int, z: np.ndarray, logz: np.ndarray) -> np.ndarray:
     """H^(1)_l on the log cover; avoids J + iY cancellation for large |z|."""
     return bessel_pair(l, z, logz)[2][0]
-
-
-def jy_with_derivs(l: int, z: np.ndarray, logz: np.ndarray):
-    """(J_l, Y_l, J_l', Y_l') via the order-raising recurrence."""
-    J, Y, _ = bessel_pair(l, z, logz)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return J[0], Y[0], l / z * J[0] - J[1], l / z * Y[0] - Y[1]
-
-
-def hankel1_with_deriv(l: int, z: np.ndarray, logz: np.ndarray):
-    """(H^(1)_l, d/dz H^(1)_l) on the log cover."""
-    _, _, H = bessel_pair(l, z, logz)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return H[0], l / z * H[0] - H[1]
 
 
 # ----------------------------------------------------------------------------
@@ -321,13 +286,16 @@ def bessel_jy(l: int, s: SpectralPoint) -> tuple[complex, complex, complex, comp
     """(J_l, Y_l, J_l', Y_l') at a point of the log cover."""
     if l < 0:
         raise DomainError("order must be a nonnegative integer")
-    J, Y, Jd, Yd = jy_with_derivs(l, np.array([s.value]), np.array([s.log]))
-    return complex(J[0]), complex(Y[0]), complex(Jd[0]), complex(Yd[0])
+    z = np.array([s.value])
+    J, Y, _ = bessel_pair(l, z, np.array([s.log]))
+    Jd, Yd = l / z * J[0] - J[1], l / z * Y[0] - Y[1]     # order-raising recurrence
+    return complex(J[0, 0]), complex(Y[0, 0]), complex(Jd[0]), complex(Yd[0])
 
 
 def hankel1(l: int, s: SpectralPoint) -> tuple[complex, complex]:
     """(H^(1)_l, d/ds H^(1)_l) at a point of the log cover."""
     if l < 0:
         raise DomainError("order must be a nonnegative integer")
-    H, Hd = hankel1_with_deriv(l, np.array([s.value]), np.array([s.log]))
-    return complex(H[0]), complex(Hd[0])
+    z = np.array([s.value])
+    _, _, H = bessel_pair(l, z, np.array([s.log]))
+    return complex(H[0, 0]), complex((l / z * H[0] - H[1])[0])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateScattererError, ValidationError
+from .errors import DegenerateScattererError, NumericalError, ValidationError
 from .quadrature import PanelGrid
 from .radial import Exterior, RadialFunction, inner, norm_sq, with_trig
 from .radialsolve import PiecewiseSolution, regular_solution
@@ -170,6 +170,8 @@ def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
         if m.growing_is_zero:
             raw = _snap_exterior(m.regular.scaled(1.0 / m.decaying), "decaying")
             nrm = math.sqrt(norm_sq(raw, include_tail=True))
+            if not 0.0 < nrm < math.inf:
+                raise NumericalError(f"mode-{m.mode} threshold eigenfunction has norm {nrm}")
             eigen.append((m.mode, raw.scaled(1.0 / nrm)))
 
     return ThresholdReport(

@@ -19,7 +19,7 @@ from lowfreq2d import (FitTerm, GAMMA0, SpectralPoint, bessel_jy, breit_wigner_m
                        sample_matrix_element, sigma_asymptotic, standard_grid,
                        two_parameter_identity_residual)
 from lowfreq2d.radial import Exterior, from_callable
-from lowfreq2d.resolvent import boundary_pairing, free_truncation_error
+from lowfreq2d.resolvent import boundary_pairing_fourier, free_truncation_error
 
 from oracles import circle_pairing, j0_series, y0_series
 
@@ -88,7 +88,7 @@ def test_criterion_3_identity_suite(free_fx, generic_well_fx, dirichlet_fx, neum
         v = from_callable(grid, lambda r: 1.0 / r, lambda r: -1.0 / r**2, mode=1,
                           exterior=Exterior(v={-1: 1.0}), exterior_start=grid.rmin)
         oracle = circle_pairing(r1, 1.0, 1.0 / r1, -1.0 / r1**2, r1, 1, 1)
-        res.append(abs(boundary_pairing(u, v, r1, "fourier") - oracle) / abs(oracle))
+        res.append(abs(boundary_pairing_fourier(u, v, r1) - oracle) / abs(oracle))
         # commutator log-coefficient identity on the mode-0 nullspace element
         rep = fx.report
         for w in (rep.U0, rep.Ulog):

@@ -1,13 +1,18 @@
 """Command-line surface: outputs, manifests, exit codes, determinism."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from lowfreq2d.cli import main
 
@@ -194,9 +199,11 @@ def test_resonance_command(tmp_path):
     code, out = _run(tmp_path, "well.cfg", WELL_CFG, "resonance")
     assert code == 0
     doc = json.loads((out / "resonance.json").read_text())
-    assert "poles" in doc
-    for p in doc["poles"]:
-        assert p["kind"] in ("boundState", "resonance")
+    # the one bound state of the -2.5 unit well; nothing at lam^2 = V0 (|lam| = 1.581)
+    assert len(doc["poles"]) == 1
+    p = doc["poles"][0]
+    assert (p["mode"], p["kind"]) == (0, "boundState")
+    assert abs(p["modulus"] - 0.81003) < 1e-5
 
 
 def test_perturb_command(tmp_path):
@@ -215,3 +222,87 @@ def test_expand_attractive_well(tmp_path):
     fit = json.loads((out / "fit.json").read_text())
     assert fit["residualHeldOut"] < 1e-6
     assert fit["shift"] is not None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    """No written file holds NaN or Infinity (JSON constants or CSV cells)."""
+    if not out.exists():
+        return
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_reject_constant)
+            continue
+        for cell in text.replace("\n", ",").split(","):
+            try:
+                x = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(x), f"{path.name} holds {cell}"
+
+
+# extreme inputs overflow inside numpy on purpose; the contract is checked below
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg_text", [
+    "kind = potential\nbreaks = 1\nvalues = 1e308\n",
+    "kind = potential\nbreaks = 1\nvalues = 1e300i\n",
+    "kind = potential\nbreaks = 1e-300\nvalues = -2.5\n",
+])
+def test_nonfinite_result_exits_3(tmp_path, capsys, cfg_text):
+    code, out = _run(tmp_path, "extreme.cfg", cfg_text, "classify")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalError"
+    _assert_finite_outputs(out)
+    assert not (out / "classify.json").exists()
+
+
+# The two README configs; numeric fields are mutated and keys dropped.
+_README_CONFIGS = (
+    {"kind": "potential", "breaks": "1", "values": "-2.5"},
+    {"kind": "disk", "radius": "1", "bc": "dirichlet"},
+)
+_NUMERIC_KEYS = {"breaks", "values", "radius"}
+_MUTANT_NUMBERS = st.one_of(
+    st.sampled_from(["1e308", "-1e308", "1e-300", "-1e-300", "5e-324", "0", "-0",
+                     "1e300i", "-1e300i", "1e308+1e308i", "1e-300+1e300i", "1,2", "2,1"]),
+    st.sampled_from(["nan", "inf", "-inf", "1+nani", "infi", "-nan+1i", "1e999"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789.,+-eEijn x", max_size=8),
+)
+
+
+@st.composite
+def _mutated_config(draw) -> str:
+    base = draw(st.sampled_from(_README_CONFIGS))
+    lines = []
+    for key, value in base.items():
+        action = draw(st.sampled_from(("keep", "drop", "mutate") if key in _NUMERIC_KEYS
+                                      else ("keep", "keep", "drop")))
+        if action == "drop":
+            continue
+        if action == "mutate":
+            value = draw(_MUTANT_NUMBERS)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=800, deadline=None)
+@given(_mutated_config())
+def test_mutated_readme_configs_keep_the_cli_contract(cfg_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "mutant.cfg", Path(tmp) / "out"
+        cfg.write_text(cfg_text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["classify", "--config", str(cfg), "--out", str(out)])
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
+        if code:
+            assert isinstance(json.loads(err.getvalue()), dict)
+        _assert_finite_outputs(out)

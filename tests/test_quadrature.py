@@ -47,7 +47,7 @@ def test_graded_edges_resolve_log():
 
 
 def test_geometric_edges():
-    e = geometric_edges(1e-3, 1.0, 2.0)
+    e = geometric_edges(1e-3, 1.0)
     assert e[0] == 1e-3 and e[-1] == 1.0
     assert np.all(np.diff(e) > 0)
 

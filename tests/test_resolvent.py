@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lowfreq2d import (FreeCoeffKernel, SpectralPoint, apply_resolvent_mode,
-                       boundary_pairing, bump, bump_edges, free_kernel, free_scatterer,
+                       boundary_pairing_fourier, boundary_pairing_samples, bump, bump_edges, free_kernel, free_scatterer,
                        hankel0, inner, mode_green, one_sided_identity_residual,
                        pairing_identity_residual, standard_grid,
                        two_parameter_identity_residual)
@@ -142,14 +142,14 @@ def test_pairing_log_against_one(free_fx):
     one = from_callable(grid, lambda r: 1.0, lambda r: 0.0,
                         exterior=Exterior(c0=1.0), exterior_start=grid.rmin)
     r1 = free_fx.chi.pairing_radius
-    assert abs(boundary_pairing(u, one, r1, "fourier") + 2.0 * math.pi) < 1e-12
-    assert abs(boundary_pairing(u, one, r1, "samples") + 2.0 * math.pi) < 1e-10
+    assert abs(boundary_pairing_fourier(u, one, r1) + 2.0 * math.pi) < 1e-12
+    assert abs(boundary_pairing_samples(u, one, r1) + 2.0 * math.pi) < 1e-10
 
 
 def test_pairing_antisymmetry_real(free_fx):
     u = from_callable(free_fx.grid, lambda r: 1.0 + r * r, lambda r: 2.0 * r)
     r1 = free_fx.chi.pairing_radius
-    assert abs(boundary_pairing(u, u, r1, "samples")) < 1e-12
+    assert abs(boundary_pairing_samples(u, u, r1)) < 1e-12
 
 
 def test_pairing_mode1_both_routes(free_fx):
@@ -159,8 +159,8 @@ def test_pairing_mode1_both_routes(free_fx):
     v = from_callable(grid, lambda r: 1.0 / r, lambda r: -1.0 / r**2, mode=1,
                       exterior=Exterior(v={-1: 1.0}), exterior_start=grid.rmin)
     r1 = free_fx.chi.pairing_radius
-    fourier = boundary_pairing(u, v, r1, "fourier")
-    samples = boundary_pairing(u, v, r1, "samples")
+    fourier = boundary_pairing_fourier(u, v, r1)
+    samples = boundary_pairing_samples(u, v, r1)
     oracle = circle_pairing(r1, 1.0, 1.0 / r1, -1.0 / r1**2, r1, 1, 1)
     assert abs(fourier - samples) < 1e-10
     assert abs(fourier - oracle) < 1e-9
@@ -170,14 +170,14 @@ def test_pairing_mode1_both_routes(free_fx):
 def test_pairing_channel_orthogonality(free_fx):
     u = from_callable(free_fx.grid, lambda r: r, None, mode=1, trig="cos")
     v = from_callable(free_fx.grid, lambda r: 1.0 / r, None, mode=1, trig="sin")
-    assert boundary_pairing(u, v, free_fx.chi.pairing_radius, "samples") == 0.0
+    assert boundary_pairing_samples(u, v, free_fx.chi.pairing_radius) == 0.0
 
 
 def test_pairing_requires_exterior(free_fx):
     u = from_callable(free_fx.grid, lambda r: r, None, mode=1)
     from lowfreq2d.errors import ValidationError
     with pytest.raises(ValidationError):
-        boundary_pairing(u, u, free_fx.chi.pairing_radius, "fourier")
+        boundary_pairing_fourier(u, u, free_fx.chi.pairing_radius)
 
 
 # -- operator identities ----------------------------------------------------------

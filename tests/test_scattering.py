@@ -185,3 +185,67 @@ def test_perturbation_sweep_jump_guard(eig_well_fx):
     with pytest.raises(ContinuationError):
         perturbation_sweep(eig_well_fx.scatterer, 2,
                            [-1e-2, -9.9e-3, -9.8e-3, -1e-4])
+
+
+def test_no_bound_state_where_lam_squared_equals_v0():
+    # unit well of depth 20: bound states of mode l >= 1 need a depth above
+    # j_{l-1,1}^2 (5.78 for l = 1, 14.68 for l = 2, 26.37 for l = 3).  The
+    # kappa values solve eta J_l'(eta)/J_l(eta) = kappa K_l'(kappa)/K_l(kappa)
+    # with eta^2 = 20 - kappa^2 (scipy.special, brentq).  At kappa = sqrt(20),
+    # where lam^2 = V0, the regular solution's start J_l(eta0 r) vanishes; no
+    # state may be reported there.
+    s = PiecewisePotential((1.0,), (-20.0,))
+    expected = {1: [3.2448468418337346], 2: [1.8841145802735124], 3: []}
+    for mode, kappas in expected.items():
+        poles = imaginary_axis_poles(s, mode, 1e-3, 5.0)
+        assert [p.kind for p in poles] == ["boundState"] * len(kappas)
+        for p, k in zip(poles, kappas):
+            assert abs(p.lam.modulus - k) < 1e-10 * k
+            # kappa >= 0.5 is bisected, and stops at machine resolution
+            assert p.iterations <= 60
+        assert all(abs(p.lam.modulus - math.sqrt(20.0)) > 1e-3 for p in poles)
+
+
+def test_batched_defect_matches_single_points(generic_well_fx, p_well_fx):
+    from lowfreq2d import outgoing_defect
+    from lowfreq2d.scattering import SCAN_ARGS
+    pts = [SpectralPoint(m, th) for th in SCAN_ARGS for m in (1e-4, 0.02, 0.3)]
+    pts += [SpectralPoint(k, math.pi / 2) for k in (0.05, 0.8, 1.9)]
+    for s in (generic_well_fx.scatterer, p_well_fx.scatterer, DiskObstacle(1.0, "neumann")):
+        for mode in (0, 1, 2):
+            batch = outgoing_defect(s, mode, pts)
+            assert batch.shape == (len(pts),)
+            assert [complex(d) for d in batch] == [outgoing_defect(s, mode, p) for p in pts]
+
+
+def _projected_smatrix(s, lam, l):
+    """S_l by projecting the regular solution at the support radius onto
+    J, Y and their derivatives (the route the coefficients replace)."""
+    from lowfreq2d import bessel_jy
+    from lowfreq2d.radialsolve import regular_solution
+    R = s.support_radius
+    (u,), (du,) = regular_solution(s, l, SpectralPoint(lam, 0.0), R + 1.0).at(R)
+    J, Y, Jd, Yd = bessel_jy(l, SpectralPoint(lam * R, 0.0))
+    D = lam * (J * Yd - Jd * Y)
+    A = (u * lam * Yd - du * Y) / D
+    B = (du * J - u * lam * Jd) / D
+    return (A - 1j * B) / (A + 1j * B)
+
+
+def test_smatrix_from_coefficients_matches_projection(generic_well_fx):
+    scatterers = (generic_well_fx.scatterer, DiskObstacle(1.0, "dirichlet"),
+                  DiskObstacle(0.8, "neumann"), PiecewisePotential((0.5, 1.0), (4.0, 1.5)),
+                  PiecewisePotential((1.0,), (1.0 + 0.5j,)))
+    for s in scatterers:
+        for lam in (1e-4, 0.03, 0.7, 2.5):
+            t = phase_shifts(s, lam)
+            for l in range(4):
+                ref = _projected_smatrix(s, lam, l)
+                assert abs(t.smatrix[l] - ref) <= 1e-14 * abs(ref)
+
+
+def test_sweep_is_the_batched_single_point_table(generic_well_fx):
+    lams = [0.05, 0.2, 0.9, 1.2]
+    for t in phase_shift_sweep(generic_well_fx.scatterer, lams):
+        single = phase_shifts(generic_well_fx.scatterer, t.lam)
+        assert t.smatrix == single.smatrix

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowfreq2d import EULER, GAMMA0, GammaConstants, SpectralPoint, bessel_jy, hankel0, hankel1
+from lowfreq2d import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel0, hankel1
 from lowfreq2d.errors import DomainError
 from lowfreq2d.specfun import _jy_series, _jyh_big
 
@@ -15,13 +15,8 @@ from oracles import EULER_ORACLE, j0_series, j0_prime, y0_series, y0_prime
 
 
 def test_gamma_constants():
-    gc = GammaConstants()
-    assert abs(gc.euler - EULER_ORACLE) < 1e-15
-    assert gc.gamma0 == complex(math.log(2.0) - EULER, math.pi / 2.0)
-    seq = gc.gamma_seq(5)
-    for m in range(1, 5):
-        assert abs(seq[m] - seq[m - 1] - 1.0 / m) < 1e-15
-        assert seq[m].imag == pytest.approx(math.pi / 2.0)
+    assert abs(EULER - EULER_ORACLE) < 1e-15
+    assert GAMMA0 == complex(math.log(2.0) - EULER, math.pi / 2.0)
 
 
 def test_modulus_zero_rejected():
@@ -169,15 +164,51 @@ def test_bessel_pair_order_switch_against_scipy(l):
 
 
 def test_bessel_pair_feeds_the_single_order_functions():
-    from lowfreq2d.specfun import (bessel_pair, hankel1_arrays, hankel1_with_deriv,
-                                   jy_arrays, jy_with_derivs)
+    from lowfreq2d.specfun import bessel_pair, hankel1_arrays
     z = np.array([0.3 + 0.1j, 4.0, 12.5 - 3.0j, 30.0j])
     logz = np.log(z)
-    J, Y, H = bessel_pair(2, z, logz)
-    Ja, Ya = jy_arrays(2, z, logz)
-    assert np.array_equal(J[0], Ja) and np.array_equal(Y[0], Ya)
-    assert np.array_equal(H[0], hankel1_arrays(2, z, logz))
-    _, _, Jd, Yd = jy_with_derivs(2, z, logz)
-    _, Hd = hankel1_with_deriv(2, z, logz)
-    # J' + iY' cancels where H is exponentially small (on the imaginary axis)
-    assert np.allclose((Jd + 1j * Yd)[:3], Hd[:3], rtol=1e-12, atol=0)
+    assert np.array_equal(bessel_pair(2, z, logz)[2][0], hankel1_arrays(2, z, logz))
+    for k, (mod, arg) in enumerate(zip(np.abs(z), np.angle(z))):
+        s = SpectralPoint(float(mod), float(arg))
+        J, Y, H = (f[:, 0] for f in bessel_pair(2, np.array([s.value]), np.array([s.log])))
+        j, y, jd, yd = bessel_jy(2, s)
+        h, hd = hankel1(2, s)
+        assert (j, y, h) == (J[0], Y[0], H[0])
+        # derivatives by the order-raising recurrence f_2' = (2/z) f_2 - f_3
+        for d, f in ((jd, J), (yd, Y), (hd, H)):
+            assert abs(d - (2.0 / s.value * f[0] - f[1])) <= 1e-14 * (abs(d) + abs(f[1]))
+        # J' + iY' cancels where H is exponentially small (on the imaginary axis)
+        if k < 3:
+            assert abs(jd + 1j * yd - hd) <= 1e-12 * abs(hd)
+
+
+@pytest.mark.parametrize("l", [0, 1, 3, 10])
+def test_bessel_pair_off_principal_sheet_against_mpmath(l):
+    # DLMF 10.11: J_n(z e^{m pi i}) = (-1)^{mn} J_n(z) and
+    # Y_n(z e^{m pi i}) = (-1)^{mn} (Y_n(z) + 2 i m J_n(z)), with J_n(z), Y_n(z)
+    # from mpmath at 30 digits on the principal branch.  The moduli straddle
+    # the SERIES_RADIUS = 12 seam and, for l = 10, the l + 1 > 0.75|z| switch
+    # (|z| = 14 takes the series, 15.5 the asymptotics).
+    mpmath = pytest.importorskip("mpmath")
+    from lowfreq2d.specfun import bessel_pair
+    mods = (0.05, 0.9, 4.0, 11.5, 12.5, 14.0, 15.5, 40.0)
+    args = (-2.6, -0.9, 0.5, 2.2)
+    sheets = (-4, -2, -1, 1, 2, 4)
+    worst = 0.0
+    for mod in mods:
+        for arg in args:
+            with mpmath.workdps(30):
+                zp = mpmath.mpc(mod) * mpmath.exp(1j * mpmath.mpf(arg))
+                ref = [(complex(mpmath.besselj(n, zp)), complex(mpmath.bessely(n, zp)))
+                       for n in (l, l + 1)]
+            for m in sheets:
+                th = arg + m * math.pi
+                J, Y, H = bessel_pair(l, np.array([mod * complex(math.cos(th), math.sin(th))]),
+                                      np.array([complex(math.log(mod), th)]))
+                for k, (j0, y0) in enumerate(ref):
+                    sign = (-1) ** (m * (l + k))
+                    jr, yr = sign * j0, sign * (y0 + 2j * m * j0)
+                    scale = abs(jr) + abs(yr)
+                    for ours, want in ((J[k, 0], jr), (Y[k, 0], yr), (H[k, 0], jr + 1j * yr)):
+                        worst = max(worst, abs(ours - want) / scale)
+    assert worst < 1e-9, worst

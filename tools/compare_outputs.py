@@ -1,0 +1,146 @@
+"""Compare the CLI outputs of two lowfreq2d source trees.
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC [CONFIG ...]
+
+OLD_SRC and NEW_SRC are either a checkout (with a `src/lowfreq2d` package)
+or a directory that holds the `lowfreq2d` package itself.  Every CLI command
+runs on the two README example configs, a Neumann disk and any CONFIG files
+given, once per tree, each in a fresh interpreter.  For each output file the
+script prints `identical`, or the largest relative and absolute differences
+over the numeric cells; `wallTimeSeconds` is ignored.  Exit codes and error
+messages are compared as well.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("classify", "capacity", "expand", "phase", "resonance", "perturb", "wave", "verify")
+BUILTIN_CONFIGS = {
+    "readme-well": "kind = potential; breaks = 1; values = -2.5\n",
+    "readme-disk": "kind = disk; radius = 1; bc = dirichlet\n",
+    "neumann-disk": "kind = disk; radius = 1; bc = neumann\n",
+}
+IGNORED_KEYS = {"wallTimeSeconds"}
+
+
+def package_root(path: str) -> Path:
+    p = Path(path).resolve()
+    for cand in (p / "src", p):
+        if (cand / "lowfreq2d" / "__init__.py").is_file():
+            return cand
+    sys.exit(f"no lowfreq2d package under {p}")
+
+
+def run_cli(src: Path, command: str, cfg: Path, out: Path) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from lowfreq2d.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr.strip()
+
+
+def leaves(obj, path=""):
+    """(path, value) for every scalar of a JSON document."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            if k not in IGNORED_KEYS:
+                yield from leaves(obj[k], f"{path}.{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from leaves(v, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def csv_leaves(path: Path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        for i, row in enumerate(csv.reader(fh)):
+            for j, cell in enumerate(row):
+                try:
+                    yield f"[{i}][{j}]", float(cell)
+                except ValueError:
+                    yield f"[{i}][{j}]", cell
+
+
+def read_leaves(path: Path) -> dict:
+    if path.suffix == ".json":
+        return dict(leaves(json.loads(path.read_text(encoding="utf-8"))))
+    return dict(csv_leaves(path))
+
+
+def compare_file(old: Path, new: Path) -> str:
+    if not old.exists() or not new.exists():
+        return "only in " + ("new" if new.exists() else "old")
+    if old.read_bytes() == new.read_bytes():
+        return "identical"
+    a, b = read_leaves(old), read_leaves(new)
+    if a.keys() != b.keys():
+        only_old = sorted(a.keys() - b.keys())
+        only_new = sorted(b.keys() - a.keys())
+        return (f"shape differs: {len(only_old)} cells only in old {only_old[:6]}, "
+                f"{len(only_new)} only in new {only_new[:6]}")
+    rel = absd = 0.0
+    text = []
+    for key, x in a.items():
+        y = b[key]
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
+                and not isinstance(x, bool) and not isinstance(y, bool):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            d = abs(x - y)
+            absd = max(absd, d)
+            rel = max(rel, d / max(abs(x), abs(y)))
+        elif x != y:
+            text.append(f"{key}: {x!r} -> {y!r}")
+    if text:
+        return f"text differs ({len(text)} cells): " + "; ".join(text[:4])
+    if rel == 0.0:
+        return "identical"      # the ignored keys are the only difference
+    return f"max rel {rel:.3g}, max abs {absd:.3g}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) < 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old_src, new_src = package_root(args[0]), package_root(args[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        configs = {}
+        for name, text in BUILTIN_CONFIGS.items():
+            configs[name] = work / f"{name}.cfg"
+            configs[name].write_text(text, encoding="utf-8")
+        for extra in args[2:]:
+            configs[Path(extra).stem] = Path(extra).resolve()
+        for name, cfg in configs.items():
+            for command in COMMANDS:
+                dirs, runs = [], []
+                for tag, src in (("old", old_src), ("new", new_src)):
+                    out = work / tag / name / command
+                    runs.append(run_cli(src, command, cfg, out))
+                    dirs.append(out)
+                head = f"{name} {command}"
+                if runs[0][0] != runs[1][0]:
+                    print(f"{head}: exit {runs[0][0]} -> {runs[1][0]} ({runs[1][1][-200:]})")
+                    continue
+                if runs[0][0] != 0:
+                    same = "same error" if runs[0][1] == runs[1][1] else "error differs"
+                    print(f"{head}: exit {runs[0][0]} both, {same}")
+                    continue
+                names = sorted({p.name for d in dirs for p in d.iterdir()})
+                for fname in names:
+                    print(f"{head} {fname}: {compare_file(dirs[0] / fname, dirs[1] / fname)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
