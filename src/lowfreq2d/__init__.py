@@ -14,9 +14,9 @@ from .expansion import (ExpansionGrid, FitReport, FitTerm, LogLaurentSeries,
                         sample_matrix_element)
 from .quadrature import PanelGrid
 from .radial import Exterior, RadialFunction, bump, bump_edges, constant_one, inner, norm_sq, plane_integral
-from .resolvent import (FreeCoeffKernel, ResolventSample, apply_resolvent_mode,
-                        boundary_pairing_fourier, boundary_pairing_samples, free_kernel,
-                        free_scatterer, mode_green, one_sided_identity_residual,
+from .resolvent import (FreeCoeffKernel, ResolventSample, boundary_pairing_fourier,
+                        boundary_pairing_samples, free_kernel, free_scatterer,
+                        mode_green, one_sided_identity_residual,
                         pairing_identity_residual, two_parameter_identity_residual)
 from .scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                         Scatterer, ScattererConfig, commutator_apply, default_cutoff,

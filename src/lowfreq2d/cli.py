@@ -217,21 +217,13 @@ def _cmd_resonance(run: _Run) -> None:
     poles = []
     for mode in (0, 1, 2):
         pole = find_pole_in_disk(cfg.scatterer, mode, 0.45)
-        if pole is not None:
-            poles.append({
-                "mode": mode, "kind": pole.kind,
-                "re": pole.lam.value.real, "im": pole.lam.value.imag,
-                "modulus": pole.lam.modulus, "arg": pole.lam.arg,
-                "residual": pole.residual,
-            })
-        axis = imaginary_axis_poles(cfg.scatterer, mode)
-        for p in axis:
-            poles.append({
-                "mode": mode, "kind": p.kind,
-                "re": p.lam.value.real, "im": p.lam.value.imag,
-                "modulus": p.lam.modulus, "arg": p.lam.arg,
-                "residual": p.residual,
-            })
+        found = ([] if pole is None else [pole]) + imaginary_axis_poles(cfg.scatterer, mode)
+        poles += [{
+            "mode": mode, "kind": p.kind,
+            "re": p.lam.value.real, "im": p.lam.value.imag,
+            "modulus": p.lam.modulus, "arg": p.lam.arg,
+            "residual": p.residual,
+        } for p in found]
     run.write_json("resonance.json", {"poles": poles})
 
 

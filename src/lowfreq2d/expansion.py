@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedFitError, ShapeMismatchError, ValidationError
+from .errors import (IllConditionedFitError, NumericalError, ShapeMismatchError,
+                     ValidationError)
 from .radial import RadialFunction, inner, with_trig
 from .resolvent import mode_green
 from .scatterer import Scatterer
@@ -36,6 +37,7 @@ from .util import log_grid
 CONDITION_LIMIT = 1e12
 EXTRA_COUNT = 8         # points on expansion_grid's secondary ray
 SHIFT_MAX_ITER = 40     # Gauss-Newton steps on the pole shift
+SAMPLE_BATCH = 8        # spectral points per mode_green call; bounds the peak memory
 
 
 # ----------------------------------------------------------------------------
@@ -73,11 +75,15 @@ def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
 
 def sample_matrix_element(s: Scatterer, f: RadialFunction, g: RadialFunction,
                           pts) -> np.ndarray:
-    """<R(lam) f, g> per spectral point (pole-guarded)."""
+    """<R(lam) f, g> per spectral point (pole-guarded), one resolvent batch
+    per SAMPLE_BATCH points."""
+    pts = list(pts)
     if not f.same_channel(g):
         return np.zeros(len(pts), dtype=complex)
-
-    return np.array([inner(mode_green(s, lam, f.mode, f.grid).apply(f), g) for lam in pts])
+    return np.concatenate([np.zeros(0, dtype=complex)] + [
+        inner(mode_green(s, pts[i:i + SAMPLE_BATCH], f.mode, f.grid).apply(f), g)
+        for i in range(0, len(pts), SAMPLE_BATCH)
+    ])
 
 
 # ----------------------------------------------------------------------------
@@ -221,6 +227,8 @@ def _weighted_lstsq(A, y, w):
     weighted residual vector and the normalized matrix."""
     Aw = A * w[:, None]
     yw = y * w
+    if not (np.all(np.isfinite(Aw)) and np.all(np.isfinite(yw))):
+        raise NumericalError("fit design or samples are not finite")
     scale = np.max(np.abs(Aw), axis=0)
     scale[scale == 0] = 1.0
     As = Aw / scale[None, :]

@@ -82,25 +82,34 @@ class PanelGrid:
 
     # -- integration ----------------------------------------------------------
 
-    def integrate(self, vals: np.ndarray) -> complex:
-        return complex(np.sum(np.asarray(vals) * self.weights))
+    # Node values may carry leading batch axes: vals has shape (..., len(self)).
+
+    def integrate(self, vals: np.ndarray):
+        """integral over the grid: a complex, or an array over the batch axes."""
+        out = np.sum(np.asarray(vals) * self.weights, axis=-1)
+        return complex(out) if out.ndim == 0 else out
+
+    def _panels(self, vals: np.ndarray) -> np.ndarray:
+        v = np.asarray(vals, dtype=complex)
+        return v.reshape(v.shape[:-1] + (self.npanels, self.n))
 
     def _coeffs(self, vals: np.ndarray) -> np.ndarray:
-        """Per-panel Legendre coefficients, shape (npanels, n)."""
-        v = np.asarray(vals, dtype=complex).reshape(self.npanels, self.n)
-        return v @ self._to_coeff.T
+        """Per-panel Legendre coefficients, shape (..., npanels, n)."""
+        return self._panels(vals) @ self._to_coeff.T
 
     def cumulative(self, vals: np.ndarray) -> np.ndarray:
         """integral from rmin to each node, same shape as vals."""
-        v = np.asarray(vals, dtype=complex).reshape(self.npanels, self.n)
+        v = self._panels(vals)
         panel_totals = v @ self._w * self._half
-        prefix = np.concatenate([[0.0], np.cumsum(panel_totals)[:-1]])
-        return (prefix[:, None] + self._half[:, None] * (v @ self._cum.T)).ravel()
+        prefix = np.zeros_like(panel_totals)
+        prefix[..., 1:] = np.cumsum(panel_totals, axis=-1)[..., :-1]
+        out = prefix[..., None] + self._half[:, None] * (v @ self._cum.T)
+        return out.reshape(np.shape(vals))
 
     def derivative(self, vals: np.ndarray) -> np.ndarray:
         """d/dr of the sampled function at the nodes (per-panel spectral)."""
-        v = np.asarray(vals, dtype=complex).reshape(self.npanels, self.n)
-        return ((v @ self._der.T) / self._half[:, None]).ravel()
+        v = self._panels(vals)
+        return ((v @ self._der.T) / self._half[:, None]).reshape(np.shape(vals))
 
     # -- pointwise evaluation --------------------------------------------------
 
@@ -112,10 +121,11 @@ class PanelGrid:
         x = (r - self._mid[p]) / self._half[p]
         return p, float(np.clip(x, -1.0, 1.0))
 
-    def eval_at(self, vals: np.ndarray, r: float) -> complex:
+    def eval_at(self, vals: np.ndarray, r: float):
+        """The sampled function at r: a complex, or an array over the batch axes."""
         p, x = self._locate(r)
-        c = self._coeffs(vals)
-        return complex(L.legval(x, c[p]))
+        out = L.legval(x, np.moveaxis(self._coeffs(vals)[..., p, :], -1, 0))
+        return complex(out) if np.ndim(out) == 0 else out
 
     def eval_deriv_at(self, vals: np.ndarray, r: float) -> complex:
         p, x = self._locate(r)

@@ -5,8 +5,7 @@ mode l (e_0 = 1, e_l = cos(l theta) or sin(l theta) for l >= 1; the two trig
 components share radial data and are told apart by the ``trig`` tag).  It
 carries samples (and usually derivatives) on a PanelGrid, plus whatever is
 known about the function beyond the sampled range: harmonic expansion
-coefficients c0 + clog*log r + sum v_l r^l for zero-energy objects, or an
-outgoing-wave coefficient for resolvent outputs.
+coefficients c0 + clog*log r + sum v_l r^l for zero-energy objects.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .quadrature import PanelGrid
-from .specfun import SpectralPoint
 
 
 @dataclass
@@ -50,8 +48,6 @@ class RadialFunction:
     trig: str = "cos"
     exterior: Exterior | None = None
     exterior_start: float | None = None
-    #: resolvent outputs: u(r) = coeff * H^(1)_mode(lam r) for r >= exterior_start
-    outgoing: tuple[SpectralPoint, complex] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -98,15 +94,12 @@ class RadialFunction:
                 clog=self.exterior.clog * c,
                 v={l: w * c for l, w in self.exterior.v.items()},
             )
-        out = replace(
+        return replace(
             self,
             values=self.values * c,
             derivs=None if self.derivs is None else self.derivs * c,
             exterior=ext,
         )
-        if self.outgoing is not None:
-            out.outgoing = (self.outgoing[0], self.outgoing[1] * c)
-        return out
 
 
 # ----------------------------------------------------------------------------

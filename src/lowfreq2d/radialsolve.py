@@ -113,19 +113,20 @@ def make_segments(s: Scatterer, l: int, lam: Spectral, rmax: float) -> list[Segm
 
 @dataclass
 class PiecewiseSolution:
-    """Per-segment coefficient pairs, each an array over the spectral batch."""
+    """Per-segment coefficient pairs, each an array over the spectral batch
+    (shape (nlam,), or (2, nlam) for the stacked pair of green_pair)."""
 
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
 
     def at(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         u, du = self.eval(np.array([r]))
-        return u[:, 0], du[:, 0]
+        return u[..., 0], du[..., 0]
 
     def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u, u' at radii r, each of shape (nlam, len(r))."""
+        """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
         r = np.asarray(r, dtype=float)
-        shape = (len(self.coeffs[0][0]), len(r))
+        shape = self.coeffs[0][0].shape + (len(r),)
         u = np.empty(shape, dtype=complex)
         du = np.empty(shape, dtype=complex)
         done = np.zeros(len(r), dtype=bool)
@@ -135,9 +136,9 @@ class PiecewiseSolution:
             if not mask.any():
                 continue
             b1, b2, b1p, b2p = seg.pair(r[mask])
-            c1, c2 = c1[:, None], c2[:, None]
-            u[:, mask] = c1 * b1 + c2 * b2
-            du[:, mask] = c1 * b1p + c2 * b2p
+            c1, c2 = c1[..., None], c2[..., None]
+            u[..., mask] = c1 * b1 + c2 * b2
+            du[..., mask] = c1 * b1p + c2 * b2p
             done |= mask
         if not done.all():
             raise ValueError("radii outside the segment cover")
@@ -202,15 +203,12 @@ def regular_solution(s: Scatterer, l: int, lam: Spectral, rmax: float) -> Piecew
     return PiecewiseSolution(segs, [_solve_2x2(segs[0], s.radius, u, du)])
 
 
-def outgoing_solution(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
-    """Matches H^(1)_l(lam r) outside the support, continued inward."""
-    segs = make_segments(s, l, lam, rmax)
-    one, zero = _unit_pair(segs)
-    return march_inward(segs, (zero, one))
-
-
-def wronskian(phi: PiecewiseSolution, psi: PiecewiseSolution, r: float) -> np.ndarray:
-    """r (phi psi' - phi' psi); constant in r for a common mode equation."""
-    u1, du1 = phi.at(r)
-    u2, du2 = psi.at(r)
-    return r * (u1 * du2 - du1 * u2)
+def green_pair(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
+    """The regular solution and the outgoing one (H^(1)_l(lam r) outside the
+    support, continued inward) on one set of segments, stacked along a leading
+    axis of length 2: one eval evaluates each segment's basis once for both."""
+    phi = regular_solution(s, l, lam, rmax)
+    one, zero = _unit_pair(phi.segments)
+    psi = march_inward(phi.segments, (zero, one))
+    return PiecewiseSolution(phi.segments, [tuple(map(np.stack, zip(a, b)))
+                                            for a, b in zip(phi.coeffs, psi.coeffs)])

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtPoleError, DomainError, ValidationError
+from .errors import AtPoleError, DomainError, NumericalError, ValidationError
 from .quadrature import PanelGrid
 from .radial import RadialFunction
-from .radialsolve import outgoing_solution, regular_solution
+from .radialsolve import PiecewiseSolution, Spectral, green_pair
 from .scatterer import CutoffProfile, PiecewisePotential, Scatterer, commutator_apply
 from .specfun import GAMMA0, SpectralPoint, hankel0, hankel1, hankel1_arrays
 
@@ -108,45 +108,73 @@ def free_truncation_error(lam: SpectralPoint, pairs) -> float:
 
 @dataclass
 class ResolventSample:
-    """phi/psi data of one (scatterer, lam, mode) triple on a grid."""
+    """phi/psi data of one scatterer and mode on a grid, at one spectral point
+    or a batch of them.  For a batch the node arrays have shape (nlam, nodes)
+    and the Wronskian shape (nlam,).  The Wronskian is exact, from phi's
+    exterior J coefficient; wronskian_spread is the largest relative deviation
+    of the sampled one from it, over the batch."""
 
     scatterer: Scatterer
-    lam: SpectralPoint
+    lam: Spectral
     mode: int
     grid: PanelGrid
     phi_vals: np.ndarray
     phi_ders: np.ndarray
     psi_vals: np.ndarray
     psi_ders: np.ndarray
-    wronskian: complex
+    wronskian: complex | np.ndarray
     wronskian_spread: float
+    solutions: PiecewiseSolution      # phi (unscaled) and psi, stacked
+    phi_scale: np.ndarray             # phi_vals = phi / phi_scale
 
-    def apply(self, f: RadialFunction) -> RadialFunction:
-        """u with (P - lam^2) u = f, outgoing at infinity."""
+    def _check_source(self, f: RadialFunction) -> None:
         if not f.grid.same(self.grid):
             raise ValidationError("source not sampled on the resolvent grid")
         if f.mode != self.mode:
             raise ValidationError(f"source mode {f.mode} != resolvent mode {self.mode}")
+
+    def apply(self, f: RadialFunction) -> RadialFunction:
+        """u with (P - lam^2) u = f, outgoing at infinity."""
+        self._check_source(f)
         g = self.grid
         r = g.nodes
         inner1 = self.phi_vals * f.values * r
         inner2 = self.psi_vals * f.values * r
         C = g.cumulative(inner1)
-        Dtail = g.integrate(inner2) - g.cumulative(inner2)
+        Dtail = np.asarray(g.integrate(inner2))[..., None] - g.cumulative(inner2)
         # psi blows up toward r = 0 for l >= 1; C vanishes identically there
         t1 = np.where(C == 0.0, 0.0, self.psi_vals * C)
         t1d = np.where(C == 0.0, 0.0, self.psi_ders * C)
-        u = -(t1 + self.phi_vals * Dtail) / self.wronskian
-        du = -(t1d + self.phi_ders * Dtail) / self.wronskian
-        out_coeff = -g.integrate(inner1) / self.wronskian
-        start = max(self.scatterer.support_radius, _support_end(f))
-        out = RadialFunction(self.mode, g, u, du, f.trig)
-        out.outgoing = (self.lam, out_coeff)
-        out.exterior_start = start
-        return out
+        w = np.asarray(self.wronskian)[..., None]
+        u = -(t1 + self.phi_vals * Dtail) / w
+        du = -(t1d + self.phi_ders * Dtail) / w
+        return RadialFunction(self.mode, g, u, du, f.trig)
+
+    def value_at(self, f: RadialFunction, x: float):
+        """(R(lam) f)(x): a complex, or an array over the batch.
+
+        Off the grid f vanishes, so u is phi(x) times -integral(psi f r dr) / W
+        below it and psi(x) times -integral(phi f r dr) / W above it: the end
+        values of apply's two cumulative integrals.
+        """
+        g = self.grid
+        if g.rmin <= x <= g.rmax:
+            return self.apply(f).value_at(x)
+        self._check_source(f)
+        if x < self.scatterer.inner_radius:
+            raise ValidationError(f"r = {x} lies inside the obstacle")
+        below = x < g.rmin
+        partner = self.psi_vals if below else self.phi_vals
+        coeff = -np.asarray(g.integrate(partner * f.values * g.nodes)) / self.wronskian
+        if below and x == 0.0:
+            # phi starts as J_l(eta r) or r^l: 1 at the origin for mode 0, else 0
+            return float(self.mode == 0) / self.phi_scale * coeff
+        phi_x, psi_x = self.solutions.at(x)[0]
+        sol_x = phi_x / self.phi_scale if below else psi_x
+        return sol_x.reshape(np.shape(coeff)) * coeff
 
     def ode_residual(self, f: RadialFunction, u: RadialFunction) -> float:
-        """| (P - lam^2) u - f | / |f| on the grid.
+        """| (P - lam^2) u - f | / |f| on the grid, at one spectral point.
 
         u'' comes from one numerical differentiation of the sampled u'; panels
         narrower than 1e-3 of the span (the origin-grading micro panels, where
@@ -166,13 +194,6 @@ class ResolventSample:
         return float(num / den)
 
 
-def _support_end(f: RadialFunction) -> float:
-    nz = np.nonzero(np.abs(f.values) > 0)[0]
-    if len(nz) == 0:
-        return f.grid.rmin
-    return float(f.grid.nodes[nz[-1]])
-
-
 def potential_values(s: Scatterer, r: np.ndarray) -> np.ndarray:
     out = np.zeros(len(r), dtype=complex)
     if isinstance(s, PiecewisePotential):
@@ -182,30 +203,36 @@ def potential_values(s: Scatterer, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def mode_green(s: Scatterer, lam: SpectralPoint, l: int, grid: PanelGrid) -> ResolventSample:
-    phi = regular_solution(s, l, lam, grid.rmax)
-    psi = outgoing_solution(s, l, lam, grid.rmax)
-    (phi_v,), (phi_d,) = phi.eval(grid.nodes)
-    (psi_v,), (psi_d,) = psi.eval(grid.nodes)
+def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> ResolventSample:
+    """The mode-l Green function data on grid, for one SpectralPoint or a batch.
+
+    phi and psi share one segment set and one basis evaluation per segment.
+    A non-finite Wronskian raises NumericalError, one of modulus at most
+    POLE_GUARD AtPoleError for the first such point.
+    """
+    sols = green_pair(s, l, lam, grid.rmax)
+    (phi_v, psi_v), (phi_d, psi_d) = sols.eval(grid.nodes)
     # scale-free regular solution: keeps the pole guard meaningful
-    scale = np.max(np.abs(phi_v))
-    if scale > 0:
-        phi_v, phi_d = phi_v / scale, phi_d / scale
-    r = grid.nodes
-    w_all = r * (phi_v * psi_d - phi_d * psi_v)
-    # probe the Wronskian away from the endpoints
-    idx = np.linspace(0, len(r) - 1, 7).astype(int)[1:-1]
-    w = complex(np.mean(w_all[idx]))
-    spread = float(np.max(np.abs(w_all[idx] - w)) / max(abs(w), 1e-300))
-    if abs(w) <= POLE_GUARD:
-        raise AtPoleError(lam, w)
-    return ResolventSample(s, lam, l, grid, phi_v, phi_d, psi_v, psi_d, w, spread)
-
-
-def apply_resolvent_mode(s: Scatterer, lam: SpectralPoint, l: int,
-                         f: RadialFunction) -> RadialFunction:
-    """R(lam) f for a single-mode compactly supported source."""
-    return mode_green(s, lam, l, f.grid).apply(f)
+    scale = np.max(np.abs(phi_v), axis=-1)
+    scale[scale == 0] = 1.0
+    phi_v, phi_d = phi_v / scale[:, None], phi_d / scale[:, None]
+    # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
+    # (J, H1) basis has Wronskian 2i/pi
+    w = sols.coeffs[-1][0][0] / scale * (2j / math.pi)
+    # the sampled Wronskian, probed away from the endpoints, is the invariant check
+    idx = np.linspace(0, len(grid.nodes) - 1, 7).astype(int)[1:-1]
+    w_all = grid.nodes[idx] * (phi_v[:, idx] * psi_d[:, idx] - phi_d[:, idx] * psi_v[:, idx])
+    absw = np.abs(w)
+    if not np.all(np.isfinite(absw)):
+        raise NumericalError("mode Wronskian is not finite")
+    spread = float(np.max(np.max(np.abs(w_all - w[:, None]), axis=-1) / np.maximum(absw, 1e-300)))
+    pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
+    for p, wp in zip(pts, w):
+        if abs(wp) <= POLE_GUARD:
+            raise AtPoleError(p, wp)
+    if isinstance(lam, SpectralPoint):
+        phi_v, phi_d, psi_v, psi_d, w, scale = (a[0] for a in (phi_v, phi_d, psi_v, psi_d, w, scale))
+    return ResolventSample(s, lam, l, grid, phi_v, phi_d, psi_v, psi_d, w, spread, sols, scale)
 
 
 # ----------------------------------------------------------------------------
@@ -283,18 +310,15 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     dchi_v = chi.dchi(grid.nodes)
     green_l = mode_green(s, lam, l, grid)
     green_z = mode_green(s, z, l, grid)
-    free_l = mode_green(_FREE, lam, l, grid)
-    free_z = mode_green(_FREE, z, l, grid)
+    free = mode_green(_FREE, [lam, z], l, grid)
 
     rzf = green_z.apply(f)
     lhs = green_l.apply(f).values - rzf.values
 
     k1f_vals = (1.0 - chi_v) * f.values + commutator_apply(chi, rzf).values
-    k1f = RadialFunction(l, grid, k1f_vals, None, f.trig)
-    k1f.derivs = grid.derivative(k1f_vals)
-    v = free_l.apply(k1f)
-    vz = free_z.apply(k1f)
-    diff = RadialFunction(l, grid, v.values - vz.values, v.deriv_values() - vz.deriv_values(), f.trig)
+    k1f = RadialFunction(l, grid, k1f_vals, grid.derivative(k1f_vals), f.trig)
+    v = free.apply(k1f)           # rows R0(lam) K1 f and R0(z) K1 f
+    diff = RadialFunction(l, grid, v.values[0] - v.values[1], v.derivs[0] - v.derivs[1], f.trig)
 
     mid = _mask_mul(chi_v * (2.0 - chi_v), 2.0 * dchi_v * (1.0 - chi_v), rzf)
     term1 = (lam.value**2 - z.value**2) * green_l.apply(mid).values
@@ -317,7 +341,7 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralPoint, phi_src: RadialF
     kernel = 0.25j * hankel1_arrays(0, lam.value * r, lam.log + np.log(r))
     mask = r > r1
     lhs = 2.0 * math.pi * grid.integrate(np.where(mask, phi_src.values * kernel * r, 0.0))
-    u = apply_resolvent_mode(s, lam, 0, phi_src)
+    u = mode_green(s, lam, 0, grid).apply(phi_src)
     kr1 = 0.25j * hankel0(lam.scale(r1))
     kr1p = -0.25j * lam.value * hankel1(1, lam.scale(r1))[0]
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)

@@ -340,10 +340,12 @@ def parse_config(text: str) -> ScattererConfig:
     w_s, wl = take("cutoff.width")
     r0 = _parse_float(r0_s, r0l, "cutoff.r0") if r0_s is not None else scatterer.support_radius + 0.5
     width = _parse_float(w_s, wl, "cutoff.width") if w_s is not None else 1.0
-    if r0 < scatterer.support_radius:
+    # a disk needs r0 > radius: the canonical source lives between the two,
+    # and radius + 0.5 rounds to the radius itself beyond ~1e16
+    if r0 < scatterer.support_radius or r0 <= scatterer.inner_radius:
         raise ConfigError(
-            f"cutoff.r0 = {r0} is inside the scatterer support (radius {scatterer.support_radius})",
-            r0l, "cutoff.r0",
+            f"cutoff.r0 = {r0} leaves no room outside the scatterer support "
+            f"(radius {scatterer.support_radius})", r0l, "cutoff.r0",
         )
     cutoff = CutoffProfile(r0, width)
 

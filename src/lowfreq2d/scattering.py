@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasinError, ContinuationError, ShapeMismatchError, ValidationError
+from .errors import (BasinError, ContinuationError, NumericalError, ShapeMismatchError,
+                     ValidationError)
 from .radialsolve import Spectral, regular_solution
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralPoint
@@ -63,7 +64,8 @@ class ResonancePole:
 def _phase_tables(s: Scatterer, lams: list[float]) -> list[PhaseShiftTable]:
     """Principal-branch tables on real wavenumbers.  Each mode is solved once
     for every lam that has not yet met the truncation rule: two consecutive
-    modes with |delta_l| < TRUNC_TOL, or mode LMAX_HARD."""
+    modes with |delta_l| < TRUNC_TOL, or mode LMAX_HARD.  A non-finite S_l
+    raises NumericalError."""
     if not all(x > 0 for x in lams):
         raise ValidationError("phase shifts need lam > 0")
     pts = [SpectralPoint(x, 0.0) for x in lams]
@@ -77,7 +79,9 @@ def _phase_tables(s: Scatterer, lams: list[float]) -> list[PhaseShiftTable]:
                                   s.support_radius + 1.0).coeffs[-1]
         still = []
         for i, a, b in zip(active, c1, c2):
-            S = 1.0 + 2.0 * complex(b) / complex(a)
+            S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)
+            if not cmath.isfinite(S):
+                raise NumericalError(f"S-matrix of mode {l} at lam = {lams[i]!r} is not finite")
             shifts[i][l] = 0.5 * cmath.phase(S)
             smat[i][l] = S
             mag = abs(0.5 * cmath.log(S)) if S != 0 else math.inf
@@ -155,7 +159,7 @@ def outgoing_defect(s: Scatterer, l: int, lam: Spectral):
     potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
     which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
     as r^l and has no zero there.  One SpectralPoint gives a complex number,
-    a sequence an array.
+    a sequence an array; a defect of non-finite modulus raises NumericalError.
     """
     sol = regular_solution(s, l, lam, s.support_radius + 1.0)
     c1 = sol.coeffs[-1][0]
@@ -163,6 +167,8 @@ def outgoing_defect(s: Scatterer, l: int, lam: Spectral):
         norm = math.factorial(l)
         c1 = np.array([c * norm * (2.0 / e) ** l if e else c
                        for c, e in zip(c1, sol.segments[0].eta)])
+    if not np.all(np.isfinite(np.abs(c1))):
+        raise NumericalError(f"outgoing defect of mode {l} is not finite")
     return complex(c1[0]) if isinstance(lam, SpectralPoint) else c1
 
 

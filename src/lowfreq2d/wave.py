@@ -29,7 +29,6 @@ import numpy as np
 from .errors import BoundStateRefusal, ValidationError
 from .quadrature import PanelGrid, geometric_edges
 from .radial import RadialFunction
-from .radialsolve import outgoing_solution, regular_solution
 from .resolvent import mode_green
 from .scatterer import Scatterer
 from .scattering import imaginary_axis_poles
@@ -141,51 +140,14 @@ class WaveResult:
     panels: OscillatoryPanels = field(repr=False, default=None)
 
 
-class _PointResolvent:
-    """Im[R(lam+i0) f](x) evaluated cheaply for x below the source support.
-
-    There u(x) = -phi(x) * integral(psi f r dr) / W, with the quadrature
-    restricted to the panels carrying f, and W read off the outgoing
-    decomposition of the regular solution (the exterior (J, H1) basis has
-    constant mode Wronskian 2i/pi).  Called with a SpectralPoint or a
-    sequence of them; one batch shares every solve.
-    """
-
-    def __init__(self, s: Scatterer, f: RadialFunction, x: float):
-        self.s = s
-        self.x = float(x)
-        g = f.grid
-        nz = np.abs(f.values) > 0
-        panel_has = nz.reshape(g.npanels, g.n).any(axis=1)
-        lo_edge = g.edges[:-1][panel_has].min()
-        if not self.x < lo_edge:
-            raise ValidationError("fast path needs the observation radius below the source support")
-        keep = np.repeat(panel_has, g.n)
-        self.nodes = g.nodes[keep]
-        self.wf = g.weights[keep] * f.values[keep] * self.nodes
-        self.rmax = g.rmax
-
-    def __call__(self, lam) -> np.ndarray:
-        phi = regular_solution(self.s, 0, lam, self.rmax)
-        psi = outgoing_solution(self.s, 0, lam, self.rmax)
-        W = phi.coeffs[-1][0] * (2j / math.pi)
-        psi_v, _ = psi.eval(self.nodes)
-        integral = np.sum(psi_v * self.wf, axis=1)
-        if self.x == 0.0:
-            phi_x = phi.coeffs[0][0]     # regular member is 1 at the origin (mode 0)
-        else:
-            phi_x = phi.at(self.x)[0]
-        return (-phi_x * integral / W).imag
-
-
-def _integrand_callable(s: Scatterer, f: RadialFunction, x: float):
-    try:
-        return _PointResolvent(s, f, x)
-    except ValidationError:
-        def slow(lams) -> np.ndarray:
-            return np.array([mode_green(s, lam, 0, f.grid).apply(f).value_at(x).imag
-                             for lam in lams])
-        return slow
+def _source_panels(f: RadialFunction) -> RadialFunction:
+    """f on the run of panels from its first to its last nonzero one."""
+    g = f.grid
+    rows = np.flatnonzero((np.abs(f.values) > 0).reshape(g.npanels, g.n).any(axis=1))
+    if rows.size == 0:
+        raise ValidationError("initial data vanish identically")
+    lo, hi = rows[0], rows[-1] + 1
+    return RadialFunction(f.mode, PanelGrid(g.edges[lo:hi + 1], g.n), f.values[lo * g.n:hi * g.n])
 
 
 def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
@@ -197,14 +159,16 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
             f"scatterer has bound states (kappa ~ {ks}); the continuum integral "
             "does not represent the evolution"
         )
-    G = _integrand_callable(q.scatterer, q.f, q.x)
+    # the integrand Im R(lam + i0) f (x) needs the Green data only where f lives
+    src = _source_panels(q.f)
 
     def sample_chunk(edges: np.ndarray):
-        # one batched integrand call per panel; a whole chunk per call would
+        # one batched resolvent per panel; a whole chunk per call would
         # multiply the solution arrays, and so the peak memory
         panel = PanelGrid(edges, nodes_per_panel)
         vals = np.concatenate([
-            G([SpectralPoint(float(m), 0.0) for m in row])
+            mode_green(q.scatterer, [SpectralPoint(float(m), 0.0) for m in row], 0,
+                       src.grid).value_at(src, q.x).imag
             for row in panel.nodes.reshape(-1, nodes_per_panel)
         ])
         return panel, vals
@@ -222,8 +186,7 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     tmin = min((t for t in q.times if t > 0), default=1.0)
     # the tail beyond the sampled range is completed by endpoint asymptotics
     # with remainder ~ |G(top)| (sigma/t)^4, sigma the source support radius
-    nz = np.abs(q.f.values) > 0
-    sigma = max(float(q.f.grid.nodes[nz][-1]) if nz.any() else 1.0, 1.0)
+    sigma = max(float(src.grid.nodes[np.abs(src.values) > 0][-1]), 1.0)
 
     def tail_ok(tail_mag: float) -> bool:
         return tail_mag * min(1.0, (sigma / tmin) ** 4) < TAIL_REL * gmax

@@ -26,6 +26,20 @@ def test_orthogonal_channels_sample_to_zero(free_fx, default_grid_pts):
     assert np.all(vals == 0.0)
 
 
+def test_batched_samples_match_per_point(dirichlet_fx, p_well_fx):
+    # 11 points: one full batch of SAMPLE_BATCH and a partial one, on two rays
+    # and both modes a batch can carry; reference is one mode_green per point
+    from lowfreq2d import mode_green
+    pts = [SpectralPoint(m, a) for a in (math.pi / 4, 1.2) for m in np.geomspace(1e-6, 1e-2, 6)][:11]
+    for fx, mode in ((dirichlet_fx, 0), (p_well_fx, 1)):
+        f = fx.source(mode)
+        batch = sample_matrix_element(fx.scatterer, f, f, pts)
+        point = np.array([inner(mode_green(fx.scatterer, p, mode, fx.grid).apply(f), f)
+                          for p in pts])
+        assert batch.shape == (11,)
+        assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-14
+
+
 def test_selfadjoint_pairing_symmetry(generic_well_fx):
     fx = generic_well_fx
     lam = [SpectralPoint(0.3, math.pi / 2)]

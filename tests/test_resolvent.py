@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (FreeCoeffKernel, SpectralPoint, apply_resolvent_mode,
-                       boundary_pairing_fourier, boundary_pairing_samples, bump, bump_edges, free_kernel, free_scatterer,
+from lowfreq2d import (FreeCoeffKernel, SpectralPoint, boundary_pairing_fourier,
+                       boundary_pairing_samples, bump, bump_edges, free_kernel, free_scatterer,
                        hankel0, inner, mode_green, one_sided_identity_residual,
                        pairing_identity_residual, standard_grid,
                        two_parameter_identity_residual)
@@ -81,7 +81,7 @@ def test_free_apply_matches_kernel_quadrature(free_setup):
     s, chi, grid = free_setup
     lam = SpectralPoint(0.37, math.pi / 4)
     f = bump(grid, 1.0, 0.35, 0)
-    u = apply_resolvent_mode(s, lam, 0, f)
+    u = mode_green(s, lam, 0, grid).apply(f)
     # oracle: direct angular quadrature of the kernel against f
     for robs in (0.4, 1.9, 3.2):
         th = np.linspace(0, 2 * math.pi, 481)[:-1]
@@ -109,7 +109,7 @@ def test_selfadjoint_symmetry(generic_well_fx):
 
 def test_dirichlet_boundary_value(dirichlet_fx):
     fx = dirichlet_fx
-    u = apply_resolvent_mode(fx.scatterer, SpectralPoint(0.3, 0.1), 0, fx.f)
+    u = mode_green(fx.scatterer, SpectralPoint(0.3, 0.1), 0, fx.grid).apply(fx.f)
     assert abs(u.value_at(1.0)) < 1e-10
 
 
@@ -227,12 +227,11 @@ def test_mode_mismatch_rejected(free_fx):
 
 def test_solution_wronskian_free():
     # regular against outgoing for the free operator: r(J H' - J' H) = 2i/pi
-    from lowfreq2d.radialsolve import outgoing_solution, regular_solution, wronskian
-    lam = SpectralPoint(0.8, 0.6)
-    phi = regular_solution(free_scatterer(), 0, lam, 5.0)
-    psi = outgoing_solution(free_scatterer(), 0, lam, 5.0)
+    from lowfreq2d.radialsolve import green_pair
+    pair = green_pair(free_scatterer(), 0, SpectralPoint(0.8, 0.6), 5.0)
     for r in (0.3, 1.4, 4.2):
-        assert abs(wronskian(phi, psi, r) - 2j / math.pi) < 1e-13
+        (phi, psi), (dphi, dpsi) = pair.at(r)
+        assert abs(r * (phi * dpsi - dphi * psi)[0] - 2j / math.pi) < 1e-13
 
 
 def test_batched_solutions_match_single_points():
@@ -240,19 +239,19 @@ def test_batched_solutions_match_single_points():
     # the harmonic (power) basis on the segment and agrees with its own
     # single-point solve, as do the Bessel elements beside it
     from lowfreq2d import PiecewisePotential
-    from lowfreq2d.radialsolve import make_segments, outgoing_solution, regular_solution
+    from lowfreq2d.radialsolve import green_pair, make_segments, regular_solution
     s = PiecewisePotential((0.6, 1.0), (0.25, -1.5))
     lams = [SpectralPoint(0.5, 0.0), SpectralPoint(0.7, 0.3), SpectralPoint(2.0, -0.1)]
     assert list(make_segments(s, 0, lams, 4.0)[0].eta == 0) == [True, False, False]
     r = np.array([0.3, 0.8, 2.5])
-    for solve in (regular_solution, outgoing_solution):
+    for solve, lead in ((regular_solution, ()), (green_pair, (2,))):
         for l in (0, 2):
             u, du = solve(s, l, lams, 4.0).eval(r)
-            assert u.shape == du.shape == (3, 3)
+            assert u.shape == du.shape == lead + (3, 3)
             for i, lam in enumerate(lams):
                 u1, du1 = solve(s, l, lam, 4.0).eval(r)
-                assert np.allclose(u[i], u1[0], rtol=1e-13, atol=0)
-                assert np.allclose(du[i], du1[0], rtol=1e-13, atol=0)
+                assert np.allclose(u[..., i, :], u1[..., 0, :], rtol=1e-13, atol=0)
+                assert np.allclose(du[..., i, :], du1[..., 0, :], rtol=1e-13, atol=0)
 
 
 def test_lam4_log_coefficient_kernel():

@@ -131,29 +131,52 @@ def test_mode_zero_required(free_fx):
         WaveQuery(free_fx.scatterer, free_fx.source(1), 0.0, (1.0,))
 
 
-def test_point_resolvent_fast_path_matches_full_apply(dirichlet_fx, generic_well_fx):
-    # the restricted-support evaluation used by evolve agrees with the full
-    # Green application, including on obstacle grids starting at a0
-    from lowfreq2d.wave import _PointResolvent
+def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx):
+    # evolve's integrand, from the Green data on the panels carrying f only,
+    # agrees with the full Green application below the support, including on
+    # obstacle grids starting at a0
     from lowfreq2d import mode_green, SpectralPoint
+    from lowfreq2d.wave import _source_panels
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        G = _PointResolvent(fx.scatterer, fx.f, x_obs)
+        src = _source_panels(fx.f)
+        assert x_obs < src.grid.rmin
         for lam in (SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0)):
+            G = mode_green(fx.scatterer, lam, 0, src.grid).value_at(src, x_obs)
             full = mode_green(fx.scatterer, lam, 0, fx.grid).apply(fx.f)
-            assert abs(G(lam) - full.value_at(x_obs).imag) < 1e-11
+            assert abs(G.imag - full.value_at(x_obs).imag) < 1e-11
+
+
+def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_well_fx):
+    # the same integrand for x inside the source support (apply on the source
+    # panels) and above it (psi(x) times the phi moment), one batch per call
+    from lowfreq2d import mode_green, SpectralPoint
+    from lowfreq2d.wave import _source_panels
+    lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)]
+    for fx in (dirichlet_fx, generic_well_fx):
+        src = _source_panels(fx.f)
+        inside, above = fx.f_center + 0.5 * fx.f_half, src.grid.rmax + 0.7
+        assert src.grid.rmin < inside < src.grid.rmax < above < fx.grid.rmax
+        for x_obs in (inside, above):
+            G = mode_green(fx.scatterer, lams, 0, src.grid).value_at(src, x_obs)
+            assert G.shape == (len(lams),)
+            for lam, g in zip(lams, G):
+                full = mode_green(fx.scatterer, lam, 0, fx.grid).apply(fx.f)
+                assert abs(g - full.value_at(x_obs)) < 1e-11
 
 
 @pytest.mark.parametrize("edges", [(0.125, 0.25), (40.0, 40.25)])
 def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edges):
     # one call per panel (a geometric panel of the base chunk, a tail panel)
-    # gives the per-point values of the restricted-support formula
-    from lowfreq2d import SpectralPoint
-    from lowfreq2d.wave import _PointResolvent
+    # gives the per-point values of the source-panel integrand
+    from lowfreq2d import mode_green, SpectralPoint
+    from lowfreq2d.wave import _source_panels
     nodes = PanelGrid(np.array(edges), 16).nodes
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        G = _PointResolvent(fx.scatterer, fx.f, x_obs)
-        batch = G([SpectralPoint(float(m), 0.0) for m in nodes])
-        point = np.array([G(SpectralPoint(float(m), 0.0))[0] for m in nodes])
+        src = _source_panels(fx.f)
+        pts = [SpectralPoint(float(m), 0.0) for m in nodes]
+        batch = mode_green(fx.scatterer, pts, 0, src.grid).value_at(src, x_obs).imag
+        point = np.array([mode_green(fx.scatterer, p, 0, src.grid).value_at(src, x_obs).imag
+                          for p in pts])
         assert batch.shape == nodes.shape
         assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-13
 
