@@ -5,9 +5,8 @@ Laplacian, with everything continued on the Riemann surface of log(lambda)."""
 __version__ = "0.1.0"
 
 from .errors import (AtPoleError, BasinError, BoundStateRefusal, ConfigError,
-                     ContinuationError, DegenerateScattererError, DomainError,
-                     IllConditionedFitError, LowfreqError, NumericalError,
-                     ShapeMismatchError, ValidationError)
+                     DegenerateScattererError, DomainError, IllConditionedFitError,
+                     LowfreqError, NumericalError, ShapeMismatchError, ValidationError)
 from .expansion import (ExpansionGrid, FitReport, FitTerm, LogLaurentSeries,
                         expansion_grid, fit_log_laurent, general_terms,
                         nonresonant_terms, predict_leading_terms, resonant_terms,
@@ -23,8 +22,8 @@ from .scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                         parse_config, serialize_config, standard_grid)
 from .scattering import (PhaseShiftTable, ResonancePole, breit_wigner_metrics,
                          find_pole, find_pole_in_disk, imaginary_axis_poles,
-                         outgoing_defect, perturbation_sweep, phase_shift_sweep,
-                         phase_shifts, sigma_asymptotic)
-from .specfun import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel0, hankel1
+                         outgoing_defect, phase_shift_sweep, phase_shifts,
+                         sigma_asymptotic)
+from .specfun import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel1
 from .threshold import ThresholdMode, ThresholdReport, classify, eigen_projection, solve_zero_mode
 from .wave import DecayReport, WaveQuery, WaveResult, decay_fit, evolve

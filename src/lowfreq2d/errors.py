@@ -72,9 +72,5 @@ class BasinError(NumericalError):
         super().__init__(message)
 
 
-class ContinuationError(NumericalError):
-    """Pole trajectory jumped by more than the allowed factor between steps."""
-
-
 class BoundStateRefusal(ValidationError):
     """Wave evolution refused: discrete spectrum detected below the threshold."""

@@ -24,7 +24,7 @@ from .quadrature import PanelGrid
 from .radial import RadialFunction
 from .radialsolve import PiecewiseSolution, Spectral, green_pair
 from .scatterer import CutoffProfile, PiecewisePotential, Scatterer, commutator_apply
-from .specfun import GAMMA0, SpectralPoint, hankel0, hankel1, hankel1_arrays
+from .specfun import GAMMA0, SpectralPoint, bessel_pair, hankel1
 
 POLE_GUARD = 1e-13
 
@@ -52,7 +52,7 @@ def free_kernel(lam: SpectralPoint, x, y) -> complex:
     d = _dist(x, y)
     if d == 0.0:
         raise DomainError("free kernel is singular on the diagonal x = y")
-    return 0.25j * hankel0(lam.scale(d))
+    return 0.25j * hankel1(0, lam.scale(d))[0]
 
 
 @dataclass(frozen=True)
@@ -338,11 +338,11 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralPoint, phi_src: RadialF
         raise ValidationError("pairing identity implemented for mode 0")
     grid = phi_src.grid
     r = grid.nodes
-    kernel = 0.25j * hankel1_arrays(0, lam.value * r, lam.log + np.log(r))
+    kernel = 0.25j * bessel_pair(0, lam.value * r, lam.log + np.log(r))[2][0]
     mask = r > r1
     lhs = 2.0 * math.pi * grid.integrate(np.where(mask, phi_src.values * kernel * r, 0.0))
     u = mode_green(s, lam, 0, grid).apply(phi_src)
-    kr1 = 0.25j * hankel0(lam.scale(r1))
-    kr1p = -0.25j * lam.value * hankel1(1, lam.scale(r1))[0]
+    h0, h0d = hankel1(0, lam.scale(r1))
+    kr1, kr1p = 0.25j * h0, 0.25j * lam.value * h0d
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)
     return abs(lhs + b) / max(abs(lhs), 1e-300)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BasinError, ContinuationError, NumericalError, ShapeMismatchError,
-                     ValidationError)
+from .errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
 from .radialsolve import Spectral, regular_solution
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralPoint
@@ -304,36 +303,6 @@ def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
                 pole = ResonancePole(SpectralPoint(mid, math.pi / 2.0),
                                      mode, 0.0, "boundState", 0.0, steps)
             out.append(pole)
-    return out
-
-
-def perturbation_sweep(s0: PiecewisePotential, mode: int, epsilons) -> list[ResonancePole]:
-    """Track the threshold pole of V0 + eps across the eps list.
-
-    The first seed sits at |lam| = sqrt|eps|, on the imaginary axis for
-    eps < 0 and at arg -0.2 otherwise; afterwards the previous pole seeds the
-    next step, with a 10x jump guard.
-    """
-    out: list[ResonancePole] = []
-    prev: ResonancePole | None = None
-    prev_step = None
-    for eps in epsilons:
-        s_eps = s0.shifted(eps)
-        if prev is not None:
-            seed = prev.lam
-        else:
-            seed = SpectralPoint(math.sqrt(abs(eps)), math.pi / 2.0 if eps < 0 else -0.2)
-        pole = find_pole(s_eps, mode, seed)
-        pole.epsilon = float(eps)
-        if prev is not None:
-            step = abs(pole.lam.value - prev.lam.value)
-            if prev_step is not None and step > 10.0 * max(prev_step, 1e-14):
-                raise ContinuationError(
-                    f"pole trajectory jump {step:.3e} > 10x previous step {prev_step:.3e} at eps={eps}"
-                )
-            prev_step = step
-        prev = pole
-        out.append(pole)
     return out
 
 

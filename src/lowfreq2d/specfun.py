@@ -6,6 +6,10 @@ the logarithmic cover is a pair (modulus, arg) with unbounded real arg, so
 continuation of H^(1)_0, Y_l, etc. across sheets is just arithmetic on the
 stored arg.  Power series are used for |z| <= 12, large-argument asymptotics
 beyond, and the two branches are cross-checked by tests on the overlap ring.
+Every sum is a Horner recurrence over a cached coefficient table.  How many
+terms a point takes is read from its |z| against the table's thresholds
+before the recurrence starts, never by a test inside it, and a point's value
+does not depend on the points evaluated with it.
 
 All functions are pure; inputs are value types, so concurrent use is safe.
 """
@@ -23,12 +27,12 @@ from .errors import DomainError
 EULER = 0.5772156649015328606
 LOG2 = math.log(2.0)
 
-#: gamma0 = log 2 - euler + i pi/2; the m-th constant adds the harmonic number H_m.
+#: gamma0 = log 2 - euler + i pi/2, so that H^(1)_0(s) ~ (2i/pi)(log s - gamma0) as s -> 0.
 GAMMA0 = complex(LOG2 - EULER, math.pi / 2.0)
 
 SERIES_RADIUS = 12.0  # |z| crossover between power series and asymptotics
-SERIES_CAP = 80       # hard cap on series terms
-SERIES_EPS = 1e-17    # term/partial-sum stopping ratio
+SERIES_CAP = 80       # length of the coefficient tables
+SERIES_EPS = 1e-17    # terms below this are not summed (each table's first term is 1)
 DISPATCH_BLOCK = 2048 # points per branch dispatch in bessel_pair
 
 
@@ -60,14 +64,78 @@ class SpectralPoint:
         return SpectralPoint(self.modulus * r, self.arg)
 
 
+# ----------------------------------------------------------------------------
+# term counts and Horner sums over cached coefficient tables
+# ----------------------------------------------------------------------------
+
+def _count_thresholds(coef: np.ndarray) -> np.ndarray:
+    """log|x| from which each term k >= 1 of sum_k coef[k] x^k reaches
+    SERIES_EPS, sorted."""
+    k = np.arange(1, coef.size)
+    return np.sort((math.log(SERIES_EPS) - np.log(np.abs(coef[1:]))) / k)
+
+
+def _term_count(thresholds: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-point term counts from |x|: the terms |coef[k] x^k| >= SERIES_EPS.
+
+    Each table's terms rise to one peak and then fall (the asymptotic table
+    is cut where they would grow again), so these terms are a leading run,
+    and their number is one plus the count of thresholds at or below log|x|.
+    """
+    return 1 + np.searchsorted(thresholds, np.log(np.abs(x)), side="right")
+
+
+def _horner(coef: np.ndarray, x: np.ndarray, n) -> np.ndarray:
+    """sum_{k < n} coef[k] x^k by Horner's rule, with a term count n per point.
+
+    The terms that only some points take come as rows that are zero for the
+    others, so a point enters the recurrence exactly at its own top term and
+    its sum is the one it gets alone, whatever the other points.
+    """
+    top = int(np.max(n, initial=1))
+    base = int(np.min(n, initial=top))
+    k = np.arange(base, top)[:, None]
+    acc = np.zeros(np.shape(x), dtype=complex)
+    for row in np.where(k < n, coef[k], 0.0)[::-1]:
+        acc = acc * x + row
+    for c in coef[base - 1::-1]:
+        acc = acc * x + c
+    return acc
+
+
 @lru_cache(maxsize=None)
-def _harmonic(n: int) -> float:
-    return 0.0 if n == 0 else _harmonic(n - 1) + 1.0 / n
+def _series_table(l: int):
+    """Coefficients of the order-l ascending series in q = -z^2/4 (DLMF 10.8).
+
+    J_l = (z/2)^l / l! sum_k c_k q^k with c_k = l!/(k!(k+l)!), the psi sum of
+    Y_l has coefficients (psi(k+1) + psi(k+l+1)) c_k, both for k < SERIES_CAP,
+    and Y_l's finite part (z/2)^{-l} sum_{k<l} ((l-1-k)!/k!) (-q)^k / pi has
+    coefficients (l-1-k)!/k!.  The count thresholds are those of the c_k.
+    """
+    k = np.arange(1, SERIES_CAP)
+    c = np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k + l)))))
+    psi = -EULER + np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, SERIES_CAP + l))))
+    d = (psi[:SERIES_CAP] + psi[l:l + SERIES_CAP]) * c
+    finite = np.array([math.factorial(l - 1 - j) / math.factorial(j) for j in range(l)])
+    return c, d, finite, _count_thresholds(c)
 
 
-def _digamma_int(n: int) -> float:
-    """psi(n) for integer n >= 1."""
-    return -EULER + _harmonic(n - 1)
+@lru_cache(maxsize=None)
+def _asym_table(l: int):
+    """i^k a_k(l) of the Hankel expansion in w = 1/z (DLMF 10.17.1), cut at
+    its optimal truncation for |z| = SERIES_RADIUS, the smallest modulus the
+    branch serves, and the table's count thresholds.
+
+    Beyond that radius the terms of the table decrease throughout, so each
+    point's count is its run of terms above SERIES_EPS; on |arg z| <= pi/2,
+    which _h12_window ensures, DLMF 10.17(iii) bounds the truncation error by
+    a modest multiple of the first neglected term.
+    """
+    k = np.arange(1, SERIES_CAP)
+    full = np.cumprod(np.concatenate(([1.0], 1j * (4.0 * l * l - (2 * k - 1) ** 2) / (8.0 * k))))
+    mags = np.abs(full) / SERIES_RADIUS ** np.arange(SERIES_CAP)
+    coef = full[:1 + int(np.argmax(mags[1:] > mags[:-1]))]
+    return coef, _count_thresholds(coef)
 
 
 # ----------------------------------------------------------------------------
@@ -78,32 +146,13 @@ def _jy_series(l: int, z: np.ndarray, logz: np.ndarray) -> tuple[np.ndarray, np.
     """J_l and Y_l by ascending series; logz supplies the branch of log z."""
     z = np.asarray(z, dtype=complex)
     logz = np.asarray(logz, dtype=complex)
+    c, d, finite, thresholds = _series_table(l)
     q = -0.25 * z * z
-    term = np.ones_like(z)           # q^k / (k! (k+l)!) * l!-normalization below
-    fact_shift = 1.0 / math.factorial(l)
-    jsum = term.copy()
-    psum = (_digamma_int(1) + _digamma_int(l + 1)) * term
-    for k in range(1, SERIES_CAP):
-        term = term * q / (k * (k + l))
-        jsum = jsum + term
-        psum = psum + (_digamma_int(k + 1) + _digamma_int(l + k + 1)) * term
-        if np.max(np.abs(term)) <= SERIES_EPS * max(np.max(np.abs(jsum)), 1e-300):
-            break
-    half_pow = (0.5 * z) ** l * fact_shift
-    J = half_pow * jsum
-    finite = np.zeros_like(z)
-    if l >= 1:
-        # (z/2)^{-l} sum_{k<l} ((l-1-k)!/k!) (z^2/4)^k; consecutive summands
-        # differ by (z^2/4)/((k+1)(l-1-k)), and -q = z^2/4.
-        acc = np.zeros_like(z)
-        t = np.full_like(z, float(math.factorial(l - 1)))
-        for k in range(l):
-            acc = acc + t
-            if k + 1 < l:
-                t = t * (-q) / ((k + 1) * (l - 1 - k))
-        finite = (0.5 * z) ** (-l) * acc / math.pi
-    logfac = logz - LOG2          # log(z/2) on the cover
-    Y = (2.0 / math.pi) * logfac * J - finite - half_pow * psum / math.pi
+    n = _term_count(thresholds, q)
+    half_pow = (0.5 * z) ** l * (1.0 / math.factorial(l))
+    J = half_pow * _horner(c, q, n)
+    fin = (0.5 * z) ** (-l) * _horner(finite, -q, l) / math.pi if l else 0.0
+    Y = (2.0 / math.pi) * (logz - LOG2) * J - fin - half_pow * _horner(d, q, n) / math.pi
     return J, Y
 
 
@@ -112,29 +161,15 @@ def _jy_series(l: int, z: np.ndarray, logz: np.ndarray) -> tuple[np.ndarray, np.
 # ----------------------------------------------------------------------------
 
 def _hankel_pm_asym(l: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H^(1)_l and H^(2)_l on the principal sheet by the large-argument expansion."""
+    """H^(1)_l and H^(2)_l on the principal sheet by the large-argument expansion.
+
+    The H^(2) terms are (-1)^k times the H^(1) terms, so the two sums are
+    one polynomial at w = 1/z and at -w.
+    """
     z = np.asarray(z, dtype=complex)
-    mu = 4.0 * l * l
-    splus = np.ones_like(z)
-    sminus = np.ones_like(z)
-    term = np.ones_like(z)
-    prev = np.full(z.shape, np.inf)
-    frozen = np.zeros(z.shape, dtype=bool)
-    for k in range(1, 40):
-        factor = (mu - (2 * k - 1) ** 2) / (8.0 * k)
-        term = term * (1j * factor) / z      # the H^(2) term is (-1)^k times this
-        mag = np.abs(term)
-        frozen |= mag > prev
-        keep = ~frozen
-        add = np.where(keep, term, 0.0)
-        splus += add
-        if k % 2:
-            sminus -= add
-        else:
-            sminus += add
-        np.copyto(prev, mag, where=keep)
-        if frozen.all() or np.max(mag, where=keep, initial=0.0) < SERIES_EPS:
-            break
+    coef, thresholds = _asym_table(l)
+    w = 1.0 / z
+    splus, sminus = _horner(coef, np.stack((w, -w)), _term_count(thresholds, w))
     front = np.sqrt(2.0 / (math.pi * z))   # principal sqrt
     omega = z - l * math.pi / 2.0 - math.pi / 4.0
     h1 = front * np.exp(1j * omega) * splus
@@ -171,21 +206,15 @@ def _h12_window(l: int, zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     sign = -1.0 if l % 2 else 1.0
     theta = np.angle(zp)
-    h1 = np.empty_like(zp)
-    h2 = np.empty_like(zp)
-    mid = np.abs(theta) <= math.pi / 2.0
-    if mid.any():
-        h1[mid], h2[mid] = _hankel_pm_asym(l, zp[mid])
     up = theta > math.pi / 2.0
-    if up.any():
-        a1, a2 = _hankel_pm_asym(l, zp[up] * np.exp(-1j * math.pi))
-        h1[up] = -sign * a2
-        h2[up] = sign * (a1 + 2.0 * a2)
     dn = theta < -math.pi / 2.0
-    if dn.any():
-        a1, a2 = _hankel_pm_asym(l, zp[dn] * np.exp(1j * math.pi))
-        h1[dn] = sign * (2.0 * a1 + a2)
-        h2[dn] = -sign * a1
+    zr = zp.copy()
+    zr[up] *= np.exp(-1j * math.pi)
+    zr[dn] *= np.exp(1j * math.pi)
+    a1, a2 = _hankel_pm_asym(l, zr)
+    h1, h2 = a1.copy(), a2.copy()
+    h1[up], h2[up] = -sign * a2[up], sign * (a1[up] + 2.0 * a2[up])
+    h1[dn], h2[dn] = sign * (2.0 * a1[dn] + a2[dn]), -sign * a1[dn]
     return h1, h2
 
 
@@ -245,42 +274,9 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
     return out[0], out[1], out[2]
 
 
-def hankel1_arrays(l: int, z: np.ndarray, logz: np.ndarray) -> np.ndarray:
-    """H^(1)_l on the log cover; avoids J + iY cancellation for large |z|."""
-    return bessel_pair(l, z, logz)[2][0]
-
-
 # ----------------------------------------------------------------------------
 # scalar API on SpectralPoint
 # ----------------------------------------------------------------------------
-
-def hankel0(s: SpectralPoint) -> complex:
-    """H^(1)_0 at a point of the log cover.
-
-    For |s| <= 12 this is the low-argument series
-        (2i/pi) sum_m (log s - gamma_m) (-s^2/4)^m / (m!)^2,
-    summed pairwise and truncated when a term drops below 1e-17 of the
-    partial sum (cap 80 terms); beyond, the large-argument expansion.
-    """
-    if s.modulus > SERIES_RADIUS:
-        return complex(hankel1_arrays(0, np.array([s.value]), np.array([s.log]))[0])
-    logs = s.log
-    q = -0.25 * s.value * s.value
-    gamma_m = GAMMA0
-    coeff = 1.0 + 0.0j            # (-s^2/4)^m / (m!)^2
-    terms = [(logs - gamma_m) * coeff]
-    partial = terms[0]
-    for m in range(1, SERIES_CAP):
-        gamma_m = gamma_m + 1.0 / m
-        coeff = coeff * q / (m * m)
-        t = (logs - gamma_m) * coeff
-        terms.append(t)
-        partial = partial + t
-        if abs(t) <= SERIES_EPS * abs(partial):
-            break
-    total = np.sum(np.array(terms))   # pairwise summation
-    return complex(2j / math.pi * total)
-
 
 def bessel_jy(l: int, s: SpectralPoint) -> tuple[complex, complex, complex, complex]:
     """(J_l, Y_l, J_l', Y_l') at a point of the log cover."""

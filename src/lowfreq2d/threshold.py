@@ -97,6 +97,8 @@ def solve_zero_mode(s: Scatterer, l: int, grid: PanelGrid | None = None,
         growing, decaying = c2, c1       # exterior basis (1, log r)
     else:
         growing, decaying = c1, c2       # exterior basis (r^l, r^{-l})
+    if not np.isfinite([growing, decaying]).all():
+        raise NumericalError(f"mode {l}: non-finite exterior connection coefficients")
     if max(abs(growing), abs(decaying)) < DEGENERATE_ATOL:
         raise DegenerateScattererError(
             f"mode {l}: both exterior connection coefficients vanish"

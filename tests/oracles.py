@@ -15,30 +15,30 @@ import numpy as np
 EULER_ORACLE = 0.57721566490153286
 
 
-def j0_series(x: float, terms: int = 120) -> float:
-    total = 0.0
-    term = 1.0
-    for m in range(terms):
-        if m > 0:
-            term *= -(x * x / 4.0) / (m * m)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
+def j0_series(x, terms: int = 60):
+    """J0 by its ascending series with a fixed term count; x is a number or a
+    (complex) numpy array, and 60 terms reach double precision for |x| <= 12."""
+    q = -0.25 * np.asarray(x) ** 2
+    total = np.ones_like(q)
+    term = np.ones_like(q)
+    for m in range(1, terms):
+        term = term * q / (m * m)
+        total = total + term
+    return total[()]
 
 
-def y0_series(x: float, terms: int = 120) -> float:
-    j0 = j0_series(x, terms)
-    total = 0.0
-    term = 1.0
+def y0_series(x, terms: int = 60):
+    """Y0 by its ascending series, with the principal log."""
+    x = np.asarray(x)
+    q = -0.25 * x**2
+    total = np.zeros_like(q)
+    term = np.ones_like(q)
     h = 0.0
     for m in range(1, terms):
-        term *= -(x * x / 4.0) / (m * m)
+        term = term * q / (m * m)
         h += 1.0 / m
-        total += term * h
-        if abs(term) < 1e-18:
-            break
-    return 2.0 / math.pi * ((math.log(x / 2.0) + EULER_ORACLE) * j0 - total)
+        total = total + term * h
+    return (2.0 / math.pi * ((np.log(x / 2.0) + EULER_ORACLE) * j0_series(x, terms) - total))[()]
 
 
 def j0_prime(x: float, h: float = 1e-6) -> float:

@@ -7,8 +7,8 @@ import pytest
 
 from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralPoint,
                        breit_wigner_metrics, find_pole, find_pole_in_disk,
-                       free_scatterer, imaginary_axis_poles, perturbation_sweep,
-                       phase_shift_sweep, phase_shifts, sigma_asymptotic)
+                       free_scatterer, imaginary_axis_poles, phase_shift_sweep,
+                       phase_shifts, sigma_asymptotic)
 from lowfreq2d.errors import BasinError, ShapeMismatchError, ValidationError
 
 from oracles import born_phase_shift_mode0, j0_series, y0_series
@@ -143,12 +143,12 @@ def test_resonance_poles_off_axis(eig_well_fx, p_well_fx):
 
 
 def test_perturbation_sweep_continuity(eig_well_fx):
+    # the CLI's perturb route: each eps scanned on its own, deepest bound state
     eps_list = [-1e-2, -6e-3, -3e-3, -1.5e-3]
-    poles = perturbation_sweep(eig_well_fx.scatterer, 2, eps_list)
+    poles = [imaginary_axis_poles(eig_well_fx.scatterer.shifted(eps), 2)[-1] for eps in eps_list]
     ks = [p.lam.modulus for p in poles]
     assert all(a > b for a, b in zip(ks, ks[1:]))
     assert all(p.kind == "boundState" for p in poles)
-    assert [p.epsilon for p in poles] == eps_list
 
 
 def test_breit_wigner_ordering(eig_well_fx, p_well_fx):
@@ -178,13 +178,6 @@ def test_admissible_complex_potential_formal_sigma():
     t = phase_shifts(s, 0.4)
     assert abs(t.sigma.imag) > 0
     assert abs(t.det_s_modulus - 1.0) > 1e-3
-
-
-def test_perturbation_sweep_jump_guard(eig_well_fx):
-    from lowfreq2d.errors import ContinuationError
-    with pytest.raises(ContinuationError):
-        perturbation_sweep(eig_well_fx.scatterer, 2,
-                           [-1e-2, -9.9e-3, -9.8e-3, -1e-4])
 
 
 def test_no_bound_state_where_lam_squared_equals_v0():

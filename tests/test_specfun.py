@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowfreq2d import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel0, hankel1
+from lowfreq2d import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel1
 from lowfreq2d.errors import DomainError
 from lowfreq2d.specfun import _jy_series, _jyh_big
 
@@ -32,14 +32,14 @@ def test_hankel0_against_independent_series_oracle():
     # frozen from the oracle: J0(1) + i Y0(1)
     expected = complex(j0_series(1.0), y0_series(1.0))
     assert abs(expected - complex(0.76519769, 0.08825696)) < 1e-7
-    got = hankel0(SpectralPoint(1.0, 0.0))
+    got = hankel1(0, SpectralPoint(1.0, 0.0))[0]
     assert abs(got - expected) < 1e-8
 
 
 def test_hankel0_small_argument_leading_term():
     s = SpectralPoint(1e-5, 0.0)
     lead = 2j / math.pi * (s.log - GAMMA0)
-    assert abs(hankel0(s) - lead) < 5e-10 * abs(lead)
+    assert abs(hankel1(0, s)[0] - lead) < 5e-10 * abs(lead)
 
 
 def test_sheet_shift_identity_seeded():
@@ -47,8 +47,8 @@ def test_sheet_shift_identity_seeded():
     for _ in range(20):
         rho = float(np.exp(rng.uniform(np.log(0.01), np.log(5.0))))
         th = float(rng.uniform(-6.0, 6.0))
-        a = hankel0(SpectralPoint(rho, th + 2.0 * math.pi))
-        b = hankel0(SpectralPoint(rho, th))
+        a = hankel1(0, SpectralPoint(rho, th + 2.0 * math.pi))[0]
+        b = hankel1(0, SpectralPoint(rho, th))[0]
         J0 = bessel_jy(0, SpectralPoint(rho, th))[0]
         assert abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
 
@@ -56,8 +56,8 @@ def test_sheet_shift_identity_seeded():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.02, 4.0), st.floats(-6.0, 6.0))
 def test_sheet_shift_identity_property(rho, th):
-    a = hankel0(SpectralPoint(rho, th + 2.0 * math.pi))
-    b = hankel0(SpectralPoint(rho, th))
+    a = hankel1(0, SpectralPoint(rho, th + 2.0 * math.pi))[0]
+    b = hankel1(0, SpectralPoint(rho, th))[0]
     J0 = bessel_jy(0, SpectralPoint(rho, th))[0]
     assert abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
 
@@ -87,9 +87,9 @@ def test_series_leading_terms():
 
 
 def test_hankel_derivative_relation():
-    # fourth-order finite-difference oracle on hankel0
+    # fourth-order finite-difference oracle on H0
     h = 3e-4
-    vals = [hankel0(SpectralPoint(0.3 + k * h, 0.0)) for k in (-2, -1, 1, 2)]
+    vals = [hankel1(0, SpectralPoint(0.3 + k * h, 0.0))[0] for k in (-2, -1, 1, 2)]
     fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
     H1, _ = hankel1(1, SpectralPoint(0.3, 0.0))
     assert abs(fd + H1) < 1e-10
@@ -163,11 +163,29 @@ def test_bessel_pair_order_switch_against_scipy(l):
     assert _bessel_pair_error(l, mods, np.array([0.0])) < 1e-11
 
 
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_block_term_count_matches_single_points(l):
+    # one block mixes both branches and the seam, where the series' cancellation
+    # at |z| = 11.9 near the real axis would magnify a one-ulp change to ~1e-12;
+    # term counts are read from each point's |z|, so its block-mates cannot
+    # change its value
+    from lowfreq2d.specfun import bessel_pair
+    mods = np.array([0.01, 3.0, 11.9, 12.01, 12.5, 20.0, 60.0])
+    args = np.array([0.0, 0.7, math.pi / 2, -math.pi / 2, math.pi - 0.1, 0.1 - math.pi])
+    m, t = (a.ravel() for a in np.meshgrid(mods, args))
+    z, logz = m * np.exp(1j * t), np.log(m) + 1j * t
+    J, Y, H = bessel_pair(l, z, logz)
+    for i in range(z.size):
+        j, y, h = (f[:, 0] for f in bessel_pair(l, z[i:i + 1], logz[i:i + 1]))
+        scale = np.abs(j) + np.abs(y)
+        assert np.all(np.abs(J[:, i] - j) <= 1e-14 * scale)
+        assert np.all(np.abs(Y[:, i] - y) <= 1e-14 * scale)
+        assert np.all(np.abs(H[:, i] - h) <= 1e-14 * np.abs(h))
+
+
 def test_bessel_pair_feeds_the_single_order_functions():
-    from lowfreq2d.specfun import bessel_pair, hankel1_arrays
+    from lowfreq2d.specfun import bessel_pair
     z = np.array([0.3 + 0.1j, 4.0, 12.5 - 3.0j, 30.0j])
-    logz = np.log(z)
-    assert np.array_equal(bessel_pair(2, z, logz)[2][0], hankel1_arrays(2, z, logz))
     for k, (mod, arg) in enumerate(zip(np.abs(z), np.angle(z))):
         s = SpectralPoint(float(mod), float(arg))
         J, Y, H = (f[:, 0] for f in bessel_pair(2, np.array([s.value]), np.array([s.log])))

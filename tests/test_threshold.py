@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (DiskObstacle, GAMMA0, bump, classify,
+from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, bump, classify,
                        commutator_apply, eigen_projection, free_scatterer, inner,
                        norm_sq, solve_zero_mode, standard_grid)
+from lowfreq2d.errors import NumericalError
 from lowfreq2d.radial import constant_one
 
 from conftest import tune_depth
@@ -156,6 +157,13 @@ def test_eigen_projection_cases(eig_well_fx, dirichlet_fx):
 def test_lmax_validation():
     with pytest.raises(Exception):
         classify(free_scatterer(), lmax=1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_underflowed_well_raises_where_the_nan_arises():
+    # eta r underflows, so Y_l of it and both connection coefficients are NaN
+    with pytest.raises(NumericalError):
+        classify(PiecewisePotential((9.4e-283,), (9.4e-283,)))
 
 
 def test_samples_match_exterior_expansion(s_well_fx, p_well_fx, eig_well_fx):
