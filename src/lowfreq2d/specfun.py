@@ -6,10 +6,13 @@ the logarithmic cover is a pair (modulus, arg) with unbounded real arg, so
 continuation of H^(1)_0, Y_l, etc. across sheets is just arithmetic on the
 stored arg.  Power series are used for |z| <= 12, large-argument asymptotics
 beyond, and the two branches are cross-checked by tests on the overlap ring.
-Every sum is a Horner recurrence over a cached coefficient table.  How many
-terms a point takes is read from its |z| against the table's thresholds
-before the recurrence starts, never by a test inside it, and a point's value
-does not depend on the points evaluated with it.
+Each branch runs one Horner recurrence over a cached table of stacked columns
+(the series: J and psi sums of orders l, l + 1 in q = -z^2/4; the asymptotics:
+even and odd parts of the Hankel sums of orders 0, 1 in u = 1/z^2).  Which
+terms a point takes is read from its own |q| or |u| before the recurrence
+starts, never by a test inside it, so its value does not depend on the points
+evaluated with it.  A point whose log z is real (sheet 0, z > 0) runs either
+branch in float64, any other point in complex arithmetic.
 
 All functions are pure; inputs are value types, so concurrent use is safe.
 """
@@ -32,7 +35,7 @@ GAMMA0 = complex(LOG2 - EULER, math.pi / 2.0)
 
 SERIES_RADIUS = 12.0  # |z| crossover between power series and asymptotics
 SERIES_CAP = 80       # length of the coefficient tables
-SERIES_EPS = 1e-17    # terms below this are not summed (each table's first term is 1)
+SERIES_EPS = 1e-17    # terms below this are not summed (the J and P sums start at 1)
 DISPATCH_BLOCK = 2048 # points per branch dispatch in bessel_pair
 
 
@@ -65,136 +68,147 @@ class SpectralPoint:
 
 
 # ----------------------------------------------------------------------------
-# term counts and Horner sums over cached coefficient tables
+# Horner sums over stacked coefficient tables, each row from its own |x|
 # ----------------------------------------------------------------------------
 
-def _count_thresholds(coef: np.ndarray) -> np.ndarray:
-    """log|x| from which each term k >= 1 of sum_k coef[k] x^k reaches
-    SERIES_EPS, sorted."""
+def _reach(coef: np.ndarray) -> np.ndarray:
+    """log|x| from which the terms of sum_k coef[k] x^k are summed: -inf for
+    the first, then each term's log|x| of |coef[k] x^k| = SERIES_EPS, sorted.
+
+    Each table's terms rise to one peak and then fall (the asymptotic tables
+    are cut where they would grow again), so the terms at or above SERIES_EPS
+    are a leading run, and with the reaches sorted, row k is summed exactly
+    when reach[k] <= log|x|.
+    """
     k = np.arange(1, coef.size)
-    return np.sort((math.log(SERIES_EPS) - np.log(np.abs(coef[1:]))) / k)
+    reach = np.sort((math.log(SERIES_EPS) - np.log(np.abs(coef[1:]))) / k)
+    return np.concatenate(([-np.inf], reach))
 
 
-def _term_count(thresholds: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-point term counts from |x|: the terms |coef[k] x^k| >= SERIES_EPS.
+def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) -> np.ndarray:
+    """sum_k coef[k] x^k over the rows with reach[k] <= log|x| (every row
+    without reach) for each column of a (K, ...) table, by one Horner
+    recurrence; reach has coef's shape, and the sums are (..., P).
 
-    Each table's terms rise to one peak and then fall (the asymptotic table
-    is cut where they would grow again), so these terms are a leading run,
-    and their number is one plus the count of thresholds at or below log|x|.
+    The rows a point does not take are zero for it, so it enters the
+    recurrence exactly at its own top term and its sum is the one it gets
+    alone, whatever the other points.  A point where x underflows to 0 takes
+    the rows of reach -inf.
     """
-    return 1 + np.searchsorted(thresholds, np.log(np.abs(x)), side="right")
-
-
-def _horner(coef: np.ndarray, x: np.ndarray, n) -> np.ndarray:
-    """sum_{k < n} coef[k] x^k by Horner's rule, with a term count n per point.
-
-    The terms that only some points take come as rows that are zero for the
-    others, so a point enters the recurrence exactly at its own top term and
-    its sum is the one it gets alone, whatever the other points.
-    """
-    top = int(np.max(n, initial=1))
-    base = int(np.min(n, initial=top))
-    k = np.arange(base, top)[:, None]
-    acc = np.zeros(np.shape(x), dtype=complex)
-    for row in np.where(k < n, coef[k], 0.0)[::-1]:
+    acc = np.zeros(coef.shape[1:] + x.shape, dtype=np.result_type(coef, x))
+    base = len(coef)
+    if reach is not None:
+        with np.errstate(divide="ignore"):
+            logx = np.log(np.abs(x))
+        top = int(np.max(np.sum(reach <= np.fmax.reduce(logx), axis=0)))
+        base = int(np.min(np.sum(reach <= np.fmin.reduce(logx), axis=0)))
+        rows = np.where(reach[base:top, ..., None] <= logx, coef[base:top, ..., None], 0.0)
+        for row in rows[::-1]:
+            acc = acc * x + row
+    for row in coef[:base, ..., None][::-1]:
         acc = acc * x + row
-    for c in coef[base - 1::-1]:
-        acc = acc * x + c
     return acc
 
 
 @lru_cache(maxsize=None)
 def _series_table(l: int):
-    """Coefficients of the order-l ascending series in q = -z^2/4 (DLMF 10.8).
+    """Ascending series in q = -z^2/4 (DLMF 10.8) at orders l and l + 1: the
+    (K, 2, 2) table of c and d columns by order, their reaches, and Y's
+    finite parts, which are summed whole.
 
-    J_l = (z/2)^l / l! sum_k c_k q^k with c_k = l!/(k!(k+l)!), the psi sum of
-    Y_l has coefficients (psi(k+1) + psi(k+l+1)) c_k, both for k < SERIES_CAP,
-    and Y_l's finite part (z/2)^{-l} sum_{k<l} ((l-1-k)!/k!) (-q)^k / pi has
-    coefficients (l-1-k)!/k!.  The count thresholds are those of the c_k.
+    At order m, J_m = (z/2)^m / m! sum_k c_k q^k with c_k = m!/(k!(k+m)!), the
+    psi sum of Y_m has coefficients d_k = (psi(k+1) + psi(k+m+1)) c_k, both
+    for k < SERIES_CAP, and Y_m's finite part (z/2)^{-m} sum_{k<m}
+    ((m-1-k)!/k!) (-q)^k / pi has coefficients (m-1-k)!/k!.  The d columns
+    take the reaches of the c columns.
     """
     k = np.arange(1, SERIES_CAP)
-    c = np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k + l)))))
-    psi = -EULER + np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, SERIES_CAP + l))))
-    d = (psi[:SERIES_CAP] + psi[l:l + SERIES_CAP]) * c
-    finite = np.array([math.factorial(l - 1 - j) / math.factorial(j) for j in range(l)])
-    return c, d, finite, _count_thresholds(c)
+    psi = -EULER + np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, SERIES_CAP + l + 1))))
+    c = [np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k + m))))) for m in (l, l + 1)]
+    d = [(psi[:SERIES_CAP] + psi[m:m + SERIES_CAP]) * cm for m, cm in zip((l, l + 1), c)]
+    finite = [np.array([math.factorial(m - 1 - j) / math.factorial(j) for j in range(m)])
+              for m in (l, l + 1)]
+    table = np.stack((np.stack(c, axis=1), np.stack(d, axis=1)), axis=1)
+    reach = np.broadcast_to(np.stack([_reach(cm) for cm in c], axis=1)[:, None], table.shape)
+    return table, reach, finite
 
 
 @lru_cache(maxsize=None)
-def _asym_table(l: int):
-    """i^k a_k(l) of the Hankel expansion in w = 1/z (DLMF 10.17.1), cut at
-    its optimal truncation for |z| = SERIES_RADIUS, the smallest modulus the
-    branch serves, and the table's count thresholds.
+def _asym_table():
+    """The Hankel expansion at orders 0 and 1 in u = 1/z^2 (DLMF 10.17.1):
+    the (K, 2, 2) table of P and Q columns by order, zero-padded, and their
+    reaches in log|u| (+inf for the padding).
 
-    Beyond that radius the terms of the table decrease throughout, so each
-    point's count is its run of terms above SERIES_EPS; on |arg z| <= pi/2,
-    which _h12_window ensures, DLMF 10.17(iii) bounds the truncation error by
-    a modest multiple of the first neglected term.
+    With w = 1/z, sum_k i^k a_k(l) w^k = P_l(u) + i w Q_l(u) for
+    P_l = sum_j (-1)^j a_2j(l) u^j and Q_l = sum_j (-1)^j a_2j+1(l) u^j, and
+    the H^(2) sum is P_l - i w Q_l; a row takes the reach of its term in w.
+    Each order's a_k are cut at their optimal truncation for
+    |z| = SERIES_RADIUS, the smallest modulus the branch serves.  Beyond that
+    radius the terms decrease throughout, so each point sums its run of terms
+    above SERIES_EPS; on |arg z| <= pi/2, which _h12_window ensures,
+    DLMF 10.17(iii) bounds the truncation error by a modest multiple of the
+    first neglected term.
     """
     k = np.arange(1, SERIES_CAP)
-    full = np.cumprod(np.concatenate(([1.0], 1j * (4.0 * l * l - (2 * k - 1) ** 2) / (8.0 * k))))
-    mags = np.abs(full) / SERIES_RADIUS ** np.arange(SERIES_CAP)
-    coef = full[:1 + int(np.argmax(mags[1:] > mags[:-1]))]
-    return coef, _count_thresholds(coef)
+    table = np.zeros((SERIES_CAP, 2, 2))
+    reach = np.full((SERIES_CAP, 2, 2), np.inf)
+    for l in (0, 1):
+        full = np.cumprod(np.concatenate(([1.0], 1j * (4.0 * l * l - (2 * k - 1) ** 2) / (8 * k))))
+        mags = np.abs(full) / SERIES_RADIUS ** np.arange(SERIES_CAP)
+        full = full[:1 + int(np.argmax(mags[1:] > mags[:-1]))]      # i^k a_k(l)
+        for kind, rows in enumerate((full[0::2].real, full[1::2].imag)):     # P, Q
+            table[:rows.size, kind, l] = rows
+            reach[:rows.size, kind, l] = 2.0 * _reach(full)[kind::2]
+    return table, reach
 
 
 # ----------------------------------------------------------------------------
 # power-series branch (|z| <= SERIES_RADIUS)
 # ----------------------------------------------------------------------------
 
-def _jy_series(l: int, z: np.ndarray, logz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_l and Y_l by ascending series; logz supplies the branch of log z."""
-    z = np.asarray(z, dtype=complex)
-    logz = np.asarray(logz, dtype=complex)
-    c, d, finite, thresholds = _series_table(l)
+def _jyh_series(l: int, z: np.ndarray, logz: np.ndarray):
+    """(J, Y, H^(1)), each (2, P): orders l, l + 1 by ascending series; logz
+    supplies the branch of log z, and a real z with a real log stays real."""
+    table, reach, finite = _series_table(l)
     q = -0.25 * z * z
-    n = _term_count(thresholds, q)
-    half_pow = (0.5 * z) ** l * (1.0 / math.factorial(l))
-    J = half_pow * _horner(c, q, n)
-    fin = (0.5 * z) ** (-l) * _horner(finite, -q, l) / math.pi if l else 0.0
-    Y = (2.0 / math.pi) * (logz - LOG2) * J - fin - half_pow * _horner(d, q, n) / math.pi
-    return J, Y
+    sums = _horner(table, q, reach)
+    # numpy's complex powers and division by pi (a product with 1/pi) for a
+    # real z too, so that it gets the bits it gets as a complex number
+    half, part = (0.5 * z).astype(complex), np.real if np.isrealobj(z) else np.asarray
+    half_pow = np.stack([part(half ** m) * (1.0 / math.factorial(m)) for m in (l, l + 1)])
+    fin = np.stack([part(half ** -m) * _horner(f, -q) * (1 / math.pi) if m
+                    else np.zeros_like(q) for m, f in zip((l, l + 1), finite)])
+    J = half_pow * sums[0]
+    Y = (2.0 / math.pi) * (logz - LOG2) * J - fin - half_pow * sums[1] * (1 / math.pi)
+    return J, Y, J + 1j * Y
 
 
 # ----------------------------------------------------------------------------
-# asymptotic branch (|z| > SERIES_RADIUS), principal sheet
+# asymptotic branch (|z| > SERIES_RADIUS)
 # ----------------------------------------------------------------------------
 
-def _hankel_pm_asym(l: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H^(1)_l and H^(2)_l on the principal sheet by the large-argument expansion.
-
-    The H^(2) terms are (-1)^k times the H^(1) terms, so the two sums are
-    one polynomial at w = 1/z and at -w.
-    """
-    z = np.asarray(z, dtype=complex)
-    coef, thresholds = _asym_table(l)
+def _hankel_sums(z: np.ndarray):
+    """sqrt(2/(pi z)), w = 1/z and the sums (P, Q) by order, (2, 2, P), at u = w^2."""
+    table, reach = _asym_table()
     w = 1.0 / z
-    splus, sminus = _horner(coef, np.stack((w, -w)), _term_count(thresholds, w))
-    front = np.sqrt(2.0 / (math.pi * z))   # principal sqrt
-    omega = z - l * math.pi / 2.0 - math.pi / 4.0
-    h1 = front * np.exp(1j * omega) * splus
-    h2 = front * np.exp(-1j * omega) * sminus
-    return h1, h2
+    return np.sqrt(2.0 / (math.pi * z)), w, _horner(table, w * w, reach)
 
 
 def _sheet_index(arg: float | np.ndarray) -> np.ndarray:
     return np.round(np.asarray(arg) / (2.0 * math.pi) - 1e-12 * np.sign(np.asarray(arg)))
 
 
-def _raise_order(l: int, z: np.ndarray, f0: np.ndarray, f1: np.ndarray):
-    """Orders l and l + 1 from orders 0 and 1 by the three-term recurrence.
-
-    Stable upward for J, Y and H together as long as l stays below ~|z|
-    (oscillatory regime); callers switch to the series otherwise.
-    """
-    lo, hi = f0, f1
+def _raise_order(l: int, z: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Orders l and l + 1 from orders 0 and 1 (axis -2 of f) by the upward
+    recurrence, stable for J, Y and H together as long as l stays below ~|z|
+    (oscillatory regime); callers switch to the series otherwise."""
     for n in range(1, l + 1):
-        lo, hi = hi, (2.0 * n / z) * hi - lo
-    return lo, hi
+        f = np.stack((f[..., 1, :], (2.0 * n / z) * f[..., 1, :] - f[..., 0, :]), axis=-2)
+    return f
 
 
-def _h12_window(l: int, zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H^(1)_l, H^(2)_l on the principal window, |z| large.
+def _h12_window(zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H^(1) and H^(2) at orders 0, 1, each (2, P), on the principal window, |z| large.
 
     The raw expansion loses accuracy near arg = +-pi, so for |arg| > pi/2 the
     argument is rotated by a half turn (where the expansion is clean) and the
@@ -204,36 +218,49 @@ def _h12_window(l: int, zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are applied; the exponentially small member is always computed directly,
     so there is no cancellation.
     """
-    sign = -1.0 if l % 2 else 1.0
     theta = np.angle(zp)
     up = theta > math.pi / 2.0
     dn = theta < -math.pi / 2.0
     zr = zp.copy()
     zr[up] *= np.exp(-1j * math.pi)
     zr[dn] *= np.exp(1j * math.pi)
-    a1, a2 = _hankel_pm_asym(l, zr)
+    front, w, sums = _hankel_sums(zr)
+    omega = zr - math.pi / 4.0
+    turn = np.array([[1.0], [-1j]])     # e^{i omega_l} / e^{i omega_0}: omega_1 = omega_0 - pi/2
+    iwq = 1j * w * sums[1]
+    a1 = front * (turn * np.exp(1j * omega)) * (sums[0] + iwq)
+    a2 = front * (turn.conj() * np.exp(-1j * omega)) * (sums[0] - iwq)
+    sign = np.array([[1.0], [-1.0]])    # (-1)^l
     h1, h2 = a1.copy(), a2.copy()
-    h1[up], h2[up] = -sign * a2[up], sign * (a1[up] + 2.0 * a2[up])
-    h1[dn], h2[dn] = sign * (2.0 * a1[dn] + a2[dn]), -sign * a1[dn]
+    h1[:, up], h2[:, up] = -sign * a2[:, up], sign * (a1[:, up] + 2.0 * a2[:, up])
+    h1[:, dn], h2[:, dn] = sign * (2.0 * a1[:, dn] + a2[:, dn]), -sign * a1[:, dn]
     return h1, h2
 
 
 def _jyh_big(l: int, z: np.ndarray, logz: np.ndarray):
-    """(J, Y, H^(1)) at orders (l, l + 1) for |z| > SERIES_RADIUS.
+    """(J, Y, H^(1)), each (2, P): orders l, l + 1 for |z| > SERIES_RADIUS.
 
-    One sheet reduction and the asymptotics at orders 0 and 1 serve every
-    order through the recurrence; H^(1) is formed directly from the window
-    values, avoiding the J + iY cancellation.
+    The sums at orders 0 and 1 serve every order through the recurrence.  A
+    real z stays real, J = f (P cos omega - w Q sin omega) and
+    Y = f (P sin omega + w Q cos omega) for f = sqrt(2/(pi z)), w = 1/z, and
+    H = J + iY has no cancellation on the real axis.  Any other point is
+    reduced to the principal sheet, and H^(1) is formed directly from the
+    window values, avoiding the J + iY cancellation.
     """
+    if not np.iscomplexobj(z):
+        front, w, sums = _hankel_sums(z)
+        cos, sin = np.cos(z - math.pi / 4.0), np.sin(z - math.pi / 4.0)
+        cos, sin = np.stack((cos, sin)), np.stack((sin, -cos))     # omega_1 = omega_0 - pi/2
+        wq = w * sums[1]
+        J, Y = _raise_order(l, z, front * np.stack((sums[0] * cos - wq * sin,
+                                                     sums[0] * sin + wq * cos)))
+        return J, Y, J + 1j * Y
     arg = np.imag(logz)
     k = _sheet_index(arg)
     zp = np.abs(z) * np.exp(1j * (arg - 2.0 * math.pi * k))
-    low = []
-    for n in (0, 1):
-        h1, h2 = _h12_window(n, zp)
-        J = 0.5 * (h1 + h2)
-        low.append((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J))
-    return tuple(_raise_order(l, zp, f0, f1) for f0, f1 in zip(*low))
+    h1, h2 = _h12_window(zp)
+    J = 0.5 * (h1 + h2)
+    return tuple(_raise_order(l, zp, np.stack((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J))))
 
 
 # ----------------------------------------------------------------------------
@@ -251,9 +278,10 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
     Both orders take the branch of order l + 1 (series for |z| <=
     SERIES_RADIUS or l + 1 > 0.75|z|, asymptotics beyond), so one dispatch
     and one sheet reduction serve all six functions, and the upward
-    recurrence never runs past the order its branch was chosen for.  Points
-    go through in blocks of DISPATCH_BLOCK, which bounds the work arrays of
-    the series and asymptotic loops.
+    recurrence never runs past the order its branch was chosen for.  A point
+    whose own log z is real (sheet 0, z > 0) goes through either branch in
+    float64.  Points go through in blocks of DISPATCH_BLOCK, which bounds the
+    work arrays of the series and asymptotic loops.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     logz = np.atleast_1d(np.asarray(logz, dtype=complex))
@@ -263,13 +291,12 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
         blk = slice(start, start + DISPATCH_BLOCK)
         zb, logb, ob = zf[blk], logf[blk], out[:, :, blk]
         small = _series_mask(l + 1, zb)
-        if small.any():
-            zs, logzs = zb[small], logb[small]
-            (J0, Y0), (J1, Y1) = (_jy_series(l + m, zs, logzs) for m in (0, 1))
-            ob[..., small] = [[J0, J1], [Y0, Y1], [J0 + 1j * Y0, J1 + 1j * Y1]]
-        big = ~small
-        if big.any():
-            ob[..., big] = _jyh_big(l, zb[big], logb[big])
+        real = logb.imag == 0
+        for pts, zs, logs in ((real, zb.real, logb.real), (~real, zb, logb)):
+            for branch, fn in ((small, _jyh_series), (~small, _jyh_big)):
+                sel = pts & branch
+                if sel.any():
+                    ob[..., sel] = fn(l, zs[sel], logs[sel])
     out = out.reshape((3, 2) + z.shape)
     return out[0], out[1], out[2]
 

@@ -83,13 +83,13 @@ class OscillatoryPanels:
         half = 0.5 * np.diff(self.edges)
         mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         n = self.coeffs.shape[1]
-        total = 0.0 + 0.0j
-        for p in range(len(half)):
-            w = t * half[p]
-            jn = spherical_jn_all(n - 1, w)
-            inner = sum(self.coeffs[p, k] * (1j**k) * 2.0 * jn[k] for k in range(n))
-            total += half[p] * np.exp(1j * t * mid[p]) * inner
-        return float(np.imag(total))
+        jn = np.array([spherical_jn_all(n - 1, t * h) for h in half])
+        moments = jn * (2.0 * 1j ** np.arange(n))
+        # Im of each panel's term, summed in order over k and then over the
+        # panels: at large t the panels cancel, and the order sets the last digits
+        inner = np.cumsum(self.coeffs * moments, axis=1)[:, -1]
+        phase = half * np.exp(1j * t * mid)
+        return float(np.cumsum(phase.real * inner.imag + phase.imag * inner.real)[-1])
 
     def endpoint_derivatives(self, m: int = 3) -> list[float]:
         """G, G', ..., G^(m) at the top edge, from the last panel's expansion."""

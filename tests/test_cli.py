@@ -333,6 +333,15 @@ def test_mutated_readme_configs_keep_the_contract_of(command, cfg_text):
     event(f"exit {_check_contract(command, cfg_text)}")
 
 
+# a valid wave takes about a second, so a handful of examples; most mutants
+# exit 2 at once, and wells are refused for their bound states
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=10, deadline=None)
+@given(cfg_text=_mutated_config())
+def test_mutated_readme_configs_keep_the_contract_of_wave(cfg_text):
+    event(f"exit {_check_contract('wave', cfg_text)}")
+
+
 # configs that once ended in an uncaught exception (exit 1) under the command
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, cfg_text, code", [

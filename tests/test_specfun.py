@@ -1,6 +1,7 @@
 """Special functions on the log cover: series, asymptotics, sheet structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from lowfreq2d import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel1
 from lowfreq2d.errors import DomainError
-from lowfreq2d.specfun import _jy_series, _jyh_big
+from lowfreq2d.specfun import _jyh_big, _jyh_series
 
 from oracles import EULER_ORACLE, j0_series, j0_prime, y0_series, y0_prime
 
@@ -102,7 +103,7 @@ def test_series_asymptotic_crossover(l):
         for th in (0.0, 0.7, math.pi / 2, 2.6, -2.8):
             z = np.array([mod * np.exp(1j * th)])
             lz = np.array([math.log(mod) + 1j * th])
-            Js, Ys = _jy_series(l, z, lz)
+            (Js, _), (Ys, _), _ = _jyh_series(l, z, lz)
             (Jb, _), (Yb, _), _ = _jyh_big(l, z, lz)
             scale = abs(Js[0]) + abs(Ys[0])
             worst = max(worst, (abs(Js[0] - Jb[0]) + abs(Ys[0] - Yb[0])) / scale)
@@ -171,7 +172,9 @@ def test_block_term_count_matches_single_points(l):
     # change its value
     from lowfreq2d.specfun import bessel_pair
     mods = np.array([0.01, 3.0, 11.9, 12.01, 12.5, 20.0, 60.0])
-    args = np.array([0.0, 0.7, math.pi / 2, -math.pi / 2, math.pi - 0.1, 0.1 - math.pi])
+    # arg = +-2 pi: real z off sheet 0, so the block mixes the float64 and complex routes
+    args = np.array([0.0, 0.7, math.pi / 2, -math.pi / 2, math.pi - 0.1, 0.1 - math.pi,
+                     2 * math.pi, -2 * math.pi])
     m, t = (a.ravel() for a in np.meshgrid(mods, args))
     z, logz = m * np.exp(1j * t), np.log(m) + 1j * t
     J, Y, H = bessel_pair(l, z, logz)
@@ -181,6 +184,33 @@ def test_block_term_count_matches_single_points(l):
         assert np.all(np.abs(J[:, i] - j) <= 1e-14 * scale)
         assert np.all(np.abs(Y[:, i] - y) <= 1e-14 * scale)
         assert np.all(np.abs(H[:, i] - h) <= 1e-14 * np.abs(h))
+
+
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_float64_route_matches_complex_route(l):
+    # real z with a real log runs both branches in float64; the same points as
+    # complex numbers take the complex route (sheet reduction, exponentials)
+    for fn, x in ((_jyh_series, np.linspace(0.01, 12.0, 300)),
+                  (_jyh_big, np.linspace(12.01, 90.0, 400))):
+        real = fn(l, x, np.log(x))
+        cplx = fn(l, x + 0j, np.log(x) + 0j)
+        assert real[0].dtype == real[1].dtype == np.float64
+        scale = np.abs(cplx[0]) + np.abs(cplx[1])
+        for ours, ref in zip(real, cplx):
+            assert np.all(np.abs(ours - ref) <= 1e-14 * scale)
+
+
+def test_underflowing_argument_takes_one_term_without_warning():
+    # q = -z^2/4 underflows at |z| = 1e-170 and u = 1/z^2 at |z| = 1e170
+    from lowfreq2d.specfun import bessel_pair
+    mods = np.array([1e-170, 1e-170, 1e170])
+    args = np.array([0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J, Y, H = bessel_pair(0, mods * np.exp(1j * args), np.log(mods) + 1j * args)
+    assert J[0, 0] == 1.0 and J[0, 1] == 1.0
+    assert np.all(np.isfinite(Y[0, :2]))
+    assert np.all(np.isfinite(J[:, 2:])) and np.all(np.isfinite(Y[:, 2:]))
 
 
 def test_bessel_pair_feeds_the_single_order_functions():

@@ -9,7 +9,7 @@ from lowfreq2d import (PiecewisePotential, WaveQuery, bump, decay_fit, evolve,
                        inner, plane_integral)
 from lowfreq2d.errors import BoundStateRefusal, ValidationError
 from lowfreq2d.wave import OscillatoryPanels, spherical_jn_all
-from lowfreq2d.quadrature import PanelGrid
+from lowfreq2d.quadrature import PanelGrid, geometric_edges
 
 
 def test_filon_machinery_against_analytic():
@@ -19,6 +19,30 @@ def test_filon_machinery_against_analytic():
     for t in (1.0, 10.0, 100.0, 1e4):
         exact = t / (1 + t * t)
         assert abs(osc.sin_integral(t) - exact) < 1e-10 * abs(exact)
+
+
+def _sin_integral_loop(osc, t):
+    """The panel-by-panel, term-by-term reference for OscillatoryPanels.sin_integral."""
+    half = 0.5 * np.diff(osc.edges)
+    mid = 0.5 * (osc.edges[:-1] + osc.edges[1:])
+    n = osc.coeffs.shape[1]
+    total = 0.0 + 0.0j
+    for p in range(len(half)):
+        jn = spherical_jn_all(n - 1, t * half[p])
+        inner = sum(osc.coeffs[p, k] * (1j**k) * 2.0 * jn[k] for k in range(n))
+        total += half[p] * np.exp(1j * t * mid[p]) * inner
+    return float(np.imag(total))
+
+
+def test_sin_integral_matches_panel_loop():
+    # evolve's panel layout, with an integrand whose panels cancel at large t
+    edges = np.concatenate([geometric_edges(1e-9, 0.5), np.arange(0.75, 60.01, 0.25)])
+    g = PanelGrid(edges, 16)
+    vals = np.exp(-0.3 * g.nodes) * np.cos(3.0 * g.nodes) / (1.0 + np.log(g.nodes) ** 2)
+    osc = OscillatoryPanels(edges, g._coeffs(vals))
+    for t in np.exp(np.linspace(math.log(1e-2), math.log(1e6), 25)):
+        ref = _sin_integral_loop(osc, t)
+        assert abs(osc.sin_integral(t) - ref) <= 1e-14 * abs(ref)
 
 
 def test_spherical_bessel_recurrences():

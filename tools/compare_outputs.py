@@ -6,16 +6,19 @@ OLD_SRC and NEW_SRC are either a checkout (with a `src/lowfreq2d` package)
 or a directory that holds the `lowfreq2d` package itself.  Every CLI command
 runs on the two README example configs, a Neumann disk and any CONFIG files
 given, once per tree, each in a fresh interpreter.  For each output file the
-script prints `identical`, or the largest relative and absolute differences
-over the numeric cells; `wallTimeSeconds` is ignored.  Exit codes and error
-messages are compared as well.  Standard library only.
+script prints `identical`, or the largest relative difference over the
+numeric values with where it occurs, and the largest absolute difference;
+`wallTimeSeconds` is ignored.  A complex number is one value with relative
+difference |x - y| / max(|x|, |y|): CSV column pairs `<name>_re`/`<name>_im`
+or `re`/`im`, JSON lists of two numbers and sibling JSON keys `re`/`im`.
+Exit codes and error messages are compared as well.  Standard library only.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -47,12 +50,22 @@ def run_cli(src: Path, command: str, cfg: Path, out: Path) -> tuple[int, str]:
     return proc.returncode, proc.stderr.strip()
 
 
+def is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def leaves(obj, path=""):
-    """(path, value) for every scalar of a JSON document."""
+    """(path, value) for every number or other scalar of a JSON document; a
+    list of two numbers and sibling `re`/`im` keys are one complex value."""
     if isinstance(obj, dict):
+        pair = is_number(obj.get("re")) and is_number(obj.get("im"))
+        if pair:
+            yield f"{path}.re+im", complex(obj["re"], obj["im"])
         for k in sorted(obj):
-            if k not in IGNORED_KEYS:
+            if k not in IGNORED_KEYS and not (pair and k in ("re", "im")):
                 yield from leaves(obj[k], f"{path}.{k}")
+    elif isinstance(obj, list) and len(obj) == 2 and all(map(is_number, obj)):
+        yield path, complex(*obj)
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             yield from leaves(v, f"{path}[{i}]")
@@ -61,13 +74,25 @@ def leaves(obj, path=""):
 
 
 def csv_leaves(path: Path):
+    """(cell, value) for every CSV cell below the header, with the `re`/`im`
+    and `<name>_re`/`<name>_im` column pairs read as one complex value."""
     with open(path, newline="", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            for j, cell in enumerate(row):
-                try:
-                    yield f"[{i}][{j}]", float(cell)
-                except ValueError:
-                    yield f"[{i}][{j}]", cell
+        header, *rows = csv.reader(fh)
+    pairs = {}
+    for j, name in enumerate(header):
+        im = "im" if name == "re" else name[:-3] + "_im" if name.endswith("_re") else None
+        if im in header:
+            pairs[j] = header.index(im)
+    paired = set(pairs) | set(pairs.values())
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if j in paired and j not in pairs:
+                continue            # an imaginary part, read with its real part
+            key = f"[{i}][{header[j]}]"
+            try:
+                yield key, complex(float(cell), float(row[pairs[j]])) if j in pairs else float(cell)
+            except ValueError:
+                yield key, f"{cell},{row[pairs[j]]}" if j in pairs else cell
 
 
 def read_leaves(path: Path) -> dict:
@@ -88,23 +113,23 @@ def compare_file(old: Path, new: Path) -> str:
         return (f"shape differs: {len(only_old)} cells only in old {only_old[:6]}, "
                 f"{len(only_new)} only in new {only_new[:6]}")
     rel = absd = 0.0
-    text = []
+    worst, text = None, []
     for key, x in a.items():
         y = b[key]
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
-                and not isinstance(x, bool) and not isinstance(y, bool):
-            if x == y or (math.isnan(x) and math.isnan(y)):
+        if all(is_number(v) or isinstance(v, complex) for v in (x, y)):
+            if x == y or (cmath.isnan(x) and cmath.isnan(y)):
                 continue
             d = abs(x - y)
             absd = max(absd, d)
-            rel = max(rel, d / max(abs(x), abs(y)))
+            if d / max(abs(x), abs(y)) > rel:
+                rel, worst = d / max(abs(x), abs(y)), key
         elif x != y:
             text.append(f"{key}: {x!r} -> {y!r}")
     if text:
         return f"text differs ({len(text)} cells): " + "; ".join(text[:4])
     if rel == 0.0:
         return "identical"      # the ignored keys are the only difference
-    return f"max rel {rel:.3g}, max abs {absd:.3g}"
+    return f"max rel {rel:.3g} at {worst}, max abs {absd:.3g}"
 
 
 def main(argv=None) -> int:
