@@ -72,8 +72,9 @@ class Segment:
         z = eta * r
         J, Y, H = bessel_pair(l, z, logeta + np.log(r))
         second = H if self.kind == "hankel" else Y
+        lz = l / z
         for f in (J, second):            # order l + 1 slot -> derivative of order l
-            f[1] = eta * (l / z * f[0] - f[1])
+            f[1] = eta * (lz * f[0] - f[1])
         return J[0], second[0], J[1], second[1]
 
 
@@ -127,18 +128,20 @@ class PiecewiseSolution:
         """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
         r = np.asarray(r, dtype=float)
         shape = self.coeffs[0][0].shape + (len(r),)
-        u = np.empty(shape, dtype=complex)
-        du = np.empty(shape, dtype=complex)
+        u, du = np.empty((2,) + shape, dtype=complex)
         done = np.zeros(len(r), dtype=bool)
         for seg, (c1, c2) in zip(self.segments, self.coeffs):
             last = seg is self.segments[-1]
             mask = (~done) & (r >= seg.a - 1e-14) & ((r <= seg.b + 1e-14) if not last else True)
-            if not mask.any():
+            idx = np.flatnonzero(mask)
+            if not idx.size:
                 continue
-            b1, b2, b1p, b2p = seg.pair(r[mask])
+            if idx[-1] - idx[0] + 1 == idx.size:         # a contiguous run of radii
+                idx = slice(idx[0], idx[-1] + 1)
+            b1, b2, b1p, b2p = seg.pair(r[idx])
             c1, c2 = c1[..., None], c2[..., None]
-            u[..., mask] = c1 * b1 + c2 * b2
-            du[..., mask] = c1 * b1p + c2 * b2p
+            u[..., idx] = c1 * b1 + c2 * b2
+            du[..., idx] = c1 * b1p + c2 * b2p
             done |= mask
         if not done.all():
             raise ValueError("radii outside the segment cover")

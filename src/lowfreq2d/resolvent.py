@@ -226,10 +226,11 @@ def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> Resolven
     if not np.all(np.isfinite(absw)):
         raise NumericalError("mode Wronskian is not finite")
     spread = float(np.max(np.max(np.abs(w_all - w[:, None]), axis=-1) / np.maximum(absw, 1e-300)))
-    pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
-    for p, wp in zip(pts, w):
-        if abs(wp) <= POLE_GUARD:
-            raise AtPoleError(p, wp)
+    # np.hypot rounds as abs() of one complex does; np.abs's vector loop may not
+    at_pole = np.flatnonzero(np.hypot(w.real, w.imag) <= POLE_GUARD)
+    if at_pole.size:
+        i = at_pole[0]
+        raise AtPoleError(lam if isinstance(lam, SpectralPoint) else list(lam)[i], w[i])
     if isinstance(lam, SpectralPoint):
         phi_v, phi_d, psi_v, psi_d, w, scale = (a[0] for a in (phi_v, phi_d, psi_v, psi_d, w, scale))
     return ResolventSample(s, lam, l, grid, phi_v, phi_d, psi_v, psi_d, w, spread, sols, scale)

@@ -36,7 +36,6 @@ GAMMA0 = complex(LOG2 - EULER, math.pi / 2.0)
 SERIES_RADIUS = 12.0  # |z| crossover between power series and asymptotics
 SERIES_CAP = 80       # length of the coefficient tables
 SERIES_EPS = 1e-17    # terms below this are not summed (the J and P sums start at 1)
-DISPATCH_BLOCK = 2048 # points per branch dispatch in bessel_pair
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,9 @@ def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) ->
     The rows a point does not take are zero for it, so it enters the
     recurrence exactly at its own top term and its sum is the one it gets
     alone, whatever the other points.  A point where x underflows to 0 takes
-    the rows of reach -inf.
+    the rows of reach -inf.  Masked rows are formed one at a time, so the
+    work arrays stay O(P).  The complex product stays out of place: numpy
+    may round an in-place complex multiply differently, by its loop layout.
     """
     acc = np.zeros(coef.shape[1:] + x.shape, dtype=np.result_type(coef, x))
     base = len(coef)
@@ -102,11 +103,12 @@ def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) ->
             logx = np.log(np.abs(x))
         top = int(np.max(np.sum(reach <= np.fmax.reduce(logx), axis=0)))
         base = int(np.min(np.sum(reach <= np.fmin.reduce(logx), axis=0)))
-        rows = np.where(reach[base:top, ..., None] <= logx, coef[base:top, ..., None], 0.0)
-        for row in rows[::-1]:
-            acc = acc * x + row
+        for k in range(top - 1, base - 1, -1):
+            acc = acc * x
+            acc += np.where(reach[k, ..., None] <= logx, coef[k, ..., None], 0.0)
     for row in coef[:base, ..., None][::-1]:
-        acc = acc * x + row
+        acc = acc * x
+        acc += row
     return acc
 
 
@@ -194,10 +196,6 @@ def _hankel_sums(z: np.ndarray):
     return np.sqrt(2.0 / (math.pi * z)), w, _horner(table, w * w, reach)
 
 
-def _sheet_index(arg: float | np.ndarray) -> np.ndarray:
-    return np.round(np.asarray(arg) / (2.0 * math.pi) - 1e-12 * np.sign(np.asarray(arg)))
-
-
 def _raise_order(l: int, z: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Orders l and l + 1 from orders 0 and 1 (axis -2 of f) by the upward
     recurrence, stable for J, Y and H together as long as l stays below ~|z|
@@ -256,7 +254,7 @@ def _jyh_big(l: int, z: np.ndarray, logz: np.ndarray):
                                                      sums[0] * sin + wq * cos)))
         return J, Y, J + 1j * Y
     arg = np.imag(logz)
-    k = _sheet_index(arg)
+    k = np.round(arg / (2.0 * math.pi) - 1e-12 * np.sign(arg))     # the sheet
     zp = np.abs(z) * np.exp(1j * (arg - 2.0 * math.pi * k))
     h1, h2 = _h12_window(zp)
     J = 0.5 * (h1 + h2)
@@ -267,11 +265,6 @@ def _jyh_big(l: int, z: np.ndarray, logz: np.ndarray):
 # branch dispatch on the log cover (vectorized core)
 # ----------------------------------------------------------------------------
 
-def _series_mask(l: int, z: np.ndarray) -> np.ndarray:
-    absz = np.abs(z)
-    return (absz <= SERIES_RADIUS) | (l > 0.75 * absz)
-
-
 def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
     """(J, Y, H) on the log cover, each of shape (2, *z.shape): orders l, l + 1.
 
@@ -280,23 +273,22 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
     and one sheet reduction serve all six functions, and the upward
     recurrence never runs past the order its branch was chosen for.  A point
     whose own log z is real (sheet 0, z > 0) goes through either branch in
-    float64.  Points go through in blocks of DISPATCH_BLOCK, which bounds the
-    work arrays of the series and asymptotic loops.
+    float64.  Each call routes its points once; a route that takes every
+    point runs on the call's own arrays, and the work arrays are O(P).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     logz = np.atleast_1d(np.asarray(logz, dtype=complex))
     out = np.empty((3, 2, z.size), dtype=complex)
     zf, logf = z.reshape(-1), logz.reshape(-1)
-    for start in range(0, z.size, DISPATCH_BLOCK):
-        blk = slice(start, start + DISPATCH_BLOCK)
-        zb, logb, ob = zf[blk], logf[blk], out[:, :, blk]
-        small = _series_mask(l + 1, zb)
-        real = logb.imag == 0
-        for pts, zs, logs in ((real, zb.real, logb.real), (~real, zb, logb)):
-            for branch, fn in ((small, _jyh_series), (~small, _jyh_big)):
-                sel = pts & branch
-                if sel.any():
-                    ob[..., sel] = fn(l, zs[sel], logs[sel])
+    absz, real = np.abs(zf), logf.imag == 0
+    small = (absz <= SERIES_RADIUS) | (l + 1 > 0.75 * absz)
+    for pts, zs, logs in ((real, zf.real, logf.real), (~real, zf, logf)):
+        for branch, fn in ((small, _jyh_series), (~small, _jyh_big)):
+            sel = pts & branch
+            if sel.any():
+                idx = slice(None) if sel.all() else np.flatnonzero(sel)
+                for o, f in zip(out, fn(l, zs[idx], logs[idx])):
+                    o[:, idx] = f
     out = out.reshape((3, 2) + z.shape)
     return out[0], out[1], out[2]
 

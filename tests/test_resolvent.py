@@ -130,6 +130,11 @@ def test_at_pole_error(p_well_fx):
         green = mode_green(s, pole.lam, 1, p_well_fx.grid)
         # fall through only if the guard failed
         green.apply(p_well_fx.source(1))
+    # in a batch, the error names the first point at the pole
+    first, second = pole.lam, SpectralPoint(pole.lam.modulus, pole.lam.arg)
+    with pytest.raises(AtPoleError) as err:
+        mode_green(s, [SpectralPoint(0.5, 1.0), first, second], 1, p_well_fx.grid)
+    assert err.value.lam is first
 
 
 # -- boundary pairing ------------------------------------------------------------
@@ -252,6 +257,24 @@ def test_batched_solutions_match_single_points():
                 u1, du1 = solve(s, l, lam, 4.0).eval(r)
                 assert np.allclose(u[..., i, :], u1[..., 0, :], rtol=1e-13, atol=0)
                 assert np.allclose(du[..., i, :], du1[..., 0, :], rtol=1e-13, atol=0)
+
+
+def test_eval_matches_single_radii_bit_for_bit():
+    # unsorted radii that interleave the three segments of a two-break well:
+    # a segment's radii are a contiguous run (a slice) or not (indices), and
+    # either way each radius gets the bits of its own .at(r)
+    from lowfreq2d import PiecewisePotential
+    from lowfreq2d.radialsolve import green_pair, regular_solution
+    s = PiecewisePotential((0.5, 1.0), (-3.0, 2.0))
+    lams = [SpectralPoint(0.7, 0.0), SpectralPoint(1.3, -0.2)]
+    for r in ([2.5, 0.3, 0.8, 0.35, 1.2], [0.3, 0.35, 0.8, 1.2, 2.5]):
+        for solve in (regular_solution, green_pair):
+            for l in (0, 2):
+                sol = solve(s, l, lams, 3.0)
+                u, du = sol.eval(np.array(r))
+                for i, x in enumerate(r):
+                    u1, du1 = sol.at(x)
+                    assert np.array_equal(u[..., i], u1) and np.array_equal(du[..., i], du1)
 
 
 def test_lam4_log_coefficient_kernel():

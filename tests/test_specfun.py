@@ -186,6 +186,51 @@ def test_block_term_count_matches_single_points(l):
         assert np.all(np.abs(H[:, i] - h) <= 1e-14 * np.abs(h))
 
 
+def _mixed_route_points(n: int, seed: int):
+    """n points over 0.01 <= |z| <= 200: real z on sheet 0 (the float64 route),
+    real z on sheets +-1 and complex z on sheets 0 and +-1, across both branches."""
+    rng = np.random.default_rng(seed)
+    mods = np.exp(rng.uniform(math.log(0.01), math.log(200.0), n))
+    sheets = 2 * math.pi * rng.integers(-1, 2, n)
+    args = sheets + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-math.pi, math.pi, n))
+    return mods * np.exp(1j * args), np.log(mods) + 1j * args
+
+
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_large_call_matches_single_points_bit_for_bit(l):
+    # a call of 6000 points: each point is routed, summed and written
+    # exactly as in its own one-point call, and a permuted call permutes
+    # the bits
+    from lowfreq2d.specfun import bessel_pair
+    z, logz = _mixed_route_points(6000, l)
+    assert (logz.imag == 0).any() and (np.abs(logz.imag) > math.pi).any()
+    assert (np.abs(z) <= 12.0).any() and (np.abs(z) > 12.0).any()
+    J, Y, H = bessel_pair(l, z, logz)
+    for i in range(z.size):
+        j, y, h = bessel_pair(l, z[i:i + 1], logz[i:i + 1])
+        assert np.array_equal(J[:, i:i + 1], j) and np.array_equal(Y[:, i:i + 1], y)
+        assert np.array_equal(H[:, i:i + 1], h)
+    perm = np.random.default_rng(7).permutation(z.size)
+    for ours, ref in zip(bessel_pair(l, z[perm], logz[perm]), (J, Y, H)):
+        assert np.array_equal(ours, ref[:, perm])
+
+
+def test_bessel_pair_work_memory_is_linear_in_points():
+    # the masked Horner rows are formed one at a time, so a large mixed-route
+    # call peaks at a few times its (3, 2, P) complex output
+    import tracemalloc
+    from lowfreq2d.specfun import bessel_pair
+    z, logz = _mixed_route_points(60_000, 5)
+    bessel_pair(1, z[:64], logz[:64])         # the cached tables
+    tracemalloc.start()
+    try:
+        bessel_pair(1, z, logz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (3 * 2 * z.size * 16)
+
+
 @pytest.mark.parametrize("l", [0, 1, 3])
 def test_float64_route_matches_complex_route(l):
     # real z with a real log runs both branches in float64; the same points as

@@ -11,7 +11,10 @@ numeric values with where it occurs, and the largest absolute difference;
 `wallTimeSeconds` is ignored.  A complex number is one value with relative
 difference |x - y| / max(|x|, |y|): CSV column pairs `<name>_re`/`<name>_im`
 or `re`/`im`, JSON lists of two numbers and sibling JSON keys `re`/`im`.
-Exit codes and error messages are compared as well.  Standard library only.
+Exit codes and error messages are compared as well.  Each CONFIG is labelled
+by the path as given, so configs of one file name in different directories
+stay apart.  A last line sums up the run; the exit status is 1 when any file,
+exit code or error message differs, and 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -138,6 +141,8 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     old_src, new_src = package_root(args[0]), package_root(args[1])
+    tally = dict.fromkeys(("identical files", "differing files", "exit-code mismatches",
+                           "error-text mismatches"), 0)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         configs = {}
@@ -145,26 +150,31 @@ def main(argv=None) -> int:
             configs[name] = work / f"{name}.cfg"
             configs[name].write_text(text, encoding="utf-8")
         for extra in args[2:]:
-            configs[Path(extra).stem] = Path(extra).resolve()
-        for name, cfg in configs.items():
+            configs[extra] = Path(extra).resolve()
+        for i, (name, cfg) in enumerate(configs.items()):
             for command in COMMANDS:
                 dirs, runs = [], []
                 for tag, src in (("old", old_src), ("new", new_src)):
-                    out = work / tag / name / command
+                    out = work / tag / str(i) / command
                     runs.append(run_cli(src, command, cfg, out))
                     dirs.append(out)
                 head = f"{name} {command}"
                 if runs[0][0] != runs[1][0]:
+                    tally["exit-code mismatches"] += 1
                     print(f"{head}: exit {runs[0][0]} -> {runs[1][0]} ({runs[1][1][-200:]})")
                     continue
                 if runs[0][0] != 0:
                     same = "same error" if runs[0][1] == runs[1][1] else "error differs"
+                    tally["error-text mismatches"] += same == "error differs"
                     print(f"{head}: exit {runs[0][0]} both, {same}")
                     continue
                 names = sorted({p.name for d in dirs for p in d.iterdir()})
                 for fname in names:
-                    print(f"{head} {fname}: {compare_file(dirs[0] / fname, dirs[1] / fname)}")
-    return 0
+                    verdict = compare_file(dirs[0] / fname, dirs[1] / fname)
+                    tally["identical files" if verdict == "identical" else "differing files"] += 1
+                    print(f"{head} {fname}: {verdict}")
+    print("summary: " + ", ".join(f"{n} {k}" for k, n in tally.items()))
+    return int(any(n for k, n in tally.items() if k != "identical files"))
 
 
 if __name__ == "__main__":
