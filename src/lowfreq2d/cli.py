@@ -12,9 +12,12 @@ Errors are mirrored as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -349,7 +352,44 @@ def dispatch(argv) -> int:
         return NUMERICAL_EXIT
 
 
+# glibc mallopt (parameter, value) pairs: M_MMAP_THRESHOLD (-3) at 32 MiB, the
+# ceiling of glibc's own dynamic threshold on 64-bit hosts, then
+# M_TRIM_THRESHOLD (-1) at twice that, the ratio glibc's dynamic rule keeps
+_MALLOC_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed heap pages in this process instead of returning them to the
+    kernel; runs once per process (glibc only; elsewhere, or when mallopt
+    refuses, a no-op).
+
+    Each `wave` panel allocates and frees a few MB of temporaries; under
+    glibc's dynamic thresholds the freed top of the heap is trimmed after
+    every panel and faulted back in, zero-filled, by the next: about 190 000
+    minor faults per op on a Dirichlet disk of radius 1.06.  Fixed
+    thresholds keep those pages for reuse, and the peak resident size stays
+    the same.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        if mallopt(param, value) != 1:
+            break
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     return dispatch(sys.argv[1:] if argv is None else argv)
 
 

@@ -72,7 +72,12 @@ class Segment:
         z = eta * r
         J, Y, H = bessel_pair(l, z, logeta + np.log(r))
         second = H if self.kind == "hankel" else Y
-        lz = l / z
+        if l == 0 and not logeta.imag.any() and (r > 0).all():
+            # every z > 0, where 0 / z is +0 + 0j: skip the division, keep
+            # the products by zero, which fix the sign of any zero part
+            lz = np.zeros_like(z)
+        else:
+            lz = l / z
         for f in (J, second):            # order l + 1 slot -> derivative of order l
             f[1] = eta * (lz * f[0] - f[1])
         return J[0], second[0], J[1], second[1]

@@ -277,6 +277,23 @@ def test_eval_matches_single_radii_bit_for_bit():
                     assert np.array_equal(u[..., i], u1) and np.array_equal(du[..., i], du1)
 
 
+def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
+    # at l = 0 with every z > 0 the derivative step takes l / z as zeros
+    # instead of dividing; each sign of zero in f[0] and f[1] must come out
+    # as the division's +0 + 0j gives it
+    from lowfreq2d import radialsolve
+    parts = [complex(a, b) for a in (0.0, -0.0, 0.5, -0.5) for b in (0.0, -0.0, 0.5, -0.5)]
+    f0, f1 = (np.array(x).reshape(2, 128) for x in np.meshgrid(parts, parts))
+    monkeypatch.setattr(radialsolve, "bessel_pair", lambda l, z, logz: np.array([[f0, f1]] * 3))
+    eta, r = np.array([0.7, 1.3]) + 0j, np.linspace(0.5, 2.0, 128)
+    for kind in ("bessel", "hankel"):
+        seg = radialsolve.Segment(0.5, 2.0, 0, kind, eta, np.log(eta))
+        _, _, d1, d2 = seg.pair(r)
+        ref = eta[:, None] * (0 / (eta[:, None] * r) * f0 - f1)
+        for d in (d1, d2):
+            assert np.array_equal(d.view(np.uint64), ref.view(np.uint64))
+
+
 def test_lam4_log_coefficient_kernel():
     # extract the lam^4 log(lam) coefficient of the free kernel numerically and
     # compare with the tabulated quadrupole-order kernel

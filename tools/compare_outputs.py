@@ -13,8 +13,10 @@ difference |x - y| / max(|x|, |y|): CSV column pairs `<name>_re`/`<name>_im`
 or `re`/`im`, JSON lists of two numbers and sibling JSON keys `re`/`im`.
 Exit codes and error messages are compared as well.  Each CONFIG is labelled
 by the path as given, so configs of one file name in different directories
-stay apart.  A last line sums up the run; the exit status is 1 when any file,
-exit code or error message differs, and 0 otherwise.  Standard library only.
+stay apart.  A last line sums up the run, with each tree's summed CPU time
+(user and system) and minor page faults over its CLI runs; the exit status
+is 1 when any file, exit code or error message differs, and 0 otherwise.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import cmath
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -45,11 +48,18 @@ def package_root(path: str) -> Path:
     sys.exit(f"no lowfreq2d package under {p}")
 
 
-def run_cli(src: Path, command: str, cfg: Path, out: Path) -> tuple[int, str]:
+def run_cli(src: Path, command: str, cfg: Path, out: Path, cost: list) -> tuple[int, str]:
+    """Exit code and stderr of one CLI run; adds its user and system CPU
+    seconds and minor faults to `cost`."""
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys; from lowfreq2d.cli import main; sys.exit(main(sys.argv[1:]))"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg),
                            "--out", str(out)], env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cost[0] += after.ru_utime - before.ru_utime
+    cost[1] += after.ru_stime - before.ru_stime
+    cost[2] += after.ru_minflt - before.ru_minflt
     return proc.returncode, proc.stderr.strip()
 
 
@@ -143,6 +153,7 @@ def main(argv=None) -> int:
     old_src, new_src = package_root(args[0]), package_root(args[1])
     tally = dict.fromkeys(("identical files", "differing files", "exit-code mismatches",
                            "error-text mismatches"), 0)
+    cost = {"old": [0.0, 0.0, 0], "new": [0.0, 0.0, 0]}     # user s, sys s, minor faults
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         configs = {}
@@ -156,7 +167,7 @@ def main(argv=None) -> int:
                 dirs, runs = [], []
                 for tag, src in (("old", old_src), ("new", new_src)):
                     out = work / tag / str(i) / command
-                    runs.append(run_cli(src, command, cfg, out))
+                    runs.append(run_cli(src, command, cfg, out, cost[tag]))
                     dirs.append(out)
                 head = f"{name} {command}"
                 if runs[0][0] != runs[1][0]:
@@ -173,7 +184,9 @@ def main(argv=None) -> int:
                     verdict = compare_file(dirs[0] / fname, dirs[1] / fname)
                     tally["identical files" if verdict == "identical" else "differing files"] += 1
                     print(f"{head} {fname}: {verdict}")
-    print("summary: " + ", ".join(f"{n} {k}" for k, n in tally.items()))
+    print("summary: " + ", ".join(f"{n} {k}" for k, n in tally.items()) + "; "
+          + "; ".join(f"{tag} {u:.2f} s user, {t:.2f} s sys, {f} minor faults"
+                      for tag, (u, t, f) in cost.items()))
     return int(any(n for k, n in tally.items() if k != "identical files"))
 
 
