@@ -364,10 +364,11 @@ def _keep_freed_heap() -> None:
     kernel; runs once per process (glibc only; elsewhere, or when mallopt
     refuses, a no-op).
 
-    Each `wave` panel allocates and frees a few MB of temporaries; under
-    glibc's dynamic thresholds the freed top of the heap is trimmed after
-    every panel and faulted back in, zero-filled, by the next: about 190 000
-    minor faults per op on a Dirichlet disk of radius 1.06.  Fixed
+    Each `wave` batch of spectral points allocates and frees a few MB of
+    temporaries; under glibc's dynamic thresholds the freed top of the heap
+    is trimmed after every batch and faulted back in, zero-filled, by the
+    next: about 190 000 minor faults per op on a Dirichlet disk of radius
+    1.06.  Fixed
     thresholds keep those pages for reuse, and the peak resident size stays
     the same.
     """

@@ -46,16 +46,7 @@ class Segment:
 
     def pair(self, r: np.ndarray) -> tuple[np.ndarray, ...]:
         """(b1, b2, b1', b2') at radii r, each of shape (nlam, len(r))."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        flat = self.eta == 0
-        if not flat.any():
-            return self._bessel(r, self.eta[:, None], self.logeta[:, None])
-        out = np.empty((4, len(self.eta), len(r)), dtype=complex)
-        out[:, flat] = self._harmonic(r)[:, None, :]
-        if not flat.all():
-            wave = ~flat
-            out[:, wave] = self._bessel(r, self.eta[wave, None], self.logeta[wave, None])
-        return tuple(out)
+        return _bases([self], [np.atleast_1d(np.asarray(r, dtype=float))], None)[0]
 
     def _harmonic(self, r: np.ndarray) -> np.ndarray:
         l = self.l
@@ -63,24 +54,83 @@ class Segment:
             return np.array([np.ones(len(r)), np.log(r), np.zeros(len(r)), 1.0 / r])
         return np.array([r**l, r ** (-l), l * r ** (l - 1), -l * r ** (-l - 1)])
 
-    def _bessel(self, r: np.ndarray, eta: np.ndarray, logeta: np.ndarray):
-        # (J, H1) on the exterior: J is tame at small |z| where H1, H2 are
-        # nearly parallel, H1 is tame at large Im z where J, Y blow up
-        # together, so the matching determinant never suffers cancellation
-        # on the unbounded exterior segment.
-        l = self.l
-        z = eta * r
-        J, Y, H = bessel_pair(l, z, logeta + np.log(r))
-        second = H if self.kind == "hankel" else Y
-        if l == 0 and not logeta.imag.any() and (r > 0).all():
+    def _bessel_args(self, r: np.ndarray):
+        """(mask of the Bessel elements or None for all of them, their eta and
+        log eta as columns, z = eta r), or None when every element is harmonic."""
+        flat = self.eta == 0
+        if not flat.any():
+            wave, eta, logeta = None, self.eta[:, None], self.logeta[:, None]
+        elif flat.all():
+            return None
+        else:
+            wave = ~flat
+            eta, logeta = self.eta[wave, None], self.logeta[wave, None]
+        return wave, eta, logeta, eta * r
+
+    def _derivs(self, r, eta, z, logeta, f0, f1) -> tuple[np.ndarray, ...]:
+        """Order-l derivatives eta (l / z f - g) of the Bessel pair, from its
+        order-l values f in f0 and order-(l + 1) values g in f1."""
+        if self.l == 0 and not logeta.imag.any() and (r > 0).all():
             # every z > 0, where 0 / z is +0 + 0j: skip the division, keep
             # the products by zero, which fix the sign of any zero part
             lz = np.zeros_like(z)
         else:
-            lz = l / z
-        for f in (J, second):            # order l + 1 slot -> derivative of order l
-            f[1] = eta * (lz * f[0] - f[1])
-        return J[0], second[0], J[1], second[1]
+            lz = self.l / z
+        return tuple(eta * (lz * f - g) for f, g in zip(f0, f1))
+
+
+def _bessel_each(l: int, zs: list[np.ndarray], logzs: list[np.ndarray], slot: int | None):
+    """bessel_pair at each array of zs, by one call: every point is evaluated
+    on its own, so each array gets the bits of its own call."""
+    if len(zs) == 1:
+        return [bessel_pair(l, zs[0], logzs[0], slot)]
+    fs = bessel_pair(l, np.concatenate([z.ravel() for z in zs]),
+                     np.concatenate([x.ravel() for x in logzs]), slot)
+    ends = np.cumsum([z.size for z in zs])
+    return [tuple(f[..., e - z.size:e].reshape(f.shape[:-1] + z.shape) for f in fs)
+            for z, e in zip(zs, ends)]
+
+
+def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None, kept=None):
+    """For each segment at its radii, rows of (b1, b2, b1', b2'), each of
+    shape (nlam, len(r)): all four (slot None), the values (slot 0), or the
+    derivatives from the values kept[i] (slot 1), which take the order-(l + 1)
+    Bessel slot alone and so the bits all four give them.  The Bessel
+    elements of every segment share one bessel_pair call.
+
+    (J, H1) on the exterior: J is tame at small |z| where H1, H2 are nearly
+    parallel, H1 is tame at large Im z where J, Y blow up together, so the
+    matching determinant never suffers cancellation on the unbounded
+    exterior segment.
+    """
+    args = [seg._bessel_args(r) for seg, r in zip(segs, radii)]
+    live = [(a[3], a[2] + np.log(r)) for a, r in zip(args, radii) if a is not None]
+    fs = iter(_bessel_each(segs[0].l, *zip(*live), slot) if live else ())
+    out = []
+    for i, (seg, r, a) in enumerate(zip(segs, radii, args)):
+        if a is not None:
+            wave, eta, logeta, z = a
+            J, Y, H = next(fs)
+            f = (J, H if seg.kind == "hankel" else Y)
+            if slot == 0:
+                b = f
+            elif slot is None:
+                f0 = (f[0][0], f[1][0])
+                b = f0 + seg._derivs(r, eta, z, logeta, f0, (f[0][1], f[1][1]))
+            else:
+                f0 = kept[i] if wave is None else tuple(k[wave] for k in kept[i])
+                b = seg._derivs(r, eta, z, logeta, f0, f)
+            if wave is None:
+                out.append(b)
+                continue
+        rows = [0, 1, 2, 3] if slot is None else [2 * slot, 2 * slot + 1]
+        flat = seg.eta == 0
+        full = np.empty((len(rows), len(seg.eta), len(r)), dtype=complex)
+        full[:, flat] = seg._harmonic(r)[rows, None, :]
+        if a is not None:
+            full[:, ~flat] = b
+        out.append(tuple(full))
+    return out
 
 
 def _spectral_batch(lam: Spectral):
@@ -129,11 +179,12 @@ class PiecewiseSolution:
         u, du = self.eval(np.array([r]))
         return u[..., 0], du[..., 0]
 
-    def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
+    def _combine(self, r: np.ndarray, slot: int | None, kept=None):
+        """The solution's rows of (u, u') at radii r, each of shape coefficient
+        shape + (len(r),), from _bases' rows of slot, each radius on the first
+        segment that holds it; and those basis rows, per segment met."""
         r = np.asarray(r, dtype=float)
-        shape = self.coeffs[0][0].shape + (len(r),)
-        u, du = np.empty((2,) + shape, dtype=complex)
+        pieces = []
         done = np.zeros(len(r), dtype=bool)
         for seg, (c1, c2) in zip(self.segments, self.coeffs):
             last = seg is self.segments[-1]
@@ -143,14 +194,32 @@ class PiecewiseSolution:
                 continue
             if idx[-1] - idx[0] + 1 == idx.size:         # a contiguous run of radii
                 idx = slice(idx[0], idx[-1] + 1)
-            b1, b2, b1p, b2p = seg.pair(r[idx])
-            c1, c2 = c1[..., None], c2[..., None]
-            u[..., idx] = c1 * b1 + c2 * b2
-            du[..., idx] = c1 * b1p + c2 * b2p
+            pieces.append((seg, c1[..., None], c2[..., None], idx))
             done |= mask
         if not done.all():
             raise ValueError("radii outside the segment cover")
+        bases = _bases([p[0] for p in pieces], [r[p[3]] for p in pieces], slot, kept) if pieces else []
+        out = np.empty((2 if slot is None else 1,) + self.coeffs[0][0].shape + (len(r),), dtype=complex)
+        for (_, c1, c2, idx), b in zip(pieces, bases):
+            for k, row in enumerate(out):
+                row[..., idx] = c1 * b[2 * k] + c2 * b[2 * k + 1]
+        return out, bases
+
+    def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
+        u, du = self._combine(r, None)[0]
         return u, du
+
+    def values(self, r: np.ndarray) -> tuple[np.ndarray, list]:
+        """u at radii r, as eval gives it, from the order-l basis alone; and
+        that basis, per segment, for derivs."""
+        (u,), basis = self._combine(r, 0)
+        return u, basis
+
+    def derivs(self, r: np.ndarray, basis: list) -> np.ndarray:
+        """u' at radii r, as eval gives it, from values(r)'s basis and the
+        order-(l + 1) basis alone."""
+        return self._combine(r, 1, basis)[0][0]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,31 +233,41 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_2x2(seg: Segment, r: float, u: np.ndarray, du: np.ndarray):
-    """Coefficients on seg of the solution with value u, derivative du at r."""
-    b = np.array(seg.pair(np.array([r])))[:, :, 0]          # b1, b2, b1', b2'
+def _junctions(segs: list[Segment]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The basis (b1, b2, b1', b2'), shape (4, nlam), of the segments on
+    either side of each breakpoint, at the breakpoint, from one bessel_pair
+    call: a (left, right) pair per breakpoint, outward."""
+    sides = [seg for pair in zip(segs, segs[1:]) for seg in pair]
+    radii = [np.array([seg.b]) for seg in segs[:-1] for _ in (0, 1)]
+    b = [np.array(rows)[:, :, 0] for rows in _bases(sides, radii, None)]
+    return list(zip(b[0::2], b[1::2]))
+
+
+def _solve_2x2(b: np.ndarray, u: np.ndarray, du: np.ndarray):
+    """Coefficients of the solution with value u, derivative du where the
+    basis takes the values b = (b1, b2, b1', b2')."""
     p = _mul(np.array([b[0], b[2], u, du, du, u]), b[[3, 1, 3, 1, 0, 2]])
     det = p[0] - p[1]
     return (p[2] - p[3]) / det, (p[4] - p[5]) / det
 
 
-def _value_at(seg: Segment, r: float, c: tuple[np.ndarray, np.ndarray]):
-    """(u, u') at r of the solution with coefficients c on seg."""
-    p = _mul(np.array([c[0], c[1], c[0], c[1]]), np.array(seg.pair(np.array([r])))[:, :, 0])
+def _value_at(b: np.ndarray, c: tuple[np.ndarray, np.ndarray]):
+    """(u, u') of the solution with coefficients c where the basis takes the values b."""
+    p = _mul(np.array([c[0], c[1], c[0], c[1]]), b)
     return p[0] + p[1], p[2] + p[3]
 
 
-def march_outward(segments: list[Segment], c_first) -> PiecewiseSolution:
+def march_outward(segments: list[Segment], c_first, junctions) -> PiecewiseSolution:
     coeffs = [c_first]
-    for prev, seg in zip(segments, segments[1:]):
-        coeffs.append(_solve_2x2(seg, prev.b, *_value_at(prev, prev.b, coeffs[-1])))
+    for left, right in junctions:
+        coeffs.append(_solve_2x2(right, *_value_at(left, coeffs[-1])))
     return PiecewiseSolution(segments, coeffs)
 
 
-def march_inward(segments: list[Segment], c_last) -> PiecewiseSolution:
+def march_inward(segments: list[Segment], c_last, junctions) -> PiecewiseSolution:
     coeffs = [c_last]
-    for nxt, seg in zip(segments[::-1], segments[-2::-1]):
-        coeffs.insert(0, _solve_2x2(seg, seg.b, *_value_at(nxt, seg.b, coeffs[0])))
+    for left, right in junctions[::-1]:
+        coeffs.insert(0, _solve_2x2(left, *_value_at(right, coeffs[0])))
     return PiecewiseSolution(segments, coeffs)
 
 
@@ -201,22 +280,29 @@ def _unit_pair(segs: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
     return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
 
 
-def regular_solution(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
-    """Regular at r = 0 (potential) or satisfying the boundary condition (obstacle)."""
-    segs = make_segments(s, l, lam, rmax)
+def _regular(s: Scatterer, segs: list[Segment]):
+    """The regular solution on segs, and the breakpoint bases it was glued with."""
     one, zero = _unit_pair(segs)
     if isinstance(s, PiecewisePotential):
-        return march_outward(segs, (one, zero))
+        junctions = _junctions(segs)
+        return march_outward(segs, (one, zero), junctions), junctions
     u, du = (zero, one) if s.bc == "dirichlet" else (one, zero)
-    return PiecewiseSolution(segs, [_solve_2x2(segs[0], s.radius, u, du)])
+    b = np.array(segs[0].pair(np.array([s.radius])))[:, :, 0]
+    return PiecewiseSolution(segs, [_solve_2x2(b, u, du)]), []
+
+
+def regular_solution(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
+    """Regular at r = 0 (potential) or satisfying the boundary condition (obstacle)."""
+    return _regular(s, make_segments(s, l, lam, rmax))[0]
 
 
 def green_pair(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
     """The regular solution and the outgoing one (H^(1)_l(lam r) outside the
     support, continued inward) on one set of segments, stacked along a leading
-    axis of length 2: one eval evaluates each segment's basis once for both."""
-    phi = regular_solution(s, l, lam, rmax)
+    axis of length 2: one eval evaluates each segment's basis once for both,
+    and both are glued with the same breakpoint bases."""
+    phi, junctions = _regular(s, make_segments(s, l, lam, rmax))
     one, zero = _unit_pair(phi.segments)
-    psi = march_inward(phi.segments, (zero, one))
+    psi = march_inward(phi.segments, (zero, one), junctions)
     return PiecewiseSolution(phi.segments, [tuple(map(np.stack, zip(a, b)))
                                             for a, b in zip(phi.coeffs, psi.coeffs)])

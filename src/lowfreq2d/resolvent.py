@@ -15,7 +15,8 @@ residual evaluations of the two-spectral-parameter resolvent identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,20 +113,39 @@ class ResolventSample:
     or a batch of them.  For a batch the node arrays have shape (nlam, nodes)
     and the Wronskian shape (nlam,).  The Wronskian is exact, from phi's
     exterior J coefficient; wronskian_spread is the largest relative deviation
-    of the sampled one from it, over the batch."""
+    of the sampled one from it, over the batch.
+
+    The node derivatives phi_ders and psi_ders are formed the first time they
+    are read, from the order-l basis the values came from (kept in basis) and
+    the order-(l + 1) basis alone, with the bits an eager evaluation gives."""
 
     scatterer: Scatterer
     lam: Spectral
     mode: int
     grid: PanelGrid
     phi_vals: np.ndarray
-    phi_ders: np.ndarray
     psi_vals: np.ndarray
-    psi_ders: np.ndarray
     wronskian: complex | np.ndarray
     wronskian_spread: float
     solutions: PiecewiseSolution      # phi (unscaled) and psi, stacked
     phi_scale: np.ndarray             # phi_vals = phi / phi_scale
+    basis: list = field(repr=False)   # solutions.values(grid.nodes)'s per-segment basis
+
+    @cached_property
+    def _ders(self) -> tuple[np.ndarray, np.ndarray]:
+        phi_d, psi_d = self.solutions.derivs(self.grid.nodes, self.basis)
+        phi_d = phi_d / np.atleast_1d(self.phi_scale)[:, None]
+        if isinstance(self.lam, SpectralPoint):
+            return phi_d[0], psi_d[0]
+        return phi_d, psi_d
+
+    @property
+    def phi_ders(self) -> np.ndarray:
+        return self._ders[0]
+
+    @property
+    def psi_ders(self) -> np.ndarray:
+        return self._ders[1]
 
     def _check_source(self, f: RadialFunction) -> None:
         if not f.grid.same(self.grid):
@@ -155,7 +175,8 @@ class ResolventSample:
 
         Off the grid f vanishes, so u is phi(x) times -integral(psi f r dr) / W
         below it and psi(x) times -integral(phi f r dr) / W above it: the end
-        values of apply's two cumulative integrals.
+        values of apply's two cumulative integrals, so off the grid no node
+        derivatives are formed.
         """
         g = self.grid
         if g.rmin <= x <= g.rmax:
@@ -169,59 +190,34 @@ class ResolventSample:
         if below and x == 0.0:
             # phi starts as J_l(eta r) or r^l: 1 at the origin for mode 0, else 0
             return float(self.mode == 0) / self.phi_scale * coeff
-        phi_x, psi_x = self.solutions.at(x)[0]
+        phi_x, psi_x = self.solutions.values(np.array([x]))[0][..., 0]
         sol_x = phi_x / self.phi_scale if below else psi_x
         return sol_x.reshape(np.shape(coeff)) * coeff
-
-    def ode_residual(self, f: RadialFunction, u: RadialFunction) -> float:
-        """| (P - lam^2) u - f | / |f| on the grid, at one spectral point.
-
-        u'' comes from one numerical differentiation of the sampled u'; panels
-        narrower than 1e-3 of the span (the origin-grading micro panels, where
-        1/r and 1/h amplification swamps double precision) are excluded, which
-        is the 'away from breakpoints' restriction in quadrature form.
-        """
-        g = self.grid
-        r = g.nodes
-        d1 = u.deriv_values()
-        d2 = g.derivative(d1)
-        V = potential_values(self.scatterer, r)
-        lhs = -(d2 + d1 / r - self.mode**2 * u.values / r**2) + (V - self.lam.value**2) * u.values
-        widths = np.repeat(np.diff(g.edges), g.n)
-        keep = widths > 1e-3 * (g.rmax - g.rmin)
-        num = np.sqrt(abs(g.integrate(np.where(keep, np.abs(lhs - f.values) ** 2, 0.0) * r)))
-        den = np.sqrt(abs(g.integrate(np.abs(f.values) ** 2 * r)))
-        return float(num / den)
-
-
-def potential_values(s: Scatterer, r: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(r), dtype=complex)
-    if isinstance(s, PiecewisePotential):
-        edges = s.segment_edges()
-        for j, (a, b) in enumerate(zip(edges, edges[1:])):
-            out[(r >= a) & (r < b)] = complex(s.values[j])
-    return out
 
 
 def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> ResolventSample:
     """The mode-l Green function data on grid, for one SpectralPoint or a batch.
 
-    phi and psi share one segment set and one basis evaluation per segment.
-    A non-finite Wronskian raises NumericalError, one of modulus at most
-    POLE_GUARD AtPoleError for the first such point.
+    phi and psi share one segment set and every basis evaluation: the node
+    values take the order-l basis alone, and only the five Wronskian probes
+    take derivatives.  A non-finite Wronskian raises NumericalError,
+    one of modulus at most POLE_GUARD AtPoleError for the first such point.
     """
     sols = green_pair(s, l, lam, grid.rmax)
-    (phi_v, psi_v), (phi_d, psi_d) = sols.eval(grid.nodes)
+    (phi_v, psi_v), basis = sols.values(grid.nodes)
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v), axis=-1)
     scale[scale == 0] = 1.0
-    phi_v, phi_d = phi_v / scale[:, None], phi_d / scale[:, None]
+    phi_v = phi_v / scale[:, None]
     # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
     # (J, H1) basis has Wronskian 2i/pi
     w = sols.coeffs[-1][0][0] / scale * (2j / math.pi)
-    # the sampled Wronskian, probed away from the endpoints, is the invariant check
+    # the sampled Wronskian, probed at five nodes away from the endpoints, is
+    # the invariant check
     idx = np.linspace(0, len(grid.nodes) - 1, 7).astype(int)[1:-1]
-    w_all = grid.nodes[idx] * (phi_v[:, idx] * psi_d[:, idx] - phi_d[:, idx] * psi_v[:, idx])
+    phi_d, psi_d = sols.eval(grid.nodes[idx])[1]
+    phi_d = phi_d / scale[:, None]
+    w_all = grid.nodes[idx] * (phi_v[:, idx] * psi_d - phi_d * psi_v[:, idx])
     absw = np.abs(w)
     if not np.all(np.isfinite(absw)):
         raise NumericalError("mode Wronskian is not finite")
@@ -232,8 +228,8 @@ def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> Resolven
         i = at_pole[0]
         raise AtPoleError(lam if isinstance(lam, SpectralPoint) else list(lam)[i], w[i])
     if isinstance(lam, SpectralPoint):
-        phi_v, phi_d, psi_v, psi_d, w, scale = (a[0] for a in (phi_v, phi_d, psi_v, psi_d, w, scale))
-    return ResolventSample(s, lam, l, grid, phi_v, phi_d, psi_v, psi_d, w, spread, sols, scale)
+        phi_v, psi_v, w, scale = (a[0] for a in (phi_v, psi_v, w, scale))
+    return ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale, basis)
 
 
 # ----------------------------------------------------------------------------

@@ -113,33 +113,36 @@ def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) ->
 
 
 @lru_cache(maxsize=None)
-def _series_table(l: int):
-    """Ascending series in q = -z^2/4 (DLMF 10.8) at orders l and l + 1: the
-    (K, 2, 2) table of c and d columns by order, their reaches, and Y's
-    finite parts, which are summed whole.
+def _series_table(l: int, orders: tuple[int, ...] = (0, 1)):
+    """Ascending series in q = -z^2/4 (DLMF 10.8) at the orders l + o for o
+    in orders: the (K, 2, len(orders)) table of c and d columns by order,
+    their reaches, and Y's finite parts, which are summed whole.
 
     At order m, J_m = (z/2)^m / m! sum_k c_k q^k with c_k = m!/(k!(k+m)!), the
     psi sum of Y_m has coefficients d_k = (psi(k+1) + psi(k+m+1)) c_k, both
     for k < SERIES_CAP, and Y_m's finite part (z/2)^{-m} sum_{k<m}
     ((m-1-k)!/k!) (-q)^k / pi has coefficients (m-1-k)!/k!.  The d columns
-    take the reaches of the c columns.
+    take the reaches of the c columns.  Each order's columns are built on
+    their own, so a one-order table holds that order's columns of the pair's.
     """
     k = np.arange(1, SERIES_CAP)
+    ms = [l + o for o in orders]
     psi = -EULER + np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, SERIES_CAP + l + 1))))
-    c = [np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k + m))))) for m in (l, l + 1)]
-    d = [(psi[:SERIES_CAP] + psi[m:m + SERIES_CAP]) * cm for m, cm in zip((l, l + 1), c)]
+    c = [np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k + m))))) for m in ms]
+    d = [(psi[:SERIES_CAP] + psi[m:m + SERIES_CAP]) * cm for m, cm in zip(ms, c)]
     finite = [np.array([math.factorial(m - 1 - j) / math.factorial(j) for j in range(m)])
-              for m in (l, l + 1)]
+              for m in ms]
     table = np.stack((np.stack(c, axis=1), np.stack(d, axis=1)), axis=1)
     reach = np.broadcast_to(np.stack([_reach(cm) for cm in c], axis=1)[:, None], table.shape)
     return table, reach, finite
 
 
 @lru_cache(maxsize=None)
-def _asym_table():
-    """The Hankel expansion at orders 0 and 1 in u = 1/z^2 (DLMF 10.17.1):
-    the (K, 2, 2) table of P and Q columns by order, zero-padded, and their
-    reaches in log|u| (+inf for the padding).
+def _asym_table(orders: tuple[int, ...] = (0, 1)):
+    """The Hankel expansion at the orders in orders (0 and 1 by default) in
+    u = 1/z^2 (DLMF 10.17.1): the (K, 2, len(orders)) table of P and Q
+    columns by order, zero-padded, and their reaches in log|u| (+inf for the
+    padding).
 
     With w = 1/z, sum_k i^k a_k(l) w^k = P_l(u) + i w Q_l(u) for
     P_l = sum_j (-1)^j a_2j(l) u^j and Q_l = sum_j (-1)^j a_2j+1(l) u^j, and
@@ -152,15 +155,15 @@ def _asym_table():
     first neglected term.
     """
     k = np.arange(1, SERIES_CAP)
-    table = np.zeros((SERIES_CAP, 2, 2))
-    reach = np.full((SERIES_CAP, 2, 2), np.inf)
-    for l in (0, 1):
+    table = np.zeros((SERIES_CAP, 2, len(orders)))
+    reach = np.full((SERIES_CAP, 2, len(orders)), np.inf)
+    for i, l in enumerate(orders):
         full = np.cumprod(np.concatenate(([1.0], 1j * (4.0 * l * l - (2 * k - 1) ** 2) / (8 * k))))
         mags = np.abs(full) / SERIES_RADIUS ** np.arange(SERIES_CAP)
         full = full[:1 + int(np.argmax(mags[1:] > mags[:-1]))]      # i^k a_k(l)
         for kind, rows in enumerate((full[0::2].real, full[1::2].imag)):     # P, Q
-            table[:rows.size, kind, l] = rows
-            reach[:rows.size, kind, l] = 2.0 * _reach(full)[kind::2]
+            table[:rows.size, kind, i] = rows
+            reach[:rows.size, kind, i] = 2.0 * _reach(full)[kind::2]
     return table, reach
 
 
@@ -168,18 +171,20 @@ def _asym_table():
 # power-series branch (|z| <= SERIES_RADIUS)
 # ----------------------------------------------------------------------------
 
-def _jyh_series(l: int, z: np.ndarray, logz: np.ndarray):
-    """(J, Y, H^(1)), each (2, P): orders l, l + 1 by ascending series; logz
-    supplies the branch of log z, and a real z with a real log stays real."""
-    table, reach, finite = _series_table(l)
+def _jyh_series(l: int, z: np.ndarray, logz: np.ndarray, orders: tuple[int, ...] = (0, 1)):
+    """(J, Y, H^(1)), each (len(orders), P): the orders l + o for o in orders
+    by ascending series; logz supplies the branch of log z, and a real z with
+    a real log stays real."""
+    table, reach, finite = _series_table(l, orders)
+    ms = [l + o for o in orders]
     q = -0.25 * z * z
     sums = _horner(table, q, reach)
     # numpy's complex powers and division by pi (a product with 1/pi) for a
     # real z too, so that it gets the bits it gets as a complex number
     half, part = (0.5 * z).astype(complex), np.real if np.isrealobj(z) else np.asarray
-    half_pow = np.stack([part(half ** m) * (1.0 / math.factorial(m)) for m in (l, l + 1)])
+    half_pow = np.stack([part(half ** m) * (1.0 / math.factorial(m)) for m in ms])
     fin = np.stack([part(half ** -m) * _horner(f, -q) * (1 / math.pi) if m
-                    else np.zeros_like(q) for m, f in zip((l, l + 1), finite)])
+                    else np.zeros_like(q) for m, f in zip(ms, finite)])
     J = half_pow * sums[0]
     Y = (2.0 / math.pi) * (logz - LOG2) * J - fin - half_pow * sums[1] * (1 / math.pi)
     return J, Y, J + 1j * Y
@@ -189,9 +194,9 @@ def _jyh_series(l: int, z: np.ndarray, logz: np.ndarray):
 # asymptotic branch (|z| > SERIES_RADIUS)
 # ----------------------------------------------------------------------------
 
-def _hankel_sums(z: np.ndarray):
-    """sqrt(2/(pi z)), w = 1/z and the sums (P, Q) by order, (2, 2, P), at u = w^2."""
-    table, reach = _asym_table()
+def _hankel_sums(z: np.ndarray, orders: tuple[int, ...] = (0, 1)):
+    """sqrt(2/(pi z)), w = 1/z and the sums (P, Q) by order, (2, len(orders), P), at u = w^2."""
+    table, reach = _asym_table(orders)
     w = 1.0 / z
     return np.sqrt(2.0 / (math.pi * z)), w, _horner(table, w * w, reach)
 
@@ -235,37 +240,42 @@ def _h12_window(zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-def _jyh_big(l: int, z: np.ndarray, logz: np.ndarray):
-    """(J, Y, H^(1)), each (2, P): orders l, l + 1 for |z| > SERIES_RADIUS.
+def _jyh_big(l: int, z: np.ndarray, logz: np.ndarray, orders: tuple[int, ...] = (0, 1)):
+    """(J, Y, H^(1)), each (len(orders), P): the orders l + o for o in orders,
+    for |z| > SERIES_RADIUS.
 
     The sums at orders 0 and 1 serve every order through the recurrence.  A
     real z stays real, J = f (P cos omega - w Q sin omega) and
     Y = f (P sin omega + w Q cos omega) for f = sqrt(2/(pi z)), w = 1/z, and
-    H = J + iY has no cancellation on the real axis.  Any other point is
-    reduced to the principal sheet, and H^(1) is formed directly from the
-    window values, avoiding the J + iY cancellation.
+    H = J + iY has no cancellation on the real axis; at l = 0 it sums only
+    the orders asked for.  Any other point is reduced to the principal
+    sheet, and H^(1) is formed directly from the window values, avoiding the
+    J + iY cancellation.
     """
     if not np.iscomplexobj(z):
-        front, w, sums = _hankel_sums(z)
+        cols = orders if l == 0 else (0, 1)
+        front, w, sums = _hankel_sums(z, cols)
         cos, sin = np.cos(z - math.pi / 4.0), np.sin(z - math.pi / 4.0)
-        cos, sin = np.stack((cos, sin)), np.stack((sin, -cos))     # omega_1 = omega_0 - pi/2
+        rot = ((cos, sin), (sin, -cos))         # omega_1 = omega_0 - pi/2
+        cos, sin = (np.stack([rot[o][i] for o in cols]) for i in (0, 1))
         wq = w * sums[1]
-        J, Y = _raise_order(l, z, front * np.stack((sums[0] * cos - wq * sin,
-                                                     sums[0] * sin + wq * cos)))
+        f = front * np.stack((sums[0] * cos - wq * sin, sums[0] * sin + wq * cos))
+        J, Y = f if l == 0 else _raise_order(l, z, f)[:, orders, :]
         return J, Y, J + 1j * Y
     arg = np.imag(logz)
     k = np.round(arg / (2.0 * math.pi) - 1e-12 * np.sign(arg))     # the sheet
     zp = np.abs(z) * np.exp(1j * (arg - 2.0 * math.pi * k))
     h1, h2 = _h12_window(zp)
     J = 0.5 * (h1 + h2)
-    return tuple(_raise_order(l, zp, np.stack((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J))))
+    f = _raise_order(l, zp, np.stack((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J)))
+    return tuple(f[:, orders, :])
 
 
 # ----------------------------------------------------------------------------
 # branch dispatch on the log cover (vectorized core)
 # ----------------------------------------------------------------------------
 
-def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
+def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
     """(J, Y, H) on the log cover, each of shape (2, *z.shape): orders l, l + 1.
 
     Both orders take the branch of order l + 1 (series for |z| <=
@@ -275,10 +285,15 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
     whose own log z is real (sheet 0, z > 0) goes through either branch in
     float64.  Each call routes its points once; a route that takes every
     point runs on the call's own arrays, and the work arrays are O(P).
+
+    slot = 0 or 1 evaluates order l alone or order l + 1 alone, each of shape
+    z.shape and bit for bit that slot of the pair: the same routing, and only
+    that order's series columns (or, at l = 0, its asymptotic sums).
     """
+    orders = (0, 1) if slot is None else (slot,)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     logz = np.atleast_1d(np.asarray(logz, dtype=complex))
-    out = np.empty((3, 2, z.size), dtype=complex)
+    out = np.empty((3, len(orders), z.size), dtype=complex)
     zf, logf = z.reshape(-1), logz.reshape(-1)
     absz, real = np.abs(zf), logf.imag == 0
     small = (absz <= SERIES_RADIUS) | (l + 1 > 0.75 * absz)
@@ -287,9 +302,11 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray):
             sel = pts & branch
             if sel.any():
                 idx = slice(None) if sel.all() else np.flatnonzero(sel)
-                for o, f in zip(out, fn(l, zs[idx], logs[idx])):
+                for o, f in zip(out, fn(l, zs[idx], logs[idx], orders)):
                     o[:, idx] = f
-    out = out.reshape((3, 2) + z.shape)
+    out = out.reshape((3, len(orders)) + z.shape)
+    if slot is not None:
+        out = out[:, 0]
     return out[0], out[1], out[2]
 
 

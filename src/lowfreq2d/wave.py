@@ -38,37 +38,49 @@ LAM_FLOOR = 1e-9
 LAM_GEOMETRIC_TOP = 0.5
 LAM_CAP = 60.0
 TAIL_REL = 1e-12
+SPECTRAL_BATCH = 32     # spectral points per mode_green call of the sweep: two 16-node panels
 
 
-def spherical_jn_all(nmax: int, w: float) -> np.ndarray:
-    """j_0..j_nmax at w >= 0; downward recurrence below the oscillatory regime."""
-    out = np.zeros(nmax + 1)
-    if w == 0.0:
-        out[0] = 1.0
-        return out
-    if w > nmax + 12:
-        out[0] = math.sin(w) / w
+def spherical_jn_table(nmax: int, w: np.ndarray) -> np.ndarray:
+    """j_0..j_nmax at each w >= 0, shape (len(w), nmax + 1).
+
+    Each w runs on its own: the upward recurrence for w > nmax + 12, else
+    Miller's downward recurrence j_{n-1} = (2n+1)/w j_n - j_{n+1} from its
+    start N = nmax + 20 + int(w), rescaled by 1e-250 whenever its j_n passes
+    1e250 and normalized by j_0.  sin w and cos w are math's, element by
+    element, so each row has the bits of a scalar recurrence at that w.
+    """
+    w = np.asarray(w, dtype=float)
+    out = np.zeros((w.size, nmax + 1))
+    out[w == 0.0, 0] = 1.0
+    sin = np.array([math.sin(x) for x in w])
+    up = w > nmax + 12
+    if up.any():
+        wu, j = w[up], out[up]
+        j[:, 0] = sin[up] / wu
         if nmax >= 1:
-            out[1] = out[0] / w - math.cos(w) / w
+            j[:, 1] = j[:, 0] / wu - np.array([math.cos(x) for x in wu]) / wu
         for n in range(1, nmax):
-            out[n + 1] = (2 * n + 1) / w * out[n] - out[n - 1]
-        return out
-    # Miller's downward recurrence j_{n-1} = (2n+1)/w j_n - j_{n+1}, normalized by j0
-    N = nmax + 20 + int(w)
-    jp = 0.0          # j_{n+1}
-    jc = 1e-300       # j_n
-    tail = np.zeros(nmax + 1)
-    for n in range(N, 0, -1):
-        jm = (2 * n + 1) / w * jc - jp
-        jp, jc = jc, jm
-        if n - 1 <= nmax:
-            tail[n - 1] = jc
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            tail *= 1e-250
-    j0 = math.sin(w) / w
-    return tail * (j0 / jc)
+            j[:, n + 1] = (2 * n + 1) / wu * j[:, n] - j[:, n - 1]
+        out[up] = j
+    down = ~up & (w != 0.0)
+    if down.any():
+        wd = w[down]
+        start = nmax + 20 + wd.astype(int)
+        jp, jc = np.zeros(wd.size), np.full(wd.size, 1e-300)       # j_{n+1}, j_n
+        tail = np.zeros((wd.size, nmax + 1))
+        for n in range(int(start.max()), 0, -1):
+            on = start >= n
+            jp, jc = np.where(on, jc, jp), np.where(on, (2 * n + 1) / wd * jc - jp, jc)
+            if n - 1 <= nmax:
+                tail[:, n - 1] = jc
+            big = np.abs(jc) > 1e250
+            if big.any():
+                jp[big] *= 1e-250
+                jc[big] *= 1e-250
+                tail[big] *= 1e-250
+        out[down] = tail * (sin[down] / wd / jc)[:, None]
+    return out
 
 
 @dataclass
@@ -83,7 +95,7 @@ class OscillatoryPanels:
         half = 0.5 * np.diff(self.edges)
         mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         n = self.coeffs.shape[1]
-        jn = np.array([spherical_jn_all(n - 1, t * h) for h in half])
+        jn = spherical_jn_table(n - 1, t * half)
         moments = jn * (2.0 * 1j ** np.arange(n))
         # Im of each panel's term, summed in order over k and then over the
         # panels: at large t the panels cancel, and the order sets the last digits
@@ -126,8 +138,10 @@ class WaveQuery:
     def __post_init__(self):
         if self.f.mode != 0:
             raise ValidationError("initial data must be a mode-0 radial function")
-        if any(t < 0 for t in self.times):
-            raise ValidationError("times must be nonnegative")
+        if not all(math.isfinite(t) and t >= 0 for t in self.times):
+            raise ValidationError("times must be finite and nonnegative")
+        if not (math.isfinite(self.x) and self.x >= 0):
+            raise ValidationError(f"observation radius must be finite and nonnegative, got {self.x}")
 
 
 @dataclass
@@ -163,13 +177,18 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     src = _source_panels(q.f)
 
     def sample_chunk(edges: np.ndarray):
-        # one batched resolvent per panel; a whole chunk per call would
-        # multiply the solution arrays, and so the peak memory
+        # one batched resolvent per SPECTRAL_BATCH consecutive nodes, across
+        # panel edges: below the support value_at reads node values only,
+        # about half a pair evaluation's arrays per point, so a call's peak
+        # memory stays near that of one 16-node panel with derivatives, while
+        # the fixed cost per call (boundary solve, Wronskian probes, phi(x))
+        # is paid half as often; a whole chunk per call would multiply the
+        # arrays, and so the peak memory
         panel = PanelGrid(edges, nodes_per_panel)
+        lams = [SpectralPoint(float(m), 0.0) for m in panel.nodes]
         vals = np.concatenate([
-            mode_green(q.scatterer, [SpectralPoint(float(m), 0.0) for m in row], 0,
-                       src.grid).value_at(src, q.x).imag
-            for row in panel.nodes.reshape(-1, nodes_per_panel)
+            mode_green(q.scatterer, lams[i:i + SPECTRAL_BATCH], 0, src.grid).value_at(src, q.x).imag
+            for i in range(0, len(lams), SPECTRAL_BATCH)
         ])
         return panel, vals
 

@@ -14,7 +14,7 @@ from lowfreq2d.errors import AtPoleError, DomainError
 from lowfreq2d.radial import Exterior, from_callable
 from lowfreq2d.resolvent import free_truncation_error
 
-from oracles import circle_pairing, j0_series, y0_series
+from oracles import circle_pairing, j0_series, ode_residual, y0_series
 
 
 def test_kernel_symmetry():
@@ -119,7 +119,7 @@ def test_wronskian_spread_and_green_residual(free_fx, generic_well_fx, dirichlet
             green = mode_green(fx.scatterer, lam, 0, fx.grid)
             assert green.wronskian_spread < 1e-9
             u = green.apply(fx.f)
-            assert green.ode_residual(fx.f, u) < 1e-8
+            assert ode_residual(green, fx.f, u) < 1e-8
 
 
 def test_at_pole_error(p_well_fx):
@@ -239,6 +239,34 @@ def test_solution_wronskian_free():
         assert abs(r * (phi * dpsi - dphi * psi)[0] - 2j / math.pi) < 1e-13
 
 
+@pytest.mark.parametrize("l", [0, 2])
+def test_lazy_derivatives_match_eager_evaluation(dirichlet_fx, l):
+    # the node values come from the order-l basis alone and the derivatives,
+    # built on the first apply, from that kept basis and the order-(l + 1)
+    # basis alone: u and du carry the bits of the eager pair evaluation
+    import dataclasses
+    from lowfreq2d import PiecewisePotential, default_cutoff
+    well = PiecewisePotential((0.5, 1.0), (-3.0, 2.0))
+    grid = standard_grid(well, default_cutoff(well), extra_edges=bump_edges(0.8, 0.35))
+    cases = ((dirichlet_fx.scatterer, dirichlet_fx.grid, bump(dirichlet_fx.grid, 1.25, 0.2, l)),
+             (well, grid, bump(grid, 0.8, 0.35, l)))
+    for s, g, f in cases:
+        for lam in (SpectralPoint(0.7, 0.0), SpectralPoint(1.3, -0.4),
+                    [SpectralPoint(0.7, 0.0), SpectralPoint(1.3, -0.4), SpectralPoint(9.0, 0.2)]):
+            sample = mode_green(s, lam, l, g)
+            (phi_v, psi_v), (phi_d, psi_d) = sample.solutions.eval(g.nodes)
+            scale = np.atleast_1d(sample.phi_scale)[:, None]
+            phi_v, phi_d = phi_v / scale, phi_d / scale
+            if isinstance(lam, SpectralPoint):
+                phi_v, phi_d, psi_v, psi_d = phi_v[0], phi_d[0], psi_v[0], psi_d[0]
+            assert np.array_equal(sample.phi_vals, phi_v) and np.array_equal(sample.psi_vals, psi_v)
+            eager = dataclasses.replace(sample)
+            eager.__dict__["_ders"] = (phi_d, psi_d)
+            u, ref = sample.apply(f), eager.apply(f)
+            assert np.array_equal(u.values, ref.values) and np.array_equal(u.derivs, ref.derivs)
+            assert np.array_equal(sample.phi_ders, phi_d) and np.array_equal(sample.psi_ders, psi_d)
+
+
 def test_batched_solutions_match_single_points():
     # a batch holding an element with lam^2 = V exactly: that element takes
     # the harmonic (power) basis on the segment and agrees with its own
@@ -284,7 +312,7 @@ def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
     from lowfreq2d import radialsolve
     parts = [complex(a, b) for a in (0.0, -0.0, 0.5, -0.5) for b in (0.0, -0.0, 0.5, -0.5)]
     f0, f1 = (np.array(x).reshape(2, 128) for x in np.meshgrid(parts, parts))
-    monkeypatch.setattr(radialsolve, "bessel_pair", lambda l, z, logz: np.array([[f0, f1]] * 3))
+    monkeypatch.setattr(radialsolve, "bessel_pair", lambda l, z, logz, slot: np.array([[f0, f1]] * 3))
     eta, r = np.array([0.7, 1.3]) + 0j, np.linspace(0.5, 2.0, 128)
     for kind in ("bessel", "hankel"):
         seg = radialsolve.Segment(0.5, 2.0, 0, kind, eta, np.log(eta))

@@ -215,6 +215,27 @@ def test_large_call_matches_single_points_bit_for_bit(l):
         assert np.array_equal(ours, ref[:, perm])
 
 
+@pytest.mark.parametrize("l", [0, 1, 3, 10])
+def test_slot_calls_match_the_pair_bit_for_bit(l):
+    # order l alone and order l + 1 alone are that slot of the pair call:
+    # the float64 and complex routes, both branches, sheets 0 and +-1, the
+    # |z| = 12 seam and (at l = 10, where it lies beyond the seam) both sides
+    # of the 0.75|z| order switch, on a 2-D batch
+    from lowfreq2d.specfun import bessel_pair
+    z, logz = _mixed_route_points(3000, 20 + l)
+    mods = np.array([11.9, 12.0, 12.1, (l + 1) / 0.75 - 0.05, (l + 1) / 0.75 + 0.05])
+    args = np.array([0.0, 0.4, -2.0, 2 * math.pi, -2 * math.pi + 0.3])
+    m, t = (a.ravel() for a in np.meshgrid(mods, args))
+    z = np.concatenate([z, m * np.exp(1j * t)]).reshape(-1, 5)
+    logz = np.concatenate([logz, np.log(m) + 1j * t]).reshape(-1, 5)
+    pair = bessel_pair(l, z, logz)
+    for slot in (0, 1):
+        alone = bessel_pair(l, z, logz, slot)
+        for ours, ref in zip(alone, pair):
+            assert ours.shape == z.shape
+            assert np.array_equal(ours, ref[slot])
+
+
 def test_bessel_pair_work_memory_is_linear_in_points():
     # the masked Horner rows are formed one at a time, so a large mixed-route
     # call peaks at a few times its (3, 2, P) complex output

@@ -8,8 +8,10 @@ import pytest
 from lowfreq2d import (PiecewisePotential, WaveQuery, bump, decay_fit, evolve,
                        inner, plane_integral)
 from lowfreq2d.errors import BoundStateRefusal, ValidationError
-from lowfreq2d.wave import OscillatoryPanels, spherical_jn_all
+from lowfreq2d.wave import OscillatoryPanels, spherical_jn_table
 from lowfreq2d.quadrature import PanelGrid, geometric_edges
+
+from oracles import spherical_jn_all
 
 
 def test_filon_machinery_against_analytic():
@@ -35,14 +37,19 @@ def _sin_integral_loop(osc, t):
 
 
 def test_sin_integral_matches_panel_loop():
-    # evolve's panel layout, with an integrand whose panels cancel at large t
+    # evolve's panel layout, with an integrand whose panels cancel at large t;
+    # the moment table of each time has the bits of the scalar recurrence,
+    # panel by panel (its own Miller start and rescaling, math's sin and cos)
     edges = np.concatenate([geometric_edges(1e-9, 0.5), np.arange(0.75, 60.01, 0.25)])
     g = PanelGrid(edges, 16)
     vals = np.exp(-0.3 * g.nodes) * np.cos(3.0 * g.nodes) / (1.0 + np.log(g.nodes) ** 2)
     osc = OscillatoryPanels(edges, g._coeffs(vals))
+    half = 0.5 * np.diff(edges)
     for t in np.exp(np.linspace(math.log(1e-2), math.log(1e6), 25)):
         ref = _sin_integral_loop(osc, t)
         assert abs(osc.sin_integral(t) - ref) <= 1e-14 * abs(ref)
+        table = spherical_jn_table(15, t * half)
+        assert np.array_equal(table, np.array([spherical_jn_all(15, t * h) for h in half]))
 
 
 def test_spherical_bessel_recurrences():
@@ -53,6 +60,12 @@ def test_spherical_bessel_recurrences():
         assert np.max(np.abs(down[:6] - up)) < 1e-14
     assert spherical_jn_all(4, 0.0)[0] == 1.0
     assert np.all(spherical_jn_all(4, 0.0)[1:] == 0.0)
+    # the table mixes zero, both paths, Miller starts from nmax + 20 up and
+    # the 1e250 rescaling of tiny w, each row as its own scalar recurrence
+    w = np.array([0.0, 1e-9, 1e-3, 0.7, 5.0, 17.9, 23.0, 23.5, 40.0, 1e4])
+    for nmax in (0, 1, 11):
+        table = spherical_jn_table(nmax, w)
+        assert np.array_equal(table, np.array([spherical_jn_all(nmax, x) for x in w]))
 
 
 def test_free_initial_condition(wave_free_result):
@@ -188,13 +201,15 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
                 assert abs(g - full.value_at(x_obs)) < 1e-11
 
 
-@pytest.mark.parametrize("edges", [(0.125, 0.25), (40.0, 40.25)])
+@pytest.mark.parametrize("edges", [(0.125, 0.25, 0.375), (40.0, 40.25, 40.5)])
 def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edges):
-    # one call per panel (a geometric panel of the base chunk, a tail panel)
-    # gives the per-point values of the source-panel integrand
+    # one call of the sweep's batch size across two panels (geometric panels
+    # of the base chunk, tail panels) gives each point the bits of its own
+    # one-point call of the source-panel integrand
     from lowfreq2d import mode_green, SpectralPoint
-    from lowfreq2d.wave import _source_panels
-    nodes = PanelGrid(np.array(edges), 16).nodes
+    from lowfreq2d.wave import SPECTRAL_BATCH, _source_panels
+    nodes = PanelGrid(np.array(edges), 16).nodes[:SPECTRAL_BATCH]
+    assert nodes[0] < edges[1] < nodes[-1]
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _source_panels(fx.f)
         pts = [SpectralPoint(float(m), 0.0) for m in nodes]
@@ -202,7 +217,49 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
         point = np.array([mode_green(fx.scatterer, p, 0, src.grid).value_at(src, x_obs).imag
                           for p in pts])
         assert batch.shape == nodes.shape
-        assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-13
+        assert np.array_equal(batch, point)
+
+
+@pytest.mark.parametrize("x, times", [
+    (0.0, (100.0, float("nan"))),      # `t > 0` is false for NaN: it would read w = 0
+    (0.0, (float("inf"),)),            # sin(inf) in the moments
+    (float("nan"), (100.0,)),          # phi(nan) only after the whole sweep
+    (-0.5, (100.0,)),
+    (float("inf"), (100.0,)),
+    (0.0, (-1.0,)),
+])
+def test_wave_query_rejects_non_finite_or_negative_input(free_fx, x, times):
+    # rejected when the query is made, before any solve
+    with pytest.raises(ValidationError):
+        WaveQuery(free_fx.scatterer, free_fx.f, x, times)
+
+
+def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, generic_well_fx,
+                                                            monkeypatch):
+    # evolve's integrand reads values only: no order-(l + 1) Bessel slot on
+    # the grid nodes (the boundary solve and the five Wronskian probes take a
+    # few radii per spectral point), and no node derivatives until apply
+    # asks for them
+    from lowfreq2d import mode_green, radialsolve, SpectralPoint
+    from lowfreq2d.wave import _source_panels
+    seen = []
+
+    def spy(l, z, logz, slot=None):
+        seen.append((np.size(z), slot))
+        return bessel_pair(l, z, logz, slot)
+
+    bessel_pair = radialsolve.bessel_pair
+    monkeypatch.setattr(radialsolve, "bessel_pair", spy)
+    lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)]
+    for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
+        src = _source_panels(fx.f)
+        seen.clear()
+        sample = mode_green(fx.scatterer, lams, 0, src.grid)
+        sample.value_at(src, x_obs)
+        assert max(n for n, slot in seen if slot != 0) <= 5 * len(lams) < len(lams) * len(src.grid)
+        assert "_ders" not in vars(sample)
+        sample.apply(src)
+        assert "_ders" in vars(sample)
 
 
 def test_tail_status_reported(wave_free_result, wave_well_result):
