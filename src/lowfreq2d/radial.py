@@ -106,13 +106,6 @@ class RadialFunction:
 # constructors
 # ----------------------------------------------------------------------------
 
-def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos",
-                  exterior: Exterior | None = None, exterior_start: float | None = None) -> RadialFunction:
-    vals = np.array([fn(r) for r in grid.nodes], dtype=complex)
-    ders = None if dfn is None else np.array([dfn(r) for r in grid.nodes], dtype=complex)
-    return RadialFunction(mode, grid, vals, ders, trig, exterior, exterior_start)
-
-
 def constant_one(grid: PanelGrid) -> RadialFunction:
     return RadialFunction(
         0, grid, np.ones(len(grid)), np.zeros(len(grid)),

@@ -86,23 +86,6 @@ class FreeCoeffKernel:
         raise ValidationError(f"coefficient kernel (j={self.j}, k={self.k}) not tabulated")
 
 
-def free_truncation_error(lam: SpectralPoint, pairs) -> float:
-    """max |free kernel - coefficient expansion through j <= 1| over the point pairs."""
-    worst = 0.0
-    lg = lam.log
-    l2 = lam.value ** 2
-    for x, y in pairs:
-        exact = free_kernel(lam, x, y)
-        approx = (
-            FreeCoeffKernel(0, 1).evaluate(x, y) * lg
-            + FreeCoeffKernel(0, 0).evaluate(x, y)
-            + FreeCoeffKernel(1, 1).evaluate(x, y) * l2 * lg
-            + FreeCoeffKernel(1, 0).evaluate(x, y) * l2
-        )
-        worst = max(worst, abs(exact - approx))
-    return worst
-
-
 # ----------------------------------------------------------------------------
 # per-mode Green machinery
 # ----------------------------------------------------------------------------
@@ -176,8 +159,10 @@ class ResolventSample:
         Off the grid f vanishes, so u is phi(x) times -integral(psi f r dr) / W
         below it and psi(x) times -integral(phi f r dr) / W above it: the end
         values of apply's two cumulative integrals, so off the grid no node
-        derivatives are formed.
+        derivatives are formed.  A non-finite x raises ValidationError.
         """
+        if not math.isfinite(x):
+            raise ValidationError(f"observation radius must be finite, got {x}")
         g = self.grid
         if g.rmin <= x <= g.rmax:
             return self.apply(f).value_at(x)

@@ -6,7 +6,9 @@ tests by the classical Wronskian identity, and the circle pairing is a plain
 trapezoid rule in the angle.  The spherical Bessel recurrence is the scalar,
 one-argument-at-a-time reference for the wave's moment table, and the ODE
 residual checks a resolvent application against the mode equation by
-numerical differentiation on its grid.
+numerical differentiation on its grid.  The free-kernel truncation error sets
+the package's exact kernel against its low-frequency coefficient kernels, and
+from_callable samples a plain function onto a grid, one node at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ import math
 
 import numpy as np
 
+from lowfreq2d.quadrature import PanelGrid
+from lowfreq2d.radial import Exterior, RadialFunction
+from lowfreq2d.resolvent import FreeCoeffKernel, free_kernel
 from lowfreq2d.scatterer import PiecewisePotential
+from lowfreq2d.specfun import SpectralPoint
 
 EULER_ORACLE = 0.57721566490153286
 
@@ -114,6 +120,31 @@ def spherical_jn_all(nmax: int, w: float) -> np.ndarray:
             tail *= 1e-250
     j0 = math.sin(w) / w
     return tail * (j0 / jc)
+
+
+def free_truncation_error(lam: SpectralPoint, pairs) -> float:
+    """max |free kernel - coefficient expansion through j <= 1| over the point pairs."""
+    worst = 0.0
+    lg = lam.log
+    l2 = lam.value ** 2
+    for x, y in pairs:
+        exact = free_kernel(lam, x, y)
+        approx = (
+            FreeCoeffKernel(0, 1).evaluate(x, y) * lg
+            + FreeCoeffKernel(0, 0).evaluate(x, y)
+            + FreeCoeffKernel(1, 1).evaluate(x, y) * l2 * lg
+            + FreeCoeffKernel(1, 0).evaluate(x, y) * l2
+        )
+        worst = max(worst, abs(exact - approx))
+    return worst
+
+
+def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos",
+                  exterior: Exterior | None = None, exterior_start: float | None = None) -> RadialFunction:
+    """fn (and dfn, if given, as the derivatives) sampled on the grid nodes."""
+    vals = np.array([fn(r) for r in grid.nodes], dtype=complex)
+    ders = None if dfn is None else np.array([dfn(r) for r in grid.nodes], dtype=complex)
+    return RadialFunction(mode, grid, vals, ders, trig, exterior, exterior_start)
 
 
 def potential_values(s, r: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ from lowfreq2d import (FitTerm, GAMMA0, SpectralPoint, bessel_jy, breit_wigner_m
                        plane_integral, predict_leading_terms, resonant_terms,
                        sample_matrix_element, sigma_asymptotic, standard_grid,
                        two_parameter_identity_residual)
-from lowfreq2d.radial import Exterior, from_callable
-from lowfreq2d.resolvent import boundary_pairing_fourier, free_truncation_error
+from lowfreq2d.radial import Exterior
+from lowfreq2d.resolvent import boundary_pairing_fourier
 
-from oracles import circle_pairing, j0_series, y0_series
+from oracles import circle_pairing, free_truncation_error, from_callable, j0_series, y0_series
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

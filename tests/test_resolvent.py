@@ -11,10 +11,10 @@ from lowfreq2d import (FreeCoeffKernel, SpectralPoint, boundary_pairing_fourier,
                        pairing_identity_residual, standard_grid,
                        two_parameter_identity_residual)
 from lowfreq2d.errors import AtPoleError, DomainError
-from lowfreq2d.radial import Exterior, from_callable
-from lowfreq2d.resolvent import free_truncation_error
+from lowfreq2d.radial import Exterior
 
-from oracles import circle_pairing, j0_series, ode_residual, y0_series
+from oracles import (circle_pairing, free_truncation_error, from_callable, j0_series,
+                     ode_residual, y0_series)
 
 
 def test_kernel_symmetry():
@@ -111,6 +111,15 @@ def test_dirichlet_boundary_value(dirichlet_fx):
     fx = dirichlet_fx
     u = mode_green(fx.scatterer, SpectralPoint(0.3, 0.1), 0, fx.grid).apply(fx.f)
     assert abs(u.value_at(1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_value_at_rejects_non_finite_radius(dirichlet_fx, x):
+    # a NaN radius fails every comparison and an infinite one lies beyond every grid
+    from lowfreq2d.errors import ValidationError
+    sample = mode_green(dirichlet_fx.scatterer, SpectralPoint(0.5, 0.0), 0, dirichlet_fx.grid)
+    with pytest.raises(ValidationError):
+        sample.value_at(dirichlet_fx.f, x)
 
 
 def test_wronskian_spread_and_green_residual(free_fx, generic_well_fx, dirichlet_fx):

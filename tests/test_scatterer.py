@@ -9,9 +9,8 @@ from lowfreq2d import (CutoffProfile, DiskObstacle, PiecewisePotential,
                        commutator_apply, constant_one, default_cutoff, free_scatterer,
                        parse_config, serialize_config, standard_grid)
 from lowfreq2d.errors import ConfigError, ValidationError
-from lowfreq2d.radial import from_callable
 
-from oracles import circle_pairing
+from oracles import circle_pairing, from_callable
 
 
 # -- config --------------------------------------------------------------------

@@ -168,6 +168,45 @@ def test_mode_zero_required(free_fx):
         WaveQuery(free_fx.scatterer, free_fx.source(1), 0.0, (1.0,))
 
 
+def test_source_panels_drop_only_rounding_panels(dirichlet_fx):
+    # the bump's two outermost nonzero panels at each end peak at 3.8e-22 and
+    # 7.6e-218 of max|f|: they are dropped, and every panel between stays
+    from lowfreq2d.wave import SOURCE_REL, _source_panels
+    f, g = dirichlet_fx.f, dirichlet_fx.f.grid
+    peaks = np.abs(f.values).reshape(g.npanels, g.n).max(axis=1)
+    nonzero = np.flatnonzero(peaks > 0)
+    src = _source_panels(f)
+    lo = int(np.searchsorted(g.edges, src.grid.rmin))
+    kept = np.arange(lo, lo + src.grid.npanels)
+    assert np.array_equal(kept, nonzero[2:-2])
+    assert np.all(peaks[nonzero[[0, 1, -2, -1]]] < SOURCE_REL * peaks.max())
+    assert np.array_equal(src.grid.edges, g.edges[lo:lo + src.grid.npanels + 1])
+    assert np.array_equal(src.values, f.values[lo * g.n:(lo + kept.size) * g.n])
+    with pytest.raises(ValidationError):
+        _source_panels(f.scaled(0.0))
+
+
+def test_source_trim_keeps_tail_rule(wave_well_fx, wave_free_result, wave_well_result,
+                                     monkeypatch):
+    # the trim moves the integrand by rounding only, and the tail rule reads
+    # the untrimmed f's support: lam_max and tail_converged are those of the
+    # sweep on every nonzero source panel, also for a source whose support
+    # ends in a bump far below rounding (its radius 3.3, not the 1.35 where
+    # the trimmed panels end, sets the tail rule's (sigma/t)^4)
+    from lowfreq2d import RadialFunction, bump_edges, default_cutoff, standard_grid, wave
+    s, fc, fh = wave_well_fx.scatterer, wave_well_fx.f_center, wave_well_fx.f_half
+    grid = standard_grid(s, default_cutoff(s), extra_edges=bump_edges(fc, fh) + bump_edges(3.0, 0.3))
+    f = RadialFunction(0, grid, bump(grid, fc, fh).values + 1e-19 * bump(grid, 3.0, 0.3).values)
+    qf = WaveQuery(s, f, 0.0, (1e3, 2e3))
+    runs = [wave_free_result, wave_well_result, (qf, evolve(qf))]
+    monkeypatch.setattr(wave, "SOURCE_REL", 0.0)
+    for q, trimmed in runs:
+        full = evolve(q)
+        assert (trimmed.lam_max, trimmed.tail_converged) == (full.lam_max, full.tail_converged)
+        for a, b in zip(trimmed.values, full.values):
+            assert abs(a - b) <= 1e-10 * abs(b)
+
+
 def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx):
     # evolve's integrand, from the Green data on the panels carrying f only,
     # agrees with the full Green application below the support, including on
@@ -201,15 +240,16 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
                 assert abs(g - full.value_at(x_obs)) < 1e-11
 
 
-@pytest.mark.parametrize("edges", [(0.125, 0.25, 0.375), (40.0, 40.25, 40.5)])
+@pytest.mark.parametrize("edges", [(0.03125, 0.0625, 0.125, 0.25, 0.5),
+                                   (40.0, 40.25, 40.5, 40.75, 41.0)])
 def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edges):
-    # one call of the sweep's batch size across two panels (geometric panels
-    # of the base chunk, tail panels) gives each point the bits of its own
-    # one-point call of the source-panel integrand
+    # one full call of the sweep's batch size across four panels (geometric
+    # panels of the base chunk, tail panels) gives each point the bits of its
+    # own one-point call of the source-panel integrand
     from lowfreq2d import mode_green, SpectralPoint
     from lowfreq2d.wave import SPECTRAL_BATCH, _source_panels
-    nodes = PanelGrid(np.array(edges), 16).nodes[:SPECTRAL_BATCH]
-    assert nodes[0] < edges[1] < nodes[-1]
+    nodes = PanelGrid(np.array(edges), 16).nodes
+    assert nodes.size == SPECTRAL_BATCH
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _source_panels(fx.f)
         pts = [SpectralPoint(float(m), 0.0) for m in nodes]
