@@ -68,14 +68,18 @@ class RadialFunction:
 
     # -- evaluation --------------------------------------------------------------
 
+    def _on_exterior(self, r: float) -> bool:
+        """r lies past both the sampled range and the exterior expansion's start."""
+        return (self.exterior is not None and self.exterior_start is not None
+                and r > self.exterior_start and r > self.grid.rmax)
+
     def value_at(self, r: float) -> complex:
-        if self.exterior is not None and self.exterior_start is not None and r > self.exterior_start:
-            if r > self.grid.rmax:
-                return self.exterior.value_at(r)
+        if self._on_exterior(r):
+            return self.exterior.value_at(r)
         return self.grid.eval_at(self.values, r)
 
     def deriv_at(self, r: float) -> complex:
-        if self.exterior is not None and self.exterior_start is not None and r > self.grid.rmax:
+        if self._on_exterior(r):
             return self.exterior.deriv_at(r)
         if self.derivs is not None:
             return self.grid.eval_at(self.derivs, r)

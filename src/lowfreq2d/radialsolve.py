@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralPoint, bessel_pair
 
@@ -138,12 +139,16 @@ def _spectral_batch(lam: Spectral):
 
     lam^2 and the logs are taken in scalar arithmetic, element by element:
     numpy's vector complex multiply and log round differently in the last bit.
+    A lam^2 beyond the float range raises NumericalError.
     """
     if lam is None:
         return np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), np.zeros(1, dtype=complex)
     pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
-    return (np.array([p.value for p in pts]), np.array([p.value ** 2 for p in pts]),
-            np.array([p.log for p in pts]))
+    try:
+        lam2 = np.array([p.value ** 2 for p in pts])
+    except OverflowError:
+        raise NumericalError("lam^2 overflows the float range") from None
+    return np.array([p.value for p in pts]), lam2, np.array([p.log for p in pts])
 
 
 def make_segments(s: Scatterer, l: int, lam: Spectral, rmax: float) -> list[Segment]:
@@ -174,10 +179,6 @@ class PiecewiseSolution:
 
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
-
-    def at(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        u, du = self.eval(np.array([r]))
-        return u[..., 0], du[..., 0]
 
     def _combine(self, r: np.ndarray, slot: int | None, kept=None):
         """The solution's rows of (u, u') at radii r, each of shape coefficient

@@ -256,23 +256,15 @@ def _grid_norm(grid: PanelGrid, vals: np.ndarray) -> float:
     return float(np.sqrt(abs(grid.integrate(np.abs(vals) ** 2 * grid.nodes))))
 
 
-def _mask_mul(chi_vals, dchi_vals, u: RadialFunction) -> RadialFunction:
-    """(chi u) with derivative chi' u + chi u'."""
-    du = u.deriv_values()
-    return RadialFunction(
-        u.mode, u.grid, chi_vals * u.values, dchi_vals * u.values + chi_vals * du, u.trig
-    )
-
-
 def one_sided_identity_residual(s: Scatterer, lam: SpectralPoint, chi: CutoffProfile,
                                 g: RadialFunction) -> float:
     """R(lam)(1-chi) g vs {1 - chi - R(lam)[Delta, chi]} R0(lam) g, relative."""
     grid = g.grid
     chi_v = chi.chi(grid.nodes)
-    dchi_v = chi.dchi(grid.nodes)
     green = mode_green(s, lam, g.mode, grid)
     green0 = mode_green(_FREE, lam, g.mode, grid)
-    lhs = green.apply(_mask_mul(1.0 - chi_v, -dchi_v, g))
+    # apply reads only the source's values, so the masked sources carry no derivatives
+    lhs = green.apply(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
     r0g = green0.apply(g)
     rhs = (1.0 - chi_v) * r0g.values - green.apply(commutator_apply(chi, r0g)).values
     return _grid_norm(grid, lhs.values - rhs) / max(_grid_norm(grid, lhs.values), 1e-300)
@@ -289,7 +281,6 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     grid = f.grid
     l = f.mode
     chi_v = chi.chi(grid.nodes)
-    dchi_v = chi.dchi(grid.nodes)
     green_l = mode_green(s, lam, l, grid)
     green_z = mode_green(s, z, l, grid)
     free = mode_green(_FREE, [lam, z], l, grid)
@@ -298,11 +289,11 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     lhs = green_l.apply(f).values - rzf.values
 
     k1f_vals = (1.0 - chi_v) * f.values + commutator_apply(chi, rzf).values
-    k1f = RadialFunction(l, grid, k1f_vals, grid.derivative(k1f_vals), f.trig)
+    k1f = RadialFunction(l, grid, k1f_vals, None, f.trig)
     v = free.apply(k1f)           # rows R0(lam) K1 f and R0(z) K1 f
     diff = RadialFunction(l, grid, v.values[0] - v.values[1], v.derivs[0] - v.derivs[1], f.trig)
 
-    mid = _mask_mul(chi_v * (2.0 - chi_v), 2.0 * dchi_v * (1.0 - chi_v), rzf)
+    mid = RadialFunction(l, grid, chi_v * (2.0 - chi_v) * rzf.values, None, f.trig)
     term1 = (lam.value**2 - z.value**2) * green_l.apply(mid).values
     term2 = (1.0 - chi_v) * diff.values - green_l.apply(commutator_apply(chi, diff)).values
     rhs = term1 + term2

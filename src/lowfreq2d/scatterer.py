@@ -188,11 +188,7 @@ def commutator_apply(chi: CutoffProfile, u: RadialFunction) -> RadialFunction:
         raise ValidationError(
             f"grid too coarse: {int(np.count_nonzero(in_bridge))} nodes across the cutoff bridge (need >= 32)"
         )
-    if u.derivs is None:
-        du = grid.derivative(u.values)
-    else:
-        du = u.derivs
-    vals = chi.laplacian_chi(grid.nodes) * u.values + 2.0 * chi.dchi(grid.nodes) * du
+    vals = chi.laplacian_chi(grid.nodes) * u.values + 2.0 * chi.dchi(grid.nodes) * u.deriv_values()
     return RadialFunction(
         u.mode, grid, vals, None, u.trig,
         exterior=Exterior(), exterior_start=chi.r_end,
@@ -360,6 +356,8 @@ def parse_config(text: str) -> ScattererConfig:
             g["count"] = int(v)
         except ValueError:
             raise ConfigError(f"cannot parse '{v}'", ln, "grid.count") from None
+        if g["count"] < 0:
+            raise ConfigError("grid.count must be nonnegative", ln, "grid.count")
     if not (0 < g["min"] < g["max"]):
         raise ConfigError("need 0 < grid.min < grid.max")
     f = dict(_FIT_DEFAULTS)
@@ -370,6 +368,8 @@ def parse_config(text: str) -> ScattererConfig:
                 f[name] = int(v)
             except ValueError:
                 raise ConfigError(f"cannot parse '{v}'", ln, f"fit.{name}") from None
+            if f[name] < 0:
+                raise ConfigError(f"fit.{name} must be nonnegative", ln, f"fit.{name}")
 
     return ScattererConfig(
         scatterer=scatterer, cutoff=cutoff,

@@ -42,13 +42,6 @@ class PhaseShiftTable:
     smatrix: dict[int, complex]       # e^{2 i delta_l} per mode
     sigma: complex
 
-    @property
-    def det_s_modulus(self) -> float:
-        out = 1.0
-        for l, s in self.smatrix.items():
-            out *= abs(s) ** (1 if l == 0 else 2)
-        return out
-
 
 @dataclass
 class ResonancePole:

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import BoundStateRefusal, ValidationError
 from .quadrature import PanelGrid, geometric_edges
@@ -104,29 +105,23 @@ class OscillatoryPanels:
         phase = half * np.exp(1j * t * mid)
         return float(np.cumsum(phase.real * inner.imag + phase.imag * inner.real)[-1])
 
-    def endpoint_derivatives(self, m: int = 3) -> list[float]:
-        """G, G', ..., G^(m) at the top edge, from the last panel's expansion."""
-        from numpy.polynomial import legendre as L
-        h = 0.5 * (self.edges[-1] - self.edges[-2])
-        c = self.coeffs[-1]
-        out = []
-        for k in range(m + 1):
-            out.append(float(np.real(L.legval(1.0, c))) / h**k)
-            c = L.legder(c)
-        return out
-
     def tail_completion(self, t: float) -> float:
         """integral over (top, inf) of G sin(t lam), by endpoint asymptotics.
 
         Repeated integration by parts gives
             G cos(tL)/t - G' sin(tL)/t^2 - G'' cos(tL)/t^3 + G''' sin(tL)/t^4
         with remainder O(G''''/t^5 scale), assuming G keeps decaying beyond
-        the sampled range.
+        the sampled range.  G, ..., G''' come from the last panel's expansion.
         """
-        L = float(self.edges[-1])
-        g0, g1, g2, g3 = self.endpoint_derivatives(3)
-        c, s = math.cos(t * L), math.sin(t * L)
-        return g0 * c / t - g1 * s / t**2 - g2 * c / t**3 + g3 * s / t**4
+        top = float(self.edges[-1])
+        h = 0.5 * (self.edges[-1] - self.edges[-2])
+        c = self.coeffs[-1]
+        g = []
+        for k in range(4):
+            g.append(float(np.real(legendre.legval(1.0, c))) / h**k)
+            c = legendre.legder(c)
+        cos, sin = math.cos(t * top), math.sin(t * top)
+        return g[0] * cos / t - g[1] * sin / t**2 - g[2] * cos / t**3 + g[3] * sin / t**4
 
 
 @dataclass
@@ -150,9 +145,8 @@ class WaveResult:
     query: WaveQuery
     values: list[complex]
     lam_max: float
-    npanels: int
     tail_converged: bool          # False: the sweep stopped at LAM_CAP instead
-    panels: OscillatoryPanels = field(repr=False, default=None)
+    panels: OscillatoryPanels = field(repr=False)
 
 
 def _source_panels(f: RadialFunction) -> RadialFunction:
@@ -169,7 +163,7 @@ def _source_panels(f: RadialFunction) -> RadialFunction:
 
 def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     """w(x, t) for each requested time; one resolvent sweep serves all times."""
-    poles = imaginary_axis_poles(q.scatterer, 0, 1e-3, 2.0)
+    poles = imaginary_axis_poles(q.scatterer, 0)
     if poles:
         ks = [p.lam.modulus for p in poles]
         raise BoundStateRefusal(
@@ -178,8 +172,17 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
         )
     # the integrand Im R(lam + i0) f (x) needs the Green data only where f lives
     src = _source_panels(q.f)
-
-    def sample_chunk(edges: np.ndarray):
+    # the tail beyond the sampled range is completed by endpoint asymptotics
+    # with remainder ~ |G(top)| (sigma/t)^4, sigma the source support radius:
+    # the end of the trimmed panels, since f beyond them moves no digit of G
+    tmin = min((t for t in q.times if t > 0), default=1.0)
+    tail_weight = min(1.0, (max(src.grid.rmax, 1.0) / tmin) ** 4)
+    # chunk 0 runs geometric into the origin, then uniform through moderate
+    # lam; 8-unit chunks follow until the tail test passes or lam = LAM_CAP
+    chunk = np.concatenate([geometric_edges(LAM_FLOOR, LAM_GEOMETRIC_TOP)[:-1],
+                            np.arange(LAM_GEOMETRIC_TOP, 12.0 + 1e-9, 0.25)])
+    edges, coeff_rows, gmax = [chunk[:1]], [], 0.0
+    while True:
         # one batched resolvent per SPECTRAL_BATCH consecutive nodes, across
         # panel edges: below the support value_at reads node values only, on
         # the trimmed source panels, 64 x 320 Bessel points per call on a CLI
@@ -187,51 +190,28 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
         # Wronskian probes, phi(x)) over many points.  A CLI wave on a disk
         # peaks at 39.4, 41.4 and 45.5 MB RSS with 32, 64 and 128 points per
         # call, so the batch stops at 64
-        panel = PanelGrid(edges, nodes_per_panel)
+        panel = PanelGrid(chunk, nodes_per_panel)
         lams = [SpectralPoint(float(m), 0.0) for m in panel.nodes]
         vals = np.concatenate([
             mode_green(q.scatterer, lams[i:i + SPECTRAL_BATCH], 0, src.grid).value_at(src, q.x).imag
             for i in range(0, len(lams), SPECTRAL_BATCH)
         ])
-        return panel, vals
-
-    # base chunk: geometric into the origin, uniform through moderate lam
-    base = list(geometric_edges(LAM_FLOOR, LAM_GEOMETRIC_TOP))
-    lam = LAM_GEOMETRIC_TOP
-    while lam < 12.0:
-        lam = min(lam + 0.25, 12.0)
-        base.append(lam)
-    all_edges = np.array(base)
-    panel, vals = sample_chunk(all_edges)
-    coeff_rows = [panel._coeffs(vals)]
-    gmax = float(np.max(np.abs(vals)))
-    tmin = min((t for t in q.times if t > 0), default=1.0)
-    # the tail beyond the sampled range is completed by endpoint asymptotics
-    # with remainder ~ |G(top)| (sigma/t)^4, sigma the source support radius,
-    # read off the untrimmed f so that the trim cannot move the tail rule
-    sigma = max(float(q.f.grid.nodes[np.abs(q.f.values) > 0][-1]), 1.0)
-
-    def tail_ok(tail_mag: float) -> bool:
-        return tail_mag * min(1.0, (sigma / tmin) ** 4) < TAIL_REL * gmax
-
-    tail = float(np.max(np.abs(vals[panel.nodes > all_edges[-1] - 2.0])))
-    while not tail_ok(tail) and all_edges[-1] < LAM_CAP:
-        top = all_edges[-1]
-        new_top = min(top + 8.0, LAM_CAP)
-        chunk_edges = np.arange(top, new_top + 1e-9, 0.25)
-        cpanel, cvals = sample_chunk(chunk_edges)
-        coeff_rows.append(cpanel._coeffs(cvals))
-        all_edges = np.concatenate([all_edges, chunk_edges[1:]])
-        gmax = max(gmax, float(np.max(np.abs(cvals))))
-        tail = float(np.max(np.abs(cvals[cpanel.nodes > new_top - 2.0])))
-    osc = OscillatoryPanels(all_edges, np.vstack(coeff_rows))
+        coeff_rows.append(panel._coeffs(vals))
+        edges.append(chunk[1:])
+        top = float(chunk[-1])
+        gmax = max(gmax, float(np.max(np.abs(vals))))
+        tail = float(np.max(np.abs(vals[panel.nodes > top - 2.0])))
+        converged = tail * tail_weight < TAIL_REL * gmax
+        if converged or top >= LAM_CAP:
+            break
+        chunk = np.arange(top, min(top + 8.0, LAM_CAP) + 1e-9, 0.25)
+    osc = OscillatoryPanels(np.concatenate(edges), np.vstack(coeff_rows))
     values = [
         complex((2.0 / math.pi) * (osc.sin_integral(float(t)) + osc.tail_completion(float(t))))
         if t > 0 else 0.0j
         for t in q.times
     ]
-    return WaveResult(q, values, float(all_edges[-1]), len(all_edges) - 1,
-                      tail_converged=tail_ok(tail), panels=osc)
+    return WaveResult(q, values, top, converged, osc)
 
 
 # ----------------------------------------------------------------------------

@@ -7,7 +7,8 @@ trapezoid rule in the angle.  The spherical Bessel recurrence is the scalar,
 one-argument-at-a-time reference for the wave's moment table, and the ODE
 residual checks a resolvent application against the mode equation by
 numerical differentiation on its grid.  The free-kernel truncation error sets
-the package's exact kernel against its low-frequency coefficient kernels, and
+the package's exact kernel against its low-frequency coefficient kernels,
+det_s_modulus multiplies out a phase-shift table's S-matrix, and
 from_callable samples a plain function onto a grid, one node at a time.
 """
 
@@ -137,6 +138,15 @@ def free_truncation_error(lam: SpectralPoint, pairs) -> float:
         )
         worst = max(worst, abs(exact - approx))
     return worst
+
+
+def det_s_modulus(table) -> float:
+    """|det S| of a phase-shift table: |S_0| times |S_l|^2 for each l >= 1,
+    whose cos and sin channels share S_l."""
+    out = 1.0
+    for l, s in table.smatrix.items():
+        out *= abs(s) ** (1 if l == 0 else 2)
+    return out
 
 
 def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos",

@@ -181,6 +181,21 @@ def test_pairing_mode1_both_routes(free_fx):
     assert abs(fourier + 2.0 * math.pi) < 1e-12      # = -2 pi for (r, 1/r)
 
 
+@pytest.mark.parametrize("derivs", [False, True])
+def test_off_grid_rule_shared_by_value_and_derivative(derivs):
+    # the exterior expansion serves r past both the grid and exterior_start;
+    # between the two neither the value nor the derivative is known
+    from lowfreq2d import PanelGrid, RadialFunction, ValidationError
+    grid = PanelGrid([1.0, 2.0], 16)
+    u = RadialFunction(0, grid, np.log(grid.nodes), 1.0 / grid.nodes if derivs else None,
+                       exterior=Exterior(clog=1.0), exterior_start=3.0)
+    for at in (u.value_at, u.deriv_at):
+        with pytest.raises(ValidationError):
+            at(2.5)
+    assert u.value_at(4.0) == math.log(4.0) and u.deriv_at(4.0) == 0.25
+    assert abs(u.deriv_at(1.5) - 1.0 / 1.5) < 1e-10
+
+
 def test_pairing_channel_orthogonality(free_fx):
     u = from_callable(free_fx.grid, lambda r: r, None, mode=1, trig="cos")
     v = from_callable(free_fx.grid, lambda r: 1.0 / r, None, mode=1, trig="sin")
@@ -244,7 +259,7 @@ def test_solution_wronskian_free():
     from lowfreq2d.radialsolve import green_pair
     pair = green_pair(free_scatterer(), 0, SpectralPoint(0.8, 0.6), 5.0)
     for r in (0.3, 1.4, 4.2):
-        (phi, psi), (dphi, dpsi) = pair.at(r)
+        (phi, psi), (dphi, dpsi) = (a[..., 0] for a in pair.eval(np.array([r])))
         assert abs(r * (phi * dpsi - dphi * psi)[0] - 2j / math.pi) < 1e-13
 
 
@@ -299,7 +314,7 @@ def test_batched_solutions_match_single_points():
 def test_eval_matches_single_radii_bit_for_bit():
     # unsorted radii that interleave the three segments of a two-break well:
     # a segment's radii are a contiguous run (a slice) or not (indices), and
-    # either way each radius gets the bits of its own .at(r)
+    # either way each radius gets the bits of its own one-radius eval
     from lowfreq2d import PiecewisePotential
     from lowfreq2d.radialsolve import green_pair, regular_solution
     s = PiecewisePotential((0.5, 1.0), (-3.0, 2.0))
@@ -310,7 +325,7 @@ def test_eval_matches_single_radii_bit_for_bit():
                 sol = solve(s, l, lams, 3.0)
                 u, du = sol.eval(np.array(r))
                 for i, x in enumerate(r):
-                    u1, du1 = sol.at(x)
+                    u1, du1 = (a[..., 0] for a in sol.eval(np.array([x])))
                     assert np.array_equal(u[..., i], u1) and np.array_equal(du[..., i], du1)
 
 

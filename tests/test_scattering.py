@@ -11,7 +11,7 @@ from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralPoint,
                        phase_shifts, sigma_asymptotic)
 from lowfreq2d.errors import BasinError, ShapeMismatchError, ValidationError
 
-from oracles import born_phase_shift_mode0, j0_series, y0_series
+from oracles import born_phase_shift_mode0, det_s_modulus, j0_series, y0_series
 
 
 def test_free_shifts_vanish():
@@ -41,7 +41,7 @@ def test_born_sign_flip_and_magnitude():
 def test_unitarity_across_sweep(generic_well_fx):
     lams = np.linspace(0.05, 1.2, 25)
     for t in phase_shift_sweep(generic_well_fx.scatterer, lams):
-        assert abs(t.det_s_modulus - 1.0) < 1e-10
+        assert abs(det_s_modulus(t) - 1.0) < 1e-10
 
 
 def test_branch_continuity(p_well_fx):
@@ -177,7 +177,7 @@ def test_admissible_complex_potential_formal_sigma():
     assert s.admissible and not s.selfadjoint
     t = phase_shifts(s, 0.4)
     assert abs(t.sigma.imag) > 0
-    assert abs(t.det_s_modulus - 1.0) > 1e-3
+    assert abs(det_s_modulus(t) - 1.0) > 1e-3
 
 
 def test_no_bound_state_where_lam_squared_equals_v0():
@@ -217,7 +217,8 @@ def _projected_smatrix(s, lam, l):
     from lowfreq2d import bessel_jy
     from lowfreq2d.radialsolve import regular_solution
     R = s.support_radius
-    (u,), (du,) = regular_solution(s, l, SpectralPoint(lam, 0.0), R + 1.0).at(R)
+    sol = regular_solution(s, l, SpectralPoint(lam, 0.0), R + 1.0)
+    (u,), (du,) = (a[..., 0] for a in sol.eval(np.array([R])))
     J, Y, Jd, Yd = bessel_jy(l, SpectralPoint(lam * R, 0.0))
     D = lam * (J * Yd - Jd * Y)
     A = (u * lam * Yd - du * Y) / D

@@ -186,25 +186,32 @@ def test_source_panels_drop_only_rounding_panels(dirichlet_fx):
         _source_panels(f.scaled(0.0))
 
 
-def test_source_trim_keeps_tail_rule(wave_well_fx, wave_free_result, wave_well_result,
-                                     monkeypatch):
-    # the trim moves the integrand by rounding only, and the tail rule reads
-    # the untrimmed f's support: lam_max and tail_converged are those of the
-    # sweep on every nonzero source panel, also for a source whose support
-    # ends in a bump far below rounding (its radius 3.3, not the 1.35 where
-    # the trimmed panels end, sets the tail rule's (sigma/t)^4)
-    from lowfreq2d import RadialFunction, bump_edges, default_cutoff, standard_grid, wave
-    s, fc, fh = wave_well_fx.scatterer, wave_well_fx.f_center, wave_well_fx.f_half
-    grid = standard_grid(s, default_cutoff(s), extra_edges=bump_edges(fc, fh) + bump_edges(3.0, 0.3))
-    f = RadialFunction(0, grid, bump(grid, fc, fh).values + 1e-19 * bump(grid, 3.0, 0.3).values)
-    qf = WaveQuery(s, f, 0.0, (1e3, 2e3))
-    runs = [wave_free_result, wave_well_result, (qf, evolve(qf))]
+def test_source_trim_keeps_tail_rule(wave_free_result, wave_well_result, monkeypatch):
+    # the trim moves the integrand by rounding only: lam_max and
+    # tail_converged are those of the sweep on every nonzero source panel
+    from lowfreq2d import wave
     monkeypatch.setattr(wave, "SOURCE_REL", 0.0)
-    for q, trimmed in runs:
+    for q, trimmed in (wave_free_result, wave_well_result):
         full = evolve(q)
         assert (trimmed.lam_max, trimmed.tail_converged) == (full.lam_max, full.tail_converged)
         for a, b in zip(trimmed.values, full.values):
             assert abs(a - b) <= 1e-10 * abs(b)
+
+
+def test_source_below_rounding_moves_no_output(wave_well_fx):
+    # a bump 1e-19 times the source's peak, far outside it, is trimmed away,
+    # and the tail rule reads the trimmed support: the sweep, its stopping
+    # point and w are those of the plain bump (with the tail rule on the
+    # untrimmed support the far bump would carry the sweep to lam = 36)
+    from lowfreq2d import RadialFunction, bump_edges, default_cutoff, standard_grid
+    s, fc, fh = wave_well_fx.scatterer, wave_well_fx.f_center, wave_well_fx.f_half
+    grid = standard_grid(s, default_cutoff(s), extra_edges=bump_edges(fc, fh) + bump_edges(3.0, 0.3))
+    plain = bump(grid, fc, fh)
+    far = RadialFunction(0, grid, plain.values + 1e-19 * bump(grid, 3.0, 0.3).values)
+    a, b = (evolve(WaveQuery(s, f, 0.0, (1e3, 2e3))) for f in (plain, far))
+    assert (b.lam_max, b.tail_converged) == (12.0, True)
+    assert (a.lam_max, a.tail_converged) == (b.lam_max, b.tail_converged)
+    assert a.values == b.values
 
 
 def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx):
