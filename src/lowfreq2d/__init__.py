@@ -22,8 +22,7 @@ from .scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                         parse_config, serialize_config, standard_grid)
 from .scattering import (PhaseShiftTable, ResonancePole, breit_wigner_metrics,
                          find_pole, find_pole_in_disk, imaginary_axis_poles,
-                         outgoing_defect, phase_shift_sweep, phase_shifts,
-                         sigma_asymptotic)
+                         outgoing_defect, phase_shift_sweep, sigma_asymptotic)
 from .specfun import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel1
 from .threshold import ThresholdMode, ThresholdReport, classify, eigen_projection, solve_zero_mode
 from .wave import DecayReport, WaveQuery, WaveResult, decay_fit, evolve

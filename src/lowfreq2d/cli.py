@@ -153,8 +153,7 @@ def _tuned_mode(report) -> int:
 
 def _cmd_classify(run: _Run) -> None:
     cfg = run.cfg
-    grid = standard_grid(cfg.scatterer, cfg.cutoff)
-    report = classify(cfg.scatterer, cutoff=cfg.cutoff, grid=grid)
+    report = classify(cfg.scatterer, cutoff=cfg.cutoff)
     run.write_json("classify.json", report_to_dict(report))
 
 
@@ -247,7 +246,6 @@ def _cmd_perturb(run: _Run) -> None:
         else:
             pole = find_pole_in_disk(s_eps, mode, 0.3)
         if pole is not None:
-            pole.epsilon = eps
             poles.append({
                 "eps": eps, "mode": mode, "kind": pole.kind,
                 "re": pole.lam.value.real, "im": pole.lam.value.imag,

@@ -16,6 +16,7 @@ downstream to the Riemann surface of log(lam) automatic.
 from __future__ import annotations
 
 import cmath
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -151,8 +152,8 @@ def _spectral_batch(lam: Spectral):
     return np.array([p.value for p in pts]), lam2, np.array([p.log for p in pts])
 
 
-def make_segments(s: Scatterer, l: int, lam: Spectral, rmax: float) -> list[Segment]:
-    """Segments covering [inner_radius, rmax] for a SpectralPoint, a sequence
+def make_segments(s: Scatterer, l: int, lam: Spectral) -> list[Segment]:
+    """Segments covering [inner_radius, inf) for a SpectralPoint, a sequence
     of them (one batch), or lam=None meaning zero energy.
 
     The exterior (V = 0) segment at nonzero energy uses the (J, H1) basis on
@@ -168,7 +169,7 @@ def make_segments(s: Scatterer, l: int, lam: Spectral, rmax: float) -> list[Segm
             logeta = np.array([cmath.log(e) if e else 0j for e in eta])
             segs.append(Segment(a, b, l, "bessel", eta, logeta))
         inner = edges[-1]
-    segs.append(Segment(inner, rmax, l, "hankel", value, log))
+    segs.append(Segment(inner, math.inf, l, "hankel", value, log))
     return segs
 
 
@@ -188,8 +189,7 @@ class PiecewiseSolution:
         pieces = []
         done = np.zeros(len(r), dtype=bool)
         for seg, (c1, c2) in zip(self.segments, self.coeffs):
-            last = seg is self.segments[-1]
-            mask = (~done) & (r >= seg.a - 1e-14) & ((r <= seg.b + 1e-14) if not last else True)
+            mask = (~done) & (r >= seg.a - 1e-14) & (r <= seg.b + 1e-14)
             idx = np.flatnonzero(mask)
             if not idx.size:
                 continue
@@ -292,17 +292,17 @@ def _regular(s: Scatterer, segs: list[Segment]):
     return PiecewiseSolution(segs, [_solve_2x2(b, u, du)]), []
 
 
-def regular_solution(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
+def regular_solution(s: Scatterer, l: int, lam: Spectral) -> PiecewiseSolution:
     """Regular at r = 0 (potential) or satisfying the boundary condition (obstacle)."""
-    return _regular(s, make_segments(s, l, lam, rmax))[0]
+    return _regular(s, make_segments(s, l, lam))[0]
 
 
-def green_pair(s: Scatterer, l: int, lam: Spectral, rmax: float) -> PiecewiseSolution:
+def green_pair(s: Scatterer, l: int, lam: Spectral) -> PiecewiseSolution:
     """The regular solution and the outgoing one (H^(1)_l(lam r) outside the
     support, continued inward) on one set of segments, stacked along a leading
     axis of length 2: one eval evaluates each segment's basis once for both,
     and both are glued with the same breakpoint bases."""
-    phi, junctions = _regular(s, make_segments(s, l, lam, rmax))
+    phi, junctions = _regular(s, make_segments(s, l, lam))
     one, zero = _unit_pair(phi.segments)
     psi = march_inward(phi.segments, (zero, one), junctions)
     return PiecewiseSolution(phi.segments, [tuple(map(np.stack, zip(a, b)))

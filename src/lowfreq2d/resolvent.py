@@ -188,7 +188,7 @@ def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> Resolven
     take derivatives.  A non-finite Wronskian raises NumericalError,
     one of modulus at most POLE_GUARD AtPoleError for the first such point.
     """
-    sols = green_pair(s, l, lam, grid.rmax)
+    sols = green_pair(s, l, lam)
     (phi_v, psi_v), basis = sols.values(grid.nodes)
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v), axis=-1)

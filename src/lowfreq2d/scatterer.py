@@ -356,8 +356,8 @@ def parse_config(text: str) -> ScattererConfig:
             g["count"] = int(v)
         except ValueError:
             raise ConfigError(f"cannot parse '{v}'", ln, "grid.count") from None
-        if g["count"] < 0:
-            raise ConfigError("grid.count must be nonnegative", ln, "grid.count")
+        if g["count"] < 1:
+            raise ConfigError("grid.count must be positive", ln, "grid.count")
     if not (0 < g["min"] < g["max"]):
         raise ConfigError("need 0 < grid.min < grid.max")
     f = dict(_FIT_DEFAULTS)

@@ -47,17 +47,18 @@ class PhaseShiftTable:
 class ResonancePole:
     lam: SpectralPoint
     mode: int
-    epsilon: float
     kind: str                  # "boundState" | "resonance"
     residual: float            # |W| at the pole relative to the iteration start
     iterations: int
 
 
-def _phase_tables(s: Scatterer, lams: list[float]) -> list[PhaseShiftTable]:
-    """Principal-branch tables on real wavenumbers.  Each mode is solved once
-    for every lam that has not yet met the truncation rule: two consecutive
-    modes with |delta_l| < TRUNC_TOL, or mode LMAX_HARD.  A non-finite S_l
-    raises NumericalError."""
+def _phase_tables(s: Scatterer, lams: list[float]
+                  ) -> tuple[list[dict[int, float]], list[dict[int, complex]]]:
+    """Principal-branch shifts delta_l and S-matrix eigenvalues S_l, a dict
+    each per real wavenumber.  Each mode is solved once for every lam that has
+    not yet met the truncation rule: two consecutive modes with
+    |delta_l| < TRUNC_TOL, or mode LMAX_HARD.  A non-finite S_l raises
+    NumericalError."""
     if not all(x > 0 for x in lams):
         raise ValidationError("phase shifts need lam > 0")
     pts = [SpectralPoint(x, 0.0) for x in lams]
@@ -67,8 +68,7 @@ def _phase_tables(s: Scatterer, lams: list[float]) -> list[PhaseShiftTable]:
     active = list(range(len(lams)))
     l = 0
     while active:
-        c1, c2 = regular_solution(s, l, [pts[i] for i in active],
-                                  s.support_radius + 1.0).coeffs[-1]
+        c1, c2 = regular_solution(s, l, [pts[i] for i in active]).coeffs[-1]
         still = []
         for i, a, b in zip(active, c1, c2):
             S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)
@@ -82,12 +82,7 @@ def _phase_tables(s: Scatterer, lams: list[float]) -> list[PhaseShiftTable]:
                 still.append(i)
         active = still
         l += 1
-    return [PhaseShiftTable(x, d, sm, _sigma_from(d, sm)) for x, d, sm in zip(lams, shifts, smat)]
-
-
-def phase_shifts(s: Scatterer, lam: float) -> PhaseShiftTable:
-    """Partial-wave shifts at one real wavenumber, principal branches."""
-    return _phase_tables(s, [float(lam)])[0]
+    return shifts, smat
 
 
 def _sigma_from(shifts: dict[int, float], smat: dict[int, complex]) -> complex:
@@ -104,22 +99,17 @@ def phase_shift_sweep(s: Scatterer, lams) -> list[PhaseShiftTable]:
     The top-of-sweep branch is the principal one (continuous from 0), and each
     delta_l is unwrapped by half-pi-free steps as lam decreases.
     """
-    tables = _phase_tables(s, sorted(float(x) for x in lams))
-    all_l = sorted({l for t in tables for l in t.shifts})
-    for l in all_l:
+    lams = sorted(float(x) for x in lams)
+    shifts, smat = _phase_tables(s, lams)
+    for l in sorted({l for d in shifts for l in d}):
         prev = None
-        for t in reversed(tables):            # downward in lam
-            if l not in t.shifts:
+        for d in reversed(shifts):            # downward in lam
+            if l not in d:
                 continue
-            d = t.shifts[l]
             if prev is not None:
-                k = round((prev - d) / math.pi)
-                d += k * math.pi
-                t.shifts[l] = d
-            prev = d
-    for t in tables:                          # sigma from the unwrapped shifts
-        t.sigma = _sigma_from(t.shifts, t.smatrix)
-    return tables
+                d[l] += round((prev - d[l]) / math.pi) * math.pi
+            prev = d[l]
+    return [PhaseShiftTable(x, d, sm, _sigma_from(d, sm)) for x, d, sm in zip(lams, shifts, smat)]
 
 
 def sigma_asymptotic(report: ThresholdReport, lam: float) -> complex:
@@ -153,7 +143,7 @@ def outgoing_defect(s: Scatterer, l: int, lam: Spectral):
     as r^l and has no zero there.  One SpectralPoint gives a complex number,
     a sequence an array; a defect of non-finite modulus raises NumericalError.
     """
-    sol = regular_solution(s, l, lam, s.support_radius + 1.0)
+    sol = regular_solution(s, l, lam)
     c1 = sol.coeffs[-1][0]
     if l and isinstance(s, PiecewisePotential):
         norm = math.factorial(l)
@@ -212,7 +202,7 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
         lam = chart.to_lam(x)
         if abs(f) <= NEWTON_TOL_FACTOR * f0 or abs(f) <= 1e-11 * local_scale:
             kind = "boundState" if abs(lam.arg - math.pi / 2.0) < 1e-8 else "resonance"
-            return ResonancePole(lam, mode, 0.0, kind,
+            return ResonancePole(lam, mode, kind,
                                  abs(f) / max(local_scale, 1e-300), it)
         step = -f / dfdx
         t = 1.0
@@ -294,7 +284,7 @@ def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
                         lo, flo = mid, fm
                     steps += 1
                 pole = ResonancePole(SpectralPoint(mid, math.pi / 2.0),
-                                     mode, 0.0, "boundState", 0.0, steps)
+                                     mode, "boundState", 0.0, steps)
             out.append(pole)
     return out
 

@@ -41,19 +41,31 @@ class ThresholdMode:
     mode: int
     growing: complex          # coeff of r^l (log r when l = 0)
     decaying: complex         # coeff of r^{-l} (1 when l = 0)
-    regular: RadialFunction
     solution: PiecewiseSolution
 
     @property
     def growing_is_zero(self) -> bool:
         return abs(self.growing) < ZERO_COEFF_RTOL * abs(self.decaying)
 
+    def on_grid(self, grid: PanelGrid, c: complex, decaying_only: bool) -> RadialFunction:
+        """c times the solution sampled on grid, with its exterior expansion
+        beyond the support; decaying_only drops the growing coefficient, which
+        classification has found to be rounding (~1e-16)."""
+        (vals,), (ders,) = self.solution.eval(grid.nodes)
+        l = self.mode
+        d = self.decaying * c
+        if l == 0:
+            ext = Exterior(c0=d, clog=0.0 if decaying_only else self.growing * c)
+        else:
+            ext = Exterior(v={-l: d} if decaying_only else {l: self.growing * c, -l: d})
+        # the exterior segment starts at the support radius
+        return RadialFunction(l, grid, vals * c, ders * c, "cos", ext,
+                              self.solution.segments[-1].a)
+
 
 @dataclass
 class ThresholdReport:
     scatterer: Scatterer
-    cutoff: CutoffProfile
-    grid: PanelGrid
     dim_g0_mod_g1: int                      # s-resonance count (0 or 1)
     dim_g1_mod_g2: int                      # p-resonance count M (0 or 2 here)
     eigen_modes: list[tuple[int, RadialFunction]]
@@ -84,14 +96,9 @@ class ThresholdReport:
         return self.has_s_resonance or self.has_p_resonance
 
 
-def solve_zero_mode(s: Scatterer, l: int, grid: PanelGrid | None = None,
-                    cutoff: CutoffProfile | None = None) -> ThresholdMode:
+def solve_zero_mode(s: Scatterer, l: int) -> ThresholdMode:
     """Exact transfer-matrix solve of the mode-l equation at zero energy."""
-    if cutoff is None:
-        cutoff = default_cutoff(s)
-    if grid is None:
-        grid = standard_grid(s, cutoff)
-    sol = regular_solution(s, l, None, grid.rmax)
+    sol = regular_solution(s, l, None)
     (c1,), (c2,) = sol.coeffs[-1]
     if l == 0:
         growing, decaying = c2, c1       # exterior basis (1, log r)
@@ -103,36 +110,22 @@ def solve_zero_mode(s: Scatterer, l: int, grid: PanelGrid | None = None,
         raise DegenerateScattererError(
             f"mode {l}: both exterior connection coefficients vanish"
         )
-    (vals,), (ders,) = sol.eval(grid.nodes)
-    if l == 0:
-        ext = Exterior(c0=decaying, clog=growing)
-    else:
-        ext = Exterior(v={l: growing, -l: decaying})
-    fn = RadialFunction(l, grid, vals, ders, "cos", ext, s.support_radius)
-    return ThresholdMode(l, growing, decaying, fn, sol)
-
-
-def _snap_exterior(f: RadialFunction, keep: str) -> RadialFunction:
-    """Zero out the classified-away exterior coefficient (numerically ~1e-16)."""
-    ext = f.exterior
-    l = f.mode
-    if keep == "decaying":
-        new = Exterior(c0=ext.c0, clog=0.0) if l == 0 else Exterior(v={-l: ext.v[-l]})
-    else:
-        new = Exterior(c0=ext.c0, clog=ext.clog) if l == 0 else Exterior(v=dict(ext.v))
-    return RadialFunction(f.mode, f.grid, f.values, f.derivs, f.trig, new, f.exterior_start)
+    return ThresholdMode(l, growing, decaying, sol)
 
 
 def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
              grid: PanelGrid | None = None) -> ThresholdReport:
-    """Classify the zero-energy nullspace and build its distinguished elements."""
+    """Classify the zero-energy nullspace and build its distinguished elements.
+
+    Every mode's connection is solved once; only the states reported are
+    sampled on the grid."""
     if lmax < 2:
         raise ValidationError("lmax must be at least 2")
     if cutoff is None:
         cutoff = default_cutoff(s)
     if grid is None:
         grid = standard_grid(s, cutoff)
-    modes = [solve_zero_mode(s, l, grid, cutoff) for l in range(lmax + 1)]
+    modes = [solve_zero_mode(s, l) for l in range(lmax + 1)]
 
     m0 = modes[0]
     U0 = Ulog = None
@@ -141,9 +134,9 @@ def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
     dim_s = 0
     if m0.growing_is_zero:
         dim_s = 1
-        U0 = _snap_exterior(m0.regular.scaled(1.0 / m0.decaying), "decaying")
+        U0 = m0.on_grid(grid, 1.0 / m0.decaying, decaying_only=True)
     else:
-        Ulog = m0.regular.scaled(1.0 / m0.growing)
+        Ulog = m0.on_grid(grid, 1.0 / m0.growing, decaying_only=False)
         c0_ulog = complex(m0.decaying / m0.growing)
         a = GAMMA0 + c0_ulog
         if isinstance(s, DiskObstacle):
@@ -156,7 +149,7 @@ def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
     m1 = modes[1]
     if m1.growing_is_zero:
         dim_p = 2   # cos and sin copies of the same radial profile
-        prof = _snap_exterior(m1.regular.scaled(1.0 / m1.decaying), "decaying")
+        prof = m1.on_grid(grid, 1.0 / m1.decaying, decaying_only=True)
         # alpha = lim_{r1 -> inf} ( <U,U>_{|x|<r1} / pi - log r1 ); the profile is
         # exactly 1/r beyond the support, so the limit is reached at the grid end.
         r1 = grid.rmax
@@ -170,15 +163,14 @@ def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
     eigen: list[tuple[int, RadialFunction]] = []
     for m in modes[2:]:
         if m.growing_is_zero:
-            raw = _snap_exterior(m.regular.scaled(1.0 / m.decaying), "decaying")
+            raw = m.on_grid(grid, 1.0 / m.decaying, decaying_only=True)
             nrm = math.sqrt(norm_sq(raw, include_tail=True))
             if not 0.0 < nrm < math.inf:
                 raise NumericalError(f"mode-{m.mode} threshold eigenfunction has norm {nrm}")
             eigen.append((m.mode, raw.scaled(1.0 / nrm)))
 
     return ThresholdReport(
-        scatterer=s, cutoff=cutoff, grid=grid,
-        dim_g0_mod_g1=dim_s, dim_g1_mod_g2=dim_p,
+        scatterer=s, dim_g0_mod_g1=dim_s, dim_g1_mod_g2=dim_p,
         eigen_modes=eigen, U0=U0, Ulog=Ulog, c0_ulog=c0_ulog, a=a,
         capacity=capacity, Uw=Uw, alpha=alpha, s=s_shifts, modes=modes,
     )

@@ -142,7 +142,6 @@ class WaveQuery:
 
 @dataclass
 class WaveResult:
-    query: WaveQuery
     values: list[complex]
     lam_max: float
     tail_converged: bool          # False: the sweep stopped at LAM_CAP instead
@@ -211,7 +210,7 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
         if t > 0 else 0.0j
         for t in q.times
     ]
-    return WaveResult(q, values, top, converged, osc)
+    return WaveResult(values, top, converged, osc)
 
 
 # ----------------------------------------------------------------------------

@@ -406,6 +406,9 @@ def test_mutated_readme_configs_keep_the_contract_of_wave(cfg_text):
     ("expand", "kind = potential\nbreaks = 9.4e-283\nvalues = 9.4e-283\n", 3),
     ("verify", "kind = disk\nradius = 1e308\n", 2),
     ("phase", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = -1\n", 2),
+    ("phase", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 0\n", 2),
+    ("perturb", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 0\n", 2),
+    ("expand", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 0\n", 2),
     ("perturb", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = -1\n", 2),
     ("expand", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = -1\n", 2),
     ("expand", "kind = potential\nbreaks = 1\nvalues = -2.5\nfit.jmax = -1\n", 2),

@@ -257,7 +257,7 @@ def test_mode_mismatch_rejected(free_fx):
 def test_solution_wronskian_free():
     # regular against outgoing for the free operator: r(J H' - J' H) = 2i/pi
     from lowfreq2d.radialsolve import green_pair
-    pair = green_pair(free_scatterer(), 0, SpectralPoint(0.8, 0.6), 5.0)
+    pair = green_pair(free_scatterer(), 0, SpectralPoint(0.8, 0.6))
     for r in (0.3, 1.4, 4.2):
         (phi, psi), (dphi, dpsi) = (a[..., 0] for a in pair.eval(np.array([r])))
         assert abs(r * (phi * dpsi - dphi * psi)[0] - 2j / math.pi) < 1e-13
@@ -299,14 +299,14 @@ def test_batched_solutions_match_single_points():
     from lowfreq2d.radialsolve import green_pair, make_segments, regular_solution
     s = PiecewisePotential((0.6, 1.0), (0.25, -1.5))
     lams = [SpectralPoint(0.5, 0.0), SpectralPoint(0.7, 0.3), SpectralPoint(2.0, -0.1)]
-    assert list(make_segments(s, 0, lams, 4.0)[0].eta == 0) == [True, False, False]
+    assert list(make_segments(s, 0, lams)[0].eta == 0) == [True, False, False]
     r = np.array([0.3, 0.8, 2.5])
     for solve, lead in ((regular_solution, ()), (green_pair, (2,))):
         for l in (0, 2):
-            u, du = solve(s, l, lams, 4.0).eval(r)
+            u, du = solve(s, l, lams).eval(r)
             assert u.shape == du.shape == lead + (3, 3)
             for i, lam in enumerate(lams):
-                u1, du1 = solve(s, l, lam, 4.0).eval(r)
+                u1, du1 = solve(s, l, lam).eval(r)
                 assert np.allclose(u[..., i, :], u1[..., 0, :], rtol=1e-13, atol=0)
                 assert np.allclose(du[..., i, :], du1[..., 0, :], rtol=1e-13, atol=0)
 
@@ -322,7 +322,7 @@ def test_eval_matches_single_radii_bit_for_bit():
     for r in ([2.5, 0.3, 0.8, 0.35, 1.2], [0.3, 0.35, 0.8, 1.2, 2.5]):
         for solve in (regular_solution, green_pair):
             for l in (0, 2):
-                sol = solve(s, l, lams, 3.0)
+                sol = solve(s, l, lams)
                 u, du = sol.eval(np.array(r))
                 for i, x in enumerate(r):
                     u1, du1 = (a[..., 0] for a in sol.eval(np.array([x])))

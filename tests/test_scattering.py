@@ -8,21 +8,21 @@ import pytest
 from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralPoint,
                        breit_wigner_metrics, find_pole, find_pole_in_disk,
                        free_scatterer, imaginary_axis_poles, phase_shift_sweep,
-                       phase_shifts, sigma_asymptotic)
+                       sigma_asymptotic)
 from lowfreq2d.errors import BasinError, ShapeMismatchError, ValidationError
 
 from oracles import born_phase_shift_mode0, det_s_modulus, j0_series, y0_series
 
 
 def test_free_shifts_vanish():
-    t = phase_shifts(free_scatterer(), 0.3)
+    t = phase_shift_sweep(free_scatterer(), [0.3])[0]
     assert all(abs(d) < 1e-14 for d in t.shifts.values())
     assert abs(t.sigma) < 1e-14
 
 
 def test_dirichlet_disk_delta0_oracle():
     lam = 0.1
-    t = phase_shifts(DiskObstacle(1.0, "dirichlet"), lam)
+    t = phase_shift_sweep(DiskObstacle(1.0, "dirichlet"), [lam])[0]
     expected = math.atan(j0_series(lam) / y0_series(lam))
     assert abs(t.shifts[0] - expected) < 1e-12
 
@@ -30,8 +30,8 @@ def test_dirichlet_disk_delta0_oracle():
 def test_born_sign_flip_and_magnitude():
     lam = 0.7
     eps = 1e-3
-    d_minus = phase_shifts(PiecewisePotential((1.0,), (-eps,)), lam).shifts[0]
-    d_plus = phase_shifts(PiecewisePotential((1.0,), (+eps,)), lam).shifts[0]
+    d_minus = phase_shift_sweep(PiecewisePotential((1.0,), (-eps,)), [lam])[0].shifts[0]
+    d_plus = phase_shift_sweep(PiecewisePotential((1.0,), (+eps,)), [lam])[0].shifts[0]
     assert d_minus > 0 > d_plus
     assert abs(d_minus + d_plus) < 1e-2 * abs(d_minus)     # odd at first order
     born = born_phase_shift_mode0(-eps, 1.0, lam)
@@ -58,7 +58,7 @@ def test_sigma_asymptotic_dirichlet(dirichlet_fx):
     rep = dirichlet_fx.report
     rel = []
     for lam in (1e-4, 1e-5, 1e-6):
-        t = phase_shifts(dirichlet_fx.scatterer, lam)
+        t = phase_shift_sweep(dirichlet_fx.scatterer, [lam])[0]
         sa = sigma_asymptotic(rep, lam)
         rel.append(abs(sa - t.sigma) / abs(t.sigma))
     assert rel[0] < 2e-2
@@ -166,16 +166,16 @@ def test_breit_wigner_ordering(eig_well_fx, p_well_fx):
     assert metrics["eig"]["width"] < metrics["p"]["width"]
 
 
-def test_phase_shifts_need_positive_lambda(free_fx):
+def test_phase_shift_sweep_needs_positive_lambda(free_fx):
     with pytest.raises(ValidationError):
-        phase_shifts(free_fx.scatterer, -0.1)
+        phase_shift_sweep(free_fx.scatterer, [-0.1])
 
 
 def test_admissible_complex_potential_formal_sigma():
     # Re V >= 0 complex scatterer: det S computed formally, no unitarity claim
     s = PiecewisePotential((1.0,), (1.0 + 0.5j,))
     assert s.admissible and not s.selfadjoint
-    t = phase_shifts(s, 0.4)
+    t = phase_shift_sweep(s, [0.4])[0]
     assert abs(t.sigma.imag) > 0
     assert abs(det_s_modulus(t) - 1.0) > 1e-3
 
@@ -217,7 +217,7 @@ def _projected_smatrix(s, lam, l):
     from lowfreq2d import bessel_jy
     from lowfreq2d.radialsolve import regular_solution
     R = s.support_radius
-    sol = regular_solution(s, l, SpectralPoint(lam, 0.0), R + 1.0)
+    sol = regular_solution(s, l, SpectralPoint(lam, 0.0))
     (u,), (du,) = (a[..., 0] for a in sol.eval(np.array([R])))
     J, Y, Jd, Yd = bessel_jy(l, SpectralPoint(lam * R, 0.0))
     D = lam * (J * Yd - Jd * Y)
@@ -232,7 +232,7 @@ def test_smatrix_from_coefficients_matches_projection(generic_well_fx):
                   PiecewisePotential((1.0,), (1.0 + 0.5j,)))
     for s in scatterers:
         for lam in (1e-4, 0.03, 0.7, 2.5):
-            t = phase_shifts(s, lam)
+            t = phase_shift_sweep(s, [lam])[0]
             for l in range(4):
                 ref = _projected_smatrix(s, lam, l)
                 assert abs(t.smatrix[l] - ref) <= 1e-14 * abs(ref)
@@ -241,5 +241,5 @@ def test_smatrix_from_coefficients_matches_projection(generic_well_fx):
 def test_sweep_is_the_batched_single_point_table(generic_well_fx):
     lams = [0.05, 0.2, 0.9, 1.2]
     for t in phase_shift_sweep(generic_well_fx.scatterer, lams):
-        single = phase_shifts(generic_well_fx.scatterer, t.lam)
+        single = phase_shift_sweep(generic_well_fx.scatterer, [t.lam])[0]
         assert t.smatrix == single.smatrix

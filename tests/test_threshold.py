@@ -170,7 +170,7 @@ def test_samples_match_exterior_expansion(s_well_fx, p_well_fx, eig_well_fx):
     # beyond the support radius the sampled values reproduce the harmonic form
     for fx in (s_well_fx, p_well_fx, eig_well_fx):
         for m in fx.report.modes[:4]:
-            u = m.regular
+            u = m.on_grid(fx.grid, 1.0, decaying_only=False)
             R = fx.scatterer.support_radius
             for r in (1.3 * R, 2.0 * R):
                 if r >= u.grid.rmax:
@@ -178,6 +178,25 @@ def test_samples_match_exterior_expansion(s_well_fx, p_well_fx, eig_well_fx):
                 sampled = u.grid.eval_at(u.values, r)
                 closed = u.exterior.value_at(r)
                 assert abs(sampled - closed) < 1e-10 * max(1.0, abs(closed))
+
+
+def test_classify_samples_only_the_states_it_reports(monkeypatch, generic_well_fx,
+                                                     dirichlet_fx, p_well_fx):
+    # each mode's connection is solved once; only U0 or Ulog, the 1/r profile
+    # and the eigenfunctions are evaluated on the grid
+    from lowfreq2d.radialsolve import PiecewiseSolution
+    sizes = []
+    real_eval = PiecewiseSolution.eval
+
+    def spy(self, r):
+        sizes.append(len(r))
+        return real_eval(self, r)
+
+    monkeypatch.setattr(PiecewiseSolution, "eval", spy)
+    for fx, expected in ((generic_well_fx, 1), (dirichlet_fx, 1), (p_well_fx, 2)):
+        sizes.clear()
+        classify(fx.scatterer, cutoff=fx.chi, grid=fx.grid)
+        assert sizes.count(len(fx.grid.nodes)) == expected
 
 
 def test_obstacle_higher_mode_connections():
