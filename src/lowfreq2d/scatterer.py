@@ -50,10 +50,6 @@ class PiecewisePotential:
     def selfadjoint(self) -> bool:
         return all(abs(complex(v).imag) == 0.0 for v in self.values)
 
-    @property
-    def admissible(self) -> bool:
-        return all(complex(v).real >= 0.0 for v in self.values)
-
     def segment_edges(self) -> list[float]:
         return [0.0, *self.breaks]
 
@@ -87,10 +83,6 @@ class DiskObstacle:
 
     @property
     def selfadjoint(self) -> bool:
-        return True
-
-    @property
-    def admissible(self) -> bool:
         return True
 
 

@@ -33,6 +33,7 @@ SCAN_ARGS = (math.pi / 2, 0.3, -0.1, -0.35, -0.8, -1.5, -2.5)   # rays of the di
 SCAN_COUNT = 25             # moduli per scan ray
 MAX_CANDIDATES = 6          # scan seeds polished by find_pole_in_disk
 AXIS_COUNT = 80             # scan points of imaginary_axis_poles
+BISECT_DEPTH = 5            # bisection levels per defect call (31 points)
 
 
 @dataclass
@@ -132,7 +133,7 @@ def sigma_asymptotic(report: ThresholdReport, lam: float) -> complex:
 # pole finding on the log cover
 # ----------------------------------------------------------------------------
 
-def outgoing_defect(s: Scatterer, l: int, lam: Spectral):
+def outgoing_defect(s: Scatterer, l: int, lam: Spectral, *, checked: bool = True):
     """J-component of the regular solution outside the support.
 
     Proportional to the Wronskian of the regular and outgoing solutions
@@ -141,7 +142,9 @@ def outgoing_defect(s: Scatterer, l: int, lam: Spectral):
     potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
     which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
     as r^l and has no zero there.  One SpectralPoint gives a complex number,
-    a sequence an array; a defect of non-finite modulus raises NumericalError.
+    a sequence an array; a defect of non-finite modulus raises NumericalError,
+    unless `checked` is false: then the caller checks, with `_finite`, only
+    the values it reads.
     """
     sol = regular_solution(s, l, lam)
     c1 = sol.coeffs[-1][0]
@@ -149,9 +152,16 @@ def outgoing_defect(s: Scatterer, l: int, lam: Spectral):
         norm = math.factorial(l)
         c1 = np.array([c * norm * (2.0 / e) ** l if e else c
                        for c, e in zip(c1, sol.segments[0].eta)])
-    if not np.all(np.isfinite(np.abs(c1))):
-        raise NumericalError(f"outgoing defect of mode {l} is not finite")
+    if checked:
+        _finite(c1, l)
     return complex(c1[0]) if isinstance(lam, SpectralPoint) else c1
+
+
+def _finite(d, l: int):
+    """d itself; NumericalError when any of its moduli is not finite."""
+    if not np.all(np.isfinite(np.abs(d))):
+        raise NumericalError(f"outgoing defect of mode {l} is not finite")
+    return d
 
 
 @dataclass
@@ -181,20 +191,29 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
     the first criterion unreachable in double precision, the second not.
     A trial step out of |lam| < 1 fails like one that does not reduce
     |defect|: a potential's defect of mode l >= 1 decays like |lam|^-l at
-    large |lam|, and damped Newton would otherwise follow it there.
+    large |lam|, and damped Newton would otherwise follow it there.  Each
+    point x it visits (the seed, each line-search trial) is one defect call
+    [x, x + h, x - h], h = 1e-7 (1 + |x|), so an accepted trial carries the
+    central difference of the next step; the pair is checked for finiteness
+    only when that step reads it.
     """
     if seed.modulus >= 0.5:
         raise ValidationError("seed outside the small-|lam| basin (need |seed| < 0.5)")
     chart = _Chart(reciprocal=seed.modulus < 0.2)
+
+    def visit(x: complex):
+        h = 1e-7 * (1.0 + abs(x))
+        d = outgoing_defect(s, mode, [chart.to_lam(x), chart.to_lam(x + h),
+                                      chart.to_lam(x - h)], checked=False)
+        return complex(_finite(d[0], mode)), d[1:], h
+
     x = chart.from_lam(seed)
-    f = outgoing_defect(s, mode, chart.to_lam(x))
+    f, pair, h = visit(x)
     f0 = abs(f)
     trace = [(seed, f0)]
     local_scale = f0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        h = 1e-7 * (1.0 + abs(x))
-        fp, fm = (complex(d) for d in
-                  outgoing_defect(s, mode, [chart.to_lam(x + h), chart.to_lam(x - h)]))
+        fp, fm = (complex(d) for d in _finite(pair, mode))
         dfdx = (fp - fm) / (2.0 * h)
         if dfdx == 0:
             break
@@ -209,13 +228,13 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
         while t > 1e-6:
             xn = x + t * step
             if chart.inside(xn):
-                fn = outgoing_defect(s, mode, chart.to_lam(xn))
+                fn, pair_n, h_n = visit(xn)
                 if abs(fn) < abs(f):
                     break
             t *= 0.5
         else:
             break
-        x, f = xn, fn
+        x, f, pair, h = xn, fn, pair_n, h_n
         trace.append((chart.to_lam(x), abs(f)))
     raise BasinError(
         f"pole iteration did not converge from |seed|={seed.modulus:.3e} "
@@ -257,7 +276,10 @@ def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
                          kmax: float = 2.0) -> list[ResonancePole]:
     """Bound-state search: sign changes of the (real-axis-symmetric) defect on
     i kappa at AXIS_COUNT points (one batch), polished by Newton below
-    kappa = 0.5 and otherwise bisected to machine resolution."""
+    kappa = 0.5 and otherwise, for selfadjoint scatterers, bisected to machine
+    resolution (see `_bisect_axis`).  A non-selfadjoint scatterer's hits are
+    local minima of |defect| below 1e-6, which carry no sign to bisect; those
+    Newton does not polish are not reported."""
     ks = log_grid(kmin, kmax, AXIS_COUNT)
     defects = outgoing_defect(s, mode, [SpectralPoint(float(k), math.pi / 2.0) for k in ks])
     # for selfadjoint scatterers i^mode * defect is real on the axis
@@ -273,20 +295,37 @@ def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
                 pole = find_pole(s, mode, seed) if seed.modulus < 0.5 else None
             except BasinError:
                 pole = None
-            if pole is None:
-                lo, hi, flo = float(ks[i]), float(ks[i + 1]), vals[i]
-                steps = 0
-                while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-                    fm = (1j ** mode * outgoing_defect(s, mode, SpectralPoint(mid, math.pi / 2))).real
-                    if flo * fm <= 0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                    steps += 1
-                pole = ResonancePole(SpectralPoint(mid, math.pi / 2.0),
-                                     mode, "boundState", 0.0, steps)
-            out.append(pole)
+            if pole is None and s.selfadjoint:
+                pole = _bisect_axis(s, mode, float(ks[i]), float(ks[i + 1]), vals[i])
+            if pole is not None:
+                out.append(pole)
     return out
+
+
+def _bisect_axis(s: Scatterer, mode: int, lo: float, hi: float, flo: float) -> ResonancePole:
+    """Bisection of the real i^mode * defect on [i lo, i hi] until the midpoint
+    rounds to an end.  One defect call evaluates the next BISECT_DEPTH levels
+    of the midpoint tree, each node 0.5 (a + b) of its own bracket, so the walk
+    forms the floats of a one-point-per-step loop; only the nodes it reads are
+    checked for finiteness."""
+    steps = 0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        tree, brackets = [], [(lo, hi)]
+        for _ in range(BISECT_DEPTH):
+            mids = [0.5 * (a + b) for a, b in brackets]
+            tree += mids
+            brackets = [e for (a, b), m in zip(brackets, mids) for e in ((a, m), (m, b))]
+        d = outgoing_defect(s, mode, [SpectralPoint(m, math.pi / 2) for m in tree],
+                            checked=False)
+        k = 0           # heap order: node k has children 2k + 1 and 2k + 2
+        while k < len(tree) and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            fm = (1j ** mode * complex(_finite(d[k], mode))).real
+            if flo * fm <= 0:
+                hi, k = mid, 2 * k + 1
+            else:
+                lo, flo, k = mid, fm, 2 * k + 2
+            steps += 1
+    return ResonancePole(SpectralPoint(mid, math.pi / 2.0), mode, "boundState", 0.0, steps)
 
 
 # ----------------------------------------------------------------------------

@@ -10,6 +10,10 @@ numerical differentiation on its grid.  The free-kernel truncation error sets
 the package's exact kernel against its low-frequency coefficient kernels,
 det_s_modulus multiplies out a phase-shift table's S-matrix, and
 from_callable samples a plain function onto a grid, one node at a time.
+admissible is Re V >= 0 on the support.  The sequential pole finders are
+the one-point-per-step Newton and bisection loops that the batched ones in
+`lowfreq2d.scattering` must reproduce bit for bit; they reach the defect
+through the module attribute, so a test can spy on both.
 """
 
 from __future__ import annotations
@@ -18,11 +22,14 @@ import math
 
 import numpy as np
 
+from lowfreq2d import scattering
+from lowfreq2d.errors import BasinError
 from lowfreq2d.quadrature import PanelGrid
 from lowfreq2d.radial import Exterior, RadialFunction
 from lowfreq2d.resolvent import FreeCoeffKernel, free_kernel
-from lowfreq2d.scatterer import PiecewisePotential
+from lowfreq2d.scatterer import DiskObstacle, PiecewisePotential
 from lowfreq2d.specfun import SpectralPoint
+from lowfreq2d.util import log_grid
 
 EULER_ORACLE = 0.57721566490153286
 
@@ -186,3 +193,74 @@ def ode_residual(sample, f, u) -> float:
     num = np.sqrt(abs(g.integrate(np.where(keep, np.abs(lhs - f.values) ** 2, 0.0) * r)))
     den = np.sqrt(abs(g.integrate(np.abs(f.values) ** 2 * r)))
     return float(num / den)
+
+
+def admissible(s) -> bool:
+    """Re V >= 0 everywhere: every disk, and a potential by its values."""
+    return isinstance(s, DiskObstacle) or all(complex(v).real >= 0.0 for v in s.values)
+
+
+def sequential_find_pole(s, mode: int, seed: SpectralPoint):
+    """`scattering.find_pole` as one defect call per value: the seed, each
+    Newton step's central-difference pair, each line-search trial."""
+    defect = scattering.outgoing_defect
+    chart = scattering._Chart(reciprocal=seed.modulus < 0.2)
+    x = chart.from_lam(seed)
+    f = defect(s, mode, chart.to_lam(x))
+    f0 = abs(f)
+    for it in range(1, scattering.NEWTON_MAX_ITER + 1):
+        h = 1e-7 * (1.0 + abs(x))
+        fp, fm = (complex(d) for d in defect(s, mode, [chart.to_lam(x + h), chart.to_lam(x - h)]))
+        dfdx = (fp - fm) / (2.0 * h)
+        if dfdx == 0:
+            break
+        local_scale = abs(dfdx) * (1.0 + abs(x))
+        lam = chart.to_lam(x)
+        if abs(f) <= scattering.NEWTON_TOL_FACTOR * f0 or abs(f) <= 1e-11 * local_scale:
+            kind = "boundState" if abs(lam.arg - math.pi / 2.0) < 1e-8 else "resonance"
+            return scattering.ResonancePole(lam, mode, kind, abs(f) / max(local_scale, 1e-300), it)
+        step = -f / dfdx
+        t = 1.0
+        while t > 1e-6:
+            xn = x + t * step
+            if chart.inside(xn):
+                fn = defect(s, mode, chart.to_lam(xn))
+                if abs(fn) < abs(f):
+                    break
+            t *= 0.5
+        else:
+            break
+        x, f = xn, fn
+    raise BasinError("pole iteration did not converge", [])
+
+
+def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -> list:
+    """`scattering.imaginary_axis_poles` on a selfadjoint scatterer, with
+    `sequential_find_pole` and one defect call per bisection step."""
+    defect = scattering.outgoing_defect
+    ks = log_grid(kmin, kmax, scattering.AXIS_COUNT)
+    vals = [(1j ** mode * complex(d)).real
+            for d in defect(s, mode, [SpectralPoint(float(k), math.pi / 2.0) for k in ks])]
+    out = []
+    for i in range(len(ks) - 1):
+        if not (vals[i] == 0.0 or vals[i] * vals[i + 1] < 0):
+            continue
+        seed = SpectralPoint(float(math.sqrt(ks[i] * ks[i + 1])), math.pi / 2.0)
+        try:
+            pole = sequential_find_pole(s, mode, seed) if seed.modulus < 0.5 else None
+        except BasinError:
+            pole = None
+        if pole is None:
+            lo, hi, flo = float(ks[i]), float(ks[i + 1]), vals[i]
+            steps = 0
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                fm = (1j ** mode * defect(s, mode, SpectralPoint(mid, math.pi / 2))).real
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+                steps += 1
+            pole = scattering.ResonancePole(SpectralPoint(mid, math.pi / 2.0),
+                                            mode, "boundState", 0.0, steps)
+        out.append(pole)
+    return out

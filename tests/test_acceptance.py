@@ -11,13 +11,11 @@ import pytest
 
 from lowfreq2d import (FitTerm, GAMMA0, SpectralPoint, bessel_jy, breit_wigner_metrics,
                        bump, bump_edges, classify, commutator_apply, constant_one,
-                       expansion_grid, find_pole_in_disk, fit_log_laurent, free_scatterer,
-                       general_terms, hankel1, imaginary_axis_poles, inner,
-                       nonresonant_terms, one_sided_identity_residual,
-                       pairing_identity_residual, phase_shift_sweep,
-                       plane_integral, predict_leading_terms, resonant_terms,
-                       sample_matrix_element, sigma_asymptotic, standard_grid,
-                       two_parameter_identity_residual)
+                       find_pole_in_disk, fit_log_laurent, general_terms, hankel1,
+                       imaginary_axis_poles, inner, nonresonant_terms,
+                       one_sided_identity_residual, pairing_identity_residual,
+                       phase_shift_sweep, plane_integral, predict_leading_terms,
+                       sigma_asymptotic, standard_grid, two_parameter_identity_residual)
 from lowfreq2d.radial import Exterior
 from lowfreq2d.resolvent import boundary_pairing_fourier
 

@@ -9,9 +9,12 @@ from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralPoint,
                        breit_wigner_metrics, find_pole, find_pole_in_disk,
                        free_scatterer, imaginary_axis_poles, phase_shift_sweep,
                        sigma_asymptotic)
-from lowfreq2d.errors import BasinError, ShapeMismatchError, ValidationError
+from lowfreq2d import scattering
+from lowfreq2d.errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
+from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES, scan_pole_candidates
 
-from oracles import born_phase_shift_mode0, det_s_modulus, j0_series, y0_series
+from oracles import (admissible, born_phase_shift_mode0, det_s_modulus, j0_series,
+                     sequential_axis_poles, sequential_find_pole, y0_series)
 
 
 def test_free_shifts_vanish():
@@ -174,7 +177,7 @@ def test_phase_shift_sweep_needs_positive_lambda(free_fx):
 def test_admissible_complex_potential_formal_sigma():
     # Re V >= 0 complex scatterer: det S computed formally, no unitarity claim
     s = PiecewisePotential((1.0,), (1.0 + 0.5j,))
-    assert s.admissible and not s.selfadjoint
+    assert admissible(s) and not s.selfadjoint
     t = phase_shift_sweep(s, [0.4])[0]
     assert abs(t.sigma.imag) > 0
     assert abs(det_s_modulus(t) - 1.0) > 1e-3
@@ -243,3 +246,124 @@ def test_sweep_is_the_batched_single_point_table(generic_well_fx):
     for t in phase_shift_sweep(generic_well_fx.scatterer, lams):
         single = phase_shift_sweep(generic_well_fx.scatterer, [t.lam])[0]
         assert t.smatrix == single.smatrix
+
+
+def test_non_selfadjoint_axis_hit_is_not_bisected():
+    # V = -c on r < 1 puts the mode-0 bound state on the scan node kappa0; a
+    # 1e-13 imaginary part leaves |defect| without a sign change, so the hit
+    # is a local minimum that Newton does not polish (kappa0 >= 0.5)
+    c, kappa0 = 3.1140094941891103, 1.0198438162734804
+    (pole,) = imaginary_axis_poles(PiecewisePotential((1.0,), (-c,)), 0)
+    assert abs(pole.lam.modulus - kappa0) < 1e-15
+    assert imaginary_axis_poles(PiecewisePotential((1.0,), (complex(-c, 1e-13),)), 0) == []
+    assert imaginary_axis_poles(PiecewisePotential((1.0,), (complex(-2.5, 1e-12),)), 0) == []
+
+
+# -- batched pole finding against the one-point-per-step loops ------------------
+
+def _spy(monkeypatch, poison=None):
+    """Point lists of every outgoing_defect call, in order.  `poison(points)`
+    names the indices of an unchecked call whose defects become NaN."""
+    calls = []
+    real = scattering.outgoing_defect
+
+    def spy(s, l, lam, checked=True):
+        pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
+        calls.append(pts)
+        if poison is None or checked:
+            return real(s, l, lam, checked=checked)
+        d = real(s, l, lam, checked=False)
+        d[poison(pts)] = complex("nan")
+        return d
+
+    monkeypatch.setattr(scattering, "outgoing_defect", spy)
+    return calls
+
+
+def _key(p: SpectralPoint):
+    return p.modulus, p.arg
+
+
+def _bisection_steps(poles):
+    return [p.iterations for p in poles if p.residual == 0.0]   # bisected poles carry 0
+
+
+@pytest.mark.parametrize("depth, mode, kmax", [
+    (2.5, 0, 2.0), (2.5, 1, 2.0), (2.5, 2, 2.0),      # the README well
+    (20.0, 1, 5.0), (20.0, 2, 5.0),
+])
+def test_axis_poles_match_sequential_loops(depth, mode, kmax, monkeypatch):
+    s = PiecewisePotential((1.0,), (-depth,))
+    calls = _spy(monkeypatch)
+    ref = sequential_axis_poles(s, mode, 1e-3, kmax)
+    calls.clear()
+    poles = imaginary_axis_poles(s, mode, 1e-3, kmax)
+    assert poles == ref
+    # a bisection of n steps takes ceil(n / BISECT_DEPTH) calls
+    bisect_calls = [c for c in calls if len(c) not in (AXIS_COUNT, 3)]
+    assert len(bisect_calls) <= sum(-(-n // BISECT_DEPTH) for n in _bisection_steps(poles))
+    if mode == 0:
+        assert _bisection_steps(poles) and len(bisect_calls) > 0
+
+
+@pytest.mark.parametrize("eps", [-1e-2, -1e-3, 1e-3, 1e-2])
+def test_newton_matches_sequential_loop(s_well_fx, p_well_fx, eps, monkeypatch):
+    calls = _spy(monkeypatch)
+    for fx, mode in ((s_well_fx, 0), (p_well_fx, 1)):
+        s = fx.scatterer.shifted(eps)
+        for seed in scan_pole_candidates(s, mode)[:MAX_CANDIDATES]:
+            calls.clear()
+            try:
+                ref = sequential_find_pole(s, mode, seed)
+            except BasinError:
+                ref = None
+            visited = [c[0] for c in calls if len(c) == 1]      # the seed, each trial
+            calls.clear()
+            try:
+                pole = find_pole(s, mode, seed)
+            except BasinError:
+                pole = None
+            assert pole == ref
+            # one call [x, x + h, x - h] per visited point
+            assert [len(c) for c in calls] == [3] * len(visited)
+            assert [c[0] for c in calls] == visited
+        assert imaginary_axis_poles(s, mode) == sequential_axis_poles(s, mode)
+
+
+def test_unread_defects_do_not_raise(s_well_fx, generic_well_fx, monkeypatch):
+    # Newton evaluates the central-difference pair of every trial, bisection
+    # five levels of midpoints; a non-finite value there raises only when
+    # the one-point-per-step loop would have evaluated it
+    s, mode = s_well_fx.scatterer.shifted(1e-3), 0
+    seeds = scan_pole_candidates(s, mode)[:MAX_CANDIDATES]
+    calls = _spy(monkeypatch)
+    for seed in seeds:
+        with pytest.raises(BasinError):
+            sequential_find_pole(s, mode, seed)
+    read = {_key(p) for c in calls if len(c) != 3 for p in c}
+    poisoned = []
+
+    def unread(pts):
+        idx = [i for i, p in enumerate(pts) if _key(p) not in read]
+        poisoned.extend(idx)
+        return idx
+
+    _spy(monkeypatch, poison=unread)
+    for seed in seeds:
+        with pytest.raises(BasinError):
+            find_pole(s, mode, seed)
+    assert poisoned          # some trial was rejected, its pair never read
+
+    well = generic_well_fx.scatterer
+    calls = _spy(monkeypatch)
+    ref = sequential_axis_poles(well, 0)
+    read = {_key(p) for c in calls for p in c}
+    poisoned.clear()
+    _spy(monkeypatch, poison=unread)
+    assert imaginary_axis_poles(well, 0) == ref
+    assert poisoned
+
+    # a value the loop reads still raises
+    _spy(monkeypatch, poison=lambda pts: [1, 2] if len(pts) == 3 else [])
+    with pytest.raises(NumericalError, match="not finite"):
+        find_pole(s, mode, seeds[0])
