@@ -81,7 +81,7 @@ def sample_matrix_element(s: Scatterer, f: RadialFunction, g: RadialFunction,
     if not f.same_channel(g):
         return np.zeros(len(pts), dtype=complex)
     return np.concatenate([np.zeros(0, dtype=complex)] + [
-        inner(mode_green(s, pts[i:i + SAMPLE_BATCH], f.mode, f.grid).apply(f), g)
+        inner(mode_green(s, pts[i:i + SAMPLE_BATCH], f.mode, f.grid).apply_values(f), g)
         for i in range(0, len(pts), SAMPLE_BATCH)
     ])
 

@@ -2,9 +2,9 @@
 
 A PanelGrid is a partition of [a, b] into panels with n Gauss-Legendre nodes
 each.  Values sampled on the nodes can be integrated, integrated cumulatively
-(the key primitive for variation-of-parameters Green functions), evaluated or
-differentiated anywhere on the covered interval by way of the per-panel
-Legendre expansion.  Everything is exact for piecewise polynomials of degree
+(the key primitive for variation-of-parameters Green functions),
+differentiated at the nodes, or evaluated anywhere on the covered interval by
+way of the per-panel Legendre expansion.  Everything is exact for piecewise polynomials of degree
 < n and spectrally accurate for piecewise-analytic data, which is why panel
 edges are always aligned with potential breakpoints and cutoff transitions.
 """
@@ -126,11 +126,6 @@ class PanelGrid:
         p, x = self._locate(r)
         out = L.legval(x, np.moveaxis(self._coeffs(vals)[..., p, :], -1, 0))
         return complex(out) if np.ndim(out) == 0 else out
-
-    def eval_deriv_at(self, vals: np.ndarray, r: float) -> complex:
-        p, x = self._locate(r)
-        c = self._coeffs(vals)
-        return complex(L.legval(x, L.legder(c[p])) / self._half[p])
 
 
 def geometric_edges(a: float, b: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ValidationError
 from .quadrature import PanelGrid
 
 
@@ -37,6 +38,11 @@ class Exterior:
         for l, coeff in self.v.items():
             out += coeff * l * r ** (l - 1)
         return out
+
+    @property
+    def decaying(self) -> bool:
+        """Pure r^l terms with l <= -2, square-integrable: the exterior the tail integrals take."""
+        return self.clog == 0 and self.c0 == 0 and all(l <= -2 for l in self.v)
 
 
 @dataclass
@@ -81,9 +87,7 @@ class RadialFunction:
     def deriv_at(self, r: float) -> complex:
         if self._on_exterior(r):
             return self.exterior.deriv_at(r)
-        if self.derivs is not None:
-            return self.grid.eval_at(self.derivs, r)
-        return self.grid.eval_deriv_at(self.values, r)
+        return self.grid.eval_at(self.deriv_values(), r)
 
     def deriv_values(self) -> np.ndarray:
         if self.derivs is not None:
@@ -169,16 +173,15 @@ def inner(f: RadialFunction, g: RadialFunction, tail: bool = False) -> complex:
     if not f.same_channel(g):
         return 0.0
     if not f.grid.same(g.grid):
-        raise ValueError("inner() needs both functions on the same grid")
+        raise ValidationError("inner() needs both functions on the same grid")
     rad = f.grid.integrate(f.values * np.conj(g.values) * f.grid.nodes)
     total = f.angular_weight * rad
     if tail:
         ef, eg = f.exterior, g.exterior
         if ef is None or eg is None:
-            raise ValueError("tail=True needs exterior data on both sides")
-        for e in (ef, eg):
-            if e.clog != 0 or e.c0 != 0 or any(l >= 0 for l in e.v):
-                raise ValueError("tail integral only for decaying exteriors")
+            raise ValidationError("tail=True needs exterior data on both sides")
+        if not (ef.decaying and eg.decaying):
+            raise ValidationError("tail integral only for decaying exteriors")
         R = f.grid.rmax
         for l, cf in ef.v.items():
             if l in eg.v:
@@ -191,11 +194,11 @@ def norm_sq(f: RadialFunction, include_tail: bool = False) -> float:
     total = (f.angular_weight *
              f.grid.integrate(np.abs(f.values) ** 2 * f.grid.nodes)).real
     if include_tail:
-        if f.exterior is None:
-            raise ValueError("no exterior data for the tail")
         ext = f.exterior
-        if ext.clog != 0 or ext.c0 != 0 or any(l >= 0 for l in ext.v):
-            raise ValueError("tail integral only for decaying exteriors")
+        if ext is None:
+            raise ValidationError("no exterior data for the tail")
+        if not ext.decaying:
+            raise ValidationError("tail integral only for decaying exteriors")
         R = f.grid.rmax
         for l, c in ext.v.items():
             # integral_R^inf |c|^2 r^{2l} r dr, l <= -2

@@ -93,12 +93,11 @@ def _bessel_each(l: int, zs: list[np.ndarray], logzs: list[np.ndarray], slot: in
             for z, e in zip(zs, ends)]
 
 
-def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None, kept=None):
+def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     """For each segment at its radii, rows of (b1, b2, b1', b2'), each of
-    shape (nlam, len(r)): all four (slot None), the values (slot 0), or the
-    derivatives from the values kept[i] (slot 1), which take the order-(l + 1)
-    Bessel slot alone and so the bits all four give them.  The Bessel
-    elements of every segment share one bessel_pair call.
+    shape (nlam, len(r)): all four (slot None), or the values alone (slot 0),
+    which take the order-l Bessel slot alone and so the bits all four give
+    them.  The Bessel elements of every segment share one bessel_pair call.
 
     (J, H1) on the exterior: J is tame at small |z| where H1, H2 are nearly
     parallel, H1 is tame at large Im z where J, Y blow up together, so the
@@ -109,23 +108,18 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None, kept=
     live = [(a[3], a[2] + np.log(r)) for a, r in zip(args, radii) if a is not None]
     fs = iter(_bessel_each(segs[0].l, *zip(*live), slot) if live else ())
     out = []
-    for i, (seg, r, a) in enumerate(zip(segs, radii, args)):
+    for seg, r, a in zip(segs, radii, args):
         if a is not None:
             wave, eta, logeta, z = a
             J, Y, H = next(fs)
-            f = (J, H if seg.kind == "hankel" else Y)
-            if slot == 0:
-                b = f
-            elif slot is None:
-                f0 = (f[0][0], f[1][0])
-                b = f0 + seg._derivs(r, eta, z, logeta, f0, (f[0][1], f[1][1]))
-            else:
-                f0 = kept[i] if wave is None else tuple(k[wave] for k in kept[i])
-                b = seg._derivs(r, eta, z, logeta, f0, f)
+            b = (J, H if seg.kind == "hankel" else Y)
+            if slot is None:
+                f0 = (b[0][0], b[1][0])
+                b = f0 + seg._derivs(r, eta, z, logeta, f0, (b[0][1], b[1][1]))
             if wave is None:
                 out.append(b)
                 continue
-        rows = [0, 1, 2, 3] if slot is None else [2 * slot, 2 * slot + 1]
+        rows = [0, 1, 2, 3] if slot is None else [0, 1]
         flat = seg.eta == 0
         full = np.empty((len(rows), len(seg.eta), len(r)), dtype=complex)
         full[:, flat] = seg._harmonic(r)[rows, None, :]
@@ -145,11 +139,12 @@ def _spectral_batch(lam: Spectral):
     if lam is None:
         return np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), np.zeros(1, dtype=complex)
     pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
+    value = [p.value for p in pts]
     try:
-        lam2 = np.array([p.value ** 2 for p in pts])
+        lam2 = np.array([v ** 2 for v in value])
     except OverflowError:
         raise NumericalError("lam^2 overflows the float range") from None
-    return np.array([p.value for p in pts]), lam2, np.array([p.log for p in pts])
+    return np.array(value), lam2, np.array([p.log for p in pts])
 
 
 def make_segments(s: Scatterer, l: int, lam: Spectral) -> list[Segment]:
@@ -181,10 +176,10 @@ class PiecewiseSolution:
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
 
-    def _combine(self, r: np.ndarray, slot: int | None, kept=None):
+    def _combine(self, r: np.ndarray, slot: int | None) -> np.ndarray:
         """The solution's rows of (u, u') at radii r, each of shape coefficient
         shape + (len(r),), from _bases' rows of slot, each radius on the first
-        segment that holds it; and those basis rows, per segment met."""
+        segment that holds it."""
         r = np.asarray(r, dtype=float)
         pieces = []
         done = np.zeros(len(r), dtype=bool)
@@ -199,28 +194,21 @@ class PiecewiseSolution:
             done |= mask
         if not done.all():
             raise ValueError("radii outside the segment cover")
-        bases = _bases([p[0] for p in pieces], [r[p[3]] for p in pieces], slot, kept) if pieces else []
+        bases = _bases([p[0] for p in pieces], [r[p[3]] for p in pieces], slot) if pieces else []
         out = np.empty((2 if slot is None else 1,) + self.coeffs[0][0].shape + (len(r),), dtype=complex)
         for (_, c1, c2, idx), b in zip(pieces, bases):
             for k, row in enumerate(out):
                 row[..., idx] = c1 * b[2 * k] + c2 * b[2 * k + 1]
-        return out, bases
+        return out
 
     def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
-        u, du = self._combine(r, None)[0]
+        u, du = self._combine(r, None)
         return u, du
 
-    def values(self, r: np.ndarray) -> tuple[np.ndarray, list]:
-        """u at radii r, as eval gives it, from the order-l basis alone; and
-        that basis, per segment, for derivs."""
-        (u,), basis = self._combine(r, 0)
-        return u, basis
-
-    def derivs(self, r: np.ndarray, basis: list) -> np.ndarray:
-        """u' at radii r, as eval gives it, from values(r)'s basis and the
-        order-(l + 1) basis alone."""
-        return self._combine(r, 1, basis)[0][0]
+    def values(self, r: np.ndarray) -> np.ndarray:
+        """u at radii r, as eval gives it, from the order-l basis alone."""
+        return self._combine(r, 0)[0]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

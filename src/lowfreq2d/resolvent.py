@@ -15,7 +15,7 @@ residual evaluations of the two-spectral-parameter resolvent identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,9 +98,10 @@ class ResolventSample:
     exterior J coefficient; wronskian_spread is the largest relative deviation
     of the sampled one from it, over the batch.
 
-    The node derivatives phi_ders and psi_ders are formed the first time they
-    are read, from the order-l basis the values came from (kept in basis) and
-    the order-(l + 1) basis alone, with the bits an eager evaluation gives."""
+    The node values take the order-l basis alone.  The node derivatives
+    phi_ders and psi_ders are formed the first time they are read, by one
+    pair evaluation of the solutions on the nodes, so apply_values and every
+    caller of the values alone never form them."""
 
     scatterer: Scatterer
     lam: Spectral
@@ -112,11 +113,10 @@ class ResolventSample:
     wronskian_spread: float
     solutions: PiecewiseSolution      # phi (unscaled) and psi, stacked
     phi_scale: np.ndarray             # phi_vals = phi / phi_scale
-    basis: list = field(repr=False)   # solutions.values(grid.nodes)'s per-segment basis
 
     @cached_property
     def _ders(self) -> tuple[np.ndarray, np.ndarray]:
-        phi_d, psi_d = self.solutions.derivs(self.grid.nodes, self.basis)
+        phi_d, psi_d = self.solutions.eval(self.grid.nodes)[1]
         phi_d = phi_d / np.atleast_1d(self.phi_scale)[:, None]
         if isinstance(self.lam, SpectralPoint):
             return phi_d[0], psi_d[0]
@@ -136,36 +136,41 @@ class ResolventSample:
         if f.mode != self.mode:
             raise ValidationError(f"source mode {f.mode} != resolvent mode {self.mode}")
 
-    def apply(self, f: RadialFunction) -> RadialFunction:
-        """u with (P - lam^2) u = f, outgoing at infinity."""
+    def _integrals(self, f: RadialFunction):
+        """C = integral(phi f r dr) from rmin and D = integral(psi f r dr) to
+        rmax at each node, and the Wronskian, for variation of parameters."""
         self._check_source(f)
         g = self.grid
-        r = g.nodes
-        inner1 = self.phi_vals * f.values * r
-        inner2 = self.psi_vals * f.values * r
+        inner1 = self.phi_vals * f.values * g.nodes
+        inner2 = self.psi_vals * f.values * g.nodes
         C = g.cumulative(inner1)
         Dtail = np.asarray(g.integrate(inner2))[..., None] - g.cumulative(inner2)
-        # psi blows up toward r = 0 for l >= 1; C vanishes identically there
-        t1 = np.where(C == 0.0, 0.0, self.psi_vals * C)
-        t1d = np.where(C == 0.0, 0.0, self.psi_ders * C)
-        w = np.asarray(self.wronskian)[..., None]
-        u = -(t1 + self.phi_vals * Dtail) / w
-        du = -(t1d + self.phi_ders * Dtail) / w
-        return RadialFunction(self.mode, g, u, du, f.trig)
+        return C, Dtail, np.asarray(self.wronskian)[..., None]
+
+    def apply(self, f: RadialFunction) -> RadialFunction:
+        """u with (P - lam^2) u = f, outgoing at infinity, and its exact u'."""
+        parts = self._integrals(f)
+        return RadialFunction(self.mode, self.grid, _vary(self.psi_vals, self.phi_vals, *parts),
+                              _vary(self.psi_ders, self.phi_ders, *parts), f.trig)
+
+    def apply_values(self, f: RadialFunction) -> RadialFunction:
+        """apply(f)'s values alone, with derivs None: no node derivatives are formed."""
+        u = _vary(self.psi_vals, self.phi_vals, *self._integrals(f))
+        return RadialFunction(self.mode, self.grid, u, None, f.trig)
 
     def value_at(self, f: RadialFunction, x: float):
         """(R(lam) f)(x): a complex, or an array over the batch.
 
         Off the grid f vanishes, so u is phi(x) times -integral(psi f r dr) / W
         below it and psi(x) times -integral(phi f r dr) / W above it: the end
-        values of apply's two cumulative integrals, so off the grid no node
-        derivatives are formed.  A non-finite x raises ValidationError.
+        values of apply's two cumulative integrals; on the grid apply_values.
+        No node derivatives are formed.  A non-finite x raises ValidationError.
         """
         if not math.isfinite(x):
             raise ValidationError(f"observation radius must be finite, got {x}")
         g = self.grid
         if g.rmin <= x <= g.rmax:
-            return self.apply(f).value_at(x)
+            return self.apply_values(f).value_at(x)
         self._check_source(f)
         if x < self.scatterer.inner_radius:
             raise ValidationError(f"r = {x} lies inside the obstacle")
@@ -175,9 +180,16 @@ class ResolventSample:
         if below and x == 0.0:
             # phi starts as J_l(eta r) or r^l: 1 at the origin for mode 0, else 0
             return float(self.mode == 0) / self.phi_scale * coeff
-        phi_x, psi_x = self.solutions.values(np.array([x]))[0][..., 0]
+        phi_x, psi_x = self.solutions.values(np.array([x]))[..., 0]
         sol_x = phi_x / self.phi_scale if below else psi_x
         return sol_x.reshape(np.shape(coeff)) * coeff
+
+
+def _vary(psi_x: np.ndarray, phi_x: np.ndarray, C: np.ndarray, Dtail: np.ndarray,
+          w: np.ndarray) -> np.ndarray:
+    """-(psi_x C + phi_x D) / W: u from psi and phi at the nodes, u' from psi' and phi'."""
+    # psi blows up toward r = 0 for l >= 1; C vanishes identically there
+    return -(np.where(C == 0.0, 0.0, psi_x * C) + phi_x * Dtail) / w
 
 
 def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> ResolventSample:
@@ -185,11 +197,12 @@ def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> Resolven
 
     phi and psi share one segment set and every basis evaluation: the node
     values take the order-l basis alone, and only the five Wronskian probes
-    take derivatives.  A non-finite Wronskian raises NumericalError,
-    one of modulus at most POLE_GUARD AtPoleError for the first such point.
+    take derivatives; the node derivatives wait for the first apply.  A
+    non-finite Wronskian raises NumericalError, one of modulus at most
+    POLE_GUARD AtPoleError for the first such point.
     """
     sols = green_pair(s, l, lam)
-    (phi_v, psi_v), basis = sols.values(grid.nodes)
+    phi_v, psi_v = sols.values(grid.nodes)
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v), axis=-1)
     scale[scale == 0] = 1.0
@@ -214,7 +227,7 @@ def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> Resolven
         raise AtPoleError(lam if isinstance(lam, SpectralPoint) else list(lam)[i], w[i])
     if isinstance(lam, SpectralPoint):
         phi_v, psi_v, w, scale = (a[0] for a in (phi_v, psi_v, w, scale))
-    return ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale, basis)
+    return ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale)
 
 
 # ----------------------------------------------------------------------------
@@ -263,10 +276,10 @@ def one_sided_identity_residual(s: Scatterer, lam: SpectralPoint, chi: CutoffPro
     chi_v = chi.chi(grid.nodes)
     green = mode_green(s, lam, g.mode, grid)
     green0 = mode_green(_FREE, lam, g.mode, grid)
-    # apply reads only the source's values, so the masked sources carry no derivatives
-    lhs = green.apply(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
+    # only r0g's derivatives are read (by the commutator); the masked source has none
+    lhs = green.apply_values(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
     r0g = green0.apply(g)
-    rhs = (1.0 - chi_v) * r0g.values - green.apply(commutator_apply(chi, r0g)).values
+    rhs = (1.0 - chi_v) * r0g.values - green.apply_values(commutator_apply(chi, r0g)).values
     return _grid_norm(grid, lhs.values - rhs) / max(_grid_norm(grid, lhs.values), 1e-300)
 
 
@@ -286,7 +299,7 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     free = mode_green(_FREE, [lam, z], l, grid)
 
     rzf = green_z.apply(f)
-    lhs = green_l.apply(f).values - rzf.values
+    lhs = green_l.apply_values(f).values - rzf.values
 
     k1f_vals = (1.0 - chi_v) * f.values + commutator_apply(chi, rzf).values
     k1f = RadialFunction(l, grid, k1f_vals, None, f.trig)
@@ -294,8 +307,8 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     diff = RadialFunction(l, grid, v.values[0] - v.values[1], v.derivs[0] - v.derivs[1], f.trig)
 
     mid = RadialFunction(l, grid, chi_v * (2.0 - chi_v) * rzf.values, None, f.trig)
-    term1 = (lam.value**2 - z.value**2) * green_l.apply(mid).values
-    term2 = (1.0 - chi_v) * diff.values - green_l.apply(commutator_apply(chi, diff)).values
+    term1 = (lam.value**2 - z.value**2) * green_l.apply_values(mid).values
+    term2 = (1.0 - chi_v) * diff.values - green_l.apply_values(commutator_apply(chi, diff)).values
     rhs = term1 + term2
     return _grid_norm(grid, lhs - rhs) / max(_grid_norm(grid, lhs), 1e-300)
 

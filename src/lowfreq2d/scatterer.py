@@ -30,9 +30,12 @@ class PiecewisePotential:
 
     def __post_init__(self):
         if len(self.breaks) == 0 or len(self.breaks) != len(self.values):
-            raise ValidationError("need one value per break")
-        if self.breaks[0] <= 0 or any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
-            raise ValidationError("breakpoints not increasing")
+            raise ValidationError("values need one entry per break")
+        edges = self.segment_edges()
+        if not all(a < b < math.inf for a, b in zip(edges, edges[1:])):
+            raise ValidationError(f"breaks not increasing from 0 and finite, got {self.breaks}")
+        if not all(map(cmath.isfinite, self.values)):
+            raise ValidationError(f"values must be finite, got {self.values}")
 
     @property
     def kind(self) -> str:
@@ -64,10 +67,10 @@ class DiskObstacle:
     bc: str  # "dirichlet" | "neumann"
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValidationError(f"radius must be positive and finite, got {self.radius}")
         if self.bc not in ("dirichlet", "neumann"):
-            raise ValidationError(f"unknown boundary condition '{self.bc}'")
+            raise ValidationError(f"bc must be 'dirichlet' or 'neumann', got '{self.bc}'")
 
     @property
     def kind(self) -> str:
@@ -130,8 +133,9 @@ class CutoffProfile:
     width: float
 
     def __post_init__(self):
-        if self.r0 <= 0 or self.width <= 0:
-            raise ValidationError("cutoff needs r0 > 0 and width > 0")
+        for name in ("r0", "width"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def r_end(self) -> float:
@@ -142,30 +146,25 @@ class CutoffProfile:
         """Radius r1 with chi = 0 for r > r1 - 1."""
         return self.r_end + 1.0
 
+    def jet(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(chi, chi', chi'') at r, from one evaluation of the bridge."""
+        r = np.asarray(r, dtype=float)
+        inside = (r > self.r0) & (r < self.r_end)
+        S, Sp, Spp = _bridge(np.clip((r - self.r0) / self.width, 0.0, 1.0))
+        return (np.where(r <= self.r0, 1.0, np.where(r >= self.r_end, 0.0, S)),
+                np.where(inside, Sp / self.width, 0.0),
+                np.where(inside, Spp / self.width**2, 0.0))
+
     def chi(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        t = np.clip((r - self.r0) / self.width, 0.0, 1.0)
-        S, _, _ = _bridge(t)
-        return np.where(r <= self.r0, 1.0, np.where(r >= self.r_end, 0.0, S))
-
-    def dchi(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        inside = (r > self.r0) & (r < self.r_end)
-        t = np.clip((r - self.r0) / self.width, 0.0, 1.0)
-        _, Sp, _ = _bridge(t)
-        return np.where(inside, Sp / self.width, 0.0)
-
-    def d2chi(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        inside = (r > self.r0) & (r < self.r_end)
-        t = np.clip((r - self.r0) / self.width, 0.0, 1.0)
-        _, _, Spp = _bridge(t)
-        return np.where(inside, Spp / self.width**2, 0.0)
+        return self.jet(r)[0]
 
     def laplacian_chi(self, r) -> np.ndarray:
         """(chi'' + chi'/r) for the radial Laplacian."""
-        r = np.asarray(r, dtype=float)
-        return self.d2chi(r) + np.where(r > 0, self.dchi(r) / np.where(r > 0, r, 1.0), 0.0)
+        return _laplacian(np.asarray(r, dtype=float), *self.jet(r)[1:])
+
+
+def _laplacian(r: np.ndarray, dchi: np.ndarray, d2chi: np.ndarray) -> np.ndarray:
+    return d2chi + np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)
 
 
 def default_cutoff(s: Scatterer) -> CutoffProfile:
@@ -180,7 +179,8 @@ def commutator_apply(chi: CutoffProfile, u: RadialFunction) -> RadialFunction:
         raise ValidationError(
             f"grid too coarse: {int(np.count_nonzero(in_bridge))} nodes across the cutoff bridge (need >= 32)"
         )
-    vals = chi.laplacian_chi(grid.nodes) * u.values + 2.0 * chi.dchi(grid.nodes) * u.deriv_values()
+    _, dchi, d2chi = chi.jet(grid.nodes)
+    vals = _laplacian(grid.nodes, dchi, d2chi) * u.values + 2.0 * dchi * u.deriv_values()
     return RadialFunction(
         u.mode, grid, vals, None, u.trig,
         exterior=Exterior(), exterior_start=chi.r_end,
@@ -273,6 +273,16 @@ def _format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
+def _construct(cls, args: tuple, lines: dict[str, int | None]):
+    """cls(*args), its ValidationError re-raised as a ConfigError at the key
+    of lines (key -> line) whose last part is the field the message starts with."""
+    try:
+        return cls(*args)
+    except ValidationError as e:
+        key = next((k for k in lines if str(e).startswith(k.rsplit(".", 1)[-1] + " ")), None)
+        raise ConfigError(str(e), lines.get(key), key) from None
+
+
 def parse_config(text: str) -> ScattererConfig:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines() or [""], start=1):
@@ -305,22 +315,15 @@ def parse_config(text: str) -> ScattererConfig:
             raise ConfigError("potential needs 'breaks' and 'values'", kline)
         breaks = tuple(_parse_float(b, bl, "breaks") for b in breaks_s.split(","))
         values = tuple(_parse_complex(v, vl, "values") for v in values_s.split(","))
-        if len(breaks) != len(values):
-            raise ConfigError("breaks and values must have the same length", vl, "values")
-        if breaks[0] <= 0 or any(b >= c for b, c in zip(breaks, breaks[1:])):
-            raise ConfigError("breakpoints not increasing", bl, "breaks")
-        scatterer: Scatterer = PiecewisePotential(breaks, values)
+        scatterer: Scatterer = _construct(PiecewisePotential, (breaks, values),
+                                          {"breaks": bl, "values": vl})
     elif kind == "disk":
         radius_s, rl = take("radius")
         bc, bcl = take("bc", "dirichlet")
         if radius_s is None:
             raise ConfigError("disk needs 'radius'", kline)
         radius = _parse_float(radius_s, rl, "radius")
-        if radius <= 0:
-            raise ConfigError("radius must be positive", rl, "radius")
-        if bc not in ("dirichlet", "neumann"):
-            raise ConfigError(f"unknown boundary condition '{bc}'", bcl, "bc")
-        scatterer = DiskObstacle(radius, bc)
+        scatterer = _construct(DiskObstacle, (radius, bc), {"radius": rl, "bc": bcl})
     else:
         raise ConfigError(f"unknown kind '{kind}'", kline, "kind")
 
@@ -335,7 +338,7 @@ def parse_config(text: str) -> ScattererConfig:
             f"cutoff.r0 = {r0} leaves no room outside the scatterer support "
             f"(radius {scatterer.support_radius})", r0l, "cutoff.r0",
         )
-    cutoff = CutoffProfile(r0, width)
+    cutoff = _construct(CutoffProfile, (r0, width), {"cutoff.r0": r0l, "cutoff.width": wl})
 
     g = dict(_GRID_DEFAULTS)
     for name in ("argDeg", "min", "max"):

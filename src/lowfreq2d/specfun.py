@@ -286,11 +286,12 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray, slot: int | None = None
     float64.  Each call routes its points once; a route that takes every
     point runs on the call's own arrays, and the work arrays are O(P).
 
-    slot = 0 or 1 evaluates order l alone or order l + 1 alone, each of shape
-    z.shape and bit for bit that slot of the pair: the same routing, and only
-    that order's series columns (or, at l = 0, its asymptotic sums).
+    slot = 0 evaluates order l alone, each of shape z.shape and bit for bit
+    order l of the pair: the same routing, and only that order's series
+    columns (or, at l = 0, its asymptotic sums).  That is what the values
+    of a solution need; their derivatives take the pair.
     """
-    orders = (0, 1) if slot is None else (slot,)
+    orders = {None: (0, 1), 0: (0,)}[slot]
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     logz = np.atleast_1d(np.asarray(logz, dtype=complex))
     out = np.empty((3, len(orders), z.size), dtype=complex)

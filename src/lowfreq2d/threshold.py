@@ -180,11 +180,7 @@ def eigen_projection(report: ThresholdReport, f: RadialFunction) -> RadialFuncti
     """Project f onto the zero eigenspace (both trig copies per eigen mode)."""
     out_vals = np.zeros(len(f.grid), dtype=complex)
     hit = None
-    f_decaying_tail = (
-        f.exterior is not None
-        and f.exterior.clog == 0 and f.exterior.c0 == 0
-        and all(l < 0 for l in f.exterior.v)
-    )
+    f_decaying_tail = f.exterior is not None and f.exterior.decaying
     for l, e in report.eigen_modes:
         for trig in ("cos", "sin"):
             psi = with_trig(e, trig)

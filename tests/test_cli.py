@@ -135,6 +135,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
     "kind = disk\nradius = 1\ncutoff.r0 = inf\n",
     "kind = disk\nradius = 1\ncutoff.r0 = 1\n",
     "kind = disk\nradius = 1\ncutoff.width = nan\n",
+    "kind = disk\nradius = 1\ncutoff.width = 0\n",
+    "kind = disk\nradius = 1\ncutoff.width = -1\n",
     "kind = potential\nbreaks = nan\nvalues = -2.5\n",
     "kind = potential\nbreaks = 1\nvalues = nan\n",
     "kind = potential\nbreaks = 1\nvalues = 1+infi\n",

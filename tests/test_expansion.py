@@ -40,6 +40,26 @@ def test_batched_samples_match_per_point(dirichlet_fx, p_well_fx):
         assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-14
 
 
+def test_matrix_elements_build_no_node_derivatives(dirichlet_fx, monkeypatch):
+    # <R(lam) f, g> reads u alone: no order-(l + 1) Bessel slot on the grid
+    # nodes, only the boundary solve and the five Wronskian probes per point
+    from lowfreq2d import radialsolve
+    bessel_pair, seen = radialsolve.bessel_pair, []
+
+    def spy(l, z, logz, slot=None):
+        seen.append((np.size(z), slot))
+        return bessel_pair(l, z, logz, slot)
+
+    monkeypatch.setattr(radialsolve, "bessel_pair", spy)
+    pts = [SpectralPoint(m, math.pi / 4) for m in (1e-4, 1e-3, 1e-2)]
+    for mode in (0, 2):
+        f = dirichlet_fx.source(mode)
+        seen.clear()
+        sample_matrix_element(dirichlet_fx.scatterer, f, f, pts)
+        assert max(n for n, slot in seen if slot != 0) <= 6 * len(pts) < len(dirichlet_fx.grid)
+        assert sum(n for n, slot in seen if slot == 0) == len(pts) * len(dirichlet_fx.grid)
+
+
 def test_selfadjoint_pairing_symmetry(generic_well_fx):
     fx = generic_well_fx
     lam = [SpectralPoint(0.3, math.pi / 2)]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as L
 
-from lowfreq2d import (DiskObstacle, PiecewisePotential, ValidationError, bump,
-                       bump_edges, default_cutoff, standard_grid)
+from lowfreq2d import (DiskObstacle, PiecewisePotential, RadialFunction, ValidationError,
+                       bump, bump_edges, default_cutoff, inner, norm_sq, standard_grid)
+from lowfreq2d.radial import Exterior
 from lowfreq2d.quadrature import PanelGrid, geometric_edges, graded_inner_edges
 
 
@@ -32,6 +33,31 @@ def test_eval_and_derivative(grid):
     d = grid.derivative(f)
     exact = np.exp(-r) * (3 * np.cos(3 * r) - np.sin(3 * r))
     assert np.max(np.abs(d - exact)) < 1e-9
+
+
+def _tailed(grid, exterior):
+    return RadialFunction(2, grid, np.ones(len(grid)), exterior=exterior,
+                          exterior_start=None if exterior is None else grid.rmax)
+
+
+@pytest.mark.parametrize("case", ["grids", "inner-missing", "inner-growing",
+                                  "norm-missing", "norm-log", "norm-1/r"])
+def test_inner_and_norm_raise_validation_errors(grid, case):
+    # mismatched grids, a missing exterior and one whose square does not
+    # integrate (growing, log or 1/r) are bad input, reported as ValidationError
+    decaying = _tailed(grid, Exterior(v={-2: 1.0}))
+    call = {
+        "grids": lambda: inner(decaying, _tailed(PanelGrid(grid.edges, 8), None)),
+        "inner-missing": lambda: inner(decaying, _tailed(grid, None), tail=True),
+        "inner-growing": lambda: inner(decaying, _tailed(grid, Exterior(v={-2: 1.0, 2: 1.0})),
+                                       tail=True),
+        "norm-missing": lambda: norm_sq(_tailed(grid, None), include_tail=True),
+        "norm-log": lambda: norm_sq(_tailed(grid, Exterior(clog=1.0)), include_tail=True),
+        "norm-1/r": lambda: norm_sq(_tailed(grid, Exterior(v={-1: 1.0})), include_tail=True),
+    }[case]
+    with pytest.raises(ValidationError):
+        call()
+    assert abs(inner(decaying, decaying, tail=True) - norm_sq(decaying, include_tail=True)) < 1e-12
 
 
 def test_polynomial_exactness():

@@ -266,8 +266,8 @@ def test_solution_wronskian_free():
 @pytest.mark.parametrize("l", [0, 2])
 def test_lazy_derivatives_match_eager_evaluation(dirichlet_fx, l):
     # the node values come from the order-l basis alone and the derivatives,
-    # built on the first apply, from that kept basis and the order-(l + 1)
-    # basis alone: u and du carry the bits of the eager pair evaluation
+    # built on the first apply, from the pair evaluation: u and du carry the
+    # bits of the eager pair evaluation
     import dataclasses
     from lowfreq2d import PiecewisePotential, default_cutoff
     well = PiecewisePotential((0.5, 1.0), (-3.0, 2.0))
@@ -289,6 +289,18 @@ def test_lazy_derivatives_match_eager_evaluation(dirichlet_fx, l):
             u, ref = sample.apply(f), eager.apply(f)
             assert np.array_equal(u.values, ref.values) and np.array_equal(u.derivs, ref.derivs)
             assert np.array_equal(sample.phi_ders, phi_d) and np.array_equal(sample.psi_ders, psi_d)
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_apply_values_matches_apply_bit_for_bit(dirichlet_fx, l):
+    # the values-only sibling shares apply's arithmetic and forms no node
+    # derivatives, for one spectral point and for a batch
+    f = dirichlet_fx.source(l)
+    for lam in (SpectralPoint(0.7, 0.3), [SpectralPoint(0.7, 0.3), SpectralPoint(1e-3, 1.2)]):
+        sample = mode_green(dirichlet_fx.scatterer, lam, l, dirichlet_fx.grid)
+        u = sample.apply_values(f)
+        assert u.derivs is None and "_ders" not in vars(sample)
+        assert np.array_equal(u.values, sample.apply(f).values)
 
 
 def test_batched_solutions_match_single_points():

@@ -56,6 +56,31 @@ def test_negative_radius_rejected():
         parse_config("kind=disk; radius=-1")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PiecewisePotential((1.0,), (math.nan,)),
+    lambda: PiecewisePotential((1.0,), (complex(0.0, math.inf),)),
+    lambda: PiecewisePotential((math.nan,), (-2.5,)),
+    lambda: PiecewisePotential((1.0, math.inf), (-2.5, 1.0)),
+    lambda: DiskObstacle(math.inf, "dirichlet"),
+    lambda: DiskObstacle(math.nan, "neumann"),
+    lambda: CutoffProfile(math.nan, 1.0),
+    lambda: CutoffProfile(1.5, math.inf),
+], ids=["V-nan", "V-inf", "break-nan", "break-inf", "disk-inf", "disk-nan",
+        "r0-nan", "width-inf"])
+def test_constructors_reject_nonfinite_data(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_constructor_errors_carry_the_config_key():
+    for text, line, key in (("kind=disk\nradius=1\ncutoff.width=0", 3, "cutoff.width"),
+                            ("kind=disk\nbc=robin\nradius=1", 2, "bc"),
+                            ("kind=potential\nbreaks=1,2\nvalues=-1", 3, "values")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert (err.value.line, err.value.key) == (line, key)
+
+
 def test_error_carries_line_number():
     try:
         parse_config("kind = disk\nradius = 1\nnope = 2\n")
@@ -86,8 +111,9 @@ def test_chi_values_and_smoothness():
     h = 1e-4
     fd1 = (chi.chi(rr + h) - chi.chi(rr - h)) / (2 * h)
     fd2 = (chi.chi(rr + h) - 2 * chi.chi(rr) + chi.chi(rr - h)) / h**2
-    assert np.max(np.abs(fd1 - chi.dchi(rr))) < 1e-6
-    assert np.max(np.abs(fd2 - chi.d2chi(rr))) < 1e-4
+    _, d1, d2 = chi.jet(rr)
+    assert np.max(np.abs(fd1 - d1)) < 1e-6
+    assert np.max(np.abs(fd2 - d2)) < 1e-4
 
 
 def test_laplacian_chi_integrates_to_zero():
@@ -178,7 +204,7 @@ def test_bridge_closed_ends_exact():
     # assigned, so chi is exactly 1 / 0 there with vanishing derivatives
     chi = CutoffProfile(1.5, 1.0)
     r = np.array([1.0, 1.5, 2.0, 2.5, 3.0])
-    c, d, d2 = chi.chi(r), chi.dchi(r), chi.d2chi(r)
+    c, d, d2 = chi.jet(r)
     assert list(c) == [1.0, 1.0, 0.5, 0.0, 0.0]
     assert list(d[[0, 1, 3, 4]]) == [0.0] * 4 and d[2] < 0.0
     assert list(d2[[0, 1, 3, 4]]) == [0.0] * 4

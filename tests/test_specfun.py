@@ -217,7 +217,7 @@ def test_large_call_matches_single_points_bit_for_bit(l):
 
 @pytest.mark.parametrize("l", [0, 1, 3, 10])
 def test_slot_calls_match_the_pair_bit_for_bit(l):
-    # order l alone and order l + 1 alone are that slot of the pair call:
+    # order l alone is that order of the pair call:
     # the float64 and complex routes, both branches, sheets 0 and +-1, the
     # |z| = 12 seam and (at l = 10, where it lies beyond the seam) both sides
     # of the 0.75|z| order switch, on a 2-D batch
@@ -228,12 +228,9 @@ def test_slot_calls_match_the_pair_bit_for_bit(l):
     m, t = (a.ravel() for a in np.meshgrid(mods, args))
     z = np.concatenate([z, m * np.exp(1j * t)]).reshape(-1, 5)
     logz = np.concatenate([logz, np.log(m) + 1j * t]).reshape(-1, 5)
-    pair = bessel_pair(l, z, logz)
-    for slot in (0, 1):
-        alone = bessel_pair(l, z, logz, slot)
-        for ours, ref in zip(alone, pair):
-            assert ours.shape == z.shape
-            assert np.array_equal(ours, ref[slot])
+    for ours, ref in zip(bessel_pair(l, z, logz, 0), bessel_pair(l, z, logz)):
+        assert ours.shape == z.shape
+        assert np.array_equal(ours, ref[0])
 
 
 def test_bessel_pair_work_memory_is_linear_in_points():
