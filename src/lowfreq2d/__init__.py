@@ -8,7 +8,7 @@ from .errors import (AtPoleError, BasinError, BoundStateRefusal, ConfigError,
                      DegenerateScattererError, DomainError, IllConditionedFitError,
                      LowfreqError, NumericalError, ShapeMismatchError, ValidationError)
 from .expansion import (ExpansionGrid, FitReport, FitTerm, LogLaurentSeries,
-                        expansion_grid, fit_log_laurent, general_terms,
+                        expansion_grid, fit_log_laurent, fit_shape,
                         nonresonant_terms, predict_leading_terms, resonant_terms,
                         sample_matrix_element)
 from .quadrature import PanelGrid

@@ -24,9 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import LowfreqError, NumericalError, ValidationError
-from .expansion import (attach_predictions, expansion_grid, fit_log_laurent,
-                        general_terms, nonresonant_terms, predict_leading_terms,
-                        resonant_terms, sample_matrix_element)
+from .expansion import (attach_predictions, expansion_grid, fit_log_laurent, fit_shape,
+                        predict_leading_terms, sample_matrix_element)
 from .radial import RadialFunction, bump, bump_edges
 from .resolvent import (one_sided_identity_residual, pairing_identity_residual,
                         two_parameter_identity_residual)
@@ -119,15 +118,19 @@ class _Run:
 
 
 def _source_geometry(cfg: ScattererConfig) -> tuple[float, float]:
-    """Centre and half-width of the canonical source bump."""
+    """Centre and half-width of the canonical source bump: centred between the
+    scatterer's inner radius and cutoff.r0, with 0.8 of that half-gap."""
     inner = cfg.scatterer.inner_radius
     return 0.5 * (inner + cfg.cutoff.r0), 0.8 * 0.5 * (cfg.cutoff.r0 - inner)
 
 
-def canonical_source(cfg: ScattererConfig, grid, mode: int = 0) -> RadialFunction:
-    """The documented default test function: a bump centered in the annulus
-    between scatterer support (or obstacle boundary) and the cutoff start."""
-    return bump(grid, *_source_geometry(cfg), mode)
+def canonical_source(cfg: ScattererConfig, grid) -> RadialFunction:
+    """The documented default test function, a mode-0 bump between the
+    scatterer's inner radius and the cutoff start: outside a disk obstacle,
+    but over a potential's support, since a potential's inner radius is 0
+    (on values = 2.5, breaks = 1 the trimmed source runs from r = 0.156 to
+    r = 1.344)."""
+    return bump(grid, *_source_geometry(cfg))
 
 
 def _source_edges(cfg: ScattererConfig) -> list[float]:
@@ -140,6 +143,8 @@ def _lambda_grid(cfg: ScattererConfig):
 
 
 def _tuned_mode(report) -> int:
+    """The mode whose poles perturb tracks; it reads every mode, because the
+    threshold state perturb follows need not share the source's channel."""
     if report.dim_g1_mod_g2:
         return 1
     if report.eigen_modes:
@@ -182,19 +187,8 @@ def _cmd_expand(run: _Run) -> None:
         "samples.csv", ["modulus", "arg", "re", "im"],
         [(p.modulus, p.arg, v.real, v.imag) for p, v in zip(eg.points, samples)],
     )
-    if report.has_s_resonance and not report.has_p_resonance and not report.has_eigenvalue:
-        terms = resonant_terms(cfg.fit_jmax, cfg.fit_kmax)
-        fit = fit_log_laurent(samples, eg, terms, optimize_shift=False)
-    elif not report.has_zero_resonance and not report.has_eigenvalue:
-        terms = nonresonant_terms(cfg.fit_jmax, cfg.fit_kmax)
-        fit = fit_log_laurent(samples, eg, terms, shift0=report.a)
-    else:
-        terms = general_terms(cfg.fit_jmax, cfg.fit_kmax, lam_m2=True,
-                              lam_m2_pole=report.has_p_resonance,
-                              pole_kmax={0: 2} if report.has_p_resonance else None)
-        shift0 = report.s[0] if report.s else report.a
-        fit = fit_log_laurent(samples, eg, terms, shift0=shift0,
-                              optimize_shift=False)
+    terms, shift0 = fit_shape(report, f, cfg.fit_jmax, cfg.fit_kmax)
+    fit = fit_log_laurent(samples, eg, terms, shift0=shift0)
     attach_predictions(fit, predict_leading_terms(report, f, f))
     run.write_json("fit.json", fit.to_dict())
 

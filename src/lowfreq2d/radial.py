@@ -164,6 +164,20 @@ def bump_edges(center: float, halfwidth: float) -> list[float]:
 # inner products and norms on L^2(R^2)
 # ----------------------------------------------------------------------------
 
+def _tail(f: RadialFunction, g: RadialFunction) -> complex:
+    """integral_R^inf f conj(g) r dr of the two exteriors beyond the grid end
+    R: each pair of terms c r^l, d r^m adds c conj(d) R^(l+m+2) / -(l+m+2),
+    defined because both exteriors are decaying (l, m <= -2)."""
+    ef, eg = f.exterior, g.exterior
+    if ef is None or eg is None:
+        raise ValidationError("the tail integral needs exterior data on both sides")
+    if not (ef.decaying and eg.decaying):
+        raise ValidationError("tail integral only for decaying exteriors")
+    R = f.grid.rmax
+    return sum((cf * np.conj(cg) * R ** (l + m + 2) / -(l + m + 2)
+                for l, cf in ef.v.items() for m, cg in eg.v.items()), 0.0)
+
+
 def inner(f: RadialFunction, g: RadialFunction, tail: bool = False) -> complex:
     """<f, g> over the plane (conjugates g); 0 across distinct channels.
 
@@ -177,15 +191,7 @@ def inner(f: RadialFunction, g: RadialFunction, tail: bool = False) -> complex:
     rad = f.grid.integrate(f.values * np.conj(g.values) * f.grid.nodes)
     total = f.angular_weight * rad
     if tail:
-        ef, eg = f.exterior, g.exterior
-        if ef is None or eg is None:
-            raise ValidationError("tail=True needs exterior data on both sides")
-        if not (ef.decaying and eg.decaying):
-            raise ValidationError("tail integral only for decaying exteriors")
-        R = f.grid.rmax
-        for l, cf in ef.v.items():
-            if l in eg.v:
-                total += f.angular_weight * cf * np.conj(eg.v[l]) * R ** (2 * l + 2) / (-2 * l - 2)
+        total += f.angular_weight * _tail(f, g)
     return total
 
 
@@ -194,15 +200,7 @@ def norm_sq(f: RadialFunction, include_tail: bool = False) -> float:
     total = (f.angular_weight *
              f.grid.integrate(np.abs(f.values) ** 2 * f.grid.nodes)).real
     if include_tail:
-        ext = f.exterior
-        if ext is None:
-            raise ValidationError("no exterior data for the tail")
-        if not ext.decaying:
-            raise ValidationError("tail integral only for decaying exteriors")
-        R = f.grid.rmax
-        for l, c in ext.v.items():
-            # integral_R^inf |c|^2 r^{2l} r dr, l <= -2
-            total += f.angular_weight * abs(c) ** 2 * R ** (2 * l + 2) / (-2 * l - 2)
+        total += (f.angular_weight * _tail(f, f)).real
     return total
 
 

@@ -119,7 +119,9 @@ def sigma_asymptotic(report: ThresholdReport, lam: float) -> complex:
     sigma ~ (1/2 pi i) log(1 + i pi / (log lam - a)); defined when there is no
     bounded zero-energy state (then a = gamma0 + c0(Ulog), and for obstacles
     log lam - a = log lam - log 2 + euler + C - i pi/2 with C the
-    log-capacity constant).  Error of the law is O(lam^2 log lam).
+    log-capacity constant).  Error of the law is O(lam^2 log lam).  It reads
+    only the mode-0 s-resonance, the one threshold state that leaves a
+    undefined.
     """
     if report.has_s_resonance:
         raise ShapeMismatchError("scattering-phase law assumes no bounded zero-energy state")

@@ -83,18 +83,6 @@ class ThresholdReport:
     def has_s_resonance(self) -> bool:
         return self.dim_g0_mod_g1 == 1
 
-    @property
-    def has_p_resonance(self) -> bool:
-        return self.dim_g1_mod_g2 > 0
-
-    @property
-    def has_eigenvalue(self) -> bool:
-        return len(self.eigen_modes) > 0
-
-    @property
-    def has_zero_resonance(self) -> bool:
-        return self.has_s_resonance or self.has_p_resonance
-
 
 def solve_zero_mode(s: Scatterer, l: int) -> ThresholdMode:
     """Exact transfer-matrix solve of the mode-l equation at zero energy."""

@@ -8,8 +8,9 @@ one-argument-at-a-time reference for the wave's moment table, and the ODE
 residual checks a resolvent application against the mode equation by
 numerical differentiation on its grid.  The free-kernel truncation error sets
 the package's exact kernel against its low-frequency coefficient kernels,
-det_s_modulus multiplies out a phase-shift table's S-matrix, and
-from_callable samples a plain function onto a grid, one node at a time.
+det_s_modulus multiplies out a phase-shift table's S-matrix,
+from_callable samples a plain function onto a grid, one node at a time, and
+log_power_terms lists fit columns outside the structural shapes.
 admissible is Re V >= 0 on the support.  The sequential pole finders are
 the one-point-per-step Newton and bisection loops that the batched ones in
 `lowfreq2d.scattering` must reproduce bit for bit; they reach the defect
@@ -24,6 +25,7 @@ import numpy as np
 
 from lowfreq2d import scattering
 from lowfreq2d.errors import BasinError
+from lowfreq2d.expansion import FitTerm
 from lowfreq2d.quadrature import PanelGrid
 from lowfreq2d.radial import Exterior, RadialFunction
 from lowfreq2d.resolvent import FreeCoeffKernel, free_kernel
@@ -162,6 +164,15 @@ def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos
     vals = np.array([fn(r) for r in grid.nodes], dtype=complex)
     ders = None if dfn is None else np.array([dfn(r) for r in grid.nodes], dtype=complex)
     return RadialFunction(mode, grid, vals, ders, trig, exterior, exterior_start)
+
+
+def log_power_terms(jmax: int, kmin: int, kmax: int, capped: bool = True) -> list[FitTerm]:
+    """lam^{2j} (log lam)^k for 0 <= j <= jmax and kmin <= k <= kmax, with k also
+    at most 2j + 1 unless capped is false: a shape whose negative and uncapped
+    log powers the resolvent does not have, so their fitted coefficients
+    must come out at noise level."""
+    return [FitTerm(j, k) for j in range(jmax + 1)
+            for k in range(kmin, (min(2 * j + 1, kmax) if capped else kmax) + 1)]
 
 
 def potential_values(s, r: np.ndarray) -> np.ndarray:

@@ -275,6 +275,45 @@ def test_expand_attractive_well(tmp_path):
     assert fit["shift"] is not None
 
 
+
+@pytest.mark.parametrize("name", ["p_well_fx", "eig_well_fx"])
+def test_expand_fits_the_source_channel_on_tuned_wells(tmp_path, request, name):
+    # the threshold state lies in mode 1 or 2, outside the mode-0 source's
+    # channel: the fit takes the non-resonant shape and predicts (log-a)^-1
+    s = request.getfixturevalue(name).scatterer
+    cfg = (f"kind = potential\nbreaks = {', '.join(repr(float(b)) for b in s.breaks)}\n"
+           f"values = {', '.join(repr(float(v)) for v in s.values)}\n")
+    assert cli.parse_config(cfg).scatterer == s
+    code, out = _run(tmp_path, "well.cfg", cfg, "expand")
+    assert code == 0
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["residualHeldOut"] <= 1e-9
+    pole = next(t for t in fit["terms"] if t["label"] == "(log-a)^-1")
+    assert pole["relError"] is not None and pole["relError"] <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["neumann-0.8", "neumann-1.2", "s_well_fx"])
+def test_expand_resonant_fit_runs_one_order_past_jmax(tmp_path, request, name):
+    # U0 in the source's channel: the pole-free resonant shape, fitted through
+    # lam^4 at the default jmax = 1, holds the default grid's held-out points
+    # to the non-resonant shape's level (through lam^2 alone, 1.6e-9 to 6.2e-9
+    # on these disks)
+    if name.startswith("neumann"):
+        cfg = f"kind = disk\nradius = {name.split('-')[1]}\nbc = neumann\n"
+    else:
+        s = request.getfixturevalue(name).scatterer
+        cfg = (f"kind = potential\nbreaks = {', '.join(repr(float(b)) for b in s.breaks)}\n"
+               f"values = {', '.join(repr(float(v)) for v in s.values)}\n")
+    code, out = _run(tmp_path, "res.cfg", cfg, "expand")
+    assert code == 0
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["residualHeldOut"] <= 1e-10
+    log_term = next(t for t in fit["terms"] if t["label"] == "log^1")
+    assert log_term["relError"] is not None and log_term["relError"] <= 1e-10
+    assert max(t["j"] for t in fit["terms"]) == 2
+    assert not any(t["pole"] for t in fit["terms"])
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 

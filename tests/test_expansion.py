@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from lowfreq2d import (FitTerm, GAMMA0, SpectralPoint, expansion_grid, fit_log_laurent,
-                       general_terms, inner, nonresonant_terms, plane_integral,
+                       fit_shape, inner, nonresonant_terms, plane_integral,
                        predict_leading_terms, resonant_terms, sample_matrix_element)
 from lowfreq2d.errors import IllConditionedFitError, ShapeMismatchError, ValidationError
 from lowfreq2d.expansion import LogLaurentSeries, attach_predictions
+
+from oracles import log_power_terms
 
 
 def _max_contrib(fit, term, pts):
@@ -126,8 +128,8 @@ def test_dirichlet_nonresonant_fit(dirichlet_fx, samples_dirichlet, default_grid
 
 def test_neumann_resonant_fit_and_spurious_terms(neumann_fx, samples_neumann, default_grid_pts):
     rep = neumann_fx.report
-    terms = general_terms(jmax=1, kmax=2, kneg=2, full_k=True)
-    fit = fit_log_laurent(samples_neumann, default_grid_pts, terms, optimize_shift=False)
+    terms = log_power_terms(jmax=1, kmin=-2, kmax=2, capped=False)
+    fit = fit_log_laurent(samples_neumann, default_grid_pts, terms)
     pred = predict_leading_terms(rep, neumann_fx.f, neumann_fx.f)
     c_log = fit.coefficient(FitTerm(0, 1))
     assert abs(c_log - pred["log^1"]) < 1e-2 * abs(pred["log^1"])
@@ -142,8 +144,7 @@ def test_neumann_resonant_fit_and_spurious_terms(neumann_fx, samples_neumann, de
 
 def test_free_resonant_fit(free_fx, samples_free, default_grid_pts):
     rep = free_fx.report
-    fit = fit_log_laurent(samples_free, default_grid_pts, resonant_terms(1, 3),
-                          optimize_shift=False)
+    fit = fit_log_laurent(samples_free, default_grid_pts, resonant_terms(1, 3))
     pred = predict_leading_terms(rep, free_fx.f, free_fx.f)
     c_log = fit.coefficient(FitTerm(0, 1))
     assert abs(c_log - pred["log^1"]) < 1e-2 * abs(pred["log^1"])
@@ -152,8 +153,8 @@ def test_free_resonant_fit(free_fx, samples_free, default_grid_pts):
 
 def test_s_well_resonant_fit_and_noneglog(s_well_fx, samples_s_well, default_grid_pts):
     rep = s_well_fx.report
-    terms = general_terms(jmax=1, kmax=3, kneg=2)
-    fit = fit_log_laurent(samples_s_well, default_grid_pts, terms, optimize_shift=False)
+    terms = log_power_terms(jmax=1, kmin=-2, kmax=3)
+    fit = fit_log_laurent(samples_s_well, default_grid_pts, terms)
     pred = predict_leading_terms(rep, s_well_fx.f, s_well_fx.f)
     c_log = fit.coefficient(FitTerm(0, 1))
     assert abs(c_log - pred["log^1"]) < 1e-2 * abs(pred["log^1"])
@@ -168,11 +169,10 @@ def test_shape_selection_matches_classification(samples_dirichlet, samples_neuma
                                                 default_grid_pts):
     # resonant shape on the resonant scatterer fits; on the non-resonant one
     # it structurally cannot reach the held-out tolerance (and vice versa)
-    res_on_neumann = fit_log_laurent(samples_neumann, default_grid_pts,
-                                     resonant_terms(1, 3), optimize_shift=False)
+    res_on_neumann = fit_log_laurent(samples_neumann, default_grid_pts, resonant_terms(1, 3))
     assert res_on_neumann.residual < 1e-6
     res_on_dirichlet = fit_log_laurent(samples_dirichlet, default_grid_pts,
-                                       resonant_terms(1, 3), optimize_shift=False)
+                                       resonant_terms(1, 3))
     assert res_on_dirichlet.residual > 1e-6
     nonres_on_dirichlet = fit_log_laurent(samples_dirichlet, default_grid_pts,
                                           nonresonant_terms(1, 2), shift0=GAMMA0)
@@ -187,8 +187,8 @@ def test_easysum_geometric_ladder(dirichlet_fx):
     eg = expansion_grid(count=36)
     samples = sample_matrix_element(dirichlet_fx.scatterer, dirichlet_fx.f,
                                     dirichlet_fx.f, eg.points)
-    terms = general_terms(jmax=1, kmax=1, kneg=5)
-    fit = fit_log_laurent(samples, eg, terms, optimize_shift=False)
+    terms = log_power_terms(jmax=1, kmin=-5, kmax=1)
+    fit = fit_log_laurent(samples, eg, terms)
     b1 = fit.coefficient(FitTerm(0, -1))
     b2 = fit.coefficient(FitTerm(0, -2))
     assert abs(b2 / b1 - rep.a) < 1e-2 * abs(rep.a)
@@ -200,10 +200,8 @@ def test_p_well_singular_term(p_well_fx, samples_p_well, default_grid_pts):
     rep = p_well_fx.report
     f, samples = samples_p_well
     pred = predict_leading_terms(rep, f, f)
-    terms = general_terms(jmax=1, kmax=1, lam_m2=True, lam_m2_pole=True,
-                          pole_kmax={0: 2})
-    fit = fit_log_laurent(samples, default_grid_pts, terms,
-                          shift0=rep.s[0], optimize_shift=False)
+    terms, shift0 = fit_shape(rep, f, jmax=1, kmax=1)
+    fit = fit_log_laurent(samples, default_grid_pts, terms, shift0=shift0)
     fitted = fit.coefficient(FitTerm(-1, 1, pole=True))
     expected = pred["lam^-2*(log-s1)^-1"]
     assert abs(expected - inner(f, rep.Uw[0]) * inner(rep.Uw[0], f) / math.pi) < 1e-12
@@ -216,10 +214,8 @@ def test_p_well_singular_term(p_well_fx, samples_p_well, default_grid_pts):
 def test_p_well_shift_recovery(p_well_fx, samples_p_well, default_grid_pts):
     rep = p_well_fx.report
     f, samples = samples_p_well
-    terms = general_terms(jmax=1, kmax=1, lam_m2=True, lam_m2_pole=True,
-                          pole_kmax={0: 2})
-    fit = fit_log_laurent(samples, default_grid_pts, terms,
-                          shift0=rep.s[0] + 0.05 - 0.03j, optimize_shift=True)
+    terms, shift0 = fit_shape(rep, f, jmax=1, kmax=1)
+    fit = fit_log_laurent(samples, default_grid_pts, terms, shift0=shift0 + 0.05 - 0.03j)
     assert abs(fit.shift_estimate - rep.s[0]) < 5e-2
 
 
@@ -229,12 +225,49 @@ def test_eig_well_coefficients(eig_well_fx, samples_eig_well, eig_grid_pts):
     pred = predict_leading_terms(rep, f, f)
     l, psi = rep.eigen_modes[0]
     assert abs(pred["lam^-2"] + abs(inner(f, psi, tail=False)) ** 2) < 1e-10
-    fit = fit_log_laurent(samples, eig_grid_pts, general_terms(jmax=1, kmax=1, lam_m2=True),
-                          optimize_shift=False)
+    terms, shift0 = fit_shape(rep, f, jmax=1, kmax=1)
+    fit = fit_log_laurent(samples, eig_grid_pts, terms, shift0=shift0)
     c_m2 = fit.coefficient(FitTerm(-1, 0))
     c_log = fit.coefficient(FitTerm(0, 1))
     assert abs(c_m2 - pred["lam^-2"]) < 1e-2 * abs(pred["lam^-2"])
     assert abs(c_log - pred["log^1"]) < 5e-2 * abs(pred["log^1"])
+
+
+def test_fit_shape_reads_the_source_channel(neumann_fx, dirichlet_fx, p_well_fx, eig_well_fx,
+                                            generic_well_fx):
+    regular = resonant_terms(1, 2)
+    # mode 0 holds U0 or Ulog, whatever the other modes hold; the resonant
+    # shape, with no pole terms, runs one order past jmax
+    assert fit_shape(neumann_fx.report, neumann_fx.f, 1, 2) == (resonant_terms(2, 2), None)
+    for fx in (dirichlet_fx, p_well_fx, eig_well_fx):
+        assert fit_shape(fx.report, fx.source(0), 1, 2) == (nonresonant_terms(1, 2), fx.report.a)
+    # the 1/r state: lam^-2, its shifted pole and the j = 0 poles to k = 2, from s_m
+    rep = p_well_fx.report
+    for trig, sm in zip(("cos", "sin"), rep.s):
+        terms, shift0 = fit_shape(rep, p_well_fx.source(1, trig), 1, 2)
+        assert shift0 == sm
+        assert terms == ([FitTerm(-1, 0), FitTerm(-1, 1, pole=True)] + regular
+                         + [FitTerm(0, 1, pole=True), FitTerm(0, 2, pole=True)])
+    # the eigenfunction: lam^-2 on top of the regular terms, no pole
+    for trig in ("cos", "sin"):
+        assert fit_shape(eig_well_fx.report, eig_well_fx.source(2, trig), 1, 2) == (
+            [FitTerm(-1, 0)] + regular, None)
+    for fx, mode in ((generic_well_fx, 1), (p_well_fx, 2), (eig_well_fx, 3)):
+        with pytest.raises(ShapeMismatchError, match=f"mode-{mode}"):
+            fit_shape(fx.report, fx.source(mode), 1, 2)
+
+
+def test_log_a_pole_prediction_follows_the_source_channel(p_well_fx, eig_well_fx):
+    # a 1/r state or an eigenfunction outside mode 0 leaves the mode-0
+    # source's (log-a)^-1 term as it is; a mode-1 source sharing the 1/r
+    # state's channel has none
+    for fx in (p_well_fx, eig_well_fx):
+        f = fx.source(0)
+        pred = predict_leading_terms(fx.report, f, f, want=["(log-a)^-1"])
+        assert pred["(log-a)^-1"] != 0
+    f1 = p_well_fx.source(1)
+    with pytest.raises(ShapeMismatchError):
+        predict_leading_terms(p_well_fx.report, f1, f1, want=["(log-a)^-1"])
 
 
 def test_prediction_shape_guard(s_well_fx, neumann_fx):
@@ -269,7 +302,7 @@ def test_generic_well_shift_matches_threshold(generic_well_fx, default_grid_pts)
     # the variable-projection fit of resolvent samples
     fx = generic_well_fx
     rep = fx.report
-    assert not rep.has_zero_resonance and not rep.has_eigenvalue
+    assert (rep.dim_g0_mod_g1, rep.dim_g1_mod_g2, rep.eigen_modes) == (0, 0, [])
     samples = sample_matrix_element(fx.scatterer, fx.f, fx.f, default_grid_pts.points)
     fit = fit_log_laurent(samples, default_grid_pts, nonresonant_terms(1, 2),
                           shift0=GAMMA0)

@@ -1,5 +1,7 @@
 """Panel Gauss-Legendre machinery: integrals, partial integrals, evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as L
@@ -58,6 +60,18 @@ def test_inner_and_norm_raise_validation_errors(grid, case):
     with pytest.raises(ValidationError):
         call()
     assert abs(inner(decaying, decaying, tail=True) - norm_sq(decaying, include_tail=True)) < 1e-12
+
+
+def test_tail_adds_every_pair_of_exterior_terms():
+    # integral_2^inf (r^-2 + r^-3)^2 r dr = 1/8 + 2/24 + 1/64, times pi for mode 1;
+    # the cross term is the 1/12
+    grid = PanelGrid([1.0, 2.0], 16)
+    r = grid.nodes
+    f = RadialFunction(1, grid, r**-2 + r**-3, exterior=Exterior(v={-2: 1.0, -3: 1.0}),
+                       exterior_start=1.0)
+    tail = norm_sq(f, include_tail=True) - norm_sq(f)
+    assert abs(tail - math.pi * (1 / 8 + 1 / 12 + 1 / 64)) < 1e-14
+    assert abs(inner(f, f, tail=True) - norm_sq(f, include_tail=True)) < 1e-14
 
 
 def test_polynomial_exactness():
