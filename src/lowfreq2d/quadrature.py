@@ -77,9 +77,6 @@ class PanelGrid:
             and np.array_equal(self.edges, other.edges)
         )
 
-    def refined(self, factor: int = 2) -> "PanelGrid":
-        return PanelGrid(self.edges, self.n * factor)
-
     # -- integration ----------------------------------------------------------
 
     # Node values may carry leading batch axes: vals has shape (..., len(self)).

@@ -15,6 +15,13 @@ against Legendre polynomials via spherical Bessel moments
 so one set of samples serves every requested time, from t = 0 to 1e6, with
 no stationary-phase bookkeeping.
 
+The Green data are taken on the source alone: on the run of panels where f
+is above rounding, resampled on the lam panels' node count per panel, with
+each panel split until LAM_CAP times its half-width is at most half that
+count, so the source quadrature of e^{i lam r} f r dr holds to rounding at
+every lam of the sweep.  Each resolvent call takes as many consecutive lam
+nodes as make about BESSEL_BATCH Bessel points on that quadrature.
+
 Scatterers with discrete spectrum are refused: a bound state would add an
 oscillatory term the spectral integral over the continuum misses.
 """
@@ -40,7 +47,7 @@ LAM_GEOMETRIC_TOP = 0.5
 LAM_CAP = 60.0
 TAIL_REL = 1e-12
 SOURCE_REL = 1e-17      # source panels whose max|f| stays below this share of max|f| take no Green data
-SPECTRAL_BATCH = 64     # spectral points per mode_green call of the sweep: four 16-node panels
+BESSEL_BATCH = 20480    # Bessel points (spectral x source nodes) per mode_green call of the sweep
 
 
 def spherical_jn_table(nmax: int, w: np.ndarray) -> np.ndarray:
@@ -160,6 +167,30 @@ def _source_panels(f: RadialFunction) -> RadialFunction:
     return RadialFunction(f.mode, PanelGrid(g.edges[lo:hi + 1], g.n), f.values[lo * g.n:hi * g.n])
 
 
+def _source_quadrature(src: RadialFunction, n: int) -> RadialFunction:
+    """src on n Gauss-Legendre nodes per panel, each panel split into the
+    fewest equal parts on which LAM_CAP times the half-width is at most n / 2,
+    where n nodes integrate e^{i lam r} f r dr to rounding for every lam of the
+    sweep.  f at each new node comes from its own panel's Legendre expansion
+    to its full degree: on the bump's graded panels the terms past degree 15
+    reach 2e-11 of max|f|, which a 16-node interpolant would drop."""
+    g = src.grid
+    width = np.diff(g.edges)
+    parts = np.ceil(LAM_CAP * width / n).astype(int)
+    panel = np.repeat(np.arange(g.npanels), parts)      # the old panel of each new one
+    pos = np.arange(panel.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    m = parts[panel]
+    edges = np.append(g.edges[panel] + width[panel] * pos / m, g.edges[-1])
+    x = legendre.leggauss(n)[0]
+    coeffs = g._coeffs(src.values)
+    vals = np.empty((panel.size, n), dtype=complex)
+    # one Legendre-Vandermonde matrix per subpanel position (m parts, part j)
+    for k, j in sorted(set(zip(m.tolist(), pos.tolist()))):
+        rows = (m == k) & (pos == j)
+        vals[rows] = coeffs[panel[rows]] @ legendre.legvander((x + 2 * j + 1 - k) / k, g.n - 1).T
+    return RadialFunction(src.mode, PanelGrid(edges, n), vals.ravel())
+
+
 def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     """w(x, t) for each requested time; one resolvent sweep serves all times."""
     poles = imaginary_axis_poles(q.scatterer, 0)
@@ -169,8 +200,9 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
             f"scatterer has bound states (kappa ~ {ks}); the continuum integral "
             "does not represent the evolution"
         )
-    # the integrand Im R(lam + i0) f (x) needs the Green data only where f lives
-    src = _source_panels(q.f)
+    # the integrand Im R(lam + i0) f (x) needs the Green data only where f
+    # lives, and there only on the nodes that integrate it to rounding
+    src = _source_quadrature(_source_panels(q.f), nodes_per_panel)
     # the tail beyond the sampled range is completed by endpoint asymptotics
     # with remainder ~ |G(top)| (sigma/t)^4, sigma the source support radius:
     # the end of the trimmed panels, since f beyond them moves no digit of G
@@ -180,20 +212,20 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     # lam; 8-unit chunks follow until the tail test passes or lam = LAM_CAP
     chunk = np.concatenate([geometric_edges(LAM_FLOOR, LAM_GEOMETRIC_TOP)[:-1],
                             np.arange(LAM_GEOMETRIC_TOP, 12.0 + 1e-9, 0.25)])
+    batch = max(1, BESSEL_BATCH // len(src.grid))
     edges, coeff_rows, gmax = [chunk[:1]], [], 0.0
     while True:
-        # one batched resolvent per SPECTRAL_BATCH consecutive nodes, across
-        # panel edges: below the support value_at reads node values only, on
-        # the trimmed source panels, 64 x 320 Bessel points per call on a CLI
-        # disk; that spreads the fixed cost per call (boundary solve,
-        # Wronskian probes, phi(x)) over many points.  A CLI wave on a disk
-        # peaks at 39.4, 41.4 and 45.5 MB RSS with 32, 64 and 128 points per
-        # call, so the batch stops at 64
+        # one batched resolvent per `batch` consecutive nodes, across panel
+        # edges: below the support value_at reads node values only, about
+        # BESSEL_BATCH per call (128 x 160 on a CLI disk), which spreads the
+        # fixed cost per call (boundary solve, Wronskian probes, phi(x)) over
+        # many points.  A CLI wave on a disk peaked at 39.4, 41.4 and 45.5 MB
+        # RSS with 32, 64 and 128 x 320 points per call, so 64 x 320 it is
         panel = PanelGrid(chunk, nodes_per_panel)
         lams = [SpectralPoint(float(m), 0.0) for m in panel.nodes]
         vals = np.concatenate([
-            mode_green(q.scatterer, lams[i:i + SPECTRAL_BATCH], 0, src.grid).value_at(src, q.x).imag
-            for i in range(0, len(lams), SPECTRAL_BATCH)
+            mode_green(q.scatterer, lams[i:i + batch], 0, src.grid).value_at(src, q.x).imag
+            for i in range(0, len(lams), batch)
         ])
         coeff_rows.append(panel._coeffs(vals))
         edges.append(chunk[1:])

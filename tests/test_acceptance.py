@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (FitTerm, GAMMA0, SpectralPoint, bessel_jy, breit_wigner_metrics,
+from lowfreq2d import (FitTerm, GAMMA0, PanelGrid, SpectralPoint, bessel_jy, breit_wigner_metrics,
                        bump, bump_edges, classify, commutator_apply, constant_one,
                        find_pole_in_disk, fit_log_laurent, fit_shape, hankel1,
                        imaginary_axis_poles, inner, nonresonant_terms,
@@ -113,7 +113,7 @@ def test_criterion_4_classification(free_fx, neumann_fx, dirichlet_fx,
     ok &= (eig_well_fx.report.dim_g0_mod_g1, eig_well_fx.report.dim_g1_mod_g2) == (0, 0)
     ok &= [l for l, _ in eig_well_fx.report.eigen_modes] == [2]
     for fx in (s_well_fx, p_well_fx, eig_well_fx):
-        fine = classify(fx.scatterer, cutoff=fx.chi, grid=fx.grid.refined(2))
+        fine = classify(fx.scatterer, cutoff=fx.chi, grid=PanelGrid(fx.grid.edges, 2 * fx.grid.n))
         ok &= fine.dim_g0_mod_g1 == fx.report.dim_g0_mod_g1
         ok &= fine.dim_g1_mod_g2 == fx.report.dim_g1_mod_g2
         ok &= [l for l, _ in fine.eigen_modes] == [l for l, _ in fx.report.eigen_modes]

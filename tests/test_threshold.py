@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, bump, classify,
-                       commutator_apply, eigen_projection, free_scatterer, inner,
+from lowfreq2d import (DiskObstacle, GAMMA0, PanelGrid, PiecewisePotential, bump,
+                       classify, commutator_apply, eigen_projection, free_scatterer, inner,
                        norm_sq, solve_zero_mode, standard_grid)
 from lowfreq2d.errors import NumericalError
 from lowfreq2d.radial import constant_one
@@ -79,7 +79,7 @@ def test_tuned_well_classifications(s_well_fx, p_well_fx, eig_well_fx):
 
 def test_classification_stable_under_grid_refinement(s_well_fx, p_well_fx, eig_well_fx):
     for fx in (s_well_fx, p_well_fx, eig_well_fx):
-        fine = classify(fx.scatterer, cutoff=fx.chi, grid=fx.grid.refined(2))
+        fine = classify(fx.scatterer, cutoff=fx.chi, grid=PanelGrid(fx.grid.edges, 2 * fx.grid.n))
         rep = fx.report
         assert fine.dim_g0_mod_g1 == rep.dim_g0_mod_g1
         assert fine.dim_g1_mod_g2 == rep.dim_g1_mod_g2

@@ -14,6 +14,12 @@ from lowfreq2d.quadrature import PanelGrid, geometric_edges
 from oracles import spherical_jn_all
 
 
+def _sweep_source(f):
+    """f as evolve's default sweep reads it: trimmed, then on its source quadrature."""
+    from lowfreq2d.wave import _source_panels, _source_quadrature
+    return _source_quadrature(_source_panels(f), 16)
+
+
 def test_filon_machinery_against_analytic():
     edges = np.concatenate([[1e-9], np.arange(0.25, 30.0001, 0.25)])
     g = PanelGrid(edges, 12)
@@ -215,13 +221,12 @@ def test_source_below_rounding_moves_no_output(wave_well_fx):
 
 
 def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx):
-    # evolve's integrand, from the Green data on the panels carrying f only,
-    # agrees with the full Green application below the support, including on
+    # evolve's integrand, from the Green data on its source quadrature, agrees
+    # with the full Green application below the support, including on
     # obstacle grids starting at a0
     from lowfreq2d import mode_green, SpectralPoint
-    from lowfreq2d.wave import _source_panels
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        src = _source_panels(fx.f)
+        src = _sweep_source(fx.f)
         assert x_obs < src.grid.rmin
         for lam in (SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0)):
             G = mode_green(fx.scatterer, lam, 0, src.grid).value_at(src, x_obs)
@@ -231,12 +236,14 @@ def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx
 
 def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_well_fx):
     # the same integrand for x inside the source support (apply on the source
-    # panels) and above it (psi(x) times the phi moment), one batch per call
+    # quadrature) and above it (psi(x) times the phi moment), one batch per
+    # call, up to the sweep's cap
     from lowfreq2d import mode_green, SpectralPoint
-    from lowfreq2d.wave import _source_panels
-    lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)]
+    from lowfreq2d.wave import LAM_CAP
+    lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0),
+            SpectralPoint(LAM_CAP, 0.0)]
     for fx in (dirichlet_fx, generic_well_fx):
-        src = _source_panels(fx.f)
+        src = _sweep_source(fx.f)
         inside, above = fx.f_center + 0.5 * fx.f_half, src.grid.rmax + 0.7
         assert src.grid.rmin < inside < src.grid.rmax < above < fx.grid.rmax
         for x_obs in (inside, above):
@@ -247,24 +254,77 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
                 assert abs(g - full.value_at(x_obs)) < 1e-11
 
 
-@pytest.mark.parametrize("edges", [(0.03125, 0.0625, 0.125, 0.25, 0.5),
-                                   (40.0, 40.25, 40.5, 40.75, 41.0)])
+@pytest.mark.parametrize("edges", [0.5 * 2.0 ** np.arange(-12.0, 1.0),
+                                   40.0 + 0.25 * np.arange(13)])
 def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edges):
-    # one full call of the sweep's batch size across four panels (geometric
-    # panels of the base chunk, tail panels) gives each point the bits of its
-    # own one-point call of the source-panel integrand
+    # one full call of the sweep's batch on the fixture's source quadrature,
+    # across panel edges (geometric panels of the base chunk, tail panels),
+    # gives each point the bits of its own one-point call of the integrand
     from lowfreq2d import mode_green, SpectralPoint
-    from lowfreq2d.wave import SPECTRAL_BATCH, _source_panels
-    nodes = PanelGrid(np.array(edges), 16).nodes
-    assert nodes.size == SPECTRAL_BATCH
+    from lowfreq2d.wave import BESSEL_BATCH
+    nodes = PanelGrid(edges, 16).nodes
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        src = _source_panels(fx.f)
-        pts = [SpectralPoint(float(m), 0.0) for m in nodes]
-        batch = mode_green(fx.scatterer, pts, 0, src.grid).value_at(src, x_obs).imag
+        src = _sweep_source(fx.f)
+        batch = BESSEL_BATCH // len(src.grid)
+        assert 16 < batch <= nodes.size
+        pts = [SpectralPoint(float(m), 0.0) for m in nodes[:batch]]
+        full = mode_green(fx.scatterer, pts, 0, src.grid).value_at(src, x_obs).imag
         point = np.array([mode_green(fx.scatterer, p, 0, src.grid).value_at(src, x_obs).imag
                           for p in pts])
-        assert batch.shape == nodes.shape
-        assert np.array_equal(batch, point)
+        assert full.shape == (batch,)
+        assert np.array_equal(full, point)
+
+
+def test_wide_source_panels_split_for_the_sweep():
+    # on a repulsive well with cutoff.r0 = 8 the CLI source's widest trimmed
+    # panels have LAM_CAP x half-width = 43: the source quadrature splits them,
+    # and its integrand below the support matches the exact bump on every
+    # trimmed panel split 8 ways at 32 nodes (the trimmed 32-node panels alone
+    # are off by 5e-8 max|G| at lam = 60)
+    from lowfreq2d import mode_green, SpectralPoint, standard_grid
+    from lowfreq2d.cli import _source_edges, _source_geometry, canonical_source
+    from lowfreq2d.scatterer import parse_config
+    from lowfreq2d.wave import LAM_CAP, _source_panels
+    cfg = parse_config("kind = potential; breaks = 1; values = 2.5; cutoff.r0 = 8\n")
+    s = cfg.scatterer
+    f = canonical_source(cfg, standard_grid(s, cfg.cutoff, extra_edges=_source_edges(cfg)))
+    e = _source_panels(f).grid.edges
+    src = _sweep_source(f)
+    assert src.grid.npanels > len(e) - 1
+    assert LAM_CAP * 0.5 * np.max(np.diff(src.grid.edges)) <= 8.0
+    fine = PanelGrid(np.append(np.linspace(e[:-1], e[1:], 9, axis=1)[:, :-1].ravel(), e[-1]), 32)
+    exact = bump(fine, *_source_geometry(cfg))
+    lams = [SpectralPoint(lam, 0.0) for lam in (0.5, 30.0, LAM_CAP)]
+    G = mode_green(s, lams, 0, src.grid).value_at(src, 0.0).imag
+    ref = mode_green(s, lams, 0, fine).value_at(exact, 0.0).imag
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_cli_wave_work(tmp_path, monkeypatch):
+    # a CLI wave on the Dirichlet disk of radius 1.06 takes its Green data on
+    # the 16-node source quadrature in calls of about BESSEL_BATCH points:
+    # 713 504 Bessel points in 34 mode_green calls (1 397 024 in 67 on the
+    # 32-node source with 64 spectral points per call)
+    from lowfreq2d import radialsolve, wave
+    from lowfreq2d.cli import main
+    points, calls = [0], [0]
+
+    def count_points(l, z, logz, slot=None):
+        points[0] += np.size(z)
+        return bessel_pair(l, z, logz, slot)
+
+    def count_calls(*args):
+        calls[0] += 1
+        return mode_green(*args)
+
+    bessel_pair, mode_green = radialsolve.bessel_pair, wave.mode_green
+    monkeypatch.setattr(radialsolve, "bessel_pair", count_points)
+    monkeypatch.setattr(wave, "mode_green", count_calls)
+    cfg = tmp_path / "disk.cfg"
+    cfg.write_text("kind = disk; radius = 1.06; bc = dirichlet\n")
+    assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert points[0] <= 750_000
+    assert calls[0] <= 34
 
 
 @pytest.mark.parametrize("x, times", [
@@ -288,7 +348,6 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
     # few radii per spectral point), and no node derivatives until apply
     # asks for them
     from lowfreq2d import mode_green, radialsolve, SpectralPoint
-    from lowfreq2d.wave import _source_panels
     seen = []
 
     def spy(l, z, logz, slot=None):
@@ -299,7 +358,7 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
     monkeypatch.setattr(radialsolve, "bessel_pair", spy)
     lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)]
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        src = _source_panels(fx.f)
+        src = _sweep_source(fx.f)
         seen.clear()
         sample = mode_green(fx.scatterer, lams, 0, src.grid)
         sample.value_at(src, x_obs)
