@@ -12,17 +12,15 @@ from .expansion import (ExpansionGrid, FitReport, FitTerm, LogLaurentSeries,
                         nonresonant_terms, predict_leading_terms, resonant_terms,
                         sample_matrix_element)
 from .quadrature import PanelGrid
-from .radial import Exterior, RadialFunction, bump, bump_edges, constant_one, inner, norm_sq, plane_integral
-from .resolvent import (FreeCoeffKernel, ResolventSample, boundary_pairing_fourier,
-                        boundary_pairing_samples, free_kernel, free_scatterer,
-                        mode_green, one_sided_identity_residual,
+from .radial import Exterior, RadialFunction, bump, bump_edges, inner, norm_sq
+from .resolvent import (ResolventSample, mode_green, one_sided_identity_residual,
                         pairing_identity_residual, two_parameter_identity_residual)
 from .scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                         Scatterer, ScattererConfig, commutator_apply, default_cutoff,
-                        parse_config, serialize_config, standard_grid)
-from .scattering import (PhaseShiftTable, ResonancePole, breit_wigner_metrics,
-                         find_pole, find_pole_in_disk, imaginary_axis_poles,
-                         outgoing_defect, phase_shift_sweep, sigma_asymptotic)
-from .specfun import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel1
-from .threshold import ThresholdMode, ThresholdReport, classify, eigen_projection, solve_zero_mode
+                        parse_config, standard_grid)
+from .scattering import (PhaseShiftTable, ResonancePole, find_pole, find_pole_in_disk,
+                         imaginary_axis_poles, outgoing_defect, phase_shift_sweep,
+                         sigma_asymptotic)
+from .specfun import EULER, GAMMA0, SpectralPoint
+from .threshold import ThresholdMode, ThresholdReport, classify, solve_zero_mode
 from .wave import DecayReport, WaveQuery, WaveResult, decay_fit, evolve

@@ -329,12 +329,11 @@ def _eigen_in_channel(report: ThresholdReport, f: RadialFunction
 
 
 def predict_leading_terms(report: ThresholdReport, f: RadialFunction,
-                          g: RadialFunction, want: list[str] | None = None) -> dict[str, complex]:
+                          g: RadialFunction) -> dict[str, complex]:
     """Leading expansion coefficients of <R(lam)f, g> from threshold data.
 
-    Raises ShapeMismatchError if an explicitly requested term's hypothesis
-    fails (e.g. the shifted-pole term while a bounded zero-energy state
-    exists).
+    A term whose hypothesis fails in f's channel (e.g. the shifted pole while
+    a bounded zero-energy state exists) is absent from the result.
     """
     out: dict[str, complex] = {}
     eigen = _eigen_in_channel(report, f)
@@ -372,14 +371,6 @@ def predict_leading_terms(report: ThresholdReport, f: RadialFunction,
         out["log^-1"] = base
         out["log^-2"] = report.a * base
 
-    if want is not None:
-        missing = [k for k in want if k not in out]
-        if missing:
-            raise ShapeMismatchError(
-                f"terms {missing} not defined in the mode-{f.mode} {f.trig} channel "
-                f"of this scatterer"
-            )
-        out = {k: out[k] for k in want}
     return out
 
 

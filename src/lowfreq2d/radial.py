@@ -5,7 +5,8 @@ mode l (e_0 = 1, e_l = cos(l theta) or sin(l theta) for l >= 1; the two trig
 components share radial data and are told apart by the ``trig`` tag).  It
 carries samples (and usually derivatives) on a PanelGrid, plus whatever is
 known about the function beyond the sampled range: harmonic expansion
-coefficients c0 + clog*log r + sum v_l r^l for zero-energy objects.
+coefficients c0 + clog*log r + sum v_l r^l for zero-energy objects, which the
+tail integrals read.  Point evaluation reads the samples alone.
 """
 
 from __future__ import annotations
@@ -26,18 +27,6 @@ class Exterior:
     c0: complex = 0.0
     clog: complex = 0.0
     v: dict[int, complex] = field(default_factory=dict)
-
-    def value_at(self, r: float) -> complex:
-        out = self.c0 + self.clog * math.log(r)
-        for l, coeff in self.v.items():
-            out += coeff * r**l
-        return out
-
-    def deriv_at(self, r: float) -> complex:
-        out = self.clog / r
-        for l, coeff in self.v.items():
-            out += coeff * l * r ** (l - 1)
-        return out
 
     @property
     def decaying(self) -> bool:
@@ -74,19 +63,10 @@ class RadialFunction:
 
     # -- evaluation --------------------------------------------------------------
 
-    def _on_exterior(self, r: float) -> bool:
-        """r lies past both the sampled range and the exterior expansion's start."""
-        return (self.exterior is not None and self.exterior_start is not None
-                and r > self.exterior_start and r > self.grid.rmax)
-
     def value_at(self, r: float) -> complex:
-        if self._on_exterior(r):
-            return self.exterior.value_at(r)
         return self.grid.eval_at(self.values, r)
 
     def deriv_at(self, r: float) -> complex:
-        if self._on_exterior(r):
-            return self.exterior.deriv_at(r)
         return self.grid.eval_at(self.deriv_values(), r)
 
     def deriv_values(self) -> np.ndarray:
@@ -113,13 +93,6 @@ class RadialFunction:
 # ----------------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------------
-
-def constant_one(grid: PanelGrid) -> RadialFunction:
-    return RadialFunction(
-        0, grid, np.ones(len(grid)), np.zeros(len(grid)),
-        exterior=Exterior(c0=1.0), exterior_start=grid.rmin,
-    )
-
 
 def _bump(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
@@ -202,13 +175,6 @@ def norm_sq(f: RadialFunction, include_tail: bool = False) -> float:
     if include_tail:
         total += (f.angular_weight * _tail(f, f)).real
     return total
-
-
-def plane_integral(f: RadialFunction) -> complex:
-    """integral of f over R^2 (zero for modes >= 1 by angular oscillation)."""
-    if f.mode != 0:
-        return 0.0
-    return 2.0 * math.pi * f.grid.integrate(f.values * f.grid.nodes)
 
 
 def with_trig(f: RadialFunction, trig: str) -> RadialFunction:

@@ -7,9 +7,9 @@ is how everything continues across sheets.  Cumulative Gauss-Legendre
 integrals make the variation-of-parameters formula spectrally accurate, and
 the constancy of the Wronskian is tracked as a structural invariant.
 
-Also here: the low-frequency coefficient kernels of the free resolvent, the
-circle pairing in both its quadrature and Fourier-coefficient forms, and
-residual evaluations of the two-spectral-parameter resolvent identities.
+Also here: residual evaluations of the one-sided and two-spectral-parameter
+resolvent identities and of the exterior pairing identity, each against the
+free resolvent of V = 0.
 """
 
 from __future__ import annotations
@@ -20,70 +20,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AtPoleError, DomainError, NumericalError, ValidationError
+from .errors import AtPoleError, NumericalError, ValidationError
 from .quadrature import PanelGrid
 from .radial import RadialFunction
 from .radialsolve import PiecewiseSolution, Spectral, green_pair
 from .scatterer import CutoffProfile, PiecewisePotential, Scatterer, commutator_apply
-from .specfun import GAMMA0, SpectralPoint, bessel_pair, hankel1
+from .specfun import SpectralPoint, bessel_pair
 
 POLE_GUARD = 1e-13
 
 _FREE = PiecewisePotential((1.0,), (0.0,))
-
-
-def free_scatterer() -> PiecewisePotential:
-    """V = 0, for driving the machinery with the free operator."""
-    return _FREE
-
-
-# ----------------------------------------------------------------------------
-# free-resolvent kernel and its low-frequency coefficient kernels
-# ----------------------------------------------------------------------------
-
-def _dist(x, y) -> float:
-    rx, tx = x
-    ry, ty = y
-    d2 = rx * rx + ry * ry - 2.0 * rx * ry * math.cos(tx - ty)
-    return math.sqrt(max(d2, 0.0))
-
-
-def free_kernel(lam: SpectralPoint, x, y) -> complex:
-    """(i/4) H^(1)_0(lam |x-y|); points given as (r, theta) pairs."""
-    d = _dist(x, y)
-    if d == 0.0:
-        raise DomainError("free kernel is singular on the diagonal x = y")
-    return 0.25j * hankel1(0, lam.scale(d))[0]
-
-
-@dataclass(frozen=True)
-class FreeCoeffKernel:
-    """Integral kernel of one lam^{2j} (log lam)^k coefficient of the free resolvent."""
-
-    j: int
-    k: int
-
-    def evaluate(self, x, y) -> complex:
-        d = _dist(x, y)
-        if (self.j, self.k) == (0, 1):
-            return -1.0 / (2.0 * math.pi)
-        if (self.j, self.k) == (0, 0):
-            if d == 0.0:
-                raise DomainError("log kernel singular at x = y")
-            return -(math.log(d) - GAMMA0) / (2.0 * math.pi)
-        if (self.j, self.k) == (1, 1):
-            return d * d / (8.0 * math.pi)
-        if (self.j, self.k) == (1, 0):
-            if d == 0.0:
-                return 0.0
-            return (math.log(d) - GAMMA0 - 1.0) * d * d / (8.0 * math.pi)
-        if (self.j, self.k) == (2, 1):
-            rx, tx = x
-            ry, ty = y
-            dot = rx * ry * math.cos(tx - ty)
-            val = (rx * rx + ry * ry) ** 2 - 4.0 * rx * rx * dot + 4.0 * dot * dot - 4.0 * dot * ry * ry
-            return -val / (128.0 * math.pi)
-        raise ValidationError(f"coefficient kernel (j={self.j}, k={self.k}) not tabulated")
 
 
 # ----------------------------------------------------------------------------
@@ -231,37 +177,6 @@ def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> Resolven
 
 
 # ----------------------------------------------------------------------------
-# circle pairing
-# ----------------------------------------------------------------------------
-
-def boundary_pairing_samples(u: RadialFunction, v: RadialFunction, r1: float) -> complex:
-    """integral over |x| = r1 of (u dv*/dr - du/dr v*), from sampled data."""
-    if not u.same_channel(v):
-        return 0.0
-    ang = u.angular_weight
-    uu, dup = u.value_at(r1), u.deriv_at(r1)
-    vv, dvp = np.conj(v.value_at(r1)), np.conj(v.deriv_at(r1))
-    return ang * r1 * (uu * dvp - dup * vv)
-
-
-def boundary_pairing_fourier(u: RadialFunction, v: RadialFunction, r1: float) -> complex:
-    """Same pairing from harmonic expansion coefficients (zero-energy data)."""
-    if not u.same_channel(v):
-        return 0.0
-    eu, ev = u.exterior, v.exterior
-    if eu is None or ev is None:
-        raise ValidationError("fourier pairing needs exterior expansions on both sides")
-    for f, r_need in ((u, r1), (v, r1)):
-        if f.exterior_start is not None and f.exterior_start > r_need:
-            raise ValidationError(f"exterior expansion not valid at r1 = {r_need}")
-    total = eu.c0 * np.conj(ev.clog) - eu.clog * np.conj(ev.c0)
-    ls = set(eu.v) | set(ev.v)
-    for l in ls:
-        total += l * eu.v.get(-l, 0.0) * np.conj(ev.v.get(l, 0.0))
-    return 2.0 * math.pi * total
-
-
-# ----------------------------------------------------------------------------
 # resolvent identities as numerical residual checks
 # ----------------------------------------------------------------------------
 
@@ -328,7 +243,8 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralPoint, phi_src: RadialF
     mask = r > r1
     lhs = 2.0 * math.pi * grid.integrate(np.where(mask, phi_src.values * kernel * r, 0.0))
     u = mode_green(s, lam, 0, grid).apply(phi_src)
-    h0, h0d = hankel1(0, lam.scale(r1))
-    kr1, kr1p = 0.25j * h0, 0.25j * lam.value * h0d
+    s1 = lam.scale(r1)
+    H = bessel_pair(0, [s1.value], [s1.log])[2]     # H0 and H1 at lam r1
+    kr1, kr1p = 0.25j * H[0, 0], 0.25j * lam.value * -H[1, 0]     # H0' = -H1
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)
     return abs(lhs + b) / max(abs(lhs), 1e-300)

@@ -158,10 +158,6 @@ class CutoffProfile:
     def chi(self, r) -> np.ndarray:
         return self.jet(r)[0]
 
-    def laplacian_chi(self, r) -> np.ndarray:
-        """(chi'' + chi'/r) for the radial Laplacian."""
-        return _laplacian(np.asarray(r, dtype=float), *self.jet(r)[1:])
-
 
 def _laplacian(r: np.ndarray, dchi: np.ndarray, d2chi: np.ndarray) -> np.ndarray:
     return d2chi + np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)
@@ -265,14 +261,6 @@ def _parse_complex(text: str, line: int, key: str) -> complex:
     return z
 
 
-def _format_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0:
-        return repr(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
-
-
 def _construct(cls, args: tuple, lines: dict[str, int | None]):
     """cls(*args), its ValidationError re-raised as a ConfigError at the key
     of lines (key -> line) whose last part is the field the message starts with."""
@@ -329,8 +317,9 @@ def parse_config(text: str) -> ScattererConfig:
 
     r0_s, r0l = take("cutoff.r0")
     w_s, wl = take("cutoff.width")
-    r0 = _parse_float(r0_s, r0l, "cutoff.r0") if r0_s is not None else scatterer.support_radius + 0.5
-    width = _parse_float(w_s, wl, "cutoff.width") if w_s is not None else 1.0
+    default = default_cutoff(scatterer)
+    r0 = _parse_float(r0_s, r0l, "cutoff.r0") if r0_s is not None else default.r0
+    width = _parse_float(w_s, wl, "cutoff.width") if w_s is not None else default.width
     # a disk needs r0 > radius: the canonical source lives between the two,
     # and radius + 0.5 rounds to the radius itself beyond ~1e16
     if r0 < scatterer.support_radius or r0 <= scatterer.inner_radius:
@@ -372,24 +361,3 @@ def parse_config(text: str) -> ScattererConfig:
         grid_count=g["count"], fit_jmax=f["jmax"], fit_kmax=f["kmax"],
     )
 
-
-def serialize_config(cfg: ScattererConfig) -> str:
-    lines = []
-    s = cfg.scatterer
-    if isinstance(s, PiecewisePotential):
-        lines.append("kind = potential")
-        lines.append("breaks = " + ",".join(repr(b) for b in s.breaks))
-        lines.append("values = " + ",".join(_format_complex(v) for v in s.values))
-    else:
-        lines.append("kind = disk")
-        lines.append(f"radius = {s.radius!r}")
-        lines.append(f"bc = {s.bc}")
-    lines.append(f"cutoff.r0 = {cfg.cutoff.r0!r}")
-    lines.append(f"cutoff.width = {cfg.cutoff.width!r}")
-    lines.append(f"grid.argDeg = {cfg.grid_arg_deg!r}")
-    lines.append(f"grid.min = {cfg.grid_min!r}")
-    lines.append(f"grid.max = {cfg.grid_max!r}")
-    lines.append(f"grid.count = {cfg.grid_count}")
-    lines.append(f"fit.jmax = {cfg.fit_jmax}")
-    lines.append(f"fit.kmax = {cfg.fit_kmax}")
-    return "\n".join(lines) + "\n"

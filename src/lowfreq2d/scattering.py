@@ -328,34 +328,3 @@ def _bisect_axis(s: Scatterer, mode: int, lo: float, hi: float, flo: float) -> R
                 lo, flo, k = mid, fm, 2 * k + 2
             steps += 1
     return ResonancePole(SpectralPoint(mid, math.pi / 2.0), mode, "boundState", 0.0, steps)
-
-
-# ----------------------------------------------------------------------------
-# Breit-Wigner peak phenomenology
-# ----------------------------------------------------------------------------
-
-def breit_wigner_metrics(lams, sigmas) -> dict:
-    """Peak height/width of d sigma / d lam on a sweep (real part)."""
-    lams = np.asarray(lams, dtype=float)
-    sig = np.real(np.asarray(sigmas))
-    ds = np.gradient(sig, lams)
-    i = int(np.argmax(ds))
-    height = float(ds[i])
-    half = height / 2.0
-    # walk out to the half-maximum crossings
-    lo = i
-    while lo > 0 and ds[lo] > half:
-        lo -= 1
-    hi = i
-    while hi < len(ds) - 1 and ds[hi] > half:
-        hi += 1
-
-    def cross(j0, j1):
-        d0, d1 = ds[j0], ds[j1]
-        if d1 == d0:
-            return lams[j0]
-        t = (half - d0) / (d1 - d0)
-        return lams[j0] + t * (lams[j1] - lams[j0])
-
-    width = cross(hi - 1, hi) - cross(lo + 1, lo) if hi > lo + 1 else float("nan")
-    return {"lam_peak": float(lams[i]), "height": height, "width": float(abs(width))}

@@ -309,26 +309,3 @@ def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray, slot: int | None = None
     if slot is not None:
         out = out[:, 0]
     return out[0], out[1], out[2]
-
-
-# ----------------------------------------------------------------------------
-# scalar API on SpectralPoint
-# ----------------------------------------------------------------------------
-
-def bessel_jy(l: int, s: SpectralPoint) -> tuple[complex, complex, complex, complex]:
-    """(J_l, Y_l, J_l', Y_l') at a point of the log cover."""
-    if l < 0:
-        raise DomainError("order must be a nonnegative integer")
-    z = np.array([s.value])
-    J, Y, _ = bessel_pair(l, z, np.array([s.log]))
-    Jd, Yd = l / z * J[0] - J[1], l / z * Y[0] - Y[1]     # order-raising recurrence
-    return complex(J[0, 0]), complex(Y[0, 0]), complex(Jd[0]), complex(Yd[0])
-
-
-def hankel1(l: int, s: SpectralPoint) -> tuple[complex, complex]:
-    """(H^(1)_l, d/ds H^(1)_l) at a point of the log cover."""
-    if l < 0:
-        raise DomainError("order must be a nonnegative integer")
-    z = np.array([s.value])
-    _, _, H = bessel_pair(l, z, np.array([s.log]))
-    return complex(H[0, 0]), complex((l / z * H[0] - H[1])[0])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateScattererError, NumericalError, ValidationError
 from .quadrature import PanelGrid
-from .radial import Exterior, RadialFunction, inner, norm_sq, with_trig
+from .radial import Exterior, RadialFunction, norm_sq, with_trig
 from .radialsolve import PiecewiseSolution, regular_solution
 from .scatterer import CutoffProfile, DiskObstacle, Scatterer, default_cutoff, standard_grid
 from .specfun import GAMMA0
@@ -162,25 +162,6 @@ def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
         eigen_modes=eigen, U0=U0, Ulog=Ulog, c0_ulog=c0_ulog, a=a,
         capacity=capacity, Uw=Uw, alpha=alpha, s=s_shifts, modes=modes,
     )
-
-
-def eigen_projection(report: ThresholdReport, f: RadialFunction) -> RadialFunction:
-    """Project f onto the zero eigenspace (both trig copies per eigen mode)."""
-    out_vals = np.zeros(len(f.grid), dtype=complex)
-    hit = None
-    f_decaying_tail = f.exterior is not None and f.exterior.decaying
-    for l, e in report.eigen_modes:
-        for trig in ("cos", "sin"):
-            psi = with_trig(e, trig)
-            if not f.same_channel(psi):
-                continue
-            if not f.grid.same(psi.grid):
-                raise ValidationError("eigen projection needs f on the report grid")
-            out_vals = out_vals + psi.values * inner(f, psi, tail=f_decaying_tail)
-            hit = psi
-    if hit is None:
-        return RadialFunction(f.mode, f.grid, out_vals, np.zeros_like(out_vals), f.trig)
-    return RadialFunction(f.mode, f.grid, out_vals, None, f.trig)
 
 
 def report_to_dict(report: ThresholdReport) -> dict:

@@ -17,8 +17,9 @@ import pytest
 
 from lowfreq2d import (DiskObstacle, PiecewisePotential, RadialFunction, bump,
                        bump_edges, classify, default_cutoff, expansion_grid,
-                       free_scatterer, sample_matrix_element, solve_zero_mode,
-                       standard_grid)
+                       sample_matrix_element, solve_zero_mode, standard_grid)
+
+from oracles import FREE
 
 
 def tune_depth(shape_breaks, shape_vals, mode: int, lo: float, hi: float,
@@ -74,7 +75,7 @@ def _make_fixture(name, s, fc=None, fh=None, mode=0) -> Fixture:
 
 @pytest.fixture(scope="session")
 def free_fx() -> Fixture:
-    return _make_fixture("free", free_scatterer(), fc=1.0, fh=0.35)
+    return _make_fixture("free", FREE, fc=1.0, fh=0.35)
 
 
 @pytest.fixture(scope="session")

@@ -1,39 +1,54 @@
-"""Independent numerical oracles used by the tests.
+"""Numerical oracles and test-only references used by the tests.
 
-Nothing here imports the package's special-function or pairing code paths it
-is checking: the Bessel oracle is its own ascending series, validated in the
-tests by the classical Wronskian identity, and the circle pairing is a plain
-trapezoid rule in the angle.  The spherical Bessel recurrence is the scalar,
-one-argument-at-a-time reference for the wave's moment table, and the ODE
-residual checks a resolvent application against the mode equation by
-numerical differentiation on its grid.  The free-kernel truncation error sets
-the package's exact kernel against its low-frequency coefficient kernels,
-det_s_modulus multiplies out a phase-shift table's S-matrix,
-from_callable samples a plain function onto a grid, one node at a time, and
-log_power_terms lists fit columns outside the structural shapes.
-admissible is Re V >= 0 on the support.  The sequential pole finders are
-the one-point-per-step Newton and bisection loops that the batched ones in
-`lowfreq2d.scattering` must reproduce bit for bit; they reach the defect
-through the module attribute, so a test can spy on both.
+The Bessel oracle is its own ascending series, validated in the tests by the
+classical Wronskian identity, and circle_pairing is a plain trapezoid rule in
+the angle; neither imports the package code it checks.  bessel_jy and hankel1
+are not independent: they read one point of `lowfreq2d.specfun.bessel_pair`
+and add the order-raising recurrence for the derivatives, as a scalar view of
+the package's Bessel functions for the tests to hold against the oracles.
+free_kernel (through hankel1) and FreeCoeffKernel are the free resolvent's
+kernel and its low-frequency coefficient kernels; free_truncation_error sets
+one against the other.  boundary_pairing_samples and boundary_pairing_fourier
+are the circle pairing from sampled data and from exterior expansions.
+The spherical Bessel recurrence is the scalar, one-argument-at-a-time
+reference for the wave's moment table, and the ODE residual checks a
+resolvent application against the mode equation by numerical
+differentiation on its grid.  det_s_modulus multiplies out a phase-shift
+table's S-matrix and breit_wigner_metrics reads a peak off a phase sweep.
+eigen_projection projects onto a report's zero eigenspace with the package's
+`inner` and `with_trig`.  from_callable samples a plain function onto a
+grid, one node at a time, constant_one is 1 with its exterior, and
+plane_integral and laplacian_chi are the mode-0 integral over the plane and
+Delta chi of a cutoff.  serialize_config writes a config that parse_config
+reads back, and log_power_terms lists fit columns outside the structural
+shapes.  admissible is Re V >= 0 on the support, and FREE is V = 0.  The
+sequential pole finders are the one-point-per-step Newton and bisection
+loops that the batched ones in `lowfreq2d.scattering` must reproduce bit for
+bit; they reach the defect through the module attribute, so a test can spy
+on both.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from lowfreq2d import scattering
-from lowfreq2d.errors import BasinError
+from lowfreq2d.errors import BasinError, DomainError, ValidationError
 from lowfreq2d.expansion import FitTerm
 from lowfreq2d.quadrature import PanelGrid
-from lowfreq2d.radial import Exterior, RadialFunction
-from lowfreq2d.resolvent import FreeCoeffKernel, free_kernel
-from lowfreq2d.scatterer import DiskObstacle, PiecewisePotential
-from lowfreq2d.specfun import SpectralPoint
+from lowfreq2d.radial import Exterior, RadialFunction, inner, with_trig
+from lowfreq2d.scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
+                                 ScattererConfig, _laplacian)
+from lowfreq2d.specfun import GAMMA0, SpectralPoint, bessel_pair
+from lowfreq2d.threshold import ThresholdReport
 from lowfreq2d.util import log_grid
 
 EULER_ORACLE = 0.57721566490153286
+
+FREE = PiecewisePotential((1.0,), (0.0,))
 
 
 def j0_series(x, terms: int = 60):
@@ -68,6 +83,91 @@ def j0_prime(x: float, h: float = 1e-6) -> float:
 
 def y0_prime(x: float, h: float = 1e-6) -> float:
     return (y0_series(x + h) - y0_series(x - h)) / (2.0 * h)
+
+
+def bessel_jy(l: int, s: SpectralPoint) -> tuple[complex, complex, complex, complex]:
+    """(J_l, Y_l, J_l', Y_l') at a point of the log cover, from bessel_pair."""
+    z = np.array([s.value])
+    J, Y, _ = bessel_pair(l, z, np.array([s.log]))
+    Jd, Yd = l / z * J[0] - J[1], l / z * Y[0] - Y[1]     # order-raising recurrence
+    return complex(J[0, 0]), complex(Y[0, 0]), complex(Jd[0]), complex(Yd[0])
+
+
+def hankel1(l: int, s: SpectralPoint) -> tuple[complex, complex]:
+    """(H^(1)_l, d/ds H^(1)_l) at a point of the log cover, from bessel_pair."""
+    z = np.array([s.value])
+    _, _, H = bessel_pair(l, z, np.array([s.log]))
+    return complex(H[0, 0]), complex((l / z * H[0] - H[1])[0])
+
+
+def _dist(x, y) -> float:
+    rx, tx = x
+    ry, ty = y
+    d2 = rx * rx + ry * ry - 2.0 * rx * ry * math.cos(tx - ty)
+    return math.sqrt(max(d2, 0.0))
+
+
+def free_kernel(lam: SpectralPoint, x, y) -> complex:
+    """(i/4) H^(1)_0(lam |x-y|); points given as (r, theta) pairs."""
+    d = _dist(x, y)
+    if d == 0.0:
+        raise DomainError("free kernel is singular on the diagonal x = y")
+    return 0.25j * hankel1(0, lam.scale(d))[0]
+
+
+@dataclass(frozen=True)
+class FreeCoeffKernel:
+    """Integral kernel of one lam^{2j} (log lam)^k coefficient of the free resolvent."""
+
+    j: int
+    k: int
+
+    def evaluate(self, x, y) -> complex:
+        d = _dist(x, y)
+        if (self.j, self.k) == (0, 1):
+            return -1.0 / (2.0 * math.pi)
+        if (self.j, self.k) == (0, 0):
+            if d == 0.0:
+                raise DomainError("log kernel singular at x = y")
+            return -(math.log(d) - GAMMA0) / (2.0 * math.pi)
+        if (self.j, self.k) == (1, 1):
+            return d * d / (8.0 * math.pi)
+        if (self.j, self.k) == (1, 0):
+            if d == 0.0:
+                return 0.0
+            return (math.log(d) - GAMMA0 - 1.0) * d * d / (8.0 * math.pi)
+        if (self.j, self.k) == (2, 1):
+            rx, tx = x
+            ry, ty = y
+            dot = rx * ry * math.cos(tx - ty)
+            val = (rx * rx + ry * ry) ** 2 - 4.0 * rx * rx * dot + 4.0 * dot * dot - 4.0 * dot * ry * ry
+            return -val / (128.0 * math.pi)
+        raise ValidationError(f"coefficient kernel (j={self.j}, k={self.k}) not tabulated")
+
+
+def boundary_pairing_samples(u: RadialFunction, v: RadialFunction, r1: float) -> complex:
+    """integral over |x| = r1 of (u dv*/dr - du/dr v*), from sampled data."""
+    if not u.same_channel(v):
+        return 0.0
+    uu, dup = u.value_at(r1), u.deriv_at(r1)
+    vv, dvp = np.conj(v.value_at(r1)), np.conj(v.deriv_at(r1))
+    return u.angular_weight * r1 * (uu * dvp - dup * vv)
+
+
+def boundary_pairing_fourier(u: RadialFunction, v: RadialFunction, r1: float) -> complex:
+    """Same pairing from harmonic expansion coefficients (zero-energy data)."""
+    if not u.same_channel(v):
+        return 0.0
+    eu, ev = u.exterior, v.exterior
+    if eu is None or ev is None:
+        raise ValidationError("fourier pairing needs exterior expansions on both sides")
+    for f in (u, v):
+        if f.exterior_start is not None and f.exterior_start > r1:
+            raise ValidationError(f"exterior expansion not valid at r1 = {r1}")
+    total = eu.c0 * np.conj(ev.clog) - eu.clog * np.conj(ev.c0)
+    for l in set(eu.v) | set(ev.v):
+        total += l * eu.v.get(-l, 0.0) * np.conj(ev.v.get(l, 0.0))
+    return 2.0 * math.pi * total
 
 
 def circle_pairing(u_val, u_der, v_val, v_der, r1: float, mode_u: int, mode_v: int,
@@ -149,6 +249,52 @@ def free_truncation_error(lam: SpectralPoint, pairs) -> float:
     return worst
 
 
+def breit_wigner_metrics(lams, sigmas) -> dict:
+    """Peak height/width of d sigma / d lam on a sweep (real part)."""
+    lams = np.asarray(lams, dtype=float)
+    sig = np.real(np.asarray(sigmas))
+    ds = np.gradient(sig, lams)
+    i = int(np.argmax(ds))
+    height = float(ds[i])
+    half = height / 2.0
+    # walk out to the half-maximum crossings
+    lo = i
+    while lo > 0 and ds[lo] > half:
+        lo -= 1
+    hi = i
+    while hi < len(ds) - 1 and ds[hi] > half:
+        hi += 1
+
+    def cross(j0, j1):
+        d0, d1 = ds[j0], ds[j1]
+        if d1 == d0:
+            return lams[j0]
+        t = (half - d0) / (d1 - d0)
+        return lams[j0] + t * (lams[j1] - lams[j0])
+
+    width = cross(hi - 1, hi) - cross(lo + 1, lo) if hi > lo + 1 else float("nan")
+    return {"lam_peak": float(lams[i]), "height": height, "width": float(abs(width))}
+
+
+def eigen_projection(report: ThresholdReport, f: RadialFunction) -> RadialFunction:
+    """Project f onto the zero eigenspace (both trig copies per eigen mode)."""
+    out_vals = np.zeros(len(f.grid), dtype=complex)
+    hit = None
+    f_decaying_tail = f.exterior is not None and f.exterior.decaying
+    for l, e in report.eigen_modes:
+        for trig in ("cos", "sin"):
+            psi = with_trig(e, trig)
+            if not f.same_channel(psi):
+                continue
+            if not f.grid.same(psi.grid):
+                raise ValidationError("eigen projection needs f on the report grid")
+            out_vals = out_vals + psi.values * inner(f, psi, tail=f_decaying_tail)
+            hit = psi
+    if hit is None:
+        return RadialFunction(f.mode, f.grid, out_vals, np.zeros_like(out_vals), f.trig)
+    return RadialFunction(f.mode, f.grid, out_vals, None, f.trig)
+
+
 def det_s_modulus(table) -> float:
     """|det S| of a phase-shift table: |S_0| times |S_l|^2 for each l >= 1,
     whose cos and sin channels share S_l."""
@@ -164,6 +310,55 @@ def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos
     vals = np.array([fn(r) for r in grid.nodes], dtype=complex)
     ders = None if dfn is None else np.array([dfn(r) for r in grid.nodes], dtype=complex)
     return RadialFunction(mode, grid, vals, ders, trig, exterior, exterior_start)
+
+
+def constant_one(grid: PanelGrid) -> RadialFunction:
+    """1 on the grid, with derivative 0 and the exterior c0 = 1."""
+    return RadialFunction(0, grid, np.ones(len(grid)), np.zeros(len(grid)),
+                          exterior=Exterior(c0=1.0), exterior_start=grid.rmin)
+
+
+def plane_integral(f: RadialFunction) -> complex:
+    """integral of f over R^2 (zero for modes >= 1 by angular oscillation)."""
+    if f.mode != 0:
+        return 0.0
+    return 2.0 * math.pi * f.grid.integrate(f.values * f.grid.nodes)
+
+
+def laplacian_chi(chi: CutoffProfile, r) -> np.ndarray:
+    """chi'' + chi'/r, the radial Laplacian of the cutoff, by commutator_apply's rule."""
+    return _laplacian(np.asarray(r, dtype=float), *chi.jet(r)[1:])
+
+
+def _format_complex(z: complex) -> str:
+    z = complex(z)
+    if z.imag == 0:
+        return repr(z.real)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
+
+
+def serialize_config(cfg: ScattererConfig) -> str:
+    """cfg as config text, every key written out."""
+    lines = []
+    s = cfg.scatterer
+    if isinstance(s, PiecewisePotential):
+        lines.append("kind = potential")
+        lines.append("breaks = " + ",".join(repr(b) for b in s.breaks))
+        lines.append("values = " + ",".join(_format_complex(v) for v in s.values))
+    else:
+        lines.append("kind = disk")
+        lines.append(f"radius = {s.radius!r}")
+        lines.append(f"bc = {s.bc}")
+    lines.append(f"cutoff.r0 = {cfg.cutoff.r0!r}")
+    lines.append(f"cutoff.width = {cfg.cutoff.width!r}")
+    lines.append(f"grid.argDeg = {cfg.grid_arg_deg!r}")
+    lines.append(f"grid.min = {cfg.grid_min!r}")
+    lines.append(f"grid.max = {cfg.grid_max!r}")
+    lines.append(f"grid.count = {cfg.grid_count}")
+    lines.append(f"fit.jmax = {cfg.fit_jmax}")
+    lines.append(f"fit.kmax = {cfg.fit_kmax}")
+    return "\n".join(lines) + "\n"
 
 
 def log_power_terms(jmax: int, kmin: int, kmax: int, capped: bool = True) -> list[FitTerm]:

@@ -9,18 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (FitTerm, GAMMA0, PanelGrid, SpectralPoint, bessel_jy, breit_wigner_metrics,
-                       bump, bump_edges, classify, commutator_apply, constant_one,
-                       find_pole_in_disk, fit_log_laurent, fit_shape, hankel1,
-                       imaginary_axis_poles, inner, nonresonant_terms,
+from lowfreq2d import (FitTerm, GAMMA0, PanelGrid, SpectralPoint, bump, bump_edges,
+                       classify, commutator_apply, find_pole_in_disk, fit_log_laurent,
+                       fit_shape, imaginary_axis_poles, inner, nonresonant_terms,
                        one_sided_identity_residual, pairing_identity_residual,
-                       phase_shift_sweep, plane_integral, predict_leading_terms,
+                       phase_shift_sweep, predict_leading_terms,
                        sigma_asymptotic, standard_grid, two_parameter_identity_residual)
 from lowfreq2d.radial import Exterior
-from lowfreq2d.resolvent import boundary_pairing_fourier
 
-from oracles import (circle_pairing, free_truncation_error, from_callable, j0_series,
-                     log_power_terms, y0_series)
+from oracles import (bessel_jy, boundary_pairing_fourier, breit_wigner_metrics,
+                     circle_pairing, constant_one, free_truncation_error, from_callable,
+                     hankel1, j0_series, log_power_terms, plane_integral, y0_series)
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

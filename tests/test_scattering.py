@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralPoint,
-                       breit_wigner_metrics, find_pole, find_pole_in_disk,
-                       free_scatterer, imaginary_axis_poles, phase_shift_sweep,
-                       sigma_asymptotic)
+                       find_pole, find_pole_in_disk, imaginary_axis_poles,
+                       phase_shift_sweep, sigma_asymptotic)
 from lowfreq2d import scattering
 from lowfreq2d.errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
 from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES, scan_pole_candidates
 
-from oracles import (admissible, born_phase_shift_mode0, det_s_modulus, j0_series,
+from oracles import (FREE, admissible, bessel_jy, born_phase_shift_mode0,
+                     breit_wigner_metrics, det_s_modulus, j0_series,
                      sequential_axis_poles, sequential_find_pole, y0_series)
 
 
 def test_free_shifts_vanish():
-    t = phase_shift_sweep(free_scatterer(), [0.3])[0]
+    t = phase_shift_sweep(FREE, [0.3])[0]
     assert all(abs(d) < 1e-14 for d in t.shifts.values())
     assert abs(t.sigma) < 1e-14
 
@@ -93,7 +93,7 @@ def test_consistency_of_pole_shift(dirichlet_fx, samples_dirichlet, default_grid
 
 def test_free_has_no_pole():
     with pytest.raises((BasinError, ValidationError)):
-        find_pole(free_scatterer(), 0, SpectralPoint(0.1, -0.3))
+        find_pole(FREE, 0, SpectralPoint(0.1, -0.3))
 
 
 def test_seed_outside_basin_rejected(p_well_fx):
@@ -217,7 +217,6 @@ def test_batched_defect_matches_single_points(generic_well_fx, p_well_fx):
 def _projected_smatrix(s, lam, l):
     """S_l by projecting the regular solution at the support radius onto
     J, Y and their derivatives (the route the coefficients replace)."""
-    from lowfreq2d import bessel_jy
     from lowfreq2d.radialsolve import regular_solution
     R = s.support_radius
     sol = regular_solution(s, l, SpectralPoint(lam, 0.0))

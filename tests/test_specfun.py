@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowfreq2d import EULER, GAMMA0, SpectralPoint, bessel_jy, hankel1
+from lowfreq2d import EULER, GAMMA0, SpectralPoint
 from lowfreq2d.errors import DomainError
 from lowfreq2d.specfun import _jyh_big, _jyh_series
 
-from oracles import EULER_ORACLE, j0_series, j0_prime, y0_series, y0_prime
+from oracles import EULER_ORACLE, bessel_jy, hankel1, j0_series, j0_prime, y0_series, y0_prime
 
 
 def test_gamma_constants():

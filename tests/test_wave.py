@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (PiecewisePotential, WaveQuery, bump, decay_fit, evolve,
-                       inner, plane_integral)
+from lowfreq2d import PiecewisePotential, WaveQuery, bump, decay_fit, evolve, inner
 from lowfreq2d.errors import BoundStateRefusal, ValidationError
 from lowfreq2d.wave import OscillatoryPanels, spherical_jn_table
 from lowfreq2d.quadrature import PanelGrid, geometric_edges
 
-from oracles import spherical_jn_all
+from oracles import plane_integral, spherical_jn_all
 
 
 def _sweep_source(f):
