@@ -266,6 +266,7 @@ def _cmd_wave(run: _Run) -> None:
         "law": law.law, "coefficient": law.coefficient,
         "residual": law.residual, "residuals": law.residuals,
         "lamMax": res.lam_max, "tailConverged": res.tail_converged,
+        "legendreTail": res.legendre_tail,
     })
 
 

@@ -15,12 +15,26 @@ against Legendre polynomials via spherical Bessel moments
 so one set of samples serves every requested time, from t = 0 to 1e6, with
 no stationary-phase bookkeeping.
 
+The lam panels come in chunks: geometric panels into lam = 0 and uniform
+0.25-wide panels to lam = 12 first, then 8-unit chunks of 0.25-wide panels.
+Only the node count per chunk follows the integrand (the chop rule of
+Aurentz and Trefethen, ACM TOMS 43, 2017): with h = nodes_per_panel // 2,
+the first chunk runs at nodes_per_panel, and a later one at h nodes when
+every panel of the chunk before it has its Legendre coefficients of index
+h - 2 and up within TAIL_REL of the running max|G|, else at full order.  A
+chunk sampled at h nodes whose top two coefficients pass that bound is
+sampled again at full order.  Rows are zero-padded to nodes_per_panel, and
+the panel edges do not depend on the orders.
+
 The Green data are taken on the source alone: on the run of panels where f
-is above rounding, resampled on the lam panels' node count per panel, with
+is above rounding, resampled on SOURCE_NODES Gauss nodes per panel, with
 each panel split until LAM_CAP times its half-width is at most half that
 count, so the source quadrature of e^{i lam r} f r dr holds to rounding at
-every lam of the sweep.  Each resolvent call takes as many consecutive lam
-nodes as make about BESSEL_BATCH Bessel points on that quadrature.
+every lam of the sweep.  An observation radius on the source's support reads
+partial integrals of that integrand as well, which hold to rounding only on
+SUPPORT_NODES nodes per panel under the same split rule.  Each resolvent
+call takes as many consecutive lam nodes as make about BESSEL_BATCH Bessel
+points on that quadrature.
 
 Scatterers with discrete spectrum are refused: a bound state would add an
 oscillatory term the spectral integral over the continuum misses.
@@ -48,6 +62,8 @@ LAM_CAP = 60.0
 TAIL_REL = 1e-12
 SOURCE_REL = 1e-17      # source panels whose max|f| stays below this share of max|f| take no Green data
 BESSEL_BATCH = 20480    # Bessel points (spectral x source nodes) per mode_green call of the sweep
+SOURCE_NODES = 12       # Gauss nodes per source panel of the Green data, x off the support
+SUPPORT_NODES = 16      # the same, x on the support: apply's partial integrals need 16
 
 
 def spherical_jn_table(nmax: int, w: np.ndarray) -> np.ndarray:
@@ -152,6 +168,7 @@ class WaveResult:
     values: list[complex]
     lam_max: float
     tail_converged: bool          # False: the sweep stopped at LAM_CAP instead
+    legendre_tail: float          # max over panels of the top two sampled coefficients / max|G|
     panels: OscillatoryPanels = field(repr=False)
 
 
@@ -191,6 +208,32 @@ def _source_quadrature(src: RadialFunction, n: int) -> RadialFunction:
     return RadialFunction(src.mode, PanelGrid(edges, n), vals.ravel())
 
 
+def _sample_chunk(sample, chunk: np.ndarray, order: int, full: int, gmax: float):
+    """(nodes, vals, coeffs) of the integrand on the panels of `chunk`.
+
+    `sample` maps lam nodes to G.  Each panel takes `order` nodes, and the
+    chunk is sampled again at `full` nodes when the top two Legendre
+    coefficients of any panel pass TAIL_REL times the running max|G| (`gmax`
+    before this chunk, or this chunk's own max if larger).  The coefficient
+    rows have the sampled order.
+    """
+    while True:
+        panel = PanelGrid(chunk, order)
+        vals = sample(panel.nodes)
+        coeffs = panel._coeffs(vals)
+        bound = TAIL_REL * max(gmax, float(np.max(np.abs(vals))))
+        if order == full or np.all(np.abs(coeffs[:, -2:]) <= bound):
+            return panel.nodes, vals, coeffs
+        order = full
+
+
+def _green_source(f: RadialFunction, x: float) -> RadialFunction:
+    """The source quadrature of evolve's Green data at observation radius x."""
+    src = _source_panels(f)
+    on_support = src.grid.rmin <= x <= src.grid.rmax
+    return _source_quadrature(src, SUPPORT_NODES if on_support else SOURCE_NODES)
+
+
 def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     """w(x, t) for each requested time; one resolvent sweep serves all times."""
     poles = imaginary_axis_poles(q.scatterer, 0)
@@ -202,47 +245,53 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
         )
     # the integrand Im R(lam + i0) f (x) needs the Green data only where f
     # lives, and there only on the nodes that integrate it to rounding
-    src = _source_quadrature(_source_panels(q.f), nodes_per_panel)
+    src = _green_source(q.f, q.x)
     # the tail beyond the sampled range is completed by endpoint asymptotics
     # with remainder ~ |G(top)| (sigma/t)^4, sigma the source support radius:
     # the end of the trimmed panels, since f beyond them moves no digit of G
     tmin = min((t for t in q.times if t > 0), default=1.0)
     tail_weight = min(1.0, (max(src.grid.rmax, 1.0) / tmin) ** 4)
-    # chunk 0 runs geometric into the origin, then uniform through moderate
-    # lam; 8-unit chunks follow until the tail test passes or lam = LAM_CAP
-    chunk = np.concatenate([geometric_edges(LAM_FLOOR, LAM_GEOMETRIC_TOP)[:-1],
-                            np.arange(LAM_GEOMETRIC_TOP, 12.0 + 1e-9, 0.25)])
+    # one batched resolvent per `batch` consecutive nodes of a chunk, across
+    # panel edges: below the support value_at reads node values only, so a
+    # call's fixed cost (boundary solve, Wronskian probes, phi(x)) is spread
+    # over about BESSEL_BATCH Bessel points (170 x 120 on a CLI disk), and
+    # that batch, not the sweep, sets the size of the temporaries
     batch = max(1, BESSEL_BATCH // len(src.grid))
-    edges, coeff_rows, gmax = [chunk[:1]], [], 0.0
-    while True:
-        # one batched resolvent per `batch` consecutive nodes, across panel
-        # edges: below the support value_at reads node values only, about
-        # BESSEL_BATCH per call (128 x 160 on a CLI disk), which spreads the
-        # fixed cost per call (boundary solve, Wronskian probes, phi(x)) over
-        # many points.  A CLI wave on a disk peaked at 39.4, 41.4 and 45.5 MB
-        # RSS with 32, 64 and 128 x 320 points per call, so 64 x 320 it is
-        panel = PanelGrid(chunk, nodes_per_panel)
-        lams = [SpectralPoint(float(m), 0.0) for m in panel.nodes]
-        vals = np.concatenate([
+
+    def sample(lam: np.ndarray) -> np.ndarray:
+        lams = [SpectralPoint(float(m), 0.0) for m in lam]
+        return np.concatenate([
             mode_green(q.scatterer, lams[i:i + batch], 0, src.grid).value_at(src, q.x).imag
             for i in range(0, len(lams), batch)
         ])
-        coeff_rows.append(panel._coeffs(vals))
+
+    # chunk 0 runs geometric into the origin, then uniform through moderate
+    # lam, at full order; 8-unit chunks follow until the tail test passes or
+    # lam = LAM_CAP, each at half order where the chunk before allows it
+    chunk = np.concatenate([geometric_edges(LAM_FLOOR, LAM_GEOMETRIC_TOP)[:-1],
+                            np.arange(LAM_GEOMETRIC_TOP, 12.0 + 1e-9, 0.25)])
+    full, half = nodes_per_panel, nodes_per_panel // 2
+    edges, coeff_rows, gmax, top_two, order = [chunk[:1]], [], 0.0, 0.0, full
+    while True:
+        nodes, vals, coeffs = _sample_chunk(sample, chunk, order, full, gmax)
+        gmax = max(gmax, float(np.max(np.abs(vals))))
+        top_two = max(top_two, float(np.max(np.abs(coeffs[:, -2:]))))
+        coeff_rows.append(np.pad(coeffs, ((0, 0), (0, full - coeffs.shape[1]))))
         edges.append(chunk[1:])
         top = float(chunk[-1])
-        gmax = max(gmax, float(np.max(np.abs(vals))))
-        tail = float(np.max(np.abs(vals[panel.nodes > top - 2.0])))
+        tail = float(np.max(np.abs(vals[nodes > top - 2.0])))
         converged = tail * tail_weight < TAIL_REL * gmax
         if converged or top >= LAM_CAP:
             break
         chunk = np.arange(top, min(top + 8.0, LAM_CAP) + 1e-9, 0.25)
+        order = half if np.all(np.abs(coeffs[:, max(half - 2, 0):]) <= TAIL_REL * gmax) else full
     osc = OscillatoryPanels(np.concatenate(edges), np.vstack(coeff_rows))
     values = [
         complex((2.0 / math.pi) * (osc.sin_integral(float(t)) + osc.tail_completion(float(t))))
         if t > 0 else 0.0j
         for t in q.times
     ]
-    return WaveResult(values, top, converged, osc)
+    return WaveResult(values, top, converged, top_two / gmax, osc)
 
 
 # ----------------------------------------------------------------------------

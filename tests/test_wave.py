@@ -7,16 +7,10 @@ import pytest
 
 from lowfreq2d import PiecewisePotential, WaveQuery, bump, decay_fit, evolve, inner
 from lowfreq2d.errors import BoundStateRefusal, ValidationError
-from lowfreq2d.wave import OscillatoryPanels, spherical_jn_table
+from lowfreq2d.wave import OscillatoryPanels, _green_source, spherical_jn_table
 from lowfreq2d.quadrature import PanelGrid, geometric_edges
 
 from oracles import plane_integral, spherical_jn_all
-
-
-def _sweep_source(f):
-    """f as evolve's default sweep reads it: trimmed, then on its source quadrature."""
-    from lowfreq2d.wave import _source_panels, _source_quadrature
-    return _source_quadrature(_source_panels(f), 16)
 
 
 def test_filon_machinery_against_analytic():
@@ -225,7 +219,7 @@ def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx
     # obstacle grids starting at a0
     from lowfreq2d import mode_green, SpectralPoint
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        src = _sweep_source(fx.f)
+        src = _green_source(fx.f, x_obs)
         assert x_obs < src.grid.rmin
         for lam in (SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0)):
             G = mode_green(fx.scatterer, lam, 0, src.grid).value_at(src, x_obs)
@@ -235,17 +229,20 @@ def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx
 
 def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_well_fx):
     # the same integrand for x inside the source support (apply on the source
-    # quadrature) and above it (psi(x) times the phi moment), one batch per
-    # call, up to the sweep's cap
+    # quadrature, whose partial integrals take SUPPORT_NODES per panel: at
+    # SOURCE_NODES the generic well's reads 1.1e-11 off at the cap) and above
+    # it (psi(x) times the phi moment), one batch per call, up to the cap
     from lowfreq2d import mode_green, SpectralPoint
-    from lowfreq2d.wave import LAM_CAP
+    from lowfreq2d.wave import LAM_CAP, SOURCE_NODES, SUPPORT_NODES, _source_panels
     lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0),
             SpectralPoint(LAM_CAP, 0.0)]
     for fx in (dirichlet_fx, generic_well_fx):
-        src = _sweep_source(fx.f)
-        inside, above = fx.f_center + 0.5 * fx.f_half, src.grid.rmax + 0.7
-        assert src.grid.rmin < inside < src.grid.rmax < above < fx.grid.rmax
-        for x_obs in (inside, above):
+        support = _source_panels(fx.f).grid
+        inside, above = fx.f_center + 0.5 * fx.f_half, support.rmax + 0.7
+        assert support.rmin < inside < support.rmax < above < fx.grid.rmax
+        for x_obs, n in ((inside, SUPPORT_NODES), (above, SOURCE_NODES)):
+            src = _green_source(fx.f, x_obs)
+            assert src.grid.n == n
             G = mode_green(fx.scatterer, lams, 0, src.grid).value_at(src, x_obs)
             assert G.shape == (len(lams),)
             for lam, g in zip(lams, G):
@@ -263,7 +260,7 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
     from lowfreq2d.wave import BESSEL_BATCH
     nodes = PanelGrid(edges, 16).nodes
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        src = _sweep_source(fx.f)
+        src = _green_source(fx.f, x_obs)
         batch = BESSEL_BATCH // len(src.grid)
         assert 16 < batch <= nodes.size
         pts = [SpectralPoint(float(m), 0.0) for m in nodes[:batch]]
@@ -274,36 +271,50 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
         assert np.array_equal(full, point)
 
 
-def test_wide_source_panels_split_for_the_sweep():
+@pytest.mark.parametrize("cfg_text, splits", [
+    ("kind = potential; breaks = 1; values = 2.5; cutoff.r0 = 8", True),
+    ("kind = potential; breaks = 1; values = 2.5", True),
+    ("kind = disk; radius = 1.06; bc = dirichlet", False),
+    ("kind = disk; radius = 1.06; bc = neumann", False),
+])
+def test_wide_source_panels_split_for_the_sweep(cfg_text, splits):
     # on a repulsive well with cutoff.r0 = 8 the CLI source's widest trimmed
-    # panels have LAM_CAP x half-width = 43: the source quadrature splits them,
-    # and its integrand below the support matches the exact bump on every
-    # trimmed panel split 8 ways at 32 nodes (the trimmed 32-node panels alone
-    # are off by 5e-8 max|G| at lam = 60)
-    from lowfreq2d import mode_green, SpectralPoint, standard_grid
+    # panels have LAM_CAP x half-width = 43: the source quadrature splits them
+    # (the plain well's two panels around r = 0.75 in two each, while the CLI
+    # disks' panels fit as they are), and on every CLI source its integrand
+    # at the CLI's observation radius matches the exact bump on every trimmed
+    # panel split 8 ways at 32 nodes, from lam = 0.01 to the cap (the trimmed
+    # 32-node panels alone are off by 5e-8 max|G| at lam = 60 with
+    # cutoff.r0 = 8)
+    from lowfreq2d import PiecewisePotential, mode_green, SpectralPoint, standard_grid
     from lowfreq2d.cli import _source_edges, _source_geometry, canonical_source
     from lowfreq2d.scatterer import parse_config
-    from lowfreq2d.wave import LAM_CAP, _source_panels
-    cfg = parse_config("kind = potential; breaks = 1; values = 2.5; cutoff.r0 = 8\n")
+    from lowfreq2d.wave import LAM_CAP, SOURCE_NODES, _source_panels
+    cfg = parse_config(cfg_text + "\n")
     s = cfg.scatterer
-    f = canonical_source(cfg, standard_grid(s, cfg.cutoff, extra_edges=_source_edges(cfg)))
+    edges = _source_edges(cfg)
+    f = canonical_source(cfg, standard_grid(s, cfg.cutoff, extra_edges=edges))
+    x_obs = 0.0 if isinstance(s, PiecewisePotential) else 0.5 * (s.inner_radius + edges[0])
     e = _source_panels(f).grid.edges
-    src = _sweep_source(f)
-    assert src.grid.npanels > len(e) - 1
-    assert LAM_CAP * 0.5 * np.max(np.diff(src.grid.edges)) <= 8.0
+    src = _green_source(f, x_obs)
+    assert x_obs < src.grid.rmin
+    assert (src.grid.npanels > len(e) - 1) == splits
+    assert LAM_CAP * 0.5 * np.max(np.diff(src.grid.edges)) <= SOURCE_NODES / 2
     fine = PanelGrid(np.append(np.linspace(e[:-1], e[1:], 9, axis=1)[:, :-1].ravel(), e[-1]), 32)
     exact = bump(fine, *_source_geometry(cfg))
-    lams = [SpectralPoint(lam, 0.0) for lam in (0.5, 30.0, LAM_CAP)]
-    G = mode_green(s, lams, 0, src.grid).value_at(src, 0.0).imag
-    ref = mode_green(s, lams, 0, fine).value_at(exact, 0.0).imag
+    lams = [SpectralPoint(lam, 0.0) for lam in (0.01, 0.5, 7.0, 30.0, LAM_CAP)]
+    G = mode_green(s, lams, 0, src.grid).value_at(src, x_obs).imag
+    ref = mode_green(s, lams, 0, fine).value_at(exact, x_obs).imag
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_cli_wave_work(tmp_path, monkeypatch):
     # a CLI wave on the Dirichlet disk of radius 1.06 takes its Green data on
-    # the 16-node source quadrature in calls of about BESSEL_BATCH points:
-    # 713 504 Bessel points in 34 mode_green calls (1 397 024 in 67 on the
-    # 32-node source with 64 spectral points per call)
+    # the 12-node source quadrature in calls of about BESSEL_BATCH points,
+    # with the lam chunks above 20 at half order: 380 064 Bessel points in
+    # 22 mode_green calls (713 504 in 34 with every chunk at full order on
+    # the 16-node source, 1 397 024 in 67 on the 32-node source with 64
+    # spectral points per call)
     from lowfreq2d import radialsolve, wave
     from lowfreq2d.cli import main
     points, calls = [0], [0]
@@ -322,8 +333,8 @@ def test_cli_wave_work(tmp_path, monkeypatch):
     cfg = tmp_path / "disk.cfg"
     cfg.write_text("kind = disk; radius = 1.06; bc = dirichlet\n")
     assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert points[0] <= 750_000
-    assert calls[0] <= 34
+    assert points[0] <= 400_000
+    assert calls[0] <= 22
 
 
 @pytest.mark.parametrize("x, times", [
@@ -357,7 +368,7 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
     monkeypatch.setattr(radialsolve, "bessel_pair", spy)
     lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)]
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
-        src = _sweep_source(fx.f)
+        src = _green_source(fx.f, x_obs)
         seen.clear()
         sample = mode_green(fx.scatterer, lams, 0, src.grid)
         sample.value_at(src, x_obs)
@@ -375,3 +386,70 @@ def test_tail_status_reported(wave_free_result, wave_well_result):
     assert free.lam_max == LAM_CAP and free.tail_converged is False
     _, well = wave_well_result
     assert well.lam_max < LAM_CAP and well.tail_converged is True
+
+
+def _cli_wave(tmp_path, monkeypatch, cfg_text):
+    """(result, spectral samples, decay.json) of a CLI wave on cfg_text."""
+    import json
+    from lowfreq2d import cli, wave
+    from lowfreq2d.cli import main
+    seen, samples = [], [0]
+
+    def count_samples(s, lams, *args):
+        samples[0] += len(lams)
+        return mode_green(s, lams, *args)
+
+    def keep(q):
+        seen.append(evolve(q))
+        return seen[-1]
+
+    mode_green, evolve = wave.mode_green, wave.evolve
+    monkeypatch.setattr(wave, "mode_green", count_samples)
+    monkeypatch.setattr(cli, "evolve", keep)
+    cfg = tmp_path / "wave.cfg"
+    cfg.write_text(cfg_text + "\n")
+    assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    return seen[0], samples[0], json.loads((tmp_path / "out" / "decay.json").read_text())
+
+
+def test_half_order_chunks_keep_the_lam_edges(tmp_path, monkeypatch):
+    # on the Dirichlet disk of radius 1.06 the chunks above lam = 20 run at
+    # 8 nodes per panel: 2992 spectral samples where every chunk at full
+    # order takes 4272, on the same lam edges, and its panels' top two
+    # sampled Legendre coefficients stay at 2.7e-12 of max|G|
+    from lowfreq2d.wave import LAM_FLOOR, LAM_GEOMETRIC_TOP
+    res, samples, decay = _cli_wave(tmp_path, monkeypatch, "kind = disk; radius = 1.06; bc = dirichlet")
+    edges = np.concatenate([geometric_edges(LAM_FLOOR, LAM_GEOMETRIC_TOP)[:-1],
+                            np.arange(LAM_GEOMETRIC_TOP, 60.0 + 1e-9, 0.25)])
+    assert np.array_equal(res.panels.edges, edges)
+    assert res.panels.coeffs.shape == (len(edges) - 1, 16)
+    assert samples <= 3000
+    assert decay["legendreTail"] == res.legendre_tail < 1e-10
+
+
+def test_unresolved_sweep_stays_at_full_order(tmp_path, monkeypatch):
+    # the shell barrier (no bound state) is not resolved by 16-node panels:
+    # their top two Legendre coefficients reach 0.34 max|G|, decay.json
+    # reports it, and no chunk drops to half order or is sampled twice
+    res, samples, decay = _cli_wave(tmp_path, monkeypatch,
+                                    "kind = potential; breaks = 0.5, 1; values = 0, 300")
+    assert decay["legendreTail"] == res.legendre_tail > 1e-3
+    assert samples == res.panels.coeffs.size
+
+
+def test_half_order_chunk_resampled_when_its_tail_is_unresolved():
+    # a chunk tried at half order keeps it only when its panels' top two
+    # coefficients sit within TAIL_REL of max|G|; cos(40 lam) on 0.25-wide
+    # panels needs more than 8 nodes, 1 + lam does not
+    from lowfreq2d.wave import _sample_chunk
+    chunk = np.arange(12.0, 20.0 + 1e-9, 0.25)
+    for g, orders in ((lambda lam: np.cos(40.0 * lam), [8, 16]), (lambda lam: 1.0 + lam, [8])):
+        seen = []
+
+        def sample(lam):
+            seen.append(lam.size // (chunk.size - 1))
+            return g(lam)
+
+        nodes, vals, coeffs = _sample_chunk(sample, chunk, 8, 16, 1.0)
+        assert seen == orders
+        assert nodes.size == vals.size == coeffs.size == (chunk.size - 1) * orders[-1]
