@@ -1,7 +1,9 @@
 """Low-frequency structure of cutoff-resolvent matrix elements.
 
-Matrix elements m(lam) = <R(lam) f, g> are sampled on rays into the origin
-and fitted against the bases
+Matrix elements m(lam) = <R(lam) f, g> are sampled on rays into the origin,
+SAMPLE_BATCH points per resolvent call on the run of panels where f or g is
+above rounding (radial.support_panels, the rule wave shares), and fitted
+against the bases
 
     lam^{2j} (log lam)^k           (regular terms, k of either sign)
     lam^{2j} (log lam - a)^{-k}    (shifted-pole terms, k >= 1)
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import (IllConditionedFitError, NumericalError, ShapeMismatchError,
                      ValidationError)
-from .radial import RadialFunction, inner, with_trig
+from .radial import RadialFunction, inner, support_panels, with_trig
 from .resolvent import mode_green
 from .scatterer import Scatterer
 from .specfun import SpectralPoint
@@ -37,7 +39,7 @@ from .util import log_grid
 CONDITION_LIMIT = 1e12
 EXTRA_COUNT = 8         # points on expansion_grid's secondary ray
 SHIFT_MAX_ITER = 40     # Gauss-Newton steps on the pole shift
-SAMPLE_BATCH = 8        # spectral points per mode_green call; bounds the peak memory
+SAMPLE_BATCH = 16       # spectral points per mode_green call on the trimmed support; sets peak memory
 
 
 # ----------------------------------------------------------------------------
@@ -76,10 +78,11 @@ def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
 def sample_matrix_element(s: Scatterer, f: RadialFunction, g: RadialFunction,
                           pts) -> np.ndarray:
     """<R(lam) f, g> per spectral point (pole-guarded), one resolvent batch
-    per SAMPLE_BATCH points."""
+    per SAMPLE_BATCH points on the panels where f or g is above rounding."""
     pts = list(pts)
-    if not f.same_channel(g):
+    if not f.same_channel(g) or not (f.values.any() or g.values.any()):
         return np.zeros(len(pts), dtype=complex)
+    f, g = support_panels(f, g)
     return np.concatenate([np.zeros(0, dtype=complex)] + [
         inner(mode_green(s, pts[i:i + SAMPLE_BATCH], f.mode, f.grid).apply_values(f), g)
         for i in range(0, len(pts), SAMPLE_BATCH)
@@ -226,10 +229,6 @@ class FitReport:
 # the fit
 # ----------------------------------------------------------------------------
 
-def _design(terms, pts, shift):
-    return np.column_stack([t.evaluate(pts, shift) for t in terms])
-
-
 def _weighted_lstsq(A, y, w):
     """Row-weighted, column-normalized least squares: the coefficients, the
     weighted residual vector and the normalized matrix."""
@@ -264,8 +263,12 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
     if has_pole and shift0 is None:
         raise ValidationError("pole terms need an initial shift (threshold a or gamma0)")
 
+    # only the pole columns move with the shift: the others are built once
+    cols = [None if t.pole else t.evaluate(pts_tr, None) for t in terms]
+
     def solve(sh):
-        return _weighted_lstsq(_design(terms, pts_tr, sh), y_tr, w)
+        A = np.column_stack([t.evaluate(pts_tr, sh) if c is None else c for t, c in zip(terms, cols)])
+        return _weighted_lstsq(A, y_tr, w)
 
     def rvec(xv):
         r = solve(complex(xv[0], xv[1]))[1]

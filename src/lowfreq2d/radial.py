@@ -19,6 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .quadrature import PanelGrid
 
+SOURCE_REL = 1e-17      # panels whose max|f| stays below this share of max|f| hold rounding alone
+
 
 @dataclass
 class Exterior:
@@ -175,6 +177,22 @@ def norm_sq(f: RadialFunction, include_tail: bool = False) -> float:
     if include_tail:
         total += (f.angular_weight * _tail(f, f)).real
     return total
+
+
+def support_panels(*fs: RadialFunction) -> list[RadialFunction]:
+    """The values of fs, on one grid, on the run of panels from the first to
+    the last one where any f exceeds SOURCE_REL times its own peak: beyond
+    that run every f is below rounding.  All f vanishing raises ValidationError."""
+    g = fs[0].grid
+    if not all(f.grid.same(g) for f in fs):
+        raise ValidationError("support_panels() needs the functions on one grid")
+    peaks = np.abs([f.values for f in fs]).reshape(len(fs), g.npanels, g.n).max(axis=2)
+    rows = np.flatnonzero(np.any(peaks > SOURCE_REL * peaks.max(axis=1, keepdims=True), axis=0))
+    if rows.size == 0:
+        raise ValidationError("the functions vanish identically")
+    lo, hi = rows[0], rows[-1] + 1
+    grid = PanelGrid(g.edges[lo:hi + 1], g.n)
+    return [RadialFunction(f.mode, grid, f.values[lo * g.n:hi * g.n], trig=f.trig) for f in fs]
 
 
 def with_trig(f: RadialFunction, trig: str) -> RadialFunction:

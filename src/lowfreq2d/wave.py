@@ -27,7 +27,8 @@ sampled again at full order.  Rows are zero-padded to nodes_per_panel, and
 the panel edges do not depend on the orders.
 
 The Green data are taken on the source alone: on the run of panels where f
-is above rounding, resampled on SOURCE_NODES Gauss nodes per panel, with
+is above rounding (radial.support_panels, the rule expand's matrix elements
+share), resampled on SOURCE_NODES Gauss nodes per panel, with
 each panel split until LAM_CAP times its half-width is at most half that
 count, so the source quadrature of e^{i lam r} f r dr holds to rounding at
 every lam of the sweep.  An observation radius on the source's support reads
@@ -50,7 +51,7 @@ from numpy.polynomial import legendre
 
 from .errors import BoundStateRefusal, ValidationError
 from .quadrature import PanelGrid, geometric_edges
-from .radial import RadialFunction
+from .radial import RadialFunction, support_panels
 from .resolvent import mode_green
 from .scatterer import Scatterer
 from .scattering import imaginary_axis_poles
@@ -60,7 +61,6 @@ LAM_FLOOR = 1e-9
 LAM_GEOMETRIC_TOP = 0.5
 LAM_CAP = 60.0
 TAIL_REL = 1e-12
-SOURCE_REL = 1e-17      # source panels whose max|f| stays below this share of max|f| take no Green data
 BESSEL_BATCH = 20480    # Bessel points (spectral x source nodes) per mode_green call of the sweep
 SOURCE_NODES = 12       # Gauss nodes per source panel of the Green data, x off the support
 SUPPORT_NODES = 16      # the same, x on the support: apply's partial integrals need 16
@@ -172,18 +172,6 @@ class WaveResult:
     panels: OscillatoryPanels = field(repr=False)
 
 
-def _source_panels(f: RadialFunction) -> RadialFunction:
-    """f on the run of panels from its first to its last one whose max|f|
-    exceeds SOURCE_REL times the peak: beyond that run f is below rounding."""
-    g = f.grid
-    peaks = np.abs(f.values).reshape(g.npanels, g.n).max(axis=1)
-    rows = np.flatnonzero(peaks > SOURCE_REL * peaks.max())
-    if rows.size == 0:
-        raise ValidationError("initial data vanish identically")
-    lo, hi = rows[0], rows[-1] + 1
-    return RadialFunction(f.mode, PanelGrid(g.edges[lo:hi + 1], g.n), f.values[lo * g.n:hi * g.n])
-
-
 def _source_quadrature(src: RadialFunction, n: int) -> RadialFunction:
     """src on n Gauss-Legendre nodes per panel, each panel split into the
     fewest equal parts on which LAM_CAP times the half-width is at most n / 2,
@@ -229,7 +217,7 @@ def _sample_chunk(sample, chunk: np.ndarray, order: int, full: int, gmax: float)
 
 def _green_source(f: RadialFunction, x: float) -> RadialFunction:
     """The source quadrature of evolve's Green data at observation radius x."""
-    src = _source_panels(f)
+    (src,) = support_panels(f)
     on_support = src.grid.rmin <= x <= src.grid.rmax
     return _source_quadrature(src, SUPPORT_NODES if on_support else SOURCE_NODES)
 

@@ -44,8 +44,10 @@ def test_batched_samples_match_per_point(dirichlet_fx, p_well_fx):
 
 def test_matrix_elements_build_no_node_derivatives(dirichlet_fx, monkeypatch):
     # <R(lam) f, g> reads u alone: no order-(l + 1) Bessel slot on the grid
-    # nodes, only the boundary solve and the five Wronskian probes per point
+    # nodes, only the boundary solve and the five Wronskian probes per point;
+    # the order-l slot takes only the nodes of the trimmed support
     from lowfreq2d import radialsolve
+    from lowfreq2d.radial import support_panels
     bessel_pair, seen = radialsolve.bessel_pair, []
 
     def spy(l, z, logz, slot=None):
@@ -59,7 +61,60 @@ def test_matrix_elements_build_no_node_derivatives(dirichlet_fx, monkeypatch):
         seen.clear()
         sample_matrix_element(dirichlet_fx.scatterer, f, f, pts)
         assert max(n for n, slot in seen if slot != 0) <= 6 * len(pts) < len(dirichlet_fx.grid)
-        assert sum(n for n, slot in seen if slot == 0) == len(pts) * len(dirichlet_fx.grid)
+        support = support_panels(f, f)[0].grid
+        assert len(support) < len(dirichlet_fx.grid)
+        assert sum(n for n, slot in seen if slot == 0) == len(pts) * len(support)
+
+
+@pytest.mark.parametrize("g_center, g_half", [
+    (1.1, 0.25),        # overlaps f's support and ends past it
+    (1.25, 0.6),        # covers f's support and reaches far past it
+    (1.6, 0.2),         # beyond f's support, with a gap between
+])
+def test_trimmed_samples_match_full_grid(generic_well_fx, g_center, g_half):
+    # the samples on the run of panels where f or g is above rounding match
+    # the Green data on every node of the grid
+    from lowfreq2d import bump, mode_green
+    fx = generic_well_fx
+    g = bump(fx.grid, g_center, g_half)
+    pts = [SpectralPoint(m, a) for a in (math.pi / 4, math.pi / 3) for m in (1e-6, 1e-3, 1e-2, 0.3)]
+    trimmed = sample_matrix_element(fx.scatterer, fx.f, g, pts)
+    full = np.array([inner(mode_green(fx.scatterer, p, 0, fx.grid).apply_values(fx.f), g)
+                     for p in pts])
+    assert np.max(np.abs(trimmed - full) / np.abs(full)) <= 1e-14
+
+
+def test_vanishing_pair_samples_to_zero(generic_well_fx, default_grid_pts):
+    f = generic_well_fx.f.scaled(0.0)
+    vals = sample_matrix_element(generic_well_fx.scatterer, f, f, default_grid_pts.points[:3])
+    assert vals.shape == (3,) and np.all(vals == 0.0)
+
+
+def test_cli_expand_work(tmp_path, monkeypatch):
+    # a CLI expand on the Dirichlet disk of radius 1.06 takes its Green data
+    # on the trimmed support of the source, SAMPLE_BATCH points per call:
+    # 10 432 Bessel points in 2 mode_green calls (30 912 in 4 on every node
+    # of the grid with 8 points per call)
+    from lowfreq2d import expansion, radialsolve
+    from lowfreq2d.cli import main
+    points, calls = [0], [0]
+
+    def count_points(l, z, logz, slot=None):
+        points[0] += np.size(z)
+        return bessel_pair(l, z, logz, slot)
+
+    def count_calls(*args):
+        calls[0] += 1
+        return mode_green(*args)
+
+    bessel_pair, mode_green = radialsolve.bessel_pair, expansion.mode_green
+    monkeypatch.setattr(radialsolve, "bessel_pair", count_points)
+    monkeypatch.setattr(expansion, "mode_green", count_calls)
+    cfg = tmp_path / "disk.cfg"
+    cfg.write_text("kind = disk; radius = 1.06; bc = dirichlet\n")
+    assert main(["expand", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert points[0] <= 11_000
+    assert calls[0] <= 2
 
 
 def test_selfadjoint_pairing_symmetry(generic_well_fx):

@@ -170,11 +170,11 @@ def test_mode_zero_required(free_fx):
 def test_source_panels_drop_only_rounding_panels(dirichlet_fx):
     # the bump's two outermost nonzero panels at each end peak at 3.8e-22 and
     # 7.6e-218 of max|f|: they are dropped, and every panel between stays
-    from lowfreq2d.wave import SOURCE_REL, _source_panels
+    from lowfreq2d.radial import SOURCE_REL, support_panels
     f, g = dirichlet_fx.f, dirichlet_fx.f.grid
     peaks = np.abs(f.values).reshape(g.npanels, g.n).max(axis=1)
     nonzero = np.flatnonzero(peaks > 0)
-    src = _source_panels(f)
+    (src,) = support_panels(f)
     lo = int(np.searchsorted(g.edges, src.grid.rmin))
     kept = np.arange(lo, lo + src.grid.npanels)
     assert np.array_equal(kept, nonzero[2:-2])
@@ -182,14 +182,14 @@ def test_source_panels_drop_only_rounding_panels(dirichlet_fx):
     assert np.array_equal(src.grid.edges, g.edges[lo:lo + src.grid.npanels + 1])
     assert np.array_equal(src.values, f.values[lo * g.n:(lo + kept.size) * g.n])
     with pytest.raises(ValidationError):
-        _source_panels(f.scaled(0.0))
+        support_panels(f.scaled(0.0))
 
 
 def test_source_trim_keeps_tail_rule(wave_free_result, wave_well_result, monkeypatch):
     # the trim moves the integrand by rounding only: lam_max and
     # tail_converged are those of the sweep on every nonzero source panel
-    from lowfreq2d import wave
-    monkeypatch.setattr(wave, "SOURCE_REL", 0.0)
+    from lowfreq2d import radial
+    monkeypatch.setattr(radial, "SOURCE_REL", 0.0)
     for q, trimmed in (wave_free_result, wave_well_result):
         full = evolve(q)
         assert (trimmed.lam_max, trimmed.tail_converged) == (full.lam_max, full.tail_converged)
@@ -233,11 +233,12 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
     # SOURCE_NODES the generic well's reads 1.1e-11 off at the cap) and above
     # it (psi(x) times the phi moment), one batch per call, up to the cap
     from lowfreq2d import mode_green, SpectralPoint
-    from lowfreq2d.wave import LAM_CAP, SOURCE_NODES, SUPPORT_NODES, _source_panels
+    from lowfreq2d.radial import support_panels
+    from lowfreq2d.wave import LAM_CAP, SOURCE_NODES, SUPPORT_NODES
     lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0),
             SpectralPoint(LAM_CAP, 0.0)]
     for fx in (dirichlet_fx, generic_well_fx):
-        support = _source_panels(fx.f).grid
+        support = support_panels(fx.f)[0].grid
         inside, above = fx.f_center + 0.5 * fx.f_half, support.rmax + 0.7
         assert support.rmin < inside < support.rmax < above < fx.grid.rmax
         for x_obs, n in ((inside, SUPPORT_NODES), (above, SOURCE_NODES)):
@@ -289,13 +290,14 @@ def test_wide_source_panels_split_for_the_sweep(cfg_text, splits):
     from lowfreq2d import PiecewisePotential, mode_green, SpectralPoint, standard_grid
     from lowfreq2d.cli import _source_edges, _source_geometry, canonical_source
     from lowfreq2d.scatterer import parse_config
-    from lowfreq2d.wave import LAM_CAP, SOURCE_NODES, _source_panels
+    from lowfreq2d.radial import support_panels
+    from lowfreq2d.wave import LAM_CAP, SOURCE_NODES
     cfg = parse_config(cfg_text + "\n")
     s = cfg.scatterer
     edges = _source_edges(cfg)
     f = canonical_source(cfg, standard_grid(s, cfg.cutoff, extra_edges=edges))
     x_obs = 0.0 if isinstance(s, PiecewisePotential) else 0.5 * (s.inner_radius + edges[0])
-    e = _source_panels(f).grid.edges
+    e = support_panels(f)[0].grid.edges
     src = _green_source(f, x_obs)
     assert x_obs < src.grid.rmin
     assert (src.grid.npanels > len(e) - 1) == splits
