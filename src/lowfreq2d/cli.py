@@ -185,7 +185,8 @@ def _cmd_expand(run: _Run) -> None:
     samples = sample_matrix_element(cfg.scatterer, f, f, eg.points)
     run.write_csv(
         "samples.csv", ["modulus", "arg", "re", "im"],
-        [(p.modulus, p.arg, v.real, v.imag) for p, v in zip(eg.points, samples)],
+        [(m, a, v.real, v.imag)
+         for m, a, v in zip(eg.points.modulus.tolist(), eg.points.arg.tolist(), samples)],
     )
     terms, shift0 = fit_shape(report, f, cfg.fit_jmax, cfg.fit_kmax)
     fit = fit_log_laurent(samples, eg, terms, shift0=shift0)

@@ -32,7 +32,7 @@ from .errors import (IllConditionedFitError, NumericalError, ShapeMismatchError,
 from .radial import RadialFunction, inner, support_panels, with_trig
 from .resolvent import mode_green
 from .scatterer import Scatterer
-from .specfun import SpectralPoint
+from .specfun import SpectralBatch
 from .threshold import ThresholdReport
 from .util import log_grid
 
@@ -48,16 +48,8 @@ SAMPLE_BATCH = 16       # spectral points per mode_green call on the trimmed sup
 
 @dataclass(frozen=True)
 class ExpansionGrid:
-    points: tuple[SpectralPoint, ...]
+    points: SpectralBatch
     held_out: tuple[bool, ...]
-
-    @property
-    def train_idx(self):
-        return [i for i, h in enumerate(self.held_out) if not h]
-
-    @property
-    def test_idx(self):
-        return [i for i, h in enumerate(self.held_out) if h]
 
 
 def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
@@ -65,21 +57,19 @@ def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
                    ) -> ExpansionGrid:
     """Log-spaced moduli on a main ray (every third point held out) plus
     EXTRA_COUNT on a secondary ray for robustness across log-branch mistakes."""
-    mods = log_grid(modmin, modmax, count)
-    pts = [SpectralPoint(float(m), arg) for m in mods]
+    mods, args = log_grid(modmin, modmax, count), np.full(count, arg)
     held = [(i % 3 == 2) for i in range(count)]
     if extra_arg is not None:
-        mods2 = log_grid(modmin, modmax, EXTRA_COUNT)
-        pts += [SpectralPoint(float(m), extra_arg) for m in mods2]
+        mods = np.concatenate((mods, log_grid(modmin, modmax, EXTRA_COUNT)))
+        args = np.concatenate((args, np.full(EXTRA_COUNT, extra_arg)))
         held += [False] * EXTRA_COUNT
-    return ExpansionGrid(tuple(pts), tuple(held))
+    return ExpansionGrid(SpectralBatch(mods, args), tuple(held))
 
 
 def sample_matrix_element(s: Scatterer, f: RadialFunction, g: RadialFunction,
-                          pts) -> np.ndarray:
+                          pts: SpectralBatch) -> np.ndarray:
     """<R(lam) f, g> per spectral point (pole-guarded), one resolvent batch
     per SAMPLE_BATCH points on the panels where f or g is above rounding."""
-    pts = list(pts)
     if not f.same_channel(g) or not (f.values.any() or g.values.any()):
         return np.zeros(len(pts), dtype=complex)
     f, g = support_panels(f, g)
@@ -109,17 +99,14 @@ class FitTerm:
             parts.append(f"log^{self.k}")
         return "*".join(parts) if parts else "1"
 
-    def evaluate(self, pts, shift: complex | None) -> np.ndarray:
-        vals = np.empty(len(pts), dtype=complex)
-        for i, p in enumerate(pts):
-            base = p.value ** (2 * self.j) if self.j != 0 else 1.0
-            if self.pole:
-                if shift is None:
-                    raise ValidationError("pole term without a shift")
-                vals[i] = base * (p.log - shift) ** (-self.k)
-            else:
-                vals[i] = base * p.log**self.k if self.k != 0 else base
-        return vals
+    def evaluate(self, pts: SpectralBatch, shift: complex | None) -> np.ndarray:
+        """The term at each point of pts."""
+        if self.pole and shift is None:
+            raise ValidationError("pole term without a shift")
+        vals = pts.value ** (2 * self.j) if self.j != 0 else np.ones(len(pts), dtype=complex)
+        if self.pole:
+            return vals * (pts.log - shift) ** (-self.k)
+        return vals * pts.log**self.k if self.k != 0 else vals
 
 
 def resonant_terms(jmax: int, kmax: int) -> list[FitTerm]:
@@ -179,7 +166,7 @@ class LogLaurentSeries:
     poles: dict[tuple[int, int], complex] = field(default_factory=dict)
     shift: complex | None = None
 
-    def evaluate(self, pts) -> np.ndarray:
+    def evaluate(self, pts: SpectralBatch) -> np.ndarray:
         out = np.zeros(len(pts), dtype=complex)
         for (j, k), c in self.regular.items():
             out += c * FitTerm(j, k).evaluate(pts, None)
@@ -248,14 +235,13 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
     """Least-squares fit of the term set; with pole terms, Gauss-Newton on
     the pole shift from shift0."""
     samples = np.asarray(samples, dtype=complex)
-    pts = list(grid.points)
-    tr = grid.train_idx
-    te = grid.test_idx
+    held = np.array(grid.held_out, dtype=bool)
+    tr, te = np.flatnonzero(~held), np.flatnonzero(held)
     if len(tr) < 2 * len(terms):
         raise ValidationError(
             f"{len(tr)} training samples for {len(terms)} terms; need at least 2x"
         )
-    pts_tr = [pts[i] for i in tr]
+    pts_tr = grid.points[tr]
     y_tr = samples[tr]
     w = 1.0 / np.maximum(np.abs(y_tr), 1e-14 * np.max(np.abs(y_tr)))
 
@@ -310,9 +296,8 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
         else:
             series.regular[(t.j, t.k)] = complex(c)
 
-    if te:
-        pts_te = [pts[i] for i in te]
-        model = series.evaluate(pts_te)
+    if te.size:
+        model = series.evaluate(grid.points[te])
         rel = np.abs(model - samples[te]) / np.maximum(np.abs(samples[te]), 1e-300)
         residual = float(np.max(rel))
     else:

@@ -44,7 +44,6 @@ class RadialFunction:
     derivs: np.ndarray | None = None
     trig: str = "cos"
     exterior: Exterior | None = None
-    exterior_start: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -96,20 +95,14 @@ class RadialFunction:
 # constructors
 # ----------------------------------------------------------------------------
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
+def _bump(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(1 - 1/(1-t^2)) and its t-derivative, zero for |t| >= 1."""
+    f, df = np.zeros_like(t), np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
-    return out
-
-
-def _bump_deriv(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti)) * (-2.0 * ti / (1.0 - ti * ti) ** 2)
-    return out
+    f[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    df[inside] = f[inside] * (-2.0 * ti / (1.0 - ti * ti) ** 2)
+    return f, df
 
 
 def bump(grid: PanelGrid, center: float, halfwidth: float, mode: int = 0,
@@ -120,8 +113,8 @@ def bump(grid: PanelGrid, center: float, halfwidth: float, mode: int = 0,
     the bump is flat-but-not-analytic at its endpoints and quadrature on
     panels straddling them loses ~8 digits otherwise.
     """
-    t = (grid.nodes - center) / halfwidth
-    return RadialFunction(mode, grid, _bump(t), _bump_deriv(t) / halfwidth, trig)
+    f, df = _bump((grid.nodes - center) / halfwidth)
+    return RadialFunction(mode, grid, f, df / halfwidth, trig)
 
 
 #: grading toward the support endpoints; the first interior breakpoint already
@@ -197,6 +190,6 @@ def support_panels(*fs: RadialFunction) -> list[RadialFunction]:
 
 def with_trig(f: RadialFunction, trig: str) -> RadialFunction:
     """The other angular copy sharing this radial data."""
-    return RadialFunction(f.mode, f.grid, f.values, f.derivs, trig, f.exterior, f.exterior_start)
+    return RadialFunction(f.mode, f.grid, f.values, f.derivs, trig, f.exterior)
 
 

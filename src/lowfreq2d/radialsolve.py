@@ -17,17 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .scatterer import PiecewisePotential, Scatterer
-from .specfun import SpectralPoint, bessel_pair
-
-#: one spectral point, a batch of them solved together, or None (zero energy)
-Spectral = SpectralPoint | Sequence[SpectralPoint] | None
+from .specfun import SpectralBatch, _mul, bessel_pair
 
 
 @dataclass
@@ -129,32 +124,15 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     return out
 
 
-def _spectral_batch(lam: Spectral):
-    """(lam, lam^2, log lam) arrays of shape (nlam,); None is zero energy.
-
-    lam^2 and the logs are taken in scalar arithmetic, element by element:
-    numpy's vector complex multiply and log round differently in the last bit.
-    A lam^2 beyond the float range raises NumericalError.
-    """
-    if lam is None:
-        return np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), np.zeros(1, dtype=complex)
-    pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
-    value = [p.value for p in pts]
-    try:
-        lam2 = np.array([v ** 2 for v in value])
-    except OverflowError:
-        raise NumericalError("lam^2 overflows the float range") from None
-    return np.array(value), lam2, np.array([p.log for p in pts])
-
-
-def make_segments(s: Scatterer, l: int, lam: Spectral) -> list[Segment]:
-    """Segments covering [inner_radius, inf) for a SpectralPoint, a sequence
-    of them (one batch), or lam=None meaning zero energy.
+def make_segments(s: Scatterer, l: int, lam: SpectralBatch | None) -> list[Segment]:
+    """Segments covering [inner_radius, inf) for a batch of spectral points,
+    or lam=None meaning zero energy.
 
     The exterior (V = 0) segment at nonzero energy uses the (J, H1) basis on
     the log cover of lam itself, so only that segment carries log(lam).
     """
-    value, lam2, log = _spectral_batch(lam)
+    zero = np.zeros(1, dtype=complex)
+    value, lam2, log = (zero,) * 3 if lam is None else (lam.value, lam.lam2, lam.log)
     segs: list[Segment] = []
     inner = s.inner_radius
     if isinstance(s, PiecewisePotential):
@@ -211,17 +189,6 @@ class PiecewiseSolution:
         return self._combine(r, 0)[0]
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b with each real product rounded on its own, as in scalar complex
-    arithmetic; numpy's vector loop fuses multiply-adds instead.  The 2x2
-    glue is tiny, and ill-conditioned fits downstream amplify its last bit,
-    so it keeps the scalar rounding for any batch size."""
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _junctions(segs: list[Segment]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The basis (b1, b2, b1', b2'), shape (4, nlam), of the segments on
     either side of each breakpoint, at the breakpoint, from one bessel_pair
@@ -246,20 +213,6 @@ def _value_at(b: np.ndarray, c: tuple[np.ndarray, np.ndarray]):
     return p[0] + p[1], p[2] + p[3]
 
 
-def march_outward(segments: list[Segment], c_first, junctions) -> PiecewiseSolution:
-    coeffs = [c_first]
-    for left, right in junctions:
-        coeffs.append(_solve_2x2(right, *_value_at(left, coeffs[-1])))
-    return PiecewiseSolution(segments, coeffs)
-
-
-def march_inward(segments: list[Segment], c_last, junctions) -> PiecewiseSolution:
-    coeffs = [c_last]
-    for left, right in junctions[::-1]:
-        coeffs.insert(0, _solve_2x2(left, *_value_at(right, coeffs[0])))
-    return PiecewiseSolution(segments, coeffs)
-
-
 # ----------------------------------------------------------------------------
 # the two distinguished solutions of the resolvent construction
 # ----------------------------------------------------------------------------
@@ -270,28 +223,33 @@ def _unit_pair(segs: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _regular(s: Scatterer, segs: list[Segment]):
-    """The regular solution on segs, and the breakpoint bases it was glued with."""
+    """The regular solution on segs, a potential's marched outward from
+    (1, 0), and the breakpoint bases it was glued with."""
     one, zero = _unit_pair(segs)
     if isinstance(s, PiecewisePotential):
-        junctions = _junctions(segs)
-        return march_outward(segs, (one, zero), junctions), junctions
+        junctions, coeffs = _junctions(segs), [(one, zero)]
+        for left, right in junctions:
+            coeffs.append(_solve_2x2(right, *_value_at(left, coeffs[-1])))
+        return PiecewiseSolution(segs, coeffs), junctions
     u, du = (zero, one) if s.bc == "dirichlet" else (one, zero)
     b = np.array(segs[0].pair(np.array([s.radius])))[:, :, 0]
     return PiecewiseSolution(segs, [_solve_2x2(b, u, du)]), []
 
 
-def regular_solution(s: Scatterer, l: int, lam: Spectral) -> PiecewiseSolution:
+def regular_solution(s: Scatterer, l: int, lam: SpectralBatch | None) -> PiecewiseSolution:
     """Regular at r = 0 (potential) or satisfying the boundary condition (obstacle)."""
     return _regular(s, make_segments(s, l, lam))[0]
 
 
-def green_pair(s: Scatterer, l: int, lam: Spectral) -> PiecewiseSolution:
+def green_pair(s: Scatterer, l: int, lam: SpectralBatch) -> PiecewiseSolution:
     """The regular solution and the outgoing one (H^(1)_l(lam r) outside the
     support, continued inward) on one set of segments, stacked along a leading
     axis of length 2: one eval evaluates each segment's basis once for both,
     and both are glued with the same breakpoint bases."""
     phi, junctions = _regular(s, make_segments(s, l, lam))
     one, zero = _unit_pair(phi.segments)
-    psi = march_inward(phi.segments, (zero, one), junctions)
+    psi = [(zero, one)]            # marched inward
+    for left, right in junctions[::-1]:
+        psi.insert(0, _solve_2x2(left, *_value_at(right, psi[0])))
     return PiecewiseSolution(phi.segments, [tuple(map(np.stack, zip(a, b)))
-                                            for a, b in zip(phi.coeffs, psi.coeffs)])
+                                            for a, b in zip(phi.coeffs, psi)])

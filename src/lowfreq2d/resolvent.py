@@ -23,9 +23,9 @@ import numpy as np
 from .errors import AtPoleError, NumericalError, ValidationError
 from .quadrature import PanelGrid
 from .radial import RadialFunction
-from .radialsolve import PiecewiseSolution, Spectral, green_pair
+from .radialsolve import PiecewiseSolution, green_pair
 from .scatterer import CutoffProfile, PiecewisePotential, Scatterer, commutator_apply
-from .specfun import SpectralPoint, bessel_pair
+from .specfun import SpectralBatch, SpectralPoint, bessel_pair
 
 POLE_GUARD = 1e-13
 
@@ -38,11 +38,11 @@ _FREE = PiecewisePotential((1.0,), (0.0,))
 
 @dataclass
 class ResolventSample:
-    """phi/psi data of one scatterer and mode on a grid, at one spectral point
-    or a batch of them.  For a batch the node arrays have shape (nlam, nodes)
-    and the Wronskian shape (nlam,).  The Wronskian is exact, from phi's
-    exterior J coefficient; wronskian_spread is the largest relative deviation
-    of the sampled one from it, over the batch.
+    """phi/psi data of one scatterer and mode on a grid, at a batch of
+    spectral points: the node arrays have the batch's shape + (nodes,), the
+    Wronskian and phi_scale the batch's shape.  The Wronskian is exact, from
+    phi's exterior J coefficient; wronskian_spread is the largest relative
+    deviation of the sampled one from it, over the batch.
 
     The node values take the order-l basis alone.  The node derivatives
     phi_ders and psi_ders are formed the first time they are read, by one
@@ -50,7 +50,7 @@ class ResolventSample:
     caller of the values alone never form them."""
 
     scatterer: Scatterer
-    lam: Spectral
+    lam: SpectralBatch
     mode: int
     grid: PanelGrid
     phi_vals: np.ndarray
@@ -63,10 +63,9 @@ class ResolventSample:
     @cached_property
     def _ders(self) -> tuple[np.ndarray, np.ndarray]:
         phi_d, psi_d = self.solutions.eval(self.grid.nodes)[1]
-        phi_d = phi_d / np.atleast_1d(self.phi_scale)[:, None]
-        if isinstance(self.lam, SpectralPoint):
-            return phi_d[0], psi_d[0]
-        return phi_d, psi_d
+        phi_d = phi_d / np.reshape(self.phi_scale, (-1, 1))
+        shape = self.lam.shape + phi_d.shape[-1:]
+        return phi_d.reshape(shape), psi_d.reshape(shape)
 
     @property
     def phi_ders(self) -> np.ndarray:
@@ -138,8 +137,8 @@ def _vary(psi_x: np.ndarray, phi_x: np.ndarray, C: np.ndarray, Dtail: np.ndarray
     return -(np.where(C == 0.0, 0.0, psi_x * C) + phi_x * Dtail) / w
 
 
-def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> ResolventSample:
-    """The mode-l Green function data on grid, for one SpectralPoint or a batch.
+def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid) -> ResolventSample:
+    """The mode-l Green function data on grid, for a batch of spectral points.
 
     phi and psi share one segment set and every basis evaluation: the node
     values take the order-l basis alone, and only the five Wronskian probes
@@ -170,9 +169,10 @@ def mode_green(s: Scatterer, lam: Spectral, l: int, grid: PanelGrid) -> Resolven
     at_pole = np.flatnonzero(np.hypot(w.real, w.imag) <= POLE_GUARD)
     if at_pole.size:
         i = at_pole[0]
-        raise AtPoleError(lam if isinstance(lam, SpectralPoint) else list(lam)[i], w[i])
-    if isinstance(lam, SpectralPoint):
-        phi_v, psi_v, w, scale = (a[0] for a in (phi_v, psi_v, w, scale))
+        raise AtPoleError(lam[i], w[i])
+    # to the batch's shape; [()] makes a 0-d result a scalar
+    phi_v, psi_v = (a.reshape(lam.shape + a.shape[-1:]) for a in (phi_v, psi_v))
+    w, scale = (a.reshape(lam.shape)[()] for a in (w, scale))
     return ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale)
 
 
@@ -189,8 +189,9 @@ def one_sided_identity_residual(s: Scatterer, lam: SpectralPoint, chi: CutoffPro
     """R(lam)(1-chi) g vs {1 - chi - R(lam)[Delta, chi]} R0(lam) g, relative."""
     grid = g.grid
     chi_v = chi.chi(grid.nodes)
-    green = mode_green(s, lam, g.mode, grid)
-    green0 = mode_green(_FREE, lam, g.mode, grid)
+    batch = SpectralBatch(lam.modulus, lam.arg)
+    green = mode_green(s, batch, g.mode, grid)
+    green0 = mode_green(_FREE, batch, g.mode, grid)
     # only r0g's derivatives are read (by the commutator); the masked source has none
     lhs = green.apply_values(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
     r0g = green0.apply(g)
@@ -209,9 +210,9 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     grid = f.grid
     l = f.mode
     chi_v = chi.chi(grid.nodes)
-    green_l = mode_green(s, lam, l, grid)
-    green_z = mode_green(s, z, l, grid)
-    free = mode_green(_FREE, [lam, z], l, grid)
+    green_l = mode_green(s, SpectralBatch(lam.modulus, lam.arg), l, grid)
+    green_z = mode_green(s, SpectralBatch(z.modulus, z.arg), l, grid)
+    free = mode_green(_FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]), l, grid)
 
     rzf = green_z.apply(f)
     lhs = green_l.apply_values(f).values - rzf.values
@@ -242,7 +243,7 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralPoint, phi_src: RadialF
     kernel = 0.25j * bessel_pair(0, lam.value * r, lam.log + np.log(r))[2][0]
     mask = r > r1
     lhs = 2.0 * math.pi * grid.integrate(np.where(mask, phi_src.values * kernel * r, 0.0))
-    u = mode_green(s, lam, 0, grid).apply(phi_src)
+    u = mode_green(s, SpectralBatch(lam.modulus, lam.arg), 0, grid).apply(phi_src)
     s1 = lam.scale(r1)
     H = bessel_pair(0, [s1.value], [s1.log])[2]     # H0 and H1 at lam r1
     kr1, kr1p = 0.25j * H[0, 0], 0.25j * lam.value * -H[1, 0]     # H0' = -H1

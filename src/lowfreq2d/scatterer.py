@@ -177,10 +177,7 @@ def commutator_apply(chi: CutoffProfile, u: RadialFunction) -> RadialFunction:
         )
     _, dchi, d2chi = chi.jet(grid.nodes)
     vals = _laplacian(grid.nodes, dchi, d2chi) * u.values + 2.0 * dchi * u.deriv_values()
-    return RadialFunction(
-        u.mode, grid, vals, None, u.trig,
-        exterior=Exterior(), exterior_start=chi.r_end,
-    )
+    return RadialFunction(u.mode, grid, vals, None, u.trig, exterior=Exterior())
 
 
 # ----------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
-from .radialsolve import Spectral, regular_solution
+from .radialsolve import regular_solution
 from .scatterer import PiecewisePotential, Scatterer
-from .specfun import SpectralPoint
+from .specfun import SpectralBatch, SpectralPoint
 from .threshold import ThresholdReport
 from .util import log_grid
 
@@ -62,14 +62,14 @@ def _phase_tables(s: Scatterer, lams: list[float]
     NumericalError."""
     if not all(x > 0 for x in lams):
         raise ValidationError("phase shifts need lam > 0")
-    pts = [SpectralPoint(x, 0.0) for x in lams]
+    pts = SpectralBatch(lams, 0.0)
     shifts: list[dict[int, float]] = [{} for _ in lams]
     smat: list[dict[int, complex]] = [{} for _ in lams]
     small_run = [0] * len(lams)
     active = list(range(len(lams)))
     l = 0
     while active:
-        c1, c2 = regular_solution(s, l, [pts[i] for i in active]).coeffs[-1]
+        c1, c2 = regular_solution(s, l, pts[active]).coeffs[-1]
         still = []
         for i, a, b in zip(active, c1, c2):
             S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)
@@ -135,7 +135,7 @@ def sigma_asymptotic(report: ThresholdReport, lam: float) -> complex:
 # pole finding on the log cover
 # ----------------------------------------------------------------------------
 
-def outgoing_defect(s: Scatterer, l: int, lam: Spectral, *, checked: bool = True):
+def outgoing_defect(s: Scatterer, l: int, lam: SpectralBatch, *, checked: bool = True):
     """J-component of the regular solution outside the support.
 
     Proportional to the Wronskian of the regular and outgoing solutions
@@ -143,10 +143,10 @@ def outgoing_defect(s: Scatterer, l: int, lam: Spectral, *, checked: bool = True
     zeros on the log cover are exactly the resolvent poles of the mode.  A
     potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
     which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
-    as r^l and has no zero there.  One SpectralPoint gives a complex number,
-    a sequence an array; a defect of non-finite modulus raises NumericalError,
-    unless `checked` is false: then the caller checks, with `_finite`, only
-    the values it reads.
+    as r^l and has no zero there.  The defects take the batch's shape, so a
+    batch of one point gives a complex number; a defect of non-finite
+    modulus raises NumericalError, unless `checked` is false: then the
+    caller checks, with `_finite`, only the values it reads.
     """
     sol = regular_solution(s, l, lam)
     c1 = sol.coeffs[-1][0]
@@ -156,7 +156,7 @@ def outgoing_defect(s: Scatterer, l: int, lam: Spectral, *, checked: bool = True
                        for c, e in zip(c1, sol.segments[0].eta)])
     if checked:
         _finite(c1, l)
-    return complex(c1[0]) if isinstance(lam, SpectralPoint) else c1
+    return c1.reshape(lam.shape)[()]
 
 
 def _finite(d, l: int):
@@ -172,9 +172,10 @@ class _Chart:
 
     reciprocal: bool
 
-    def to_lam(self, x: complex) -> SpectralPoint:
-        zeta = 1.0 / x if self.reciprocal else x
-        return SpectralPoint(math.exp(zeta.real), zeta.imag)
+    def to_lam(self, *xs: complex) -> SpectralBatch:
+        """The spectral points of chart coordinates xs, one batch."""
+        zetas = [1.0 / x if self.reciprocal else x for x in xs]
+        return SpectralBatch([math.exp(z.real) for z in zetas], [z.imag for z in zetas])
 
     def from_lam(self, lam: SpectralPoint) -> complex:
         zeta = lam.log
@@ -205,8 +206,7 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
 
     def visit(x: complex):
         h = 1e-7 * (1.0 + abs(x))
-        d = outgoing_defect(s, mode, [chart.to_lam(x), chart.to_lam(x + h),
-                                      chart.to_lam(x - h)], checked=False)
+        d = outgoing_defect(s, mode, chart.to_lam(x, x + h, x - h), checked=False)
         return complex(_finite(d[0], mode)), d[1:], h
 
     x = chart.from_lam(seed)
@@ -220,8 +220,8 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
         if dfdx == 0:
             break
         local_scale = abs(dfdx) * (1.0 + abs(x))
-        lam = chart.to_lam(x)
         if abs(f) <= NEWTON_TOL_FACTOR * f0 or abs(f) <= 1e-11 * local_scale:
+            lam = chart.to_lam(x)[0]
             kind = "boundState" if abs(lam.arg - math.pi / 2.0) < 1e-8 else "resonance"
             return ResonancePole(lam, mode, kind,
                                  abs(f) / max(local_scale, 1e-300), it)
@@ -237,7 +237,7 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
         else:
             break
         x, f, pair, h = xn, fn, pair_n, h_n
-        trace.append((chart.to_lam(x), abs(f)))
+        trace.append((chart.to_lam(x)[0], abs(f)))
     raise BasinError(
         f"pole iteration did not converge from |seed|={seed.modulus:.3e} "
         f"(final |W|/|W0| = {abs(f)/max(f0,1e-300):.3e}, "
@@ -249,17 +249,13 @@ def scan_pole_candidates(s: Scatterer, mode: int, r_search: float = 0.3) -> list
     """Local minima of |defect| along the SCAN_ARGS rays of the search disk
     (SCAN_COUNT moduli each, one batch); returns seeds, best first."""
     n = SCAN_COUNT
-    mods = [float(m) for m in log_grid(1e-4, r_search * 0.98, n)]
-    pts = [SpectralPoint(m, th) for th in SCAN_ARGS for m in mods]
-    vals = [abs(complex(d)) for d in outgoing_defect(s, mode, pts)]
-    cands = []
-    for ray in range(0, len(pts), n):
-        v = vals[ray:ray + n]
-        for i in range(1, n - 1):
-            if v[i] < v[i - 1] and v[i] < v[i + 1]:
-                cands.append((v[i], pts[ray + i]))
-    cands.sort(key=lambda t: t[0])
-    return [p for _, p in cands]
+    pts = SpectralBatch(np.tile(log_grid(1e-4, r_search * 0.98, n), len(SCAN_ARGS)),
+                        np.repeat(SCAN_ARGS, n))
+    d = outgoing_defect(s, mode, pts)
+    v = np.hypot(d.real, d.imag).reshape(len(SCAN_ARGS), n)    # abs() of each complex
+    ray, i = np.nonzero((v[:, 1:-1] < v[:, :-2]) & (v[:, 1:-1] < v[:, 2:]))
+    order = np.argsort(v[ray, i + 1], kind="stable")
+    return [pts[k] for k in (ray * n + i + 1)[order]]
 
 
 def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3) -> ResonancePole | None:
@@ -283,7 +279,7 @@ def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
     local minima of |defect| below 1e-6, which carry no sign to bisect; those
     Newton does not polish are not reported."""
     ks = log_grid(kmin, kmax, AXIS_COUNT)
-    defects = outgoing_defect(s, mode, [SpectralPoint(float(k), math.pi / 2.0) for k in ks])
+    defects = outgoing_defect(s, mode, SpectralBatch(ks, math.pi / 2.0))
     # for selfadjoint scatterers i^mode * defect is real on the axis
     vals = [(1j ** mode * complex(d)).real if s.selfadjoint else abs(complex(d))
             for d in defects]
@@ -317,8 +313,7 @@ def _bisect_axis(s: Scatterer, mode: int, lo: float, hi: float, flo: float) -> R
             mids = [0.5 * (a + b) for a, b in brackets]
             tree += mids
             brackets = [e for (a, b), m in zip(brackets, mids) for e in ((a, m), (m, b))]
-        d = outgoing_defect(s, mode, [SpectralPoint(m, math.pi / 2) for m in tree],
-                            checked=False)
+        d = outgoing_defect(s, mode, SpectralBatch(tree, math.pi / 2), checked=False)
         k = 0           # heap order: node k has children 2k + 1 and 2k + 2
         while k < len(tree) and (mid := 0.5 * (lo + hi)) not in (lo, hi):
             fm = (1j ** mode * complex(_finite(d[k], mode))).real

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 EULER = 0.5772156649015328606
 LOG2 = math.log(2.0)
@@ -64,6 +64,72 @@ class SpectralPoint:
     def scale(self, r: float) -> "SpectralPoint":
         """Multiply the modulus by r > 0 (same sheet)."""
         return SpectralPoint(self.modulus * r, self.arg)
+
+
+def _from_parts(re, im) -> np.ndarray:
+    """The complex array re + i im, each part kept as given, signed zeros too."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with each real product rounded on its own, as in scalar complex
+    arithmetic; numpy's vector loop fuses multiply-adds instead.  The 2x2
+    glue of radialsolve is tiny, and ill-conditioned fits downstream amplify
+    its last bit, so it keeps the scalar rounding for any batch size."""
+    return _from_parts(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+class SpectralBatch:
+    """Points of the log cover as float arrays of modulus and arg, stored
+    flat: the batch the solvers take.  Its shape is () when built from one
+    point.  A modulus that is not positive raises DomainError.
+
+    value, lam2 = value ** 2 and log are formed once per batch, each element
+    with the bits of its SpectralPoint: cos, sin and the real products round
+    as in math and Python's complex multiply, lam2 takes _mul's split
+    products, and log takes math.log per modulus (np.log differs in about
+    0.1% of them).  batch[i] is a SpectralPoint; slices and index arrays
+    give batches.
+    """
+
+    def __init__(self, modulus, arg):
+        modulus, arg = np.broadcast_arrays(np.asarray(modulus, dtype=float),
+                                           np.asarray(arg, dtype=float))
+        ok = modulus > 0.0
+        if not ok.all():
+            raise DomainError(f"modulus must be positive, got {float(modulus[~ok][0])}")
+        self.shape = modulus.shape
+        self.modulus, self.arg = modulus.ravel(), arg.ravel()
+
+    def __len__(self) -> int:
+        return self.modulus.size
+
+    def __getitem__(self, idx):
+        modulus, arg = self.modulus[idx], self.arg[idx]
+        if np.ndim(modulus) == 0:
+            return SpectralPoint(float(modulus), float(arg))
+        return SpectralBatch(modulus, arg)
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        # the products by 0 are the ones Python's float * complex takes
+        cos, sin = np.cos(self.arg), np.sin(self.arg)
+        return _from_parts(self.modulus * cos - 0.0 * sin, self.modulus * sin + 0.0 * cos)
+
+    @cached_property
+    def lam2(self) -> np.ndarray:
+        """value ** 2; NumericalError when it leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _mul(self.value, self.value)
+        if not np.isfinite(out).all():
+            raise NumericalError("lam^2 overflows the float range")
+        return out
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        return _from_parts(np.array([math.log(m) for m in self.modulus.tolist()]), self.arg)
 
 
 # ----------------------------------------------------------------------------

@@ -58,9 +58,7 @@ class ThresholdMode:
             ext = Exterior(c0=d, clog=0.0 if decaying_only else self.growing * c)
         else:
             ext = Exterior(v={-l: d} if decaying_only else {l: self.growing * c, -l: d})
-        # the exterior segment starts at the support radius
-        return RadialFunction(l, grid, vals * c, ders * c, "cos", ext,
-                              self.solution.segments[-1].a)
+        return RadialFunction(l, grid, vals * c, ders * c, "cos", ext)
 
 
 @dataclass

@@ -49,13 +49,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import BoundStateRefusal, ValidationError
+from .errors import BoundStateRefusal, NumericalError, ValidationError
 from .quadrature import PanelGrid, geometric_edges
 from .radial import RadialFunction, support_panels
 from .resolvent import mode_green
 from .scatterer import Scatterer
 from .scattering import imaginary_axis_poles
-from .specfun import SpectralPoint
+from .specfun import SpectralBatch
 
 LAM_FLOOR = 1e-9
 LAM_GEOMETRIC_TOP = 0.5
@@ -203,11 +203,13 @@ def _sample_chunk(sample, chunk: np.ndarray, order: int, full: int, gmax: float)
     chunk is sampled again at `full` nodes when the top two Legendre
     coefficients of any panel pass TAIL_REL times the running max|G| (`gmax`
     before this chunk, or this chunk's own max if larger).  The coefficient
-    rows have the sampled order.
+    rows have the sampled order.  A G that is not finite raises NumericalError.
     """
     while True:
         panel = PanelGrid(chunk, order)
         vals = sample(panel.nodes)
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("wave Green data are not finite")
         coeffs = panel._coeffs(vals)
         bound = TAIL_REL * max(gmax, float(np.max(np.abs(vals))))
         if order == full or np.all(np.abs(coeffs[:, -2:]) <= bound):
@@ -247,7 +249,7 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     batch = max(1, BESSEL_BATCH // len(src.grid))
 
     def sample(lam: np.ndarray) -> np.ndarray:
-        lams = [SpectralPoint(float(m), 0.0) for m in lam]
+        lams = SpectralBatch(lam, 0.0)
         return np.concatenate([
             mode_green(q.scatterer, lams[i:i + batch], 0, src.grid).value_at(src, q.x).imag
             for i in range(0, len(lams), batch)

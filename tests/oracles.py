@@ -42,7 +42,7 @@ from lowfreq2d.quadrature import PanelGrid
 from lowfreq2d.radial import Exterior, RadialFunction, inner, with_trig
 from lowfreq2d.scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                                  ScattererConfig, _laplacian)
-from lowfreq2d.specfun import GAMMA0, SpectralPoint, bessel_pair
+from lowfreq2d.specfun import GAMMA0, SpectralBatch, SpectralPoint, bessel_pair
 from lowfreq2d.threshold import ThresholdReport
 from lowfreq2d.util import log_grid
 
@@ -154,16 +154,17 @@ def boundary_pairing_samples(u: RadialFunction, v: RadialFunction, r1: float) ->
     return u.angular_weight * r1 * (uu * dvp - dup * vv)
 
 
-def boundary_pairing_fourier(u: RadialFunction, v: RadialFunction, r1: float) -> complex:
-    """Same pairing from harmonic expansion coefficients (zero-energy data)."""
+def boundary_pairing_fourier(u: RadialFunction, v: RadialFunction, r1: float,
+                             start: float) -> complex:
+    """Same pairing from harmonic expansion coefficients (zero-energy data),
+    whose exterior expansions hold from r = start outward."""
     if not u.same_channel(v):
         return 0.0
     eu, ev = u.exterior, v.exterior
     if eu is None or ev is None:
         raise ValidationError("fourier pairing needs exterior expansions on both sides")
-    for f in (u, v):
-        if f.exterior_start is not None and f.exterior_start > r1:
-            raise ValidationError(f"exterior expansion not valid at r1 = {r1}")
+    if start > r1:
+        raise ValidationError(f"exterior expansion not valid at r1 = {r1}")
     total = eu.c0 * np.conj(ev.clog) - eu.clog * np.conj(ev.c0)
     for l in set(eu.v) | set(ev.v):
         total += l * eu.v.get(-l, 0.0) * np.conj(ev.v.get(l, 0.0))
@@ -304,18 +305,28 @@ def det_s_modulus(table) -> float:
     return out
 
 
+def stack(points) -> SpectralBatch:
+    """The SpectralPoints given, as one batch of shape (n,)."""
+    return SpectralBatch([p.modulus for p in points], [p.arg for p in points])
+
+
+def single(p: SpectralPoint) -> SpectralBatch:
+    """One SpectralPoint as a batch of shape ()."""
+    return SpectralBatch(p.modulus, p.arg)
+
+
 def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos",
-                  exterior: Exterior | None = None, exterior_start: float | None = None) -> RadialFunction:
+                  exterior: Exterior | None = None) -> RadialFunction:
     """fn (and dfn, if given, as the derivatives) sampled on the grid nodes."""
     vals = np.array([fn(r) for r in grid.nodes], dtype=complex)
     ders = None if dfn is None else np.array([dfn(r) for r in grid.nodes], dtype=complex)
-    return RadialFunction(mode, grid, vals, ders, trig, exterior, exterior_start)
+    return RadialFunction(mode, grid, vals, ders, trig, exterior)
 
 
 def constant_one(grid: PanelGrid) -> RadialFunction:
     """1 on the grid, with derivative 0 and the exterior c0 = 1."""
     return RadialFunction(0, grid, np.ones(len(grid)), np.zeros(len(grid)),
-                          exterior=Exterior(c0=1.0), exterior_start=grid.rmin)
+                          exterior=Exterior(c0=1.0))
 
 
 def plane_integral(f: RadialFunction) -> complex:
@@ -393,7 +404,7 @@ def ode_residual(sample, f, u) -> float:
     d1 = u.deriv_values()
     d2 = g.derivative(d1)
     V = potential_values(sample.scatterer, r)
-    lhs = -(d2 + d1 / r - sample.mode**2 * u.values / r**2) + (V - sample.lam.value**2) * u.values
+    lhs = -(d2 + d1 / r - sample.mode**2 * u.values / r**2) + (V - sample.lam.lam2) * u.values
     widths = np.repeat(np.diff(g.edges), g.n)
     keep = widths > 1e-3 * (g.rmax - g.rmin)
     num = np.sqrt(abs(g.integrate(np.where(keep, np.abs(lhs - f.values) ** 2, 0.0) * r)))
@@ -412,16 +423,16 @@ def sequential_find_pole(s, mode: int, seed: SpectralPoint):
     defect = scattering.outgoing_defect
     chart = scattering._Chart(reciprocal=seed.modulus < 0.2)
     x = chart.from_lam(seed)
-    f = defect(s, mode, chart.to_lam(x))
+    f = complex(defect(s, mode, chart.to_lam(x))[0])
     f0 = abs(f)
     for it in range(1, scattering.NEWTON_MAX_ITER + 1):
         h = 1e-7 * (1.0 + abs(x))
-        fp, fm = (complex(d) for d in defect(s, mode, [chart.to_lam(x + h), chart.to_lam(x - h)]))
+        fp, fm = (complex(d) for d in defect(s, mode, chart.to_lam(x + h, x - h)))
         dfdx = (fp - fm) / (2.0 * h)
         if dfdx == 0:
             break
         local_scale = abs(dfdx) * (1.0 + abs(x))
-        lam = chart.to_lam(x)
+        lam = chart.to_lam(x)[0]
         if abs(f) <= scattering.NEWTON_TOL_FACTOR * f0 or abs(f) <= 1e-11 * local_scale:
             kind = "boundState" if abs(lam.arg - math.pi / 2.0) < 1e-8 else "resonance"
             return scattering.ResonancePole(lam, mode, kind, abs(f) / max(local_scale, 1e-300), it)
@@ -430,7 +441,7 @@ def sequential_find_pole(s, mode: int, seed: SpectralPoint):
         while t > 1e-6:
             xn = x + t * step
             if chart.inside(xn):
-                fn = defect(s, mode, chart.to_lam(xn))
+                fn = complex(defect(s, mode, chart.to_lam(xn))[0])
                 if abs(fn) < abs(f):
                     break
             t *= 0.5
@@ -446,7 +457,7 @@ def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -
     defect = scattering.outgoing_defect
     ks = log_grid(kmin, kmax, scattering.AXIS_COUNT)
     vals = [(1j ** mode * complex(d)).real
-            for d in defect(s, mode, [SpectralPoint(float(k), math.pi / 2.0) for k in ks])]
+            for d in defect(s, mode, SpectralBatch(ks, math.pi / 2.0))]
     out = []
     for i in range(len(ks) - 1):
         if not (vals[i] == 0.0 or vals[i] * vals[i + 1] < 0):
@@ -460,7 +471,7 @@ def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -
             lo, hi, flo = float(ks[i]), float(ks[i + 1]), vals[i]
             steps = 0
             while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-                fm = (1j ** mode * defect(s, mode, SpectralPoint(mid, math.pi / 2))).real
+                fm = (1j ** mode * complex(defect(s, mode, SpectralBatch(mid, math.pi / 2)))).real
                 if flo * fm <= 0:
                     hi = mid
                 else:

@@ -82,11 +82,11 @@ def test_criterion_3_identity_suite(free_fx, generic_well_fx, dirichlet_fx, neum
         # circle-pairing Fourier formula vs direct quadrature on the circle
         r1 = chi.pairing_radius
         u = from_callable(grid, lambda r: r, lambda r: 1.0, mode=1,
-                          exterior=Exterior(v={1: 1.0}), exterior_start=grid.rmin)
+                          exterior=Exterior(v={1: 1.0}))
         v = from_callable(grid, lambda r: 1.0 / r, lambda r: -1.0 / r**2, mode=1,
-                          exterior=Exterior(v={-1: 1.0}), exterior_start=grid.rmin)
+                          exterior=Exterior(v={-1: 1.0}))
         oracle = circle_pairing(r1, 1.0, 1.0 / r1, -1.0 / r1**2, r1, 1, 1)
-        res.append(abs(boundary_pairing_fourier(u, v, r1) - oracle) / abs(oracle))
+        res.append(abs(boundary_pairing_fourier(u, v, r1, grid.rmin) - oracle) / abs(oracle))
         # commutator log-coefficient identity on the mode-0 nullspace element
         rep = fx.report
         for w in (rep.U0, rep.Ulog):

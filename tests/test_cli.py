@@ -456,6 +456,7 @@ def test_mutated_readme_configs_keep_the_contract_of_wave(cfg_text):
     ("expand", "kind = potential\nbreaks = 1\nvalues = -2.5\nfit.kmax = -3\n", 2),
     ("phase", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.max = 1e300\n", 3),
     ("perturb", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.max = 1e300\n", 3),
+    ("wave", "kind = potential\nbreaks = 1\nvalues = 10000\n", 3),
 ])
 def test_former_crash_configs_keep_the_cli_contract(command, cfg_text, code):
     assert _check_contract(command, cfg_text) == code

@@ -11,12 +11,12 @@ from lowfreq2d import (FitTerm, GAMMA0, SpectralPoint, expansion_grid, fit_log_l
 from lowfreq2d.errors import IllConditionedFitError, ShapeMismatchError, ValidationError
 from lowfreq2d.expansion import LogLaurentSeries, attach_predictions
 
-from oracles import log_power_terms, plane_integral
+from oracles import log_power_terms, plane_integral, single, stack
 
 
 def _max_contrib(fit, term, pts):
     c = fit.coefficient(term)
-    return max(abs(c * t) for t in term.evaluate(list(pts), fit.shift_estimate))
+    return max(abs(c * t) for t in term.evaluate(pts, fit.shift_estimate))
 
 
 # -- sampling ------------------------------------------------------------------
@@ -32,11 +32,12 @@ def test_batched_samples_match_per_point(dirichlet_fx, p_well_fx):
     # 11 points: one full batch of SAMPLE_BATCH and a partial one, on two rays
     # and both modes a batch can carry; reference is one mode_green per point
     from lowfreq2d import mode_green
-    pts = [SpectralPoint(m, a) for a in (math.pi / 4, 1.2) for m in np.geomspace(1e-6, 1e-2, 6)][:11]
+    pts = stack([SpectralPoint(m, a) for a in (math.pi / 4, 1.2)
+                 for m in np.geomspace(1e-6, 1e-2, 6)][:11])
     for fx, mode in ((dirichlet_fx, 0), (p_well_fx, 1)):
         f = fx.source(mode)
         batch = sample_matrix_element(fx.scatterer, f, f, pts)
-        point = np.array([inner(mode_green(fx.scatterer, p, mode, fx.grid).apply(f), f)
+        point = np.array([inner(mode_green(fx.scatterer, single(p), mode, fx.grid).apply(f), f)
                           for p in pts])
         assert batch.shape == (11,)
         assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-14
@@ -55,7 +56,7 @@ def test_matrix_elements_build_no_node_derivatives(dirichlet_fx, monkeypatch):
         return bessel_pair(l, z, logz, slot)
 
     monkeypatch.setattr(radialsolve, "bessel_pair", spy)
-    pts = [SpectralPoint(m, math.pi / 4) for m in (1e-4, 1e-3, 1e-2)]
+    pts = stack([SpectralPoint(m, math.pi / 4) for m in (1e-4, 1e-3, 1e-2)])
     for mode in (0, 2):
         f = dirichlet_fx.source(mode)
         seen.clear()
@@ -77,9 +78,10 @@ def test_trimmed_samples_match_full_grid(generic_well_fx, g_center, g_half):
     from lowfreq2d import bump, mode_green
     fx = generic_well_fx
     g = bump(fx.grid, g_center, g_half)
-    pts = [SpectralPoint(m, a) for a in (math.pi / 4, math.pi / 3) for m in (1e-6, 1e-3, 1e-2, 0.3)]
+    pts = stack([SpectralPoint(m, a) for a in (math.pi / 4, math.pi / 3)
+                 for m in (1e-6, 1e-3, 1e-2, 0.3)])
     trimmed = sample_matrix_element(fx.scatterer, fx.f, g, pts)
-    full = np.array([inner(mode_green(fx.scatterer, p, 0, fx.grid).apply_values(fx.f), g)
+    full = np.array([inner(mode_green(fx.scatterer, single(p), 0, fx.grid).apply_values(fx.f), g)
                      for p in pts])
     assert np.max(np.abs(trimmed - full) / np.abs(full)) <= 1e-14
 
@@ -119,7 +121,7 @@ def test_cli_expand_work(tmp_path, monkeypatch):
 
 def test_selfadjoint_pairing_symmetry(generic_well_fx):
     fx = generic_well_fx
-    lam = [SpectralPoint(0.3, math.pi / 2)]
+    lam = stack([SpectralPoint(0.3, math.pi / 2)])
     from lowfreq2d import bump
     g = bump(fx.grid, 1.1, 0.25, 0)
     a = sample_matrix_element(fx.scatterer, fx.f, g, lam)[0]
@@ -129,7 +131,7 @@ def test_selfadjoint_pairing_symmetry(generic_well_fx):
 
 def test_free_leading_log_coefficient(free_fx):
     # difference of two samples isolates the log coefficient -(1/2pi)(int f)^2
-    pts = [SpectralPoint(1e-7, math.pi / 4), SpectralPoint(1e-5, math.pi / 4)]
+    pts = stack([SpectralPoint(1e-7, math.pi / 4), SpectralPoint(1e-5, math.pi / 4)])
     v = sample_matrix_element(free_fx.scatterer, free_fx.f, free_fx.f, pts)
     slope = (v[1] - v[0]) / (pts[1].log - pts[0].log)
     intf = plane_integral(free_fx.f)
@@ -146,7 +148,7 @@ def test_synthetic_roundtrip():
         poles={(0, 1): 0.7 + 0.1j},
         shift=GAMMA0 + 0.3,
     )
-    samples = series.evaluate(list(eg.points))
+    samples = series.evaluate(eg.points)
     terms = [FitTerm(0, 0), FitTerm(0, 1), FitTerm(1, 1), FitTerm(0, 1, pole=True)]
     fit = fit_log_laurent(samples, eg, terms, shift0=GAMMA0 + 0.2 - 0.05j)
     assert abs(fit.shift_estimate - series.shift) < 1e-7

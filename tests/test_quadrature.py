@@ -38,8 +38,7 @@ def test_eval_and_derivative(grid):
 
 
 def _tailed(grid, exterior):
-    return RadialFunction(2, grid, np.ones(len(grid)), exterior=exterior,
-                          exterior_start=None if exterior is None else grid.rmax)
+    return RadialFunction(2, grid, np.ones(len(grid)), exterior=exterior)
 
 
 @pytest.mark.parametrize("case", ["grids", "inner-missing", "inner-growing",
@@ -67,8 +66,7 @@ def test_tail_adds_every_pair_of_exterior_terms():
     # the cross term is the 1/12
     grid = PanelGrid([1.0, 2.0], 16)
     r = grid.nodes
-    f = RadialFunction(1, grid, r**-2 + r**-3, exterior=Exterior(v={-2: 1.0, -3: 1.0}),
-                       exterior_start=1.0)
+    f = RadialFunction(1, grid, r**-2 + r**-3, exterior=Exterior(v={-2: 1.0, -3: 1.0}))
     tail = norm_sq(f, include_tail=True) - norm_sq(f)
     assert abs(tail - math.pi * (1 / 8 + 1 / 12 + 1 / 64)) < 1e-14
     assert abs(inner(f, f, tail=True) - norm_sq(f, include_tail=True)) < 1e-14

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (SpectralPoint, bump, bump_edges, inner, mode_green,
+from lowfreq2d import (SpectralBatch, SpectralPoint, bump, bump_edges, inner, mode_green,
                        one_sided_identity_residual,
                        pairing_identity_residual, standard_grid,
                        two_parameter_identity_residual)
@@ -14,7 +14,7 @@ from lowfreq2d.radial import Exterior
 
 from oracles import (FREE, FreeCoeffKernel, boundary_pairing_fourier, boundary_pairing_samples,
                      circle_pairing, free_kernel, free_truncation_error, from_callable,
-                     j0_series, ode_residual, y0_series)
+                     j0_series, ode_residual, single, stack, y0_series)
 
 
 def test_kernel_symmetry():
@@ -81,7 +81,7 @@ def test_free_apply_matches_kernel_quadrature(free_setup):
     s, chi, grid = free_setup
     lam = SpectralPoint(0.37, math.pi / 4)
     f = bump(grid, 1.0, 0.35, 0)
-    u = mode_green(s, lam, 0, grid).apply(f)
+    u = mode_green(s, single(lam), 0, grid).apply(f)
     # oracle: direct angular quadrature of the kernel against f
     for robs in (0.4, 1.9, 3.2):
         th = np.linspace(0, 2 * math.pi, 481)[:-1]
@@ -101,7 +101,7 @@ def test_selfadjoint_symmetry(generic_well_fx):
     lam = SpectralPoint(0.5, math.pi / 2)
     f = bump(fx.grid, 0.8, 0.25, 0)
     g = bump(fx.grid, 1.6, 0.3, 0)
-    green = mode_green(fx.scatterer, lam, 0, fx.grid)
+    green = mode_green(fx.scatterer, single(lam), 0, fx.grid)
     a = inner(green.apply(f), g)
     b = inner(f, green.apply(g))
     assert abs(a - b) < 1e-9 * abs(a)
@@ -109,7 +109,7 @@ def test_selfadjoint_symmetry(generic_well_fx):
 
 def test_dirichlet_boundary_value(dirichlet_fx):
     fx = dirichlet_fx
-    u = mode_green(fx.scatterer, SpectralPoint(0.3, 0.1), 0, fx.grid).apply(fx.f)
+    u = mode_green(fx.scatterer, SpectralBatch(0.3, 0.1), 0, fx.grid).apply(fx.f)
     assert abs(u.value_at(1.0)) < 1e-10
 
 
@@ -117,7 +117,7 @@ def test_dirichlet_boundary_value(dirichlet_fx):
 def test_value_at_rejects_non_finite_radius(dirichlet_fx, x):
     # a NaN radius fails every comparison and an infinite one lies beyond every grid
     from lowfreq2d.errors import ValidationError
-    sample = mode_green(dirichlet_fx.scatterer, SpectralPoint(0.5, 0.0), 0, dirichlet_fx.grid)
+    sample = mode_green(dirichlet_fx.scatterer, SpectralBatch(0.5, 0.0), 0, dirichlet_fx.grid)
     with pytest.raises(ValidationError):
         sample.value_at(dirichlet_fx.f, x)
 
@@ -125,7 +125,7 @@ def test_value_at_rejects_non_finite_radius(dirichlet_fx, x):
 def test_wronskian_spread_and_green_residual(free_fx, generic_well_fx, dirichlet_fx):
     for fx in (free_fx, generic_well_fx, dirichlet_fx):
         for lam in (SpectralPoint(0.37, math.pi / 4), SpectralPoint(0.02, math.pi / 2)):
-            green = mode_green(fx.scatterer, lam, 0, fx.grid)
+            green = mode_green(fx.scatterer, single(lam), 0, fx.grid)
             assert green.wronskian_spread < 1e-9
             u = green.apply(fx.f)
             assert ode_residual(green, fx.f, u) < 1e-8
@@ -136,14 +136,18 @@ def test_at_pole_error(p_well_fx):
     s = p_well_fx.scatterer.shifted(-1e-2)
     pole = imaginary_axis_poles(s, 1)[0]
     with pytest.raises(AtPoleError):
-        green = mode_green(s, pole.lam, 1, p_well_fx.grid)
+        green = mode_green(s, single(pole.lam), 1, p_well_fx.grid)
         # fall through only if the guard failed
         green.apply(p_well_fx.source(1))
-    # in a batch, the error names the first point at the pole
-    first, second = pole.lam, SpectralPoint(pole.lam.modulus, pole.lam.arg)
+    # in a batch, the error names the first point at the pole: the second
+    # lies one ulp of modulus further out, and is at the pole as well
+    first = pole.lam
+    second = SpectralPoint(math.nextafter(first.modulus, 1.0), first.arg)
     with pytest.raises(AtPoleError) as err:
-        mode_green(s, [SpectralPoint(0.5, 1.0), first, second], 1, p_well_fx.grid)
-    assert err.value.lam is first
+        mode_green(s, stack([SpectralPoint(0.5, 1.0), first, second]), 1, p_well_fx.grid)
+    assert err.value.lam == first != second
+    with pytest.raises(AtPoleError):
+        mode_green(s, single(second), 1, p_well_fx.grid)
 
 
 # -- boundary pairing ------------------------------------------------------------
@@ -152,11 +156,11 @@ def test_pairing_log_against_one(free_fx):
     grid = free_fx.grid
     u = from_callable(grid, lambda r: math.log(r) if r > 0 else 0.0,
                       lambda r: 1.0 / r if r > 0 else 0.0,
-                      exterior=Exterior(clog=1.0), exterior_start=grid.rmin)
+                      exterior=Exterior(clog=1.0))
     one = from_callable(grid, lambda r: 1.0, lambda r: 0.0,
-                        exterior=Exterior(c0=1.0), exterior_start=grid.rmin)
+                        exterior=Exterior(c0=1.0))
     r1 = free_fx.chi.pairing_radius
-    assert abs(boundary_pairing_fourier(u, one, r1) + 2.0 * math.pi) < 1e-12
+    assert abs(boundary_pairing_fourier(u, one, r1, grid.rmin) + 2.0 * math.pi) < 1e-12
     assert abs(boundary_pairing_samples(u, one, r1) + 2.0 * math.pi) < 1e-10
 
 
@@ -169,11 +173,11 @@ def test_pairing_antisymmetry_real(free_fx):
 def test_pairing_mode1_both_routes(free_fx):
     grid = free_fx.grid
     u = from_callable(grid, lambda r: r, lambda r: 1.0, mode=1,
-                      exterior=Exterior(v={1: 1.0}), exterior_start=grid.rmin)
+                      exterior=Exterior(v={1: 1.0}))
     v = from_callable(grid, lambda r: 1.0 / r, lambda r: -1.0 / r**2, mode=1,
-                      exterior=Exterior(v={-1: 1.0}), exterior_start=grid.rmin)
+                      exterior=Exterior(v={-1: 1.0}))
     r1 = free_fx.chi.pairing_radius
-    fourier = boundary_pairing_fourier(u, v, r1)
+    fourier = boundary_pairing_fourier(u, v, r1, grid.rmin)
     samples = boundary_pairing_samples(u, v, r1)
     oracle = circle_pairing(r1, 1.0, 1.0 / r1, -1.0 / r1**2, r1, 1, 1)
     assert abs(fourier - samples) < 1e-10
@@ -188,7 +192,7 @@ def test_off_grid_rule_shared_by_value_and_derivative(derivs):
     from lowfreq2d import PanelGrid, RadialFunction, ValidationError
     grid = PanelGrid([1.0, 2.0], 16)
     u = RadialFunction(0, grid, np.log(grid.nodes), 1.0 / grid.nodes if derivs else None,
-                       exterior=Exterior(clog=1.0), exterior_start=3.0)
+                       exterior=Exterior(clog=1.0))
     for at in (u.value_at, u.deriv_at):
         with pytest.raises(ValidationError):
             at(2.5)
@@ -205,7 +209,7 @@ def test_pairing_requires_exterior(free_fx):
     u = from_callable(free_fx.grid, lambda r: r, None, mode=1)
     from lowfreq2d.errors import ValidationError
     with pytest.raises(ValidationError):
-        boundary_pairing_fourier(u, u, free_fx.chi.pairing_radius)
+        boundary_pairing_fourier(u, u, free_fx.chi.pairing_radius, free_fx.grid.rmin)
 
 
 # -- operator identities ----------------------------------------------------------
@@ -241,13 +245,13 @@ def test_two_parameter_identity_lambda_equals_z(free_fx, generic_well_fx):
     # both sides vanish identically at lam = z: check the raw difference
     fx = generic_well_fx
     lam = SpectralPoint(0.02, math.pi / 2)
-    green = mode_green(fx.scatterer, lam, 0, fx.grid)
+    green = mode_green(fx.scatterer, single(lam), 0, fx.grid)
     lhs = green.apply(fx.f).values - green.apply(fx.f).values
     assert np.max(np.abs(lhs)) == 0.0
 
 
 def test_mode_mismatch_rejected(free_fx):
-    green = mode_green(free_fx.scatterer, SpectralPoint(0.3, 0.0), 0, free_fx.grid)
+    green = mode_green(free_fx.scatterer, SpectralBatch(0.3, 0.0), 0, free_fx.grid)
     from lowfreq2d.errors import ValidationError
     with pytest.raises(ValidationError):
         green.apply(free_fx.source(1))
@@ -256,7 +260,7 @@ def test_mode_mismatch_rejected(free_fx):
 def test_solution_wronskian_free():
     # regular against outgoing for the free operator: r(J H' - J' H) = 2i/pi
     from lowfreq2d.radialsolve import green_pair
-    pair = green_pair(FREE, 0, SpectralPoint(0.8, 0.6))
+    pair = green_pair(FREE, 0, SpectralBatch(0.8, 0.6))
     for r in (0.3, 1.4, 4.2):
         (phi, psi), (dphi, dpsi) = (a[..., 0] for a in pair.eval(np.array([r])))
         assert abs(r * (phi * dpsi - dphi * psi)[0] - 2j / math.pi) < 1e-13
@@ -274,13 +278,13 @@ def test_lazy_derivatives_match_eager_evaluation(dirichlet_fx, l):
     cases = ((dirichlet_fx.scatterer, dirichlet_fx.grid, bump(dirichlet_fx.grid, 1.25, 0.2, l)),
              (well, grid, bump(grid, 0.8, 0.35, l)))
     for s, g, f in cases:
-        for lam in (SpectralPoint(0.7, 0.0), SpectralPoint(1.3, -0.4),
-                    [SpectralPoint(0.7, 0.0), SpectralPoint(1.3, -0.4), SpectralPoint(9.0, 0.2)]):
+        for lam in (SpectralBatch(0.7, 0.0), SpectralBatch(1.3, -0.4),
+                    SpectralBatch([0.7, 1.3, 9.0], [0.0, -0.4, 0.2])):
             sample = mode_green(s, lam, l, g)
             (phi_v, psi_v), (phi_d, psi_d) = sample.solutions.eval(g.nodes)
             scale = np.atleast_1d(sample.phi_scale)[:, None]
             phi_v, phi_d = phi_v / scale, phi_d / scale
-            if isinstance(lam, SpectralPoint):
+            if lam.shape == ():
                 phi_v, phi_d, psi_v, psi_d = phi_v[0], phi_d[0], psi_v[0], psi_d[0]
             assert np.array_equal(sample.phi_vals, phi_v) and np.array_equal(sample.psi_vals, psi_v)
             eager = dataclasses.replace(sample)
@@ -295,7 +299,7 @@ def test_apply_values_matches_apply_bit_for_bit(dirichlet_fx, l):
     # the values-only sibling shares apply's arithmetic and forms no node
     # derivatives, for one spectral point and for a batch
     f = dirichlet_fx.source(l)
-    for lam in (SpectralPoint(0.7, 0.3), [SpectralPoint(0.7, 0.3), SpectralPoint(1e-3, 1.2)]):
+    for lam in (SpectralBatch(0.7, 0.3), SpectralBatch([0.7, 1e-3], [0.3, 1.2])):
         sample = mode_green(dirichlet_fx.scatterer, lam, l, dirichlet_fx.grid)
         u = sample.apply_values(f)
         assert u.derivs is None and "_ders" not in vars(sample)
@@ -309,7 +313,7 @@ def test_batched_solutions_match_single_points():
     from lowfreq2d import PiecewisePotential
     from lowfreq2d.radialsolve import green_pair, make_segments, regular_solution
     s = PiecewisePotential((0.6, 1.0), (0.25, -1.5))
-    lams = [SpectralPoint(0.5, 0.0), SpectralPoint(0.7, 0.3), SpectralPoint(2.0, -0.1)]
+    lams = SpectralBatch([0.5, 0.7, 2.0], [0.0, 0.3, -0.1])
     assert list(make_segments(s, 0, lams)[0].eta == 0) == [True, False, False]
     r = np.array([0.3, 0.8, 2.5])
     for solve, lead in ((regular_solution, ()), (green_pair, (2,))):
@@ -317,7 +321,7 @@ def test_batched_solutions_match_single_points():
             u, du = solve(s, l, lams).eval(r)
             assert u.shape == du.shape == lead + (3, 3)
             for i, lam in enumerate(lams):
-                u1, du1 = solve(s, l, lam).eval(r)
+                u1, du1 = solve(s, l, single(lam)).eval(r)
                 assert np.allclose(u[..., i, :], u1[..., 0, :], rtol=1e-13, atol=0)
                 assert np.allclose(du[..., i, :], du1[..., 0, :], rtol=1e-13, atol=0)
 
@@ -329,7 +333,7 @@ def test_eval_matches_single_radii_bit_for_bit():
     from lowfreq2d import PiecewisePotential
     from lowfreq2d.radialsolve import green_pair, regular_solution
     s = PiecewisePotential((0.5, 1.0), (-3.0, 2.0))
-    lams = [SpectralPoint(0.7, 0.0), SpectralPoint(1.3, -0.2)]
+    lams = SpectralBatch([0.7, 1.3], [0.0, -0.2])
     for r in ([2.5, 0.3, 0.8, 0.35, 1.2], [0.3, 0.35, 0.8, 1.2, 2.5]):
         for solve in (regular_solution, green_pair):
             for l in (0, 2):

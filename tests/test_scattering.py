@@ -14,7 +14,7 @@ from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES, scan_
 
 from oracles import (FREE, admissible, bessel_jy, born_phase_shift_mode0,
                      breit_wigner_metrics, det_s_modulus, j0_series,
-                     sequential_axis_poles, sequential_find_pole, y0_series)
+                     sequential_axis_poles, sequential_find_pole, single, stack, y0_series)
 
 
 def test_free_shifts_vanish():
@@ -206,12 +206,12 @@ def test_batched_defect_matches_single_points(generic_well_fx, p_well_fx):
     from lowfreq2d import outgoing_defect
     from lowfreq2d.scattering import SCAN_ARGS
     pts = [SpectralPoint(m, th) for th in SCAN_ARGS for m in (1e-4, 0.02, 0.3)]
-    pts += [SpectralPoint(k, math.pi / 2) for k in (0.05, 0.8, 1.9)]
+    pts = stack(pts + [SpectralPoint(k, math.pi / 2) for k in (0.05, 0.8, 1.9)])
     for s in (generic_well_fx.scatterer, p_well_fx.scatterer, DiskObstacle(1.0, "neumann")):
         for mode in (0, 1, 2):
             batch = outgoing_defect(s, mode, pts)
             assert batch.shape == (len(pts),)
-            assert [complex(d) for d in batch] == [outgoing_defect(s, mode, p) for p in pts]
+            assert [complex(d) for d in batch] == [outgoing_defect(s, mode, single(p)) for p in pts]
 
 
 def _projected_smatrix(s, lam, l):
@@ -219,7 +219,7 @@ def _projected_smatrix(s, lam, l):
     J, Y and their derivatives (the route the coefficients replace)."""
     from lowfreq2d.radialsolve import regular_solution
     R = s.support_radius
-    sol = regular_solution(s, l, SpectralPoint(lam, 0.0))
+    sol = regular_solution(s, l, single(SpectralPoint(lam, 0.0)))
     (u,), (du,) = (a[..., 0] for a in sol.eval(np.array([R])))
     J, Y, Jd, Yd = bessel_jy(l, SpectralPoint(lam * R, 0.0))
     D = lam * (J * Yd - Jd * Y)
@@ -267,7 +267,7 @@ def _spy(monkeypatch, poison=None):
     real = scattering.outgoing_defect
 
     def spy(s, l, lam, checked=True):
-        pts = [lam] if isinstance(lam, SpectralPoint) else list(lam)
+        pts = list(lam)
         calls.append(pts)
         if poison is None or checked:
             return real(s, l, lam, checked=checked)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowfreq2d import EULER, GAMMA0, SpectralPoint
+from lowfreq2d import EULER, GAMMA0, SpectralBatch, SpectralPoint
 from lowfreq2d.errors import DomainError
 from lowfreq2d.specfun import _jyh_big, _jyh_series
 
@@ -23,6 +23,30 @@ def test_gamma_constants():
 def test_modulus_zero_rejected():
     with pytest.raises(DomainError):
         SpectralPoint(0.0, 0.0)
+
+
+def test_spectral_batch_rounds_as_its_points():
+    # a batch's value, lam2 and log carry, bit for bit and sign of zero
+    # included, each point's value, value ** 2 and log: on these 10 000
+    # moduli np.log differs from math.log on 10, so a vector log fails here
+    from lowfreq2d.scattering import SCAN_ARGS
+    mods = np.geomspace(1e-9, 60.0, 10_000)
+    args = (0.0, math.pi / 4, math.pi / 3, math.pi / 2) + SCAN_ARGS
+    batch = SpectralBatch(np.tile(mods, len(args)), np.repeat(args, mods.size))
+    pts = [batch[i] for i in range(len(batch))]
+    assert batch.shape == (len(pts),) and pts[-1] == SpectralPoint(60.0, SCAN_ARGS[-1])
+
+    def bits(z):
+        return np.asarray(z, dtype=complex).view(np.uint64)
+
+    assert np.array_equal(bits(batch.value), bits([p.value for p in pts]))
+    assert np.array_equal(bits(batch.lam2), bits([p.value ** 2 for p in pts]))
+    assert np.array_equal(bits(batch.log), bits([p.log for p in pts]))
+    one = SpectralBatch(0.5, 1.0)
+    assert one.shape == () and len(one) == 1 and one[0] == SpectralPoint(0.5, 1.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError):
+            SpectralBatch([0.5, bad], 0.0)
 
 
 def test_hankel0_against_independent_series_oracle():

@@ -10,7 +10,7 @@ from lowfreq2d.errors import BoundStateRefusal, ValidationError
 from lowfreq2d.wave import OscillatoryPanels, _green_source, spherical_jn_table
 from lowfreq2d.quadrature import PanelGrid, geometric_edges
 
-from oracles import plane_integral, spherical_jn_all
+from oracles import plane_integral, single, spherical_jn_all, stack
 
 
 def test_filon_machinery_against_analytic():
@@ -217,11 +217,11 @@ def test_source_panel_integrand_matches_full_apply(dirichlet_fx, generic_well_fx
     # evolve's integrand, from the Green data on its source quadrature, agrees
     # with the full Green application below the support, including on
     # obstacle grids starting at a0
-    from lowfreq2d import mode_green, SpectralPoint
+    from lowfreq2d import mode_green, SpectralBatch
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _green_source(fx.f, x_obs)
         assert x_obs < src.grid.rmin
-        for lam in (SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0)):
+        for lam in (SpectralBatch(0.3, 0.0), SpectralBatch(2.4, 0.0)):
             G = mode_green(fx.scatterer, lam, 0, src.grid).value_at(src, x_obs)
             full = mode_green(fx.scatterer, lam, 0, fx.grid).apply(fx.f)
             assert abs(G.imag - full.value_at(x_obs).imag) < 1e-11
@@ -235,8 +235,8 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
     from lowfreq2d import mode_green, SpectralPoint
     from lowfreq2d.radial import support_panels
     from lowfreq2d.wave import LAM_CAP, SOURCE_NODES, SUPPORT_NODES
-    lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0),
-            SpectralPoint(LAM_CAP, 0.0)]
+    lams = stack([SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0),
+                  SpectralPoint(LAM_CAP, 0.0)])
     for fx in (dirichlet_fx, generic_well_fx):
         support = support_panels(fx.f)[0].grid
         inside, above = fx.f_center + 0.5 * fx.f_half, support.rmax + 0.7
@@ -247,7 +247,7 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
             G = mode_green(fx.scatterer, lams, 0, src.grid).value_at(src, x_obs)
             assert G.shape == (len(lams),)
             for lam, g in zip(lams, G):
-                full = mode_green(fx.scatterer, lam, 0, fx.grid).apply(fx.f)
+                full = mode_green(fx.scatterer, single(lam), 0, fx.grid).apply(fx.f)
                 assert abs(g - full.value_at(x_obs)) < 1e-11
 
 
@@ -264,9 +264,9 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
         src = _green_source(fx.f, x_obs)
         batch = BESSEL_BATCH // len(src.grid)
         assert 16 < batch <= nodes.size
-        pts = [SpectralPoint(float(m), 0.0) for m in nodes[:batch]]
+        pts = stack([SpectralPoint(float(m), 0.0) for m in nodes[:batch]])
         full = mode_green(fx.scatterer, pts, 0, src.grid).value_at(src, x_obs).imag
-        point = np.array([mode_green(fx.scatterer, p, 0, src.grid).value_at(src, x_obs).imag
+        point = np.array([mode_green(fx.scatterer, single(p), 0, src.grid).value_at(src, x_obs).imag
                           for p in pts])
         assert full.shape == (batch,)
         assert np.array_equal(full, point)
@@ -304,7 +304,7 @@ def test_wide_source_panels_split_for_the_sweep(cfg_text, splits):
     assert LAM_CAP * 0.5 * np.max(np.diff(src.grid.edges)) <= SOURCE_NODES / 2
     fine = PanelGrid(np.append(np.linspace(e[:-1], e[1:], 9, axis=1)[:, :-1].ravel(), e[-1]), 32)
     exact = bump(fine, *_source_geometry(cfg))
-    lams = [SpectralPoint(lam, 0.0) for lam in (0.01, 0.5, 7.0, 30.0, LAM_CAP)]
+    lams = stack([SpectralPoint(lam, 0.0) for lam in (0.01, 0.5, 7.0, 30.0, LAM_CAP)])
     G = mode_green(s, lams, 0, src.grid).value_at(src, x_obs).imag
     ref = mode_green(s, lams, 0, fine).value_at(exact, x_obs).imag
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -368,7 +368,7 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
 
     bessel_pair = radialsolve.bessel_pair
     monkeypatch.setattr(radialsolve, "bessel_pair", spy)
-    lams = [SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)]
+    lams = stack([SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)])
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _green_source(fx.f, x_obs)
         seen.clear()
