@@ -21,6 +21,6 @@ from .scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
 from .scattering import (PhaseShiftTable, ResonancePole, find_pole, find_pole_in_disk,
                          imaginary_axis_poles, outgoing_defect, phase_shift_sweep,
                          sigma_asymptotic)
-from .specfun import EULER, GAMMA0, SpectralBatch, SpectralPoint
+from .specfun import EULER, GAMMA0, SpectralBatch
 from .threshold import ThresholdMode, ThresholdReport, classify, solve_zero_mode
 from .wave import DecayReport, WaveQuery, WaveResult, decay_fit, evolve

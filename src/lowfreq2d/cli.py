@@ -6,7 +6,8 @@ parameters, wall time, output list).  Outputs are bit-reproducible across
 runs on the same config; the wall-time field is the only varying entry.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 64 usage.
-Errors are mirrored as one JSON object on stderr.
+Errors are mirrored as one JSON object on stderr, which then holds nothing
+else: warnings raised during a run are shown only when it succeeds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +35,7 @@ from .scatterer import (PiecewisePotential, ScattererConfig, parse_config,
                         standard_grid)
 from .scattering import (find_pole_in_disk, imaginary_axis_poles,
                          phase_shift_sweep, sigma_asymptotic)
-from .specfun import SpectralPoint
+from .specfun import SpectralBatch
 from .threshold import classify, report_to_dict
 from .util import log_grid
 from .wave import WaveQuery, decay_fit, evolve
@@ -280,9 +282,9 @@ def _cmd_verify(run: _Run) -> None:
                          extra_edges=_source_edges(cfg) + bump_edges(gc, gh))
     f = canonical_source(cfg, grid)
     gfun = bump(grid, gc, gh, 0)
-    lam = SpectralPoint(0.01, math.pi / 4)
-    z = SpectralPoint(0.02, math.pi / 2)
-    lam_b = SpectralPoint(0.4, math.pi / 2)
+    lam = SpectralBatch(0.01, math.pi / 4)
+    z = SpectralBatch(0.02, math.pi / 2)
+    lam_b = SpectralBatch(0.4, math.pi / 2)
     outer = bump(grid, chi.pairing_radius + 0.9, 0.5, 0)
     # single-parameter identities have no second spectral point: blank z cells
     rows = [
@@ -332,18 +334,24 @@ def dispatch(argv) -> int:
         print(json.dumps({"error": "ValidationError", "message": str(e)}), file=sys.stderr)
         return VALIDATION_EXIT
 
+    # warnings (numpy's floating-point ones) pass the filters as they arise
+    # and are shown once the run succeeds: a failed run's stderr holds its
+    # one JSON error alone
     try:
-        cfg = parse_config(text)
-        run = _Run(args.command, text, cfg, Path(args.out))
-        _HANDLERS[args.command](run)
-        run.finish()
-        return 0
+        with warnings.catch_warnings(record=True) as caught:
+            cfg = parse_config(text)
+            run = _Run(args.command, text, cfg, Path(args.out))
+            _HANDLERS[args.command](run)
+            run.finish()
     except ValidationError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return VALIDATION_EXIT
     except NumericalError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return NUMERICAL_EXIT
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return 0
 
 
 # glibc mallopt (parameter, value) pairs: M_MMAP_THRESHOLD (-3) at 32 MiB, the

@@ -37,7 +37,8 @@ class NumericalError(LowfreqError):
 
 
 class AtPoleError(NumericalError):
-    """Resolvent requested at (or too close to) a pole."""
+    """Resolvent requested at (or too close to) a pole: lam is the point, a
+    SpectralBatch of shape ()."""
 
     def __init__(self, lam, wronskian):
         self.lam = lam

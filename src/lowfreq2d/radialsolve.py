@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralBatch, _mul, bessel_pair
 
@@ -129,10 +130,13 @@ def make_segments(s: Scatterer, l: int, lam: SpectralBatch | None) -> list[Segme
     or lam=None meaning zero energy.
 
     The exterior (V = 0) segment at nonzero energy uses the (J, H1) basis on
-    the log cover of lam itself, so only that segment carries log(lam).
+    the log cover of lam itself, so only that segment carries log(lam).  A
+    lam^2 that leaves the float range raises NumericalError.
     """
     zero = np.zeros(1, dtype=complex)
-    value, lam2, log = (zero,) * 3 if lam is None else (lam.value, lam.lam2, lam.log)
+    value, lam2, log = (zero,) * 3 if lam is None else map(np.ravel, (lam.value, lam.lam2, lam.log))
+    if not np.isfinite(lam2).all():
+        raise NumericalError("lam^2 overflows the float range")
     segs: list[Segment] = []
     inner = s.inner_radius
     if isinstance(s, PiecewisePotential):

@@ -25,7 +25,7 @@ from .quadrature import PanelGrid
 from .radial import RadialFunction
 from .radialsolve import PiecewiseSolution, green_pair
 from .scatterer import CutoffProfile, PiecewisePotential, Scatterer, commutator_apply
-from .specfun import SpectralBatch, SpectralPoint, bessel_pair
+from .specfun import SpectralBatch, bessel_pair
 
 POLE_GUARD = 1e-13
 
@@ -169,7 +169,7 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid) -> Res
     at_pole = np.flatnonzero(np.hypot(w.real, w.imag) <= POLE_GUARD)
     if at_pole.size:
         i = at_pole[0]
-        raise AtPoleError(lam[i], w[i])
+        raise AtPoleError(lam[np.unravel_index(i, lam.shape)], w[i])
     # to the batch's shape; [()] makes a 0-d result a scalar
     phi_v, psi_v = (a.reshape(lam.shape + a.shape[-1:]) for a in (phi_v, psi_v))
     w, scale = (a.reshape(lam.shape)[()] for a in (w, scale))
@@ -184,14 +184,14 @@ def _grid_norm(grid: PanelGrid, vals: np.ndarray) -> float:
     return float(np.sqrt(abs(grid.integrate(np.abs(vals) ** 2 * grid.nodes))))
 
 
-def one_sided_identity_residual(s: Scatterer, lam: SpectralPoint, chi: CutoffProfile,
+def one_sided_identity_residual(s: Scatterer, lam: SpectralBatch, chi: CutoffProfile,
                                 g: RadialFunction) -> float:
-    """R(lam)(1-chi) g vs {1 - chi - R(lam)[Delta, chi]} R0(lam) g, relative."""
+    """R(lam)(1-chi) g vs {1 - chi - R(lam)[Delta, chi]} R0(lam) g, relative,
+    at the point lam (a batch of shape ())."""
     grid = g.grid
     chi_v = chi.chi(grid.nodes)
-    batch = SpectralBatch(lam.modulus, lam.arg)
-    green = mode_green(s, batch, g.mode, grid)
-    green0 = mode_green(_FREE, batch, g.mode, grid)
+    green = mode_green(s, lam, g.mode, grid)
+    green0 = mode_green(_FREE, lam, g.mode, grid)
     # only r0g's derivatives are read (by the commutator); the masked source has none
     lhs = green.apply_values(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
     r0g = green0.apply(g)
@@ -199,9 +199,10 @@ def one_sided_identity_residual(s: Scatterer, lam: SpectralPoint, chi: CutoffPro
     return _grid_norm(grid, lhs.values - rhs) / max(_grid_norm(grid, lhs.values), 1e-300)
 
 
-def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: SpectralPoint,
+def two_parameter_identity_residual(s: Scatterer, lam: SpectralBatch, z: SpectralBatch,
                             chi: CutoffProfile, f: RadialFunction) -> float:
-    """Two-spectral-parameter identity applied to f, relative residual.
+    """Two-spectral-parameter identity applied to f at the points lam and z,
+    relative residual.
 
     R(lam) - R(z) = (lam^2 - z^2) R(lam) chi(2-chi) R(z)
                     + {1 - chi - R(lam)[Delta, chi]} (R0(lam) - R0(z)) K1,
@@ -210,8 +211,8 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     grid = f.grid
     l = f.mode
     chi_v = chi.chi(grid.nodes)
-    green_l = mode_green(s, SpectralBatch(lam.modulus, lam.arg), l, grid)
-    green_z = mode_green(s, SpectralBatch(z.modulus, z.arg), l, grid)
+    green_l = mode_green(s, lam, l, grid)
+    green_z = mode_green(s, z, l, grid)
     free = mode_green(_FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]), l, grid)
 
     rzf = green_z.apply(f)
@@ -223,15 +224,16 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralPoint, z: Spectra
     diff = RadialFunction(l, grid, v.values[0] - v.values[1], v.derivs[0] - v.derivs[1], f.trig)
 
     mid = RadialFunction(l, grid, chi_v * (2.0 - chi_v) * rzf.values, None, f.trig)
-    term1 = (lam.value**2 - z.value**2) * green_l.apply_values(mid).values
+    term1 = (complex(lam.lam2) - complex(z.lam2)) * green_l.apply_values(mid).values
     term2 = (1.0 - chi_v) * diff.values - green_l.apply_values(commutator_apply(chi, diff)).values
     rhs = term1 + term2
     return _grid_norm(grid, lhs - rhs) / max(_grid_norm(grid, lhs), 1e-300)
 
 
-def pairing_identity_residual(s: Scatterer, lam: SpectralPoint, phi_src: RadialFunction,
+def pairing_identity_residual(s: Scatterer, lam: SpectralBatch, phi_src: RadialFunction,
                               r1: float) -> float:
-    """Exterior pairing of R(lam)phi against the conjugated free kernel at the origin.
+    """Exterior pairing of R(lam)phi against the conjugated free kernel at the
+    origin, at the point lam.
 
     <phi, conj(R0(lam))( . , 0)>_{|x|>r1} = -B_{r1}( R(lam) phi, conj(R0(lam))( . , 0) )
     for mode-0 phi; returns the relative defect.
@@ -243,9 +245,9 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralPoint, phi_src: RadialF
     kernel = 0.25j * bessel_pair(0, lam.value * r, lam.log + np.log(r))[2][0]
     mask = r > r1
     lhs = 2.0 * math.pi * grid.integrate(np.where(mask, phi_src.values * kernel * r, 0.0))
-    u = mode_green(s, SpectralBatch(lam.modulus, lam.arg), 0, grid).apply(phi_src)
-    s1 = lam.scale(r1)
-    H = bessel_pair(0, [s1.value], [s1.log])[2]     # H0 and H1 at lam r1
-    kr1, kr1p = 0.25j * H[0, 0], 0.25j * lam.value * -H[1, 0]     # H0' = -H1
+    u = mode_green(s, lam, 0, grid).apply(phi_src)
+    s1 = SpectralBatch(lam.modulus * r1, lam.arg)
+    H = bessel_pair(0, s1.value, s1.log)[2]     # H0 and H1 at lam r1
+    kr1, kr1p = 0.25j * H[0, 0], 0.25j * complex(lam.value) * -H[1, 0]     # H0' = -H1
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)
     return abs(lhs + b) / max(abs(lhs), 1e-300)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
 from .radialsolve import regular_solution
 from .scatterer import PiecewisePotential, Scatterer
-from .specfun import SpectralBatch, SpectralPoint
+from .specfun import SpectralBatch
 from .threshold import ThresholdReport
 from .util import log_grid
 
@@ -46,10 +46,10 @@ class PhaseShiftTable:
 
 @dataclass
 class ResonancePole:
-    lam: SpectralPoint
+    lam: SpectralBatch         # one point, shape ()
     mode: int
     kind: str                  # "boundState" | "resonance"
-    residual: float            # |W| at the pole relative to the iteration start
+    residual: float            # Newton's last |W| over |dW/dx| (1 + |x|); 0.0 when bisected
     iterations: int
 
 
@@ -177,8 +177,8 @@ class _Chart:
         zetas = [1.0 / x if self.reciprocal else x for x in xs]
         return SpectralBatch([math.exp(z.real) for z in zetas], [z.imag for z in zetas])
 
-    def from_lam(self, lam: SpectralPoint) -> complex:
-        zeta = lam.log
+    def from_lam(self, lam: SpectralBatch) -> complex:
+        zeta = complex(lam.log)
         return 1.0 / zeta if self.reciprocal else zeta
 
     def inside(self, x: complex) -> bool:
@@ -186,8 +186,8 @@ class _Chart:
         return (1.0 / x if self.reciprocal else x).real < 0.0
 
 
-def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
-    """Damped Newton on the outgoing defect from a seed with |seed| < 0.5.
+def find_pole(s: Scatterer, mode: int, seed: SpectralBatch) -> ResonancePole:
+    """Damped Newton on the outgoing defect from a seed point with |seed| < 0.5.
 
     Converges when the defect drops below NEWTON_TOL_FACTOR of its seed value
     or below 1e-11 of the local scale |dW/dx| (1 + |x|); near-pole seeds make
@@ -206,11 +206,12 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
 
     def visit(x: complex):
         h = 1e-7 * (1.0 + abs(x))
-        d = outgoing_defect(s, mode, chart.to_lam(x, x + h, x - h), checked=False)
-        return complex(_finite(d[0], mode)), d[1:], h
+        lams = chart.to_lam(x, x + h, x - h)
+        d = outgoing_defect(s, mode, lams, checked=False)
+        return complex(_finite(d[0], mode)), d[1:], h, lams[0]
 
     x = chart.from_lam(seed)
-    f, pair, h = visit(x)
+    f, pair, h, lam = visit(x)
     f0 = abs(f)
     trace = [(seed, f0)]
     local_scale = f0
@@ -221,7 +222,6 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
             break
         local_scale = abs(dfdx) * (1.0 + abs(x))
         if abs(f) <= NEWTON_TOL_FACTOR * f0 or abs(f) <= 1e-11 * local_scale:
-            lam = chart.to_lam(x)[0]
             kind = "boundState" if abs(lam.arg - math.pi / 2.0) < 1e-8 else "resonance"
             return ResonancePole(lam, mode, kind,
                                  abs(f) / max(local_scale, 1e-300), it)
@@ -230,14 +230,14 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
         while t > 1e-6:
             xn = x + t * step
             if chart.inside(xn):
-                fn, pair_n, h_n = visit(xn)
+                fn, pair_n, h_n, lam_n = visit(xn)
                 if abs(fn) < abs(f):
                     break
             t *= 0.5
         else:
             break
-        x, f, pair, h = xn, fn, pair_n, h_n
-        trace.append((chart.to_lam(x)[0], abs(f)))
+        x, f, pair, h, lam = xn, fn, pair_n, h_n, lam_n
+        trace.append((lam, abs(f)))
     raise BasinError(
         f"pole iteration did not converge from |seed|={seed.modulus:.3e} "
         f"(final |W|/|W0| = {abs(f)/max(f0,1e-300):.3e}, "
@@ -245,7 +245,7 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralPoint) -> ResonancePole:
     )
 
 
-def scan_pole_candidates(s: Scatterer, mode: int, r_search: float = 0.3) -> list[SpectralPoint]:
+def scan_pole_candidates(s: Scatterer, mode: int, r_search: float = 0.3) -> list[SpectralBatch]:
     """Local minima of |defect| along the SCAN_ARGS rays of the search disk
     (SCAN_COUNT moduli each, one batch); returns seeds, best first."""
     n = SCAN_COUNT
@@ -288,7 +288,7 @@ def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
         hit = (vals[i] == 0.0) or (vals[i] * vals[i + 1] < 0) if s.selfadjoint else \
             (0 < i and vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 1e-6)
         if hit:
-            seed = SpectralPoint(float(math.sqrt(ks[i] * ks[i + 1])), math.pi / 2.0)
+            seed = SpectralBatch(math.sqrt(ks[i] * ks[i + 1]), math.pi / 2.0)
             try:
                 pole = find_pole(s, mode, seed) if seed.modulus < 0.5 else None
             except BasinError:
@@ -322,4 +322,4 @@ def _bisect_axis(s: Scatterer, mode: int, lo: float, hi: float, flo: float) -> R
             else:
                 lo, flo, k = mid, fm, 2 * k + 2
             steps += 1
-    return ResonancePole(SpectralPoint(mid, math.pi / 2.0), mode, "boundState", 0.0, steps)
+    return ResonancePole(SpectralBatch(mid, math.pi / 2.0), mode, "boundState", 0.0, steps)

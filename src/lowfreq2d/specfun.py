@@ -20,12 +20,11 @@ All functions are pure; inputs are value types, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 EULER = 0.5772156649015328606
 LOG2 = math.log(2.0)
@@ -38,39 +37,12 @@ SERIES_CAP = 80       # length of the coefficient tables
 SERIES_EPS = 1e-17    # terms below this are not summed (the J and P sums start at 1)
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A point on the Riemann surface of log z: modulus > 0, unreduced arg.
-
-    ``value`` collapses to a plain complex number (losing the sheet),
-    ``log`` is single-valued and continuous in (modulus, arg).
-    """
-
-    modulus: float
-    arg: float
-
-    def __post_init__(self):
-        if not self.modulus > 0.0:
-            raise DomainError(f"modulus must be positive, got {self.modulus}")
-
-    @property
-    def value(self) -> complex:
-        return self.modulus * complex(math.cos(self.arg), math.sin(self.arg))
-
-    @property
-    def log(self) -> complex:
-        return complex(math.log(self.modulus), self.arg)
-
-    def scale(self, r: float) -> "SpectralPoint":
-        """Multiply the modulus by r > 0 (same sheet)."""
-        return SpectralPoint(self.modulus * r, self.arg)
-
-
-def _from_parts(re, im) -> np.ndarray:
-    """The complex array re + i im, each part kept as given, signed zeros too."""
+def _from_parts(re, im):
+    """The complex array re + i im, each part kept as given, signed zeros too;
+    a numpy scalar when re is one."""
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
-    return out
+    return out[()]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,16 +54,20 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class SpectralBatch:
-    """Points of the log cover as float arrays of modulus and arg, stored
-    flat: the batch the solvers take.  Its shape is () when built from one
-    point.  A modulus that is not positive raises DomainError.
+    """Points of the log cover, the one type every solver takes: float arrays
+    of modulus and (unreduced) arg in the batch's shape.  A batch of shape ()
+    is one point, and its modulus and arg are numpy scalars.  A modulus that
+    is not positive raises DomainError.
 
-    value, lam2 = value ** 2 and log are formed once per batch, each element
-    with the bits of its SpectralPoint: cos, sin and the real products round
+    value, lam2 = value ** 2 and log take the batch's shape, and each element
+    has the bits of Python's scalar formulas m * complex(cos a, sin a), its
+    square and complex(math.log m, a): cos, sin and the real products round
     as in math and Python's complex multiply, lam2 takes _mul's split
     products, and log takes math.log per modulus (np.log differs in about
-    0.1% of them).  batch[i] is a SpectralPoint; slices and index arrays
-    give batches.
+    0.1% of them).  Indexing gives the batch of the points indexed (a point
+    for an integer) with the parent's value, lam2 and log sliced, formed
+    once on the parent and never validated or formed again.  len counts the
+    points; a point takes only the index ().
     """
 
     def __init__(self, modulus, arg):
@@ -101,35 +77,35 @@ class SpectralBatch:
         if not ok.all():
             raise DomainError(f"modulus must be positive, got {float(modulus[~ok][0])}")
         self.shape = modulus.shape
-        self.modulus, self.arg = modulus.ravel(), arg.ravel()
+        # own contiguous copies: the caller's arrays may change, and a broadcast one has stride 0
+        self.modulus, self.arg = modulus.copy()[()], arg.copy()[()]
 
     def __len__(self) -> int:
         return self.modulus.size
 
-    def __getitem__(self, idx):
-        modulus, arg = self.modulus[idx], self.arg[idx]
-        if np.ndim(modulus) == 0:
-            return SpectralPoint(float(modulus), float(arg))
-        return SpectralBatch(modulus, arg)
+    def __getitem__(self, idx) -> SpectralBatch:
+        part = object.__new__(SpectralBatch)
+        part.modulus, part.arg = self.modulus[idx], self.arg[idx]
+        part.shape = np.shape(part.modulus)
+        part.value, part.lam2, part.log = self.value[idx], self.lam2[idx], self.log[idx]
+        return part
 
     @cached_property
-    def value(self) -> np.ndarray:
+    def value(self):
         # the products by 0 are the ones Python's float * complex takes
         cos, sin = np.cos(self.arg), np.sin(self.arg)
         return _from_parts(self.modulus * cos - 0.0 * sin, self.modulus * sin + 0.0 * cos)
 
     @cached_property
-    def lam2(self) -> np.ndarray:
-        """value ** 2; NumericalError when it leaves the float range."""
+    def lam2(self):
+        """value ** 2, with inf or nan where it leaves the float range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _mul(self.value, self.value)
-        if not np.isfinite(out).all():
-            raise NumericalError("lam^2 overflows the float range")
-        return out
+            return _mul(self.value, self.value)
 
     @cached_property
-    def log(self) -> np.ndarray:
-        return _from_parts(np.array([math.log(m) for m in self.modulus.tolist()]), self.arg)
+    def log(self):
+        logm = [math.log(m) for m in np.ravel(self.modulus).tolist()]
+        return _from_parts(np.reshape(logm, self.shape), self.arg)
 
 
 # ----------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     """w(x, t) for each requested time; one resolvent sweep serves all times."""
     poles = imaginary_axis_poles(q.scatterer, 0)
     if poles:
-        ks = [p.lam.modulus for p in poles]
+        ks = [float(p.lam.modulus) for p in poles]
         raise BoundStateRefusal(
             f"scatterer has bound states (kappa ~ {ks}); the continuum integral "
             "does not represent the evolution"

@@ -2,8 +2,10 @@
 
 The Bessel oracle is its own ascending series, validated in the tests by the
 classical Wronskian identity, and circle_pairing is a plain trapezoid rule in
-the angle; neither imports the package code it checks.  bessel_jy and hankel1
-are not independent: they read one point of `lowfreq2d.specfun.bessel_pair`
+the angle; neither imports the package code it checks.  point_formulas gives
+a point's value, square and log by Python's scalar arithmetic, which a
+SpectralBatch reproduces bit for bit.  bessel_jy and hankel1 are not
+independent: they read one point of `lowfreq2d.specfun.bessel_pair`
 and add the order-raising recurrence for the derivatives, as a scalar view of
 the package's Bessel functions for the tests to hold against the oracles.
 free_kernel (through hankel1) and FreeCoeffKernel are the free resolvent's
@@ -42,7 +44,7 @@ from lowfreq2d.quadrature import PanelGrid
 from lowfreq2d.radial import Exterior, RadialFunction, inner, with_trig
 from lowfreq2d.scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                                  ScattererConfig, _laplacian)
-from lowfreq2d.specfun import GAMMA0, SpectralBatch, SpectralPoint, bessel_pair
+from lowfreq2d.specfun import GAMMA0, SpectralBatch, bessel_pair
 from lowfreq2d.threshold import ThresholdReport
 from lowfreq2d.util import log_grid
 
@@ -85,7 +87,7 @@ def y0_prime(x: float, h: float = 1e-6) -> float:
     return (y0_series(x + h) - y0_series(x - h)) / (2.0 * h)
 
 
-def bessel_jy(l: int, s: SpectralPoint) -> tuple[complex, complex, complex, complex]:
+def bessel_jy(l: int, s: SpectralBatch) -> tuple[complex, complex, complex, complex]:
     """(J_l, Y_l, J_l', Y_l') at a point of the log cover, from bessel_pair."""
     z = np.array([s.value])
     J, Y, _ = bessel_pair(l, z, np.array([s.log]))
@@ -93,7 +95,7 @@ def bessel_jy(l: int, s: SpectralPoint) -> tuple[complex, complex, complex, comp
     return complex(J[0, 0]), complex(Y[0, 0]), complex(Jd[0]), complex(Yd[0])
 
 
-def hankel1(l: int, s: SpectralPoint) -> tuple[complex, complex]:
+def hankel1(l: int, s: SpectralBatch) -> tuple[complex, complex]:
     """(H^(1)_l, d/ds H^(1)_l) at a point of the log cover, from bessel_pair."""
     z = np.array([s.value])
     _, _, H = bessel_pair(l, z, np.array([s.log]))
@@ -107,12 +109,12 @@ def _dist(x, y) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
-def free_kernel(lam: SpectralPoint, x, y) -> complex:
+def free_kernel(lam: SpectralBatch, x, y) -> complex:
     """(i/4) H^(1)_0(lam |x-y|); points given as (r, theta) pairs."""
     d = _dist(x, y)
     if d == 0.0:
         raise DomainError("free kernel is singular on the diagonal x = y")
-    return 0.25j * hankel1(0, lam.scale(d))[0]
+    return 0.25j * hankel1(0, SpectralBatch(lam.modulus * d, lam.arg))[0]
 
 
 @dataclass(frozen=True)
@@ -233,11 +235,11 @@ def spherical_jn_all(nmax: int, w: float) -> np.ndarray:
     return tail * (j0 / jc)
 
 
-def free_truncation_error(lam: SpectralPoint, pairs) -> float:
+def free_truncation_error(lam: SpectralBatch, pairs) -> float:
     """max |free kernel - coefficient expansion through j <= 1| over the point pairs."""
     worst = 0.0
-    lg = lam.log
-    l2 = lam.value ** 2
+    lg = complex(lam.log)
+    l2 = complex(lam.lam2)
     for x, y in pairs:
         exact = free_kernel(lam, x, y)
         approx = (
@@ -305,14 +307,12 @@ def det_s_modulus(table) -> float:
     return out
 
 
-def stack(points) -> SpectralBatch:
-    """The SpectralPoints given, as one batch of shape (n,)."""
-    return SpectralBatch([p.modulus for p in points], [p.arg for p in points])
-
-
-def single(p: SpectralPoint) -> SpectralBatch:
-    """One SpectralPoint as a batch of shape ()."""
-    return SpectralBatch(p.modulus, p.arg)
+def point_formulas(modulus: float, arg: float) -> tuple[complex, complex, complex]:
+    """value, value ** 2 and log of one point of the log cover by Python's
+    scalar arithmetic: m * complex(cos a, sin a), its square and
+    complex(math.log m, a)."""
+    value = modulus * complex(math.cos(arg), math.sin(arg))
+    return value, value ** 2, complex(math.log(modulus), arg)
 
 
 def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos",
@@ -417,7 +417,7 @@ def admissible(s) -> bool:
     return isinstance(s, DiskObstacle) or all(complex(v).real >= 0.0 for v in s.values)
 
 
-def sequential_find_pole(s, mode: int, seed: SpectralPoint):
+def sequential_find_pole(s, mode: int, seed: SpectralBatch):
     """`scattering.find_pole` as one defect call per value: the seed, each
     Newton step's central-difference pair, each line-search trial."""
     defect = scattering.outgoing_defect
@@ -462,7 +462,7 @@ def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -
     for i in range(len(ks) - 1):
         if not (vals[i] == 0.0 or vals[i] * vals[i + 1] < 0):
             continue
-        seed = SpectralPoint(float(math.sqrt(ks[i] * ks[i + 1])), math.pi / 2.0)
+        seed = SpectralBatch(math.sqrt(ks[i] * ks[i + 1]), math.pi / 2.0)
         try:
             pole = sequential_find_pole(s, mode, seed) if seed.modulus < 0.5 else None
         except BasinError:
@@ -477,7 +477,7 @@ def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -
                 else:
                     lo, flo = mid, fm
                 steps += 1
-            pole = scattering.ResonancePole(SpectralPoint(mid, math.pi / 2.0),
+            pole = scattering.ResonancePole(SpectralBatch(mid, math.pi / 2.0),
                                             mode, "boundState", 0.0, steps)
         out.append(pole)
     return out

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (FitTerm, GAMMA0, PanelGrid, SpectralPoint, bump, bump_edges,
+from lowfreq2d import (FitTerm, GAMMA0, PanelGrid, SpectralBatch, bump, bump_edges,
                        classify, commutator_apply, find_pole_in_disk, fit_log_laurent,
                        fit_shape, imaginary_axis_poles, inner, nonresonant_terms,
                        one_sided_identity_residual, pairing_identity_residual,
@@ -31,11 +31,11 @@ def test_criterion_1_special_functions():
     ok = True
     # H0(1) against the independent J/Y series oracle, 1e-8
     oracle = complex(j0_series(1.0), y0_series(1.0))
-    ok &= abs(hankel1(0, SpectralPoint(1.0, 0.0))[0] - oracle) < 1e-8
+    ok &= abs(hankel1(0, SpectralBatch(1.0, 0.0))[0] - oracle) < 1e-8
     # Wronskian identity across l <= 10, s in [1e-4, 10], rel 1e-9
     for l in range(11):
         for mod in np.exp(np.linspace(math.log(1e-4), math.log(10.0), 7)):
-            s = SpectralPoint(float(mod), 0.0)
+            s = SpectralBatch(float(mod), 0.0)
             J, Y, Jd, Yd = bessel_jy(l, s)
             t = 2.0 / (math.pi * s.value)
             ok &= abs(J * Yd - Jd * Y - t) < 1e-9 * abs(t)
@@ -44,16 +44,16 @@ def test_criterion_1_special_functions():
     for _ in range(20):
         rho = float(np.exp(rng.uniform(np.log(0.02), np.log(4.0))))
         th = float(rng.uniform(-6.0, 6.0))
-        a = hankel1(0, SpectralPoint(rho, th + 2 * math.pi))[0]
-        b = hankel1(0, SpectralPoint(rho, th))[0]
-        J0 = bessel_jy(0, SpectralPoint(rho, th))[0]
+        a = hankel1(0, SpectralBatch(rho, th + 2 * math.pi))[0]
+        b = hankel1(0, SpectralBatch(rho, th))[0]
+        J0 = bessel_jy(0, SpectralBatch(rho, th))[0]
         ok &= abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
     _report(1, "log-cover special functions (oracle, Wronskian, sheet shift)", bool(ok))
 
 
 def test_criterion_2_free_expansion_order():
     pairs = [((2.0, 0.0), (8.5, 2.0)), ((3.0, 1.0), (7.0, -0.5)), ((6.0, 3.0), (4.0, 0.3))]
-    errs = [free_truncation_error(SpectralPoint(2.0**-n, math.pi / 4), pairs)
+    errs = [free_truncation_error(SpectralBatch(2.0**-n, math.pi / 4), pairs)
             for n in range(8, 16)]
     ratios = [errs[i] / errs[i + 1] for i in range(7)]
     ok = all(8.0 <= r <= 40.0 for r in ratios)
@@ -71,12 +71,12 @@ def test_criterion_3_identity_suite(free_fx, generic_well_fx, dirichlet_fx, neum
                              extra_edges=bump_edges(fx.f_center, fx.f_half) + bump_edges(gc, gh))
         f = bump(grid, fx.f_center, fx.f_half, 0)
         g = bump(grid, gc, gh, 0)
-        lam = SpectralPoint(0.01, math.pi / 4)
-        z = SpectralPoint(0.02, math.pi / 2)
+        lam = SpectralBatch(0.01, math.pi / 4)
+        z = SpectralBatch(0.02, math.pi / 2)
         res = [
             two_parameter_identity_residual(s, lam, z, chi, f),
             one_sided_identity_residual(s, lam, chi, g),
-            pairing_identity_residual(s, SpectralPoint(0.4, math.pi / 2), bump(
+            pairing_identity_residual(s, SpectralBatch(0.4, math.pi / 2), bump(
                 grid, chi.pairing_radius + 0.9, 0.5, 0), chi.pairing_radius),
         ]
         # circle-pairing Fourier formula vs direct quadrature on the circle

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,43 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+# barrier steps where the solve breaks down: numpy warns on the way to the
+# NumericalError, and stderr must hold the JSON error alone
+@pytest.mark.parametrize("command, values", [("wave", 10000), ("expand", 10000), ("verify", 800)])
+def test_breakdown_stderr_is_one_json_line(tmp_path, command, values):
+    cfg = tmp_path / "step.cfg"
+    cfg.write_text(f"kind = potential\nbreaks = 1\nvalues = {values}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lowfreq2d.cli", command,
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "NumericalError"
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_warnings_show_only_after_a_successful_run(tmp_path, monkeypatch, capsys, fails):
+    classify = cli._HANDLERS["classify"]
+
+    def warn_then_classify(run):
+        warnings.warn("probe", FutureWarning)
+        if fails:
+            raise cli.NumericalError("probe failure")
+        classify(run)
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", warn_then_classify)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        code, _ = _run(tmp_path, "disk.cfg", DISK_CFG, "classify")
+    assert code == (3 if fails else 0)
+    assert [str(w.message) for w in shown] == ([] if fails else ["probe"])
+    err = capsys.readouterr().err
+    assert err == ("" if not fails else json.dumps({"error": "NumericalError",
+                                                    "message": "probe failure"}) + "\n")
 
 
 def _glibc() -> bool:

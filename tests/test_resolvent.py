@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lowfreq2d import (SpectralBatch, SpectralPoint, bump, bump_edges, inner, mode_green,
+from lowfreq2d import (SpectralBatch, bump, bump_edges, inner, mode_green,
                        one_sided_identity_residual,
                        pairing_identity_residual, standard_grid,
                        two_parameter_identity_residual)
@@ -14,11 +14,11 @@ from lowfreq2d.radial import Exterior
 
 from oracles import (FREE, FreeCoeffKernel, boundary_pairing_fourier, boundary_pairing_samples,
                      circle_pairing, free_kernel, free_truncation_error, from_callable,
-                     j0_series, ode_residual, single, stack, y0_series)
+                     j0_series, ode_residual, y0_series)
 
 
 def test_kernel_symmetry():
-    lam = SpectralPoint(0.3, 0.7)
+    lam = SpectralBatch(0.3, 0.7)
     rng = np.random.default_rng(3)
     for _ in range(8):
         x = (float(rng.uniform(0.1, 3.0)), float(rng.uniform(0, 2 * math.pi)))
@@ -32,11 +32,11 @@ def test_kernel_symmetry():
 
 def test_kernel_diagonal_rejected():
     with pytest.raises(DomainError):
-        free_kernel(SpectralPoint(1.0, 0.0), (1.0, 0.3), (1.0, 0.3))
+        free_kernel(SpectralBatch(1.0, 0.0), (1.0, 0.3), (1.0, 0.3))
 
 
 def test_kernel_decay_on_upper_axis():
-    lam = SpectralPoint(1.0, math.pi / 2)         # lam = i
+    lam = SpectralBatch(1.0, math.pi / 2)         # lam = i
     k10 = free_kernel(lam, (10.0, 0.0), (0.0, 0.0))
     k20 = free_kernel(lam, (20.0, 0.0), (0.0, 0.0))
     # |H0(i d)| ~ sqrt(2/(pi d)) e^{-d}: the ratio carries e^{-10} sqrt(1/2)
@@ -50,7 +50,7 @@ def test_kernel_coefficient_extraction():
     assert FreeCoeffKernel(0, 1).evaluate(x, y) == -1.0 / (2.0 * math.pi)
     vals = []
     for mod in (1e-3, 1e-4, 1e-5):
-        lam = SpectralPoint(mod, 0.0)
+        lam = SpectralBatch(mod, 0.0)
         vals.append(free_kernel(lam, x, y) - (0.25j) * (2j / math.pi) * lam.log)
     assert abs(vals[-1] - r00) < 1e-8
     assert abs(vals[-1] - r00) < abs(vals[0] - r00)
@@ -62,7 +62,7 @@ def test_expansion_order_halving():
     pairs = [((2.0, 0.0), (8.5, 2.0)), ((3.0, 1.0), (7.0, -0.5)), ((6.0, 3.0), (4.0, 0.3))]
     errs = []
     for n in range(8, 16):
-        lam = SpectralPoint(2.0**-n, math.pi / 4)
+        lam = SpectralBatch(2.0**-n, math.pi / 4)
         errs.append(free_truncation_error(lam, pairs))
     ratios = [errs[i] / errs[i + 1] for i in range(7)]
     assert all(8.0 <= r <= 40.0 for r in ratios), ratios
@@ -79,9 +79,9 @@ def free_setup():
 
 def test_free_apply_matches_kernel_quadrature(free_setup):
     s, chi, grid = free_setup
-    lam = SpectralPoint(0.37, math.pi / 4)
+    lam = SpectralBatch(0.37, math.pi / 4)
     f = bump(grid, 1.0, 0.35, 0)
-    u = mode_green(s, single(lam), 0, grid).apply(f)
+    u = mode_green(s, lam, 0, grid).apply(f)
     # oracle: direct angular quadrature of the kernel against f
     for robs in (0.4, 1.9, 3.2):
         th = np.linspace(0, 2 * math.pi, 481)[:-1]
@@ -98,10 +98,10 @@ def test_free_apply_matches_kernel_quadrature(free_setup):
 
 def test_selfadjoint_symmetry(generic_well_fx):
     fx = generic_well_fx
-    lam = SpectralPoint(0.5, math.pi / 2)
+    lam = SpectralBatch(0.5, math.pi / 2)
     f = bump(fx.grid, 0.8, 0.25, 0)
     g = bump(fx.grid, 1.6, 0.3, 0)
-    green = mode_green(fx.scatterer, single(lam), 0, fx.grid)
+    green = mode_green(fx.scatterer, lam, 0, fx.grid)
     a = inner(green.apply(f), g)
     b = inner(f, green.apply(g))
     assert abs(a - b) < 1e-9 * abs(a)
@@ -124,8 +124,8 @@ def test_value_at_rejects_non_finite_radius(dirichlet_fx, x):
 
 def test_wronskian_spread_and_green_residual(free_fx, generic_well_fx, dirichlet_fx):
     for fx in (free_fx, generic_well_fx, dirichlet_fx):
-        for lam in (SpectralPoint(0.37, math.pi / 4), SpectralPoint(0.02, math.pi / 2)):
-            green = mode_green(fx.scatterer, single(lam), 0, fx.grid)
+        for lam in (SpectralBatch(0.37, math.pi / 4), SpectralBatch(0.02, math.pi / 2)):
+            green = mode_green(fx.scatterer, lam, 0, fx.grid)
             assert green.wronskian_spread < 1e-9
             u = green.apply(fx.f)
             assert ode_residual(green, fx.f, u) < 1e-8
@@ -136,18 +136,21 @@ def test_at_pole_error(p_well_fx):
     s = p_well_fx.scatterer.shifted(-1e-2)
     pole = imaginary_axis_poles(s, 1)[0]
     with pytest.raises(AtPoleError):
-        green = mode_green(s, single(pole.lam), 1, p_well_fx.grid)
+        green = mode_green(s, pole.lam, 1, p_well_fx.grid)
         # fall through only if the guard failed
         green.apply(p_well_fx.source(1))
     # in a batch, the error names the first point at the pole: the second
     # lies one ulp of modulus further out, and is at the pole as well
     first = pole.lam
-    second = SpectralPoint(math.nextafter(first.modulus, 1.0), first.arg)
+    second = SpectralBatch(math.nextafter(first.modulus, 1.0), first.arg)
     with pytest.raises(AtPoleError) as err:
-        mode_green(s, stack([SpectralPoint(0.5, 1.0), first, second]), 1, p_well_fx.grid)
-    assert err.value.lam == first != second
+        mode_green(s, SpectralBatch([0.5, first.modulus, second.modulus],
+                                    [1.0, first.arg, second.arg]), 1, p_well_fx.grid)
+    hit = err.value.lam
+    assert hit.shape == ()
+    assert (hit.modulus, hit.arg) == (first.modulus, first.arg) != (second.modulus, second.arg)
     with pytest.raises(AtPoleError):
-        mode_green(s, single(second), 1, p_well_fx.grid)
+        mode_green(s, second, 1, p_well_fx.grid)
 
 
 # -- boundary pairing ------------------------------------------------------------
@@ -224,28 +227,28 @@ def test_identity_suite(case, free_fx, generic_well_fx, dirichlet_fx, neumann_fx
                          extra_edges=bump_edges(fx.f_center, fx.f_half) + bump_edges(gc, gh))
     f = bump(grid, fx.f_center, fx.f_half, 0)
     gfun = bump(grid, gc, gh, 0)
-    lam = SpectralPoint(0.01, math.pi / 4)
-    z = SpectralPoint(0.02, math.pi / 2)
+    lam = SpectralBatch(0.01, math.pi / 4)
+    z = SpectralBatch(0.02, math.pi / 2)
     assert two_parameter_identity_residual(s, lam, z, chi, f) < 1e-6
     assert one_sided_identity_residual(s, lam, chi, gfun) < 1e-7
     outer = bump(grid, chi.pairing_radius + 0.9, 0.5, 0)
-    assert pairing_identity_residual(s, SpectralPoint(0.4, math.pi / 2), outer,
+    assert pairing_identity_residual(s, SpectralBatch(0.4, math.pi / 2), outer,
                                      chi.pairing_radius) < 1e-7
 
 
 def test_two_parameter_identity_free_is_sharp(free_fx):
     # with V = 0 the identity is algebraic; the residual is essentially machine
     fx = free_fx
-    lam = SpectralPoint(0.05, math.pi / 3)
-    z = SpectralPoint(0.02, math.pi / 2)
+    lam = SpectralBatch(0.05, math.pi / 3)
+    z = SpectralBatch(0.02, math.pi / 2)
     assert two_parameter_identity_residual(fx.scatterer, lam, z, fx.chi, fx.f) < 1e-10
 
 
 def test_two_parameter_identity_lambda_equals_z(free_fx, generic_well_fx):
     # both sides vanish identically at lam = z: check the raw difference
     fx = generic_well_fx
-    lam = SpectralPoint(0.02, math.pi / 2)
-    green = mode_green(fx.scatterer, single(lam), 0, fx.grid)
+    lam = SpectralBatch(0.02, math.pi / 2)
+    green = mode_green(fx.scatterer, lam, 0, fx.grid)
     lhs = green.apply(fx.f).values - green.apply(fx.f).values
     assert np.max(np.abs(lhs)) == 0.0
 
@@ -321,7 +324,7 @@ def test_batched_solutions_match_single_points():
             u, du = solve(s, l, lams).eval(r)
             assert u.shape == du.shape == lead + (3, 3)
             for i, lam in enumerate(lams):
-                u1, du1 = solve(s, l, single(lam)).eval(r)
+                u1, du1 = solve(s, l, lam).eval(r)
                 assert np.allclose(u[..., i, :], u1[..., 0, :], rtol=1e-13, atol=0)
                 assert np.allclose(du[..., i, :], du1[..., 0, :], rtol=1e-13, atol=0)
 
@@ -374,7 +377,7 @@ def test_lam4_log_coefficient_kernel():
 
     # two moduli, two args: solve for the lam^4 log and lam^4 coefficients
     import numpy.linalg as la
-    pts = [SpectralPoint(m, a) for m in (2.0**-8, 2.0**-9) for a in (0.3, 1.1)]
+    pts = [SpectralBatch(m, a) for m in (2.0**-8, 2.0**-9) for a in (0.3, 1.1)]
     A = np.array([[p.value**4 * p.log, p.value**4] for p in pts])
     b = np.array([remainder(p) for p in pts])
     coef, *_ = la.lstsq(A, b, rcond=None)
@@ -388,6 +391,6 @@ def test_identity_suite_higher_modes(generic_well_fx, mode):
     s, chi = fx.scatterer, fx.chi
     grid = standard_grid(s, chi, extra_edges=bump_edges(fx.f_center, fx.f_half))
     f = bump(grid, fx.f_center, fx.f_half, mode)
-    lam = SpectralPoint(0.01, math.pi / 4)
-    z = SpectralPoint(0.02, math.pi / 2)
+    lam = SpectralBatch(0.01, math.pi / 4)
+    z = SpectralBatch(0.02, math.pi / 2)
     assert two_parameter_identity_residual(s, lam, z, chi, f) < 1e-6

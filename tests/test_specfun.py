@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowfreq2d import EULER, GAMMA0, SpectralBatch, SpectralPoint
+from lowfreq2d import EULER, GAMMA0, SpectralBatch
 from lowfreq2d.errors import DomainError
 from lowfreq2d.specfun import _jyh_big, _jyh_series
 
-from oracles import EULER_ORACLE, bessel_jy, hankel1, j0_series, j0_prime, y0_series, y0_prime
+from oracles import (EULER_ORACLE, bessel_jy, hankel1, j0_series, j0_prime, point_formulas,
+                     y0_series, y0_prime)
 
 
 def test_gamma_constants():
@@ -22,31 +23,55 @@ def test_gamma_constants():
 
 def test_modulus_zero_rejected():
     with pytest.raises(DomainError):
-        SpectralPoint(0.0, 0.0)
+        SpectralBatch(0.0, 0.0)
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
 
 
 def test_spectral_batch_rounds_as_its_points():
     # a batch's value, lam2 and log carry, bit for bit and sign of zero
-    # included, each point's value, value ** 2 and log: on these 10 000
+    # included, Python's scalar formulas at each point: on these 10 000
     # moduli np.log differs from math.log on 10, so a vector log fails here
     from lowfreq2d.scattering import SCAN_ARGS
     mods = np.geomspace(1e-9, 60.0, 10_000)
     args = (0.0, math.pi / 4, math.pi / 3, math.pi / 2) + SCAN_ARGS
-    batch = SpectralBatch(np.tile(mods, len(args)), np.repeat(args, mods.size))
-    pts = [batch[i] for i in range(len(batch))]
-    assert batch.shape == (len(pts),) and pts[-1] == SpectralPoint(60.0, SCAN_ARGS[-1])
-
-    def bits(z):
-        return np.asarray(z, dtype=complex).view(np.uint64)
-
-    assert np.array_equal(bits(batch.value), bits([p.value for p in pts]))
-    assert np.array_equal(bits(batch.lam2), bits([p.value ** 2 for p in pts]))
-    assert np.array_equal(bits(batch.log), bits([p.log for p in pts]))
-    one = SpectralBatch(0.5, 1.0)
-    assert one.shape == () and len(one) == 1 and one[0] == SpectralPoint(0.5, 1.0)
+    m, a = np.tile(mods, len(args)), np.repeat(args, mods.size)
+    batch = SpectralBatch(m, a)
+    assert batch.shape == (len(batch),) == m.shape
+    ref = np.array([point_formulas(*p) for p in zip(m.tolist(), a.tolist())])
+    for k, name in enumerate(("value", "lam2", "log")):
+        assert np.array_equal(_bits(getattr(batch, name)), _bits(ref[:, k]))
+    # a point built on its own has shape (), numpy scalars and the same bits
+    for i in range(0, m.size, 37):
+        one = SpectralBatch(m[i], a[i])
+        assert one.shape == () and len(one) == 1
+        assert isinstance(one.modulus, float) and isinstance(one.value, complex)
+        assert np.array_equal(_bits([one.value, one.lam2, one.log]), _bits(ref[i]))
     for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(DomainError):
-            SpectralBatch([0.5, bad], 0.0)
+        for mod in (bad, [0.5, bad]):
+            with pytest.raises(DomainError):
+                SpectralBatch(mod, 0.0)
+
+
+def test_spectral_batch_slices_carry_the_formed_arrays():
+    # slices, index arrays and integers hand on the parent's arrays: each
+    # part is bit-equal to a batch built afresh from its moduli and args
+    from lowfreq2d.scattering import SCAN_ARGS
+    m = np.tile(np.geomspace(1e-6, 50.0, 40), len(SCAN_ARGS))
+    a = np.repeat(SCAN_ARGS, 40)
+    batch = SpectralBatch(m, a)
+    for idx in (slice(3, 50), slice(None, None, 7), [5, 0, 120, 5], np.flatnonzero(m < 0.1), 17, -1):
+        part, fresh = batch[idx], SpectralBatch(m[idx], a[idx])
+        assert part.shape == fresh.shape == np.shape(m[idx]) and len(part) == len(fresh)
+        for name in ("modulus", "arg", "value", "lam2", "log"):
+            assert np.array_equal(_bits(getattr(part, name)), _bits(getattr(fresh, name)))
+    # a slice is a view of the arrays the parent formed, not formed again
+    assert all(np.shares_memory(getattr(batch[3:50], k), getattr(batch, k))
+               for k in ("value", "lam2", "log"))
+    point = batch[17]
+    assert point[()].log == point.log == batch.log[17]
 
 
 def test_hankel0_against_independent_series_oracle():
@@ -57,12 +82,12 @@ def test_hankel0_against_independent_series_oracle():
     # frozen from the oracle: J0(1) + i Y0(1)
     expected = complex(j0_series(1.0), y0_series(1.0))
     assert abs(expected - complex(0.76519769, 0.08825696)) < 1e-7
-    got = hankel1(0, SpectralPoint(1.0, 0.0))[0]
+    got = hankel1(0, SpectralBatch(1.0, 0.0))[0]
     assert abs(got - expected) < 1e-8
 
 
 def test_hankel0_small_argument_leading_term():
-    s = SpectralPoint(1e-5, 0.0)
+    s = SpectralBatch(1e-5, 0.0)
     lead = 2j / math.pi * (s.log - GAMMA0)
     assert abs(hankel1(0, s)[0] - lead) < 5e-10 * abs(lead)
 
@@ -72,25 +97,25 @@ def test_sheet_shift_identity_seeded():
     for _ in range(20):
         rho = float(np.exp(rng.uniform(np.log(0.01), np.log(5.0))))
         th = float(rng.uniform(-6.0, 6.0))
-        a = hankel1(0, SpectralPoint(rho, th + 2.0 * math.pi))[0]
-        b = hankel1(0, SpectralPoint(rho, th))[0]
-        J0 = bessel_jy(0, SpectralPoint(rho, th))[0]
+        a = hankel1(0, SpectralBatch(rho, th + 2.0 * math.pi))[0]
+        b = hankel1(0, SpectralBatch(rho, th))[0]
+        J0 = bessel_jy(0, SpectralBatch(rho, th))[0]
         assert abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.02, 4.0), st.floats(-6.0, 6.0))
 def test_sheet_shift_identity_property(rho, th):
-    a = hankel1(0, SpectralPoint(rho, th + 2.0 * math.pi))[0]
-    b = hankel1(0, SpectralPoint(rho, th))[0]
-    J0 = bessel_jy(0, SpectralPoint(rho, th))[0]
+    a = hankel1(0, SpectralBatch(rho, th + 2.0 * math.pi))[0]
+    b = hankel1(0, SpectralBatch(rho, th))[0]
+    J0 = bessel_jy(0, SpectralBatch(rho, th))[0]
     assert abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
 
 
 @pytest.mark.parametrize("l", range(11))
 def test_wronskian_identity(l):
     for mod in np.exp(np.linspace(math.log(1e-4), math.log(10.0), 9)):
-        s = SpectralPoint(float(mod), 0.0)
+        s = SpectralBatch(float(mod), 0.0)
         J, Y, Jd, Yd = bessel_jy(l, s)
         target = 2.0 / (math.pi * s.value)
         assert abs(J * Yd - Jd * Y - target) < 1e-9 * abs(target)
@@ -98,13 +123,13 @@ def test_wronskian_identity(l):
 
 def test_wronskian_identity_triple_at_half():
     for l in (0, 1, 2):
-        s = SpectralPoint(0.5, 0.0)
+        s = SpectralBatch(0.5, 0.0)
         J, Y, Jd, Yd = bessel_jy(l, s)
         assert abs(J * Yd - Jd * Y - 2.0 / (math.pi * 0.5)) < 1e-12
 
 
 def test_series_leading_terms():
-    s = SpectralPoint(1e-8, 0.0)
+    s = SpectralBatch(1e-8, 0.0)
     J, Y, _, _ = bessel_jy(0, s)
     assert abs(J - 1.0) < 1e-14
     lead = 2.0 / math.pi * (math.log(1e-8 / 2.0) + EULER)
@@ -114,9 +139,9 @@ def test_series_leading_terms():
 def test_hankel_derivative_relation():
     # fourth-order finite-difference oracle on H0
     h = 3e-4
-    vals = [hankel1(0, SpectralPoint(0.3 + k * h, 0.0))[0] for k in (-2, -1, 1, 2)]
+    vals = [hankel1(0, SpectralBatch(0.3 + k * h, 0.0))[0] for k in (-2, -1, 1, 2)]
     fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-    H1, _ = hankel1(1, SpectralPoint(0.3, 0.0))
+    H1, _ = hankel1(1, SpectralBatch(0.3, 0.0))
     assert abs(fd + H1) < 1e-10
 
 
@@ -136,7 +161,7 @@ def test_series_asymptotic_crossover(l):
 
 def test_hankel1_consistent_with_jy():
     for mod, th in ((0.4, 0.3), (3.0, -1.0), (9.0, 2.0)):
-        s = SpectralPoint(mod, th)
+        s = SpectralBatch(mod, th)
         J, Y, Jd, Yd = bessel_jy(2, s)
         H, Hd = hankel1(2, s)
         assert abs(H - (J + 1j * Y)) < 1e-12 * abs(H)
@@ -146,7 +171,7 @@ def test_hankel1_consistent_with_jy():
 def test_hankel_decay_upper_imaginary_axis():
     # |H0(i x)| ~ sqrt(2/(pi x)) e^{-x}
     for x in (2.0, 8.0, 20.0):
-        H = hankel1(0, SpectralPoint(x, math.pi / 2.0))[0]
+        H = hankel1(0, SpectralBatch(x, math.pi / 2.0))[0]
         model = math.sqrt(2.0 / (math.pi * x)) * math.exp(-x)
         assert 0.8 < abs(H) / model < 1.2
 
@@ -304,7 +329,7 @@ def test_bessel_pair_feeds_the_single_order_functions():
     from lowfreq2d.specfun import bessel_pair
     z = np.array([0.3 + 0.1j, 4.0, 12.5 - 3.0j, 30.0j])
     for k, (mod, arg) in enumerate(zip(np.abs(z), np.angle(z))):
-        s = SpectralPoint(float(mod), float(arg))
+        s = SpectralBatch(float(mod), float(arg))
         J, Y, H = (f[:, 0] for f in bessel_pair(2, np.array([s.value]), np.array([s.log])))
         j, y, jd, yd = bessel_jy(2, s)
         h, hd = hankel1(2, s)

@@ -10,7 +10,7 @@ from lowfreq2d.errors import BoundStateRefusal, ValidationError
 from lowfreq2d.wave import OscillatoryPanels, _green_source, spherical_jn_table
 from lowfreq2d.quadrature import PanelGrid, geometric_edges
 
-from oracles import plane_integral, single, spherical_jn_all, stack
+from oracles import plane_integral, spherical_jn_all
 
 
 def test_filon_machinery_against_analytic():
@@ -232,11 +232,10 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
     # quadrature, whose partial integrals take SUPPORT_NODES per panel: at
     # SOURCE_NODES the generic well's reads 1.1e-11 off at the cap) and above
     # it (psi(x) times the phi moment), one batch per call, up to the cap
-    from lowfreq2d import mode_green, SpectralPoint
+    from lowfreq2d import SpectralBatch, mode_green
     from lowfreq2d.radial import support_panels
     from lowfreq2d.wave import LAM_CAP, SOURCE_NODES, SUPPORT_NODES
-    lams = stack([SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0),
-                  SpectralPoint(LAM_CAP, 0.0)])
+    lams = SpectralBatch([0.3, 2.4, 7.0, LAM_CAP], 0.0)
     for fx in (dirichlet_fx, generic_well_fx):
         support = support_panels(fx.f)[0].grid
         inside, above = fx.f_center + 0.5 * fx.f_half, support.rmax + 0.7
@@ -247,7 +246,7 @@ def test_source_panel_integrand_inside_and_above_support(dirichlet_fx, generic_w
             G = mode_green(fx.scatterer, lams, 0, src.grid).value_at(src, x_obs)
             assert G.shape == (len(lams),)
             for lam, g in zip(lams, G):
-                full = mode_green(fx.scatterer, single(lam), 0, fx.grid).apply(fx.f)
+                full = mode_green(fx.scatterer, lam, 0, fx.grid).apply(fx.f)
                 assert abs(g - full.value_at(x_obs)) < 1e-11
 
 
@@ -257,16 +256,16 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
     # one full call of the sweep's batch on the fixture's source quadrature,
     # across panel edges (geometric panels of the base chunk, tail panels),
     # gives each point the bits of its own one-point call of the integrand
-    from lowfreq2d import mode_green, SpectralPoint
+    from lowfreq2d import SpectralBatch, mode_green
     from lowfreq2d.wave import BESSEL_BATCH
     nodes = PanelGrid(edges, 16).nodes
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _green_source(fx.f, x_obs)
         batch = BESSEL_BATCH // len(src.grid)
         assert 16 < batch <= nodes.size
-        pts = stack([SpectralPoint(float(m), 0.0) for m in nodes[:batch]])
+        pts = SpectralBatch(nodes[:batch], 0.0)
         full = mode_green(fx.scatterer, pts, 0, src.grid).value_at(src, x_obs).imag
-        point = np.array([mode_green(fx.scatterer, single(p), 0, src.grid).value_at(src, x_obs).imag
+        point = np.array([mode_green(fx.scatterer, p, 0, src.grid).value_at(src, x_obs).imag
                           for p in pts])
         assert full.shape == (batch,)
         assert np.array_equal(full, point)
@@ -287,7 +286,7 @@ def test_wide_source_panels_split_for_the_sweep(cfg_text, splits):
     # panel split 8 ways at 32 nodes, from lam = 0.01 to the cap (the trimmed
     # 32-node panels alone are off by 5e-8 max|G| at lam = 60 with
     # cutoff.r0 = 8)
-    from lowfreq2d import PiecewisePotential, mode_green, SpectralPoint, standard_grid
+    from lowfreq2d import PiecewisePotential, SpectralBatch, mode_green, standard_grid
     from lowfreq2d.cli import _source_edges, _source_geometry, canonical_source
     from lowfreq2d.scatterer import parse_config
     from lowfreq2d.radial import support_panels
@@ -304,7 +303,7 @@ def test_wide_source_panels_split_for_the_sweep(cfg_text, splits):
     assert LAM_CAP * 0.5 * np.max(np.diff(src.grid.edges)) <= SOURCE_NODES / 2
     fine = PanelGrid(np.append(np.linspace(e[:-1], e[1:], 9, axis=1)[:, :-1].ravel(), e[-1]), 32)
     exact = bump(fine, *_source_geometry(cfg))
-    lams = stack([SpectralPoint(lam, 0.0) for lam in (0.01, 0.5, 7.0, 30.0, LAM_CAP)])
+    lams = SpectralBatch([0.01, 0.5, 7.0, 30.0, LAM_CAP], 0.0)
     G = mode_green(s, lams, 0, src.grid).value_at(src, x_obs).imag
     ref = mode_green(s, lams, 0, fine).value_at(exact, x_obs).imag
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -359,7 +358,7 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
     # the grid nodes (the boundary solve and the five Wronskian probes take a
     # few radii per spectral point), and no node derivatives until apply
     # asks for them
-    from lowfreq2d import mode_green, radialsolve, SpectralPoint
+    from lowfreq2d import SpectralBatch, mode_green, radialsolve
     seen = []
 
     def spy(l, z, logz, slot=None):
@@ -368,7 +367,7 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
 
     bessel_pair = radialsolve.bessel_pair
     monkeypatch.setattr(radialsolve, "bessel_pair", spy)
-    lams = stack([SpectralPoint(0.3, 0.0), SpectralPoint(2.4, 0.0), SpectralPoint(7.0, 0.0)])
+    lams = SpectralBatch([0.3, 2.4, 7.0], 0.0)
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _green_source(fx.f, x_obs)
         seen.clear()
