@@ -1,12 +1,15 @@
 """Piecewise-exact solutions of the radial mode equation.
 
-For one angular mode l the equation  u'' + u'/r - l^2 u / r^2 + (lam^2 - V) u = 0
+For an angular mode l the equation  u'' + u'/r - l^2 u / r^2 + (lam^2 - V) u = 0
 with piecewise-constant V has explicit solutions on every segment:
 Bessel pairs J_l(eta r), Y_l(eta r) with eta^2 = lam^2 - V_j, or the harmonic
 pair (r^l, r^-l) / (1, log r) when eta vanishes.  Solutions are represented as
 per-segment coefficient pairs glued by 2x2 matching at the breakpoints, so
 there is no ODE time-stepping anywhere and evaluations are accurate to the
-special-function level.
+special-function level.  A solve takes one mode (an int l) or several (a 1-D
+array of modes): eta depends on lam alone, so the segments and their
+breakpoint radii serve every mode, one bessel_pair call evaluates the bases of
+all of them, and each mode gets the bits of its own solve.
 
 Only the outgoing exterior solution H^(1)_l(lam r) carries log(lam); interior
 pieces depend on lam^2 alone, which is what makes continuation of everything
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +31,9 @@ from .specfun import SpectralBatch, _mul, bessel_pair
 
 @dataclass
 class Segment:
-    """One segment for a batch of spectral points: eta and logeta have shape (nlam,).
+    """One segment for a batch of spectral points: eta and logeta have shape
+    (nlam,), and l is one mode (an int) or a 1-D array of modes, which lead
+    the shape of the bases, (*l.shape, nlam, len(r)).
 
     Elements with eta = 0 take the harmonic pair (r^l, r^-l), or (1, log r)
     for l = 0; the others the Bessel pair (J, Y), or (J, H1) when kind is
@@ -37,20 +42,27 @@ class Segment:
 
     a: float
     b: float
-    l: int
+    l: int | np.ndarray
     kind: str                 # "bessel" | "hankel"
     eta: np.ndarray
     logeta: np.ndarray
 
     def pair(self, r: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(b1, b2, b1', b2') at radii r, each of shape (nlam, len(r))."""
+        """(b1, b2, b1', b2') at radii r, each of shape (*l.shape, nlam, len(r))."""
         return _bases([self], [np.atleast_1d(np.asarray(r, dtype=float))], None)[0]
 
     def _harmonic(self, r: np.ndarray) -> np.ndarray:
-        l = self.l
-        if l == 0:
-            return np.array([np.ones(len(r)), np.log(r), np.zeros(len(r)), 1.0 / r])
-        return np.array([r**l, r ** (-l), l * r ** (l - 1), -l * r ** (-l - 1)])
+        """The harmonic pair and its derivatives, (4, *l.shape, len(r)).  Each
+        mode takes its own scalar exponents: numpy rounds r ** 2 and r ** -1
+        by fast paths that a power with an array of exponents does not take."""
+        def rows(l: int) -> list[np.ndarray]:
+            if l == 0:
+                return [np.ones(len(r)), np.log(r), np.zeros(len(r)), 1.0 / r]
+            return [r**l, r ** (-l), l * r ** (l - 1), -l * r ** (-l - 1)]
+
+        if np.ndim(self.l):
+            return np.array([rows(l) for l in self.l.tolist()]).swapaxes(0, 1)
+        return np.array(rows(self.l))
 
     def _bessel_args(self, r: np.ndarray):
         """(mask of the Bessel elements or None for all of them, their eta and
@@ -68,16 +80,19 @@ class Segment:
     def _derivs(self, r, eta, z, logeta, f0, f1) -> tuple[np.ndarray, ...]:
         """Order-l derivatives eta (l / z f - g) of the Bessel pair, from its
         order-l values f in f0 and order-(l + 1) values g in f1."""
-        if self.l == 0 and not logeta.imag.any() and (r > 0).all():
-            # every z > 0, where 0 / z is +0 + 0j: skip the division, keep
-            # the products by zero, which fix the sign of any zero part
+        if np.ndim(self.l):
+            lz = self.l[:, None, None] / z
+        elif self.l == 0 and not logeta.imag.any() and (r > 0).all():
+            # every z > 0, where 0 / z is +0 + 0j (as a mode array's order 0
+            # takes it): skip the division, keep the products by zero, which
+            # fix the sign of any zero part
             lz = np.zeros_like(z)
         else:
             lz = self.l / z
         return tuple(eta * (lz * f - g) for f, g in zip(f0, f1))
 
 
-def _bessel_each(l: int, zs: list[np.ndarray], logzs: list[np.ndarray], slot: int | None):
+def _bessel_each(l, zs: list[np.ndarray], logzs: list[np.ndarray], slot: int | None):
     """bessel_pair at each array of zs, by one call: every point is evaluated
     on its own, so each array gets the bits of its own call."""
     if len(zs) == 1:
@@ -91,7 +106,7 @@ def _bessel_each(l: int, zs: list[np.ndarray], logzs: list[np.ndarray], slot: in
 
 def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     """For each segment at its radii, rows of (b1, b2, b1', b2'), each of
-    shape (nlam, len(r)): all four (slot None), or the values alone (slot 0),
+    shape (*l.shape, nlam, len(r)): all four (slot None), or the values alone (slot 0),
     which take the order-l Bessel slot alone and so the bits all four give
     them.  The Bessel elements of every segment share one bessel_pair call.
 
@@ -117,22 +132,25 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
                 continue
         rows = [0, 1, 2, 3] if slot is None else [0, 1]
         flat = seg.eta == 0
-        full = np.empty((len(rows), len(seg.eta), len(r)), dtype=complex)
-        full[:, flat] = seg._harmonic(r)[rows, None, :]
+        full = np.empty((len(rows),) + np.shape(seg.l) + (len(seg.eta), len(r)), dtype=complex)
+        full[:, ..., flat, :] = seg._harmonic(r)[rows][..., None, :]
         if a is not None:
-            full[:, ~flat] = b
+            full[:, ..., ~flat, :] = b
         out.append(tuple(full))
     return out
 
 
-def make_segments(s: Scatterer, l: int, lam: SpectralBatch | None) -> list[Segment]:
-    """Segments covering [inner_radius, inf) for a batch of spectral points,
-    or lam=None meaning zero energy.
+def make_segments(s: Scatterer, l, lam: SpectralBatch | None) -> list[Segment]:
+    """Segments covering [inner_radius, inf) for one mode l or a 1-D array of
+    modes and a batch of spectral points, or lam=None meaning zero energy;
+    (eta, log eta) are formed once per lam, for every mode.
 
     The exterior (V = 0) segment at nonzero energy uses the (J, H1) basis on
     the log cover of lam itself, so only that segment carries log(lam).  A
     lam^2 that leaves the float range raises NumericalError.
     """
+    if np.ndim(l):
+        l = np.asarray(l)
     zero = np.zeros(1, dtype=complex)
     value, lam2, log = (zero,) * 3 if lam is None else map(np.ravel, (lam.value, lam.lam2, lam.log))
     if not np.isfinite(lam2).all():
@@ -152,8 +170,9 @@ def make_segments(s: Scatterer, l: int, lam: SpectralBatch | None) -> list[Segme
 
 @dataclass
 class PiecewiseSolution:
-    """Per-segment coefficient pairs, each an array over the spectral batch
-    (shape (nlam,), or (2, nlam) for the stacked pair of green_pair)."""
+    """Per-segment coefficient pairs, each an array over the modes and the
+    spectral batch (shape (*l.shape, nlam), led by an axis of length 2 for
+    the stacked pair of green_pair)."""
 
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
@@ -183,6 +202,12 @@ class PiecewiseSolution:
                 row[..., idx] = c1 * b[2 * k] + c2 * b[2 * k + 1]
         return out
 
+    def mode(self, i: int) -> PiecewiseSolution:
+        """The solution of the i-th of the modes it was solved for, with the
+        segments and coefficients a solve of that mode alone gives."""
+        segs = [replace(seg, l=int(seg.l[i])) for seg in self.segments]
+        return PiecewiseSolution(segs, [(c1[i], c2[i]) for c1, c2 in self.coeffs])
+
     def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
         u, du = self._combine(r, None)
@@ -194,12 +219,12 @@ class PiecewiseSolution:
 
 
 def _junctions(segs: list[Segment]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The basis (b1, b2, b1', b2'), shape (4, nlam), of the segments on
+    """The basis (b1, b2, b1', b2'), shape (4, *l.shape, nlam), of the segments on
     either side of each breakpoint, at the breakpoint, from one bessel_pair
     call: a (left, right) pair per breakpoint, outward."""
     sides = [seg for pair in zip(segs, segs[1:]) for seg in pair]
     radii = [np.array([seg.b]) for seg in segs[:-1] for _ in (0, 1)]
-    b = [np.array(rows)[:, :, 0] for rows in _bases(sides, radii, None)]
+    b = [np.array(rows)[..., 0] for rows in _bases(sides, radii, None)]
     return list(zip(b[0::2], b[1::2]))
 
 
@@ -222,8 +247,8 @@ def _value_at(b: np.ndarray, c: tuple[np.ndarray, np.ndarray]):
 # ----------------------------------------------------------------------------
 
 def _unit_pair(segs: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    n = len(segs[0].eta)
-    return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+    shape = np.shape(segs[0].l) + segs[0].eta.shape
+    return np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
 
 
 def _regular(s: Scatterer, segs: list[Segment]):
@@ -236,12 +261,15 @@ def _regular(s: Scatterer, segs: list[Segment]):
             coeffs.append(_solve_2x2(right, *_value_at(left, coeffs[-1])))
         return PiecewiseSolution(segs, coeffs), junctions
     u, du = (zero, one) if s.bc == "dirichlet" else (one, zero)
-    b = np.array(segs[0].pair(np.array([s.radius])))[:, :, 0]
+    b = np.array(segs[0].pair(np.array([s.radius])))[..., 0]
     return PiecewiseSolution(segs, [_solve_2x2(b, u, du)]), []
 
 
-def regular_solution(s: Scatterer, l: int, lam: SpectralBatch | None) -> PiecewiseSolution:
-    """Regular at r = 0 (potential) or satisfying the boundary condition (obstacle)."""
+def regular_solution(s: Scatterer, l, lam: SpectralBatch | None) -> PiecewiseSolution:
+    """Regular at r = 0 (potential) or satisfying the boundary condition
+    (obstacle), for one mode l or every mode of a 1-D array l, all on one
+    set of segments: the coefficient arrays take shape (*l.shape, nlam), and
+    each mode has the bits of its own solve."""
     return _regular(s, make_segments(s, l, lam))[0]
 
 

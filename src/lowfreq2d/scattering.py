@@ -56,10 +56,14 @@ class ResonancePole:
 def _phase_tables(s: Scatterer, lams: list[float]
                   ) -> tuple[list[dict[int, float]], list[dict[int, complex]]]:
     """Principal-branch shifts delta_l and S-matrix eigenvalues S_l, a dict
-    each per real wavenumber.  Each mode is solved once for every lam that has
-    not yet met the truncation rule: two consecutive modes with
-    |delta_l| < TRUNC_TOL, or mode LMAX_HARD.  A non-finite S_l raises
-    NumericalError."""
+    each per real wavenumber.  Each mode is read for every lam that has not
+    yet met the truncation rule: two consecutive modes with
+    |delta_l| < TRUNC_TOL, or mode LMAX_HARD.  The modes are solved in
+    blocks that double (0-1, 2-5, 6-13, ...), each block in one solve for
+    the wavenumbers active at its start.  The block's modes past a
+    wavenumber's stop are never read, so the solve shows no floating-point
+    warnings; a non-finite S_l that is read raises NumericalError, the
+    lowest mode first."""
     if not all(x > 0 for x in lams):
         raise ValidationError("phase shifts need lam > 0")
     pts = SpectralBatch(lams, 0.0)
@@ -69,20 +73,27 @@ def _phase_tables(s: Scatterer, lams: list[float]
     active = list(range(len(lams)))
     l = 0
     while active:
-        c1, c2 = regular_solution(s, l, pts[active]).coeffs[-1]
-        still = []
-        for i, a, b in zip(active, c1, c2):
-            S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)
-            if not cmath.isfinite(S):
-                raise NumericalError(f"S-matrix of mode {l} at lam = {lams[i]!r} is not finite")
-            shifts[i][l] = 0.5 * cmath.phase(S)
-            smat[i][l] = S
-            mag = abs(0.5 * cmath.log(S)) if S != 0 else math.inf
-            small_run[i] = small_run[i] + 1 if mag < TRUNC_TOL else 0
-            if small_run[i] < 2 and l < LMAX_HARD:
-                still.append(i)
-        active = still
-        l += 1
+        modes = np.arange(l, min(2 * l + 1, LMAX_HARD) + 1)
+        with np.errstate(all="ignore"):
+            c1, c2 = regular_solution(s, modes, pts[active]).coeffs[-1]
+        col = {i: j for j, i in enumerate(active)}
+        for m, c1_m, c2_m in zip(modes.tolist(), c1, c2):
+            still = []
+            for i in active:
+                a, b = c1_m[col[i]], c2_m[col[i]]
+                S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)
+                if not cmath.isfinite(S):
+                    raise NumericalError(f"S-matrix of mode {m} at lam = {lams[i]!r} is not finite")
+                shifts[i][m] = 0.5 * cmath.phase(S)
+                smat[i][m] = S
+                mag = abs(0.5 * cmath.log(S)) if S != 0 else math.inf
+                small_run[i] = small_run[i] + 1 if mag < TRUNC_TOL else 0
+                if small_run[i] < 2 and m < LMAX_HARD:
+                    still.append(i)
+            active = still
+            if not active:
+                break
+        l = int(modes[-1]) + 1
     return shifts, smat
 
 

@@ -7,8 +7,9 @@ continuation of H^(1)_0, Y_l, etc. across sheets is just arithmetic on the
 stored arg.  Power series are used for |z| <= 12, large-argument asymptotics
 beyond, and the two branches are cross-checked by tests on the overlap ring.
 Each branch runs one Horner recurrence over a cached table of stacked columns
-(the series: J and psi sums of orders l, l + 1 in q = -z^2/4; the asymptotics:
-even and odd parts of the Hankel sums of orders 0, 1 in u = 1/z^2).  Which
+(the series: J and psi sums of orders l, l + 1 of every order l asked for, in
+q = -z^2/4; the asymptotics: even and odd parts of the Hankel sums of orders
+0, 1 in u = 1/z^2, raised to every order by one recurrence).  Which
 terms a point takes is read from its own |q| or |u| before the recurrence
 starts, never by a test inside it, so its value does not depend on the points
 evaluated with it.  A point whose log z is real (sheet 0, z > 0) runs either
@@ -83,6 +84,13 @@ class SpectralBatch:
     def __len__(self) -> int:
         return self.modulus.size
 
+    def __iter__(self):
+        """The parts along the first axis, points for a 1-D batch; a point
+        is not iterable, as a 0-d numpy array is not."""
+        if not self.shape:
+            raise TypeError("iteration over a single spectral point")
+        return (self[i] for i in range(self.shape[0]))
+
     def __getitem__(self, idx) -> SpectralBatch:
         part = object.__new__(SpectralBatch)
         part.modulus, part.arg = self.modulus[idx], self.arg[idx]
@@ -155,28 +163,48 @@ def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) ->
 
 
 @lru_cache(maxsize=None)
-def _series_table(l: int, orders: tuple[int, ...] = (0, 1)):
-    """Ascending series in q = -z^2/4 (DLMF 10.8) at the orders l + o for o
-    in orders: the (K, 2, len(orders)) table of c and d columns by order,
-    their reaches, and Y's finite parts, which are summed whole.
+def _series_order(m: int):
+    """Ascending series of order m in q = -z^2/4 (DLMF 10.8): the c and d
+    columns, Y's finite-part coefficients and the reach of the c column.
 
-    At order m, J_m = (z/2)^m / m! sum_k c_k q^k with c_k = m!/(k!(k+m)!), the
-    psi sum of Y_m has coefficients d_k = (psi(k+1) + psi(k+m+1)) c_k, both
-    for k < SERIES_CAP, and Y_m's finite part (z/2)^{-m} sum_{k<m}
-    ((m-1-k)!/k!) (-q)^k / pi has coefficients (m-1-k)!/k!.  The d columns
-    take the reaches of the c columns.  Each order's columns are built on
-    their own, so a one-order table holds that order's columns of the pair's.
+    J_m = (z/2)^m / m! sum_k c_k q^k with c_k = m!/(k!(k+m)!), the psi sum of
+    Y_m has coefficients d_k = (psi(k+1) + psi(k+m+1)) c_k, both for
+    k < SERIES_CAP, and Y_m's finite part (z/2)^{-m} sum_{k<m}
+    ((m-1-k)!/k!) (-q)^k / pi has coefficients (m-1-k)!/k!.  The d column
+    takes the reach of the c column.
     """
     k = np.arange(1, SERIES_CAP)
-    ms = [l + o for o in orders]
-    psi = -EULER + np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, SERIES_CAP + l + 1))))
-    c = [np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k + m))))) for m in ms]
-    d = [(psi[:SERIES_CAP] + psi[m:m + SERIES_CAP]) * cm for m, cm in zip(ms, c)]
-    finite = [np.array([math.factorial(m - 1 - j) / math.factorial(j) for j in range(m)])
-              for m in ms]
-    table = np.stack((np.stack(c, axis=1), np.stack(d, axis=1)), axis=1)
-    reach = np.broadcast_to(np.stack([_reach(cm) for cm in c], axis=1)[:, None], table.shape)
-    return table, reach, finite
+    psi = -EULER + np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, SERIES_CAP + m + 1))))
+    c = np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k + m)))))
+    d = (psi[:SERIES_CAP] + psi[m:m + SERIES_CAP]) * c
+    finite = np.array([math.factorial(m - 1 - j) / math.factorial(j) for j in range(m)])
+    return c, d, finite, _reach(c)
+
+
+@lru_cache(maxsize=None)
+def _series_table(ls: tuple[int, ...], orders: tuple[int, ...] = (0, 1)):
+    """The series of the orders l + o for o in orders of each l in ls: the
+    distinct orders ms, the (K, 2, len(ms)) table of their c and d columns
+    and its reaches, the finite parts of the nonzero orders of ms as one
+    (max ms, n) table, each column zero-padded above its own top row, and
+    the index that takes the (len(orders), len(ls)) grid of orders from ms
+    (a view when that grid is ms itself, as for one l).
+
+    Each column is _series_order's, so a column has the bits whatever the
+    orders stacked with it.  Horner on the finite table enters a padded
+    column at its own top row as on the column alone (acc * x + 0 is +0).
+    """
+    ms = sorted({l + o for l in ls for o in orders})
+    cols = [_series_order(m) for m in ms]
+    table = np.array([col[:2] for col in cols]).transpose(2, 1, 0)
+    reach = np.array([col[3:] * 2 for col in cols]).transpose(2, 1, 0)
+    nonzero = [col[2] for m, col in zip(ms, cols) if m]
+    finite = np.zeros((max(map(len, nonzero), default=0), len(nonzero)))
+    for j, f in enumerate(nonzero):
+        finite[:len(f), j] = f
+    grid = [[l + o for l in ls] for o in orders]
+    index = (slice(None), None) if grid == [[m] for m in ms] else np.searchsorted(ms, grid)
+    return ms, np.ascontiguousarray(table), np.ascontiguousarray(reach), finite, index
 
 
 @lru_cache(maxsize=None)
@@ -213,23 +241,27 @@ def _asym_table(orders: tuple[int, ...] = (0, 1)):
 # power-series branch (|z| <= SERIES_RADIUS)
 # ----------------------------------------------------------------------------
 
-def _jyh_series(l: int, z: np.ndarray, logz: np.ndarray, orders: tuple[int, ...] = (0, 1)):
-    """(J, Y, H^(1)), each (len(orders), P): the orders l + o for o in orders
-    by ascending series; logz supplies the branch of log z, and a real z with
-    a real log stays real."""
-    table, reach, finite = _series_table(l, orders)
-    ms = [l + o for o in orders]
+def _jyh_series(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
+                orders: tuple[int, ...] = (0, 1)):
+    """(J, Y, H^(1)), each (len(orders), len(ls), P): the orders l + o for o
+    in orders of each l in ls by ascending series, each distinct order
+    summed once; logz supplies the branch of log z, and a real z with a real
+    log stays real.  The powers of z / 2 take one scalar exponent per order:
+    numpy's power of an exponent array rounds them otherwise."""
+    ms, table, reach, finite, index = _series_table(ls, orders)
     q = -0.25 * z * z
     sums = _horner(table, q, reach)
     # numpy's complex powers and division by pi (a product with 1/pi) for a
     # real z too, so that it gets the bits it gets as a complex number
     half, part = (0.5 * z).astype(complex), np.real if np.isrealobj(z) else np.asarray
     half_pow = np.stack([part(half ** m) * (1.0 / math.factorial(m)) for m in ms])
-    fin = np.stack([part(half ** -m) * _horner(f, -q) * (1 / math.pi) if m
-                    else np.zeros_like(q) for m, f in zip(ms, finite)])
+    fin = np.zeros((len(ms),) + q.shape, dtype=q.dtype)        # none at order 0
+    if finite.size:
+        fin[len(ms) - finite.shape[1]:] = (np.stack([part(half ** -m) for m in ms if m])
+                                           * _horner(finite, -q) * (1 / math.pi))
     J = half_pow * sums[0]
     Y = (2.0 / math.pi) * (logz - LOG2) * J - fin - half_pow * sums[1] * (1 / math.pi)
-    return J, Y, J + 1j * Y
+    return J[index], Y[index], (J + 1j * Y)[index]
 
 
 # ----------------------------------------------------------------------------
@@ -243,13 +275,23 @@ def _hankel_sums(z: np.ndarray, orders: tuple[int, ...] = (0, 1)):
     return np.sqrt(2.0 / (math.pi * z)), w, _horner(table, w * w, reach)
 
 
-def _raise_order(l: int, z: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Orders l and l + 1 from orders 0 and 1 (axis -2 of f) by the upward
-    recurrence, stable for J, Y and H together as long as l stays below ~|z|
-    (oscillatory regime); callers switch to the series otherwise."""
-    for n in range(1, l + 1):
-        f = np.stack((f[..., 1, :], (2.0 * n / z) * f[..., 1, :] - f[..., 0, :]), axis=-2)
-    return f
+def _raise_orders(ls: tuple[int, ...], z: np.ndarray, f: np.ndarray,
+                  orders: tuple[int, ...]) -> np.ndarray:
+    """The orders l + o for o in orders of each l in ls, on the axes
+    (-3, -2) of the result (len(orders), len(ls)), from orders 0 and 1 on
+    axis -2 of f by one upward recurrence (DLMF 10.6.1), stable for J, Y and
+    H together as long as the order stays below ~|z| (oscillatory regime);
+    callers switch to the series otherwise.  Order l + o takes the steps
+    n = 1 .. l that it takes alone."""
+    at = {}
+    for n in range(max(ls) + 1):
+        if n:
+            f = np.stack((f[..., 1, :], (2.0 * n / z) * f[..., 1, :] - f[..., 0, :]), axis=-2)
+        if n in ls:
+            at[n] = f[..., :len(orders), :]          # orders is (0,) or (0, 1)
+    if len(ls) == 1:
+        return at[ls[0]][..., None, :]
+    return np.stack([at[l] for l in ls], axis=-2)
 
 
 def _h12_window(zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,72 +324,97 @@ def _h12_window(zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-def _jyh_big(l: int, z: np.ndarray, logz: np.ndarray, orders: tuple[int, ...] = (0, 1)):
-    """(J, Y, H^(1)), each (len(orders), P): the orders l + o for o in orders,
-    for |z| > SERIES_RADIUS.
+def _jyh_big(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
+             orders: tuple[int, ...] = (0, 1)):
+    """(J, Y, H^(1)), each (len(orders), len(ls), P): the orders l + o for o
+    in orders of each l in ls, for |z| > SERIES_RADIUS.
 
-    The sums at orders 0 and 1 serve every order through the recurrence.  A
+    The sums at orders 0 and 1 serve every order through one recurrence.  A
     real z stays real, J = f (P cos omega - w Q sin omega) and
     Y = f (P sin omega + w Q cos omega) for f = sqrt(2/(pi z)), w = 1/z, and
-    H = J + iY has no cancellation on the real axis; at l = 0 it sums only
-    the orders asked for.  Any other point is reduced to the principal
+    H = J + iY has no cancellation on the real axis; at ls = (0,) it sums
+    only the orders asked for.  Any other point is reduced to the principal
     sheet, and H^(1) is formed directly from the window values, avoiding the
     J + iY cancellation.
     """
     if not np.iscomplexobj(z):
-        cols = orders if l == 0 else (0, 1)
+        cols = orders if ls == (0,) else (0, 1)
         front, w, sums = _hankel_sums(z, cols)
         cos, sin = np.cos(z - math.pi / 4.0), np.sin(z - math.pi / 4.0)
         rot = ((cos, sin), (sin, -cos))         # omega_1 = omega_0 - pi/2
         cos, sin = (np.stack([rot[o][i] for o in cols]) for i in (0, 1))
         wq = w * sums[1]
         f = front * np.stack((sums[0] * cos - wq * sin, sums[0] * sin + wq * cos))
-        J, Y = f if l == 0 else _raise_order(l, z, f)[:, orders, :]
+        J, Y = _raise_orders(ls, z, f, orders)
         return J, Y, J + 1j * Y
     arg = np.imag(logz)
     k = np.round(arg / (2.0 * math.pi) - 1e-12 * np.sign(arg))     # the sheet
     zp = np.abs(z) * np.exp(1j * (arg - 2.0 * math.pi * k))
     h1, h2 = _h12_window(zp)
     J = 0.5 * (h1 + h2)
-    f = _raise_order(l, zp, np.stack((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J)))
-    return tuple(f[:, orders, :])
+    return tuple(_raise_orders(ls, zp, np.stack((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J)),
+                               orders))
 
 
 # ----------------------------------------------------------------------------
 # branch dispatch on the log cover (vectorized core)
 # ----------------------------------------------------------------------------
 
-def bessel_pair(l: int, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
-    """(J, Y, H) on the log cover, each of shape (2, *z.shape): orders l, l + 1.
+def bessel_pair(l, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
+    """(J, Y, H) on the log cover: orders l, l + 1 for l an int, each of
+    shape (2, *z.shape), or for each l of a 1-D array of orders, each of
+    shape (2, len(l), *z.shape).
 
-    Both orders take the branch of order l + 1 (series for |z| <=
-    SERIES_RADIUS or l + 1 > 0.75|z|, asymptotics beyond), so one dispatch
-    and one sheet reduction serve all six functions, and the upward
-    recurrence never runs past the order its branch was chosen for.  A point
-    whose own log z is real (sheet 0, z > 0) goes through either branch in
-    float64.  Each call routes its points once; a route that takes every
-    point runs on the call's own arrays, and the work arrays are O(P).
+    Each (order, point) pair takes the branch of its order l + 1 (series
+    for |z| <= SERIES_RADIUS or l + 1 > 0.75|z|, asymptotics beyond), so one
+    dispatch and one sheet reduction serve all six functions of a pair, and
+    the upward recurrence never runs past the order its branch was chosen
+    for.  z does not depend on the order: |z|, the routing and the sheet
+    reduction are formed once per call, the series columns of every order
+    are summed in one recurrence, and the asymptotic branch takes every
+    order from one upward recurrence.  A point whose own log z is real
+    (sheet 0, z > 0) goes through either branch in float64.  A branch
+    evaluates every order at the points that any order routes to it and
+    keeps the pairs routed there; the work arrays are O(orders x P).  Each
+    pair has the bits of a call for its order alone, and each point those
+    of its own call.
 
-    slot = 0 evaluates order l alone, each of shape z.shape and bit for bit
-    order l of the pair: the same routing, and only that order's series
-    columns (or, at l = 0, its asymptotic sums).  That is what the values
-    of a solution need; their derivatives take the pair.
+    slot = 0 evaluates order l alone, of shape np.shape(l) + z.shape and bit
+    for bit order l of the pair: the same routing, and only that order's
+    series columns (or, at l = 0, its asymptotic sums).  That is what the
+    values of a solution need; their derivatives take the pair.
     """
     orders = {None: (0, 1), 0: (0,)}[slot]
+    ls = tuple(np.ravel(l).tolist())
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     logz = np.atleast_1d(np.asarray(logz, dtype=complex))
-    out = np.empty((3, len(orders), z.size), dtype=complex)
+    out = np.empty((3, len(orders), len(ls), z.size), dtype=complex)
     zf, logf = z.reshape(-1), logz.reshape(-1)
     absz, real = np.abs(zf), logf.imag == 0
-    small = (absz <= SERIES_RADIUS) | (l + 1 > 0.75 * absz)
+    # a point's branch can only turn from asymptotic to series as the order
+    # rises, so the series serves the points of the highest order's series
+    # and the asymptotics those of the lowest order's asymptotics
+    lo, hi = min(ls), max(ls)
+    small = (absz <= SERIES_RADIUS) | (lo + 1 > 0.75 * absz)
+    top = small if hi == lo else (absz <= SERIES_RADIUS) | (hi + 1 > 0.75 * absz)
+    each = None         # the routing of each order, where the orders route a point apart
+    if hi != lo and (top != small).any():
+        each = (absz <= SERIES_RADIUS) | (np.array(ls)[:, None] + 1 > 0.75 * absz)
+    branches = ((top, _jyh_series, each), (~small, _jyh_big, None if each is None else ~each))
     for pts, zs, logs in ((real, zf.real, logf.real), (~real, zf, logf)):
-        for branch, fn in ((small, _jyh_series), (~small, _jyh_big)):
-            sel = pts & branch
+        for union, fn, mine in branches:
+            sel = pts & union
             if sel.any():
                 idx = slice(None) if sel.all() else np.flatnonzero(sel)
-                for o, f in zip(out, fn(l, zs[idx], logs[idx], orders)):
-                    o[:, idx] = f
-    out = out.reshape((3, len(orders)) + z.shape)
+                fs = fn(ls, zs[idx], logs[idx], orders)
+                if mine is None:
+                    for o, f in zip(out, fs):
+                        o[..., idx] = f
+                else:
+                    keep = mine & sel
+                    for o, f in zip(out, fs):
+                        o[:, keep] = f[:, keep[:, idx]]
+    out = out.reshape((3, len(orders)) + np.shape(l) + z.shape)
     if slot is not None:
         out = out[:, 0]
     return out[0], out[1], out[2]

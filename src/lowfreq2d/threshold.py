@@ -82,36 +82,43 @@ class ThresholdReport:
         return self.dim_g0_mod_g1 == 1
 
 
-def solve_zero_mode(s: Scatterer, l: int) -> ThresholdMode:
-    """Exact transfer-matrix solve of the mode-l equation at zero energy."""
+def solve_zero_mode(s: Scatterer, l) -> ThresholdMode | list[ThresholdMode]:
+    """Exact transfer-matrix solve of the mode-l equation at zero energy; for
+    a 1-D array l, a ThresholdMode per mode from one solve of them all,
+    checked in the order of l, so the first failing mode raises."""
     sol = regular_solution(s, l, None)
-    (c1,), (c2,) = sol.coeffs[-1]
-    if l == 0:
-        growing, decaying = c2, c1       # exterior basis (1, log r)
-    else:
-        growing, decaying = c1, c2       # exterior basis (r^l, r^{-l})
-    if not np.isfinite([growing, decaying]).all():
-        raise NumericalError(f"mode {l}: non-finite exterior connection coefficients")
-    if max(abs(growing), abs(decaying)) < DEGENERATE_ATOL:
-        raise DegenerateScattererError(
-            f"mode {l}: both exterior connection coefficients vanish"
-        )
-    return ThresholdMode(l, growing, decaying, sol)
+    many = np.ndim(l)
+    modes = np.asarray(l).tolist() if many else [l]
+    c1, c2 = (c.reshape(-1) for c in sol.coeffs[-1])
+    out = []
+    for i, m in enumerate(modes):
+        if m == 0:
+            growing, decaying = c2[i], c1[i]     # exterior basis (1, log r)
+        else:
+            growing, decaying = c1[i], c2[i]     # exterior basis (r^l, r^{-l})
+        if not np.isfinite([growing, decaying]).all():
+            raise NumericalError(f"mode {m}: non-finite exterior connection coefficients")
+        if max(abs(growing), abs(decaying)) < DEGENERATE_ATOL:
+            raise DegenerateScattererError(
+                f"mode {m}: both exterior connection coefficients vanish"
+            )
+        out.append(ThresholdMode(m, growing, decaying, sol.mode(i) if many else sol))
+    return out if many else out[0]
 
 
 def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
              grid: PanelGrid | None = None) -> ThresholdReport:
     """Classify the zero-energy nullspace and build its distinguished elements.
 
-    Every mode's connection is solved once; only the states reported are
-    sampled on the grid."""
+    The connections of modes 0 .. lmax come from one transfer-matrix solve;
+    only the states reported are sampled on the grid."""
     if lmax < 2:
         raise ValidationError("lmax must be at least 2")
     if cutoff is None:
         cutoff = default_cutoff(s)
     if grid is None:
         grid = standard_grid(s, cutoff)
-    modes = [solve_zero_mode(s, l) for l in range(lmax + 1)]
+    modes = solve_zero_mode(s, np.arange(lmax + 1))
 
     m0 = modes[0]
     U0 = Ulog = None

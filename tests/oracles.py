@@ -27,25 +27,30 @@ shapes.  admissible is Re V >= 0 on the support, and FREE is V = 0.  The
 sequential pole finders are the one-point-per-step Newton and bisection
 loops that the batched ones in `lowfreq2d.scattering` must reproduce bit for
 bit; they reach the defect through the module attribute, so a test can spy
-on both.
+on both.  sequential_classify_modes and sequential_phase_tables are the
+one-mode-per-solve loops that `classify`'s one solve of every mode and the
+phase sweep's blocks of modes must reproduce bit for bit, on the
+MODE_AXIS_SCATTERERS, compared by bit_pattern.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from lowfreq2d import scattering
-from lowfreq2d.errors import BasinError, DomainError, ValidationError
+from lowfreq2d.errors import BasinError, DomainError, NumericalError, ValidationError
 from lowfreq2d.expansion import FitTerm
 from lowfreq2d.quadrature import PanelGrid
 from lowfreq2d.radial import Exterior, RadialFunction, inner, with_trig
+from lowfreq2d.radialsolve import regular_solution
 from lowfreq2d.scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                                  ScattererConfig, _laplacian)
 from lowfreq2d.specfun import GAMMA0, SpectralBatch, bessel_pair
-from lowfreq2d.threshold import ThresholdReport
+from lowfreq2d.threshold import ThresholdReport, solve_zero_mode
 from lowfreq2d.util import log_grid
 
 EULER_ORACLE = 0.57721566490153286
@@ -481,3 +486,64 @@ def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -
                                             mode, "boundState", 0.0, steps)
         out.append(pole)
     return out
+
+
+# the scatterers on which one solve of every mode must match one solve per mode
+MODE_AXIS_SCATTERERS = {
+    "readme-well": PiecewisePotential((1.0,), (-2.5,)),
+    "two-step-well": PiecewisePotential((0.55, 1.0), (-18.0, -6.3)),
+    "repulsive-step": PiecewisePotential((0.5, 1.0), (5.0, 2.0)),
+    "complex-potential": PiecewisePotential((1.0,), (complex(-2.0, 0.5),)),
+    "dirichlet-disk": DiskObstacle(1.0, "dirichlet"),
+    "neumann-disk": DiskObstacle(1.0, "neumann"),
+}
+
+
+def bit_pattern(x):
+    """x as comparable bits: arrays and numbers by dtype and bytes (so signed
+    zeros and NaNs count), containers and dataclasses field by field, with
+    the grids and scatterers they share left out."""
+    if is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            (f.name, bit_pattern(getattr(x, f.name))) for f in fields(x)
+            if f.name not in ("grid", "scatterer"))
+    if isinstance(x, dict):
+        return tuple((k, bit_pattern(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return tuple(map(bit_pattern, x))
+    if isinstance(x, (float, complex, np.number, np.ndarray)):
+        a = np.asarray(x)
+        return a.dtype.str, a.shape, a.tobytes()
+    return x
+
+
+def sequential_classify_modes(s, lmax: int = 8) -> list:
+    """The zero-energy connections of modes 0 .. lmax, one solve per mode."""
+    return [solve_zero_mode(s, l) for l in range(lmax + 1)]
+
+
+def sequential_phase_tables(s, lams: list[float]):
+    """`scattering._phase_tables` as one solve per mode for the wavenumbers
+    that have not yet met the truncation rule."""
+    pts = SpectralBatch(lams, 0.0)
+    shifts = [{} for _ in lams]
+    smat = [{} for _ in lams]
+    small_run = [0] * len(lams)
+    active = list(range(len(lams)))
+    l = 0
+    while active:
+        c1, c2 = regular_solution(s, l, pts[active]).coeffs[-1]
+        still = []
+        for i, a, b in zip(active, c1, c2):
+            S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)
+            if not cmath.isfinite(S):
+                raise NumericalError(f"S-matrix of mode {l} at lam = {lams[i]!r} is not finite")
+            shifts[i][l] = 0.5 * cmath.phase(S)
+            smat[i][l] = S
+            mag = abs(0.5 * cmath.log(S)) if S != 0 else math.inf
+            small_run[i] = small_run[i] + 1 if mag < scattering.TRUNC_TOL else 0
+            if small_run[i] < 2 and l < scattering.LMAX_HARD:
+                still.append(i)
+        active = still
+        l += 1
+    return shifts, smat

@@ -347,6 +347,21 @@ def test_eval_matches_single_radii_bit_for_bit():
                     assert np.array_equal(u[..., i], u1) and np.array_equal(du[..., i], du1)
 
 
+def test_harmonic_rows_of_a_mode_array_keep_scalar_exponent_bits():
+    # numpy takes r ** 2 and r ** -1 by fast paths (r * r, 1 / r) that a
+    # power with an array of exponents rounds differently
+    from lowfreq2d.radialsolve import Segment
+    r = np.linspace(0.3, 7.0, 2000)
+    flat = np.zeros(1, dtype=complex)
+    h = Segment(1.0, math.inf, np.arange(4), "hankel", flat, flat)._harmonic(r)
+    assert h.shape == (4, 4, r.size)
+    for row, mode, ref in ((0, 2, r * r), (1, 1, 1.0 / r)):
+        assert np.array_equal(h[row, mode], ref)
+    for mode in range(4):
+        one = Segment(1.0, math.inf, mode, "hankel", flat, flat)._harmonic(r)
+        assert np.array_equal(h[:, mode].view(np.uint64), one.view(np.uint64))
+
+
 def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
     # at l = 0 with every z > 0 the derivative step takes l / z as zeros
     # instead of dividing; each sign of zero in f[0] and f[1] must come out

@@ -1,6 +1,9 @@
 """Phase shifts, scattering-phase law, pole tracking, peak phenomenology."""
 
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralBatch,
 from lowfreq2d import scattering
 from lowfreq2d.errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
 from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES, scan_pole_candidates
+from lowfreq2d.util import log_grid
 
-from oracles import (FREE, admissible, bessel_jy, born_phase_shift_mode0,
-                     breit_wigner_metrics, det_s_modulus, j0_series,
-                     sequential_axis_poles, sequential_find_pole, y0_series)
+from oracles import (FREE, MODE_AXIS_SCATTERERS, admissible, bessel_jy, born_phase_shift_mode0,
+                     bit_pattern, breit_wigner_metrics, det_s_modulus, j0_series,
+                     sequential_axis_poles, sequential_find_pole, sequential_phase_tables,
+                     y0_series)
 
 
 def test_free_shifts_vanish():
@@ -372,3 +377,73 @@ def test_unread_defects_do_not_raise(s_well_fx, generic_well_fx, monkeypatch):
     _spy(monkeypatch, poison=lambda pts: [1, 2] if len(pts) == 3 else [])
     with pytest.raises(NumericalError, match="not finite"):
         find_pole(s, mode, seeds[0])
+
+
+# -- blocks of modes against one solve per mode -----------------------------------
+
+@pytest.mark.parametrize("name", sorted(MODE_AXIS_SCATTERERS))
+def test_mode_blocks_match_one_solve_per_mode(name, monkeypatch):
+    # up to lam = 12 the sweep reads modes up to about 30, so it takes the
+    # blocks 0-1, 2-5, 6-13 and 14-29; each lam keeps its modes and bits
+    s = MODE_AXIS_SCATTERERS[name]
+    lams = [float(x) for x in log_grid(1e-4, 12.0, 25)]
+    shifts, smat = scattering._phase_tables(s, lams)
+    ref_shifts, ref_smat = sequential_phase_tables(s, lams)
+    assert [list(d) for d in shifts] == [list(d) for d in ref_shifts]
+    assert max(max(d) for d in shifts) >= 14
+    assert bit_pattern((shifts, smat)) == bit_pattern((ref_shifts, ref_smat))
+    tables = phase_shift_sweep(s, lams)
+    monkeypatch.setattr(scattering, "_phase_tables", sequential_phase_tables)
+    assert bit_pattern(tables) == bit_pattern(phase_shift_sweep(s, lams))
+
+
+# a break at 1e-10: past every wavenumber's stop (mode 27 at lam = 12) the
+# block 14-29 overflows Y_l(eta r) there, which one solve per mode never forms
+TINY_CORE = PiecewisePotential((1e-10, 1.0), (-1.0, -2.5))
+TINY_CORE_LAMS = [float(x) for x in log_grid(0.5, 12.0, 6)]
+
+
+def test_unread_block_modes_neither_raise_nor_warn(monkeypatch):
+    s, lams = TINY_CORE, TINY_CORE_LAMS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = sequential_phase_tables(s, lams)
+        assert bit_pattern(scattering._phase_tables(s, lams)) == bit_pattern(ref)
+    # every (mode, lam) the rule does not read becomes c1 = 0, c2 = NaN,
+    # which raises when read
+    real, at, poisoned = scattering.regular_solution, {x: i for i, x in enumerate(lams)}, []
+
+    def poison(s, l, lam):
+        sol = real(s, l, lam)
+        c1, c2 = sol.coeffs[-1]
+        for k, m in enumerate(l.tolist()):
+            for j, x in enumerate(lam.modulus.tolist()):
+                if m not in ref[0][at[x]]:
+                    c1[k, j], c2[k, j] = 0.0, complex("nan")
+                    poisoned.append((m, x))
+        return sol
+
+    monkeypatch.setattr(scattering, "regular_solution", poison)
+    assert bit_pattern(scattering._phase_tables(s, lams)) == bit_pattern(ref)
+    assert poisoned
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_read_block_mode_raises_lowest_first():
+    # with the break at 1e-12 mode 25 at lam = 12 is read and not finite
+    s = PiecewisePotential((1e-12, 1.0), (-1.0, -2.5))
+    with pytest.raises(NumericalError) as ref:
+        sequential_phase_tables(s, TINY_CORE_LAMS)
+    with pytest.raises(NumericalError) as got:
+        scattering._phase_tables(s, TINY_CORE_LAMS)
+    assert str(got.value) == str(ref.value)
+
+
+def test_wide_phase_sweep_writes_nothing_to_stderr(tmp_path):
+    cfg = tmp_path / "core.cfg"
+    cfg.write_text("kind = potential\nbreaks = 1e-10,1.0\nvalues = -1.0,-2.5\n"
+                   "grid.min = 0.5\ngrid.max = 12\ngrid.count = 6\n")
+    proc = subprocess.run([sys.executable, "-m", "lowfreq2d.cli", "phase", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -55,6 +55,20 @@ def test_spectral_batch_rounds_as_its_points():
                 SpectralBatch(mod, 0.0)
 
 
+def test_spectral_batch_iterates_its_points_and_a_point_refuses():
+    batch = SpectralBatch([0.5, 0.7, 2.0], [0.1, -0.2, 0.0])
+    parts = list(batch)
+    assert len(parts) == len(batch) == 3
+    for i, p in enumerate(parts):
+        assert p.shape == ()
+        assert (p.modulus, p.arg, p.log) == (batch.modulus[i], batch.arg[i], batch.log[i])
+    # a point has no first axis, as a 0-d numpy array has none
+    with pytest.raises(TypeError):
+        list(SpectralBatch(0.5, 0.1))
+    with pytest.raises(TypeError):
+        iter(batch[1])
+
+
 def test_spectral_batch_slices_carry_the_formed_arrays():
     # slices, index arrays and integers hand on the parent's arrays: each
     # part is bit-equal to a batch built afresh from its moduli and args
@@ -152,8 +166,8 @@ def test_series_asymptotic_crossover(l):
         for th in (0.0, 0.7, math.pi / 2, 2.6, -2.8):
             z = np.array([mod * np.exp(1j * th)])
             lz = np.array([math.log(mod) + 1j * th])
-            (Js, _), (Ys, _), _ = _jyh_series(l, z, lz)
-            (Jb, _), (Yb, _), _ = _jyh_big(l, z, lz)
+            (Js, _), (Ys, _), _ = (f[:, 0] for f in _jyh_series((l,), z, lz))
+            (Jb, _), (Yb, _), _ = (f[:, 0] for f in _jyh_big((l,), z, lz))
             scale = abs(Js[0]) + abs(Ys[0])
             worst = max(worst, (abs(Js[0] - Jb[0]) + abs(Ys[0] - Yb[0])) / scale)
     assert worst < 1e-8
@@ -298,14 +312,83 @@ def test_bessel_pair_work_memory_is_linear_in_points():
     assert peak <= 4 * (3 * 2 * z.size * 16)
 
 
+def _seam_points(orders):
+    """_mixed_route_points and, on five args (sheets 0 and +-1), both sides of
+    the |z| = 12 seam and of every order's 0.75|z| switch, as a 2-D batch."""
+    z, logz = _mixed_route_points(3000, 40)
+    mods = np.concatenate([[11.9, 12.0, 12.1],
+                           [(l + 1) / 0.75 + d for l in orders for d in (-0.05, 0.05)]])
+    args = np.array([0.0, 0.4, -2.0, 2 * math.pi, -2 * math.pi + 0.3])
+    m, t = (a.ravel() for a in np.meshgrid(mods, args))
+    z = np.concatenate([z, m * np.exp(1j * t)])
+    logz = np.concatenate([logz, np.log(m) + 1j * t])
+    n = z.size - z.size % 5
+    return z[:n].reshape(-1, 5), logz[:n].reshape(-1, 5)
+
+
+@pytest.mark.parametrize("slot", [None, 0])
+def test_order_array_matches_each_order_bit_for_bit(slot):
+    # one call over orders 0-11 is, order by order, the call for that order
+    # alone: the float64 and complex routes, both branches, sheets 0 and +-1,
+    # the |z| = 12 seam and each order's 0.75|z| switch; orders 1-3 take
+    # numpy's scalar-power fast paths, which an array of exponents would not
+    from lowfreq2d.specfun import bessel_pair
+    orders = np.arange(12)
+    z, logz = _seam_points(orders)
+    assert (logz.imag == 0).any() and (np.abs(np.abs(z) - 12.0) < 0.2).any()
+    lead = (2,) if slot is None else ()
+    for ours, ref in zip(bessel_pair(orders, z, logz, slot),
+                         zip(*(bessel_pair(int(l), z, logz, slot) for l in orders))):
+        assert ours.shape == lead + (len(orders),) + z.shape
+        for k, f in enumerate(ref):
+            assert np.array_equal(_bits(ours[..., k, :, :]), _bits(f))
+    # any order list, in any order, is a choice of those orders
+    pick = np.array([7, 0, 3])
+    for ours, ref in zip(bessel_pair(pick, z, logz, slot), bessel_pair(orders, z, logz, slot)):
+        assert np.array_equal(_bits(ours), _bits(ref[..., pick, :, :]))
+
+
+def test_series_powers_keep_numpy_scalar_exponent_bits():
+    # below |z| = 1e-9 the series is its leading term, so J_2 is (z/2)^2 / 2
+    # with numpy's scalar square, which an array of exponents rounds
+    # differently in about 15% of these points
+    from lowfreq2d.specfun import bessel_pair
+    rng = np.random.default_rng(3)
+    m = np.exp(rng.uniform(math.log(1e-12), math.log(1e-9), 2000))
+    t = np.where(rng.random(m.size) < 0.5, 0.0, rng.uniform(-3.0, 3.0, m.size))
+    z, logz = m * np.exp(1j * t), np.log(m) + 1j * t
+    square = (0.5 * z) ** 2 * 0.5
+    ref = np.where(t == 0, square.real + 0j, square)
+    J = bessel_pair(np.arange(4), z, logz)[0]
+    assert np.array_equal(_bits(J[0, 2]), _bits(ref))
+
+
+def test_order_array_work_memory_is_linear_in_its_output():
+    # nine orders at once: the series columns and the recurrence's orders
+    # stack on the order axis, and the peak stays a few times the
+    # (3, 2, 9, P) complex output
+    import tracemalloc
+    from lowfreq2d.specfun import bessel_pair
+    orders = np.arange(9)
+    z, logz = _mixed_route_points(12_000, 5)
+    bessel_pair(orders, z[:64], logz[:64])         # the cached tables
+    tracemalloc.start()
+    try:
+        bessel_pair(orders, z, logz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (3 * 2 * len(orders) * z.size * 16)
+
+
 @pytest.mark.parametrize("l", [0, 1, 3])
 def test_float64_route_matches_complex_route(l):
     # real z with a real log runs both branches in float64; the same points as
     # complex numbers take the complex route (sheet reduction, exponentials)
     for fn, x in ((_jyh_series, np.linspace(0.01, 12.0, 300)),
                   (_jyh_big, np.linspace(12.01, 90.0, 400))):
-        real = fn(l, x, np.log(x))
-        cplx = fn(l, x + 0j, np.log(x) + 0j)
+        real = fn((l,), x, np.log(x))
+        cplx = fn((l,), x + 0j, np.log(x) + 0j)
         assert real[0].dtype == real[1].dtype == np.float64
         scale = np.abs(cplx[0]) + np.abs(cplx[1])
         for ours, ref in zip(real, cplx):

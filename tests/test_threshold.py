@@ -8,10 +8,12 @@ import pytest
 from lowfreq2d import (DiskObstacle, GAMMA0, PanelGrid, PiecewisePotential, bump,
                        classify, commutator_apply, inner, norm_sq, solve_zero_mode,
                        standard_grid)
-from lowfreq2d.errors import NumericalError
+from lowfreq2d import threshold
+from lowfreq2d.errors import DegenerateScattererError, NumericalError
 
 from conftest import tune_depth
-from oracles import FREE, constant_one, eigen_projection
+from oracles import (FREE, MODE_AXIS_SCATTERERS, bit_pattern, constant_one, eigen_projection,
+                     sequential_classify_modes)
 
 
 def test_free_mode0_connection():
@@ -206,3 +208,55 @@ def test_obstacle_higher_mode_connections():
         for l in (1, 2, 3):
             m = solve_zero_mode(DiskObstacle(1.0, bc), l)
             assert abs(m.decaying / m.growing - sign * l / l) < 1e-12
+
+
+# -- one solve of every mode against one solve per mode --------------------------
+
+@pytest.mark.parametrize("name", sorted(MODE_AXIS_SCATTERERS))
+def test_one_solve_of_every_mode_matches_one_solve_per_mode(name, monkeypatch):
+    # the connection coefficients, each mode's solution and every report
+    # field, bit for bit
+    s = MODE_AXIS_SCATTERERS[name]
+    report = classify(s)
+    assert bit_pattern(report.modes) == bit_pattern(sequential_classify_modes(s))
+    monkeypatch.setattr(threshold, "solve_zero_mode",
+                        lambda s, l: sequential_classify_modes(s, len(l) - 1))
+    assert bit_pattern(report) == bit_pattern(classify(s))
+
+
+def test_classify_solves_its_connections_in_one_bessel_call(monkeypatch):
+    from lowfreq2d import radialsolve
+    calls = []
+    bessel_pair, solve = radialsolve.bessel_pair, threshold.regular_solution
+
+    def spy(l, z, logz, slot):
+        calls.append(np.shape(l))
+        return bessel_pair(l, z, logz, slot)
+
+    def counted(s, l, lam):
+        before = len(calls)
+        sol = solve(s, l, lam)
+        solves.append((np.shape(l), calls[before:]))
+        return sol
+
+    monkeypatch.setattr(radialsolve, "bessel_pair", spy)
+    monkeypatch.setattr(threshold, "regular_solution", counted)
+    for name in ("readme-well", "two-step-well", "complex-potential"):
+        solves = []
+        classify(MODE_AXIS_SCATTERERS[name])
+        assert solves == [((9,), [(9,)])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("s", [
+    PiecewisePotential((1e-40,), (-1.0,)),        # modes 7 and 8 non-finite
+    PiecewisePotential((1.0,), (-1e-3,)),         # modes 6 to 8 vanish
+    DiskObstacle(1e-200, "dirichlet"),            # mode 0 vanishes, 1 to 8 non-finite
+    DiskObstacle(1e-200, "neumann"),              # modes 1 to 8 non-finite
+])
+def test_lowest_failing_mode_names_the_error(s):
+    with pytest.raises((NumericalError, DegenerateScattererError)) as ref:
+        sequential_classify_modes(s)
+    with pytest.raises(type(ref.value)) as got:
+        classify(s)
+    assert str(got.value) == str(ref.value)
