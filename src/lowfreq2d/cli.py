@@ -33,8 +33,8 @@ from .resolvent import (one_sided_identity_residual, pairing_identity_residual,
                         two_parameter_identity_residual)
 from .scatterer import (PiecewisePotential, ScattererConfig, parse_config,
                         standard_grid)
-from .scattering import (find_pole_in_disk, imaginary_axis_poles,
-                         phase_shift_sweep, sigma_asymptotic)
+from .scattering import (axis_search, disk_search, phase_shift_family, phase_shift_sweep,
+                         run_searches, settle, sigma_asymptotic)
 from .specfun import SpectralBatch
 from .threshold import classify, report_to_dict
 from .util import log_grid
@@ -211,19 +211,53 @@ def _cmd_phase(run: _Run) -> None:
     run.write_csv("phase.csv", ["lambda", "sigma_re", "sigma_im", "sigma_asym_re", "sigma_asym_im"], rows)
 
 
+def _resonance_searches(s) -> list[tuple]:
+    """(disk pole or None, axis poles) of modes 0, 1 and 2, every search in
+    one lockstep run; the first error in the order mode by mode, disk search
+    first, is raised."""
+    found = run_searches(s, [q for mode in (0, 1, 2)
+                             for q in (disk_search(mode, 0.45), axis_search(s, mode))])
+    return [(settle(disk), settle(axis)) for disk, axis in zip(found[0::2], found[1::2])]
+
+
+def _found_on_axis(pole, axis) -> bool:
+    """Whether the disk search's pole is a bound state that the axis search
+    found too: an axis pole within 1e-8 of it, relative (Newton and
+    bisection both polish far below that)."""
+    return pole.kind == "boundState" and any(
+        abs(p.lam.value - pole.lam.value) <= 1e-8 * p.lam.modulus for p in axis)
+
+
 def _cmd_resonance(run: _Run) -> None:
     cfg = run.cfg
     poles = []
-    for mode in (0, 1, 2):
-        pole = find_pole_in_disk(cfg.scatterer, mode, 0.45)
-        found = ([] if pole is None else [pole]) + imaginary_axis_poles(cfg.scatterer, mode)
+    for pole, axis in _resonance_searches(cfg.scatterer):
+        found = ([] if pole is None or _found_on_axis(pole, axis) else [pole]) + axis
         poles += [{
-            "mode": mode, "kind": p.kind,
+            "mode": p.mode, "kind": p.kind,
             "re": p.lam.value.real, "im": p.lam.value.imag,
             "modulus": p.lam.modulus, "arg": p.lam.arg,
             "residual": p.residual,
         } for p in found]
     run.write_json("resonance.json", {"poles": poles})
+
+
+def _perturb_members(s: PiecewisePotential, mode: int, lams) -> list[tuple]:
+    """(pole or None, phase tables) of each member V + eps, eps in
+    _DEFAULT_EPSILONS: the deepest axis pole below 0, the disk pole above.
+    The four pole searches run in one lockstep run and the four sweeps as
+    one family; the first error in the order member by member, pole search
+    first, is raised."""
+    found = run_searches(s, [axis_search(s, mode, shift=eps) if eps < 0 else
+                             disk_search(mode, 0.3, shift=eps) for eps in _DEFAULT_EPSILONS])
+    sweeps = phase_shift_family(s, lams, _DEFAULT_EPSILONS)
+    out = []
+    for eps, pole, tables in zip(_DEFAULT_EPSILONS, found, sweeps):
+        pole = settle(pole)
+        if eps < 0:
+            pole = pole[-1] if pole else None
+        out.append((pole, settle(tables)))
+    return out
 
 
 def _cmd_perturb(run: _Run) -> None:
@@ -235,20 +269,13 @@ def _cmd_perturb(run: _Run) -> None:
     lams = log_grid(cfg.grid_min, cfg.grid_max, cfg.grid_count)
     rows = []
     poles = []
-    for eps in _DEFAULT_EPSILONS:
-        s_eps = cfg.scatterer.shifted(eps)
-        if eps < 0:
-            found = imaginary_axis_poles(s_eps, mode)
-            pole = found[-1] if found else None
-        else:
-            pole = find_pole_in_disk(s_eps, mode, 0.3)
+    for eps, (pole, tables) in zip(_DEFAULT_EPSILONS, _perturb_members(cfg.scatterer, mode, lams)):
         if pole is not None:
             poles.append({
                 "eps": eps, "mode": mode, "kind": pole.kind,
                 "re": pole.lam.value.real, "im": pole.lam.value.imag,
             })
-        for t in phase_shift_sweep(s_eps, lams):
-            rows.append((eps, t.lam, t.sigma.real, t.sigma.imag))
+        rows += [(eps, t.lam, t.sigma.real, t.sigma.imag) for t in tables]
     run.write_csv("perturb.csv", ["eps", "lambda", "sigma_re", "sigma_im"], rows)
     run.write_json("perturb_poles.json", {"poles": poles})
 

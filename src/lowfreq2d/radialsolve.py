@@ -140,10 +140,16 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     return out
 
 
-def make_segments(s: Scatterer, l, lam: SpectralBatch | None) -> list[Segment]:
+def make_segments(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> list[Segment]:
     """Segments covering [inner_radius, inf) for one mode l or a 1-D array of
     modes and a batch of spectral points, or lam=None meaning zero energy;
     (eta, log eta) are formed once per lam, for every mode.
+
+    shift, when given, is a real eps per point in the batch's shape: each
+    point takes the potential V + eps, its support values formed as
+    `PiecewisePotential.shifted` forms them, so a point gets the bits of a
+    solve of `s.shifted(eps)`.  One solve then serves a family of potentials
+    that share their breaks.
 
     The exterior (V = 0) segment at nonzero energy uses the (J, H1) basis on
     the log cover of lam itself, so only that segment carries log(lam).  A
@@ -159,8 +165,9 @@ def make_segments(s: Scatterer, l, lam: SpectralBatch | None) -> list[Segment]:
     inner = s.inner_radius
     if isinstance(s, PiecewisePotential):
         edges = s.segment_edges()
-        for j, (a, b) in enumerate(zip(edges, edges[1:])):
-            eta = np.sqrt(lam2 - complex(s.values[j]))
+        support = map(complex, s.values) if shift is None else s.shifted_values(np.ravel(shift))
+        for (a, b), v in zip(zip(edges, edges[1:]), support):
+            eta = np.sqrt(lam2 - v)
             logeta = np.array([cmath.log(e) if e else 0j for e in eta])
             segs.append(Segment(a, b, l, "bessel", eta, logeta))
         inner = edges[-1]
@@ -265,12 +272,13 @@ def _regular(s: Scatterer, segs: list[Segment]):
     return PiecewiseSolution(segs, [_solve_2x2(b, u, du)]), []
 
 
-def regular_solution(s: Scatterer, l, lam: SpectralBatch | None) -> PiecewiseSolution:
+def regular_solution(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> PiecewiseSolution:
     """Regular at r = 0 (potential) or satisfying the boundary condition
     (obstacle), for one mode l or every mode of a 1-D array l, all on one
     set of segments: the coefficient arrays take shape (*l.shape, nlam), and
-    each mode has the bits of its own solve."""
-    return _regular(s, make_segments(s, l, lam))[0]
+    each mode has the bits of its own solve.  A potential's points take
+    make_segments' per-point shift."""
+    return _regular(s, make_segments(s, l, lam, shift))[0]
 
 
 def green_pair(s: Scatterer, l: int, lam: SpectralBatch) -> PiecewiseSolution:

@@ -58,7 +58,13 @@ class PiecewisePotential:
 
     def shifted(self, eps: float) -> "PiecewisePotential":
         """V + eps on the support."""
-        return PiecewisePotential(self.breaks, tuple(complex(v) + eps for v in self.values))
+        return PiecewisePotential(self.breaks, self.shifted_values(eps))
+
+    def shifted_values(self, eps) -> tuple:
+        """The support values of V + eps, eps a number or an array of them
+        (then each value is an array of eps's shape, with the bits of the
+        number's formula at each element)."""
+        return tuple(complex(v) + eps for v in self.values)
 
 
 @dataclass(frozen=True)

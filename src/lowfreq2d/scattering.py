@@ -7,17 +7,29 @@ branches unwrapped downward from the top of a sweep.  Poles of the
 meromorphic continuation are zeros of c1, found by damped Newton on the
 log-cover chart (or its reciprocal near the origin, where the logarithmic
 geometry makes plain charts useless).
+
+Each pole search (a disk scan and its Newton runs, an imaginary-axis scan
+and its Newton runs and bisections) is a generator of the spectral points
+it needs next, and `run_searches` advances several in lockstep, one
+outgoing_defect call per step over the union of their points, each point
+with its search's mode and shift eps of V + eps.  A point keeps the bits of
+a call of its own, so every search takes the steps it takes alone;
+find_pole, find_pole_in_disk and imaginary_axis_poles run one search.
+`phase_shift_family` sweeps several members V + eps in one solve per block
+of modes in the same way.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
+from .errors import (BasinError, DomainError, NumericalError, ShapeMismatchError,
+                     ValidationError)
 from .radialsolve import regular_solution
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralBatch
@@ -53,48 +65,67 @@ class ResonancePole:
     iterations: int
 
 
-def _phase_tables(s: Scatterer, lams: list[float]
-                  ) -> tuple[list[dict[int, float]], list[dict[int, complex]]]:
+def _member_tables(s: Scatterer, lams: list[float], epsilons: list) -> list:
     """Principal-branch shifts delta_l and S-matrix eigenvalues S_l, a dict
-    each per real wavenumber.  Each mode is read for every lam that has not
-    yet met the truncation rule: two consecutive modes with
-    |delta_l| < TRUNC_TOL, or mode LMAX_HARD.  The modes are solved in
-    blocks that double (0-1, 2-5, 6-13, ...), each block in one solve for
-    the wavenumbers active at its start.  The block's modes past a
-    wavenumber's stop are never read, so the solve shows no floating-point
-    warnings; a non-finite S_l that is read raises NumericalError, the
-    lowest mode first."""
+    each per real wavenumber, for each member V + eps of a family (eps in
+    epsilons; None is V itself), or the error that member's own sweep
+    raises.  Each mode is read for every (member, lam) that has not yet met
+    the truncation rule: two consecutive modes with |delta_l| < TRUNC_TOL,
+    or mode LMAX_HARD.  The modes are solved in blocks that double (0-1,
+    2-5, 6-13, ...), each block in one solve for the (member, lam) points
+    active at its start, every member's with its own shift.  The block's
+    modes past a point's stop are never read, so the solve shows no
+    floating-point warnings; a non-finite S_l that is read is its member's
+    NumericalError, the lowest mode first, and takes the member's points out
+    of the solves."""
     if not all(x > 0 for x in lams):
-        raise ValidationError("phase shifts need lam > 0")
-    pts = SpectralBatch(lams, 0.0)
-    shifts: list[dict[int, float]] = [{} for _ in lams]
-    smat: list[dict[int, complex]] = [{} for _ in lams]
-    small_run = [0] * len(lams)
-    active = list(range(len(lams)))
+        return [ValidationError("phase shifts need lam > 0")] * len(epsilons)
+    n = len(lams)
+    pts = SpectralBatch(np.tile(lams, len(epsilons)), 0.0)
+    eps = None if epsilons[0] is None else np.repeat(epsilons, n)
+    errors: list[NumericalError | None] = [None] * len(epsilons)
+    shifts: list[dict[int, float]] = [{} for _ in range(len(pts))]
+    smat: list[dict[int, complex]] = [{} for _ in range(len(pts))]
+    small_run = [0] * len(pts)
+    active = list(range(len(pts)))
     l = 0
     while active:
         modes = np.arange(l, min(2 * l + 1, LMAX_HARD) + 1)
         with np.errstate(all="ignore"):
-            c1, c2 = regular_solution(s, modes, pts[active]).coeffs[-1]
+            c1, c2 = regular_solution(s, modes, pts[active],
+                                      None if eps is None else eps[active]).coeffs[-1]
         col = {i: j for j, i in enumerate(active)}
         for m, c1_m, c2_m in zip(modes.tolist(), c1, c2):
             still = []
             for i in active:
+                if errors[i // n] is not None:
+                    continue
                 a, b = c1_m[col[i]], c2_m[col[i]]
                 S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)
                 if not cmath.isfinite(S):
-                    raise NumericalError(f"S-matrix of mode {m} at lam = {lams[i]!r} is not finite")
+                    errors[i // n] = NumericalError(
+                        f"S-matrix of mode {m} at lam = {lams[i % n]!r} is not finite")
+                    continue
                 shifts[i][m] = 0.5 * cmath.phase(S)
                 smat[i][m] = S
                 mag = abs(0.5 * cmath.log(S)) if S != 0 else math.inf
                 small_run[i] = small_run[i] + 1 if mag < TRUNC_TOL else 0
                 if small_run[i] < 2 and m < LMAX_HARD:
                     still.append(i)
-            active = still
+            active = [i for i in still if errors[i // n] is None]
             if not active:
                 break
         l = int(modes[-1]) + 1
-    return shifts, smat
+    return [(shifts[k * n:(k + 1) * n], smat[k * n:(k + 1) * n]) if e is None else e
+            for k, e in enumerate(errors)]
+
+
+def _phase_tables(s: Scatterer, lams: list[float]
+                  ) -> tuple[list[dict[int, float]], list[dict[int, complex]]]:
+    """The shifts and S-matrix eigenvalues of `_member_tables` for s alone;
+    a non-finite S_l that is read raises NumericalError, the lowest mode
+    first."""
+    return settle(_member_tables(s, lams, [None])[0])
 
 
 def _sigma_from(shifts: dict[int, float], smat: dict[int, complex]) -> complex:
@@ -105,14 +136,10 @@ def _sigma_from(shifts: dict[int, float], smat: dict[int, complex]) -> complex:
     return total / (2j * math.pi)
 
 
-def phase_shift_sweep(s: Scatterer, lams) -> list[PhaseShiftTable]:
-    """Tables on a lam grid with delta branches continuous downward from the top.
-
-    The top-of-sweep branch is the principal one (continuous from 0), and each
-    delta_l is unwrapped by half-pi-free steps as lam decreases.
-    """
-    lams = sorted(float(x) for x in lams)
-    shifts, smat = _phase_tables(s, lams)
+def _sweep(lams: list[float], shifts: list[dict[int, float]],
+           smat: list[dict[int, complex]]) -> list[PhaseShiftTable]:
+    """Tables from principal-branch shifts on a sorted lam grid, each delta_l
+    unwrapped downward from the top of the sweep."""
     for l in sorted({l for d in shifts for l in d}):
         prev = None
         for d in reversed(shifts):            # downward in lam
@@ -122,6 +149,26 @@ def phase_shift_sweep(s: Scatterer, lams) -> list[PhaseShiftTable]:
                 d[l] += round((prev - d[l]) / math.pi) * math.pi
             prev = d[l]
     return [PhaseShiftTable(x, d, sm, _sigma_from(d, sm)) for x, d, sm in zip(lams, shifts, smat)]
+
+
+def phase_shift_sweep(s: Scatterer, lams) -> list[PhaseShiftTable]:
+    """Tables on a lam grid with delta branches continuous downward from the top.
+
+    The top-of-sweep branch is the principal one (continuous from 0), and each
+    delta_l is unwrapped by half-pi-free steps as lam decreases.
+    """
+    lams = sorted(float(x) for x in lams)
+    return _sweep(lams, *_phase_tables(s, lams))
+
+
+def phase_shift_family(s: PiecewisePotential, lams, epsilons) -> list:
+    """phase_shift_sweep of each member V + eps of a family, eps in epsilons,
+    with every member's wavenumbers in one solve per block of modes: each
+    member's tables, with the bits of its own sweep, or the error its own
+    sweep raises (see `settle`)."""
+    lams = sorted(float(x) for x in lams)
+    return [t if isinstance(t, Exception) else _sweep(lams, *t)
+            for t in _member_tables(s, lams, list(epsilons))]
 
 
 def sigma_asymptotic(report: ThresholdReport, lam: float) -> complex:
@@ -146,7 +193,7 @@ def sigma_asymptotic(report: ThresholdReport, lam: float) -> complex:
 # pole finding on the log cover
 # ----------------------------------------------------------------------------
 
-def outgoing_defect(s: Scatterer, l: int, lam: SpectralBatch, *, checked: bool = True):
+def outgoing_defect(s: Scatterer, l, lam: SpectralBatch, *, checked: bool = True, shift=None):
     """J-component of the regular solution outside the support.
 
     Proportional to the Wronskian of the regular and outgoing solutions
@@ -154,27 +201,114 @@ def outgoing_defect(s: Scatterer, l: int, lam: SpectralBatch, *, checked: bool =
     zeros on the log cover are exactly the resolvent poles of the mode.  A
     potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
     which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
-    as r^l and has no zero there.  The defects take the batch's shape, so a
-    batch of one point gives a complex number; a defect of non-finite
-    modulus raises NumericalError, unless `checked` is false: then the
-    caller checks, with `_finite`, only the values it reads.
+    as r^l and has no zero there.  l is one mode, or an int array of a 1-D
+    batch's shape that gives each point its own: the distinct modes are
+    solved in one call on the distinct points (equal in modulus, arg and
+    shift to the bit), and each point reads and rescales its own.  shift is
+    make_segments' per-point eps of V + eps.  The defects take the batch's
+    shape, so a batch of one point gives a complex number; a defect of
+    non-finite modulus raises NumericalError, unless `checked` is false:
+    then the caller checks, with `_finite`, only the values it reads.
     """
-    sol = regular_solution(s, l, lam)
-    c1 = sol.coeffs[-1][0]
-    if l and isinstance(s, PiecewisePotential):
-        norm = math.factorial(l)
-        c1 = np.array([c * norm * (2.0 / e) ** l if e else c
-                       for c, e in zip(c1, sol.segments[0].eta)])
+    if np.ndim(l):
+        parts = [lam.modulus, lam.arg] + ([] if shift is None else [np.ravel(shift)])
+        _, first, at = np.unique(np.stack([p.view(np.int64) for p in parts]), axis=1,
+                                 return_index=True, return_inverse=True)
+        l, modes = np.ravel(l), np.unique(l)
+        sol = regular_solution(s, modes, lam[first], None if shift is None else parts[2][first])
+        at = np.ravel(at)
+        c1, eta = sol.coeffs[-1][0][np.searchsorted(modes, l), at], sol.segments[0].eta[at]
+    else:
+        sol = regular_solution(s, l, lam, shift)
+        c1, eta = sol.coeffs[-1][0], sol.segments[0].eta
+    if isinstance(s, PiecewisePotential):
+        ls = np.broadcast_to(l, c1.shape)
+        for k in np.flatnonzero(ls * (eta != 0)).tolist():     # l >= 1 and eta0 != 0
+            m = int(ls[k])
+            c1[k] = c1[k] * math.factorial(m) * (2.0 / eta[k]) ** m
     if checked:
         _finite(c1, l)
     return c1.reshape(lam.shape)[()]
 
 
-def _finite(d, l: int):
-    """d itself; NumericalError when any of its moduli is not finite."""
-    if not np.all(np.isfinite(np.abs(d))):
-        raise NumericalError(f"outgoing defect of mode {l} is not finite")
+def _finite(d, l):
+    """d itself; NumericalError when any of its moduli is not finite, naming
+    the mode l (each point's, for an array) of the first."""
+    bad = ~np.isfinite(np.abs(d))
+    if bad.any():
+        mode = int(np.broadcast_to(l, bad.shape)[bad][0])
+        raise NumericalError(f"outgoing defect of mode {mode} is not finite")
     return d
+
+
+@dataclass
+class PoleSearch:
+    """One pole search of one mode on V + shift (shift None: V itself).
+    `steps` is a generator: it yields the SpectralBatch of the defects it
+    needs next, receives them unchecked in the batch's shape, and returns the
+    search's result; it checks, with `_finite`, the values it reads."""
+
+    mode: int
+    steps: Generator
+    shift: float | None = None
+
+
+def run_searches(s: Scatterer, searches: list[PoleSearch]) -> list:
+    """Each search's result, or the exception it raised, with every live
+    search advanced in lockstep: a round makes one outgoing_defect call over
+    the union of their requests, each point with its search's mode and shift
+    (all searches shift, or none), and sends each search its own part.  A
+    point's defect has the bits of a call of its own, so each search visits
+    the points, and reaches the result, of a run on its own.  Once a search
+    fails, the searches after it are dropped: a run of one search after the
+    other stops before them.  The defects are formed without floating-point
+    warnings."""
+    out: list = [None] * len(searches)
+    pending: dict[int, SpectralBatch] = {}
+    end = len(searches)             # searches from here on are never read
+
+    def advance(i: int, defects) -> None:
+        nonlocal end
+        pending.pop(i, None)
+        try:
+            pending[i] = searches[i].steps.send(defects)
+            return
+        except StopIteration as stop:
+            out[i] = stop.value
+            return
+        except Exception as e:      # raised again, in order, by the caller's settle
+            out[i] = e
+        end = min(end, i + 1)
+        for j in [j for j in pending if j >= end]:
+            del pending[j]
+
+    for i in range(len(searches)):
+        if i < end:
+            advance(i, None)
+    while pending:
+        order = sorted(pending)
+        reqs = [pending[i] for i in order]
+        sizes = [len(r) for r in reqs]
+        batch = reqs[0] if len(reqs) == 1 else SpectralBatch(
+            np.concatenate([np.ravel(r.modulus) for r in reqs]),
+            np.concatenate([np.ravel(r.arg) for r in reqs]))
+        modes = [searches[i].mode for i in order]
+        shifts = [searches[i].shift for i in order]
+        with np.errstate(all="ignore"):
+            d = np.ravel(outgoing_defect(
+                s, modes[0] if len(set(modes)) == 1 else np.repeat(modes, sizes), batch,
+                checked=False, shift=None if shifts[0] is None else np.repeat(shifts, sizes)))
+        for i, r, stop in zip(order, reqs, np.cumsum(sizes).tolist()):
+            if i in pending:
+                advance(i, d[stop - len(r):stop].reshape(r.shape)[()])
+    return out
+
+
+def settle(outcome):
+    """The result of a search or sweep outcome; an error outcome is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -192,37 +326,33 @@ class _Chart:
         zeta = complex(lam.log)
         return 1.0 / zeta if self.reciprocal else zeta
 
-    def inside(self, x: complex) -> bool:
-        """Whether x maps into |lam| < 1, the region find_pole searches."""
-        return (1.0 / x if self.reciprocal else x).real < 0.0
+    def stencil(self, x: complex):
+        """(h, the batch [x, x + h, x - h]) with h = 1e-7 (1 + |x|): the
+        points Newton evaluates at x.  None when x maps out of |lam| < 1, the
+        region find_pole searches, or a point of the stencil has no positive
+        float modulus (a reciprocal-chart stencil across x = 0 reaches lam =
+        0 and lam = inf)."""
+        if not (1.0 / x if self.reciprocal else x).real < 0.0:
+            return None
+        h = 1e-7 * (1.0 + abs(x))
+        try:
+            return h, self.to_lam(x, x + h, x - h)
+        except (OverflowError, DomainError):
+            return None
 
 
-def find_pole(s: Scatterer, mode: int, seed: SpectralBatch) -> ResonancePole:
-    """Damped Newton on the outgoing defect from a seed point with |seed| < 0.5.
-
-    Converges when the defect drops below NEWTON_TOL_FACTOR of its seed value
-    or below 1e-11 of the local scale |dW/dx| (1 + |x|); near-pole seeds make
-    the first criterion unreachable in double precision, the second not.
-    A trial step out of |lam| < 1 fails like one that does not reduce
-    |defect|: a potential's defect of mode l >= 1 decays like |lam|^-l at
-    large |lam|, and damped Newton would otherwise follow it there.  Each
-    point x it visits (the seed, each line-search trial) is one defect call
-    [x, x + h, x - h], h = 1e-7 (1 + |x|), so an accepted trial carries the
-    central difference of the next step; the pair is checked for finiteness
-    only when that step reads it.
-    """
+def _newton_steps(mode: int, seed: SpectralBatch):
+    """find_pole's damped Newton as the steps of a PoleSearch."""
     if seed.modulus >= 0.5:
         raise ValidationError("seed outside the small-|lam| basin (need |seed| < 0.5)")
     chart = _Chart(reciprocal=seed.modulus < 0.2)
 
-    def visit(x: complex):
-        h = 1e-7 * (1.0 + abs(x))
-        lams = chart.to_lam(x, x + h, x - h)
-        d = outgoing_defect(s, mode, lams, checked=False)
+    def visit(h: float, lams: SpectralBatch):
+        d = yield lams
         return complex(_finite(d[0], mode)), d[1:], h, lams[0]
 
     x = chart.from_lam(seed)
-    f, pair, h, lam = visit(x)
+    f, pair, h, lam = yield from visit(*chart.stencil(x))
     f0 = abs(f)
     trace = [(seed, f0)]
     local_scale = f0
@@ -240,8 +370,8 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralBatch) -> ResonancePole:
         t = 1.0
         while t > 1e-6:
             xn = x + t * step
-            if chart.inside(xn):
-                fn, pair_n, h_n, lam_n = visit(xn)
+            if (trial := chart.stencil(xn)) is not None:
+                fn, pair_n, h_n, lam_n = yield from visit(*trial)
                 if abs(fn) < abs(f):
                     break
             t *= 0.5
@@ -256,24 +386,43 @@ def find_pole(s: Scatterer, mode: int, seed: SpectralBatch) -> ResonancePole:
     )
 
 
-def scan_pole_candidates(s: Scatterer, mode: int, r_search: float = 0.3) -> list[SpectralBatch]:
+def find_pole(s: Scatterer, mode: int, seed: SpectralBatch) -> ResonancePole:
+    """Damped Newton on the outgoing defect from a seed point with |seed| < 0.5.
+
+    Converges when the defect drops below NEWTON_TOL_FACTOR of its seed value
+    or below 1e-11 of the local scale |dW/dx| (1 + |x|); near-pole seeds make
+    the first criterion unreachable in double precision, the second not.
+    A trial step out of |lam| < 1 fails like one that does not reduce
+    |defect|: a potential's defect of mode l >= 1 decays like |lam|^-l at
+    large |lam|, and damped Newton would otherwise follow it there.  So does
+    a trial whose difference stencil leaves the positive float range.  Each
+    point x it visits (the seed, each line-search trial) is one defect call
+    [x, x + h, x - h], h = 1e-7 (1 + |x|), so an accepted trial carries the
+    central difference of the next step; the pair is checked for finiteness
+    only when that step reads it.
+    """
+    return settle(run_searches(s, [PoleSearch(mode, _newton_steps(mode, seed))])[0])
+
+
+def _scan_steps(mode: int, r_search: float):
     """Local minima of |defect| along the SCAN_ARGS rays of the search disk
-    (SCAN_COUNT moduli each, one batch); returns seeds, best first."""
+    (SCAN_COUNT moduli each, one batch), as the steps of a PoleSearch whose
+    result is the list of seeds, best first."""
     n = SCAN_COUNT
     pts = SpectralBatch(np.tile(log_grid(1e-4, r_search * 0.98, n), len(SCAN_ARGS)),
                         np.repeat(SCAN_ARGS, n))
-    d = outgoing_defect(s, mode, pts)
+    d = _finite((yield pts), mode)
     v = np.hypot(d.real, d.imag).reshape(len(SCAN_ARGS), n)    # abs() of each complex
     ray, i = np.nonzero((v[:, 1:-1] < v[:, :-2]) & (v[:, 1:-1] < v[:, 2:]))
     order = np.argsort(v[ray, i + 1], kind="stable")
     return [pts[k] for k in (ray * n + i + 1)[order]]
 
 
-def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3) -> ResonancePole | None:
-    """Polish scan candidates; None when no pole converges inside the disk."""
-    for seed in scan_pole_candidates(s, mode, r_search)[:MAX_CANDIDATES]:
+def _disk_steps(mode: int, r_search: float):
+    seeds = yield from _scan_steps(mode, r_search)
+    for seed in seeds[:MAX_CANDIDATES]:
         try:
-            pole = find_pole(s, mode, seed)
+            pole = yield from _newton_steps(mode, seed)
         except BasinError:
             continue
         if pole.lam.modulus < r_search:
@@ -281,37 +430,59 @@ def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3) -> Resonan
     return None
 
 
-def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
-                         kmax: float = 2.0) -> list[ResonancePole]:
-    """Bound-state search: sign changes of the (real-axis-symmetric) defect on
-    i kappa at AXIS_COUNT points (one batch), polished by Newton below
-    kappa = 0.5 and otherwise, for selfadjoint scatterers, bisected to machine
-    resolution (see `_bisect_axis`).  A non-selfadjoint scatterer's hits are
-    local minima of |defect| below 1e-6, which carry no sign to bisect; those
-    Newton does not polish are not reported."""
+def disk_search(mode: int, r_search: float = 0.3, shift: float | None = None) -> PoleSearch:
+    """find_pole_in_disk of V + shift as a search for run_searches."""
+    return PoleSearch(mode, _disk_steps(mode, r_search), shift)
+
+
+def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3) -> ResonancePole | None:
+    """Polish scan candidates, best first, with find_pole; None when no pole
+    converges inside the disk."""
+    return settle(run_searches(s, [disk_search(mode, r_search)])[0])
+
+
+def _axis_steps(selfadjoint: bool, mode: int, kmin: float, kmax: float):
     ks = log_grid(kmin, kmax, AXIS_COUNT)
-    defects = outgoing_defect(s, mode, SpectralBatch(ks, math.pi / 2.0))
+    defects = _finite((yield SpectralBatch(ks, math.pi / 2.0)), mode)
     # for selfadjoint scatterers i^mode * defect is real on the axis
-    vals = [(1j ** mode * complex(d)).real if s.selfadjoint else abs(complex(d))
+    vals = [(1j ** mode * complex(d)).real if selfadjoint else abs(complex(d))
             for d in defects]
     out = []
     for i in range(len(ks) - 1):
-        hit = (vals[i] == 0.0) or (vals[i] * vals[i + 1] < 0) if s.selfadjoint else \
+        hit = (vals[i] == 0.0) or (vals[i] * vals[i + 1] < 0) if selfadjoint else \
             (0 < i and vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 1e-6)
         if hit:
             seed = SpectralBatch(math.sqrt(ks[i] * ks[i + 1]), math.pi / 2.0)
             try:
-                pole = find_pole(s, mode, seed) if seed.modulus < 0.5 else None
+                pole = (yield from _newton_steps(mode, seed)) if seed.modulus < 0.5 else None
             except BasinError:
                 pole = None
-            if pole is None and s.selfadjoint:
-                pole = _bisect_axis(s, mode, float(ks[i]), float(ks[i + 1]), vals[i])
+            if pole is None and selfadjoint:
+                pole = yield from _bisect_steps(mode, float(ks[i]), float(ks[i + 1]), vals[i])
             if pole is not None:
                 out.append(pole)
     return out
 
 
-def _bisect_axis(s: Scatterer, mode: int, lo: float, hi: float, flo: float) -> ResonancePole:
+def axis_search(s: Scatterer, mode: int, kmin: float = 1e-3, kmax: float = 2.0,
+                shift: float | None = None) -> PoleSearch:
+    """imaginary_axis_poles of V + shift as a search for run_searches."""
+    member = s if shift is None else s.shifted(shift)
+    return PoleSearch(mode, _axis_steps(member.selfadjoint, mode, kmin, kmax), shift)
+
+
+def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
+                         kmax: float = 2.0) -> list[ResonancePole]:
+    """Bound-state search: sign changes of the (real-axis-symmetric) defect on
+    i kappa at AXIS_COUNT points (one batch), polished by Newton below
+    kappa = 0.5 and otherwise, for selfadjoint scatterers, bisected to machine
+    resolution (see `_bisect_steps`).  A non-selfadjoint scatterer's hits are
+    local minima of |defect| below 1e-6, which carry no sign to bisect; those
+    Newton does not polish are not reported."""
+    return settle(run_searches(s, [axis_search(s, mode, kmin, kmax)])[0])
+
+
+def _bisect_steps(mode: int, lo: float, hi: float, flo: float):
     """Bisection of the real i^mode * defect on [i lo, i hi] until the midpoint
     rounds to an end.  One defect call evaluates the next BISECT_DEPTH levels
     of the midpoint tree, each node 0.5 (a + b) of its own bracket, so the walk
@@ -324,7 +495,7 @@ def _bisect_axis(s: Scatterer, mode: int, lo: float, hi: float, flo: float) -> R
             mids = [0.5 * (a + b) for a, b in brackets]
             tree += mids
             brackets = [e for (a, b), m in zip(brackets, mids) for e in ((a, m), (m, b))]
-        d = outgoing_defect(s, mode, SpectralBatch(tree, math.pi / 2), checked=False)
+        d = yield SpectralBatch(tree, math.pi / 2)
         k = 0           # heap order: node k has children 2k + 1 and 2k + 2
         while k < len(tree) and (mid := 0.5 * (lo + hi)) not in (lo, hi):
             fm = (1j ** mode * complex(_finite(d[k], mode))).real

@@ -27,7 +27,11 @@ shapes.  admissible is Re V >= 0 on the support, and FREE is V = 0.  The
 sequential pole finders are the one-point-per-step Newton and bisection
 loops that the batched ones in `lowfreq2d.scattering` must reproduce bit for
 bit; they reach the defect through the module attribute, so a test can spy
-on both.  sequential_classify_modes and sequential_phase_tables are the
+on both; scan_pole_candidates gives the seeds of the disk search.
+sequential_resonance and sequential_perturb run the searches (and the
+sweeps) of `resonance` and `perturb` one after the other, perturb's on each
+`shifted` member, as the lockstep runs must reproduce them.
+sequential_classify_modes and sequential_phase_tables are the
 one-mode-per-solve loops that `classify`'s one solve of every mode and the
 phase sweep's blocks of modes must reproduce bit for bit, on the
 MODE_AXIS_SCATTERERS, compared by bit_pattern.
@@ -41,7 +45,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from lowfreq2d import scattering
+from lowfreq2d import cli, scattering
 from lowfreq2d.errors import BasinError, DomainError, NumericalError, ValidationError
 from lowfreq2d.expansion import FitTerm
 from lowfreq2d.quadrature import PanelGrid
@@ -445,7 +449,7 @@ def sequential_find_pole(s, mode: int, seed: SpectralBatch):
         t = 1.0
         while t > 1e-6:
             xn = x + t * step
-            if chart.inside(xn):
+            if chart.stencil(xn) is not None:
                 fn = complex(defect(s, mode, chart.to_lam(xn))[0])
                 if abs(fn) < abs(f):
                     break
@@ -457,22 +461,24 @@ def sequential_find_pole(s, mode: int, seed: SpectralBatch):
 
 
 def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -> list:
-    """`scattering.imaginary_axis_poles` on a selfadjoint scatterer, with
-    `sequential_find_pole` and one defect call per bisection step."""
+    """`scattering.imaginary_axis_poles`, with `sequential_find_pole` and one
+    defect call per bisection step."""
     defect = scattering.outgoing_defect
     ks = log_grid(kmin, kmax, scattering.AXIS_COUNT)
-    vals = [(1j ** mode * complex(d)).real
-            for d in defect(s, mode, SpectralBatch(ks, math.pi / 2.0))]
+    ds = defect(s, mode, SpectralBatch(ks, math.pi / 2.0))
+    vals = [(1j ** mode * complex(d)).real if s.selfadjoint else abs(complex(d)) for d in ds]
     out = []
     for i in range(len(ks) - 1):
-        if not (vals[i] == 0.0 or vals[i] * vals[i + 1] < 0):
+        if s.selfadjoint and not (vals[i] == 0.0 or vals[i] * vals[i + 1] < 0):
+            continue
+        if not s.selfadjoint and not (0 < i and vals[i] < min(vals[i - 1], vals[i + 1], 1e-6)):
             continue
         seed = SpectralBatch(math.sqrt(ks[i] * ks[i + 1]), math.pi / 2.0)
         try:
             pole = sequential_find_pole(s, mode, seed) if seed.modulus < 0.5 else None
         except BasinError:
             pole = None
-        if pole is None:
+        if pole is None and s.selfadjoint:
             lo, hi, flo = float(ks[i]), float(ks[i + 1]), vals[i]
             steps = 0
             while (mid := 0.5 * (lo + hi)) not in (lo, hi):
@@ -484,7 +490,56 @@ def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -
                 steps += 1
             pole = scattering.ResonancePole(SpectralBatch(mid, math.pi / 2.0),
                                             mode, "boundState", 0.0, steps)
-        out.append(pole)
+        if pole is not None:
+            out.append(pole)
+    return out
+
+
+def scan_pole_candidates(s, mode: int, r_search: float = 0.3) -> list:
+    """The seeds of `scattering.find_pole_in_disk`, best first: local minima
+    of |defect| along the scan rays, from one defect call."""
+    n, rays = scattering.SCAN_COUNT, scattering.SCAN_ARGS
+    pts = SpectralBatch(np.tile(log_grid(1e-4, r_search * 0.98, n), len(rays)),
+                        np.repeat(rays, n))
+    v = [abs(complex(d)) for d in scattering.outgoing_defect(s, mode, pts)]
+    minima = [k * n + i for k in range(len(rays)) for i in range(1, n - 1)
+              if v[k * n + i] < v[k * n + i - 1] and v[k * n + i] < v[k * n + i + 1]]
+    return [pts[j] for j in sorted(minima, key=lambda j: v[j])]
+
+
+def sequential_disk_pole(s, mode: int, r_search: float = 0.3):
+    """`scattering.find_pole_in_disk`: `sequential_find_pole` from the scan
+    candidates, best first."""
+    for seed in scan_pole_candidates(s, mode, r_search)[:scattering.MAX_CANDIDATES]:
+        try:
+            pole = sequential_find_pole(s, mode, seed)
+        except BasinError:
+            continue
+        if pole.lam.modulus < r_search:
+            return pole
+    return None
+
+
+def sequential_resonance(s) -> list:
+    """`resonance`'s searches before they ran in lockstep: (disk pole or None,
+    axis poles) of modes 0, 1 and 2, one search after the other."""
+    return [(sequential_disk_pole(s, mode, 0.45), sequential_axis_poles(s, mode))
+            for mode in (0, 1, 2)]
+
+
+def sequential_perturb(s, mode: int, lams) -> list:
+    """`perturb`'s members before they ran in lockstep: (pole or None, phase
+    tables) of each V + eps, one member after the other, each on
+    `s.shifted(eps)`, its pole search before its sweep."""
+    out = []
+    for eps in cli._DEFAULT_EPSILONS:
+        s_eps = s.shifted(eps)
+        if eps < 0:
+            found = sequential_axis_poles(s_eps, mode)
+            pole = found[-1] if found else None
+        else:
+            pole = sequential_disk_pole(s_eps, mode, 0.3)
+        out.append((pole, scattering.phase_shift_sweep(s_eps, lams)))
     return out
 
 

@@ -295,6 +295,22 @@ def test_resonance_command(tmp_path):
     assert abs(p["modulus"] - 0.81003) < 1e-5
 
 
+# kappa = 0.288 < 0.45: the disk scan's pi/2 ray and the axis scan both reach
+# it, and the axis entry, at arg = pi/2 exactly, is the one kept; kappa =
+# 4.8e-4 lies below the axis scan's kmin = 1e-3, so only the disk search has it
+@pytest.mark.parametrize("depth, kappa", [(1.2, 0.288497148228), (0.25, 0.000484970527)])
+def test_resonance_lists_a_shallow_bound_state_once(tmp_path, depth, kappa):
+    code, out = _run(tmp_path, "shallow.cfg", f"kind = potential\nbreaks = 1\nvalues = -{depth}\n",
+                     "resonance")
+    assert code == 0
+    poles = json.loads((out / "resonance.json").read_text())["poles"]
+    bound = [p for p in poles if (p["mode"], p["kind"]) == (0, "boundState")]
+    assert len(bound) == 1
+    assert abs(bound[0]["modulus"] - kappa) < 1e-11
+    if kappa > 1e-3:
+        assert bound[0]["arg"] == math.pi / 2
+
+
 def test_perturb_command(tmp_path):
     cfg = WELL_CFG + "grid.min = 0.02\ngrid.max = 0.2\ngrid.count = 6\n"
     code, out = _run(tmp_path, "well.cfg", cfg, "perturb")
@@ -495,6 +511,8 @@ def test_mutated_readme_configs_keep_the_contract_of_wave(cfg_text):
     ("phase", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.max = 1e300\n", 3),
     ("perturb", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.max = 1e300\n", 3),
     ("wave", "kind = potential\nbreaks = 1\nvalues = 10000\n", 3),
+    # Newton's difference stencil once reached lam = 0 and lam = inf (OverflowError)
+    ("perturb", "kind = potential\nbreaks = 1.192092896e-07\nvalues = 0.0\n", 0),
 ])
 def test_former_crash_configs_keep_the_cli_contract(command, cfg_text, code):
     assert _check_contract(command, cfg_text) == code

@@ -13,13 +13,13 @@ from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralBatch,
                        phase_shift_sweep, sigma_asymptotic)
 from lowfreq2d import scattering
 from lowfreq2d.errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
-from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES, scan_pole_candidates
+from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES
 from lowfreq2d.util import log_grid
 
 from oracles import (FREE, MODE_AXIS_SCATTERERS, admissible, bessel_jy, born_phase_shift_mode0,
                      bit_pattern, breit_wigner_metrics, det_s_modulus, j0_series,
-                     sequential_axis_poles, sequential_find_pole, sequential_phase_tables,
-                     y0_series)
+                     scan_pole_candidates, sequential_axis_poles, sequential_find_pole,
+                     sequential_phase_tables, y0_series)
 
 
 def test_free_shifts_vanish():
@@ -271,12 +271,12 @@ def _spy(monkeypatch, poison=None):
     calls = []
     real = scattering.outgoing_defect
 
-    def spy(s, l, lam, checked=True):
+    def spy(s, l, lam, checked=True, shift=None):
         pts = list(lam) if lam.shape else [lam]
         calls.append(pts)
         if poison is None or checked:
-            return real(s, l, lam, checked=checked)
-        d = real(s, l, lam, checked=False)
+            return real(s, l, lam, checked=checked, shift=shift)
+        d = real(s, l, lam, checked=False, shift=shift)
         d[poison(pts)] = complex("nan")
         return d
 
@@ -413,8 +413,8 @@ def test_unread_block_modes_neither_raise_nor_warn(monkeypatch):
     # which raises when read
     real, at, poisoned = scattering.regular_solution, {x: i for i, x in enumerate(lams)}, []
 
-    def poison(s, l, lam):
-        sol = real(s, l, lam)
+    def poison(s, l, lam, shift=None):
+        sol = real(s, l, lam, shift)
         c1, c2 = sol.coeffs[-1]
         for k, m in enumerate(l.tolist()):
             for j, x in enumerate(lam.modulus.tolist()):

@@ -39,6 +39,12 @@ BUILTIN_CONFIGS = {
     # threshold-tuned: expand's fit is ill-conditioned here, where rounding moves show
     "tuned-well": ("kind = potential; breaks = 0.5512959285134055,1.0; "
                    "values = -31.638610685432084,-11.37666104513994\n"),
+    # a bound state at kappa = 0.29 that both resonance searches reach
+    "shallow-well": "kind = potential; breaks = 1; values = -1.2\n",
+    # resonance and perturb exit 3 on a non-finite defect, which error text compares
+    "wide-well": "kind = potential; breaks = 100; values = -0.001\n",
+    # a p-wave threshold state: perturb Newton-polishes every negative member from the axis
+    "tuned-p-well": "kind = potential; breaks = 1.015948443352384; values = -5.603041241773262\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
 
