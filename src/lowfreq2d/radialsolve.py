@@ -9,7 +9,9 @@ there is no ODE time-stepping anywhere and evaluations are accurate to the
 special-function level.  A solve takes one mode (an int l) or several (a 1-D
 array of modes): eta depends on lam alone, so the segments and their
 breakpoint radii serve every mode, one bessel_pair call evaluates the bases of
-all of them, and each mode gets the bits of its own solve.
+all of them, and each mode gets the bits of its own solve.  The spectral
+points are independent as well: a slice of a solve along its batch axis has
+the bits of a solve of the slice alone.
 
 Only the outgoing exterior solution H^(1)_l(lam r) carries log(lam); interior
 pieces depend on lam^2 alone, which is what makes continuation of everything
@@ -20,13 +22,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalError
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralBatch, _mul, bessel_pair
+
+BESSEL_BATCH = 20480    # Bessel points (spectral points x radii) per evaluation of a sweep
 
 
 @dataclass
@@ -179,7 +183,8 @@ def make_segments(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> lis
 class PiecewiseSolution:
     """Per-segment coefficient pairs, each an array over the modes and the
     spectral batch (shape (*l.shape, nlam), led by an axis of length 2 for
-    the stacked pair of green_pair)."""
+    the stacked pair of green_pair).  solution[sl], sl a slice of the batch
+    axis, is the SolutionSlice of those spectral points."""
 
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
@@ -209,6 +214,10 @@ class PiecewiseSolution:
                 row[..., idx] = c1 * b[2 * k] + c2 * b[2 * k + 1]
         return out
 
+    def __getitem__(self, sl: slice) -> SolutionSlice:
+        segs = [replace(seg, eta=seg.eta[sl], logeta=seg.logeta[sl]) for seg in self.segments]
+        return SolutionSlice(segs, [(c1[..., sl], c2[..., sl]) for c1, c2 in self.coeffs], self, sl)
+
     def mode(self, i: int) -> PiecewiseSolution:
         """The solution of the i-th of the modes it was solved for, with the
         segments and coefficients a solve of that mode alone gives."""
@@ -223,6 +232,29 @@ class PiecewiseSolution:
     def values(self, r: np.ndarray) -> np.ndarray:
         """u at radii r, as eval gives it, from the order-l basis alone."""
         return self._combine(r, 0)[0]
+
+
+@dataclass
+class SolutionSlice(PiecewiseSolution):
+    """The solution of a slice of a solve's spectral points, each with the
+    bits of a solve of the slice alone.  Radii few enough that they make at
+    most BESSEL_BATCH Bessel points on every point of the parent solve are
+    evaluated there once, kept on the parent for its other slices, and read
+    by column; more radii are evaluated on the slice's own points."""
+
+    parent: PiecewiseSolution = field(repr=False)
+    cols: slice
+
+    def _combine(self, r: np.ndarray, slot: int | None) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        if len(r) * len(self.parent.segments[0].eta) > BESSEL_BATCH:
+            return super()._combine(r, slot)
+        kept = vars(self.parent).setdefault("_kept", {})     # none until a slice reads it
+        key = (slot, r.tobytes())
+        if key not in kept:
+            kept[key] = self.parent._combine(r, slot)
+            kept[key].flags.writeable = False
+        return kept[key][..., self.cols, :]
 
 
 def _junctions(segs: list[Segment]) -> list[tuple[np.ndarray, np.ndarray]]:

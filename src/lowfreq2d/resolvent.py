@@ -137,7 +137,8 @@ def _vary(psi_x: np.ndarray, phi_x: np.ndarray, C: np.ndarray, Dtail: np.ndarray
     return -(np.where(C == 0.0, 0.0, psi_x * C) + phi_x * Dtail) / w
 
 
-def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid) -> ResolventSample:
+def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
+               solution: PiecewiseSolution | None = None) -> ResolventSample:
     """The mode-l Green function data on grid, for a batch of spectral points.
 
     phi and psi share one segment set and every basis evaluation: the node
@@ -145,8 +146,13 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid) -> Res
     take derivatives; the node derivatives wait for the first apply.  A
     non-finite Wronskian raises NumericalError, one of modulus at most
     POLE_GUARD AtPoleError for the first such point.
+
+    solution, when given, is green_pair(s, l, lam) solved already, typically
+    a slice of one solve of many points: a sweep solves once and samples in
+    slices, and the probes and the observation radius of every slice are
+    then evaluated once on the whole solve (SolutionSlice).
     """
-    sols = green_pair(s, l, lam)
+    sols = green_pair(s, l, lam) if solution is None else solution
     phi_v, psi_v = sols.values(grid.nodes)
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v), axis=-1)

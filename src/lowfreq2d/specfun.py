@@ -142,9 +142,11 @@ def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) ->
     The rows a point does not take are zero for it, so it enters the
     recurrence exactly at its own top term and its sum is the one it gets
     alone, whatever the other points.  A point where x underflows to 0 takes
-    the rows of reach -inf.  Masked rows are formed one at a time, so the
-    work arrays stay O(P).  The complex product stays out of place: numpy
-    may round an in-place complex multiply differently, by its loop layout.
+    the rows of reach -inf.  A masked row adds in place where a point takes
+    it, so the work arrays stay O(P); before its top row a point's sum is a
+    zero, and adding its first, nonzero coefficient leaves no trace of that
+    zero's sign.  The complex product stays out of place: numpy may
+    round an in-place complex multiply differently, by its loop layout.
     """
     acc = np.zeros(coef.shape[1:] + x.shape, dtype=np.result_type(coef, x))
     base = len(coef)
@@ -155,7 +157,7 @@ def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) ->
         base = int(np.min(np.sum(reach <= np.fmin.reduce(logx), axis=0)))
         for k in range(top - 1, base - 1, -1):
             acc = acc * x
-            acc += np.where(reach[k, ..., None] <= logx, coef[k, ..., None], 0.0)
+            np.add(acc, coef[k, ..., None], out=acc, where=reach[k, ..., None] <= logx)
     for row in coef[:base, ..., None][::-1]:
         acc = acc * x
         acc += row

@@ -13,7 +13,8 @@ against Legendre polynomials via spherical Bessel moments
     integral_{-1}^{1} P_n(x) e^{i w x} dx = 2 i^n j_n(w),
 
 so one set of samples serves every requested time, from t = 0 to 1e6, with
-no stationary-phase bookkeeping.
+no stationary-phase bookkeeping, and one table of those moments serves all
+the requested times at once.
 
 The lam panels come in chunks: geometric panels into lam = 0 and uniform
 0.25-wide panels to lam = 12 first, then 8-unit chunks of 0.25-wide panels.
@@ -33,9 +34,11 @@ each panel split until LAM_CAP times its half-width is at most half that
 count, so the source quadrature of e^{i lam r} f r dr holds to rounding at
 every lam of the sweep.  An observation radius on the source's support reads
 partial integrals of that integrand as well, which hold to rounding only on
-SUPPORT_NODES nodes per panel under the same split rule.  Each resolvent
-call takes as many consecutive lam nodes as make about BESSEL_BATCH Bessel
-points on that quadrature.
+SUPPORT_NODES nodes per panel under the same split rule.  The Green pair is
+solved once per chunk sampling; each resolvent call takes a slice of that
+solve, as many consecutive lam nodes as make about BESSEL_BATCH Bessel
+points on that quadrature, and the Wronskian probes and the observation
+radius are evaluated once per chunk sampling.
 
 Scatterers with discrete spectrum are refused: a bound state would add an
 oscillatory term the spectral integral over the continuum misses.
@@ -52,6 +55,7 @@ from numpy.polynomial import legendre
 from .errors import BoundStateRefusal, NumericalError, ValidationError
 from .quadrature import PanelGrid, geometric_edges
 from .radial import RadialFunction, support_panels
+from .radialsolve import BESSEL_BATCH, green_pair
 from .resolvent import mode_green
 from .scatterer import Scatterer
 from .scattering import imaginary_axis_poles
@@ -61,7 +65,6 @@ LAM_FLOOR = 1e-9
 LAM_GEOMETRIC_TOP = 0.5
 LAM_CAP = 60.0
 TAIL_REL = 1e-12
-BESSEL_BATCH = 20480    # Bessel points (spectral x source nodes) per mode_green call of the sweep
 SOURCE_NODES = 12       # Gauss nodes per source panel of the Green data, x off the support
 SUPPORT_NODES = 16      # the same, x on the support: apply's partial integrals need 16
 
@@ -115,26 +118,36 @@ class OscillatoryPanels:
     edges: np.ndarray
     coeffs: np.ndarray        # (npanels, n) complex Legendre coefficients
 
-    def sin_integral(self, t: float) -> float:
-        """integral G(lam) sin(t lam) dlam over the covered range."""
+    def sin_integral(self, times) -> np.ndarray:
+        """integral G(lam) sin(t lam) dlam over the covered range, for each t
+        of times (a float or an array, whose shape the result takes).
+
+        One spherical_jn_table call forms the moments of every (time, panel)
+        pair, each row its own recurrence, so each time has the bits of a
+        table of its own."""
+        t = np.asarray(times, dtype=float)
+        tcol = t.reshape(-1, 1)
         half = 0.5 * np.diff(self.edges)
         mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         n = self.coeffs.shape[1]
-        jn = spherical_jn_table(n - 1, t * half)
+        jn = spherical_jn_table(n - 1, (tcol * half).ravel()).reshape(tcol.size, half.size, n)
         moments = jn * (2.0 * 1j ** np.arange(n))
         # Im of each panel's term, summed in order over k and then over the
         # panels: at large t the panels cancel, and the order sets the last digits
-        inner = np.cumsum(self.coeffs * moments, axis=1)[:, -1]
-        phase = half * np.exp(1j * t * mid)
-        return float(np.cumsum(phase.real * inner.imag + phase.imag * inner.real)[-1])
+        inner = np.cumsum(self.coeffs * moments, axis=-1)[..., -1]
+        phase = half * np.exp(1j * tcol * mid)
+        total = np.cumsum(phase.real * inner.imag + phase.imag * inner.real, axis=-1)[:, -1]
+        return total.reshape(t.shape)[()]
 
-    def tail_completion(self, t: float) -> float:
-        """integral over (top, inf) of G sin(t lam), by endpoint asymptotics.
+    def tail_completion(self, times) -> np.ndarray:
+        """integral over (top, inf) of G sin(t lam), by endpoint asymptotics,
+        for each t of times (a float or an array, whose shape the result takes).
 
         Repeated integration by parts gives
             G cos(tL)/t - G' sin(tL)/t^2 - G'' cos(tL)/t^3 + G''' sin(tL)/t^4
         with remainder O(G''''/t^5 scale), assuming G keeps decaying beyond
-        the sampled range.  G, ..., G''' come from the last panel's expansion.
+        the sampled range.  G, ..., G''' come from the last panel's expansion,
+        once for all times; each time takes the scalar formula.
         """
         top = float(self.edges[-1])
         h = 0.5 * (self.edges[-1] - self.edges[-2])
@@ -143,8 +156,12 @@ class OscillatoryPanels:
         for k in range(4):
             g.append(float(np.real(legendre.legval(1.0, c))) / h**k)
             c = legendre.legder(c)
-        cos, sin = math.cos(t * top), math.sin(t * top)
-        return g[0] * cos / t - g[1] * sin / t**2 - g[2] * cos / t**3 + g[3] * sin / t**4
+        t = np.asarray(times, dtype=float)
+        out = []
+        for x in t.ravel().tolist():
+            cos, sin = math.cos(x * top), math.sin(x * top)
+            out.append(g[0] * cos / x - g[1] * sin / x**2 - g[2] * cos / x**3 + g[3] * sin / x**4)
+        return np.array(out).reshape(t.shape)[()]
 
 
 @dataclass
@@ -241,17 +258,20 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     # the end of the trimmed panels, since f beyond them moves no digit of G
     tmin = min((t for t in q.times if t > 0), default=1.0)
     tail_weight = min(1.0, (max(src.grid.rmax, 1.0) / tmin) ** 4)
-    # one batched resolvent per `batch` consecutive nodes of a chunk, across
-    # panel edges: below the support value_at reads node values only, so a
-    # call's fixed cost (boundary solve, Wronskian probes, phi(x)) is spread
-    # over about BESSEL_BATCH Bessel points (170 x 120 on a CLI disk), and
-    # that batch, not the sweep, sets the size of the temporaries
+    # one Green solve per chunk sampling, whose boundary or junction solve,
+    # Wronskian probes and phi(x) or psi(x) are formed once; the node values
+    # are taken per `batch` consecutive nodes, across panel edges, so a
+    # resolvent call evaluates about BESSEL_BATCH Bessel points (170 x 120 on
+    # a CLI disk), and that batch, not the chunk, sets the size of the
+    # temporaries
     batch = max(1, BESSEL_BATCH // len(src.grid))
 
     def sample(lam: np.ndarray) -> np.ndarray:
         lams = SpectralBatch(lam, 0.0)
+        sols = green_pair(q.scatterer, 0, lams)
         return np.concatenate([
-            mode_green(q.scatterer, lams[i:i + batch], 0, src.grid).value_at(src, q.x).imag
+            mode_green(q.scatterer, lams[i:i + batch], 0, src.grid,
+                       solution=sols[i:i + batch]).value_at(src, q.x).imag
             for i in range(0, len(lams), batch)
         ])
 
@@ -276,11 +296,9 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
         chunk = np.arange(top, min(top + 8.0, LAM_CAP) + 1e-9, 0.25)
         order = half if np.all(np.abs(coeffs[:, max(half - 2, 0):]) <= TAIL_REL * gmax) else full
     osc = OscillatoryPanels(np.concatenate(edges), np.vstack(coeff_rows))
-    values = [
-        complex((2.0 / math.pi) * (osc.sin_integral(float(t)) + osc.tail_completion(float(t))))
-        if t > 0 else 0.0j
-        for t in q.times
-    ]
+    ts = [float(t) for t in q.times if t > 0]
+    w = iter((2.0 / math.pi) * (osc.sin_integral(ts) + osc.tail_completion(ts)))
+    values = [complex(next(w)) if t > 0 else 0.0j for t in q.times]
     return WaveResult(values, top, converged, top_two / gmax, osc)
 
 

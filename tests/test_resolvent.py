@@ -329,6 +329,35 @@ def test_batched_solutions_match_single_points():
                 assert np.allclose(du[..., i, :], du1[..., 0, :], rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("arg", [0.0, math.pi / 4])
+def test_solution_slices_keep_the_bits_of_their_own_solve(arg):
+    # a slice of one solve along its spectral points (a wave chunk's solve,
+    # read per resolvent call) has the values and eval of a green_pair solve
+    # of the slice alone, on a disk and on a two-step well: the five probe
+    # radii through the parent, evaluated once on the whole solve and kept
+    # there, and 600 radii (over BESSEL_BATCH points on the whole solve) on
+    # the slice's own points, each as the slice's own evaluation gives them
+    from lowfreq2d import DiskObstacle, PiecewisePotential
+    from lowfreq2d.radialsolve import BESSEL_BATCH, PiecewiseSolution, green_pair
+    # on arg pi/4, |lam| <= 6 keeps the junction solve of the well in range
+    lams = SpectralBatch(np.geomspace(1e-3, 6.0 if arg else 60.0, 40), arg)
+    probes = np.array([1.1, 1.3, 1.7, 2.2, 3.5])
+    nodes = np.linspace(1.06, 4.0, 600)
+    assert len(probes) * len(lams) <= BESSEL_BATCH < len(nodes) * len(lams)
+    for s in (DiskObstacle(1.06, "dirichlet"), PiecewisePotential((0.5, 1.0), (-3.0, 2.0))):
+        whole = green_pair(s, 0, lams)
+        assert "_kept" not in vars(whole)
+        for sl in (slice(0, 17), slice(17, 34), slice(34, 40)):
+            part, alone = whole[sl], green_pair(s, 0, lams[sl])
+            own = PiecewiseSolution(part.segments, part.coeffs)
+            for r in (probes, nodes):
+                for sol in (part, own):
+                    assert np.array_equal(sol.values(r), alone.values(r))
+                    for got, ref in zip(sol.eval(r), alone.eval(r)):
+                        assert np.array_equal(got, ref)
+        assert sorted(slot is None for slot, _ in vars(whole)["_kept"]) == [False, True]
+
+
 def test_eval_matches_single_radii_bit_for_bit():
     # unsorted radii that interleave the three segments of a two-break well:
     # a segment's radii are a contiguous run (a slice) or not (indices), and

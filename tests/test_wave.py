@@ -271,6 +271,28 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
         assert np.array_equal(full, point)
 
 
+def test_chunk_solve_slices_match_their_own_calls(dirichlet_fx, generic_well_fx):
+    # the sweep's resolvent calls on slices of one chunk solve give the bits
+    # of calls that solve on their own, below the source (phi(x) through the
+    # chunk solve), inside it and above it (psi(x) through the chunk solve)
+    from lowfreq2d import SpectralBatch, mode_green
+    from lowfreq2d.radial import support_panels
+    from lowfreq2d.radialsolve import green_pair
+    lams = SpectralBatch(PanelGrid(np.arange(0.5, 6.01, 0.25), 16).nodes[:400], 0.0)
+    for fx in (dirichlet_fx, generic_well_fx):
+        support = support_panels(fx.f)[0].grid
+        whole = green_pair(fx.scatterer, 0, lams)
+        for x_obs in (0.5 * (fx.scatterer.inner_radius + support.rmin), fx.f_center,
+                      support.rmax + 0.7):
+            src = _green_source(fx.f, x_obs)
+            for i in range(0, len(lams), 170):
+                part = lams[i:i + 170]
+                got = mode_green(fx.scatterer, part, 0, src.grid, solution=whole[i:i + 170])
+                ref = mode_green(fx.scatterer, part, 0, src.grid)
+                assert np.array_equal(got.value_at(src, x_obs), ref.value_at(src, x_obs))
+                assert got.wronskian_spread == ref.wronskian_spread
+
+
 @pytest.mark.parametrize("cfg_text, splits", [
     ("kind = potential; breaks = 1; values = 2.5; cutoff.r0 = 8", True),
     ("kind = potential; breaks = 1; values = 2.5", True),
@@ -315,27 +337,57 @@ def test_cli_wave_work(tmp_path, monkeypatch):
     # with the lam chunks above 20 at half order: 380 064 Bessel points in
     # 22 mode_green calls (713 504 in 34 with every chunk at full order on
     # the 16-node source, 1 397 024 in 67 on the 32-node source with 64
-    # spectral points per call)
-    from lowfreq2d import radialsolve, wave
+    # spectral points per call).  Each of the 7 chunks is solved once, and
+    # its probes and observation radius evaluated once: 7 green_pair and 44
+    # bessel_pair calls, where a solve per mode_green call made 22 and 89.
+    # No call takes more than BESSEL_BATCH node points, which bounds the
+    # temporaries (one call per chunk would raise peak memory)
+    from lowfreq2d import radialsolve, resolvent, wave
     from lowfreq2d.cli import main
-    points, calls = [0], [0]
+    points, bessel_calls, solves, calls = [0], [0], [0], [0]
 
     def count_points(l, z, logz, slot=None):
         points[0] += np.size(z)
+        bessel_calls[0] += 1
         return bessel_pair(l, z, logz, slot)
 
-    def count_calls(*args):
-        calls[0] += 1
-        return mode_green(*args)
+    def count_solves(*args):
+        solves[0] += 1
+        return green_pair(*args)
 
-    bessel_pair, mode_green = radialsolve.bessel_pair, wave.mode_green
+    def count_calls(s, lam, l, grid, **kwargs):
+        calls[0] += 1
+        assert len(lam) * len(grid) <= wave.BESSEL_BATCH
+        return mode_green(s, lam, l, grid, **kwargs)
+
+    bessel_pair, green_pair, mode_green = radialsolve.bessel_pair, wave.green_pair, wave.mode_green
     monkeypatch.setattr(radialsolve, "bessel_pair", count_points)
+    monkeypatch.setattr(wave, "green_pair", count_solves)
+    monkeypatch.setattr(resolvent, "green_pair", count_solves)
     monkeypatch.setattr(wave, "mode_green", count_calls)
     cfg = tmp_path / "disk.cfg"
     cfg.write_text("kind = disk; radius = 1.06; bc = dirichlet\n")
     assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert points[0] <= 400_000
     assert calls[0] <= 22
+    assert solves[0] <= 7
+    assert bessel_calls[0] <= 44
+
+
+def test_moment_table_matches_per_time_calls(tmp_path, monkeypatch):
+    # on the panels of the 1.06 Dirichlet disk's sweep, each time of one
+    # moment table, and of one tail completion, has the bits of its own call,
+    # for times from 1e-2 to 1e6 in any array shape
+    res, _, _ = _cli_wave(tmp_path, monkeypatch, "kind = disk; radius = 1.06; bc = dirichlet")
+    osc = res.panels
+    times = np.concatenate([np.exp(np.linspace(math.log(1e-2), math.log(1e6), 25)),
+                            [1.0, 10.0, 100.0]])
+    for method in (osc.sin_integral, osc.tail_completion):
+        table = method(times)
+        assert table.shape == times.shape
+        assert np.array_equal(table, [method(float(t)) for t in times])
+        assert np.array_equal(method(times.reshape(4, 7)), table.reshape(4, 7))
+        assert method(np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("x, times", [
@@ -396,9 +448,9 @@ def _cli_wave(tmp_path, monkeypatch, cfg_text):
     from lowfreq2d.cli import main
     seen, samples = [], [0]
 
-    def count_samples(s, lams, *args):
+    def count_samples(s, lams, *args, **kwargs):
         samples[0] += len(lams)
-        return mode_green(s, lams, *args)
+        return mode_green(s, lams, *args, **kwargs)
 
     def keep(q):
         seen.append(evolve(q))

@@ -45,6 +45,8 @@ BUILTIN_CONFIGS = {
     "wide-well": "kind = potential; breaks = 100; values = -0.001\n",
     # a p-wave threshold state: perturb Newton-polishes every negative member from the axis
     "tuned-p-well": "kind = potential; breaks = 1.015948443352384; values = -5.603041241773262\n",
+    # no bound state: wave exits 0 on a potential, and its widest source panels split eight ways
+    "repulsive-wide-source": "kind = potential; breaks = 1; values = 2.5; cutoff.r0 = 8\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
 
