@@ -18,8 +18,7 @@ from .resolvent import (ResolventSample, mode_green, one_sided_identity_residual
 from .scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                         Scatterer, ScattererConfig, commutator_apply, default_cutoff,
                         parse_config, standard_grid)
-from .scattering import (PhaseShiftTable, ResonancePole, find_pole, find_pole_in_disk,
-                         imaginary_axis_poles, outgoing_defect, phase_shift_sweep,
+from .scattering import (PhaseShiftTable, ResonancePole, outgoing_defect, phase_shift_sweep,
                          sigma_asymptotic)
 from .specfun import EULER, GAMMA0, SpectralBatch
 from .threshold import ThresholdMode, ThresholdReport, classify, solve_zero_mode

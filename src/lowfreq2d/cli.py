@@ -44,8 +44,6 @@ USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
 
-_COMMANDS = ("classify", "capacity", "expand", "phase", "resonance", "perturb", "wave", "verify")
-
 _DEFAULT_EPSILONS = (-1e-2, -1e-3, 1e-3, 1e-2)
 # the one documented NaN: phase.csv's low-frequency law fails for an s-resonance
 _NAN_COLUMNS = ("sigma_asym_re", "sigma_asym_im")
@@ -327,8 +325,9 @@ def _cmd_verify(run: _Run) -> None:
     run.write_csv("verify.csv",
                   ["identity", "lambda_mod", "lambda_arg", "z_mod", "z_arg", "residual", "status"],
                   out)
-    if any(r[5] == "fail" for r in out):
-        raise NumericalError("identity suite produced residuals above 1e-6")
+    failed = [f"{name} {r:.3g}" for name, *_, r, status in out if status == "fail"]
+    if failed:
+        raise NumericalError("identity residuals above 1e-6: " + ", ".join(failed))
 
 
 _HANDLERS = {
@@ -345,7 +344,7 @@ _HANDLERS = {
 
 def dispatch(argv) -> int:
     parser = _Parser(prog="lowfreq2d", description=__doc__)
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--config", required=True, help="path to a scatterer config file")
     parser.add_argument("--out", required=True, help="output directory")
     try:

@@ -66,11 +66,7 @@ class ShapeMismatchError(NumericalError):
 
 
 class BasinError(NumericalError):
-    """Pole iteration failed to converge; carries the iterate trace."""
-
-    def __init__(self, message: str, trace):
-        self.trace = list(trace)
-        super().__init__(message)
+    """Pole iteration failed to converge."""
 
 
 class BoundStateRefusal(ValidationError):

@@ -81,18 +81,10 @@ class Segment:
             eta, logeta = self.eta[wave, None], self.logeta[wave, None]
         return wave, eta, logeta, eta * r
 
-    def _derivs(self, r, eta, z, logeta, f0, f1) -> tuple[np.ndarray, ...]:
+    def _derivs(self, eta, z, f0, f1) -> tuple[np.ndarray, ...]:
         """Order-l derivatives eta (l / z f - g) of the Bessel pair, from its
         order-l values f in f0 and order-(l + 1) values g in f1."""
-        if np.ndim(self.l):
-            lz = self.l[:, None, None] / z
-        elif self.l == 0 and not logeta.imag.any() and (r > 0).all():
-            # every z > 0, where 0 / z is +0 + 0j (as a mode array's order 0
-            # takes it): skip the division, keep the products by zero, which
-            # fix the sign of any zero part
-            lz = np.zeros_like(z)
-        else:
-            lz = self.l / z
+        lz = (self.l[:, None, None] if np.ndim(self.l) else self.l) / z
         return tuple(eta * (lz * f - g) for f, g in zip(f0, f1))
 
 
@@ -125,12 +117,12 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     out = []
     for seg, r, a in zip(segs, radii, args):
         if a is not None:
-            wave, eta, logeta, z = a
+            wave, eta, _, z = a
             J, Y, H = next(fs)
             b = (J, H if seg.kind == "hankel" else Y)
             if slot is None:
                 f0 = (b[0][0], b[1][0])
-                b = f0 + seg._derivs(r, eta, z, logeta, f0, (b[0][1], b[1][1]))
+                b = f0 + seg._derivs(eta, z, f0, (b[0][1], b[1][1]))
             if wave is None:
                 out.append(b)
                 continue

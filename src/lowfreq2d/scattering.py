@@ -8,13 +8,13 @@ meromorphic continuation are zeros of c1, found by damped Newton on the
 log-cover chart (or its reciprocal near the origin, where the logarithmic
 geometry makes plain charts useless).
 
-Each pole search (a disk scan and its Newton runs, an imaginary-axis scan
-and its Newton runs and bisections) is a generator of the spectral points
-it needs next, and `run_searches` advances several in lockstep, one
-outgoing_defect call per step over the union of their points, each point
-with its search's mode and shift eps of V + eps.  A point keeps the bits of
-a call of its own, so every search takes the steps it takes alone;
-find_pole, find_pole_in_disk and imaginary_axis_poles run one search.
+Each pole search (`disk_search`: a disk scan and its Newton runs;
+`axis_search`: an imaginary-axis scan and its Newton runs and bisections)
+is a generator of the spectral points it needs next, and `run_searches`
+runs one or several in lockstep, one outgoing_defect call per step over the
+union of their points, each point with its search's mode and shift eps of
+V + eps.  A point keeps the bits of a call of its own, so every search
+takes the steps it takes alone.
 `phase_shift_family` sweeps several members V + eps in one solve per block
 of modes in the same way.
 """
@@ -43,8 +43,8 @@ NEWTON_TOL_FACTOR = 1e-12   # Newton stops below this fraction of the seed defec
 NEWTON_MAX_ITER = 60
 SCAN_ARGS = (math.pi / 2, 0.3, -0.1, -0.35, -0.8, -1.5, -2.5)   # rays of the disk scan
 SCAN_COUNT = 25             # moduli per scan ray
-MAX_CANDIDATES = 6          # scan seeds polished by find_pole_in_disk
-AXIS_COUNT = 80             # scan points of imaginary_axis_poles
+MAX_CANDIDATES = 6          # scan seeds polished by disk_search
+AXIS_COUNT = 80             # scan points of axis_search
 BISECT_DEPTH = 5            # bisection levels per defect call (31 points)
 
 
@@ -254,40 +254,32 @@ class PoleSearch:
 
 
 def run_searches(s: Scatterer, searches: list[PoleSearch]) -> list:
-    """Each search's result, or the exception it raised, with every live
-    search advanced in lockstep: a round makes one outgoing_defect call over
-    the union of their requests, each point with its search's mode and shift
-    (all searches shift, or none), and sends each search its own part.  A
-    point's defect has the bits of a call of its own, so each search visits
-    the points, and reaches the result, of a run on its own.  Once a search
-    fails, the searches after it are dropped: a run of one search after the
-    other stops before them.  The defects are formed without floating-point
+    """Each search's result, or the exception it raised, with every search
+    advanced in lockstep to its own end: a round makes one outgoing_defect
+    call over the union of the live searches' requests, each point with its
+    search's mode and shift (all searches shift, or none), and sends each
+    search its own part.  A point's defect has the bits of a call of its
+    own, so each search visits the points, and reaches the result, of a run
+    on its own.  A failing search does not stop the others; callers `settle`
+    the outcomes in order, and so raise the first error of a run of one
+    search after the other.  The defects are formed without floating-point
     warnings."""
     out: list = [None] * len(searches)
     pending: dict[int, SpectralBatch] = {}
-    end = len(searches)             # searches from here on are never read
 
     def advance(i: int, defects) -> None:
-        nonlocal end
-        pending.pop(i, None)
         try:
             pending[i] = searches[i].steps.send(defects)
-            return
         except StopIteration as stop:
             out[i] = stop.value
-            return
         except Exception as e:      # raised again, in order, by the caller's settle
             out[i] = e
-        end = min(end, i + 1)
-        for j in [j for j in pending if j >= end]:
-            del pending[j]
 
     for i in range(len(searches)):
-        if i < end:
-            advance(i, None)
+        advance(i, None)
     while pending:
         order = sorted(pending)
-        reqs = [pending[i] for i in order]
+        reqs = [pending.pop(i) for i in order]
         sizes = [len(r) for r in reqs]
         batch = reqs[0] if len(reqs) == 1 else SpectralBatch(
             np.concatenate([np.ravel(r.modulus) for r in reqs]),
@@ -299,8 +291,7 @@ def run_searches(s: Scatterer, searches: list[PoleSearch]) -> list:
                 s, modes[0] if len(set(modes)) == 1 else np.repeat(modes, sizes), batch,
                 checked=False, shift=None if shifts[0] is None else np.repeat(shifts, sizes)))
         for i, r, stop in zip(order, reqs, np.cumsum(sizes).tolist()):
-            if i in pending:
-                advance(i, d[stop - len(r):stop].reshape(r.shape)[()])
+            advance(i, d[stop - len(r):stop].reshape(r.shape)[()])
     return out
 
 
@@ -329,7 +320,7 @@ class _Chart:
     def stencil(self, x: complex):
         """(h, the batch [x, x + h, x - h]) with h = 1e-7 (1 + |x|): the
         points Newton evaluates at x.  None when x maps out of |lam| < 1, the
-        region find_pole searches, or a point of the stencil has no positive
+        region Newton searches, or a point of the stencil has no positive
         float modulus (a reciprocal-chart stencil across x = 0 reaches lam =
         0 and lam = inf)."""
         if not (1.0 / x if self.reciprocal else x).real < 0.0:
@@ -342,7 +333,21 @@ class _Chart:
 
 
 def _newton_steps(mode: int, seed: SpectralBatch):
-    """find_pole's damped Newton as the steps of a PoleSearch."""
+    """Damped Newton on the outgoing defect from a seed point with |seed| <
+    0.5, as the steps of a PoleSearch; a seed outside raises ValidationError.
+
+    Converges when the defect drops below NEWTON_TOL_FACTOR of its seed value
+    or below 1e-11 of the local scale |dW/dx| (1 + |x|); near-pole seeds make
+    the first criterion unreachable in double precision, the second not.
+    A trial step out of |lam| < 1 fails like one that does not reduce
+    |defect|: a potential's defect of mode l >= 1 decays like |lam|^-l at
+    large |lam|, and damped Newton would otherwise follow it there.  So does
+    a trial whose difference stencil leaves the positive float range.  Each
+    point x it visits (the seed, each line-search trial) is one defect call
+    [x, x + h, x - h], h = 1e-7 (1 + |x|), so an accepted trial carries the
+    central difference of the next step; the pair is checked for finiteness
+    only when that step reads it.  No convergence raises BasinError.
+    """
     if seed.modulus >= 0.5:
         raise ValidationError("seed outside the small-|lam| basin (need |seed| < 0.5)")
     chart = _Chart(reciprocal=seed.modulus < 0.2)
@@ -354,7 +359,6 @@ def _newton_steps(mode: int, seed: SpectralBatch):
     x = chart.from_lam(seed)
     f, pair, h, lam = yield from visit(*chart.stencil(x))
     f0 = abs(f)
-    trace = [(seed, f0)]
     local_scale = f0
     for it in range(1, NEWTON_MAX_ITER + 1):
         fp, fm = (complex(d) for d in _finite(pair, mode))
@@ -378,36 +382,13 @@ def _newton_steps(mode: int, seed: SpectralBatch):
         else:
             break
         x, f, pair, h, lam = xn, fn, pair_n, h_n, lam_n
-        trace.append((lam, abs(f)))
     raise BasinError(
         f"pole iteration did not converge from |seed|={seed.modulus:.3e} "
         f"(final |W|/|W0| = {abs(f)/max(f0,1e-300):.3e}, "
-        f"|W|/local = {abs(f)/max(local_scale,1e-300):.3e})", trace,
-    )
+        f"|W|/local = {abs(f)/max(local_scale,1e-300):.3e})")
 
 
-def find_pole(s: Scatterer, mode: int, seed: SpectralBatch) -> ResonancePole:
-    """Damped Newton on the outgoing defect from a seed point with |seed| < 0.5.
-
-    Converges when the defect drops below NEWTON_TOL_FACTOR of its seed value
-    or below 1e-11 of the local scale |dW/dx| (1 + |x|); near-pole seeds make
-    the first criterion unreachable in double precision, the second not.
-    A trial step out of |lam| < 1 fails like one that does not reduce
-    |defect|: a potential's defect of mode l >= 1 decays like |lam|^-l at
-    large |lam|, and damped Newton would otherwise follow it there.  So does
-    a trial whose difference stencil leaves the positive float range.  Each
-    point x it visits (the seed, each line-search trial) is one defect call
-    [x, x + h, x - h], h = 1e-7 (1 + |x|), so an accepted trial carries the
-    central difference of the next step; the pair is checked for finiteness
-    only when that step reads it.
-    """
-    return settle(run_searches(s, [PoleSearch(mode, _newton_steps(mode, seed))])[0])
-
-
-def _scan_steps(mode: int, r_search: float):
-    """Local minima of |defect| along the SCAN_ARGS rays of the search disk
-    (SCAN_COUNT moduli each, one batch), as the steps of a PoleSearch whose
-    result is the list of seeds, best first."""
+def _disk_steps(mode: int, r_search: float):
     n = SCAN_COUNT
     pts = SpectralBatch(np.tile(log_grid(1e-4, r_search * 0.98, n), len(SCAN_ARGS)),
                         np.repeat(SCAN_ARGS, n))
@@ -415,14 +396,9 @@ def _scan_steps(mode: int, r_search: float):
     v = np.hypot(d.real, d.imag).reshape(len(SCAN_ARGS), n)    # abs() of each complex
     ray, i = np.nonzero((v[:, 1:-1] < v[:, :-2]) & (v[:, 1:-1] < v[:, 2:]))
     order = np.argsort(v[ray, i + 1], kind="stable")
-    return [pts[k] for k in (ray * n + i + 1)[order]]
-
-
-def _disk_steps(mode: int, r_search: float):
-    seeds = yield from _scan_steps(mode, r_search)
-    for seed in seeds[:MAX_CANDIDATES]:
+    for k in (ray * n + i + 1)[order][:MAX_CANDIDATES]:
         try:
-            pole = yield from _newton_steps(mode, seed)
+            pole = yield from _newton_steps(mode, pts[k])
         except BasinError:
             continue
         if pole.lam.modulus < r_search:
@@ -431,14 +407,12 @@ def _disk_steps(mode: int, r_search: float):
 
 
 def disk_search(mode: int, r_search: float = 0.3, shift: float | None = None) -> PoleSearch:
-    """find_pole_in_disk of V + shift as a search for run_searches."""
+    """The pole search of V + shift in the disk |lam| < r_search: its seeds
+    are the local minima of |defect| along the SCAN_ARGS rays (SCAN_COUNT
+    moduli each, one batch), and Newton (`_newton_steps`) polishes the first
+    MAX_CANDIDATES of them, best first.  The result is the first pole that
+    converges inside the disk, or None."""
     return PoleSearch(mode, _disk_steps(mode, r_search), shift)
-
-
-def find_pole_in_disk(s: Scatterer, mode: int, r_search: float = 0.3) -> ResonancePole | None:
-    """Polish scan candidates, best first, with find_pole; None when no pole
-    converges inside the disk."""
-    return settle(run_searches(s, [disk_search(mode, r_search)])[0])
 
 
 def _axis_steps(selfadjoint: bool, mode: int, kmin: float, kmax: float):
@@ -466,20 +440,15 @@ def _axis_steps(selfadjoint: bool, mode: int, kmin: float, kmax: float):
 
 def axis_search(s: Scatterer, mode: int, kmin: float = 1e-3, kmax: float = 2.0,
                 shift: float | None = None) -> PoleSearch:
-    """imaginary_axis_poles of V + shift as a search for run_searches."""
-    member = s if shift is None else s.shifted(shift)
-    return PoleSearch(mode, _axis_steps(member.selfadjoint, mode, kmin, kmax), shift)
-
-
-def imaginary_axis_poles(s: Scatterer, mode: int, kmin: float = 1e-3,
-                         kmax: float = 2.0) -> list[ResonancePole]:
-    """Bound-state search: sign changes of the (real-axis-symmetric) defect on
-    i kappa at AXIS_COUNT points (one batch), polished by Newton below
+    """The bound-state search of V + shift, whose result is the list of its
+    poles: sign changes of the (real-axis-symmetric) defect on i kappa at
+    AXIS_COUNT points in [kmin, kmax] (one batch), polished by Newton below
     kappa = 0.5 and otherwise, for selfadjoint scatterers, bisected to machine
     resolution (see `_bisect_steps`).  A non-selfadjoint scatterer's hits are
     local minima of |defect| below 1e-6, which carry no sign to bisect; those
     Newton does not polish are not reported."""
-    return settle(run_searches(s, [axis_search(s, mode, kmin, kmax)])[0])
+    member = s if shift is None else s.shifted(shift)
+    return PoleSearch(mode, _axis_steps(member.selfadjoint, mode, kmin, kmax), shift)
 
 
 def _bisect_steps(mode: int, lo: float, hi: float, flo: float):

@@ -58,7 +58,7 @@ from .radial import RadialFunction, support_panels
 from .radialsolve import BESSEL_BATCH, green_pair
 from .resolvent import mode_green
 from .scatterer import Scatterer
-from .scattering import imaginary_axis_poles
+from .scattering import axis_search, run_searches, settle
 from .specfun import SpectralBatch
 
 LAM_FLOOR = 1e-9
@@ -243,7 +243,7 @@ def _green_source(f: RadialFunction, x: float) -> RadialFunction:
 
 def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     """w(x, t) for each requested time; one resolvent sweep serves all times."""
-    poles = imaginary_axis_poles(q.scatterer, 0)
+    poles = settle(run_searches(q.scatterer, [axis_search(q.scatterer, 0)])[0])
     if poles:
         ks = [float(p.lam.modulus) for p in poles]
         raise BoundStateRefusal(

@@ -23,7 +23,9 @@ grid, one node at a time, constant_one is 1 with its exterior, and
 plane_integral and laplacian_chi are the mode-0 integral over the plane and
 Delta chi of a cutoff.  serialize_config writes a config that parse_config
 reads back, and log_power_terms lists fit columns outside the structural
-shapes.  admissible is Re V >= 0 on the support, and FREE is V = 0.  The
+shapes.  admissible is Re V >= 0 on the support, and FREE is V = 0.
+find_pole, find_pole_in_disk and imaginary_axis_poles run one Newton, disk
+or axis search through `scattering.run_searches`.  The
 sequential pole finders are the one-point-per-step Newton and bisection
 loops that the batched ones in `lowfreq2d.scattering` must reproduce bit for
 bit; they reach the defect through the module attribute, so a test can spy
@@ -426,8 +428,26 @@ def admissible(s) -> bool:
     return isinstance(s, DiskObstacle) or all(complex(v).real >= 0.0 for v in s.values)
 
 
+def find_pole(s, mode: int, seed: SpectralBatch):
+    """One Newton search (`scattering._newton_steps`) from seed."""
+    return scattering.settle(scattering.run_searches(
+        s, [scattering.PoleSearch(mode, scattering._newton_steps(mode, seed))])[0])
+
+
+def find_pole_in_disk(s, mode: int, r_search: float = 0.3):
+    """One `scattering.disk_search`: its pole, or None."""
+    return scattering.settle(scattering.run_searches(
+        s, [scattering.disk_search(mode, r_search)])[0])
+
+
+def imaginary_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -> list:
+    """One `scattering.axis_search`: its list of poles."""
+    return scattering.settle(scattering.run_searches(
+        s, [scattering.axis_search(s, mode, kmin, kmax)])[0])
+
+
 def sequential_find_pole(s, mode: int, seed: SpectralBatch):
-    """`scattering.find_pole` as one defect call per value: the seed, each
+    """`find_pole` as one defect call per value: the seed, each
     Newton step's central-difference pair, each line-search trial."""
     defect = scattering.outgoing_defect
     chart = scattering._Chart(reciprocal=seed.modulus < 0.2)
@@ -457,11 +477,11 @@ def sequential_find_pole(s, mode: int, seed: SpectralBatch):
         else:
             break
         x, f = xn, fn
-    raise BasinError("pole iteration did not converge", [])
+    raise BasinError("pole iteration did not converge")
 
 
 def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -> list:
-    """`scattering.imaginary_axis_poles`, with `sequential_find_pole` and one
+    """`imaginary_axis_poles`, with `sequential_find_pole` and one
     defect call per bisection step."""
     defect = scattering.outgoing_defect
     ks = log_grid(kmin, kmax, scattering.AXIS_COUNT)
@@ -496,7 +516,7 @@ def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -
 
 
 def scan_pole_candidates(s, mode: int, r_search: float = 0.3) -> list:
-    """The seeds of `scattering.find_pole_in_disk`, best first: local minima
+    """The seeds of `find_pole_in_disk`, best first: local minima
     of |defect| along the scan rays, from one defect call."""
     n, rays = scattering.SCAN_COUNT, scattering.SCAN_ARGS
     pts = SpectralBatch(np.tile(log_grid(1e-4, r_search * 0.98, n), len(rays)),
@@ -508,7 +528,7 @@ def scan_pole_candidates(s, mode: int, r_search: float = 0.3) -> list:
 
 
 def sequential_disk_pole(s, mode: int, r_search: float = 0.3):
-    """`scattering.find_pole_in_disk`: `sequential_find_pole` from the scan
+    """`find_pole_in_disk`: `sequential_find_pole` from the scan
     candidates, best first."""
     for seed in scan_pole_candidates(s, mode, r_search)[:scattering.MAX_CANDIDATES]:
         try:

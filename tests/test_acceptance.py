@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 from lowfreq2d import (FitTerm, GAMMA0, PanelGrid, SpectralBatch, bump, bump_edges,
-                       classify, commutator_apply, find_pole_in_disk, fit_log_laurent,
-                       fit_shape, imaginary_axis_poles, inner, nonresonant_terms,
-                       one_sided_identity_residual, pairing_identity_residual,
+                       classify, commutator_apply, fit_log_laurent, fit_shape, inner,
+                       nonresonant_terms, one_sided_identity_residual, pairing_identity_residual,
                        phase_shift_sweep, predict_leading_terms,
                        sigma_asymptotic, standard_grid, two_parameter_identity_residual)
 from lowfreq2d.radial import Exterior
 
 from oracles import (bessel_jy, boundary_pairing_fourier, breit_wigner_metrics,
-                     circle_pairing, constant_one, free_truncation_error, from_callable,
-                     hankel1, j0_series, log_power_terms, plane_integral, y0_series)
+                     circle_pairing, constant_one, find_pole_in_disk, free_truncation_error,
+                     from_callable, hankel1, imaginary_axis_poles, j0_series,
+                     log_power_terms, plane_integral, y0_series)
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

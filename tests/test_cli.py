@@ -82,6 +82,20 @@ def _check_verify(code, out):
         assert line.split(",")[3:5] == ["", ""]
 
 
+def test_verify_fails_on_a_failing_identity(tmp_path, capsys):
+    # a 300-high barrier: the two-parameter residual is about 2e-3
+    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 300\n", "verify")
+    assert code == 3
+    rows = [line.split(",") for line in (out / "verify.csv").read_text().splitlines()[1:]]
+    failed = [(r[0], float(r[5])) for r in rows if r[6] == "fail"]
+    assert [name for name, _ in failed] == ["two-parameter"]
+    assert not (out / "manifest.json").exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(x) for x in lines] == [{
+        "error": "NumericalError",
+        "message": f"identity residuals above 1e-6: two-parameter {failed[0][1]:.3g}"}]
+
+
 def test_expand_neumann_matches_prediction(tmp_path):
     code, out = _run(tmp_path, "neu.cfg", NEUMANN_CFG, "expand")
     assert code == 0

@@ -96,15 +96,8 @@ def test_unnamed_definitions_are_found():
     assert unnamed_definitions({"a": a, "b": b}) == ["a.C.spare", "a.P", "a.g"]
 
 
-# one-search drivers kept as public entry points for callers outside the
-# package (the tests, and the benchmark's tracer, which wraps find_pole);
-# resonance and perturb run their searches in lockstep through run_searches
-KEPT_ENTRY_POINTS = ["scattering.find_pole", "scattering.find_pole_in_disk"]
-
-
 def test_every_package_definition_is_named_in_the_package():
     # a definition only the tests read belongs in the tests
     files = [p for p in sorted((ROOT / "src" / "lowfreq2d").glob("*.py")) if p.name != "__init__.py"]
     assert len(files) > 10
-    assert (unnamed_definitions({p.stem: p.read_text(encoding="utf-8") for p in files})
-            == KEPT_ENTRY_POINTS)
+    assert unnamed_definitions({p.stem: p.read_text(encoding="utf-8") for p in files}) == []

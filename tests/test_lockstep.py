@@ -13,13 +13,14 @@ import pytest
 
 from lowfreq2d import PiecewisePotential, SpectralBatch, cli, scattering
 from lowfreq2d.cli import main
-from lowfreq2d.errors import NumericalError
+from lowfreq2d.errors import NumericalError, ValidationError
 from lowfreq2d.radialsolve import regular_solution
 from lowfreq2d.scatterer import parse_config
 from lowfreq2d.threshold import classify
 from lowfreq2d.util import log_grid
 
-from oracles import MODE_AXIS_SCATTERERS, bit_pattern, sequential_perturb, sequential_resonance
+from oracles import (MODE_AXIS_SCATTERERS, bit_pattern, imaginary_axis_poles, sequential_perturb,
+                     sequential_resonance)
 
 # a p-wave threshold state: every negative member's pole is Newton-polished from the axis
 TUNED_P_WELL = "kind = potential\nbreaks = 1.015948443352384\nvalues = -5.603041241773262\n"
@@ -124,6 +125,7 @@ def test_resonance_scans_every_mode_in_one_solve(monkeypatch, tmp_path):
 
 # -- errors: the first a one-after-the-other run raises ---------------------------
 
+
 def _cli_error(tmp_path, command: str, cfg_text: str) -> tuple[int, list[str]]:
     cfg = tmp_path / "c.cfg"
     cfg.write_text(cfg_text)
@@ -171,6 +173,16 @@ def _poison_members(monkeypatch, members: dict):
 BASE = PiecewisePotential((1.0,), (-2.5,))
 BASE_CFG = ("kind = potential\nbreaks = 1\nvalues = -2.5\n"
             "grid.min = 1e-4\ngrid.max = 1\ngrid.count = 12\n")      # LAMS
+
+
+def test_a_failing_search_does_not_stop_the_searches_after_it():
+    newton = scattering.PoleSearch(0, scattering._newton_steps(0, SpectralBatch(0.6, -0.3)))
+    failed, axis = scattering.run_searches(BASE, [newton, scattering.axis_search(BASE, 0)])
+    assert isinstance(failed, ValidationError)          # |seed| >= 0.5
+    assert axis
+    assert list(map(_pole_bits, axis)) == list(map(_pole_bits, imaginary_axis_poles(BASE, 0)))
+    with pytest.raises(ValidationError):
+        [scattering.settle(x) for x in (failed, axis)]
 
 
 @pytest.mark.parametrize("members", [

@@ -132,7 +132,7 @@ def test_wronskian_spread_and_green_residual(free_fx, generic_well_fx, dirichlet
 
 
 def test_at_pole_error(p_well_fx):
-    from lowfreq2d import imaginary_axis_poles
+    from oracles import imaginary_axis_poles
     s = p_well_fx.scatterer.shifted(-1e-2)
     pole = imaginary_axis_poles(s, 1)[0]
     with pytest.raises(AtPoleError):

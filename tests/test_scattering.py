@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from lowfreq2d import (DiskObstacle, GAMMA0, PiecewisePotential, SpectralBatch,
-                       find_pole, find_pole_in_disk, imaginary_axis_poles,
                        phase_shift_sweep, sigma_asymptotic)
 from lowfreq2d import scattering
 from lowfreq2d.errors import BasinError, NumericalError, ShapeMismatchError, ValidationError
@@ -17,7 +16,8 @@ from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES
 from lowfreq2d.util import log_grid
 
 from oracles import (FREE, MODE_AXIS_SCATTERERS, admissible, bessel_jy, born_phase_shift_mode0,
-                     bit_pattern, breit_wigner_metrics, det_s_modulus, j0_series,
+                     bit_pattern, breit_wigner_metrics, det_s_modulus, find_pole,
+                     find_pole_in_disk, imaginary_axis_poles, j0_series,
                      scan_pole_candidates, sequential_axis_poles, sequential_find_pole,
                      sequential_phase_tables, y0_series)
 

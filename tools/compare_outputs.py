@@ -47,6 +47,8 @@ BUILTIN_CONFIGS = {
     "tuned-p-well": "kind = potential; breaks = 1.015948443352384; values = -5.603041241773262\n",
     # no bound state: wave exits 0 on a potential, and its widest source panels split eight ways
     "repulsive-wide-source": "kind = potential; breaks = 1; values = 2.5; cutoff.r0 = 8\n",
+    # a high barrier: verify's two-parameter residual fails its gate, and verify exits 3
+    "repulsive-step-300": "kind = potential; breaks = 1; values = 300\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
 
