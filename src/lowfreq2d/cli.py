@@ -192,6 +192,8 @@ def _cmd_expand(run: _Run) -> None:
     fit = fit_log_laurent(samples, eg, terms, shift0=shift0)
     attach_predictions(fit, predict_leading_terms(report, f, f))
     run.write_json("fit.json", fit.to_dict())
+    if fit.residual > 1e-6:
+        raise NumericalError(f"held-out fit residual {fit.residual:.3g} above 1e-6")
 
 
 def _cmd_phase(run: _Run) -> None:

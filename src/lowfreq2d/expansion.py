@@ -1,9 +1,9 @@
 """Low-frequency structure of cutoff-resolvent matrix elements.
 
 Matrix elements m(lam) = <R(lam) f, g> are sampled on rays into the origin,
-SAMPLE_BATCH points per resolvent call on the run of panels where f or g is
-above rounding (radial.support_panels, the rule wave shares), and fitted
-against the bases
+in one resolvent sweep (resolvent.green_sweep, which wave shares) on the run
+of panels where f or g is above rounding (radial.support_panels, the rule
+wave shares too), and fitted against the bases
 
     lam^{2j} (log lam)^k           (regular terms, k of either sign)
     lam^{2j} (log lam - a)^{-k}    (shifted-pole terms, k >= 1)
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (IllConditionedFitError, NumericalError, ShapeMismatchError,
                      ValidationError)
 from .radial import RadialFunction, inner, support_panels, with_trig
-from .resolvent import mode_green
+from .resolvent import green_sweep
 from .scatterer import Scatterer
 from .specfun import SpectralBatch
 from .threshold import ThresholdReport
@@ -39,7 +39,6 @@ from .util import log_grid
 CONDITION_LIMIT = 1e12
 EXTRA_COUNT = 8         # points on expansion_grid's secondary ray
 SHIFT_MAX_ITER = 40     # Gauss-Newton steps on the pole shift
-SAMPLE_BATCH = 16       # spectral points per mode_green call on the trimmed support; sets peak memory
 
 
 # ----------------------------------------------------------------------------
@@ -68,15 +67,12 @@ def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
 
 def sample_matrix_element(s: Scatterer, f: RadialFunction, g: RadialFunction,
                           pts: SpectralBatch) -> np.ndarray:
-    """<R(lam) f, g> per spectral point (pole-guarded), one resolvent batch
-    per SAMPLE_BATCH points on the panels where f or g is above rounding."""
-    if not f.same_channel(g) or not (f.values.any() or g.values.any()):
+    """<R(lam) f, g> per spectral point (pole-guarded), in one resolvent
+    sweep on the panels where f or g is above rounding."""
+    if not (len(pts) and f.same_channel(g) and (f.values.any() or g.values.any())):
         return np.zeros(len(pts), dtype=complex)
     f, g = support_panels(f, g)
-    return np.concatenate([np.zeros(0, dtype=complex)] + [
-        inner(mode_green(s, pts[i:i + SAMPLE_BATCH], f.mode, f.grid).apply_values(f), g)
-        for i in range(0, len(pts), SAMPLE_BATCH)
-    ])
+    return green_sweep(s, pts, f.mode, f.grid, lambda green: inner(green.apply_values(f), g))
 
 
 # ----------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import AtPoleError, NumericalError, ValidationError
 from .quadrature import PanelGrid
 from .radial import RadialFunction
-from .radialsolve import PiecewiseSolution, green_pair
+from .radialsolve import BESSEL_BATCH, PiecewiseSolution, green_pair
 from .scatterer import CutoffProfile, PiecewisePotential, Scatterer, commutator_apply
 from .specfun import SpectralBatch, bessel_pair
 
@@ -45,8 +45,8 @@ class ResolventSample:
     deviation of the sampled one from it, over the batch.
 
     The node values take the order-l basis alone.  The node derivatives
-    phi_ders and psi_ders are formed the first time they are read, by one
-    pair evaluation of the solutions on the nodes, so apply_values and every
+    (_ders) are formed the first time apply reads them, by one pair
+    evaluation of the solutions on the nodes, so apply_values and every
     caller of the values alone never form them."""
 
     scatterer: Scatterer
@@ -66,14 +66,6 @@ class ResolventSample:
         phi_d = phi_d / np.reshape(self.phi_scale, (-1, 1))
         shape = self.lam.shape + phi_d.shape[-1:]
         return phi_d.reshape(shape), psi_d.reshape(shape)
-
-    @property
-    def phi_ders(self) -> np.ndarray:
-        return self._ders[0]
-
-    @property
-    def psi_ders(self) -> np.ndarray:
-        return self._ders[1]
 
     def _check_source(self, f: RadialFunction) -> None:
         if not f.grid.same(self.grid):
@@ -95,8 +87,9 @@ class ResolventSample:
     def apply(self, f: RadialFunction) -> RadialFunction:
         """u with (P - lam^2) u = f, outgoing at infinity, and its exact u'."""
         parts = self._integrals(f)
+        phi_d, psi_d = self._ders
         return RadialFunction(self.mode, self.grid, _vary(self.psi_vals, self.phi_vals, *parts),
-                              _vary(self.psi_ders, self.phi_ders, *parts), f.trig)
+                              _vary(psi_d, phi_d, *parts), f.trig)
 
     def apply_values(self, f: RadialFunction) -> RadialFunction:
         """apply(f)'s values alone, with derivs None: no node derivatives are formed."""
@@ -148,8 +141,8 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     POLE_GUARD AtPoleError for the first such point.
 
     solution, when given, is green_pair(s, l, lam) solved already, typically
-    a slice of one solve of many points: a sweep solves once and samples in
-    slices, and the probes and the observation radius of every slice are
+    a slice of one solve of many points: green_sweep solves once and samples
+    in slices, and the probes and the observation radius of every slice are
     then evaluated once on the whole solve (SolutionSlice).
     """
     sols = green_pair(s, l, lam) if solution is None else solution
@@ -180,6 +173,20 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     phi_v, psi_v = (a.reshape(lam.shape + a.shape[-1:]) for a in (phi_v, psi_v))
     w, scale = (a.reshape(lam.shape)[()] for a in (w, scale))
     return ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale)
+
+
+def green_sweep(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid, read) -> np.ndarray:
+    """read(mode_green(...)) over a 1-D batch, concatenated.
+
+    The Green pair is solved once for the whole batch; each mode_green call
+    takes a slice of that solve, as many consecutive points as make about
+    BESSEL_BATCH Bessel points on grid, so the slice, not the batch, sets
+    the size of the temporaries.  read runs on each slice's sample before the
+    next is formed."""
+    sols = green_pair(s, l, lam)
+    step = max(1, BESSEL_BATCH // len(grid))
+    return np.concatenate([read(mode_green(s, lam[i:i + step], l, grid, solution=sols[i:i + step]))
+                           for i in range(0, len(lam), step)])
 
 
 # ----------------------------------------------------------------------------

@@ -34,11 +34,10 @@ each panel split until LAM_CAP times its half-width is at most half that
 count, so the source quadrature of e^{i lam r} f r dr holds to rounding at
 every lam of the sweep.  An observation radius on the source's support reads
 partial integrals of that integrand as well, which hold to rounding only on
-SUPPORT_NODES nodes per panel under the same split rule.  The Green pair is
-solved once per chunk sampling; each resolvent call takes a slice of that
-solve, as many consecutive lam nodes as make about BESSEL_BATCH Bessel
-points on that quadrature, and the Wronskian probes and the observation
-radius are evaluated once per chunk sampling.
+SUPPORT_NODES nodes per panel under the same split rule.  Each chunk
+sampling is one resolvent sweep (resolvent.green_sweep, which expand's matrix
+elements share): one Green solve, sampled in slices, with the Wronskian
+probes and the observation radius evaluated once.
 
 Scatterers with discrete spectrum are refused: a bound state would add an
 oscillatory term the spectral integral over the continuum misses.
@@ -55,8 +54,7 @@ from numpy.polynomial import legendre
 from .errors import BoundStateRefusal, NumericalError, ValidationError
 from .quadrature import PanelGrid, geometric_edges
 from .radial import RadialFunction, support_panels
-from .radialsolve import BESSEL_BATCH, green_pair
-from .resolvent import mode_green
+from .resolvent import green_sweep
 from .scatterer import Scatterer
 from .scattering import axis_search, run_searches, settle
 from .specfun import SpectralBatch
@@ -258,22 +256,10 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
     # the end of the trimmed panels, since f beyond them moves no digit of G
     tmin = min((t for t in q.times if t > 0), default=1.0)
     tail_weight = min(1.0, (max(src.grid.rmax, 1.0) / tmin) ** 4)
-    # one Green solve per chunk sampling, whose boundary or junction solve,
-    # Wronskian probes and phi(x) or psi(x) are formed once; the node values
-    # are taken per `batch` consecutive nodes, across panel edges, so a
-    # resolvent call evaluates about BESSEL_BATCH Bessel points (170 x 120 on
-    # a CLI disk), and that batch, not the chunk, sets the size of the
-    # temporaries
-    batch = max(1, BESSEL_BATCH // len(src.grid))
 
     def sample(lam: np.ndarray) -> np.ndarray:
-        lams = SpectralBatch(lam, 0.0)
-        sols = green_pair(q.scatterer, 0, lams)
-        return np.concatenate([
-            mode_green(q.scatterer, lams[i:i + batch], 0, src.grid,
-                       solution=sols[i:i + batch]).value_at(src, q.x).imag
-            for i in range(0, len(lams), batch)
-        ])
+        return green_sweep(q.scatterer, SpectralBatch(lam, 0.0), 0, src.grid,
+                           lambda green: green.value_at(src, q.x).imag)
 
     # chunk 0 runs geometric into the origin, then uniform through moderate
     # lam, at full order; 8-unit chunks follow until the tail test passes or

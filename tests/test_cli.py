@@ -96,6 +96,18 @@ def test_verify_fails_on_a_failing_identity(tmp_path, capsys):
         "message": f"identity residuals above 1e-6: two-parameter {failed[0][1]:.3g}"}]
 
 
+def test_expand_fails_on_its_held_out_fit_residual(tmp_path, capsys):
+    # a 300-high barrier: the held-out fit residual is about 2e-3
+    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 300\n", "expand")
+    assert code == 3
+    residual = json.loads((out / "fit.json").read_text())["residualHeldOut"]
+    assert residual > 1e-6
+    assert not (out / "manifest.json").exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(x) for x in lines] == [{
+        "error": "NumericalError", "message": f"held-out fit residual {residual:.3g} above 1e-6"}]
+
+
 def test_expand_neumann_matches_prediction(tmp_path):
     code, out = _run(tmp_path, "neu.cfg", NEUMANN_CFG, "expand")
     assert code == 0

@@ -29,17 +29,20 @@ def test_orthogonal_channels_sample_to_zero(free_fx, default_grid_pts):
 
 
 def test_batched_samples_match_per_point(dirichlet_fx, p_well_fx):
-    # 11 points: one full batch of SAMPLE_BATCH and a partial one, on two rays
-    # and both modes a batch can carry; reference is one mode_green per point
+    # one full slice of the sweep and a partial one, on two rays and both
+    # modes a sweep can carry; reference is one mode_green per point
     from lowfreq2d import mode_green
-    mods = np.geomspace(1e-6, 1e-2, 6)
-    pts = SpectralBatch(np.tile(mods, 2), np.repeat([math.pi / 4, 1.2], 6))[:11]
+    from lowfreq2d.radial import support_panels
+    from lowfreq2d.radialsolve import BESSEL_BATCH
     for fx, mode in ((dirichlet_fx, 0), (p_well_fx, 1)):
         f = fx.source(mode)
+        n = BESSEL_BATCH // len(support_panels(f, f)[0].grid) + 5
+        mods = np.geomspace(1e-6, 1e-2, n)
+        pts = SpectralBatch(mods, np.where(np.arange(n) % 2, 1.2, math.pi / 4))
         batch = sample_matrix_element(fx.scatterer, f, f, pts)
         point = np.array([inner(mode_green(fx.scatterer, p, mode, fx.grid).apply(f), f)
                           for p in pts])
-        assert batch.shape == (11,)
+        assert batch.shape == (n,)
         assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-14
 
 
@@ -89,33 +92,47 @@ def test_vanishing_pair_samples_to_zero(generic_well_fx, default_grid_pts):
     f = generic_well_fx.f.scaled(0.0)
     vals = sample_matrix_element(generic_well_fx.scatterer, f, f, default_grid_pts.points[:3])
     assert vals.shape == (3,) and np.all(vals == 0.0)
+    # an empty batch samples to an empty array
+    f = generic_well_fx.f
+    vals = sample_matrix_element(generic_well_fx.scatterer, f, f, default_grid_pts.points[:0])
+    assert vals.shape == (0,) and vals.dtype == complex
 
 
 def test_cli_expand_work(tmp_path, monkeypatch):
     # a CLI expand on the Dirichlet disk of radius 1.06 takes its Green data
-    # on the trimmed support of the source, SAMPLE_BATCH points per call:
-    # 10 432 Bessel points in 2 mode_green calls (30 912 in 4 on every node
-    # of the grid with 8 points per call)
-    from lowfreq2d import expansion, radialsolve
+    # on the trimmed support of the source in one resolvent sweep: its 32
+    # points make 10 432 Bessel points, one slice of the sweep, in 1 green_pair
+    # solve, 1 mode_green call and 3 bessel_pair calls (30 912 in 4 calls on
+    # every node of the grid with 8 points per call)
+    from lowfreq2d import radialsolve, resolvent
     from lowfreq2d.cli import main
-    points, calls = [0], [0]
+    points, bessel_calls, solves, calls = [0], [0], [0], [0]
 
     def count_points(l, z, logz, slot=None):
         points[0] += np.size(z)
+        bessel_calls[0] += 1
         return bessel_pair(l, z, logz, slot)
 
-    def count_calls(*args):
-        calls[0] += 1
-        return mode_green(*args)
+    def count_solves(*args):
+        solves[0] += 1
+        return green_pair(*args)
 
-    bessel_pair, mode_green = radialsolve.bessel_pair, expansion.mode_green
+    def count_calls(*args, **kwargs):
+        calls[0] += 1
+        return mode_green(*args, **kwargs)
+
+    bessel_pair, green_pair, mode_green = (radialsolve.bessel_pair, resolvent.green_pair,
+                                           resolvent.mode_green)
     monkeypatch.setattr(radialsolve, "bessel_pair", count_points)
-    monkeypatch.setattr(expansion, "mode_green", count_calls)
+    monkeypatch.setattr(resolvent, "green_pair", count_solves)
+    monkeypatch.setattr(resolvent, "mode_green", count_calls)
     cfg = tmp_path / "disk.cfg"
     cfg.write_text("kind = disk; radius = 1.06; bc = dirichlet\n")
     assert main(["expand", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert points[0] <= 11_000
-    assert calls[0] <= 2
+    assert calls[0] == 1
+    assert solves[0] == 1
+    assert bessel_calls[0] <= 3
 
 
 def test_selfadjoint_pairing_symmetry(generic_well_fx):

@@ -294,7 +294,8 @@ def test_lazy_derivatives_match_eager_evaluation(dirichlet_fx, l):
             eager.__dict__["_ders"] = (phi_d, psi_d)
             u, ref = sample.apply(f), eager.apply(f)
             assert np.array_equal(u.values, ref.values) and np.array_equal(u.derivs, ref.derivs)
-            assert np.array_equal(sample.phi_ders, phi_d) and np.array_equal(sample.psi_ders, psi_d)
+            ders = sample._ders
+            assert np.array_equal(ders[0], phi_d) and np.array_equal(ders[1], psi_d)
 
 
 @pytest.mark.parametrize("l", [0, 2])

@@ -257,7 +257,7 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
     # across panel edges (geometric panels of the base chunk, tail panels),
     # gives each point the bits of its own one-point call of the integrand
     from lowfreq2d import SpectralBatch, mode_green
-    from lowfreq2d.wave import BESSEL_BATCH
+    from lowfreq2d.radialsolve import BESSEL_BATCH
     nodes = PanelGrid(edges, 16).nodes
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _green_source(fx.f, x_obs)
@@ -272,25 +272,32 @@ def test_batched_integrand_matches_per_point(dirichlet_fx, generic_well_fx, edge
 
 
 def test_chunk_solve_slices_match_their_own_calls(dirichlet_fx, generic_well_fx):
-    # the sweep's resolvent calls on slices of one chunk solve give the bits
-    # of calls that solve on their own, below the source (phi(x) through the
-    # chunk solve), inside it and above it (psi(x) through the chunk solve)
+    # a resolvent sweep's calls on slices of its one solve give the bits of
+    # calls that solve on their own, below the source (phi(x) through the
+    # sweep's solve), inside it and above it (psi(x) through the sweep's solve)
     from lowfreq2d import SpectralBatch, mode_green
     from lowfreq2d.radial import support_panels
-    from lowfreq2d.radialsolve import green_pair
+    from lowfreq2d.radialsolve import BESSEL_BATCH
+    from lowfreq2d.resolvent import green_sweep
     lams = SpectralBatch(PanelGrid(np.arange(0.5, 6.01, 0.25), 16).nodes[:400], 0.0)
     for fx in (dirichlet_fx, generic_well_fx):
         support = support_panels(fx.f)[0].grid
-        whole = green_pair(fx.scatterer, 0, lams)
         for x_obs in (0.5 * (fx.scatterer.inner_radius + support.rmin), fx.f_center,
                       support.rmax + 0.7):
             src = _green_source(fx.f, x_obs)
-            for i in range(0, len(lams), 170):
-                part = lams[i:i + 170]
-                got = mode_green(fx.scatterer, part, 0, src.grid, solution=whole[i:i + 170])
-                ref = mode_green(fx.scatterer, part, 0, src.grid)
-                assert np.array_equal(got.value_at(src, x_obs), ref.value_at(src, x_obs))
-                assert got.wronskian_spread == ref.wronskian_spread
+            spreads = []
+
+            def read(green):
+                spreads.append(green.wronskian_spread)
+                return green.value_at(src, x_obs)
+
+            got = green_sweep(fx.scatterer, lams, 0, src.grid, read)
+            step = BESSEL_BATCH // len(src.grid)
+            refs = [mode_green(fx.scatterer, lams[i:i + step], 0, src.grid)
+                    for i in range(0, len(lams), step)]
+            assert len(refs) > 1
+            assert np.array_equal(got, np.concatenate([r.value_at(src, x_obs) for r in refs]))
+            assert spreads == [r.wronskian_spread for r in refs]
 
 
 @pytest.mark.parametrize("cfg_text, splits", [
@@ -342,7 +349,7 @@ def test_cli_wave_work(tmp_path, monkeypatch):
     # bessel_pair calls, where a solve per mode_green call made 22 and 89.
     # No call takes more than BESSEL_BATCH node points, which bounds the
     # temporaries (one call per chunk would raise peak memory)
-    from lowfreq2d import radialsolve, resolvent, wave
+    from lowfreq2d import radialsolve, resolvent
     from lowfreq2d.cli import main
     points, bessel_calls, solves, calls = [0], [0], [0], [0]
 
@@ -357,14 +364,14 @@ def test_cli_wave_work(tmp_path, monkeypatch):
 
     def count_calls(s, lam, l, grid, **kwargs):
         calls[0] += 1
-        assert len(lam) * len(grid) <= wave.BESSEL_BATCH
+        assert len(lam) * len(grid) <= radialsolve.BESSEL_BATCH
         return mode_green(s, lam, l, grid, **kwargs)
 
-    bessel_pair, green_pair, mode_green = radialsolve.bessel_pair, wave.green_pair, wave.mode_green
+    bessel_pair, green_pair, mode_green = (radialsolve.bessel_pair, resolvent.green_pair,
+                                           resolvent.mode_green)
     monkeypatch.setattr(radialsolve, "bessel_pair", count_points)
-    monkeypatch.setattr(wave, "green_pair", count_solves)
     monkeypatch.setattr(resolvent, "green_pair", count_solves)
-    monkeypatch.setattr(wave, "mode_green", count_calls)
+    monkeypatch.setattr(resolvent, "mode_green", count_calls)
     cfg = tmp_path / "disk.cfg"
     cfg.write_text("kind = disk; radius = 1.06; bc = dirichlet\n")
     assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -444,7 +451,7 @@ def test_tail_status_reported(wave_free_result, wave_well_result):
 def _cli_wave(tmp_path, monkeypatch, cfg_text):
     """(result, spectral samples, decay.json) of a CLI wave on cfg_text."""
     import json
-    from lowfreq2d import cli, wave
+    from lowfreq2d import cli, resolvent, wave
     from lowfreq2d.cli import main
     seen, samples = [], [0]
 
@@ -456,8 +463,8 @@ def _cli_wave(tmp_path, monkeypatch, cfg_text):
         seen.append(evolve(q))
         return seen[-1]
 
-    mode_green, evolve = wave.mode_green, wave.evolve
-    monkeypatch.setattr(wave, "mode_green", count_samples)
+    mode_green, evolve = resolvent.mode_green, wave.evolve
+    monkeypatch.setattr(resolvent, "mode_green", count_samples)
     monkeypatch.setattr(cli, "evolve", keep)
     cfg = tmp_path / "wave.cfg"
     cfg.write_text(cfg_text + "\n")

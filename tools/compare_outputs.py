@@ -49,6 +49,8 @@ BUILTIN_CONFIGS = {
     "repulsive-wide-source": "kind = potential; breaks = 1; values = 2.5; cutoff.r0 = 8\n",
     # a high barrier: verify's two-parameter residual fails its gate, and verify exits 3
     "repulsive-step-300": "kind = potential; breaks = 1; values = 300\n",
+    # expand's 308 spectral points take several slices of its one resolvent sweep
+    "long-grid-disk": "kind = disk; radius = 1; bc = neumann; grid.count = 300\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
 
