@@ -29,7 +29,8 @@ from .errors import LowfreqError, NumericalError, ValidationError
 from .expansion import (attach_predictions, expansion_grid, fit_log_laurent, fit_shape,
                         predict_leading_terms, sample_matrix_element)
 from .radial import RadialFunction, bump, bump_edges
-from .resolvent import (one_sided_identity_residual, pairing_identity_residual,
+from .radialsolve import green_pair
+from .resolvent import (FREE, one_sided_identity_residual, pairing_identity_residual,
                         two_parameter_identity_residual)
 from .scatterer import (PiecewisePotential, ScattererConfig, parse_config,
                         standard_grid)
@@ -313,15 +314,24 @@ def _cmd_verify(run: _Run) -> None:
     z = SpectralBatch(0.02, math.pi / 2)
     lam_b = SpectralBatch(0.4, math.pi / 2)
     outer = bump(grid, chi.pairing_radius + 0.9, 0.5, 0)
+    # s solved once at lam, z and lam_b, V = 0 once at lam and z: each
+    # identity reads its points' slices, with the bits of solves of its own
+    sols = green_pair(s, 0, SpectralBatch([lam.modulus, z.modulus, lam_b.modulus],
+                                          [lam.arg, z.arg, lam_b.arg]))
+    free = green_pair(FREE, 0, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]))
     # single-parameter identities have no second spectral point: blank z cells
     rows = [
         ("two-parameter", lam.modulus, lam.arg, z.modulus, z.arg,
-         two_parameter_identity_residual(s, lam, z, chi, f)),
+         two_parameter_identity_residual(s, lam, z, chi, f,
+                                         solutions=(sols[0:1], sols[1:2], free[0:2]))),
         ("one-sided", lam.modulus, lam.arg, "", "",
-         one_sided_identity_residual(s, lam, chi, gfun)),
+         one_sided_identity_residual(s, lam, chi, gfun, solutions=(sols[0:1], free[0:1]))),
         ("boundary-pairing", lam_b.modulus, lam_b.arg, "", "",
-         pairing_identity_residual(s, lam_b, outer, chi.pairing_radius)),
+         pairing_identity_residual(s, lam_b, outer, chi.pairing_radius, solution=sols[2:3])),
     ]
+    unfinite = [f"{name} {r:.3g}" for name, *_, r in rows if not math.isfinite(r)]
+    if unfinite:
+        raise NumericalError("non-finite identity residuals: " + ", ".join(unfinite))
     out = [(name, lm, la, zm, za, r, "pass" if r < 1e-6 else "fail")
            for (name, lm, la, zm, za, r) in rows]
     run.write_csv("verify.csv",

@@ -9,7 +9,11 @@ the constancy of the Wronskian is tracked as a structural invariant.
 
 Also here: residual evaluations of the one-sided and two-spectral-parameter
 resolvent identities and of the exterior pairing identity, each against the
-free resolvent of V = 0.
+free resolvent of V = 0 (FREE).  Each solves its own Green pairs, or takes
+them solved already, as mode_green takes its solution: `verify` solves s
+once at the points of all three identities and FREE once at those of the
+two that read it, and hands each identity its slices, which have the bits
+of its own solves.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .specfun import SpectralBatch, bessel_pair
 
 POLE_GUARD = 1e-13
 
-_FREE = PiecewisePotential((1.0,), (0.0,))
+FREE = PiecewisePotential((1.0,), (0.0,))
 
 
 # ----------------------------------------------------------------------------
@@ -198,13 +202,19 @@ def _grid_norm(grid: PanelGrid, vals: np.ndarray) -> float:
 
 
 def one_sided_identity_residual(s: Scatterer, lam: SpectralBatch, chi: CutoffProfile,
-                                g: RadialFunction) -> float:
+                                g: RadialFunction,
+                                solutions: tuple[PiecewiseSolution, ...] | None = None) -> float:
     """R(lam)(1-chi) g vs {1 - chi - R(lam)[Delta, chi]} R0(lam) g, relative,
-    at the point lam (a batch of shape ())."""
+    at the point lam (a batch of shape ()).
+
+    solutions, when given, is the pair (green_pair(s, l, lam),
+    green_pair(FREE, l, lam)) solved already, each typically a slice of a
+    solve of more points."""
     grid = g.grid
     chi_v = chi.chi(grid.nodes)
-    green = mode_green(s, lam, g.mode, grid)
-    green0 = mode_green(_FREE, lam, g.mode, grid)
+    sol, sol0 = solutions or (None, None)
+    green = mode_green(s, lam, g.mode, grid, solution=sol)
+    green0 = mode_green(FREE, lam, g.mode, grid, solution=sol0)
     # only r0g's derivatives are read (by the commutator); the masked source has none
     lhs = green.apply_values(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
     r0g = green0.apply(g)
@@ -213,20 +223,27 @@ def one_sided_identity_residual(s: Scatterer, lam: SpectralBatch, chi: CutoffPro
 
 
 def two_parameter_identity_residual(s: Scatterer, lam: SpectralBatch, z: SpectralBatch,
-                            chi: CutoffProfile, f: RadialFunction) -> float:
+                            chi: CutoffProfile, f: RadialFunction,
+                            solutions: tuple[PiecewiseSolution, ...] | None = None) -> float:
     """Two-spectral-parameter identity applied to f at the points lam and z,
     relative residual.
 
     R(lam) - R(z) = (lam^2 - z^2) R(lam) chi(2-chi) R(z)
                     + {1 - chi - R(lam)[Delta, chi]} (R0(lam) - R0(z)) K1,
     with K1 = 1 - chi + [Delta, chi] R(z).
+
+    solutions, when given, is (green_pair(s, l, lam), green_pair(s, l, z),
+    green_pair(FREE, l, [lam, z])) solved already, each typically a slice
+    of a solve of more points.
     """
     grid = f.grid
     l = f.mode
     chi_v = chi.chi(grid.nodes)
-    green_l = mode_green(s, lam, l, grid)
-    green_z = mode_green(s, z, l, grid)
-    free = mode_green(_FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]), l, grid)
+    sol_l, sol_z, sol0 = solutions or (None,) * 3
+    green_l = mode_green(s, lam, l, grid, solution=sol_l)
+    green_z = mode_green(s, z, l, grid, solution=sol_z)
+    free = mode_green(FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]), l, grid,
+                      solution=sol0)
 
     rzf = green_z.apply(f)
     lhs = green_l.apply_values(f).values - rzf.values
@@ -244,23 +261,27 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralBatch, z: Spectra
 
 
 def pairing_identity_residual(s: Scatterer, lam: SpectralBatch, phi_src: RadialFunction,
-                              r1: float) -> float:
+                              r1: float, solution: PiecewiseSolution | None = None) -> float:
     """Exterior pairing of R(lam)phi against the conjugated free kernel at the
     origin, at the point lam.
 
     <phi, conj(R0(lam))( . , 0)>_{|x|>r1} = -B_{r1}( R(lam) phi, conj(R0(lam))( . , 0) )
-    for mode-0 phi; returns the relative defect.
+    for mode-0 phi; returns the relative defect.  solution, when given, is
+    green_pair(s, 0, lam) solved already, as mode_green takes it.
     """
     if phi_src.mode != 0:
         raise ValidationError("pairing identity implemented for mode 0")
     grid = phi_src.grid
     r = grid.nodes
-    kernel = 0.25j * bessel_pair(0, lam.value * r, lam.log + np.log(r))[2][0]
     mask = r > r1
-    lhs = 2.0 * math.pi * grid.integrate(np.where(mask, phi_src.values * kernel * r, 0.0))
-    u = mode_green(s, lam, 0, grid).apply(phi_src)
     s1 = SpectralBatch(lam.modulus * r1, lam.arg)
-    H = bessel_pair(0, s1.value, s1.log)[2]     # H0 and H1 at lam r1
-    kr1, kr1p = 0.25j * H[0, 0], 0.25j * complex(lam.value) * -H[1, 0]     # H0' = -H1
+    # one call: H0 at lam r on the nodes above r1, then H0 and H1 at lam r1
+    H = bessel_pair(0, np.append((lam.value * r)[mask], s1.value),
+                    np.append((lam.log + np.log(r))[mask], s1.log))[2]
+    paired = np.zeros(len(r), dtype=complex)
+    paired[mask] = phi_src.values[mask] * (0.25j * H[0, :-1]) * r[mask]
+    lhs = 2.0 * math.pi * grid.integrate(paired)
+    u = mode_green(s, lam, 0, grid, solution=solution).apply(phi_src)
+    kr1, kr1p = 0.25j * H[0, -1], 0.25j * complex(lam.value) * -H[1, -1]     # H0' = -H1
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)
     return abs(lhs + b) / max(abs(lhs), 1e-300)

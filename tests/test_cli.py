@@ -96,6 +96,43 @@ def test_verify_fails_on_a_failing_identity(tmp_path, capsys):
         "message": f"identity residuals above 1e-6: two-parameter {failed[0][1]:.3g}"}]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_names_the_identities_with_non_finite_residuals(tmp_path, capsys):
+    # an 800-high barrier: the solves at lam and z break down, and the two
+    # identities that read them have NaN residuals; nothing is written
+    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 800\n", "verify")
+    assert code == 3
+    assert not (out / "verify.csv").exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(x) for x in lines] == [{
+        "error": "NumericalError",
+        "message": "non-finite identity residuals: two-parameter nan, one-sided nan"}]
+
+
+def test_cli_verify_work(tmp_path, monkeypatch):
+    # a CLI verify on the README well solves s once at the identities' three
+    # points and V = 0 once at their two, and every identity reads slices of
+    # those solves: 2 green_pair solves and 9 bessel_pair calls (6 and 24
+    # when each identity solved its own)
+    from lowfreq2d import radialsolve, resolvent
+    counts = {"green_pair": 0, "bessel_pair": 0}
+
+    def counted(fn):
+        def spy(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for module in (radialsolve, resolvent, cli):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    code, out = _run(tmp_path, "well.cfg", WELL_CFG, "verify")
+    _check_verify(code, out)
+    assert counts["green_pair"] <= 2
+    assert counts["bessel_pair"] <= 12
+
+
 def test_expand_fails_on_its_held_out_fit_residual(tmp_path, capsys):
     # a 300-high barrier: the held-out fit residual is about 2e-3
     code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 300\n", "expand")

@@ -12,9 +12,9 @@ from lowfreq2d import (SpectralBatch, bump, bump_edges, inner, mode_green,
 from lowfreq2d.errors import AtPoleError, DomainError
 from lowfreq2d.radial import Exterior
 
-from oracles import (FREE, FreeCoeffKernel, boundary_pairing_fourier, boundary_pairing_samples,
-                     circle_pairing, free_kernel, free_truncation_error, from_callable,
-                     j0_series, ode_residual, y0_series)
+from oracles import (FREE, MODE_AXIS_SCATTERERS, FreeCoeffKernel, boundary_pairing_fourier,
+                     boundary_pairing_samples, circle_pairing, free_kernel, free_truncation_error,
+                     from_callable, j0_series, ode_residual, y0_series)
 
 
 def test_kernel_symmetry():
@@ -234,6 +234,37 @@ def test_identity_suite(case, free_fx, generic_well_fx, dirichlet_fx, neumann_fx
     outer = bump(grid, chi.pairing_radius + 0.9, 0.5, 0)
     assert pairing_identity_residual(s, SpectralBatch(0.4, math.pi / 2), outer,
                                      chi.pairing_radius) < 1e-7
+
+
+@pytest.mark.parametrize("name", [*MODE_AXIS_SCATTERERS, "dirichlet-disk-1.06", "neumann-disk-1.06"])
+def test_identities_on_slices_of_shared_solves_keep_their_bits(name):
+    # verify's inputs: each identity handed its slices of one solve of s at
+    # lam, z and lam_b and one of V = 0 at lam and z returns the float it
+    # returns solving alone
+    from lowfreq2d import DiskObstacle, default_cutoff
+    from lowfreq2d.radialsolve import green_pair
+    disks = {"dirichlet-disk-1.06": DiskObstacle(1.06, "dirichlet"),
+             "neumann-disk-1.06": DiskObstacle(1.06, "neumann")}
+    s = MODE_AXIS_SCATTERERS.get(name) or disks[name]
+    chi = default_cutoff(s)
+    fc, fh = 0.5 * (s.inner_radius + chi.r0), 0.4 * (chi.r0 - s.inner_radius)
+    gc, gh = chi.r_end + 0.7, 0.5
+    grid = standard_grid(s, chi, rmax=chi.pairing_radius + 2.0,
+                         extra_edges=bump_edges(fc, fh) + bump_edges(gc, gh))
+    f, gfun = bump(grid, fc, fh, 0), bump(grid, gc, gh, 0)
+    outer = bump(grid, chi.pairing_radius + 0.9, 0.5, 0)
+    lam, z, lam_b = (SpectralBatch(0.01, math.pi / 4), SpectralBatch(0.02, math.pi / 2),
+                     SpectralBatch(0.4, math.pi / 2))
+    sols = green_pair(s, 0, SpectralBatch([0.01, 0.02, 0.4], [math.pi / 4, math.pi / 2, math.pi / 2]))
+    free = green_pair(FREE, 0, SpectralBatch([0.01, 0.02], [math.pi / 4, math.pi / 2]))
+    shared = (two_parameter_identity_residual(s, lam, z, chi, f,
+                                              solutions=(sols[0:1], sols[1:2], free[0:2])),
+              one_sided_identity_residual(s, lam, chi, gfun, solutions=(sols[0:1], free[0:1])),
+              pairing_identity_residual(s, lam_b, outer, chi.pairing_radius, solution=sols[2:3]))
+    alone = (two_parameter_identity_residual(s, lam, z, chi, f),
+             one_sided_identity_residual(s, lam, chi, gfun),
+             pairing_identity_residual(s, lam_b, outer, chi.pairing_radius))
+    assert shared == alone
 
 
 def test_two_parameter_identity_free_is_sharp(free_fx):
