@@ -148,9 +148,7 @@ def _tuned_mode(report) -> int:
     threshold state perturb follows need not share the source's channel."""
     if report.dim_g1_mod_g2:
         return 1
-    if report.eigen_modes:
-        return report.eigen_modes[0][0]
-    return 0
+    return (report.eigen_mode_numbers or [0])[0]
 
 
 # ----------------------------------------------------------------------------
@@ -299,6 +297,8 @@ def _cmd_wave(run: _Run) -> None:
         "lamMax": res.lam_max, "tailConverged": res.tail_converged,
         "legendreTail": res.legendre_tail,
     })
+    if res.legendre_tail > 1e-6:
+        raise NumericalError(f"wave legendreTail {res.legendre_tail:.3g} above 1e-6")
 
 
 def _cmd_verify(run: _Run) -> None:

@@ -226,6 +226,11 @@ def _weighted_lstsq(A, y, w):
     return coef / scale, As @ coef - yw, As
 
 
+def _shift_key(sh) -> bytes:
+    """A shift's exact bits (None as NaN), the key of a fit's solve cache."""
+    return np.complex128(sh).tobytes()
+
+
 def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTerm],
                     shift0: complex | None = None) -> FitReport:
     """Least-squares fit of the term set; with pole terms, Gauss-Newton on
@@ -245,12 +250,16 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
     if has_pole and shift0 is None:
         raise ValidationError("pole terms need an initial shift (threshold a or gamma0)")
 
-    # only the pole columns move with the shift: the others are built once
+    # only the pole columns move with the shift: the others are built once;
+    # a shift solved before (line-search trial, converged shift) reuses its solve
     cols = [None if t.pole else t.evaluate(pts_tr, None) for t in terms]
+    solved = {}
 
     def solve(sh):
-        A = np.column_stack([t.evaluate(pts_tr, sh) if c is None else c for t, c in zip(terms, cols)])
-        return _weighted_lstsq(A, y_tr, w)
+        if (key := _shift_key(sh)) not in solved:
+            A = np.column_stack([t.evaluate(pts_tr, sh) if c is None else c for t, c in zip(terms, cols)])
+            solved[key] = _weighted_lstsq(A, y_tr, w)
+        return solved[key]
 
     def rvec(xv):
         r = solve(complex(xv[0], xv[1]))[1]

@@ -13,13 +13,16 @@ expansion and scattering modules: the bounded state normalized to 1 at
 infinity, the log-growing state normalized to log r (whose finite part fixes
 the pole shift a and, for obstacles, the logarithmic-capacity constant), the
 1/r states with their norm constants alpha_m, and the L2-normalized
-eigenfunctions.
+eigenfunctions.  Classification, c0(Ulog), a and the capacity read the
+connection coefficients alone; the states, alpha_m and s_m are sampled on the
+grid when first read, and the eigenfunctions' norm check with them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,22 +67,77 @@ class ThresholdMode:
 @dataclass
 class ThresholdReport:
     scatterer: Scatterer
+    cutoff: CutoffProfile
     dim_g0_mod_g1: int                      # s-resonance count (0 or 1)
     dim_g1_mod_g2: int                      # p-resonance count M (0 or 2 here)
-    eigen_modes: list[tuple[int, RadialFunction]]
-    U0: RadialFunction | None
-    Ulog: RadialFunction | None
     c0_ulog: complex | None
     a: complex | None                       # pole shift gamma0 + c0(Ulog)
     capacity: float | None                  # obstacles: -Re c0(Ulog)
-    Uw: list[RadialFunction] = field(default_factory=list)
-    alpha: list[complex] = field(default_factory=list)
-    s: list[complex] = field(default_factory=list)
-    modes: list[ThresholdMode] = field(default_factory=list)
+    modes: list[ThresholdMode]
 
     @property
     def has_s_resonance(self) -> bool:
         return self.dim_g0_mod_g1 == 1
+
+    @property
+    def eigen_mode_numbers(self) -> list[int]:
+        """The modes l >= 2 with a zero eigenvalue, read off the connections."""
+        return [m.mode for m in self.modes[2:] if m.growing_is_zero]
+
+    @cached_property
+    def grid(self) -> PanelGrid:
+        """The grid the states are sampled on; classify sets the one it is given."""
+        return standard_grid(self.scatterer, self.cutoff)
+
+    def _sample(self, l: int, decaying_only: bool = True) -> RadialFunction:
+        """Mode l's solution on the grid, with unit decaying (or growing) coefficient."""
+        m = self.modes[l]
+        return m.on_grid(self.grid, 1.0 / (m.decaying if decaying_only else m.growing), decaying_only)
+
+    @cached_property
+    def U0(self) -> RadialFunction | None:
+        """The bounded state, 1 at infinity (s-resonance only)."""
+        return self._sample(0) if self.dim_g0_mod_g1 else None
+
+    @cached_property
+    def Ulog(self) -> RadialFunction | None:
+        """The log-growing state, log r + c0_ulog beyond the support."""
+        return None if self.dim_g0_mod_g1 else self._sample(0, decaying_only=False)
+
+    @cached_property
+    def Uw(self) -> list[RadialFunction]:
+        """The cos and sin copies of the 1/r state (p-resonance only)."""
+        if not self.dim_g1_mod_g2:
+            return []
+        prof = self._sample(1)
+        return [with_trig(prof, trig) for trig in ("cos", "sin")]
+
+    @cached_property
+    def alpha(self) -> list[float]:
+        """The norm constant of each 1/r state."""
+        if not self.Uw:
+            return []
+        # alpha = lim_{r1 -> inf} ( <U,U>_{|x|<r1} / pi - log r1 ); the profile is
+        # exactly 1/r beyond the support, so the limit is reached at the grid end.
+        quad = self.grid.integrate(np.abs(self.Uw[0].values) ** 2 * self.grid.nodes).real
+        return [quad - math.log(self.grid.rmax)] * 2
+
+    @cached_property
+    def s(self) -> list[float]:
+        """The pole shift gamma0 + alpha of each 1/r state."""
+        return [GAMMA0 + al for al in self.alpha]
+
+    @cached_property
+    def eigen_modes(self) -> list[tuple[int, RadialFunction]]:
+        """(l, L2-normalised eigenfunction) for each of eigen_mode_numbers."""
+        eigen = []
+        for l in self.eigen_mode_numbers:
+            raw = self._sample(l)
+            nrm = math.sqrt(norm_sq(raw, include_tail=True))
+            if not 0.0 < nrm < math.inf:
+                raise NumericalError(f"mode-{l} threshold eigenfunction has norm {nrm}")
+            eigen.append((l, raw.scaled(1.0 / nrm)))
+        return eigen
 
 
 def solve_zero_mode(s: Scatterer, l) -> ThresholdMode | list[ThresholdMode]:
@@ -108,65 +166,28 @@ def solve_zero_mode(s: Scatterer, l) -> ThresholdMode | list[ThresholdMode]:
 
 def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
              grid: PanelGrid | None = None) -> ThresholdReport:
-    """Classify the zero-energy nullspace and build its distinguished elements.
-
-    The connections of modes 0 .. lmax come from one transfer-matrix solve;
-    only the states reported are sampled on the grid."""
+    """Classify the zero-energy nullspace from the connections of modes 0 .. lmax,
+    all from one transfer-matrix solve.  The report samples its states on grid,
+    or on the standard grid of the cutoff, when they are first read."""
     if lmax < 2:
         raise ValidationError("lmax must be at least 2")
     if cutoff is None:
         cutoff = default_cutoff(s)
-    if grid is None:
-        grid = standard_grid(s, cutoff)
     modes = solve_zero_mode(s, np.arange(lmax + 1))
 
     m0 = modes[0]
-    U0 = Ulog = None
-    c0_ulog = a = None
-    capacity = None
-    dim_s = 0
-    if m0.growing_is_zero:
-        dim_s = 1
-        U0 = m0.on_grid(grid, 1.0 / m0.decaying, decaying_only=True)
-    else:
-        Ulog = m0.on_grid(grid, 1.0 / m0.growing, decaying_only=False)
+    c0_ulog = a = capacity = None
+    if not m0.growing_is_zero:
         c0_ulog = complex(m0.decaying / m0.growing)
         a = GAMMA0 + c0_ulog
         if isinstance(s, DiskObstacle):
             capacity = -c0_ulog.real
-
-    dim_p = 0
-    Uw: list[RadialFunction] = []
-    alpha: list[complex] = []
-    s_shifts: list[complex] = []
-    m1 = modes[1]
-    if m1.growing_is_zero:
-        dim_p = 2   # cos and sin copies of the same radial profile
-        prof = m1.on_grid(grid, 1.0 / m1.decaying, decaying_only=True)
-        # alpha = lim_{r1 -> inf} ( <U,U>_{|x|<r1} / pi - log r1 ); the profile is
-        # exactly 1/r beyond the support, so the limit is reached at the grid end.
-        r1 = grid.rmax
-        quad = grid.integrate(np.abs(prof.values) ** 2 * grid.nodes).real
-        al = quad - math.log(r1)
-        for trig in ("cos", "sin"):
-            Uw.append(with_trig(prof, trig))
-            alpha.append(al)
-            s_shifts.append(GAMMA0 + al)
-
-    eigen: list[tuple[int, RadialFunction]] = []
-    for m in modes[2:]:
-        if m.growing_is_zero:
-            raw = m.on_grid(grid, 1.0 / m.decaying, decaying_only=True)
-            nrm = math.sqrt(norm_sq(raw, include_tail=True))
-            if not 0.0 < nrm < math.inf:
-                raise NumericalError(f"mode-{m.mode} threshold eigenfunction has norm {nrm}")
-            eigen.append((m.mode, raw.scaled(1.0 / nrm)))
-
-    return ThresholdReport(
-        scatterer=s, dim_g0_mod_g1=dim_s, dim_g1_mod_g2=dim_p,
-        eigen_modes=eigen, U0=U0, Ulog=Ulog, c0_ulog=c0_ulog, a=a,
-        capacity=capacity, Uw=Uw, alpha=alpha, s=s_shifts, modes=modes,
-    )
+    report = ThresholdReport(scatterer=s, cutoff=cutoff, dim_g0_mod_g1=1 if m0.growing_is_zero else 0,
+                             dim_g1_mod_g2=2 if modes[1].growing_is_zero else 0,  # cos and sin
+                             c0_ulog=c0_ulog, a=a, capacity=capacity, modes=modes)
+    if grid is not None:
+        report.grid = grid
+    return report
 
 
 def report_to_dict(report: ThresholdReport) -> dict:
@@ -178,7 +199,7 @@ def report_to_dict(report: ThresholdReport) -> dict:
         "kind": report.scatterer.kind,
         "dimG0modG1": report.dim_g0_mod_g1,
         "dimG1modG2": report.dim_g1_mod_g2,
-        "eigenModes": [l for l, _ in report.eigen_modes],
+        "eigenModes": report.eigen_mode_numbers,
         "c0Ulog": c(report.c0_ulog),
         "a": c(report.a),
         "capacity": report.capacity,

@@ -145,6 +145,21 @@ def test_expand_fails_on_its_held_out_fit_residual(tmp_path, capsys):
         "error": "NumericalError", "message": f"held-out fit residual {residual:.3g} above 1e-6"}]
 
 
+def test_wave_fails_on_an_unresolved_legendre_tail(tmp_path, capsys):
+    # a 1000-high barrier: the lambda panels' top two Legendre coefficients
+    # reach about 0.24 of max|G|, so w is not resolved
+    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 1000\n", "wave")
+    assert code == 3
+    tail = json.loads((out / "decay.json").read_text())["legendreTail"]
+    assert tail > 1e-6
+    assert (out / "wave.csv").exists()
+    assert not (out / "manifest.json").exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(x) for x in lines] == [{
+        "error": "NumericalError",
+        "message": f"wave legendreTail {tail:.3g} above 1e-6"}]
+
+
 def test_expand_neumann_matches_prediction(tmp_path):
     code, out = _run(tmp_path, "neu.cfg", NEUMANN_CFG, "expand")
     assert code == 0

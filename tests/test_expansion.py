@@ -379,3 +379,34 @@ def test_generic_well_shift_matches_threshold(generic_well_fx, default_grid_pts)
     pred = predict_leading_terms(rep, fx.f, fx.f)
     fitted = fit.coefficient(FitTerm(0, 1, pole=True))
     assert abs(fitted - pred["(log-a)^-1"]) < 1e-4 * abs(pred["(log-a)^-1"])
+
+
+def test_fit_reuses_the_solves_of_shifts_it_has_solved(dirichlet_fx, samples_dirichlet,
+                                                       default_grid_pts, monkeypatch):
+    # the next iteration's r0 at the accepted line-search trial and the final
+    # solve at the converged shift read solves already made (7 solves, not
+    # 9, on expand's fit for the unit Dirichlet disk); fit.json keeps the
+    # bits of a fit that solves every shift again
+    import json
+    from lowfreq2d import expansion
+    calls = []
+    lstsq = expansion._weighted_lstsq
+
+    def counted(A, y, w):
+        calls.append(len(A))
+        return lstsq(A, y, w)
+
+    def fit_json():
+        calls.clear()
+        terms, shift0 = fit_shape(dirichlet_fx.report, dirichlet_fx.f, 1, 2)
+        fit = fit_log_laurent(samples_dirichlet, default_grid_pts, terms, shift0=shift0)
+        attach_predictions(fit, predict_leading_terms(dirichlet_fx.report, dirichlet_fx.f,
+                                                      dirichlet_fx.f))
+        return json.dumps(fit.to_dict()), len(calls)
+
+    monkeypatch.setattr(expansion, "_weighted_lstsq", counted)
+    cached, n_cached = fit_json()
+    monkeypatch.setattr(expansion, "_shift_key", lambda sh: object())   # every key new
+    every, n_every = fit_json()
+    assert cached == every
+    assert (n_cached, n_every) == (7, 9)

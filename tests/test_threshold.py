@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from lowfreq2d import (DiskObstacle, GAMMA0, PanelGrid, PiecewisePotential, bump,
-                       classify, commutator_apply, inner, norm_sq, solve_zero_mode,
-                       standard_grid)
+                       classify, commutator_apply, default_cutoff, inner, norm_sq,
+                       solve_zero_mode, standard_grid)
 from lowfreq2d import threshold
 from lowfreq2d.errors import DegenerateScattererError, NumericalError
+from lowfreq2d.radial import with_trig
 
 from conftest import tune_depth
 from oracles import (FREE, MODE_AXIS_SCATTERERS, bit_pattern, constant_one, eigen_projection,
                      sequential_classify_modes)
+
+# the report fields sampled on the grid when first read
+LAZY_FIELDS = ("U0", "Ulog", "Uw", "alpha", "s", "eigen_modes")
 
 
 def test_free_mode0_connection():
@@ -185,8 +189,9 @@ def test_samples_match_exterior_expansion(s_well_fx, p_well_fx, eig_well_fx):
 
 def test_classify_samples_only_the_states_it_reports(monkeypatch, generic_well_fx,
                                                      dirichlet_fx, p_well_fx):
-    # each mode's connection is solved once; only U0 or Ulog, the 1/r profile
-    # and the eigenfunctions are evaluated on the grid
+    # each mode's connection is solved once; classify evaluates nothing on the
+    # grid, and reading every state evaluates only U0 or Ulog, the 1/r
+    # profile and the eigenfunctions
     from lowfreq2d.radialsolve import PiecewiseSolution
     sizes = []
     real_eval = PiecewiseSolution.eval
@@ -198,7 +203,10 @@ def test_classify_samples_only_the_states_it_reports(monkeypatch, generic_well_f
     monkeypatch.setattr(PiecewiseSolution, "eval", spy)
     for fx, expected in ((generic_well_fx, 1), (dirichlet_fx, 1), (p_well_fx, 2)):
         sizes.clear()
-        classify(fx.scatterer, cutoff=fx.chi, grid=fx.grid)
+        rep = classify(fx.scatterer, cutoff=fx.chi, grid=fx.grid)
+        assert sizes == []
+        for name in LAZY_FIELDS:
+            getattr(rep, name)
         assert sizes.count(len(fx.grid.nodes)) == expected
 
 
@@ -221,7 +229,10 @@ def test_one_solve_of_every_mode_matches_one_solve_per_mode(name, monkeypatch):
     assert bit_pattern(report.modes) == bit_pattern(sequential_classify_modes(s))
     monkeypatch.setattr(threshold, "solve_zero_mode",
                         lambda s, l: sequential_classify_modes(s, len(l) - 1))
-    assert bit_pattern(report) == bit_pattern(classify(s))
+    sequential = classify(s)
+    assert bit_pattern(report) == bit_pattern(sequential)
+    for name in LAZY_FIELDS:
+        assert bit_pattern(getattr(report, name)) == bit_pattern(getattr(sequential, name))
 
 
 def test_classify_solves_its_connections_in_one_bessel_call(monkeypatch):
@@ -260,3 +271,99 @@ def test_lowest_failing_mode_names_the_error(s):
     with pytest.raises(type(ref.value)) as got:
         classify(s)
     assert str(got.value) == str(ref.value)
+
+
+# -- threshold states formed on first read ------------------------------------
+
+def _spy_sampling(monkeypatch) -> list:
+    """The names of the sampling calls threshold makes from now on:
+    `standard_grid` and `ThresholdMode.on_grid`."""
+    calls = []
+    on_grid, grid = threshold.ThresholdMode.on_grid, threshold.standard_grid
+
+    def spy_on_grid(*args, **kwargs):
+        calls.append("on_grid")
+        return on_grid(*args, **kwargs)
+
+    def spy_grid(*args, **kwargs):
+        calls.append("standard_grid")
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(threshold.ThresholdMode, "on_grid", spy_on_grid)
+    monkeypatch.setattr(threshold, "standard_grid", spy_grid)
+    return calls
+
+
+def _direct_states(rep, grid) -> dict:
+    """Each threshold state of rep by its own on_grid call on grid, with
+    alpha, s and the eigenfunction norms formed from those samples."""
+    m0, m1 = rep.modes[:2]
+    out = {"U0": None, "Ulog": None, "Uw": [], "alpha": [], "s": []}
+    if m0.growing_is_zero:
+        out["U0"] = m0.on_grid(grid, 1.0 / m0.decaying, decaying_only=True)
+    else:
+        out["Ulog"] = m0.on_grid(grid, 1.0 / m0.growing, decaying_only=False)
+    if m1.growing_is_zero:
+        prof = m1.on_grid(grid, 1.0 / m1.decaying, decaying_only=True)
+        al = grid.integrate(np.abs(prof.values) ** 2 * grid.nodes).real - math.log(grid.rmax)
+        out.update(Uw=[with_trig(prof, "cos"), with_trig(prof, "sin")],
+                   alpha=[al, al], s=[GAMMA0 + al, GAMMA0 + al])
+    out["eigen_modes"] = []
+    for m in rep.modes[2:]:
+        if m.growing_is_zero:
+            raw = m.on_grid(grid, 1.0 / m.decaying, decaying_only=True)
+            out["eigen_modes"].append(
+                (m.mode, raw.scaled(1.0 / math.sqrt(norm_sq(raw, include_tail=True)))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MODE_AXIS_SCATTERERS) + ["s_well_fx", "p_well_fx",
+                                                                 "eig_well_fx"])
+def test_lazy_states_are_formed_once_with_the_bits_of_a_direct_sample(name, request,
+                                                                      monkeypatch):
+    s = (MODE_AXIS_SCATTERERS[name] if name in MODE_AXIS_SCATTERERS
+         else request.getfixturevalue(name).scatterer)
+    calls = _spy_sampling(monkeypatch)
+    rep = classify(s)
+    assert calls == []
+    first = {field: getattr(rep, field) for field in LAZY_FIELDS}
+    assert all(getattr(rep, field) is first[field] for field in LAZY_FIELDS)
+    # one grid, then U0 or Ulog, the 1/r profile and each eigenfunction once
+    assert calls == ["standard_grid"] + ["on_grid"] * (
+        1 + (rep.dim_g1_mod_g2 > 0) + len(rep.eigen_mode_numbers))
+    direct = _direct_states(rep, standard_grid(s, default_cutoff(s)))
+    for field in LAZY_FIELDS:
+        assert bit_pattern(first[field]) == bit_pattern(direct[field]), field
+    assert [l for l, _ in rep.eigen_modes] == rep.eigen_mode_numbers
+    if name == "eig_well_fx":
+        assert rep.eigen_mode_numbers == [2]
+
+
+# the README well and disk, and the threshold-tuned wells of tools/compare_outputs.py
+POLES_CONFIGS = {
+    "readme-well": "kind = potential\nbreaks = 1\nvalues = -2.5\n",
+    "readme-disk": "kind = disk\nradius = 1\nbc = dirichlet\n",
+    "tuned-well": ("kind = potential\nbreaks = 0.5512959285134055, 1.0\n"
+                   "values = -31.638610685432084, -11.37666104513994\n"),
+    "tuned-p-well": "kind = potential\nbreaks = 1.015948443352384\nvalues = -5.603041241773262\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLES_CONFIGS))
+def test_poles_commands_sample_no_threshold_state(name, tmp_path, monkeypatch):
+    # the connection coefficients answer classify, capacity, phase and
+    # perturb; only classify on a p-resonance samples: its 1/r state, once,
+    # for alpha
+    import json
+    from lowfreq2d.cli import main
+    calls = _spy_sampling(monkeypatch)
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(POLES_CONFIGS[name])
+    for command in ("classify", "capacity", "phase", "perturb"):
+        calls.clear()
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+        assert code == (2 if command == "perturb" and "disk" in name else 0), command
+        sampled = name == "tuned-p-well" and command == "classify"
+        assert calls == (["standard_grid", "on_grid"] if sampled else []), command
+    doc = json.loads((tmp_path / "classify" / "classify.json").read_text())
+    assert doc["eigenModes"] == ([2] if name == "tuned-well" else [])

@@ -448,8 +448,9 @@ def test_tail_status_reported(wave_free_result, wave_well_result):
     assert well.lam_max < LAM_CAP and well.tail_converged is True
 
 
-def _cli_wave(tmp_path, monkeypatch, cfg_text):
-    """(result, spectral samples, decay.json) of a CLI wave on cfg_text."""
+def _cli_wave(tmp_path, monkeypatch, cfg_text, code=0):
+    """(result, spectral samples, decay.json) of a CLI wave on cfg_text that
+    exits with code."""
     import json
     from lowfreq2d import cli, resolvent, wave
     from lowfreq2d.cli import main
@@ -468,7 +469,7 @@ def _cli_wave(tmp_path, monkeypatch, cfg_text):
     monkeypatch.setattr(cli, "evolve", keep)
     cfg = tmp_path / "wave.cfg"
     cfg.write_text(cfg_text + "\n")
-    assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
     return seen[0], samples[0], json.loads((tmp_path / "out" / "decay.json").read_text())
 
 
@@ -490,9 +491,10 @@ def test_half_order_chunks_keep_the_lam_edges(tmp_path, monkeypatch):
 def test_unresolved_sweep_stays_at_full_order(tmp_path, monkeypatch):
     # the shell barrier (no bound state) is not resolved by 16-node panels:
     # their top two Legendre coefficients reach 0.34 max|G|, decay.json
-    # reports it, and no chunk drops to half order or is sampled twice
+    # reports it, the run exits 3, and no chunk drops to half order or is
+    # sampled twice
     res, samples, decay = _cli_wave(tmp_path, monkeypatch,
-                                    "kind = potential; breaks = 0.5, 1; values = 0, 300")
+                                    "kind = potential; breaks = 0.5, 1; values = 0, 300", code=3)
     assert decay["legendreTail"] == res.legendre_tail > 1e-3
     assert samples == res.panels.coeffs.size
 

@@ -15,7 +15,8 @@ JSON keys `re`/`im`.  Exit codes and error messages are compared as well.
 Each CONFIG is labelled by the path as given, so configs of one file name in
 different directories stay apart.  A last line sums up the run, with each
 tree's summed CPU time (user and system) and minor page faults over its CLI
-runs; the exit status is 1 when any file, exit code or error message
+runs, and each tree's CPU time per command, so a saving shows on the commands
+it lands on; the exit status is 1 when any file, exit code or error message
 differs, and 0 otherwise.  Standard library only.
 """
 
@@ -169,6 +170,7 @@ def main(argv=None) -> int:
     tally = dict.fromkeys(("identical files", "differing files", "exit-code mismatches",
                            "error-text mismatches"), 0)
     cost = {"old": [0.0, 0.0, 0], "new": [0.0, 0.0, 0]}     # user s, sys s, minor faults
+    cpu = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}  # user + sys s per command
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         configs = {}
@@ -182,7 +184,9 @@ def main(argv=None) -> int:
                 dirs, runs = [], []
                 for tag, src in (("old", old_src), ("new", new_src)):
                     out = work / tag / str(i) / command
+                    before = cost[tag][0] + cost[tag][1]
                     runs.append(run_cli(src, command, cfg, out, cost[tag]))
+                    cpu[tag][command] += cost[tag][0] + cost[tag][1] - before
                     dirs.append(out)
                 head = f"{name} {command}"
                 if runs[0][0] != runs[1][0]:
@@ -201,7 +205,9 @@ def main(argv=None) -> int:
                     print(f"{head} {fname}: {verdict}")
     print("summary: " + ", ".join(f"{n} {k}" for k, n in tally.items()) + "; "
           + "; ".join(f"{tag} {u:.2f} s user, {t:.2f} s sys, {f} minor faults"
-                      for tag, (u, t, f) in cost.items()))
+                      for tag, (u, t, f) in cost.items())
+          + "; CPU s per command, old -> new: "
+          + ", ".join(f"{c} {cpu['old'][c]:.2f} -> {cpu['new'][c]:.2f}" for c in COMMANDS))
     return int(any(n for k, n in tally.items() if k != "identical files"))
 
 
