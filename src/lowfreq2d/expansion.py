@@ -278,13 +278,15 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
             step, *_ = np.linalg.lstsq(J, -r0, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
-            # backtrack
+            # backtrack; when no trial beats x, stop at x, the last shift solved
             t = 1.0
             base = np.linalg.norm(r0)
             while t > 1e-4:
                 if np.linalg.norm(rvec(x + t * step)) < base:
                     break
                 t *= 0.5
+            else:
+                break
             x = x + t * step
             if np.linalg.norm(t * step) < 1e-12 * (1.0 + np.linalg.norm(x)):
                 break

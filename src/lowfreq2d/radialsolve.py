@@ -182,9 +182,9 @@ class PiecewiseSolution:
     coeffs: list[tuple[np.ndarray, np.ndarray]]
 
     def _combine(self, r: np.ndarray, slot: int | None) -> np.ndarray:
-        """The solution's rows of (u, u') at radii r, each of shape coefficient
-        shape + (len(r),), from _bases' rows of slot, each radius on the first
-        segment that holds it."""
+        """The solution's rows of (u, u') at radii r, or row slot alone (0 for
+        u from _bases' values alone, 1 for u'), each of shape coefficient shape
+        + (len(r),), each radius on the first segment that holds it."""
         r = np.asarray(r, dtype=float)
         pieces = []
         done = np.zeros(len(r), dtype=bool)
@@ -199,10 +199,12 @@ class PiecewiseSolution:
             done |= mask
         if not done.all():
             raise ValueError("radii outside the segment cover")
-        bases = _bases([p[0] for p in pieces], [r[p[3]] for p in pieces], slot) if pieces else []
-        out = np.empty((2 if slot is None else 1,) + self.coeffs[0][0].shape + (len(r),), dtype=complex)
+        bases = _bases([p[0] for p in pieces], [r[p[3]] for p in pieces],
+                       0 if slot == 0 else None) if pieces else []
+        rows = (0, 1) if slot is None else (slot,)
+        out = np.empty((len(rows),) + self.coeffs[0][0].shape + (len(r),), dtype=complex)
         for (_, c1, c2, idx), b in zip(pieces, bases):
-            for k, row in enumerate(out):
+            for k, row in zip(rows, out):
                 row[..., idx] = c1 * b[2 * k] + c2 * b[2 * k + 1]
         return out
 
@@ -224,6 +226,10 @@ class PiecewiseSolution:
     def values(self, r: np.ndarray) -> np.ndarray:
         """u at radii r, as eval gives it, from the order-l basis alone."""
         return self._combine(r, 0)[0]
+
+    def derivs(self, r: np.ndarray) -> np.ndarray:
+        """u' at radii r, as eval gives it, without forming u."""
+        return self._combine(r, 1)[0]
 
 
 @dataclass

@@ -13,7 +13,8 @@ free resolvent of V = 0 (FREE).  Each solves its own Green pairs, or takes
 them solved already, as mode_green takes its solution: `verify` solves s
 once at the points of all three identities and FREE once at those of the
 two that read it, and hands each identity its slices, which have the bits
-of its own solves.
+of its own solves.  Their samples read one pair evaluation of each shared
+solve on the nodes (mode_green's derivs), and each identity one cutoff jet.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class ResolventSample:
     phi's exterior J coefficient; wronskian_spread is the largest relative
     deviation of the sampled one from it, over the batch.
 
-    The node values take the order-l basis alone.  The node derivatives
-    (_ders) are formed the first time apply reads them, by one pair
-    evaluation of the solutions on the nodes, so apply_values and every
-    caller of the values alone never form them."""
+    The node values take the order-l basis alone and the node derivatives
+    (_ders) wait for the first apply, which forms them by one pair evaluation
+    on the nodes, unless mode_green(..., derivs=True) formed both from it;
+    apply_values and every caller of the values alone never form them."""
 
     scatterer: Scatterer
     lam: SpectralBatch
@@ -135,14 +136,17 @@ def _vary(psi_x: np.ndarray, phi_x: np.ndarray, C: np.ndarray, Dtail: np.ndarray
 
 
 def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
-               solution: PiecewiseSolution | None = None) -> ResolventSample:
+               solution: PiecewiseSolution | None = None, derivs: bool = False) -> ResolventSample:
     """The mode-l Green function data on grid, for a batch of spectral points.
 
-    phi and psi share one segment set and every basis evaluation: the node
-    values take the order-l basis alone, and only the five Wronskian probes
-    take derivatives; the node derivatives wait for the first apply.  A
-    non-finite Wronskian raises NumericalError, one of modulus at most
-    POLE_GUARD AtPoleError for the first such point.
+    phi and psi share one segment set and every basis evaluation.  With
+    derivs (a sample that will be applied) one pair evaluation on the nodes
+    gives the values, the node derivatives and the five Wronskian probes;
+    without, the node values take the order-l basis alone, the probes a pair
+    evaluation of their radii, and the node derivatives wait for the first
+    apply.  Both have the same bits.  A non-finite Wronskian raises
+    NumericalError, one of modulus at most POLE_GUARD AtPoleError for the
+    first such point.
 
     solution, when given, is green_pair(s, l, lam) solved already, typically
     a slice of one solve of many points: green_sweep solves once and samples
@@ -150,20 +154,20 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     then evaluated once on the whole solve (SolutionSlice).
     """
     sols = green_pair(s, l, lam) if solution is None else solution
-    phi_v, psi_v = sols.values(grid.nodes)
+    # the sampled Wronskian, probed at five nodes away from the endpoints, is
+    # the invariant check; points are independent, so a pass on all nodes serves
+    idx = np.linspace(0, len(grid.nodes) - 1, 7).astype(int)[1:-1]
+    probe = idx if derivs else slice(None)
+    (phi_v, psi_v), (phi_d, psi_d) = (sols.eval(grid.nodes) if derivs else
+                                      (sols.values(grid.nodes), sols.derivs(grid.nodes[idx])))
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v), axis=-1)
     scale[scale == 0] = 1.0
-    phi_v = phi_v / scale[:, None]
+    phi_v, phi_d = phi_v / scale[:, None], phi_d / scale[:, None]
     # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
     # (J, H1) basis has Wronskian 2i/pi
     w = sols.coeffs[-1][0][0] / scale * (2j / math.pi)
-    # the sampled Wronskian, probed at five nodes away from the endpoints, is
-    # the invariant check
-    idx = np.linspace(0, len(grid.nodes) - 1, 7).astype(int)[1:-1]
-    phi_d, psi_d = sols.eval(grid.nodes[idx])[1]
-    phi_d = phi_d / scale[:, None]
-    w_all = grid.nodes[idx] * (phi_v[:, idx] * psi_d - phi_d * psi_v[:, idx])
+    w_all = grid.nodes[idx] * (phi_v[:, idx] * psi_d[:, probe] - phi_d[:, probe] * psi_v[:, idx])
     absw = np.abs(w)
     if not np.all(np.isfinite(absw)):
         raise NumericalError("mode Wronskian is not finite")
@@ -174,9 +178,13 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
         i = at_pole[0]
         raise AtPoleError(lam[np.unravel_index(i, lam.shape)], w[i])
     # to the batch's shape; [()] makes a 0-d result a scalar
-    phi_v, psi_v = (a.reshape(lam.shape + a.shape[-1:]) for a in (phi_v, psi_v))
+    phi_v, psi_v, phi_d, psi_d = (a.reshape(lam.shape + a.shape[-1:])
+                                  for a in (phi_v, psi_v, phi_d, psi_d))
     w, scale = (a.reshape(lam.shape)[()] for a in (w, scale))
-    return ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale)
+    sample = ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale)
+    if derivs:
+        sample._ders = phi_d, psi_d
+    return sample
 
 
 def green_sweep(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid, read) -> np.ndarray:
@@ -211,14 +219,14 @@ def one_sided_identity_residual(s: Scatterer, lam: SpectralBatch, chi: CutoffPro
     green_pair(FREE, l, lam)) solved already, each typically a slice of a
     solve of more points."""
     grid = g.grid
-    chi_v = chi.chi(grid.nodes)
+    chi_v = (jet := chi.jet(grid.nodes))[0]
     sol, sol0 = solutions or (None, None)
-    green = mode_green(s, lam, g.mode, grid, solution=sol)
-    green0 = mode_green(FREE, lam, g.mode, grid, solution=sol0)
+    green = mode_green(s, lam, g.mode, grid, solution=sol, derivs=True)
+    green0 = mode_green(FREE, lam, g.mode, grid, solution=sol0, derivs=True)
     # only r0g's derivatives are read (by the commutator); the masked source has none
     lhs = green.apply_values(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
     r0g = green0.apply(g)
-    rhs = (1.0 - chi_v) * r0g.values - green.apply_values(commutator_apply(chi, r0g)).values
+    rhs = (1.0 - chi_v) * r0g.values - green.apply_values(commutator_apply(chi, r0g, jet)).values
     return _grid_norm(grid, lhs.values - rhs) / max(_grid_norm(grid, lhs.values), 1e-300)
 
 
@@ -238,24 +246,24 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralBatch, z: Spectra
     """
     grid = f.grid
     l = f.mode
-    chi_v = chi.chi(grid.nodes)
+    chi_v = (jet := chi.jet(grid.nodes))[0]
     sol_l, sol_z, sol0 = solutions or (None,) * 3
-    green_l = mode_green(s, lam, l, grid, solution=sol_l)
-    green_z = mode_green(s, z, l, grid, solution=sol_z)
+    green_l = mode_green(s, lam, l, grid, solution=sol_l, derivs=True)
+    green_z = mode_green(s, z, l, grid, solution=sol_z, derivs=True)
     free = mode_green(FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]), l, grid,
-                      solution=sol0)
+                      solution=sol0, derivs=True)
 
     rzf = green_z.apply(f)
     lhs = green_l.apply_values(f).values - rzf.values
 
-    k1f_vals = (1.0 - chi_v) * f.values + commutator_apply(chi, rzf).values
+    k1f_vals = (1.0 - chi_v) * f.values + commutator_apply(chi, rzf, jet).values
     k1f = RadialFunction(l, grid, k1f_vals, None, f.trig)
     v = free.apply(k1f)           # rows R0(lam) K1 f and R0(z) K1 f
     diff = RadialFunction(l, grid, v.values[0] - v.values[1], v.derivs[0] - v.derivs[1], f.trig)
 
     mid = RadialFunction(l, grid, chi_v * (2.0 - chi_v) * rzf.values, None, f.trig)
     term1 = (complex(lam.lam2) - complex(z.lam2)) * green_l.apply_values(mid).values
-    term2 = (1.0 - chi_v) * diff.values - green_l.apply_values(commutator_apply(chi, diff)).values
+    term2 = (1.0 - chi_v) * diff.values - green_l.apply_values(commutator_apply(chi, diff, jet)).values
     rhs = term1 + term2
     return _grid_norm(grid, lhs - rhs) / max(_grid_norm(grid, lhs), 1e-300)
 
@@ -281,7 +289,7 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralBatch, phi_src: RadialF
     paired = np.zeros(len(r), dtype=complex)
     paired[mask] = phi_src.values[mask] * (0.25j * H[0, :-1]) * r[mask]
     lhs = 2.0 * math.pi * grid.integrate(paired)
-    u = mode_green(s, lam, 0, grid, solution=solution).apply(phi_src)
+    u = mode_green(s, lam, 0, grid, solution=solution, derivs=True).apply(phi_src)
     kr1, kr1p = 0.25j * H[0, -1], 0.25j * complex(lam.value) * -H[1, -1]     # H0' = -H1
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)
     return abs(lhs + b) / max(abs(lhs), 1e-300)

@@ -173,15 +173,16 @@ def default_cutoff(s: Scatterer) -> CutoffProfile:
     return CutoffProfile(r0=s.support_radius + 0.5, width=1.0)
 
 
-def commutator_apply(chi: CutoffProfile, u: RadialFunction) -> RadialFunction:
-    """[Laplacian, chi] u = (Delta chi) u + 2 chi' u', supported on the bridge."""
+def commutator_apply(chi: CutoffProfile, u: RadialFunction, jet=None) -> RadialFunction:
+    """[Laplacian, chi] u = (Delta chi) u + 2 chi' u', supported on the bridge.
+    jet, when given, is chi.jet(u.grid.nodes) evaluated already."""
     grid = u.grid
     in_bridge = (grid.nodes >= chi.r0) & (grid.nodes <= chi.r_end)
     if int(np.count_nonzero(in_bridge)) < 32:
         raise ValidationError(
             f"grid too coarse: {int(np.count_nonzero(in_bridge))} nodes across the cutoff bridge (need >= 32)"
         )
-    _, dchi, d2chi = chi.jet(grid.nodes)
+    _, dchi, d2chi = chi.jet(grid.nodes) if jet is None else jet
     vals = _laplacian(grid.nodes, dchi, d2chi) * u.values + 2.0 * dchi * u.deriv_values()
     return RadialFunction(u.mode, grid, vals, None, u.trig, exterior=Exterior())
 

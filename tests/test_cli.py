@@ -112,10 +112,12 @@ def test_verify_names_the_identities_with_non_finite_residuals(tmp_path, capsys)
 def test_cli_verify_work(tmp_path, monkeypatch):
     # a CLI verify on the README well solves s once at the identities' three
     # points and V = 0 once at their two, and every identity reads slices of
-    # those solves: 2 green_pair solves and 9 bessel_pair calls (6 and 24
-    # when each identity solved its own)
+    # those solves, each evaluated on the nodes by one pair pass: 2
+    # green_pair solves and 5 bessel_pair calls (2 junction, 2 node-pair and
+    # 1 pairing-kernel call), and one cutoff jet per identity that has one
     from lowfreq2d import radialsolve, resolvent
-    counts = {"green_pair": 0, "bessel_pair": 0}
+    from lowfreq2d.scatterer import CutoffProfile
+    counts = {"green_pair": 0, "bessel_pair": 0, "jet": 0}
 
     def counted(fn):
         def spy(*args, **kwargs):
@@ -127,10 +129,12 @@ def test_cli_verify_work(tmp_path, monkeypatch):
         for name in counts:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    monkeypatch.setattr(CutoffProfile, "jet", counted(CutoffProfile.jet))
     code, out = _run(tmp_path, "well.cfg", WELL_CFG, "verify")
     _check_verify(code, out)
     assert counts["green_pair"] <= 2
-    assert counts["bessel_pair"] <= 12
+    assert counts["bessel_pair"] <= 5
+    assert counts["jet"] <= 2
 
 
 def test_expand_fails_on_its_held_out_fit_residual(tmp_path, capsys):

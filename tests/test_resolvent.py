@@ -12,9 +12,10 @@ from lowfreq2d import (SpectralBatch, bump, bump_edges, inner, mode_green,
 from lowfreq2d.errors import AtPoleError, DomainError
 from lowfreq2d.radial import Exterior
 
-from oracles import (FREE, MODE_AXIS_SCATTERERS, FreeCoeffKernel, boundary_pairing_fourier,
-                     boundary_pairing_samples, circle_pairing, free_kernel, free_truncation_error,
-                     from_callable, j0_series, ode_residual, y0_series)
+from oracles import (FREE, MODE_AXIS_SCATTERERS, FreeCoeffKernel, bit_pattern,
+                     boundary_pairing_fourier, boundary_pairing_samples, circle_pairing,
+                     free_kernel, free_truncation_error, from_callable, j0_series, ode_residual,
+                     y0_series)
 
 
 def test_kernel_symmetry():
@@ -265,6 +266,32 @@ def test_identities_on_slices_of_shared_solves_keep_their_bits(name):
              one_sided_identity_residual(s, lam, chi, gfun),
              pairing_identity_residual(s, lam_b, outer, chi.pairing_radius))
     assert shared == alone
+
+
+@pytest.mark.parametrize("name", [*MODE_AXIS_SCATTERERS, "dirichlet-disk-1.06", "neumann-disk-1.06"])
+def test_one_pass_sample_keeps_the_bits_of_values_then_lazy_derivatives(name):
+    # mode_green(..., derivs=True) reads values, node derivatives and the
+    # Wronskian probes off one pair evaluation on the nodes; the sample has
+    # the bits of the values-only sample and its lazy derivatives, for one
+    # point, a batch and a slice of a shared solve
+    from lowfreq2d import DiskObstacle, default_cutoff
+    from lowfreq2d.radialsolve import green_pair
+    disks = {"dirichlet-disk-1.06": DiskObstacle(1.06, "dirichlet"),
+             "neumann-disk-1.06": DiskObstacle(1.06, "neumann")}
+    s = MODE_AXIS_SCATTERERS.get(name) or disks[name]
+    grid = standard_grid(s, default_cutoff(s))
+    batch = SpectralBatch([0.01, 0.02, 0.4], [math.pi / 4, math.pi / 2, math.pi / 2])
+    fields = ("phi_vals", "psi_vals", "wronskian", "phi_scale", "wronskian_spread", "_ders")
+    for l in (0, 2):
+        cases = ((batch[0], None, None), (batch, None, None),
+                 (batch[1], green_pair(s, l, batch)[1:2], green_pair(s, l, batch)[1:2]))
+        for lam, sol_one, sol_ref in cases:
+            one = mode_green(s, lam, l, grid, solution=sol_one, derivs=True)
+            assert "_ders" in vars(one)
+            ref = mode_green(s, lam, l, grid, solution=sol_ref)
+            assert "_ders" not in vars(ref)
+            for field in fields:
+                assert bit_pattern(getattr(one, field)) == bit_pattern(getattr(ref, field)), field
 
 
 def test_two_parameter_identity_free_is_sharp(free_fx):

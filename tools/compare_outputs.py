@@ -15,9 +15,11 @@ JSON keys `re`/`im`.  Exit codes and error messages are compared as well.
 Each CONFIG is labelled by the path as given, so configs of one file name in
 different directories stay apart.  A last line sums up the run, with each
 tree's summed CPU time (user and system) and minor page faults over its CLI
-runs, and each tree's CPU time per command, so a saving shows on the commands
-it lands on; the exit status is 1 when any file, exit code or error message
-differs, and 0 otherwise.  Standard library only.
+runs, each tree's CPU time per command, and each tree's CPU time per command
+inside `cli.main` alone, which the child times with `time.process_time()` and
+prints as its one stdout line, so a saving shows on the commands it lands on
+without the interpreter's start-up; the exit status is 1 when any file, exit
+code or error message differs, and 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -64,11 +66,13 @@ def package_root(path: str) -> Path:
     sys.exit(f"no lowfreq2d package under {p}")
 
 
-def run_cli(src: Path, command: str, cfg: Path, out: Path, cost: list) -> tuple[int, str]:
-    """Exit code and stderr of one CLI run; adds its user and system CPU
-    seconds and minor faults to `cost`."""
+def run_cli(src: Path, command: str, cfg: Path, out: Path, cost: list) -> tuple[int, str, float]:
+    """Exit code, stderr and CPU seconds in `cli.main` of one CLI run; adds
+    its user and system CPU seconds and minor faults to `cost`."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys; from lowfreq2d.cli import main; sys.exit(main(sys.argv[1:]))"
+    code = ("import sys, time\nfrom lowfreq2d.cli import main\nt = time.process_time()\n"
+            "try:\n    sys.exit(main(sys.argv[1:]))\n"
+            "finally:\n    print(time.process_time() - t)\n")
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg),
                            "--out", str(out)], env=env, capture_output=True, text=True)
@@ -76,7 +80,7 @@ def run_cli(src: Path, command: str, cfg: Path, out: Path, cost: list) -> tuple[
     cost[0] += after.ru_utime - before.ru_utime
     cost[1] += after.ru_stime - before.ru_stime
     cost[2] += after.ru_minflt - before.ru_minflt
-    return proc.returncode, proc.stderr.strip()
+    return proc.returncode, proc.stderr.strip(), float((proc.stdout.split() or [0.0])[-1])
 
 
 def is_number(x) -> bool:
@@ -171,6 +175,7 @@ def main(argv=None) -> int:
                            "error-text mismatches"), 0)
     cost = {"old": [0.0, 0.0, 0], "new": [0.0, 0.0, 0]}     # user s, sys s, minor faults
     cpu = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}  # user + sys s per command
+    in_main = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}  # CPU s in cli.main
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         configs = {}
@@ -187,6 +192,7 @@ def main(argv=None) -> int:
                     before = cost[tag][0] + cost[tag][1]
                     runs.append(run_cli(src, command, cfg, out, cost[tag]))
                     cpu[tag][command] += cost[tag][0] + cost[tag][1] - before
+                    in_main[tag][command] += runs[-1][2]
                     dirs.append(out)
                 head = f"{name} {command}"
                 if runs[0][0] != runs[1][0]:
@@ -207,7 +213,9 @@ def main(argv=None) -> int:
           + "; ".join(f"{tag} {u:.2f} s user, {t:.2f} s sys, {f} minor faults"
                       for tag, (u, t, f) in cost.items())
           + "; CPU s per command, old -> new: "
-          + ", ".join(f"{c} {cpu['old'][c]:.2f} -> {cpu['new'][c]:.2f}" for c in COMMANDS))
+          + ", ".join(f"{c} {cpu['old'][c]:.2f} -> {cpu['new'][c]:.2f}" for c in COMMANDS)
+          + "; CPU s in main per command, old -> new: "
+          + ", ".join(f"{c} {in_main['old'][c]:.3f} -> {in_main['new'][c]:.3f}" for c in COMMANDS))
     return int(any(n for k, n in tally.items() if k != "identical files"))
 
 
