@@ -11,7 +11,8 @@ array of modes): eta depends on lam alone, so the segments and their
 breakpoint radii serve every mode, one bessel_pair call evaluates the bases of
 all of them, and each mode gets the bits of its own solve.  The spectral
 points are independent as well: a slice of a solve along its batch axis has
-the bits of a solve of the slice alone.
+the bits of a solve of the slice alone.  A Green solve can evaluate the few
+radii its readers name in its boundary bases' call, keeping the rows read.
 
 Only the outgoing exterior solution H^(1)_l(lam r) carries log(lam); interior
 pieces depend on lam^2 alone, which is what makes continuation of everything
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .scatterer import PiecewisePotential, Scatterer
 from .specfun import SpectralBatch, _mul, bessel_pair
 
@@ -50,10 +51,6 @@ class Segment:
     kind: str                 # "bessel" | "hankel"
     eta: np.ndarray
     logeta: np.ndarray
-
-    def pair(self, r: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(b1, b2, b1', b2') at radii r, each of shape (*l.shape, nlam, len(r))."""
-        return _bases([self], [np.atleast_1d(np.asarray(r, dtype=float))], None)[0]
 
     def _harmonic(self, r: np.ndarray) -> np.ndarray:
         """The harmonic pair and its derivatives, (4, *l.shape, len(r)).  Each
@@ -171,46 +168,61 @@ def make_segments(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> lis
     return segs
 
 
+def _cover(segs: list[Segment], r: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
+    """(segment index, radii index: a slice for a run) of each segment with radii
+    of r, each on the first that holds it; one off the segments raises ValidationError."""
+    pieces = []
+    done = np.zeros(len(r), dtype=bool)
+    for i, seg in enumerate(segs):
+        mask = (~done) & (r >= seg.a - 1e-14) & (r <= seg.b + 1e-14)
+        idx = np.flatnonzero(mask)
+        if not idx.size:
+            continue
+        if idx[-1] - idx[0] + 1 == idx.size:         # a contiguous run of radii
+            idx = slice(idx[0], idx[-1] + 1)
+        pieces.append((i, idx))
+        done |= mask
+    if not done.all():
+        raise ValidationError(f"radius {r[~done][0]} lies outside [{segs[0].a}, inf)")
+    return pieces
+
+
 @dataclass
 class PiecewiseSolution:
     """Per-segment coefficient pairs, each an array over the modes and the
     spectral batch (shape (*l.shape, nlam), led by an axis of length 2 for
     the stacked pair of green_pair).  solution[sl], sl a slice of the batch
-    axis, is the SolutionSlice of those spectral points."""
+    axis, is the solution of those spectral points.  kept maps a slot of
+    _combine to radii and its rows there (green_pair's keep), which a read of
+    those radii in that slot takes, and a slice by column."""
 
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
+    kept: dict = field(default_factory=dict, repr=False)
 
-    def _combine(self, r: np.ndarray, slot: int | None) -> np.ndarray:
+    def _combine(self, r: np.ndarray, slot: int | None, bases=None) -> np.ndarray:
         """The solution's rows of (u, u') at radii r, or row slot alone (0 for
         u from _bases' values alone, 1 for u'), each of shape coefficient shape
-        + (len(r),), each radius on the first segment that holds it."""
+        + (len(r),); bases, when given, are the pair rows of _cover's pieces."""
         r = np.asarray(r, dtype=float)
-        pieces = []
-        done = np.zeros(len(r), dtype=bool)
-        for seg, (c1, c2) in zip(self.segments, self.coeffs):
-            mask = (~done) & (r >= seg.a - 1e-14) & (r <= seg.b + 1e-14)
-            idx = np.flatnonzero(mask)
-            if not idx.size:
-                continue
-            if idx[-1] - idx[0] + 1 == idx.size:         # a contiguous run of radii
-                idx = slice(idx[0], idx[-1] + 1)
-            pieces.append((seg, c1[..., None], c2[..., None], idx))
-            done |= mask
-        if not done.all():
-            raise ValueError("radii outside the segment cover")
-        bases = _bases([p[0] for p in pieces], [r[p[3]] for p in pieces],
-                       0 if slot == 0 else None) if pieces else []
+        if slot in self.kept and np.array_equal(r, self.kept[slot][0]):
+            return self.kept[slot][1]
+        cover = _cover(self.segments, r)
+        if bases is None:
+            bases = _bases([self.segments[i] for i, _ in cover], [r[idx] for _, idx in cover],
+                           0 if slot == 0 else None)
         rows = (0, 1) if slot is None else (slot,)
         out = np.empty((len(rows),) + self.coeffs[0][0].shape + (len(r),), dtype=complex)
-        for (_, c1, c2, idx), b in zip(pieces, bases):
+        for (i, idx), b in zip(cover, bases):
+            c1, c2 = (c[..., None] for c in self.coeffs[i])
             for k, row in zip(rows, out):
                 row[..., idx] = c1 * b[2 * k] + c2 * b[2 * k + 1]
         return out
 
-    def __getitem__(self, sl: slice) -> SolutionSlice:
+    def __getitem__(self, sl: slice) -> PiecewiseSolution:
         segs = [replace(seg, eta=seg.eta[sl], logeta=seg.logeta[sl]) for seg in self.segments]
-        return SolutionSlice(segs, [(c1[..., sl], c2[..., sl]) for c1, c2 in self.coeffs], self, sl)
+        return PiecewiseSolution(segs, [(c1[..., sl], c2[..., sl]) for c1, c2 in self.coeffs],
+                                 {k: (r, rows[..., sl, :]) for k, (r, rows) in self.kept.items()})
 
     def mode(self, i: int) -> PiecewiseSolution:
         """The solution of the i-th of the modes it was solved for, with the
@@ -220,8 +232,7 @@ class PiecewiseSolution:
 
     def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
-        u, du = self._combine(r, None)
-        return u, du
+        return tuple(self._combine(r, None))
 
     def values(self, r: np.ndarray) -> np.ndarray:
         """u at radii r, as eval gives it, from the order-l basis alone."""
@@ -230,39 +241,6 @@ class PiecewiseSolution:
     def derivs(self, r: np.ndarray) -> np.ndarray:
         """u' at radii r, as eval gives it, without forming u."""
         return self._combine(r, 1)[0]
-
-
-@dataclass
-class SolutionSlice(PiecewiseSolution):
-    """The solution of a slice of a solve's spectral points, each with the
-    bits of a solve of the slice alone.  Radii few enough that they make at
-    most BESSEL_BATCH Bessel points on every point of the parent solve are
-    evaluated there once, kept on the parent for its other slices, and read
-    by column; more radii are evaluated on the slice's own points."""
-
-    parent: PiecewiseSolution = field(repr=False)
-    cols: slice
-
-    def _combine(self, r: np.ndarray, slot: int | None) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if len(r) * len(self.parent.segments[0].eta) > BESSEL_BATCH:
-            return super()._combine(r, slot)
-        kept = vars(self.parent).setdefault("_kept", {})     # none until a slice reads it
-        key = (slot, r.tobytes())
-        if key not in kept:
-            kept[key] = self.parent._combine(r, slot)
-            kept[key].flags.writeable = False
-        return kept[key][..., self.cols, :]
-
-
-def _junctions(segs: list[Segment]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The basis (b1, b2, b1', b2'), shape (4, *l.shape, nlam), of the segments on
-    either side of each breakpoint, at the breakpoint, from one bessel_pair
-    call: a (left, right) pair per breakpoint, outward."""
-    sides = [seg for pair in zip(segs, segs[1:]) for seg in pair]
-    radii = [np.array([seg.b]) for seg in segs[:-1] for _ in (0, 1)]
-    b = [np.array(rows)[..., 0] for rows in _bases(sides, radii, None)]
-    return list(zip(b[0::2], b[1::2]))
 
 
 def _solve_2x2(b: np.ndarray, u: np.ndarray, du: np.ndarray):
@@ -288,18 +266,25 @@ def _unit_pair(segs: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
     return np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
 
 
-def _regular(s: Scatterer, segs: list[Segment]):
-    """The regular solution on segs, a potential's marched outward from
-    (1, 0), and the breakpoint bases it was glued with."""
+def _regular(s: Scatterer, segs: list[Segment], extra=()):
+    """The regular solution on segs, a potential's marched outward from (1, 0),
+    the breakpoint bases it was glued with ((left, right) pairs of (b1, b2, b1',
+    b2'), outward) and the bases of each (segment, radii) of extra, from one call."""
     one, zero = _unit_pair(segs)
     if isinstance(s, PiecewisePotential):
-        junctions, coeffs = _junctions(segs), [(one, zero)]
-        for left, right in junctions:
-            coeffs.append(_solve_2x2(right, *_value_at(left, coeffs[-1])))
-        return PiecewiseSolution(segs, coeffs), junctions
-    u, du = (zero, one) if s.bc == "dirichlet" else (one, zero)
-    b = np.array(segs[0].pair(np.array([s.radius])))[..., 0]
-    return PiecewiseSolution(segs, [_solve_2x2(b, u, du)]), []
+        sides = [seg for pair in zip(segs, segs[1:]) for seg in pair]
+        radii = [np.array([seg.b]) for seg in segs[:-1] for _ in (0, 1)]
+    else:
+        sides, radii = segs[:1], [np.array([s.radius])]
+    b = _bases(sides + [seg for seg, _ in extra], radii + [r for _, r in extra], None)
+    at, rest = [np.array(rows)[..., 0] for rows in b[:len(sides)]], b[len(sides):]
+    if not isinstance(s, PiecewisePotential):
+        u, du = (zero, one) if s.bc == "dirichlet" else (one, zero)
+        return PiecewiseSolution(segs, [_solve_2x2(at[0], u, du)]), [], rest
+    junctions, coeffs = list(zip(at[0::2], at[1::2])), [(one, zero)]
+    for left, right in junctions:
+        coeffs.append(_solve_2x2(right, *_value_at(left, coeffs[-1])))
+    return PiecewiseSolution(segs, coeffs), junctions, rest
 
 
 def regular_solution(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> PiecewiseSolution:
@@ -311,15 +296,28 @@ def regular_solution(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> 
     return _regular(s, make_segments(s, l, lam, shift))[0]
 
 
-def green_pair(s: Scatterer, l: int, lam: SpectralBatch) -> PiecewiseSolution:
+def green_pair(s: Scatterer, l: int, lam: SpectralBatch,
+               keep: dict | None = None) -> PiecewiseSolution:
     """The regular solution and the outgoing one (H^(1)_l(lam r) outside the
     support, continued inward) on one set of segments, stacked along a leading
     axis of length 2: one eval evaluates each segment's basis once for both,
-    and both are glued with the same breakpoint bases."""
-    phi, junctions = _regular(s, make_segments(s, l, lam))
-    one, zero = _unit_pair(phi.segments)
+    and both are glued with the same breakpoint bases.
+
+    keep, when given, maps the slots of reads to come (None for eval, 0 for
+    values, 1 for derivs) to arrays of radii, based in the obstacle's or
+    breakpoints' bessel_pair call; the solution keeps those rows alone."""
+    segs = make_segments(s, l, lam)
+    covers = {slot: _cover(segs, r) for slot, r in (keep or {}).items()}
+    extra = [(segs[i], keep[slot][idx]) for slot, cover in covers.items() for i, idx in cover]
+    phi, junctions, bases = _regular(s, segs, extra)
+    one, zero = _unit_pair(segs)
     psi = [(zero, one)]            # marched inward
     for left, right in junctions[::-1]:
         psi.insert(0, _solve_2x2(left, *_value_at(right, psi[0])))
-    return PiecewiseSolution(phi.segments, [tuple(map(np.stack, zip(a, b)))
-                                            for a, b in zip(phi.coeffs, psi)])
+    sol = PiecewiseSolution(segs, [tuple(map(np.stack, zip(a, b)))
+                                   for a, b in zip(phi.coeffs, psi)])
+    bases = iter(bases)
+    for slot, cover in covers.items():
+        sol.kept[slot] = keep[slot], sol._combine(keep[slot], slot, [next(bases) for _ in cover])
+        sol.kept[slot][1].flags.writeable = False
+    return sol

@@ -13,15 +13,15 @@ free resolvent of V = 0 (FREE).  Each solves its own Green pairs, or takes
 them solved already, as mode_green takes its solution: `verify` solves s
 once at the points of all three identities and FREE once at those of the
 two that read it, and hands each identity its slices, which have the bits
-of its own solves.  Their samples read one pair evaluation of each shared
-solve on the nodes (mode_green's derivs), and each identity one cutoff jet.
+of its own solves.  Each shared solve keeps (u, u') on the nodes from its
+boundary bases' call for their samples, and each identity one cutoff jet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,16 +49,16 @@ class ResolventSample:
     phi's exterior J coefficient; wronskian_spread is the largest relative
     deviation of the sampled one from it, over the batch.
 
-    The node values take the order-l basis alone and the node derivatives
-    (_ders) wait for the first apply, which forms them by one pair evaluation
-    on the nodes, unless mode_green(..., derivs=True) formed both from it;
-    apply_values and every caller of the values alone never form them."""
+    The node values take the order-l basis alone, phi_vals is scaled on
+    first read, and the node derivatives (_ders) wait for the first apply's
+    pair evaluation on the nodes, unless mode_green(..., derivs=True) formed
+    both from it; apply_values and every caller of values never form them."""
 
     scatterer: Scatterer
     lam: SpectralBatch
     mode: int
     grid: PanelGrid
-    phi_vals: np.ndarray
+    phi_nodes: np.ndarray             # phi (unscaled) at the nodes
     psi_vals: np.ndarray
     wronskian: complex | np.ndarray
     wronskian_spread: float
@@ -66,11 +66,14 @@ class ResolventSample:
     phi_scale: np.ndarray             # phi_vals = phi / phi_scale
 
     @cached_property
+    def phi_vals(self) -> np.ndarray:
+        return self.phi_nodes / np.expand_dims(self.phi_scale, -1)
+
+    @cached_property
     def _ders(self) -> tuple[np.ndarray, np.ndarray]:
         phi_d, psi_d = self.solutions.eval(self.grid.nodes)[1]
-        phi_d = phi_d / np.reshape(self.phi_scale, (-1, 1))
-        shape = self.lam.shape + phi_d.shape[-1:]
-        return phi_d.reshape(shape), psi_d.reshape(shape)
+        shape = self.psi_vals.shape
+        return (phi_d / np.reshape(self.phi_scale, (-1, 1))).reshape(shape), psi_d.reshape(shape)
 
     def _check_source(self, f: RadialFunction) -> None:
         if not f.grid.same(self.grid):
@@ -135,6 +138,14 @@ def _vary(psi_x: np.ndarray, phi_x: np.ndarray, C: np.ndarray, Dtail: np.ndarray
     return -(np.where(C == 0.0, 0.0, psi_x * C) + phi_x * Dtail) / w
 
 
+@lru_cache(maxsize=None)
+def _probe_index(n: int) -> np.ndarray:
+    """The five of n nodes, away from the endpoints, that probe the Wronskian."""
+    idx = np.linspace(0, n - 1, 7).astype(int)[1:-1]
+    idx.flags.writeable = False
+    return idx
+
+
 def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
                solution: PiecewiseSolution | None = None, derivs: bool = False) -> ResolventSample:
     """The mode-l Green function data on grid, for a batch of spectral points.
@@ -143,31 +154,30 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     derivs (a sample that will be applied) one pair evaluation on the nodes
     gives the values, the node derivatives and the five Wronskian probes;
     without, the node values take the order-l basis alone, the probes a pair
-    evaluation of their radii, and the node derivatives wait for the first
-    apply.  Both have the same bits.  A non-finite Wronskian raises
-    NumericalError, one of modulus at most POLE_GUARD AtPoleError for the
-    first such point.
+    evaluation of their radii (kept by the solve), and the node derivatives
+    wait for the first apply.  Both have the same bits.  A non-finite
+    Wronskian raises NumericalError, one of modulus at most POLE_GUARD
+    AtPoleError for the first such point.
 
     solution, when given, is green_pair(s, l, lam) solved already, typically
-    a slice of one solve of many points: green_sweep solves once and samples
-    in slices, and the probes and the observation radius of every slice are
-    then evaluated once on the whole solve (SolutionSlice).
+    a slice of one solve of many points that kept the rows its samples read
+    (green_sweep).
     """
-    sols = green_pair(s, l, lam) if solution is None else solution
+    idx = _probe_index(len(grid.nodes))
+    sols = solution or green_pair(s, l, lam, None if derivs else {1: grid.nodes[idx]})
     # the sampled Wronskian, probed at five nodes away from the endpoints, is
     # the invariant check; points are independent, so a pass on all nodes serves
-    idx = np.linspace(0, len(grid.nodes) - 1, 7).astype(int)[1:-1]
     probe = idx if derivs else slice(None)
     (phi_v, psi_v), (phi_d, psi_d) = (sols.eval(grid.nodes) if derivs else
                                       (sols.values(grid.nodes), sols.derivs(grid.nodes[idx])))
     # scale-free regular solution: keeps the pole guard meaningful
-    scale = np.max(np.abs(phi_v), axis=-1)
+    scale = np.max(np.abs(phi_v), axis=-1, keepdims=True)
     scale[scale == 0] = 1.0
-    phi_v, phi_d = phi_v / scale[:, None], phi_d / scale[:, None]
     # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
-    # (J, H1) basis has Wronskian 2i/pi
-    w = sols.coeffs[-1][0][0] / scale * (2j / math.pi)
-    w_all = grid.nodes[idx] * (phi_v[:, idx] * psi_d[:, probe] - phi_d[:, probe] * psi_v[:, idx])
+    # (J, H1) basis has Wronskian 2i/pi; only phi's probe columns are scaled
+    w = sols.coeffs[-1][0][0] / scale[:, 0] * (2j / math.pi)
+    w_all = grid.nodes[idx] * (phi_v[:, idx] / scale * psi_d[:, probe]
+                               - phi_d[:, probe] / scale * psi_v[:, idx])
     absw = np.abs(w)
     if not np.all(np.isfinite(absw)):
         raise NumericalError("mode Wronskian is not finite")
@@ -178,24 +188,28 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
         i = at_pole[0]
         raise AtPoleError(lam[np.unravel_index(i, lam.shape)], w[i])
     # to the batch's shape; [()] makes a 0-d result a scalar
-    phi_v, psi_v, phi_d, psi_d = (a.reshape(lam.shape + a.shape[-1:])
-                                  for a in (phi_v, psi_v, phi_d, psi_d))
-    w, scale = (a.reshape(lam.shape)[()] for a in (w, scale))
-    sample = ResolventSample(s, lam, l, grid, phi_v, psi_v, w, spread, sols, scale)
+    shape = lam.shape + phi_v.shape[-1:]
+    sample = ResolventSample(s, lam, l, grid, phi_v.reshape(shape), psi_v.reshape(shape),
+                             w.reshape(lam.shape)[()], spread, sols, scale.reshape(lam.shape)[()])
     if derivs:
-        sample._ders = phi_d, psi_d
+        sample._ders = (phi_d / scale).reshape(shape), psi_d.reshape(shape)
     return sample
 
 
-def green_sweep(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid, read) -> np.ndarray:
+def green_sweep(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid, read,
+                x: float | None = None) -> np.ndarray:
     """read(mode_green(...)) over a 1-D batch, concatenated.
 
-    The Green pair is solved once for the whole batch; each mode_green call
-    takes a slice of that solve, as many consecutive points as make about
-    BESSEL_BATCH Bessel points on grid, so the slice, not the batch, sets
-    the size of the temporaries.  read runs on each slice's sample before the
-    next is formed."""
-    sols = green_pair(s, l, lam)
+    The Green pair is solved once, keeping its rows at the Wronskian probes
+    and at x, read's value_at radius, if that reads them.  Each mode_green
+    call takes a slice of that solve, as many consecutive points as make
+    about BESSEL_BATCH Bessel points on grid, so the slice, not the batch,
+    sets the size of the temporaries.  read runs on each slice's sample
+    before the next is formed."""
+    keep = {1: grid.nodes[_probe_index(len(grid.nodes))]}
+    if x is not None and x > 0 and x >= s.inner_radius and not grid.rmin <= x <= grid.rmax:
+        keep[0] = np.array([x])
+    sols = green_pair(s, l, lam, keep)
     step = max(1, BESSEL_BATCH // len(grid))
     return np.concatenate([read(mode_green(s, lam[i:i + step], l, grid, solution=sols[i:i + step]))
                            for i in range(0, len(lam), step)])

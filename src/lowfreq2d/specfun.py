@@ -13,7 +13,7 @@ q = -z^2/4; the asymptotics: even and odd parts of the Hankel sums of orders
 terms a point takes is read from its own |q| or |u| before the recurrence
 starts, never by a test inside it, so its value does not depend on the points
 evaluated with it.  A point whose log z is real (sheet 0, z > 0) runs either
-branch in float64, any other point in complex arithmetic.
+branch in float64 (J and Y stay float64 where all do), others in complex.
 
 All functions are pure; inputs are value types, so concurrent use is safe.
 """
@@ -145,21 +145,25 @@ def _horner(coef: np.ndarray, x: np.ndarray, reach: np.ndarray | None = None) ->
     the rows of reach -inf.  A masked row adds in place where a point takes
     it, so the work arrays stay O(P); before its top row a point's sum is a
     zero, and adding its first, nonzero coefficient leaves no trace of that
-    zero's sign.  The complex product stays out of place: numpy may
-    round an in-place complex multiply differently, by its loop layout.
+    zero's sign.  A float64 product is in place and the masks share one
+    buffer; the complex product stays out of place: numpy may round an
+    in-place complex multiply differently, by its loop layout.
     """
     acc = np.zeros(coef.shape[1:] + x.shape, dtype=np.result_type(coef, x))
+    into = acc if acc.dtype == np.float64 else None
     base = len(coef)
     if reach is not None:
         with np.errstate(divide="ignore"):
             logx = np.log(np.abs(x))
         top = int(np.max(np.sum(reach <= np.fmax.reduce(logx), axis=0)))
         base = int(np.min(np.sum(reach <= np.fmin.reduce(logx), axis=0)))
+        mask = np.empty(acc.shape, dtype=bool)
         for k in range(top - 1, base - 1, -1):
-            acc = acc * x
-            np.add(acc, coef[k, ..., None], out=acc, where=reach[k, ..., None] <= logx)
+            acc = np.multiply(acc, x, out=into)
+            np.less_equal(reach[k, ..., None], logx, out=mask)
+            np.add(acc, coef[k, ..., None], out=acc, where=mask)
     for row in coef[:base, ..., None][::-1]:
-        acc = acc * x
+        acc = np.multiply(acc, x, out=into)
         acc += row
     return acc
 
@@ -375,11 +379,12 @@ def bessel_pair(l, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
     reduction are formed once per call, the series columns of every order
     are summed in one recurrence, and the asymptotic branch takes every
     order from one upward recurrence.  A point whose own log z is real
-    (sheet 0, z > 0) goes through either branch in float64.  A branch
-    evaluates every order at the points that any order routes to it and
-    keeps the pairs routed there; the work arrays are O(orders x P).  Each
-    pair has the bits of a call for its order alone, and each point those
-    of its own call.
+    (sheet 0, z > 0) goes through either branch in float64, and where every
+    point's is, J and Y are float64 (H complex).  A branch evaluates every
+    order at the points that any order routes to it and keeps the pairs
+    routed there, and one that takes every point returns its own arrays; the
+    work arrays are O(orders x P).  Each pair has the bits of a call for its
+    order alone, and each point those of its own call.
 
     slot = 0 evaluates order l alone, of shape np.shape(l) + z.shape and bit
     for bit order l of the pair: the same routing, and only that order's
@@ -390,7 +395,6 @@ def bessel_pair(l, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
     ls = tuple(np.ravel(l).tolist())
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     logz = np.atleast_1d(np.asarray(logz, dtype=complex))
-    out = np.empty((3, len(orders), len(ls), z.size), dtype=complex)
     zf, logf = z.reshape(-1), logz.reshape(-1)
     absz, real = np.abs(zf), logf.imag == 0
     # a point's branch can only turn from asymptotic to series as the order
@@ -403,20 +407,24 @@ def bessel_pair(l, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
     if hi != lo and (top != small).any():
         each = (absz <= SERIES_RADIUS) | (np.array(ls)[:, None] + 1 > 0.75 * absz)
     branches = ((top, _jyh_series, each), (~small, _jyh_big, None if each is None else ~each))
-    for pts, zs, logs in ((real, zf.real, logf.real), (~real, zf, logf)):
-        for union, fn, mine in branches:
-            sel = pts & union
-            if sel.any():
-                idx = slice(None) if sel.all() else np.flatnonzero(sel)
-                fs = fn(ls, zs[idx], logs[idx], orders)
-                if mine is None:
-                    for o, f in zip(out, fs):
-                        o[..., idx] = f
-                else:
-                    keep = mine & sel
-                    for o, f in zip(out, fs):
-                        o[:, keep] = f[:, keep[:, idx]]
-    out = out.reshape((3, len(orders)) + np.shape(l) + z.shape)
-    if slot is not None:
-        out = out[:, 0]
-    return out[0], out[1], out[2]
+    runs = [(pts & union, fn, mine, zs, logs)
+            for pts, zs, logs in ((real, zf.real, logf.real), (~real, zf, logf))
+            for union, fn, mine in branches if (pts & union).any()]
+    if len(runs) == 1:          # every order routes every point to one branch
+        _, fn, _, zs, logs = runs[0]
+        fs = fn(ls, zs, logs, orders)
+    else:
+        jy = float if real.all() else complex
+        fs = [np.empty((len(orders), len(ls), z.size), dtype=t) for t in (jy, jy, complex)]
+        for sel, fn, mine, zs, logs in runs:
+            idx = slice(None) if sel.all() else np.flatnonzero(sel)
+            part = fn(ls, zs[idx], logs[idx], orders)
+            if mine is None:
+                for o, f in zip(fs, part):
+                    o[..., idx] = f
+            else:
+                keep = mine & sel
+                for o, f in zip(fs, part):
+                    o[:, keep] = f[:, keep[:, idx]]
+    shape = (len(orders),) + np.shape(l) + z.shape
+    return tuple(f.reshape(shape)[0] if slot is not None else f.reshape(shape) for f in fs)

@@ -36,8 +36,8 @@ every lam of the sweep.  An observation radius on the source's support reads
 partial integrals of that integrand as well, which hold to rounding only on
 SUPPORT_NODES nodes per panel under the same split rule.  Each chunk
 sampling is one resolvent sweep (resolvent.green_sweep, which expand's matrix
-elements share): one Green solve, sampled in slices, with the Wronskian
-probes and the observation radius evaluated once.
+elements share): one Green solve, whose boundary bases' call also takes
+the Wronskian probes and the observation radius, read by its slices.
 
 Scatterers with discrete spectrum are refused: a bound state would add an
 oscillatory term the spectral integral over the continuum misses.
@@ -172,6 +172,8 @@ class WaveQuery:
     def __post_init__(self):
         if self.f.mode != 0:
             raise ValidationError("initial data must be a mode-0 radial function")
+        if not self.scatterer.selfadjoint:      # Stone's formula holds for real V
+            raise ValidationError("wave needs a real potential")
         if not all(math.isfinite(t) and t >= 0 for t in self.times):
             raise ValidationError("times must be finite and nonnegative")
         if not (math.isfinite(self.x) and self.x >= 0):
@@ -259,7 +261,7 @@ def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
 
     def sample(lam: np.ndarray) -> np.ndarray:
         return green_sweep(q.scatterer, SpectralBatch(lam, 0.0), 0, src.grid,
-                           lambda green: green.value_at(src, q.x).imag)
+                           lambda green: green.value_at(src, q.x).imag, q.x)
 
     # chunk 0 runs geometric into the origin, then uniform through moderate
     # lam, at full order; 8-unit chunks follow until the tail test passes or

@@ -112,9 +112,10 @@ def test_verify_names_the_identities_with_non_finite_residuals(tmp_path, capsys)
 def test_cli_verify_work(tmp_path, monkeypatch):
     # a CLI verify on the README well solves s once at the identities' three
     # points and V = 0 once at their two, and every identity reads slices of
-    # those solves, each evaluated on the nodes by one pair pass: 2
-    # green_pair solves and 5 bessel_pair calls (2 junction, 2 node-pair and
-    # 1 pairing-kernel call), and one cutoff jet per identity that has one
+    # those solves, each evaluated on the nodes by one pair pass in its
+    # junctions' call: 2 green_pair solves and 3 bessel_pair calls (2
+    # junction-and-node calls and 1 pairing-kernel call; 5 when the node pass
+    # was a call of its own), and one cutoff jet per identity that has one
     from lowfreq2d import radialsolve, resolvent
     from lowfreq2d.scatterer import CutoffProfile
     counts = {"green_pair": 0, "bessel_pair": 0, "jet": 0}
@@ -133,7 +134,7 @@ def test_cli_verify_work(tmp_path, monkeypatch):
     code, out = _run(tmp_path, "well.cfg", WELL_CFG, "verify")
     _check_verify(code, out)
     assert counts["green_pair"] <= 2
-    assert counts["bessel_pair"] <= 5
+    assert counts["bessel_pair"] <= 3
     assert counts["jet"] <= 2
 
 
@@ -162,6 +163,20 @@ def test_wave_fails_on_an_unresolved_legendre_tail(tmp_path, capsys):
     assert [json.loads(x) for x in lines] == [{
         "error": "NumericalError",
         "message": f"wave legendreTail {tail:.3g} above 1e-6"}]
+
+
+@pytest.mark.parametrize("support", ["breaks = 1\nvalues = 1+0.5i",
+                                     "breaks = 0.5,1\nvalues = -2.5,1e-3i"])
+def test_wave_refuses_a_non_real_potential(tmp_path, capsys, support):
+    # Im R(lam + i0) f is Stone's density only for real V: with V = 1 + 0.5i
+    # it gave w(100) = -1.5225e-3 with w_im 0 on every row and exit 0, where
+    # the general density gives 2.0143e-4 - 1.9404e-4i
+    code, out = _run(tmp_path, "complex.cfg", f"kind = potential\n{support}\n", "wave")
+    assert code == 2
+    assert not (out / "wave.csv").exists() and not (out / "manifest.json").exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(x)["error"] for x in lines] == ["ValidationError"]
+    assert json.loads(lines[0])["message"] == "wave needs a real potential"
 
 
 def test_expand_neumann_matches_prediction(tmp_path):

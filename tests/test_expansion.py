@@ -102,8 +102,9 @@ def test_cli_expand_work(tmp_path, monkeypatch):
     # a CLI expand on the Dirichlet disk of radius 1.06 takes its Green data
     # on the trimmed support of the source in one resolvent sweep: its 32
     # points make 10 432 Bessel points, one slice of the sweep, in 1 green_pair
-    # solve, 1 mode_green call and 3 bessel_pair calls (30 912 in 4 calls on
-    # every node of the grid with 8 points per call)
+    # solve, 1 mode_green call and 2 bessel_pair calls, the Wronskian probes
+    # in the boundary's (30 912 in 4 calls on every node of the grid with 8
+    # points per call)
     from lowfreq2d import radialsolve, resolvent
     from lowfreq2d.cli import main
     points, bessel_calls, solves, calls = [0], [0], [0], [0]
@@ -132,7 +133,7 @@ def test_cli_expand_work(tmp_path, monkeypatch):
     assert points[0] <= 11_000
     assert calls[0] == 1
     assert solves[0] == 1
-    assert bessel_calls[0] <= 3
+    assert bessel_calls[0] <= 2
 
 
 def test_selfadjoint_pairing_symmetry(generic_well_fx):

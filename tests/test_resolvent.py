@@ -9,7 +9,7 @@ from lowfreq2d import (SpectralBatch, bump, bump_edges, inner, mode_green,
                        one_sided_identity_residual,
                        pairing_identity_residual, standard_grid,
                        two_parameter_identity_residual)
-from lowfreq2d.errors import AtPoleError, DomainError
+from lowfreq2d.errors import AtPoleError, DomainError, ValidationError
 from lowfreq2d.radial import Exterior
 
 from oracles import (FREE, MODE_AXIS_SCATTERERS, FreeCoeffKernel, bit_pattern,
@@ -392,29 +392,48 @@ def test_batched_solutions_match_single_points():
 def test_solution_slices_keep_the_bits_of_their_own_solve(arg):
     # a slice of one solve along its spectral points (a wave chunk's solve,
     # read per resolvent call) has the values and eval of a green_pair solve
-    # of the slice alone, on a disk and on a two-step well: the five probe
-    # radii through the parent, evaluated once on the whole solve and kept
-    # there, and 600 radii (over BESSEL_BATCH points on the whole solve) on
-    # the slice's own points, each as the slice's own evaluation gives them
+    # of the slice alone, on a disk and on a two-step well: the rows the solve
+    # keeps (u' at five probe radii and u at an observation radius, evaluated
+    # with the boundary bases, and (u, u') on 600 radii) read by column, and
+    # any other read on the slice's own points
     from lowfreq2d import DiskObstacle, PiecewisePotential
-    from lowfreq2d.radialsolve import BESSEL_BATCH, PiecewiseSolution, green_pair
+    from lowfreq2d.radialsolve import PiecewiseSolution, green_pair
     # on arg pi/4, |lam| <= 6 keeps the junction solve of the well in range
     lams = SpectralBatch(np.geomspace(1e-3, 6.0 if arg else 60.0, 40), arg)
     probes = np.array([1.1, 1.3, 1.7, 2.2, 3.5])
+    x = np.array([1.08])
     nodes = np.linspace(1.06, 4.0, 600)
-    assert len(probes) * len(lams) <= BESSEL_BATCH < len(nodes) * len(lams)
     for s in (DiskObstacle(1.06, "dirichlet"), PiecewisePotential((0.5, 1.0), (-3.0, 2.0))):
-        whole = green_pair(s, 0, lams)
-        assert "_kept" not in vars(whole)
-        for sl in (slice(0, 17), slice(17, 34), slice(34, 40)):
-            part, alone = whole[sl], green_pair(s, 0, lams[sl])
-            own = PiecewiseSolution(part.segments, part.coeffs)
-            for r in (probes, nodes):
-                for sol in (part, own):
-                    assert np.array_equal(sol.values(r), alone.values(r))
-                    for got, ref in zip(sol.eval(r), alone.eval(r)):
-                        assert np.array_equal(got, ref)
-        assert sorted(slot is None for slot, _ in vars(whole)["_kept"]) == [False, True]
+        assert not green_pair(s, 0, lams).kept
+        for keep in ({1: probes, 0: x}, {None: nodes}):
+            whole = green_pair(s, 0, lams, keep)
+            assert sorted(whole.kept, key=str) == sorted(keep, key=str)
+            for sl in (slice(0, 17), slice(17, 34), slice(34, 40)):
+                part, alone = whole[sl], green_pair(s, 0, lams[sl])
+                own = PiecewiseSolution(part.segments, part.coeffs)
+                for r in (probes, x, nodes):
+                    for sol in (part, own):
+                        assert np.array_equal(sol.values(r), alone.values(r))
+                        assert np.array_equal(sol.derivs(r), alone.derivs(r))
+                        for got, ref in zip(sol.eval(r), alone.eval(r)):
+                            assert np.array_equal(got, ref)
+
+
+def test_radii_off_the_segments_raise_validation_error():
+    # below an obstacle's radius or NaN: a read or a kept radius
+    from lowfreq2d import DiskObstacle, PiecewisePotential
+    from lowfreq2d.radialsolve import green_pair
+    lam, nan = SpectralBatch(0.5, 0.0), float("nan")
+    for s, radii in ((DiskObstacle(1.0, "dirichlet"), ([0.5], [nan], [2.0, 0.99])),
+                     (PiecewisePotential((1.0,), (2.0,)), ([nan], [2.0, -1.0]))):
+        sol = green_pair(s, 0, lam)
+        for r in radii:
+            for read in (sol.values, sol.derivs, sol.eval):
+                with pytest.raises(ValidationError):
+                    read(np.array(r))
+            for slot in (None, 0, 1):
+                with pytest.raises(ValidationError):
+                    green_pair(s, 0, lam, {slot: np.array(r)})
 
 
 def test_eval_matches_single_radii_bit_for_bit():
@@ -461,7 +480,7 @@ def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
     eta, r = np.array([0.7, 1.3]) + 0j, np.linspace(0.5, 2.0, 128)
     for kind in ("bessel", "hankel"):
         seg = radialsolve.Segment(0.5, 2.0, 0, kind, eta, np.log(eta))
-        _, _, d1, d2 = seg.pair(r)
+        _, _, d1, d2 = radialsolve._bases([seg], [r], None)[0]
         ref = eta[:, None] * (0 / (eta[:, None] * r) * f0 - f1)
         for d in (d1, d2):
             assert np.array_equal(d.view(np.uint64), ref.view(np.uint64))

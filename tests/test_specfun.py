@@ -395,6 +395,29 @@ def test_float64_route_matches_complex_route(l):
             assert np.all(np.abs(ours - ref) <= 1e-14 * scale)
 
 
+@pytest.mark.parametrize("slot", [None, 0])
+@pytest.mark.parametrize("l", [0, 3, (0, 1, 2, 3), (0, 9, 12)])
+def test_real_axis_calls_return_float64_j_and_y(l, slot):
+    # real z with a real log: J and Y come back float64 and H complex, with
+    # the bits a call gives them when one complex point added to it makes
+    # every output complex; on a block all on the series, one all on the
+    # asymptotics and one across the seam and (orders 9 and 12, beyond the
+    # seam) each order's 0.75|z| switch
+    from lowfreq2d.specfun import bessel_pair
+    l = np.array(l) if isinstance(l, tuple) else l
+    extra = np.array([2.0 * np.exp(0.3j)])
+    for x in (np.linspace(0.01, 3.0, 50), np.linspace(13.0, 60.0, 50), np.linspace(0.01, 60.0, 400)):
+        ours = bessel_pair(l, x + 0j, np.log(x) + 0j, slot)
+        ref = bessel_pair(l, np.append(x, extra), np.append(np.log(x), np.log(extra)), slot)
+        for k, (f, g) in enumerate(zip(ours, ref)):
+            g = g[..., :-1]
+            if k < 2:
+                assert f.dtype == np.float64
+                assert np.array_equal(_bits(f), _bits(g.real)) and not _bits(g.imag).any()
+            else:
+                assert f.dtype == complex and np.array_equal(_bits(f), _bits(g))
+
+
 def test_underflowing_argument_takes_one_term_without_warning():
     # q = -z^2/4 underflows at |z| = 1e-170 and u = 1/z^2 at |z| = 1e170
     from lowfreq2d.specfun import bessel_pair

@@ -344,11 +344,12 @@ def test_cli_wave_work(tmp_path, monkeypatch):
     # with the lam chunks above 20 at half order: 380 064 Bessel points in
     # 22 mode_green calls (713 504 in 34 with every chunk at full order on
     # the 16-node source, 1 397 024 in 67 on the 32-node source with 64
-    # spectral points per call).  Each of the 7 chunks is solved once, and
-    # its probes and observation radius evaluated once: 7 green_pair and 44
-    # bessel_pair calls, where a solve per mode_green call made 22 and 89.
-    # No call takes more than BESSEL_BATCH node points, which bounds the
-    # temporaries (one call per chunk would raise peak memory)
+    # spectral points per call).  Each of the 7 chunks is solved once, with
+    # its probes and observation radius in its boundary's bessel_pair call:
+    # 7 green_pair and 30 bessel_pair calls (22 node calls, 7 boundary calls
+    # and the bound-state scan's one), where a solve per mode_green call made
+    # 22 and 89.  No call takes more than BESSEL_BATCH node points, which
+    # bounds the temporaries (one call per chunk would raise peak memory)
     from lowfreq2d import radialsolve, resolvent
     from lowfreq2d.cli import main
     points, bessel_calls, solves, calls = [0], [0], [0], [0]
@@ -378,7 +379,7 @@ def test_cli_wave_work(tmp_path, monkeypatch):
     assert points[0] <= 400_000
     assert calls[0] <= 22
     assert solves[0] <= 7
-    assert bessel_calls[0] <= 44
+    assert bessel_calls[0] == 30
 
 
 def test_moment_table_matches_per_time_calls(tmp_path, monkeypatch):
@@ -414,9 +415,9 @@ def test_wave_query_rejects_non_finite_or_negative_input(free_fx, x, times):
 def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, generic_well_fx,
                                                             monkeypatch):
     # evolve's integrand reads values only: no order-(l + 1) Bessel slot on
-    # the grid nodes (the boundary solve and the five Wronskian probes take a
-    # few radii per spectral point), and no node derivatives until apply
-    # asks for them
+    # the grid nodes (one pair call takes the boundary radius or the
+    # breakpoint sides and the five Wronskian probes per spectral point),
+    # and no node derivatives until apply asks for them
     from lowfreq2d import SpectralBatch, mode_green, radialsolve
     seen = []
 
@@ -429,13 +430,33 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
     lams = SpectralBatch([0.3, 2.4, 7.0], 0.0)
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _green_source(fx.f, x_obs)
+        s = fx.scatterer
+        fused = 5 + (2 * len(s.breaks) if isinstance(s, PiecewisePotential) else 1)
         seen.clear()
-        sample = mode_green(fx.scatterer, lams, 0, src.grid)
+        sample = mode_green(s, lams, 0, src.grid)
         sample.value_at(src, x_obs)
-        assert max(n for n, slot in seen if slot != 0) <= 5 * len(lams) < len(lams) * len(src.grid)
+        assert [n for n, slot in seen if slot != 0] == [fused * len(lams)]
+        assert fused * len(lams) < len(lams) * len(src.grid)
         assert "_ders" not in vars(sample)
         sample.apply(src)
         assert "_ders" in vars(sample)
+
+
+def test_below_support_value_leaves_phi_unscaled_until_read(dirichlet_fx, generic_well_fx):
+    # value_at below the source reads psi on the nodes and phi at x alone:
+    # the scaled node values of phi are formed on first read, with the bits
+    # of phi on the nodes divided by phi_scale
+    from lowfreq2d import SpectralBatch, mode_green
+    for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
+        src = _green_source(fx.f, x_obs)
+        for lams in (SpectralBatch([0.3, 2.4, 7.0], 0.0), SpectralBatch(1.3, 0.2)):
+            sample = mode_green(fx.scatterer, lams, 0, src.grid)
+            sample.value_at(src, x_obs)
+            assert "phi_vals" not in vars(sample)
+            phi = sample.solutions.values(src.grid.nodes)[0]
+            eager = (phi / np.reshape(sample.phi_scale, (-1, 1))).reshape(sample.psi_vals.shape)
+            assert sample.phi_vals.dtype == complex
+            assert np.array_equal(sample.phi_vals.view(np.uint64), eager.view(np.uint64))
 
 
 def test_tail_status_reported(wave_free_result, wave_well_result):

@@ -54,6 +54,8 @@ BUILTIN_CONFIGS = {
     "repulsive-step-300": "kind = potential; breaks = 1; values = 300\n",
     # expand's 308 spectral points take several slices of its one resolvent sweep
     "long-grid-disk": "kind = disk; radius = 1; bc = neumann; grid.count = 300\n",
+    # wave refuses non-real potentials (exit 2): Im R f is the spectral density only for real V
+    "complex-step": "kind = potential; breaks = 1; values = 1+0.5i\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
 
