@@ -9,10 +9,10 @@ there is no ODE time-stepping anywhere and evaluations are accurate to the
 special-function level.  A solve takes one mode (an int l) or several (a 1-D
 array of modes): eta depends on lam alone, so the segments and their
 breakpoint radii serve every mode, one bessel_pair call evaluates the bases of
-all of them, and each mode gets the bits of its own solve.  The spectral
-points are independent as well: a slice of a solve along its batch axis has
-the bits of a solve of the slice alone.  A Green solve can evaluate the few
-radii its readers name in its boundary bases' call, keeping the rows read.
+all of them, and each mode gets the bits of its own int-mode solve.  So does
+each spectral point, at every batch size: a point has the bits of a solve of
+that point alone.  A Green solve can evaluate the few radii its readers name
+in its boundary bases' call, keeping the rows read.
 
 Only the outgoing exterior solution H^(1)_l(lam r) carries log(lam); interior
 pieces depend on lam^2 alone, which is what makes continuation of everything
@@ -80,9 +80,10 @@ class Segment:
 
     def _derivs(self, eta, z, f0, f1) -> tuple[np.ndarray, ...]:
         """Order-l derivatives eta (l / z f - g) of the Bessel pair, from its
-        order-l values f in f0 and order-(l + 1) values g in f1."""
-        lz = (self.l[:, None, None] if np.ndim(self.l) else self.l) / z
-        return tuple(eta * (lz * f - g) for f, g in zip(f0, f1))
+        order-l values f in f0 and order-(l + 1) values g in f1; eta takes an
+        array's mode axis, so a one-mode array rounds as the int l does."""
+        l, eta = (self.l[:, None, None], eta[None]) if np.ndim(self.l) else (self.l, eta)
+        return tuple(eta * (l / z * f - g) for f, g in zip(f0, f1))
 
 
 def _bessel_each(l, zs: list[np.ndarray], logzs: list[np.ndarray], slot: int | None):
@@ -139,17 +140,19 @@ def make_segments(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> lis
     (eta, log eta) are formed once per lam, for every mode.
 
     shift, when given, is a real eps per point in the batch's shape: each
-    point takes the potential V + eps, its support values formed as
-    `PiecewisePotential.shifted` forms them, so a point gets the bits of a
-    solve of `s.shifted(eps)`.  One solve then serves a family of potentials
-    that share their breaks.
+    point takes the potential V + eps, its support values formed by
+    `PiecewisePotential.shifted_values`, so a point gets the bits of a solve
+    of the potential with those values.  One solve then serves a family of
+    potentials that share their breaks.  A shift for an obstacle raises
+    ValidationError.
 
     The exterior (V = 0) segment at nonzero energy uses the (J, H1) basis on
     the log cover of lam itself, so only that segment carries log(lam).  A
     lam^2 that leaves the float range raises NumericalError.
     """
-    if np.ndim(l):
-        l = np.asarray(l)
+    l = np.asarray(l) if np.ndim(l) else l
+    if shift is not None and not isinstance(s, PiecewisePotential):
+        raise ValidationError("a shift eps of V + eps needs a potential")
     zero = np.zeros(1, dtype=complex)
     value, lam2, log = (zero,) * 3 if lam is None else map(np.ravel, (lam.value, lam.lam2, lam.log))
     if not np.isfinite(lam2).all():

@@ -13,8 +13,8 @@ free resolvent of V = 0 (FREE).  Each solves its own Green pairs, or takes
 them solved already, as mode_green takes its solution: `verify` solves s
 once at the points of all three identities and FREE once at those of the
 two that read it, and hands each identity its slices, which have the bits
-of its own solves.  Each shared solve keeps (u, u') on the nodes from its
-boundary bases' call for their samples, and each identity one cutoff jet.
+of its own solves.  Every identity solve keeps (u, u') on the nodes from its
+boundary bases' call for mode_green, and each identity one cutoff jet.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class ResolventSample:
 
     The node values take the order-l basis alone, phi_vals is scaled on
     first read, and the node derivatives (_ders) wait for the first apply's
-    pair evaluation on the nodes, unless mode_green(..., derivs=True) formed
-    both from it; apply_values and every caller of values never form them."""
+    pair evaluation on the nodes, unless mode_green read both off a solution
+    that kept them; apply_values and every caller of values never form them."""
 
     scatterer: Scatterer
     lam: SpectralBatch
@@ -147,24 +147,25 @@ def _probe_index(n: int) -> np.ndarray:
 
 
 def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
-               solution: PiecewiseSolution | None = None, derivs: bool = False) -> ResolventSample:
+               solution: PiecewiseSolution | None = None) -> ResolventSample:
     """The mode-l Green function data on grid, for a batch of spectral points.
 
-    phi and psi share one segment set and every basis evaluation.  With
-    derivs (a sample that will be applied) one pair evaluation on the nodes
+    phi and psi share one segment set and every basis evaluation.  A
+    solution that kept (u, u') on the nodes (for a sample to be applied)
     gives the values, the node derivatives and the five Wronskian probes;
-    without, the node values take the order-l basis alone, the probes a pair
-    evaluation of their radii (kept by the solve), and the node derivatives
-    wait for the first apply.  Both have the same bits.  A non-finite
-    Wronskian raises NumericalError, one of modulus at most POLE_GUARD
-    AtPoleError for the first such point.
+    otherwise the node values take the order-l basis alone, the probes a
+    pair evaluation of their radii (kept by the solve), and the node
+    derivatives wait for the first apply.  Both have the same bits.  A
+    non-finite Wronskian raises NumericalError, one of modulus at most
+    POLE_GUARD AtPoleError for the first such point.
 
     solution, when given, is green_pair(s, l, lam) solved already, typically
     a slice of one solve of many points that kept the rows its samples read
-    (green_sweep).
+    (green_sweep); without, mode_green solves keeping the probes alone.
     """
     idx = _probe_index(len(grid.nodes))
-    sols = solution or green_pair(s, l, lam, None if derivs else {1: grid.nodes[idx]})
+    sols = solution or green_pair(s, l, lam, {1: grid.nodes[idx]})
+    derivs = None in sols.kept and np.array_equal(sols.kept[None][0], grid.nodes)
     # the sampled Wronskian, probed at five nodes away from the endpoints, is
     # the invariant check; points are independent, so a pass on all nodes serves
     probe = idx if derivs else slice(None)
@@ -231,12 +232,12 @@ def one_sided_identity_residual(s: Scatterer, lam: SpectralBatch, chi: CutoffPro
 
     solutions, when given, is the pair (green_pair(s, l, lam),
     green_pair(FREE, l, lam)) solved already, each typically a slice of a
-    solve of more points."""
+    solve of more points; else both are solved keeping (u, u') on the nodes."""
     grid = g.grid
     chi_v = (jet := chi.jet(grid.nodes))[0]
-    sol, sol0 = solutions or (None, None)
-    green = mode_green(s, lam, g.mode, grid, solution=sol, derivs=True)
-    green0 = mode_green(FREE, lam, g.mode, grid, solution=sol0, derivs=True)
+    sols = solutions or [green_pair(x, g.mode, lam, {None: grid.nodes}) for x in (s, FREE)]
+    green, green0 = (mode_green(x, lam, g.mode, grid, solution=sol)
+                     for x, sol in zip((s, FREE), sols))
     # only r0g's derivatives are read (by the commutator); the masked source has none
     lhs = green.apply_values(RadialFunction(g.mode, grid, (1.0 - chi_v) * g.values, None, g.trig))
     r0g = green0.apply(g)
@@ -256,16 +257,15 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralBatch, z: Spectra
 
     solutions, when given, is (green_pair(s, l, lam), green_pair(s, l, z),
     green_pair(FREE, l, [lam, z])) solved already, each typically a slice
-    of a solve of more points.
+    of a solve of more points; else each keeps (u, u') on the nodes.
     """
     grid = f.grid
     l = f.mode
     chi_v = (jet := chi.jet(grid.nodes))[0]
-    sol_l, sol_z, sol0 = solutions or (None,) * 3
-    green_l = mode_green(s, lam, l, grid, solution=sol_l, derivs=True)
-    green_z = mode_green(s, z, l, grid, solution=sol_z, derivs=True)
-    free = mode_green(FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]), l, grid,
-                      solution=sol0, derivs=True)
+    points = ((s, lam), (s, z), (FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg])))
+    sols = solutions or [green_pair(x, l, at, {None: grid.nodes}) for x, at in points]
+    green_l, green_z, free = (mode_green(x, at, l, grid, solution=sol)
+                              for (x, at), sol in zip(points, sols))
 
     rzf = green_z.apply(f)
     lhs = green_l.apply_values(f).values - rzf.values
@@ -288,8 +288,8 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralBatch, phi_src: RadialF
     origin, at the point lam.
 
     <phi, conj(R0(lam))( . , 0)>_{|x|>r1} = -B_{r1}( R(lam) phi, conj(R0(lam))( . , 0) )
-    for mode-0 phi; returns the relative defect.  solution, when given, is
-    green_pair(s, 0, lam) solved already, as mode_green takes it.
+    for mode-0 phi; returns the relative defect.  solution is green_pair(s,
+    0, lam) keeping (u, u') on the nodes, solved here when not given.
     """
     if phi_src.mode != 0:
         raise ValidationError("pairing identity implemented for mode 0")
@@ -303,7 +303,8 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralBatch, phi_src: RadialF
     paired = np.zeros(len(r), dtype=complex)
     paired[mask] = phi_src.values[mask] * (0.25j * H[0, :-1]) * r[mask]
     lhs = 2.0 * math.pi * grid.integrate(paired)
-    u = mode_green(s, lam, 0, grid, solution=solution, derivs=True).apply(phi_src)
+    u = mode_green(s, lam, 0, grid, solution=solution or green_pair(s, 0, lam, {None: r})
+                   ).apply(phi_src)
     kr1, kr1p = 0.25j * H[0, -1], 0.25j * complex(lam.value) * -H[1, -1]     # H0' = -H1
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)
     return abs(lhs + b) / max(abs(lhs), 1e-300)

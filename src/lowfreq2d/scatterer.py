@@ -56,10 +56,6 @@ class PiecewisePotential:
     def segment_edges(self) -> list[float]:
         return [0.0, *self.breaks]
 
-    def shifted(self, eps: float) -> "PiecewisePotential":
-        """V + eps on the support."""
-        return PiecewisePotential(self.breaks, self.shifted_values(eps))
-
     def shifted_values(self, eps) -> tuple:
         """The support values of V + eps, eps a number or an array of them
         (then each value is an array of eps's shape, with the bits of the

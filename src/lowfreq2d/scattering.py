@@ -201,30 +201,30 @@ def outgoing_defect(s: Scatterer, l, lam: SpectralBatch, *, checked: bool = True
     zeros on the log cover are exactly the resolvent poles of the mode.  A
     potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
     which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
-    as r^l and has no zero there.  l is one mode, or an int array of a 1-D
-    batch's shape that gives each point its own: the distinct modes are
-    solved in one call on the distinct points (equal in modulus, arg and
-    shift to the bit), and each point reads and rescales its own.  shift is
-    make_segments' per-point eps of V + eps.  The defects take the batch's
-    shape, so a batch of one point gives a complex number; a defect of
-    non-finite modulus raises NumericalError, unless `checked` is false:
-    then the caller checks, with `_finite`, only the values it reads.
+    as r^l and has no zero there.  l is one mode for every point, or an int
+    array of the batch's shape that gives each point its own.  One solve
+    serves every mode, on the distinct points (equal in modulus, arg and
+    shift to the bit) when several modes share them, and each point reads
+    and rescales its own, with the bits of a call of its own at every batch
+    size.  shift is make_segments' per-point eps of V + eps.  The defects
+    take the batch's shape, so a batch of one point gives a complex number;
+    a defect of non-finite modulus raises NumericalError, unless `checked`
+    is false: then the caller checks, with `_finite`, only the values it reads.
     """
-    if np.ndim(l):
-        parts = [lam.modulus, lam.arg] + ([] if shift is None else [np.ravel(shift)])
-        _, first, at = np.unique(np.stack([p.view(np.int64) for p in parts]), axis=1,
+    l = np.broadcast_to(l, lam.shape).ravel()
+    modes = np.array(sorted(set(l.tolist())))    # np.unique costs more here, and imports numpy.ma
+    pts, eps, at = lam, shift, np.arange(len(l))
+    if len(modes) > 1:
+        key = np.column_stack([np.ravel(p) for p in (lam.modulus, lam.arg, shift) if p is not None])
+        _, first, at = np.unique(key.view(np.dtype((np.void, key.strides[0]))).ravel(),
                                  return_index=True, return_inverse=True)
-        l, modes = np.ravel(l), np.unique(l)
-        sol = regular_solution(s, modes, lam[first], None if shift is None else parts[2][first])
-        at = np.ravel(at)
-        c1, eta = sol.coeffs[-1][0][np.searchsorted(modes, l), at], sol.segments[0].eta[at]
-    else:
-        sol = regular_solution(s, l, lam, shift)
-        c1, eta = sol.coeffs[-1][0], sol.segments[0].eta
+        pts = lam[np.unravel_index(first, lam.shape)]
+        eps = None if shift is None else key[first, 2]
+    sol = regular_solution(s, modes, pts, eps)
+    c1, eta = sol.coeffs[-1][0][np.searchsorted(modes, l), at], sol.segments[0].eta[at]
     if isinstance(s, PiecewisePotential):
-        ls = np.broadcast_to(l, c1.shape)
-        for k in np.flatnonzero(ls * (eta != 0)).tolist():     # l >= 1 and eta0 != 0
-            m = int(ls[k])
+        for k in np.flatnonzero(l * (eta != 0)).tolist():     # l >= 1 and eta0 != 0
+            m = int(l[k])
             c1[k] = c1[k] * math.factorial(m) * (2.0 / eta[k]) ** m
     if checked:
         _finite(c1, l)
@@ -259,11 +259,11 @@ def run_searches(s: Scatterer, searches: list[PoleSearch]) -> list:
     call over the union of the live searches' requests, each point with its
     search's mode and shift (all searches shift, or none), and sends each
     search its own part.  A point's defect has the bits of a call of its
-    own, so each search visits the points, and reaches the result, of a run
-    on its own.  A failing search does not stop the others; callers `settle`
-    the outcomes in order, and so raise the first error of a run of one
-    search after the other.  The defects are formed without floating-point
-    warnings."""
+    own, whatever the batch's size and modes, so each search visits the
+    points, and reaches the result, of a run on its own.  A failing search
+    does not stop the others; callers `settle` the outcomes in order, and so
+    raise the first error of a run of one search after the other.  The
+    defects are formed without floating-point warnings."""
     out: list = [None] * len(searches)
     pending: dict[int, SpectralBatch] = {}
 
@@ -284,11 +284,10 @@ def run_searches(s: Scatterer, searches: list[PoleSearch]) -> list:
         batch = reqs[0] if len(reqs) == 1 else SpectralBatch(
             np.concatenate([np.ravel(r.modulus) for r in reqs]),
             np.concatenate([np.ravel(r.arg) for r in reqs]))
-        modes = [searches[i].mode for i in order]
         shifts = [searches[i].shift for i in order]
         with np.errstate(all="ignore"):
             d = np.ravel(outgoing_defect(
-                s, modes[0] if len(set(modes)) == 1 else np.repeat(modes, sizes), batch,
+                s, np.repeat([searches[i].mode for i in order], sizes), batch,
                 checked=False, shift=None if shifts[0] is None else np.repeat(shifts, sizes)))
         for i, r, stop in zip(order, reqs, np.cumsum(sizes).tolist()):
             advance(i, d[stop - len(r):stop].reshape(r.shape)[()])
@@ -447,8 +446,7 @@ def axis_search(s: Scatterer, mode: int, kmin: float = 1e-3, kmax: float = 2.0,
     resolution (see `_bisect_steps`).  A non-selfadjoint scatterer's hits are
     local minima of |defect| below 1e-6, which carry no sign to bisect; those
     Newton does not polish are not reported."""
-    member = s if shift is None else s.shifted(shift)
-    return PoleSearch(mode, _axis_steps(member.selfadjoint, mode, kmin, kmax), shift)
+    return PoleSearch(mode, _axis_steps(s.selfadjoint, mode, kmin, kmax), shift)
 
 
 def _bisect_steps(mode: int, lo: float, hi: float, flo: float):

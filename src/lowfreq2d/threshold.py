@@ -143,13 +143,12 @@ class ThresholdReport:
 def solve_zero_mode(s: Scatterer, l) -> ThresholdMode | list[ThresholdMode]:
     """Exact transfer-matrix solve of the mode-l equation at zero energy; for
     a 1-D array l, a ThresholdMode per mode from one solve of them all,
-    checked in the order of l, so the first failing mode raises."""
-    sol = regular_solution(s, l, None)
-    many = np.ndim(l)
-    modes = np.asarray(l).tolist() if many else [l]
+    checked in the order of l, so the first failing mode raises.  An int l
+    is a one-mode array, and every mode has the bits of its own solve."""
+    sol = regular_solution(s, modes := np.atleast_1d(l), None)
     c1, c2 = (c.reshape(-1) for c in sol.coeffs[-1])
     out = []
-    for i, m in enumerate(modes):
+    for i, m in enumerate(modes.tolist()):
         if m == 0:
             growing, decaying = c2[i], c1[i]     # exterior basis (1, log r)
         else:
@@ -160,8 +159,8 @@ def solve_zero_mode(s: Scatterer, l) -> ThresholdMode | list[ThresholdMode]:
             raise DegenerateScattererError(
                 f"mode {m}: both exterior connection coefficients vanish"
             )
-        out.append(ThresholdMode(m, growing, decaying, sol.mode(i) if many else sol))
-    return out if many else out[0]
+        out.append(ThresholdMode(m, growing, decaying, sol.mode(i)))
+    return out if np.ndim(l) else out[0]
 
 
 def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,

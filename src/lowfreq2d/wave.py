@@ -307,10 +307,12 @@ def decay_fit(samples) -> DecayReport:
 
     Both models have fixed slope; only the prefactor is fitted, and the law
     with the smaller rms misfit of log|w| wins.  Needs >= 6 times spanning at
-    least two decades.
+    least two decades, every t finite and above 1, every w finite and nonzero.
     """
     ts = np.array([float(t) for t, _ in samples])
     ws = np.array([complex(w) for _, w in samples])
+    if not (np.isfinite(ts).all() and (ts > 1.0).all() and np.isfinite(ws).all() and ws.all()):
+        raise ValidationError("decay fit needs finite times above 1 and finite nonzero w")
     if len(ts) < 6 or np.max(ts) / np.min(ts) < 99.0:
         raise ValidationError("need >= 6 times spanning >= 2 decades")
     logw = np.log(np.abs(ws))

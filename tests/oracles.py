@@ -32,7 +32,7 @@ bit; they reach the defect through the module attribute, so a test can spy
 on both; scan_pole_candidates gives the seeds of the disk search.
 sequential_resonance and sequential_perturb run the searches (and the
 sweeps) of `resonance` and `perturb` one after the other, perturb's on each
-`shifted` member, as the lockstep runs must reproduce them.
+`shifted` member V + eps, as the lockstep runs must reproduce them.
 sequential_classify_modes and sequential_phase_tables are the
 one-mode-per-solve loops that `classify`'s one solve of every mode and the
 phase sweep's blocks of modes must reproduce bit for bit, on the
@@ -547,13 +547,18 @@ def sequential_resonance(s) -> list:
             for mode in (0, 1, 2)]
 
 
+def shifted(s: PiecewisePotential, eps: float) -> PiecewisePotential:
+    """V + eps on the support, the member that a per-point shift eps solves."""
+    return PiecewisePotential(s.breaks, s.shifted_values(eps))
+
+
 def sequential_perturb(s, mode: int, lams) -> list:
     """`perturb`'s members before they ran in lockstep: (pole or None, phase
     tables) of each V + eps, one member after the other, each on
-    `s.shifted(eps)`, its pole search before its sweep."""
+    `shifted(s, eps)`, its pole search before its sweep."""
     out = []
     for eps in cli._DEFAULT_EPSILONS:
-        s_eps = s.shifted(eps)
+        s_eps = shifted(s, eps)
         if eps < 0:
             found = sequential_axis_poles(s_eps, mode)
             pole = found[-1] if found else None

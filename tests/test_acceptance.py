@@ -19,7 +19,8 @@ from lowfreq2d.radial import Exterior
 from oracles import (bessel_jy, boundary_pairing_fourier, breit_wigner_metrics,
                      circle_pairing, constant_one, find_pole_in_disk, free_truncation_error,
                      from_callable, hankel1, imaginary_axis_poles, j0_series,
-                     log_power_terms, plane_integral, y0_series)
+                     log_power_terms, plane_integral, shifted,
+                     y0_series)
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -194,17 +195,17 @@ def test_criterion_9_perturbation_phenomenology(s_well_fx, p_well_fx, eig_well_f
     # eps < 0: imaginary-axis pole with kappa decreasing to 0
     ks = []
     for eps in (-1e-2, -1e-3, -1e-4):
-        poles = imaginary_axis_poles(eig_well_fx.scatterer.shifted(eps), 2, 1e-4, 1.0)
+        poles = imaginary_axis_poles(shifted(eig_well_fx.scatterer, eps), 2, 1e-4, 1.0)
         ks.append(poles[0].lam.modulus if poles else math.nan)
     ladder_ok = ks[0] > ks[1] > ks[2] > 0
     # eps > 0 from the s-resonance: no pole inside |lam| < 0.3
-    absence_ok = find_pole_in_disk(s_well_fx.scatterer.shifted(3e-3), 0, 0.3) is None
+    absence_ok = find_pole_in_disk(shifted(s_well_fx.scatterer, 3e-3), 0, 0.3) is None
     # eps > 0 from the eigenvalue: off-axis pole, peak taller and narrower than p
     eps = 3e-3
     mets = {}
     poles = {}
     for name, fx, mode in (("eig", eig_well_fx, 2), ("p", p_well_fx, 1)):
-        s = fx.scatterer.shifted(eps)
+        s = shifted(fx.scatterer, eps)
         pole = find_pole_in_disk(s, mode, 0.3)
         poles[name] = pole
         lr, width = pole.lam.value.real, 2 * abs(pole.lam.value.imag)

@@ -20,7 +20,7 @@ from lowfreq2d.threshold import classify
 from lowfreq2d.util import log_grid
 
 from oracles import (MODE_AXIS_SCATTERERS, bit_pattern, imaginary_axis_poles, sequential_perturb,
-                     sequential_resonance)
+                     sequential_resonance, shifted)
 
 # a p-wave threshold state: every negative member's pole is Newton-polished from the axis
 TUNED_P_WELL = "kind = potential\nbreaks = 1.015948443352384\nvalues = -5.603041241773262\n"
@@ -81,7 +81,7 @@ def test_shifted_segments_are_the_shifted_potentials():
     modes = np.array([0, 1, 3])
     got = regular_solution(s, modes, lam, eps).coeffs
     for j in range(len(lam)):
-        ref = regular_solution(s.shifted(float(eps[j])), modes, lam[j:j + 1]).coeffs
+        ref = regular_solution(shifted(s, float(eps[j])), modes, lam[j:j + 1]).coeffs
         assert bit_pattern([(c1[:, j], c2[:, j]) for c1, c2 in got]) == \
             bit_pattern([(c1[:, 0], c2[:, 0]) for c1, c2 in ref])
 
@@ -92,9 +92,53 @@ def test_per_point_modes_read_their_own_defects():
     modes = np.array([2, 0, 1, 2, 1])
     eps = np.array([1e-3, -1e-2, 1e-3, 0.0, 1e-2])
     got = scattering.outgoing_defect(s, modes, lam, shift=eps)
-    ref = [scattering.outgoing_defect(s.shifted(float(e)), int(m), lam[j])
+    ref = [scattering.outgoing_defect(shifted(s, float(e)), int(m), lam[j])
            for j, (m, e) in enumerate(zip(modes, eps))]
     assert bit_pattern(list(got)) == bit_pattern(ref)
+    # a batch of any shape: the points as a column
+    col = SpectralBatch(lam.modulus.reshape(5, 1), lam.arg.reshape(5, 1))
+    got = scattering.outgoing_defect(s, modes.reshape(5, 1), col, shift=eps.reshape(5, 1))
+    assert got.shape == (5, 1) and bit_pattern(list(got[:, 0])) == bit_pattern(ref)
+
+
+def _column(coeffs, *idx):
+    """The bits of every exterior and interior coefficient of a solution at idx."""
+    return [bit_pattern(np.complex128(c[idx])) for pair in coeffs for c in pair]
+
+
+@pytest.mark.parametrize("name,shifted", [(n, False) for n in sorted(MODE_AXIS_SCATTERERS)] + [
+    (n, True) for n, s in sorted(MODE_AXIS_SCATTERERS.items()) if isinstance(s, PiecewisePotential)])
+def test_one_point_keeps_its_bits_in_every_mode_array_and_batch(name, shifted):
+    # a spectral point has the bits of its int-mode solve in a one-mode array,
+    # alone or in a batch of 2, 3 or 33 points, in regular_solution's
+    # coefficients and in outgoing_defect, with and without per-point shifts
+    s = MODE_AXIS_SCATTERERS[name]
+    rng = np.random.default_rng(3)
+    mods, args = rng.uniform(1e-3, 2.0, 32), rng.uniform(-2.5, math.pi / 2, 32)
+    shifts = rng.uniform(-1e-2, 1e-2, 32) if shifted else None
+    for mod, arg in ((0.02, 1.0), (0.3, -0.4), (1.7, math.pi / 2)):
+        point, eps = SpectralBatch(mod, arg), 1e-3 if shifted else None
+        for m in range(5):
+            ref = _column(regular_solution(s, m, point, eps).coeffs, 0)
+            ref_d = bit_pattern(complex(scattering.outgoing_defect(s, m, point, shift=eps)))
+            for n in (1, 2, 3, 33):
+                k = n // 2
+                batch = SpectralBatch(np.insert(mods[:n - 1], k, mod), np.insert(args[:n - 1], k, arg))
+                beps = None if eps is None else np.insert(shifts[:n - 1], k, eps)
+                got = regular_solution(s, np.array([m]), batch, beps).coeffs
+                assert _column(got, 0, k) == ref, (m, n)
+                d = scattering.outgoing_defect(s, np.full(n, m), batch, shift=beps)
+                assert bit_pattern(complex(d[k])) == ref_d, (m, n)
+
+
+def test_a_shift_needs_a_potential():
+    # V + eps has no meaning on an obstacle: a shift raises, where it was ignored
+    disk, lam = MODE_AXIS_SCATTERERS["dirichlet-disk"], SpectralBatch(0.3, 0.2)
+    with pytest.raises(ValidationError):
+        scattering.outgoing_defect(disk, 0, lam, shift=0.5)
+    for search in (scattering.disk_search(0, shift=0.5), scattering.axis_search(disk, 0, shift=0.5)):
+        with pytest.raises(ValidationError):
+            scattering.run_searches(disk, [search])
 
 
 # -- work done: one solve per lockstep step --------------------------------------
@@ -148,7 +192,7 @@ def _poison_members(monkeypatch, members: dict):
     """regular_solution whose c1 is NaN at the points of the members V + eps
     that `members` names, eps -> (where, mode): where is "all" or "real" (the
     real axis alone), mode one mode or None for every mode; on
-    `s.shifted(eps)` and on s with a per-point shift alike."""
+    `shifted(s, eps)` and on s with a per-point shift alike."""
     real = scattering.regular_solution
 
     def poisoned(s, l, lam, shift=None):

@@ -15,7 +15,7 @@ from lowfreq2d.radial import Exterior
 from oracles import (FREE, MODE_AXIS_SCATTERERS, FreeCoeffKernel, bit_pattern,
                      boundary_pairing_fourier, boundary_pairing_samples, circle_pairing,
                      free_kernel, free_truncation_error, from_callable, j0_series, ode_residual,
-                     y0_series)
+                     shifted, y0_series)
 
 
 def test_kernel_symmetry():
@@ -134,7 +134,7 @@ def test_wronskian_spread_and_green_residual(free_fx, generic_well_fx, dirichlet
 
 def test_at_pole_error(p_well_fx):
     from oracles import imaginary_axis_poles
-    s = p_well_fx.scatterer.shifted(-1e-2)
+    s = shifted(p_well_fx.scatterer, -1e-2)
     pole = imaginary_axis_poles(s, 1)[0]
     with pytest.raises(AtPoleError):
         green = mode_green(s, pole.lam, 1, p_well_fx.grid)
@@ -270,23 +270,25 @@ def test_identities_on_slices_of_shared_solves_keep_their_bits(name):
 
 @pytest.mark.parametrize("name", [*MODE_AXIS_SCATTERERS, "dirichlet-disk-1.06", "neumann-disk-1.06"])
 def test_one_pass_sample_keeps_the_bits_of_values_then_lazy_derivatives(name):
-    # mode_green(..., derivs=True) reads values, node derivatives and the
-    # Wronskian probes off one pair evaluation on the nodes; the sample has
-    # the bits of the values-only sample and its lazy derivatives, for one
-    # point, a batch and a slice of a shared solve
+    # mode_green on a solution that kept (u, u') on the nodes reads values,
+    # node derivatives and the Wronskian probes off that one pair evaluation;
+    # the sample has the bits of a self-solved sample's values and lazy
+    # derivatives, for one point, a batch and a slice of a shared solve
     from lowfreq2d import DiskObstacle, default_cutoff
     from lowfreq2d.radialsolve import green_pair
     disks = {"dirichlet-disk-1.06": DiskObstacle(1.06, "dirichlet"),
              "neumann-disk-1.06": DiskObstacle(1.06, "neumann")}
     s = MODE_AXIS_SCATTERERS.get(name) or disks[name]
     grid = standard_grid(s, default_cutoff(s))
+    nodes = {None: grid.nodes}
     batch = SpectralBatch([0.01, 0.02, 0.4], [math.pi / 4, math.pi / 2, math.pi / 2])
     fields = ("phi_vals", "psi_vals", "wronskian", "phi_scale", "wronskian_spread", "_ders")
     for l in (0, 2):
-        cases = ((batch[0], None, None), (batch, None, None),
-                 (batch[1], green_pair(s, l, batch)[1:2], green_pair(s, l, batch)[1:2]))
+        cases = ((batch[0], green_pair(s, l, batch[0], nodes), None),
+                 (batch, green_pair(s, l, batch, nodes), None),
+                 (batch[1], green_pair(s, l, batch, nodes)[1:2], green_pair(s, l, batch)[1:2]))
         for lam, sol_one, sol_ref in cases:
-            one = mode_green(s, lam, l, grid, solution=sol_one, derivs=True)
+            one = mode_green(s, lam, l, grid, solution=sol_one)
             assert "_ders" in vars(one)
             ref = mode_green(s, lam, l, grid, solution=sol_ref)
             assert "_ders" not in vars(ref)

@@ -19,7 +19,7 @@ from oracles import (FREE, MODE_AXIS_SCATTERERS, admissible, bessel_jy, born_pha
                      bit_pattern, breit_wigner_metrics, det_s_modulus, find_pole,
                      find_pole_in_disk, imaginary_axis_poles, j0_series,
                      scan_pole_candidates, sequential_axis_poles, sequential_find_pole,
-                     sequential_phase_tables, y0_series)
+                     sequential_phase_tables, shifted, y0_series)
 
 
 def test_free_shifts_vanish():
@@ -53,7 +53,7 @@ def test_unitarity_across_sweep(generic_well_fx):
 
 
 def test_branch_continuity(p_well_fx):
-    s = p_well_fx.scatterer.shifted(3e-3)
+    s = shifted(p_well_fx.scatterer, 3e-3)
     lams = np.linspace(0.005, 0.06, 120)
     tables = phase_shift_sweep(s, lams)
     for l in tables[0].shifts:
@@ -109,7 +109,7 @@ def test_seed_outside_basin_rejected(p_well_fx):
 def test_bound_state_ladder_eig_well(eig_well_fx):
     ks = []
     for eps in (-1e-2, -1e-3, -1e-4):
-        poles = imaginary_axis_poles(eig_well_fx.scatterer.shifted(eps), 2, 1e-4, 1.0)
+        poles = imaginary_axis_poles(shifted(eig_well_fx.scatterer, eps), 2, 1e-4, 1.0)
         assert len(poles) == 1
         p = poles[0]
         assert p.kind == "boundState"
@@ -121,7 +121,7 @@ def test_bound_state_ladder_eig_well(eig_well_fx):
 def test_bound_state_ladder_p_well(p_well_fx):
     ks = []
     for eps in (-1e-2, -1e-3):
-        poles = imaginary_axis_poles(p_well_fx.scatterer.shifted(eps), 1, 1e-4, 1.0)
+        poles = imaginary_axis_poles(shifted(p_well_fx.scatterer, eps), 1, 1e-4, 1.0)
         assert poles and poles[0].kind == "boundState"
         ks.append(poles[0].lam.modulus)
     assert ks[0] > ks[1] > 0
@@ -130,19 +130,19 @@ def test_bound_state_ladder_p_well(p_well_fx):
 def test_s_well_binding_below_resolution(s_well_fx):
     # deepening an s-resonance binds exponentially weakly: log kappa ~ -d/g;
     # nothing is findable above kappa = 1e-6 at eps = -1e-2
-    poles = imaginary_axis_poles(s_well_fx.scatterer.shifted(-1e-2), 0, 1e-6, 1.0)
+    poles = imaginary_axis_poles(shifted(s_well_fx.scatterer, -1e-2), 0, 1e-6, 1.0)
     assert poles == []
 
 
 def test_s_well_pole_disappears_for_positive_eps(s_well_fx):
-    pole = find_pole_in_disk(s_well_fx.scatterer.shifted(3e-3), 0, 0.3)
+    pole = find_pole_in_disk(shifted(s_well_fx.scatterer, 3e-3), 0, 0.3)
     assert pole is None
 
 
 def test_resonance_poles_off_axis(eig_well_fx, p_well_fx):
     eps = 3e-3
-    pe = find_pole_in_disk(eig_well_fx.scatterer.shifted(eps), 2, 0.3)
-    pp = find_pole_in_disk(p_well_fx.scatterer.shifted(eps), 1, 0.3)
+    pe = find_pole_in_disk(shifted(eig_well_fx.scatterer, eps), 2, 0.3)
+    pp = find_pole_in_disk(shifted(p_well_fx.scatterer, eps), 1, 0.3)
     assert pe is not None and pp is not None
     assert pe.kind == "resonance" and pp.kind == "resonance"
     assert pe.lam.value.imag < 0 and pp.lam.value.imag < 0
@@ -153,7 +153,7 @@ def test_resonance_poles_off_axis(eig_well_fx, p_well_fx):
 def test_perturbation_sweep_continuity(eig_well_fx):
     # the CLI's perturb route: each eps scanned on its own, deepest bound state
     eps_list = [-1e-2, -6e-3, -3e-3, -1.5e-3]
-    poles = [imaginary_axis_poles(eig_well_fx.scatterer.shifted(eps), 2)[-1] for eps in eps_list]
+    poles = [imaginary_axis_poles(shifted(eig_well_fx.scatterer, eps), 2)[-1] for eps in eps_list]
     ks = [p.lam.modulus for p in poles]
     assert all(a > b for a, b in zip(ks, ks[1:]))
     assert all(p.kind == "boundState" for p in poles)
@@ -163,7 +163,7 @@ def test_breit_wigner_ordering(eig_well_fx, p_well_fx):
     eps = 3e-3
     metrics = {}
     for name, fx, mode in (("eig", eig_well_fx, 2), ("p", p_well_fx, 1)):
-        s = fx.scatterer.shifted(eps)
+        s = shifted(fx.scatterer, eps)
         pole = find_pole_in_disk(s, mode, 0.3)
         lr, width = pole.lam.value.real, 2 * abs(pole.lam.value.imag)
         lams = np.linspace(max(lr - 6 * width, 1e-4), lr + 6 * width, 201)
@@ -319,7 +319,7 @@ def test_axis_poles_match_sequential_loops(depth, mode, kmax, monkeypatch):
 def test_newton_matches_sequential_loop(s_well_fx, p_well_fx, eps, monkeypatch):
     calls = _spy(monkeypatch)
     for fx, mode in ((s_well_fx, 0), (p_well_fx, 1)):
-        s = fx.scatterer.shifted(eps)
+        s = shifted(fx.scatterer, eps)
         for seed in scan_pole_candidates(s, mode)[:MAX_CANDIDATES]:
             calls.clear()
             try:
@@ -344,7 +344,7 @@ def test_unread_defects_do_not_raise(s_well_fx, generic_well_fx, monkeypatch):
     # Newton evaluates the central-difference pair of every trial, bisection
     # five levels of midpoints; a non-finite value there raises only when
     # the one-point-per-step loop would have evaluated it
-    s, mode = s_well_fx.scatterer.shifted(1e-3), 0
+    s, mode = shifted(s_well_fx.scatterer, 1e-3), 0
     seeds = scan_pole_candidates(s, mode)[:MAX_CANDIDATES]
     calls = _spy(monkeypatch)
     for seed in seeds:

@@ -132,6 +132,14 @@ def test_decay_fit_validations():
     noisy = [(t, math.exp(rng.uniform(-1, 1)) / t**1.6) for t in ts]
     rep = decay_fit(noisy)
     assert rep.law == "inconclusive"
+    # evolve's own t = 0 row (w(0) = 0), t <= 1, and a zero or non-finite w
+    # leave log t, log log t or log|w| undefined
+    clean = [(t, 1.0 / t) for t in ts]
+    for bad in ([(0.0, 0j)] + clean, [(1.0, 1.0)] + clean, [(math.inf, 0.0)] + clean,
+                clean + [(1e6, 0j)], clean + [(1e6, complex(math.nan, 0.0))],
+                clean + [(1e6, complex(math.inf, 1.0))]):
+        with pytest.raises(ValidationError):
+            decay_fit(bad)
 
 
 def test_quadrature_convergence(wave_free_result, wave_well_fx):
