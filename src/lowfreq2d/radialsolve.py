@@ -6,13 +6,13 @@ Bessel pairs J_l(eta r), Y_l(eta r) with eta^2 = lam^2 - V_j, or the harmonic
 pair (r^l, r^-l) / (1, log r) when eta vanishes.  Solutions are represented as
 per-segment coefficient pairs glued by 2x2 matching at the breakpoints, so
 there is no ODE time-stepping anywhere and evaluations are accurate to the
-special-function level.  A solve takes one mode (an int l) or several (a 1-D
-array of modes): eta depends on lam alone, so the segments and their
-breakpoint radii serve every mode, one bessel_pair call evaluates the bases of
-all of them, and each mode gets the bits of its own int-mode solve.  So does
-each spectral point, at every batch size: a point has the bits of a solve of
-that point alone.  A Green solve can evaluate the few radii its readers name
-in its boundary bases' call, keeping the rows read.
+special-function level.  A solve takes a 1-D array of modes, which leads the
+shape of its coefficients and rows: eta depends on lam alone, so the segments
+and their breakpoint radii serve every mode, one bessel_pair call evaluates
+the bases of all of them, and each mode and each spectral point, at every
+batch size, has the bits of a one-mode solve of that point alone.  A Green
+solve can evaluate the few radii its readers name in its boundary bases'
+call, keeping the rows read.
 
 Only the outgoing exterior solution H^(1)_l(lam r) carries log(lam); interior
 pieces depend on lam^2 alone, which is what makes continuation of everything
@@ -37,8 +37,8 @@ BESSEL_BATCH = 20480    # Bessel points (spectral points x radii) per evaluation
 @dataclass
 class Segment:
     """One segment for a batch of spectral points: eta and logeta have shape
-    (nlam,), and l is one mode (an int) or a 1-D array of modes, which lead
-    the shape of the bases, (*l.shape, nlam, len(r)).
+    (nlam,), and l is the 1-D int array of modes, which leads the shape of
+    the bases, (len(l), nlam, len(r)).
 
     Elements with eta = 0 take the harmonic pair (r^l, r^-l), or (1, log r)
     for l = 0; the others the Bessel pair (J, Y), or (J, H1) when kind is
@@ -47,23 +47,18 @@ class Segment:
 
     a: float
     b: float
-    l: int | np.ndarray
+    l: np.ndarray
     kind: str                 # "bessel" | "hankel"
     eta: np.ndarray
     logeta: np.ndarray
 
     def _harmonic(self, r: np.ndarray) -> np.ndarray:
-        """The harmonic pair and its derivatives, (4, *l.shape, len(r)).  Each
+        """The harmonic pair and its derivatives, (4, len(l), len(r)).  Each
         mode takes its own scalar exponents: numpy rounds r ** 2 and r ** -1
         by fast paths that a power with an array of exponents does not take."""
-        def rows(l: int) -> list[np.ndarray]:
-            if l == 0:
-                return [np.ones(len(r)), np.log(r), np.zeros(len(r)), 1.0 / r]
-            return [r**l, r ** (-l), l * r ** (l - 1), -l * r ** (-l - 1)]
-
-        if np.ndim(self.l):
-            return np.array([rows(l) for l in self.l.tolist()]).swapaxes(0, 1)
-        return np.array(rows(self.l))
+        return np.array([[np.ones(len(r)), np.log(r), np.zeros(len(r)), 1.0 / r] if l == 0 else
+                         [r**l, r ** (-l), l * r ** (l - 1), -l * r ** (-l - 1)]
+                         for l in self.l.tolist()]).swapaxes(0, 1)
 
     def _bessel_args(self, r: np.ndarray):
         """(mask of the Bessel elements or None for all of them, their eta and
@@ -80,9 +75,9 @@ class Segment:
 
     def _derivs(self, eta, z, f0, f1) -> tuple[np.ndarray, ...]:
         """Order-l derivatives eta (l / z f - g) of the Bessel pair, from its
-        order-l values f in f0 and order-(l + 1) values g in f1; eta takes an
-        array's mode axis, so a one-mode array rounds as the int l does."""
-        l, eta = (self.l[:, None, None], eta[None]) if np.ndim(self.l) else (self.l, eta)
+        order-l values f in f0 and order-(l + 1) values g in f1; eta takes the
+        mode axis, so one point rounds alike in every batch."""
+        l, eta = self.l[:, None, None], eta[None]
         return tuple(eta * (l / z * f - g) for f, g in zip(f0, f1))
 
 
@@ -100,7 +95,7 @@ def _bessel_each(l, zs: list[np.ndarray], logzs: list[np.ndarray], slot: int | N
 
 def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     """For each segment at its radii, rows of (b1, b2, b1', b2'), each of
-    shape (*l.shape, nlam, len(r)): all four (slot None), or the values alone (slot 0),
+    shape (len(l), nlam, len(r)): all four (slot None), or the values alone (slot 0),
     which take the order-l Bessel slot alone and so the bits all four give
     them.  The Bessel elements of every segment share one bessel_pair call.
 
@@ -126,7 +121,7 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
                 continue
         rows = [0, 1, 2, 3] if slot is None else [0, 1]
         flat = seg.eta == 0
-        full = np.empty((len(rows),) + np.shape(seg.l) + (len(seg.eta), len(r)), dtype=complex)
+        full = np.empty((len(rows), len(seg.l), len(seg.eta), len(r)), dtype=complex)
         full[:, ..., flat, :] = seg._harmonic(r)[rows][..., None, :]
         if a is not None:
             full[:, ..., ~flat, :] = b
@@ -135,9 +130,10 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
 
 
 def make_segments(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> list[Segment]:
-    """Segments covering [inner_radius, inf) for one mode l or a 1-D array of
-    modes and a batch of spectral points, or lam=None meaning zero energy;
-    (eta, log eta) are formed once per lam, for every mode.
+    """Segments covering [inner_radius, inf) for the modes l, made here the 1-D
+    mode array of every solve (a negative, non-integer, empty or 2-D l raises
+    ValidationError), and a batch of spectral points, or lam=None meaning
+    zero energy; (eta, log eta) are formed once per lam, for every mode.
 
     shift, when given, is a real eps per point in the batch's shape: each
     point takes the potential V + eps, its support values formed by
@@ -150,7 +146,9 @@ def make_segments(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> lis
     the log cover of lam itself, so only that segment carries log(lam).  A
     lam^2 that leaves the float range raises NumericalError.
     """
-    l = np.asarray(l) if np.ndim(l) else l
+    l = np.atleast_1d(l)
+    if l.ndim != 1 or not l.size or l.dtype.kind not in "iu" or l.min() < 0:
+        raise ValidationError(f"modes must be a 1-D array of integers l >= 0, got {l.tolist()}")
     if shift is not None and not isinstance(s, PiecewisePotential):
         raise ValidationError("a shift eps of V + eps needs a potential")
     zero = np.zeros(1, dtype=complex)
@@ -193,7 +191,7 @@ def _cover(segs: list[Segment], r: np.ndarray) -> list[tuple[int, slice | np.nda
 @dataclass
 class PiecewiseSolution:
     """Per-segment coefficient pairs, each an array over the modes and the
-    spectral batch (shape (*l.shape, nlam), led by an axis of length 2 for
+    spectral batch (shape (len(l), nlam), led by an axis of length 2 for
     the stacked pair of green_pair).  solution[sl], sl a slice of the batch
     axis, is the solution of those spectral points.  kept maps a slot of
     _combine to radii and its rows there (green_pair's keep), which a read of
@@ -228,14 +226,14 @@ class PiecewiseSolution:
                                  {k: (r, rows[..., sl, :]) for k, (r, rows) in self.kept.items()})
 
     def mode(self, i: int) -> PiecewiseSolution:
-        """The solution of the i-th of the modes it was solved for, with the
-        segments and coefficients a solve of that mode alone gives."""
-        segs = [replace(seg, l=int(seg.l[i])) for seg in self.segments]
-        return PiecewiseSolution(segs, [(c1[i], c2[i]) for c1, c2 in self.coeffs])
+        """The one-mode slice of the i-th of the modes it was solved for, with
+        the segments and coefficients a solve of that mode alone gives."""
+        segs = [replace(seg, l=seg.l[i:i + 1]) for seg in self.segments]
+        return PiecewiseSolution(segs, [(c1[i:i + 1], c2[i:i + 1]) for c1, c2 in self.coeffs])
 
-    def eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u, u' at radii r, each of shape coefficient shape + (len(r),)."""
-        return tuple(self._combine(r, None))
+    def eval(self, r: np.ndarray) -> np.ndarray:
+        """The rows u, u' at radii r, each of shape coefficient shape + (len(r),)."""
+        return self._combine(r, None)
 
     def values(self, r: np.ndarray) -> np.ndarray:
         """u at radii r, as eval gives it, from the order-l basis alone."""
@@ -265,7 +263,7 @@ def _value_at(b: np.ndarray, c: tuple[np.ndarray, np.ndarray]):
 # ----------------------------------------------------------------------------
 
 def _unit_pair(segs: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    shape = np.shape(segs[0].l) + segs[0].eta.shape
+    shape = segs[0].l.shape + segs[0].eta.shape
     return np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
 
 
@@ -292,19 +290,19 @@ def _regular(s: Scatterer, segs: list[Segment], extra=()):
 
 def regular_solution(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> PiecewiseSolution:
     """Regular at r = 0 (potential) or satisfying the boundary condition
-    (obstacle), for one mode l or every mode of a 1-D array l, all on one
-    set of segments: the coefficient arrays take shape (*l.shape, nlam), and
-    each mode has the bits of its own solve.  A potential's points take
+    (obstacle), for every mode of make_segments' mode array, all on one set
+    of segments: the coefficient arrays take shape (len(l), nlam), and each
+    mode has the bits of a solve of that mode alone.  A potential's points take
     make_segments' per-point shift."""
     return _regular(s, make_segments(s, l, lam, shift))[0]
 
 
-def green_pair(s: Scatterer, l: int, lam: SpectralBatch,
+def green_pair(s: Scatterer, l, lam: SpectralBatch,
                keep: dict | None = None) -> PiecewiseSolution:
     """The regular solution and the outgoing one (H^(1)_l(lam r) outside the
-    support, continued inward) on one set of segments, stacked along a leading
-    axis of length 2: one eval evaluates each segment's basis once for both,
-    and both are glued with the same breakpoint bases.
+    support, continued inward) of each mode on one set of segments, stacked
+    along a leading axis of length 2: one eval evaluates each segment's basis
+    once for both, and both are glued with the same breakpoint bases.
 
     keep, when given, maps the slots of reads to come (None for eval, 0 for
     values, 1 for derivs) to arrays of radii, based in the obstacle's or

@@ -159,9 +159,10 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     non-finite Wronskian raises NumericalError, one of modulus at most
     POLE_GUARD AtPoleError for the first such point.
 
-    solution, when given, is green_pair(s, l, lam) solved already, typically
-    a slice of one solve of many points that kept the rows its samples read
-    (green_sweep); without, mode_green solves keeping the probes alone.
+    solution, when given, is green_pair(s, l, lam) solved already, its one
+    mode read as a view, typically a slice of one solve of many points that
+    kept the rows its samples read (green_sweep); without, mode_green solves
+    keeping the probes alone.
     """
     idx = _probe_index(len(grid.nodes))
     sols = solution or green_pair(s, l, lam, {1: grid.nodes[idx]})
@@ -169,14 +170,14 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     # the sampled Wronskian, probed at five nodes away from the endpoints, is
     # the invariant check; points are independent, so a pass on all nodes serves
     probe = idx if derivs else slice(None)
-    (phi_v, psi_v), (phi_d, psi_d) = (sols.eval(grid.nodes) if derivs else
-                                      (sols.values(grid.nodes), sols.derivs(grid.nodes[idx])))
+    (phi_v, psi_v), (phi_d, psi_d) = (sols.eval(grid.nodes)[:, :, 0] if derivs else (
+        sols.values(grid.nodes)[:, 0], sols.derivs(grid.nodes[idx])[:, 0]))
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v), axis=-1, keepdims=True)
     scale[scale == 0] = 1.0
     # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
     # (J, H1) basis has Wronskian 2i/pi; only phi's probe columns are scaled
-    w = sols.coeffs[-1][0][0] / scale[:, 0] * (2j / math.pi)
+    w = sols.coeffs[-1][0][0, 0] / scale[:, 0] * (2j / math.pi)
     w_all = grid.nodes[idx] * (phi_v[:, idx] / scale * psi_d[:, probe]
                                - phi_d[:, probe] / scale * psi_v[:, idx])
     absw = np.abs(w)

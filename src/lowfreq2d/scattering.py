@@ -201,17 +201,20 @@ def outgoing_defect(s: Scatterer, l, lam: SpectralBatch, *, checked: bool = True
     zeros on the log cover are exactly the resolvent poles of the mode.  A
     potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
     which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
-    as r^l and has no zero there.  l is one mode for every point, or an int
-    array of the batch's shape that gives each point its own.  One solve
-    serves every mode, on the distinct points (equal in modulus, arg and
-    shift to the bit) when several modes share them, and each point reads
-    and rescales its own, with the bits of a call of its own at every batch
-    size.  shift is make_segments' per-point eps of V + eps.  The defects
-    take the batch's shape, so a batch of one point gives a complex number;
-    a defect of non-finite modulus raises NumericalError, unless `checked`
-    is false: then the caller checks, with `_finite`, only the values it reads.
+    as r^l and has no zero there.  l, the mode, and shift, make_segments' eps
+    of V + eps, broadcast to the batch's shape (or raise ValidationError), so
+    each point may take its own.  One solve serves every mode, on the
+    distinct points (equal in modulus, arg and shift to the bit) when several
+    modes share them, and each point reads and rescales its own, with the
+    bits of a call of its own at every batch size.  The defects take the
+    batch's shape, so a batch of one point gives a complex number; a defect
+    of non-finite modulus raises NumericalError, unless `checked` is false:
+    then the caller checks, with `_finite`, only the values it reads.
     """
-    l = np.broadcast_to(l, lam.shape).ravel()
+    try:
+        l, shift = (x if x is None else np.broadcast_to(x, lam.shape).ravel() for x in (l, shift))
+    except ValueError:
+        raise ValidationError(f"mode and shift must broadcast to shape {lam.shape}") from None
     modes = np.array(sorted(set(l.tolist())))    # np.unique costs more here, and imports numpy.ma
     pts, eps, at = lam, shift, np.arange(len(l))
     if len(modes) > 1:

@@ -54,7 +54,7 @@ class ThresholdMode:
         """c times the solution sampled on grid, with its exterior expansion
         beyond the support; decaying_only drops the growing coefficient, which
         classification has found to be rounding (~1e-16)."""
-        (vals,), (ders,) = self.solution.eval(grid.nodes)
+        vals, ders = self.solution.eval(grid.nodes)[:, 0, 0]
         l = self.mode
         d = self.decaying * c
         if l == 0:
@@ -141,24 +141,20 @@ class ThresholdReport:
 
 
 def solve_zero_mode(s: Scatterer, l) -> ThresholdMode | list[ThresholdMode]:
-    """Exact transfer-matrix solve of the mode-l equation at zero energy; for
-    a 1-D array l, a ThresholdMode per mode from one solve of them all,
-    checked in the order of l, so the first failing mode raises.  An int l
-    is a one-mode array, and every mode has the bits of its own solve."""
-    sol = regular_solution(s, modes := np.atleast_1d(l), None)
+    """Exact transfer-matrix solve of the modes l at zero energy: a
+    ThresholdMode per mode (for an int l, the one), from one solve of them
+    all, checked in the order of l, so the first failing mode raises; each
+    holds its one-mode slice of the solution, with the bits of its own solve."""
+    sol = regular_solution(s, l, None)
     c1, c2 = (c.reshape(-1) for c in sol.coeffs[-1])
     out = []
-    for i, m in enumerate(modes.tolist()):
-        if m == 0:
-            growing, decaying = c2[i], c1[i]     # exterior basis (1, log r)
-        else:
-            growing, decaying = c1[i], c2[i]     # exterior basis (r^l, r^{-l})
+    for i, m in enumerate(sol.segments[0].l.tolist()):
+        # exterior basis (1, log r) for mode 0, (r^l, r^{-l}) above
+        growing, decaying = (c2[i], c1[i]) if m == 0 else (c1[i], c2[i])
         if not np.isfinite([growing, decaying]).all():
             raise NumericalError(f"mode {m}: non-finite exterior connection coefficients")
         if max(abs(growing), abs(decaying)) < DEGENERATE_ATOL:
-            raise DegenerateScattererError(
-                f"mode {m}: both exterior connection coefficients vanish"
-            )
+            raise DegenerateScattererError(f"mode {m}: both exterior connection coefficients vanish")
         out.append(ThresholdMode(m, growing, decaying, sol.mode(i)))
     return out if np.ndim(l) else out[0]
 

@@ -612,7 +612,7 @@ def sequential_phase_tables(s, lams: list[float]):
     active = list(range(len(lams)))
     l = 0
     while active:
-        c1, c2 = regular_solution(s, l, pts[active]).coeffs[-1]
+        (c1,), (c2,) = regular_solution(s, np.array([l]), pts[active]).coeffs[-1]
         still = []
         for i, a, b in zip(active, c1, c2):
             S = 1.0 + 2.0 * complex(b) / complex(a) if a else complex(math.inf)

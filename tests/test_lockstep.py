@@ -109,8 +109,8 @@ def _column(coeffs, *idx):
 @pytest.mark.parametrize("name,shifted", [(n, False) for n in sorted(MODE_AXIS_SCATTERERS)] + [
     (n, True) for n, s in sorted(MODE_AXIS_SCATTERERS.items()) if isinstance(s, PiecewisePotential)])
 def test_one_point_keeps_its_bits_in_every_mode_array_and_batch(name, shifted):
-    # a spectral point has the bits of its int-mode solve in a one-mode array,
-    # alone or in a batch of 2, 3 or 33 points, in regular_solution's
+    # a spectral point has the bits of a one-mode solve of the point alone in
+    # a one-mode array, in a batch of 2, 3 or 33 points, in regular_solution's
     # coefficients and in outgoing_defect, with and without per-point shifts
     s = MODE_AXIS_SCATTERERS[name]
     rng = np.random.default_rng(3)
@@ -119,7 +119,7 @@ def test_one_point_keeps_its_bits_in_every_mode_array_and_batch(name, shifted):
     for mod, arg in ((0.02, 1.0), (0.3, -0.4), (1.7, math.pi / 2)):
         point, eps = SpectralBatch(mod, arg), 1e-3 if shifted else None
         for m in range(5):
-            ref = _column(regular_solution(s, m, point, eps).coeffs, 0)
+            ref = _column(regular_solution(s, np.array([m]), point, eps).coeffs, 0, 0)
             ref_d = bit_pattern(complex(scattering.outgoing_defect(s, m, point, shift=eps)))
             for n in (1, 2, 3, 33):
                 k = n // 2
@@ -139,6 +139,37 @@ def test_a_shift_needs_a_potential():
     for search in (scattering.disk_search(0, shift=0.5), scattering.axis_search(disk, 0, shift=0.5)):
         with pytest.raises(ValidationError):
             scattering.run_searches(disk, [search])
+
+
+def test_mode_and_shift_broadcast_to_the_batch():
+    # a scalar shift serves several per-point modes as it serves one, each
+    # point with the bits of a call of its own; a mode or shift array that
+    # does not broadcast to the batch raises ValidationError
+    s, lam = PiecewisePotential((1.0,), (-2.5,)), SpectralBatch([0.1, 0.2, 0.3], 0.3)
+    got = scattering.outgoing_defect(s, np.array([0, 1, 2]), lam, shift=1e-3)
+    ref = [scattering.outgoing_defect(s, m, lam[j], shift=1e-3) for j, m in enumerate((0, 1, 2))]
+    assert bit_pattern(list(got)) == bit_pattern(ref)
+    for modes, eps in ((np.array([0, 1]), None), (0, np.array([1e-3, 2e-3])),
+                       (np.array([0, 1]), 1e-3), (np.array([0, 1, 2]), np.ones((2, 3)))):
+        with pytest.raises(ValidationError):
+            scattering.outgoing_defect(s, modes, lam, shift=eps)
+
+
+@pytest.mark.parametrize("modes", [-1, 1.5, np.array([], dtype=int), [], np.zeros((2, 2), int),
+                                   np.array([0, -2]), np.array([0.0, 1.0])])
+def test_malformed_modes_raise_validation_error(modes):
+    # the mode axis is formed in one place, which refuses a negative, non-integer,
+    # empty or 2-D mode argument, for every solve and without a warning
+    from lowfreq2d.radialsolve import green_pair
+    from lowfreq2d.threshold import solve_zero_mode
+    s = PiecewisePotential((1.0,), (-2.5,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: regular_solution(s, modes, SpectralBatch(0.5, 0.0)),
+                      lambda: green_pair(s, modes, SpectralBatch(0.5, 0.0)),
+                      lambda: solve_zero_mode(s, modes)):
+            with pytest.raises(ValidationError):
+                solve()
 
 
 # -- work done: one solve per lockstep step --------------------------------------

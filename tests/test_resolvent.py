@@ -344,7 +344,7 @@ def test_lazy_derivatives_match_eager_evaluation(dirichlet_fx, l):
         for lam in (SpectralBatch(0.7, 0.0), SpectralBatch(1.3, -0.4),
                     SpectralBatch([0.7, 1.3, 9.0], [0.0, -0.4, 0.2])):
             sample = mode_green(s, lam, l, g)
-            (phi_v, psi_v), (phi_d, psi_d) = sample.solutions.eval(g.nodes)
+            (phi_v, psi_v), (phi_d, psi_d) = sample.solutions.eval(g.nodes)[:, :, 0]
             scale = np.atleast_1d(sample.phi_scale)[:, None]
             phi_v, phi_d = phi_v / scale, phi_d / scale
             if lam.shape == ():
@@ -383,7 +383,7 @@ def test_batched_solutions_match_single_points():
     for solve, lead in ((regular_solution, ()), (green_pair, (2,))):
         for l in (0, 2):
             u, du = solve(s, l, lams).eval(r)
-            assert u.shape == du.shape == lead + (3, 3)
+            assert u.shape == du.shape == lead + (1, 3, 3)
             for i, lam in enumerate(lams):
                 u1, du1 = solve(s, l, lam).eval(r)
                 assert np.allclose(u[..., i, :], u1[..., 0, :], rtol=1e-13, atol=0)
@@ -458,17 +458,20 @@ def test_eval_matches_single_radii_bit_for_bit():
 
 def test_harmonic_rows_of_a_mode_array_keep_scalar_exponent_bits():
     # numpy takes r ** 2 and r ** -1 by fast paths (r * r, 1 / r) that a
-    # power with an array of exponents rounds differently
+    # power with an array of exponents rounds differently: each mode's rows
+    # (r^l, r^-l and their derivatives; 1, log r, 0, 1 / r for l = 0) have
+    # the bits of the scalar formulas
     from lowfreq2d.radialsolve import Segment
     r = np.linspace(0.3, 7.0, 2000)
     flat = np.zeros(1, dtype=complex)
     h = Segment(1.0, math.inf, np.arange(4), "hankel", flat, flat)._harmonic(r)
     assert h.shape == (4, 4, r.size)
-    for row, mode, ref in ((0, 2, r * r), (1, 1, 1.0 / r)):
-        assert np.array_equal(h[row, mode], ref)
-    for mode in range(4):
-        one = Segment(1.0, math.inf, mode, "hankel", flat, flat)._harmonic(r)
-        assert np.array_equal(h[:, mode].view(np.uint64), one.view(np.uint64))
+    scalar = ([np.ones(r.size), np.log(r), np.zeros(r.size), 1.0 / r],
+              [r, 1.0 / r, np.ones(r.size), -1 * r ** -2],
+              [r * r, r ** -2, 2 * r, -2 * r ** -3],
+              [r ** 3, r ** -3, 3 * (r * r), -3 * r ** -4])
+    for mode, rows in enumerate(scalar):
+        assert np.array_equal(h[:, mode].view(np.uint64), np.array(rows).view(np.uint64)), mode
 
 
 def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
@@ -477,11 +480,11 @@ def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
     # as the division's +0 + 0j gives it
     from lowfreq2d import radialsolve
     parts = [complex(a, b) for a in (0.0, -0.0, 0.5, -0.5) for b in (0.0, -0.0, 0.5, -0.5)]
-    f0, f1 = (np.array(x).reshape(2, 128) for x in np.meshgrid(parts, parts))
+    f0, f1 = (np.array(x).reshape(1, 2, 128) for x in np.meshgrid(parts, parts))
     monkeypatch.setattr(radialsolve, "bessel_pair", lambda l, z, logz, slot: np.array([[f0, f1]] * 3))
     eta, r = np.array([0.7, 1.3]) + 0j, np.linspace(0.5, 2.0, 128)
     for kind in ("bessel", "hankel"):
-        seg = radialsolve.Segment(0.5, 2.0, 0, kind, eta, np.log(eta))
+        seg = radialsolve.Segment(0.5, 2.0, np.array([0]), kind, eta, np.log(eta))
         _, _, d1, d2 = radialsolve._bases([seg], [r], None)[0]
         ref = eta[:, None] * (0 / (eta[:, None] * r) * f0 - f1)
         for d in (d1, d2):

@@ -11,7 +11,10 @@ difference over the numeric values with where it occurs, and the largest
 absolute difference; `wallTimeSeconds` is ignored.  A complex number is one
 value with relative difference |x - y| / max(|x|, |y|): CSV column pairs
 `<name>_re`/`<name>_im` or `re`/`im`, JSON lists of two numbers and sibling
-JSON keys `re`/`im`.  Exit codes and error messages are compared as well.
+JSON keys `re`/`im`.  Exit codes and error messages are compared as well,
+and so are the warnings a successful run prints on stderr, each by its
+category and message, without the file path and line number that differ
+between trees.
 Each CONFIG is labelled by the path as given, so configs of one file name in
 different directories stay apart.  A last line sums up the run, with each
 tree's summed CPU time (user and system) and minor page faults over its CLI
@@ -19,7 +22,7 @@ runs, each tree's CPU time per command, and each tree's CPU time per command
 inside `cli.main` alone, which the child times with `time.process_time()` and
 prints as its one stdout line, so a saving shows on the commands it lands on
 without the interpreter's start-up; the exit status is 1 when any file, exit
-code or error message differs, and 0 otherwise.  Standard library only.
+code, error message or warning differs, and 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import cmath
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -58,6 +62,7 @@ BUILTIN_CONFIGS = {
     "complex-step": "kind = potential; breaks = 1; values = 1+0.5i\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
+WARNING_LINE = re.compile(r"^.+?:\d+: (\w+): (.*)$", re.MULTILINE)    # path:line: Category: message
 
 
 def package_root(path: str) -> Path:
@@ -83,6 +88,11 @@ def run_cli(src: Path, command: str, cfg: Path, out: Path, cost: list) -> tuple[
     cost[1] += after.ru_stime - before.ru_stime
     cost[2] += after.ru_minflt - before.ru_minflt
     return proc.returncode, proc.stderr.strip(), float((proc.stdout.split() or [0.0])[-1])
+
+
+def warnings_in(stderr: str) -> list[tuple[str, str]]:
+    """(category, message) of each warning that stderr shows, in order."""
+    return WARNING_LINE.findall(stderr)
 
 
 def is_number(x) -> bool:
@@ -174,7 +184,7 @@ def main(argv=None) -> int:
         return 2
     old_src, new_src = package_root(args[0]), package_root(args[1])
     tally = dict.fromkeys(("identical files", "differing files", "exit-code mismatches",
-                           "error-text mismatches"), 0)
+                           "error-text mismatches", "warning mismatches"), 0)
     cost = {"old": [0.0, 0.0, 0], "new": [0.0, 0.0, 0]}     # user s, sys s, minor faults
     cpu = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}  # user + sys s per command
     in_main = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}  # CPU s in cli.main
@@ -206,6 +216,10 @@ def main(argv=None) -> int:
                     tally["error-text mismatches"] += same == "error differs"
                     print(f"{head}: exit {runs[0][0]} both, {same}")
                     continue
+                warned = [warnings_in(run[1]) for run in runs]
+                if warned[0] != warned[1]:
+                    tally["warning mismatches"] += 1
+                    print(f"{head}: warnings differ: {warned[0][:3]} -> {warned[1][:3]}")
                 names = sorted({p.name for d in dirs for p in d.iterdir()})
                 for fname in names:
                     verdict = compare_file(dirs[0] / fname, dirs[1] / fname)
