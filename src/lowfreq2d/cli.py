@@ -316,10 +316,10 @@ def _cmd_verify(run: _Run) -> None:
     outer = bump(grid, chi.pairing_radius + 0.9, 0.5, 0)
     # s solved once at lam, z and lam_b, V = 0 once at lam and z, each keeping (u, u')
     # on the nodes: each identity reads slices with the bits of solves of its own
-    nodes = {None: grid.nodes}
     sols = green_pair(s, 0, SpectralBatch([lam.modulus, z.modulus, lam_b.modulus],
-                                          [lam.arg, z.arg, lam_b.arg]), nodes)
-    free = green_pair(FREE, 0, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]), nodes)
+                                          [lam.arg, z.arg, lam_b.arg]), grid.nodes)
+    free = green_pair(FREE, 0, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg]),
+                      grid.nodes)
     # single-parameter identities have no second spectral point: blank z cells
     rows = [
         ("two-parameter", lam.modulus, lam.arg, z.modulus, z.arg,

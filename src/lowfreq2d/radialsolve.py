@@ -11,8 +11,8 @@ shape of its coefficients and rows: eta depends on lam alone, so the segments
 and their breakpoint radii serve every mode, one bessel_pair call evaluates
 the bases of all of them, and each mode and each spectral point, at every
 batch size, has the bits of a one-mode solve of that point alone.  A Green
-solve can evaluate the few radii its readers name in its boundary bases'
-call, keeping the rows read.
+solve can keep (u, u') at an array of radii, evaluated in its boundary
+bases' call, and serves every read of those radii from that table.
 
 Only the outgoing exterior solution H^(1)_l(lam r) carries log(lam); interior
 pieces depend on lam^2 alone, which is what makes continuation of everything
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,37 +193,42 @@ class PiecewiseSolution:
     """Per-segment coefficient pairs, each an array over the modes and the
     spectral batch (shape (len(l), nlam), led by an axis of length 2 for
     the stacked pair of green_pair).  solution[sl], sl a slice of the batch
-    axis, is the solution of those spectral points.  kept maps a slot of
-    _combine to radii and its rows there (green_pair's keep), which a read of
-    those radii in that slot takes, and a slice by column."""
+    axis, is the solution of those spectral points.  kept, when not None, is
+    green_pair's table (sorted radii, rows of (u, u') there): a read of radii
+    that all lie in it takes its columns."""
 
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
-    kept: dict = field(default_factory=dict, repr=False)
+    kept: tuple[np.ndarray, np.ndarray] | None = None
 
     def _combine(self, r: np.ndarray, slot: int | None, bases=None) -> np.ndarray:
-        """The solution's rows of (u, u') at radii r, or row slot alone (0 for
-        u from _bases' values alone, 1 for u'), each of shape coefficient shape
-        + (len(r),); bases, when given, are the pair rows of _cover's pieces."""
+        """The solution's rows of (u, u') at radii r, or u alone (slot 0, from
+        _bases' values alone), each of shape coefficient shape + (len(r),);
+        bases, when given, are the pair rows of _cover's pieces."""
         r = np.asarray(r, dtype=float)
-        if slot in self.kept and np.array_equal(r, self.kept[slot][0]):
-            return self.kept[slot][1]
+        if self.kept is not None and len(r) <= len(self.kept[0]):
+            radii, table = self.kept
+            table = table[:1] if slot == 0 else table
+            if np.array_equal(r, radii):
+                return table
+            at = radii.searchsorted(r)
+            if (radii.take(at, mode="clip") == r).all():
+                return table.take(at, axis=-1)
         cover = _cover(self.segments, r)
         if bases is None:
-            bases = _bases([self.segments[i] for i, _ in cover], [r[idx] for _, idx in cover],
-                           0 if slot == 0 else None)
-        rows = (0, 1) if slot is None else (slot,)
-        out = np.empty((len(rows),) + self.coeffs[0][0].shape + (len(r),), dtype=complex)
+            bases = _bases([self.segments[i] for i, _ in cover], [r[idx] for _, idx in cover], slot)
+        out = np.empty((2 if slot is None else 1,) + self.coeffs[0][0].shape + (len(r),),
+                       dtype=complex)
         for (i, idx), b in zip(cover, bases):
             c1, c2 = (c[..., None] for c in self.coeffs[i])
-            for k, row in zip(rows, out):
+            for k, row in enumerate(out):
                 row[..., idx] = c1 * b[2 * k] + c2 * b[2 * k + 1]
         return out
 
     def __getitem__(self, sl: slice) -> PiecewiseSolution:
         segs = [replace(seg, eta=seg.eta[sl], logeta=seg.logeta[sl]) for seg in self.segments]
         return PiecewiseSolution(segs, [(c1[..., sl], c2[..., sl]) for c1, c2 in self.coeffs],
-                                 {k: (r, rows[..., sl, :]) for k, (r, rows) in self.kept.items()})
+                                 self.kept and (self.kept[0], self.kept[1][..., sl, :]))
 
     def mode(self, i: int) -> PiecewiseSolution:
         """The one-mode slice of the i-th of the modes it was solved for, with
@@ -238,10 +243,6 @@ class PiecewiseSolution:
     def values(self, r: np.ndarray) -> np.ndarray:
         """u at radii r, as eval gives it, from the order-l basis alone."""
         return self._combine(r, 0)[0]
-
-    def derivs(self, r: np.ndarray) -> np.ndarray:
-        """u' at radii r, as eval gives it, without forming u."""
-        return self._combine(r, 1)[0]
 
 
 def _solve_2x2(b: np.ndarray, u: np.ndarray, du: np.ndarray):
@@ -298,27 +299,26 @@ def regular_solution(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> 
 
 
 def green_pair(s: Scatterer, l, lam: SpectralBatch,
-               keep: dict | None = None) -> PiecewiseSolution:
+               keep: np.ndarray | None = None) -> PiecewiseSolution:
     """The regular solution and the outgoing one (H^(1)_l(lam r) outside the
     support, continued inward) of each mode on one set of segments, stacked
     along a leading axis of length 2: one eval evaluates each segment's basis
     once for both, and both are glued with the same breakpoint bases.
 
-    keep, when given, maps the slots of reads to come (None for eval, 0 for
-    values, 1 for derivs) to arrays of radii, based in the obstacle's or
-    breakpoints' bessel_pair call; the solution keeps those rows alone."""
+    keep, when given, is a 1-D array of radii that reads to come name; the
+    solution keeps (u, u') there, sorted by radius, evaluated in the
+    obstacle's or breakpoints' bessel_pair call."""
     segs = make_segments(s, l, lam)
-    covers = {slot: _cover(segs, r) for slot, r in (keep or {}).items()}
-    extra = [(segs[i], keep[slot][idx]) for slot, cover in covers.items() for i, idx in cover]
-    phi, junctions, bases = _regular(s, segs, extra)
+    radii = None if keep is None else np.sort(keep)
+    cover = [] if keep is None else _cover(segs, radii)
+    phi, junctions, bases = _regular(s, segs, [(segs[i], radii[idx]) for i, idx in cover])
     one, zero = _unit_pair(segs)
     psi = [(zero, one)]            # marched inward
     for left, right in junctions[::-1]:
         psi.insert(0, _solve_2x2(left, *_value_at(right, psi[0])))
     sol = PiecewiseSolution(segs, [tuple(map(np.stack, zip(a, b)))
                                    for a, b in zip(phi.coeffs, psi)])
-    bases = iter(bases)
-    for slot, cover in covers.items():
-        sol.kept[slot] = keep[slot], sol._combine(keep[slot], slot, [next(bases) for _ in cover])
-        sol.kept[slot][1].flags.writeable = False
+    if keep is not None:
+        sol.kept = radii, sol._combine(radii, None, bases)
+        sol.kept[1].flags.writeable = False
     return sol

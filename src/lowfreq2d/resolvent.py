@@ -49,10 +49,9 @@ class ResolventSample:
     phi's exterior J coefficient; wronskian_spread is the largest relative
     deviation of the sampled one from it, over the batch.
 
-    The node values take the order-l basis alone, phi_vals is scaled on
-    first read, and the node derivatives (_ders) wait for the first apply's
-    pair evaluation on the nodes, unless mode_green read both off a solution
-    that kept them; apply_values and every caller of values never form them."""
+    The node values and, on the first apply, the node derivatives (_ders)
+    are reads of the solution; phi_vals is scaled on first read, and
+    apply_values and every caller of values never form the derivatives."""
 
     scatterer: Scatterer
     lam: SpectralBatch
@@ -150,36 +149,29 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
                solution: PiecewiseSolution | None = None) -> ResolventSample:
     """The mode-l Green function data on grid, for a batch of spectral points.
 
-    phi and psi share one segment set and every basis evaluation.  A
-    solution that kept (u, u') on the nodes (for a sample to be applied)
-    gives the values, the node derivatives and the five Wronskian probes;
-    otherwise the node values take the order-l basis alone, the probes a
-    pair evaluation of their radii (kept by the solve), and the node
-    derivatives wait for the first apply.  Both have the same bits.  A
-    non-finite Wronskian raises NumericalError, one of modulus at most
-    POLE_GUARD AtPoleError for the first such point.
+    phi and psi share one segment set and every basis evaluation.  The
+    sample reads the node values, then (u, u') at the five Wronskian probes,
+    each from the solution's kept table when that holds them; the node
+    derivatives wait for the first apply.  A non-finite Wronskian raises
+    NumericalError, one of modulus at most POLE_GUARD AtPoleError for the
+    first such point.
 
     solution, when given, is green_pair(s, l, lam) solved already, its one
-    mode read as a view, typically a slice of one solve of many points that
-    kept the rows its samples read (green_sweep); without, mode_green solves
-    keeping the probes alone.
+    mode read as a view, typically a slice of one solve of many points
+    (green_sweep, verify); without, mode_green solves keeping the probes.
     """
     idx = _probe_index(len(grid.nodes))
-    sols = solution or green_pair(s, l, lam, {1: grid.nodes[idx]})
-    derivs = None in sols.kept and np.array_equal(sols.kept[None][0], grid.nodes)
-    # the sampled Wronskian, probed at five nodes away from the endpoints, is
-    # the invariant check; points are independent, so a pass on all nodes serves
-    probe = idx if derivs else slice(None)
-    (phi_v, psi_v), (phi_d, psi_d) = (sols.eval(grid.nodes)[:, :, 0] if derivs else (
-        sols.values(grid.nodes)[:, 0], sols.derivs(grid.nodes[idx])[:, 0]))
+    sols = solution or green_pair(s, l, lam, grid.nodes[idx])
+    # the Wronskian sampled at five nodes away from the endpoints is the invariant check
+    phi_v, psi_v = sols.values(grid.nodes)[:, 0]
+    phi_d, psi_d = sols.eval(grid.nodes[idx])[1][:, 0]
     # scale-free regular solution: keeps the pole guard meaningful
     scale = np.max(np.abs(phi_v), axis=-1, keepdims=True)
     scale[scale == 0] = 1.0
     # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
     # (J, H1) basis has Wronskian 2i/pi; only phi's probe columns are scaled
     w = sols.coeffs[-1][0][0, 0] / scale[:, 0] * (2j / math.pi)
-    w_all = grid.nodes[idx] * (phi_v[:, idx] / scale * psi_d[:, probe]
-                               - phi_d[:, probe] / scale * psi_v[:, idx])
+    w_all = grid.nodes[idx] * (phi_v[:, idx] / scale * psi_d - phi_d / scale * psi_v[:, idx])
     absw = np.abs(w)
     if not np.all(np.isfinite(absw)):
         raise NumericalError("mode Wronskian is not finite")
@@ -191,26 +183,23 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
         raise AtPoleError(lam[np.unravel_index(i, lam.shape)], w[i])
     # to the batch's shape; [()] makes a 0-d result a scalar
     shape = lam.shape + phi_v.shape[-1:]
-    sample = ResolventSample(s, lam, l, grid, phi_v.reshape(shape), psi_v.reshape(shape),
-                             w.reshape(lam.shape)[()], spread, sols, scale.reshape(lam.shape)[()])
-    if derivs:
-        sample._ders = (phi_d / scale).reshape(shape), psi_d.reshape(shape)
-    return sample
+    return ResolventSample(s, lam, l, grid, phi_v.reshape(shape), psi_v.reshape(shape),
+                           w.reshape(lam.shape)[()], spread, sols, scale.reshape(lam.shape)[()])
 
 
 def green_sweep(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid, read,
                 x: float | None = None) -> np.ndarray:
     """read(mode_green(...)) over a 1-D batch, concatenated.
 
-    The Green pair is solved once, keeping its rows at the Wronskian probes
-    and at x, read's value_at radius, if that reads them.  Each mode_green
+    The Green pair is solved once, keeping (u, u') at the Wronskian probes
+    and at x, read's value_at radius, when x lies off the grid.  Each mode_green
     call takes a slice of that solve, as many consecutive points as make
     about BESSEL_BATCH Bessel points on grid, so the slice, not the batch,
     sets the size of the temporaries.  read runs on each slice's sample
     before the next is formed."""
-    keep = {1: grid.nodes[_probe_index(len(grid.nodes))]}
+    keep = grid.nodes[_probe_index(len(grid.nodes))]
     if x is not None and x > 0 and x >= s.inner_radius and not grid.rmin <= x <= grid.rmax:
-        keep[0] = np.array([x])
+        keep = np.append(keep, x)
     sols = green_pair(s, l, lam, keep)
     step = max(1, BESSEL_BATCH // len(grid))
     return np.concatenate([read(mode_green(s, lam[i:i + step], l, grid, solution=sols[i:i + step]))
@@ -236,7 +225,7 @@ def one_sided_identity_residual(s: Scatterer, lam: SpectralBatch, chi: CutoffPro
     solve of more points; else both are solved keeping (u, u') on the nodes."""
     grid = g.grid
     chi_v = (jet := chi.jet(grid.nodes))[0]
-    sols = solutions or [green_pair(x, g.mode, lam, {None: grid.nodes}) for x in (s, FREE)]
+    sols = solutions or [green_pair(x, g.mode, lam, grid.nodes) for x in (s, FREE)]
     green, green0 = (mode_green(x, lam, g.mode, grid, solution=sol)
                      for x, sol in zip((s, FREE), sols))
     # only r0g's derivatives are read (by the commutator); the masked source has none
@@ -264,7 +253,7 @@ def two_parameter_identity_residual(s: Scatterer, lam: SpectralBatch, z: Spectra
     l = f.mode
     chi_v = (jet := chi.jet(grid.nodes))[0]
     points = ((s, lam), (s, z), (FREE, SpectralBatch([lam.modulus, z.modulus], [lam.arg, z.arg])))
-    sols = solutions or [green_pair(x, l, at, {None: grid.nodes}) for x, at in points]
+    sols = solutions or [green_pair(x, l, at, grid.nodes) for x, at in points]
     green_l, green_z, free = (mode_green(x, at, l, grid, solution=sol)
                               for (x, at), sol in zip(points, sols))
 
@@ -304,7 +293,7 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralBatch, phi_src: RadialF
     paired = np.zeros(len(r), dtype=complex)
     paired[mask] = phi_src.values[mask] * (0.25j * H[0, :-1]) * r[mask]
     lhs = 2.0 * math.pi * grid.integrate(paired)
-    u = mode_green(s, lam, 0, grid, solution=solution or green_pair(s, 0, lam, {None: r})
+    u = mode_green(s, lam, 0, grid, solution=solution or green_pair(s, 0, lam, r)
                    ).apply(phi_src)
     kr1, kr1p = 0.25j * H[0, -1], 0.25j * complex(lam.value) * -H[1, -1]     # H0' = -H1
     b = 2.0 * math.pi * r1 * (u.value_at(r1) * kr1p - u.deriv_at(r1) * kr1)

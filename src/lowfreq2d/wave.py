@@ -54,6 +54,7 @@ from numpy.polynomial import legendre
 from .errors import BoundStateRefusal, NumericalError, ValidationError
 from .quadrature import PanelGrid, geometric_edges
 from .radial import RadialFunction, support_panels
+from .radialsolve import BESSEL_BATCH
 from .resolvent import green_sweep
 from .scatterer import Scatterer
 from .scattering import axis_search, run_searches, settle
@@ -195,10 +196,16 @@ def _source_quadrature(src: RadialFunction, n: int) -> RadialFunction:
     where n nodes integrate e^{i lam r} f r dr to rounding for every lam of the
     sweep.  f at each new node comes from its own panel's Legendre expansion
     to its full degree: on the bump's graded panels the terms past degree 15
-    reach 2e-11 of max|f|, which a 16-node interpolant would drop."""
+    reach 2e-11 of max|f|, which a 16-node interpolant would drop.  A split
+    grid of more than BESSEL_BATCH nodes, where one spectral point no longer
+    fits a sweep's slice, raises NumericalError before any of it is formed."""
     g = src.grid
     width = np.diff(g.edges)
-    parts = np.ceil(LAM_CAP * width / n).astype(int)
+    parts = np.ceil(LAM_CAP * width / n)
+    if n * parts.sum() > BESSEL_BATCH:
+        raise NumericalError(f"the wave source quadrature needs {n * parts.sum():.3g} nodes; "
+                             f"one spectral point takes at most {BESSEL_BATCH}")
+    parts = parts.astype(int)
     panel = np.repeat(np.arange(g.npanels), parts)      # the old panel of each new one
     pos = np.arange(panel.size) - np.repeat(np.cumsum(parts) - parts, parts)
     m = parts[panel]

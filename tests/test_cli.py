@@ -165,6 +165,18 @@ def test_wave_fails_on_an_unresolved_legendre_tail(tmp_path, capsys):
         "message": f"wave legendreTail {tail:.3g} above 1e-6"}]
 
 
+@pytest.mark.parametrize("support", ["kind = disk\nradius = 1", "kind = potential\nbreaks = 1\nvalues = 1"])
+def test_wave_refuses_a_source_beyond_one_slice(tmp_path, capsys, support):
+    # cutoff.r0 = 1e15 puts the source 1e15 out: its split quadrature would
+    # hold 4.75e16 nodes, which np.repeat failed to allocate (exit 1); a split
+    # of more than BESSEL_BATCH nodes exits 3 before any of it is formed
+    code, out = _run(tmp_path, "far.cfg", f"{support}\ncutoff.r0 = 1e15\n", "wave")
+    assert code == 3
+    assert not (out / "wave.csv").exists() and not (out / "manifest.json").exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(x)["error"] for x in lines] == ["NumericalError"]
+
+
 @pytest.mark.parametrize("support", ["breaks = 1\nvalues = 1+0.5i",
                                      "breaks = 0.5,1\nvalues = -2.5,1e-3i"])
 def test_wave_refuses_a_non_real_potential(tmp_path, capsys, support):
@@ -371,6 +383,22 @@ def test_traced_layers_importable():
     loaded = set(json.loads(proc.stdout))
     missing = [layer for layer in spans.LAYERS if f"lowfreq2d.{layer}" not in loaded]
     assert not missing
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 9 ms and 1 MB of resident memory per
+    # process: all eight commands, on the README well and disk (each runs to
+    # exit 0 on one of them), run in one fresh interpreter without loading it
+    for name, text in (("well.cfg", WELL_CFG), ("disk.cfg", DISK_CFG)):
+        (tmp_path / name).write_text(text)
+    code = ("import sys\nfrom pathlib import Path\nfrom lowfreq2d.cli import _HANDLERS, main\n"
+            "tmp = Path(sys.argv[1])\n"
+            "runs = [main([c, '--config', str(tmp / cfg), '--out', str(tmp / cfg[:4] / c)])\n"
+            "        for cfg in ('well.cfg', 'disk.cfg') for c in _HANDLERS]\n"
+            "print(len(_HANDLERS), len(runs), 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["8", "16", "False"]
 
 
 def test_ill_conditioned_fit_exits_3(tmp_path, capsys):

@@ -269,31 +269,57 @@ def test_identities_on_slices_of_shared_solves_keep_their_bits(name):
 
 
 @pytest.mark.parametrize("name", [*MODE_AXIS_SCATTERERS, "dirichlet-disk-1.06", "neumann-disk-1.06"])
-def test_one_pass_sample_keeps_the_bits_of_values_then_lazy_derivatives(name):
+def test_one_pass_sample_keeps_the_bits_of_values_then_lazy_derivatives(name, monkeypatch):
     # mode_green on a solution that kept (u, u') on the nodes reads values,
-    # node derivatives and the Wronskian probes off that one pair evaluation;
-    # the sample has the bits of a self-solved sample's values and lazy
-    # derivatives, for one point, a batch and a slice of a shared solve
-    from lowfreq2d import DiskObstacle, default_cutoff
+    # the Wronskian probes and, on first read, the node derivatives off that
+    # one pair evaluation, with no bessel_pair call; the sample has the bits
+    # of a self-solved sample's values and lazy derivatives, for one point,
+    # a batch and a slice of a shared solve
+    from lowfreq2d import DiskObstacle, default_cutoff, radialsolve
     from lowfreq2d.radialsolve import green_pair
     disks = {"dirichlet-disk-1.06": DiskObstacle(1.06, "dirichlet"),
              "neumann-disk-1.06": DiskObstacle(1.06, "neumann")}
     s = MODE_AXIS_SCATTERERS.get(name) or disks[name]
     grid = standard_grid(s, default_cutoff(s))
-    nodes = {None: grid.nodes}
     batch = SpectralBatch([0.01, 0.02, 0.4], [math.pi / 4, math.pi / 2, math.pi / 2])
     fields = ("phi_vals", "psi_vals", "wronskian", "phi_scale", "wronskian_spread", "_ders")
+    calls = []
+    bessel_pair = radialsolve.bessel_pair
+    monkeypatch.setattr(radialsolve, "bessel_pair", lambda *a: calls.append(a) or bessel_pair(*a))
     for l in (0, 2):
-        cases = ((batch[0], green_pair(s, l, batch[0], nodes), None),
-                 (batch, green_pair(s, l, batch, nodes), None),
-                 (batch[1], green_pair(s, l, batch, nodes)[1:2], green_pair(s, l, batch)[1:2]))
+        cases = ((batch[0], green_pair(s, l, batch[0], grid.nodes), None),
+                 (batch, green_pair(s, l, batch, grid.nodes), None),
+                 (batch[1], green_pair(s, l, batch, grid.nodes)[1:2], green_pair(s, l, batch)[1:2]))
         for lam, sol_one, sol_ref in cases:
+            calls.clear()
             one = mode_green(s, lam, l, grid, solution=sol_one)
-            assert "_ders" in vars(one)
+            assert "_ders" not in vars(one)
+            one._ders
+            assert calls == []
             ref = mode_green(s, lam, l, grid, solution=sol_ref)
             assert "_ders" not in vars(ref)
             for field in fields:
                 assert bit_pattern(getattr(one, field)) == bit_pattern(getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_apply_on_a_kept_nodes_solve_keeps_the_bits_of_a_plain_solve(dirichlet_fx, l):
+    # apply reads the node values and derivatives off a solve that kept the
+    # nodes, as verify's identities do; values and derivatives have the bits
+    # of apply on a solve that kept nothing, for batches of 2 and 3 points
+    from lowfreq2d import PiecewisePotential, default_cutoff
+    from lowfreq2d.radialsolve import green_pair
+    well = PiecewisePotential((0.5, 1.0), (-3.0, 2.0))
+    grid = standard_grid(well, default_cutoff(well), extra_edges=bump_edges(0.8, 0.35))
+    cases = ((dirichlet_fx.scatterer, dirichlet_fx.grid, bump(dirichlet_fx.grid, 1.25, 0.2, l)),
+             (well, grid, bump(grid, 0.8, 0.35, l)))
+    for s, g, f in cases:
+        for lam in (SpectralBatch([0.7, 1.3], [0.0, -0.4]),
+                    SpectralBatch([0.01, 0.02, 0.4], [math.pi / 4, math.pi / 2, math.pi / 2])):
+            kept, plain = (mode_green(s, lam, l, g, solution=green_pair(s, l, lam, keep)).apply(f)
+                           for keep in (g.nodes, None))
+            assert bit_pattern(kept.values) == bit_pattern(plain.values)
+            assert bit_pattern(kept.derivs) == bit_pattern(plain.derivs)
 
 
 def test_two_parameter_identity_free_is_sharp(free_fx):
@@ -394,10 +420,10 @@ def test_batched_solutions_match_single_points():
 def test_solution_slices_keep_the_bits_of_their_own_solve(arg):
     # a slice of one solve along its spectral points (a wave chunk's solve,
     # read per resolvent call) has the values and eval of a green_pair solve
-    # of the slice alone, on a disk and on a two-step well: the rows the solve
-    # keeps (u' at five probe radii and u at an observation radius, evaluated
-    # with the boundary bases, and (u, u') on 600 radii) read by column, and
-    # any other read on the slice's own points
+    # of the slice alone, on a disk and on a two-step well: the table of
+    # (u, u') the solve keeps (at five probe radii and an observation radius
+    # below them, evaluated with the boundary bases, or on 600 radii), sorted
+    # by radius, read by column, and any other read on the slice's own points
     from lowfreq2d import DiskObstacle, PiecewisePotential
     from lowfreq2d.radialsolve import PiecewiseSolution, green_pair
     # on arg pi/4, |lam| <= 6 keeps the junction solve of the well in range
@@ -406,36 +432,64 @@ def test_solution_slices_keep_the_bits_of_their_own_solve(arg):
     x = np.array([1.08])
     nodes = np.linspace(1.06, 4.0, 600)
     for s in (DiskObstacle(1.06, "dirichlet"), PiecewisePotential((0.5, 1.0), (-3.0, 2.0))):
-        assert not green_pair(s, 0, lams).kept
-        for keep in ({1: probes, 0: x}, {None: nodes}):
+        assert green_pair(s, 0, lams).kept is None
+        for keep in (np.append(probes, x), nodes):
             whole = green_pair(s, 0, lams, keep)
-            assert sorted(whole.kept, key=str) == sorted(keep, key=str)
+            assert np.array_equal(whole.kept[0], np.sort(keep))
             for sl in (slice(0, 17), slice(17, 34), slice(34, 40)):
                 part, alone = whole[sl], green_pair(s, 0, lams[sl])
                 own = PiecewiseSolution(part.segments, part.coeffs)
-                for r in (probes, x, nodes):
+                for r in (probes, x, nodes, nodes[[599, 3, 100]]):
                     for sol in (part, own):
                         assert np.array_equal(sol.values(r), alone.values(r))
-                        assert np.array_equal(sol.derivs(r), alone.derivs(r))
                         for got, ref in zip(sol.eval(r), alone.eval(r)):
                             assert np.array_equal(got, ref)
 
 
+def test_subset_reads_of_a_kept_table_make_no_bessel_call(monkeypatch):
+    # the probes read from a solve that kept the nodes (verify's), and the
+    # observation radius read from one that kept the probes and x (a sweep's),
+    # whole or sliced: columns of the table, C-contiguous, no bessel_pair call,
+    # with the bits of a solve that kept nothing
+    from lowfreq2d import DiskObstacle, PiecewisePotential, default_cutoff, radialsolve
+    from lowfreq2d.radialsolve import green_pair
+    from lowfreq2d.resolvent import _probe_index
+    calls = []
+    bessel_pair = radialsolve.bessel_pair
+    monkeypatch.setattr(radialsolve, "bessel_pair", lambda *a: calls.append(a) or bessel_pair(*a))
+    lams = SpectralBatch([0.3, 2.4, 7.0], 0.0)
+    for s, x in ((DiskObstacle(1.06, "dirichlet"), 1.08), (PiecewisePotential((1.0,), (-2.5,)), 0.4)):
+        grid = standard_grid(s, default_cutoff(s))
+        probes = grid.nodes[_probe_index(len(grid.nodes))]
+        plain = green_pair(s, 0, lams)
+        for keep, r in ((grid.nodes, probes), (np.append(probes, x), np.array([x]))):
+            kept = green_pair(s, 0, lams, keep)
+            for sl in (slice(None), slice(1, 3)):
+                calls.clear()
+                reads = kept[sl].values(r), kept[sl].eval(r), kept[sl].eval(r)[1]
+                assert calls == []
+                refs = plain[sl].values(r), plain[sl].eval(r), plain[sl].eval(r)[1]
+                for got, ref in zip(reads, refs):
+                    assert got.flags.c_contiguous
+                    assert bit_pattern(got) == bit_pattern(ref)
+
+
 def test_radii_off_the_segments_raise_validation_error():
-    # below an obstacle's radius or NaN: a read or a kept radius
+    # below an obstacle's radius or NaN: a read, also of a solve that kept
+    # other radii, or a kept radius
     from lowfreq2d import DiskObstacle, PiecewisePotential
     from lowfreq2d.radialsolve import green_pair
     lam, nan = SpectralBatch(0.5, 0.0), float("nan")
     for s, radii in ((DiskObstacle(1.0, "dirichlet"), ([0.5], [nan], [2.0, 0.99])),
                      (PiecewisePotential((1.0,), (2.0,)), ([nan], [2.0, -1.0]))):
-        sol = green_pair(s, 0, lam)
+        for sol in (green_pair(s, 0, lam), green_pair(s, 0, lam, np.array([1.5, 2.0, 3.0]))):
+            for r in radii:
+                for read in (sol.values, sol.eval, lambda r: sol.eval(r)[1]):
+                    with pytest.raises(ValidationError):
+                        read(np.array(r))
         for r in radii:
-            for read in (sol.values, sol.derivs, sol.eval):
-                with pytest.raises(ValidationError):
-                    read(np.array(r))
-            for slot in (None, 0, 1):
-                with pytest.raises(ValidationError):
-                    green_pair(s, 0, lam, {slot: np.array(r)})
+            with pytest.raises(ValidationError):
+                green_pair(s, 0, lam, np.array(r))
 
 
 def test_eval_matches_single_radii_bit_for_bit():

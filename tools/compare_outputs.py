@@ -20,9 +20,12 @@ different directories stay apart.  A last line sums up the run, with each
 tree's summed CPU time (user and system) and minor page faults over its CLI
 runs, each tree's CPU time per command, and each tree's CPU time per command
 inside `cli.main` alone, which the child times with `time.process_time()` and
-prints as its one stdout line, so a saving shows on the commands it lands on
-without the interpreter's start-up; the exit status is 1 when any file, exit
-code, error message or warning differs, and 0 otherwise.  Standard library only.
+prints on its one stdout line, so a saving shows on the commands it lands on
+without the interpreter's start-up, and each tree's largest peak resident
+size per command, the `ru_maxrss` the child prints on that line, so an import
+or a buffer that a change adds shows; these figures are for information.  The
+exit status is 1 when any file, exit code, error message or warning differs,
+and 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -73,13 +76,15 @@ def package_root(path: str) -> Path:
     sys.exit(f"no lowfreq2d package under {p}")
 
 
-def run_cli(src: Path, command: str, cfg: Path, out: Path, cost: list) -> tuple[int, str, float]:
-    """Exit code, stderr and CPU seconds in `cli.main` of one CLI run; adds
-    its user and system CPU seconds and minor faults to `cost`."""
+def run_cli(src: Path, command: str, cfg: Path, out: Path,
+            cost: list) -> tuple[int, str, float, float]:
+    """Exit code, stderr, CPU seconds in `cli.main` and peak resident MB of
+    one CLI run; adds its user and system CPU seconds and minor faults to `cost`."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, time\nfrom lowfreq2d.cli import main\nt = time.process_time()\n"
+    code = ("import resource, sys, time\nfrom lowfreq2d.cli import main\nt = time.process_time()\n"
             "try:\n    sys.exit(main(sys.argv[1:]))\n"
-            "finally:\n    print(time.process_time() - t)\n")
+            "finally:\n    print(time.process_time() - t,"
+            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg),
                            "--out", str(out)], env=env, capture_output=True, text=True)
@@ -87,7 +92,8 @@ def run_cli(src: Path, command: str, cfg: Path, out: Path, cost: list) -> tuple[
     cost[0] += after.ru_utime - before.ru_utime
     cost[1] += after.ru_stime - before.ru_stime
     cost[2] += after.ru_minflt - before.ru_minflt
-    return proc.returncode, proc.stderr.strip(), float((proc.stdout.split() or [0.0])[-1])
+    cpu, maxrss_kb = (proc.stdout.split() or [0.0, 0.0])[-2:]
+    return proc.returncode, proc.stderr.strip(), float(cpu), float(maxrss_kb) / 1024
 
 
 def warnings_in(stderr: str) -> list[tuple[str, str]]:
@@ -188,6 +194,7 @@ def main(argv=None) -> int:
     cost = {"old": [0.0, 0.0, 0], "new": [0.0, 0.0, 0]}     # user s, sys s, minor faults
     cpu = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}  # user + sys s per command
     in_main = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}  # CPU s in cli.main
+    peak = {tag: dict.fromkeys(COMMANDS, 0.0) for tag in cost}     # largest max RSS, MB
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         configs = {}
@@ -205,6 +212,7 @@ def main(argv=None) -> int:
                     runs.append(run_cli(src, command, cfg, out, cost[tag]))
                     cpu[tag][command] += cost[tag][0] + cost[tag][1] - before
                     in_main[tag][command] += runs[-1][2]
+                    peak[tag][command] = max(peak[tag][command], runs[-1][3])
                     dirs.append(out)
                 head = f"{name} {command}"
                 if runs[0][0] != runs[1][0]:
@@ -231,7 +239,9 @@ def main(argv=None) -> int:
           + "; CPU s per command, old -> new: "
           + ", ".join(f"{c} {cpu['old'][c]:.2f} -> {cpu['new'][c]:.2f}" for c in COMMANDS)
           + "; CPU s in main per command, old -> new: "
-          + ", ".join(f"{c} {in_main['old'][c]:.3f} -> {in_main['new'][c]:.3f}" for c in COMMANDS))
+          + ", ".join(f"{c} {in_main['old'][c]:.3f} -> {in_main['new'][c]:.3f}" for c in COMMANDS)
+          + "; peak RSS MB per command, old -> new: "
+          + ", ".join(f"{c} {peak['old'][c]:.1f} -> {peak['new'][c]:.1f}" for c in COMMANDS))
     return int(any(n for k, n in tally.items() if k != "identical files"))
 
 
