@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .errors import (AtPoleError, BasinError, BoundStateRefusal, ConfigError,
                      DegenerateScattererError, DomainError, IllConditionedFitError,
                      LowfreqError, NumericalError, ShapeMismatchError, ValidationError)
-from .expansion import (ExpansionGrid, FitReport, FitTerm, LogLaurentSeries,
-                        expansion_grid, fit_log_laurent, fit_shape,
-                        nonresonant_terms, predict_leading_terms, resonant_terms,
+from .expansion import (ExpansionGrid, FitReport, FitTerm, expansion_grid, fit_log_laurent,
+                        fit_shape, nonresonant_terms, predict_leading_terms, resonant_terms,
                         sample_matrix_element)
 from .quadrature import PanelGrid
 from .radial import Exterior, RadialFunction, bump, bump_edges, inner, norm_sq

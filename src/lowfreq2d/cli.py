@@ -5,7 +5,8 @@ Every subcommand reads one config file, writes lossless CSV/JSON outputs into
 parameters, wall time, output list).  Outputs are bit-reproducible across
 runs on the same config; the wall-time field is the only varying entry.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 64 usage.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (an
+allocation that fails too), 64 usage.
 Errors are mirrored as one JSON object on stderr, which then holds nothing
 else: warnings raised during a run are shown only when it succeeds.
 """
@@ -26,8 +27,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import LowfreqError, NumericalError, ValidationError
-from .expansion import (attach_predictions, expansion_grid, fit_log_laurent, fit_shape,
-                        predict_leading_terms, sample_matrix_element)
+from .expansion import (expansion_grid, fit_log_laurent, fit_shape, predict_leading_terms,
+                        sample_matrix_element)
 from .radial import RadialFunction, bump, bump_edges
 from .radialsolve import green_pair
 from .resolvent import (FREE, one_sided_identity_residual, pairing_identity_residual,
@@ -187,9 +188,15 @@ def _cmd_expand(run: _Run) -> None:
         [(m, a, v.real, v.imag)
          for m, a, v in zip(eg.points.modulus.tolist(), eg.points.arg.tolist(), samples)],
     )
+    # every fit shape has at least jmax + 2 terms: refuse a jmax no shape can
+    # fit before its term list is built
+    train = eg.held_out.count(False)
+    if 2 * (cfg.fit_jmax + 2) > train:
+        raise ValidationError(f"{train} training samples for at least {cfg.fit_jmax + 2} terms "
+                              f"(fit.jmax = {cfg.fit_jmax}); need at least 2x")
     terms, shift0 = fit_shape(report, f, cfg.fit_jmax, cfg.fit_kmax)
     fit = fit_log_laurent(samples, eg, terms, shift0=shift0)
-    attach_predictions(fit, predict_leading_terms(report, f, f))
+    fit.predicted = predict_leading_terms(report, f, f)
     run.write_json("fit.json", fit.to_dict())
     if fit.residual > 1e-6:
         raise NumericalError(f"held-out fit residual {fit.residual:.3g} above 1e-6")
@@ -387,6 +394,9 @@ def dispatch(argv) -> int:
         return VALIDATION_EXIT
     except NumericalError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
+        return NUMERICAL_EXIT
+    except MemoryError as e:     # numpy raises a subclass: name the builtin
+        print(json.dumps({"error": "MemoryError", "message": str(e)}), file=sys.stderr)
         return NUMERICAL_EXIT
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)

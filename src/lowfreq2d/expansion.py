@@ -11,7 +11,8 @@ wave shares too), and fitted against the bases
 with the shift found by variable projection: linear least squares inside a
 small Gauss-Newton iteration on the complex shift.  Rows are weighted by
 1/|sample| so the fit controls relative error across the (potentially 1e12)
-dynamic range, and columns are normalized to unit max before solving.
+dynamic range, and columns are normalized to unit max before solving.  A
+FitReport is the fitted series: the terms, one coefficient each, the shift.
 
 Closed-form predictions of the leading coefficients come from the threshold
 report: the zero-eigenspace projection at lam^-2, the 1/r states at
@@ -153,54 +154,56 @@ def fit_shape(report: ThresholdReport, f: RadialFunction, jmax: int, kmax: int
 
 
 # ----------------------------------------------------------------------------
-# series container
+# the fitted series
 # ----------------------------------------------------------------------------
 
 @dataclass
-class LogLaurentSeries:
-    regular: dict[tuple[int, int], complex] = field(default_factory=dict)
-    poles: dict[tuple[int, int], complex] = field(default_factory=dict)
-    shift: complex | None = None
-
-    def evaluate(self, pts: SpectralBatch) -> np.ndarray:
-        out = np.zeros(len(pts), dtype=complex)
-        for (j, k), c in self.regular.items():
-            out += c * FitTerm(j, k).evaluate(pts, None)
-        for (j, k), c in self.poles.items():
-            out += c * FitTerm(j, k, pole=True).evaluate(pts, self.shift)
-        return out
-
-    def coefficient(self, term: FitTerm) -> complex:
-        table = self.poles if term.pole else self.regular
-        return table.get((term.j, term.k), 0.0)
-
-
-@dataclass
 class FitReport:
-    series: LogLaurentSeries
+    """A fitted log-Laurent series: one coefficient per term of `terms`, in
+    its order, and the pole shift (None without pole terms); the held-out
+    residual and the design's conditioning; and the closed-form predictions
+    by term label, which `discrepancies` compares with the fit."""
     terms: list[FitTerm]
+    coefficients: list[complex]
     shift_estimate: complex | None
     residual: float              # max relative error on held-out points
     conditioning: float
     predicted: dict[str, complex] = field(default_factory=dict)
-    discrepancies: dict[str, float] = field(default_factory=dict)
+
+    def evaluate(self, pts: SpectralBatch) -> np.ndarray:
+        """The series at each point of pts: the regular terms, then the pole
+        terms, each in `terms` order."""
+        out = np.zeros(len(pts), dtype=complex)
+        for t, c in sorted(zip(self.terms, self.coefficients), key=lambda tc: tc[0].pole):
+            out += c * t.evaluate(pts, self.shift_estimate)
+        return out
 
     def coefficient(self, term: FitTerm) -> complex:
-        return self.series.coefficient(term)
+        """The fitted coefficient of term; 0.0 for a term not fitted."""
+        return self.coefficients[self.terms.index(term)] if term in self.terms else 0.0
+
+    @property
+    def discrepancies(self) -> dict[str, float]:
+        """|fitted - predicted| / |predicted| by label, for each fitted term
+        with a nonzero prediction."""
+        pred = self.predicted
+        return {t.label(): float(abs(c - pred[t.label()]) / abs(pred[t.label()]))
+                for t, c in zip(self.terms, self.coefficients) if pred.get(t.label(), 0) != 0}
 
     def to_dict(self) -> dict:
         def c(z):
             return [complex(z).real, complex(z).imag]
 
+        rel = self.discrepancies
         return {
             "terms": [
                 {
                     "j": t.j, "k": t.k, "pole": t.pole, "label": t.label(),
-                    "fitted": c(self.series.coefficient(t)),
+                    "fitted": c(fitted),
                     "predicted": c(self.predicted[t.label()]) if t.label() in self.predicted else None,
-                    "relError": self.discrepancies.get(t.label()),
+                    "relError": rel.get(t.label()),
                 }
-                for t in self.terms
+                for t, fitted in zip(self.terms, self.coefficients)
             ],
             "shift": c(self.shift_estimate) if self.shift_estimate is not None else None,
             "residualHeldOut": self.residual,
@@ -296,20 +299,12 @@ def fit_log_laurent(samples: np.ndarray, grid: ExpansionGrid, terms: list[FitTer
     if cond > CONDITION_LIMIT:
         raise IllConditionedFitError(cond)
 
-    series = LogLaurentSeries(shift=shift)
-    for t, c in zip(terms, coef):
-        if t.pole:
-            series.poles[(t.j, t.k)] = complex(c)
-        else:
-            series.regular[(t.j, t.k)] = complex(c)
-
+    fit = FitReport(terms, [complex(c) for c in coef], shift, float("nan"), float(cond))
     if te.size:
-        model = series.evaluate(grid.points[te])
+        model = fit.evaluate(grid.points[te])
         rel = np.abs(model - samples[te]) / np.maximum(np.abs(samples[te]), 1e-300)
-        residual = float(np.max(rel))
-    else:
-        residual = float("nan")
-    return FitReport(series, terms, shift, residual, float(cond))
+        fit.residual = float(np.max(rel))
+    return fit
 
 
 # ----------------------------------------------------------------------------
@@ -367,16 +362,3 @@ def predict_leading_terms(report: ThresholdReport, f: RadialFunction,
         out["log^-2"] = report.a * base
 
     return out
-
-
-def attach_predictions(fit: FitReport, predictions: dict[str, complex]) -> FitReport:
-    """Record predictions and relative discrepancies on a fit report."""
-    fit.predicted = dict(predictions)
-    for t in fit.terms:
-        lab = t.label()
-        if lab in predictions and predictions[lab] != 0:
-            fitted = fit.series.coefficient(t)
-            fit.discrepancies[lab] = float(
-                abs(fitted - predictions[lab]) / abs(predictions[lab])
-            )
-    return fit

@@ -155,7 +155,7 @@ class CutoffProfile:
         S, Sp, Spp = _bridge(np.clip((r - self.r0) / self.width, 0.0, 1.0))
         return (np.where(r <= self.r0, 1.0, np.where(r >= self.r_end, 0.0, S)),
                 np.where(inside, Sp / self.width, 0.0),
-                np.where(inside, Spp / self.width**2, 0.0))
+                np.where(inside, Spp / np.float64(self.width) ** 2, 0.0))
 
     def chi(self, r) -> np.ndarray:
         return self.jet(r)[0]

@@ -150,6 +150,33 @@ def test_expand_fails_on_its_held_out_fit_residual(tmp_path, capsys):
         "error": "NumericalError", "message": f"held-out fit residual {residual:.3g} above 1e-6"}]
 
 
+def test_an_allocation_failure_is_one_json_error(tmp_path, capsys):
+    # numpy refuses a 745 GiB spectral grid with a subclass of MemoryError;
+    # the error names the builtin, and expand exits before writing any output
+    code, out = _run(tmp_path, "well.cfg", WELL_CFG + "grid.count = 100000000000\n", "expand")
+    assert code == 3
+    assert list(out.iterdir()) == []
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "MemoryError" and "Unable to allocate" in err["message"]
+
+
+def test_expand_refuses_a_jmax_no_fit_shape_can_fit(tmp_path, capsys):
+    # every shape has at least jmax + 2 terms, and the default grid 24
+    # training points: jmax = 11 is refused before its terms are built,
+    # after samples.csv is written; jmax = 10 reaches the fit's own check
+    code, out = _run(tmp_path, "well.cfg", WELL_CFG + "fit.jmax = 11\n", "expand")
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["samples.csv"]
+    code, _ = _run(tmp_path, "well.cfg", WELL_CFG + "fit.jmax = 10\n", "expand", sub="out10")
+    assert code == 2
+    assert [json.loads(x) for x in capsys.readouterr().err.strip().splitlines()] == [
+        {"error": "ValidationError",
+         "message": "24 training samples for at least 13 terms (fit.jmax = 11); need at least 2x"},
+        {"error": "ValidationError", "message": "24 training samples for 60 terms; need at least 2x"}]
+
+
 def test_wave_fails_on_an_unresolved_legendre_tail(tmp_path, capsys):
     # a 1000-high barrier: the lambda panels' top two Legendre coefficients
     # reach about 0.24 of max|G|, so w is not resolved
@@ -638,6 +665,15 @@ def test_mutated_readme_configs_keep_the_contract_of_wave(cfg_text):
     ("wave", "kind = potential\nbreaks = 1\nvalues = 10000\n", 3),
     # Newton's difference stencil once reached lam = 0 and lam = inf (OverflowError)
     ("perturb", "kind = potential\nbreaks = 1.192092896e-07\nvalues = 0.0\n", 0),
+    # the cutoff's jet once squared a huge width as a Python float (OverflowError)
+    ("verify", "kind = disk\nradius = 1\ncutoff.width = 1e300\n", 3),
+    ("verify", "kind = potential\nbreaks = 1\nvalues = -2.5\ncutoff.width = 1.7976931348623157e308\n", 3),
+    # log_grid cannot allocate 1e11 points (numpy's MemoryError)
+    ("expand", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 100000000000\n", 3),
+    ("phase", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 100000000000\n", 3),
+    ("perturb", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 100000000000\n", 3),
+    # refused before its term list is built (once too many terms to hold in memory)
+    ("expand", "kind = disk\nradius = 1\nfit.jmax = 1000000000\n", 2),
 ])
 def test_former_crash_configs_keep_the_cli_contract(command, cfg_text, code):
     assert _check_contract(command, cfg_text) == code

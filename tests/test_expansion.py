@@ -9,7 +9,6 @@ from lowfreq2d import (FitTerm, GAMMA0, SpectralBatch, expansion_grid, fit_log_l
                        fit_shape, inner, nonresonant_terms,
                        predict_leading_terms, resonant_terms, sample_matrix_element)
 from lowfreq2d.errors import IllConditionedFitError, ShapeMismatchError, ValidationError
-from lowfreq2d.expansion import LogLaurentSeries, attach_predictions
 
 from oracles import log_power_terms, plane_integral
 
@@ -160,19 +159,36 @@ def test_free_leading_log_coefficient(free_fx):
 
 def test_synthetic_roundtrip():
     eg = expansion_grid()
-    series = LogLaurentSeries(
-        regular={(0, 0): 1.3 - 0.2j, (0, 1): -0.4j, (1, 1): 2.0},
-        poles={(0, 1): 0.7 + 0.1j},
-        shift=GAMMA0 + 0.3,
-    )
-    samples = series.evaluate(eg.points)
     terms = [FitTerm(0, 0), FitTerm(0, 1), FitTerm(1, 1), FitTerm(0, 1, pole=True)]
+    coefficients = [1.3 - 0.2j, -0.4j, 2.0, 0.7 + 0.1j]
+    shift = GAMMA0 + 0.3
+    samples = sum(c * t.evaluate(eg.points, shift) for t, c in zip(terms, coefficients))
     fit = fit_log_laurent(samples, eg, terms, shift0=GAMMA0 + 0.2 - 0.05j)
-    assert abs(fit.shift_estimate - series.shift) < 1e-7
-    for t in terms:
-        assert abs(fit.coefficient(t) - series.coefficient(t)) < 1e-8 * max(
-            1.0, abs(series.coefficient(t)))
+    assert abs(fit.shift_estimate - shift) < 1e-7
+    for t, c in zip(terms, coefficients):
+        assert abs(fit.coefficient(t) - c) < 1e-8 * max(1.0, abs(c))
     assert fit.residual < 1e-9
+
+
+def test_fit_evaluates_regular_terms_then_pole_terms(p_well_fx, samples_p_well,
+                                                     default_grid_pts):
+    # the 1/r shape interleaves its terms: lam^-2, a pole, the regular terms,
+    # then the j = 0 poles; the series sums the regular terms and then the
+    # pole terms, each group in terms order, bit for bit, and the held-out
+    # residual reads that sum
+    f, samples = samples_p_well
+    terms, shift0 = fit_shape(p_well_fx.report, f, jmax=1, kmax=1)
+    assert [t.pole for t in terms[:3]] == [False, True, False]
+    fit = fit_log_laurent(samples, default_grid_pts, terms, shift0=shift0)
+    held = np.flatnonzero(default_grid_pts.held_out)
+    pts = default_grid_pts.points[held]
+    expected = np.zeros(len(pts), dtype=complex)
+    for t in [t for t in terms if not t.pole] + [t for t in terms if t.pole]:
+        expected += fit.coefficient(t) * t.evaluate(pts, fit.shift_estimate)
+    got = fit.evaluate(pts)
+    assert got.tobytes() == expected.tobytes()
+    assert fit.residual == float(np.max(np.abs(got - samples[held]) / np.abs(samples[held])))
+    assert fit.coefficient(FitTerm(2, 0)) == 0.0     # a term not fitted
 
 
 def test_needs_enough_samples():
@@ -349,14 +365,18 @@ def test_prediction_shape_guard(s_well_fx, neumann_fx):
         assert "(log-a)^-1" not in predict_leading_terms(fx.report, fx.f, fx.f)
 
 
-def test_attach_predictions_discrepancies(dirichlet_fx, samples_dirichlet, default_grid_pts):
+def test_fit_discrepancies_follow_its_predictions(dirichlet_fx, samples_dirichlet,
+                                                  default_grid_pts):
     rep = dirichlet_fx.report
     fit = fit_log_laurent(samples_dirichlet, default_grid_pts, nonresonant_terms(1, 2),
                           shift0=rep.a)
-    attach_predictions(fit, predict_leading_terms(rep, dirichlet_fx.f, dirichlet_fx.f))
+    assert fit.discrepancies == {}
+    fit.predicted = predict_leading_terms(rep, dirichlet_fx.f, dirichlet_fx.f)
     assert fit.discrepancies["(log-a)^-1"] < 1e-2
     d = fit.to_dict()
     assert any(t["label"] == "(log-a)^-1" for t in d["terms"])
+    assert {t["label"]: t["relError"] for t in d["terms"]
+            if t["relError"] is not None} == fit.discrepancies
 
 
 def test_shift_newton_wide_basin(dirichlet_fx, samples_dirichlet, default_grid_pts):
@@ -401,8 +421,7 @@ def test_fit_reuses_the_solves_of_shifts_it_has_solved(dirichlet_fx, samples_dir
         calls.clear()
         terms, shift0 = fit_shape(dirichlet_fx.report, dirichlet_fx.f, 1, 2)
         fit = fit_log_laurent(samples_dirichlet, default_grid_pts, terms, shift0=shift0)
-        attach_predictions(fit, predict_leading_terms(dirichlet_fx.report, dirichlet_fx.f,
-                                                      dirichlet_fx.f))
+        fit.predicted = predict_leading_terms(dirichlet_fx.report, dirichlet_fx.f, dirichlet_fx.f)
         return json.dumps(fit.to_dict()), len(calls)
 
     monkeypatch.setattr(expansion, "_weighted_lstsq", counted)

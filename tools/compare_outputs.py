@@ -4,8 +4,11 @@
 
 OLD_SRC and NEW_SRC are either a checkout (with a `src/lowfreq2d` package)
 or a directory that holds the `lowfreq2d` package itself.  Every CLI command
-runs on the two README example configs, a Neumann disk, a threshold-tuned
-well and any CONFIG files given, once per tree, each in a fresh interpreter.
+runs on the built-in configs (the two README examples and configs that reach
+particular branches and failures, from a Neumann disk and a threshold-tuned
+well to a cutoff too wide to square and a spectral grid too large to
+allocate) and any CONFIG files given, once per tree, each in a fresh
+interpreter.
 For each output file the script prints `identical`, or the largest relative
 difference over the numeric values with where it occurs, and the largest
 absolute difference; `wallTimeSeconds` is ignored.  A complex number is one
@@ -63,6 +66,12 @@ BUILTIN_CONFIGS = {
     "long-grid-disk": "kind = disk; radius = 1; bc = neumann; grid.count = 300\n",
     # wave refuses non-real potentials (exit 2): Im R f is the spectral density only for real V
     "complex-step": "kind = potential; breaks = 1; values = 1+0.5i\n",
+    # verify's cutoff jet squares a width whose square overflows: exit 3 on a non-finite Wronskian
+    "wide-cutoff-disk": "kind = disk; radius = 1; cutoff.width = 1e300\n",
+    "wide-cutoff-well": "kind = potential; breaks = 1; values = -2.5; cutoff.width = 1.7976931348623157e308\n",
+    # expand, phase and perturb cannot allocate the spectral grid: exit 3 on MemoryError
+    "huge-count-well": "kind = potential; breaks = 1; values = -2.5; grid.count = 100000000000\n",
+    "huge-count-disk": "kind = disk; radius = 1; bc = dirichlet; grid.count = 100000000000\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
 WARNING_LINE = re.compile(r"^.+?:\d+: (\w+): (.*)$", re.MULTILINE)    # path:line: Category: message
