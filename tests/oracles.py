@@ -37,6 +37,13 @@ sequential_classify_modes and sequential_phase_tables are the
 one-mode-per-solve loops that `classify`'s one solve of every mode and the
 phase sweep's blocks of modes must reproduce bit for bit, on the
 MODE_AXIS_SCATTERERS, compared by bit_pattern.
+
+MpModeMarch is the independent mode solver: it matches u and u' at each
+break in mpmath at 40 digits, on (J, Y) inside the support and (J, H1)
+outside, and gives the regular solution's exterior coefficients (so S_l),
+phi and psi at given radii with their Wronskian (so G_l(x, y)), and the
+zero-energy connection coefficients.  It reads the scatterer's fields alone
+and shares no code with `lowfreq2d`.
 """
 
 from __future__ import annotations
@@ -595,6 +602,111 @@ def bit_pattern(x):
         a = np.asarray(x)
         return a.dtype.str, a.shape, a.tobytes()
     return x
+
+
+class MpModeMarch:
+    """The modes l of the scatterer s at the point lam = modulus e^{i arg} of
+    the principal sheet (arg in (-pi, pi]), or at zero energy (modulus 0),
+    each solved by matching u and u' at each break in mpmath at dps digits.
+
+    Every segment takes (J_l(eta r), Y_l(eta r)) for eta = sqrt(lam^2 - V),
+    principal root, or the harmonic pair (r^l, r^-l), (1, log r) for l = 0,
+    where eta = 0; the exterior takes (J_l(lam r), H1_l(lam r)) at nonzero
+    energy.  Orders 0 and 1 come from mpmath and the higher ones from the
+    upward recurrence (DLMF 10.6.1), which for l <= 3 and |z| >= 0.01 keeps
+    more than 25 of J's digits.  phi starts as the first segment's first
+    basis function (a potential) or takes (u, u') = (0, 1) (Dirichlet) or
+    (1, 0) (Neumann) at the disk; psi is H1_l(lam r) outside, marched
+    inward.  phi[l] and psi[l] list mode l's coefficient pairs by segment,
+    innermost first, the exterior last.
+    """
+
+    def __init__(self, s, modes, modulus: float, arg: float = 0.0, dps: int = 40):
+        import mpmath
+        self.mp, self.dps, self.top, self._orders = mpmath, dps, max(modes) + 1, {}
+        with mpmath.workdps(dps):
+            lam = mpmath.mpf(modulus) * mpmath.expjpi(mpmath.mpf(arg) / mpmath.pi)
+            if isinstance(s, DiskObstacle):
+                self.edges, values = [mpmath.mpf(s.radius)], []
+            else:
+                self.edges = [mpmath.mpf(0)] + [mpmath.mpf(b) for b in s.breaks]
+                values = [mpmath.mpc(complex(v)) for v in s.values]
+            # (eta, second basis function) per segment; the exterior's eta is lam itself
+            self.segs = [(mpmath.sqrt(lam * lam - v), mpmath.bessely) for v in values]
+            self.segs.append((lam, mpmath.hankel1))
+            self.phi, self.psi, self.wronskian = {}, {}, {}
+            for l in modes:
+                if isinstance(s, DiskObstacle):
+                    u = (0, 1) if s.bc == "dirichlet" else (1, 0)
+                    phi = [self._match(l, 0, self.edges[0], *u)]
+                else:
+                    phi = [(mpmath.mpf(1), mpmath.mpf(0))]
+                    for j, b in enumerate(self.edges[1:]):
+                        phi.append(self._match(l, j + 1, b, *self._eval(l, j, b, phi[j])))
+                psi = [(mpmath.mpf(0), mpmath.mpf(1))]
+                for j in range(len(self.segs) - 2, -1, -1):
+                    b = self.edges[j + 1]
+                    psi.insert(0, self._match(l, j, b, *self._eval(l, j + 1, b, psi[0])))
+                b = self.edges[-1]
+                (p, dp), (q, dq) = self._eval(l, -1, b, phi[-1]), self._eval(l, -1, b, psi[-1])
+                self.phi[l], self.psi[l], self.wronskian[l] = phi, psi, b * (p * dq - dp * q)
+
+    def _basis(self, l: int, j: int, r):
+        """(f1, f2, f1', f2') of mode l on segment j at r."""
+        mp = self.mp
+        eta, second = self.segs[j]
+        if eta == 0:
+            if l == 0:
+                return mp.mpf(1), mp.log(r), mp.mpf(0), 1 / r
+            return r**l, r**-l, l * r ** (l - 1), -l * r ** (-l - 1)
+        z = eta * r
+        if (j, r) not in self._orders:
+            cols = []
+            for fn in (mp.besselj, second):
+                f = [fn(0, z), fn(1, z)]
+                for n in range(1, self.top):
+                    f.append(2 * n / z * f[n] - f[n - 1])
+                cols.append(f)
+            self._orders[j, r] = cols
+        f, g = self._orders[j, r]
+        return f[l], g[l], eta * (l / z * f[l] - f[l + 1]), eta * (l / z * g[l] - g[l + 1])
+
+    def _eval(self, l: int, j: int, r, c):
+        f1, f2, d1, d2 = self._basis(l, j, r)
+        return c[0] * f1 + c[1] * f2, c[0] * d1 + c[1] * d2
+
+    def _match(self, l: int, j: int, r, u, du):
+        """Mode l's coefficients on segment j of the solution with (u, u') at r."""
+        f1, f2, d1, d2 = self._basis(l, j, r)
+        det = f1 * d2 - f2 * d1
+        return (u * d2 - f2 * du) / det, (f1 * du - u * d1) / det
+
+    def s_matrix_minus_one(self, l: int) -> complex:
+        """S_l - 1 = 2 b / a for phi = a J_l + b H1_l outside."""
+        with self.mp.workdps(self.dps):
+            a, b = self.phi[l][-1]
+            return complex(2 * b / a)
+
+    def zero_energy(self, l: int) -> tuple[complex, complex]:
+        """(growing, decaying) at zero energy: the coefficients of log r and 1
+        for l = 0, of r^l and r^-l above."""
+        c1, c2 = (complex(c) for c in self.phi[l][-1])
+        return (c2, c1) if l == 0 else (c1, c2)
+
+    def green(self, l: int, radii) -> np.ndarray:
+        """G_l(x, y) = phi(min) psi(max) / W, W = r (phi psi' - phi' psi), at
+        every pair of radii: a (len(radii), len(radii)) complex array."""
+        mp = self.mp
+        with mp.workdps(self.dps):
+            vals = []
+            for x in radii:
+                r = mp.mpf(x)
+                j = max([0] + [k for k, b in enumerate(self.edges[1:], 1) if r > b])
+                f1, f2 = self._basis(l, j, r)[:2]
+                vals.append([c[0] * f1 + c[1] * f2 for c in (self.phi[l][j], self.psi[l][j])])
+            n = len(radii)
+            return np.array([[complex(vals[min(i, k)][0] * vals[max(i, k)][1] / self.wronskian[l])
+                              for k in range(n)] for i in range(n)])
 
 
 def sequential_classify_modes(s, lmax: int = 8) -> list:
