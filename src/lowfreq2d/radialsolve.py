@@ -1,9 +1,9 @@
 """Piecewise-exact solutions of the radial mode equation.
 
 For an angular mode l the equation  u'' + u'/r - l^2 u / r^2 + (lam^2 - V) u = 0
-with piecewise-constant V has explicit solutions on every segment:
-Bessel pairs J_l(eta r), Y_l(eta r) with eta^2 = lam^2 - V_j, or the harmonic
-pair (r^l, r^-l) / (1, log r) when eta vanishes.  Solutions are represented as
+with piecewise-constant V has explicit solutions on every segment: the
+Bessel pair J_l(eta r), H^(1)_l(eta r) with eta^2 = lam^2 - V_j, or the
+harmonic pair (r^l, r^-l) / (1, log r) when eta vanishes.  Solutions are
 per-segment coefficient pairs glued by 2x2 matching at the breakpoints, so
 there is no ODE time-stepping anywhere and evaluations are accurate to the
 special-function level.  A solve takes a 1-D array of modes, which leads the
@@ -41,14 +41,12 @@ class Segment:
     the bases, (len(l), nlam, len(r)).
 
     Elements with eta = 0 take the harmonic pair (r^l, r^-l), or (1, log r)
-    for l = 0; the others the Bessel pair (J, Y), or (J, H1) when kind is
-    "hankel".
+    for l = 0; the others the Bessel pair (J, H1).
     """
 
     a: float
     b: float
     l: np.ndarray
-    kind: str                 # "bessel" | "hankel"
     eta: np.ndarray
     logeta: np.ndarray
 
@@ -99,10 +97,10 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     which take the order-l Bessel slot alone and so the bits all four give
     them.  The Bessel elements of every segment share one bessel_pair call.
 
-    (J, H1) on the exterior: J is tame at small |z| where H1, H2 are nearly
-    parallel, H1 is tame at large Im z where J, Y blow up together, so the
-    matching determinant never suffers cancellation on the unbounded
-    exterior segment.
+    (J, H1) on every segment: J is tame at small |z| where H1, H2 are nearly
+    parallel, and H1 is recessive where Im z > 0 (DLMF 10.2), where J and Y
+    blow up together, so the matching determinant does not cancel there, in
+    a barrier as outside; where Im z < 0, J and H1 grow together as J, Y do.
     """
     args = [seg._bessel_args(r) for seg, r in zip(segs, radii)]
     live = [(a[3], a[2] + np.log(r)) for a, r in zip(args, radii) if a is not None]
@@ -111,8 +109,7 @@ def _bases(segs: list[Segment], radii: list[np.ndarray], slot: int | None):
     for seg, r, a in zip(segs, radii, args):
         if a is not None:
             wave, eta, _, z = a
-            J, Y, H = next(fs)
-            b = (J, H if seg.kind == "hankel" else Y)
+            b = next(fs)
             if slot is None:
                 f0 = (b[0][0], b[1][0])
                 b = f0 + seg._derivs(eta, z, f0, (b[0][1], b[1][1]))
@@ -163,9 +160,9 @@ def make_segments(s: Scatterer, l, lam: SpectralBatch | None, shift=None) -> lis
         for (a, b), v in zip(zip(edges, edges[1:]), support):
             eta = np.sqrt(lam2 - v)
             logeta = np.array([cmath.log(e) if e else 0j for e in eta])
-            segs.append(Segment(a, b, l, "bessel", eta, logeta))
+            segs.append(Segment(a, b, l, eta, logeta))
         inner = edges[-1]
-    segs.append(Segment(inner, math.inf, l, "hankel", value, log))
+    segs.append(Segment(inner, math.inf, l, value, log))
     return segs
 
 

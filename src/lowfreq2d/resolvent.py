@@ -153,8 +153,9 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     sample reads the node values, then (u, u') at the five Wronskian probes,
     each from the solution's kept table when that holds them; the node
     derivatives wait for the first apply.  A non-finite Wronskian raises
-    NumericalError, one of modulus at most POLE_GUARD AtPoleError for the
-    first such point.
+    NumericalError, and one of modulus at most POLE_GUARD times the least
+    r (|phi psi'| + |phi' psi|) at the probes raises AtPoleError for the first
+    such point.
 
     solution, when given, is green_pair(s, l, lam) solved already, its one
     mode read as a view, typically a slice of one solve of many points
@@ -165,19 +166,21 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     # the Wronskian sampled at five nodes away from the endpoints is the invariant check
     phi_v, psi_v = sols.values(grid.nodes)[:, 0]
     phi_d, psi_d = sols.eval(grid.nodes[idx])[1][:, 0]
-    # scale-free regular solution: keeps the pole guard meaningful
+    # phi scaled to at most 1 on the grid; W and the pole guard take the same scale
     scale = np.max(np.abs(phi_v), axis=-1, keepdims=True)
     scale[scale == 0] = 1.0
     # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
     # (J, H1) basis has Wronskian 2i/pi; only phi's probe columns are scaled
     w = sols.coeffs[-1][0][0, 0] / scale[:, 0] * (2j / math.pi)
-    w_all = grid.nodes[idx] * (phi_v[:, idx] / scale * psi_d - phi_d / scale * psi_v[:, idx])
+    terms = phi_v[:, idx] / scale * psi_d, phi_d / scale * psi_v[:, idx]
+    w_all = grid.nodes[idx] * (terms[0] - terms[1])
+    size = np.min(grid.nodes[idx] * (np.abs(terms[0]) + np.abs(terms[1])), axis=-1)
     absw = np.abs(w)
     if not np.all(np.isfinite(absw)):
         raise NumericalError("mode Wronskian is not finite")
     spread = float(np.max(np.max(np.abs(w_all - w[:, None]), axis=-1) / np.maximum(absw, 1e-300)))
     # np.hypot rounds as abs() of one complex does; np.abs's vector loop may not
-    at_pole = np.flatnonzero(np.hypot(w.real, w.imag) <= POLE_GUARD)
+    at_pole = np.flatnonzero(np.hypot(w.real, w.imag) <= POLE_GUARD * size)
     if at_pole.size:
         i = at_pole[0]
         raise AtPoleError(lam[np.unravel_index(i, lam.shape)], w[i])
@@ -289,7 +292,7 @@ def pairing_identity_residual(s: Scatterer, lam: SpectralBatch, phi_src: RadialF
     s1 = SpectralBatch(lam.modulus * r1, lam.arg)
     # one call: H0 at lam r on the nodes above r1, then H0 and H1 at lam r1
     H = bessel_pair(0, np.append((lam.value * r)[mask], s1.value),
-                    np.append((lam.log + np.log(r))[mask], s1.log))[2]
+                    np.append((lam.log + np.log(r))[mask], s1.log))[1]
     paired = np.zeros(len(r), dtype=complex)
     paired[mask] = phi_src.values[mask] * (0.25j * H[0, :-1]) * r[mask]
     lhs = 2.0 * math.pi * grid.integrate(paired)

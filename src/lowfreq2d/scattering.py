@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (BasinError, DomainError, NumericalError, ShapeMismatchError,
                      ValidationError)
 from .radialsolve import regular_solution
-from .scatterer import PiecewisePotential, Scatterer
+from .scatterer import DiskObstacle, PiecewisePotential, Scatterer
 from .specfun import SpectralBatch
 from .threshold import ThresholdReport
 from .util import log_grid
@@ -417,6 +417,11 @@ def disk_search(mode: int, r_search: float = 0.3, shift: float | None = None) ->
     return PoleSearch(mode, _disk_steps(mode, r_search), shift)
 
 
+def _no_poles():
+    return []
+    yield               # a search that requests no point
+
+
 def _axis_steps(selfadjoint: bool, mode: int, kmin: float, kmax: float):
     ks = log_grid(kmin, kmax, AXIS_COUNT)
     defects = _finite((yield SpectralBatch(ks, math.pi / 2.0)), mode)
@@ -448,7 +453,11 @@ def axis_search(s: Scatterer, mode: int, kmin: float = 1e-3, kmax: float = 2.0,
     kappa = 0.5 and otherwise, for selfadjoint scatterers, bisected to machine
     resolution (see `_bisect_steps`).  A non-selfadjoint scatterer's hits are
     local minima of |defect| below 1e-6, which carry no sign to bisect; those
-    Newton does not polish are not reported."""
+    Newton does not polish are not reported.  An exterior Dirichlet or Neumann
+    Laplacian has no negative eigenvalue, so an obstacle's search requests no
+    point and finds none; with a shift its request raises ValidationError."""
+    if isinstance(s, DiskObstacle) and shift is None:
+        return PoleSearch(mode, _no_poles(), shift)
     return PoleSearch(mode, _axis_steps(s.selfadjoint, mode, kmin, kmax), shift)
 
 

@@ -3,9 +3,10 @@
 Everything here is built so that the logarithm of the argument is carried
 *explicitly* instead of being recomputed from a principal branch.  A point of
 the logarithmic cover is a pair (modulus, arg) with unbounded real arg, so
-continuation of H^(1)_0, Y_l, etc. across sheets is just arithmetic on the
-stored arg.  Power series are used for |z| <= 12, large-argument asymptotics
-beyond, and the two branches are cross-checked by tests on the overlap ring.
+continuation of J_l and H^(1)_l across sheets is just arithmetic on the
+stored arg.  Those two are what every solver reads and all that is formed.
+Power series are used for |z| <= 12, large-argument asymptotics beyond, and
+the two branches are cross-checked by tests on the overlap ring.
 Each branch runs one Horner recurrence over a cached table of stacked columns
 (the series: J and psi sums of orders l, l + 1 of every order l asked for, in
 q = -z^2/4; the asymptotics: even and odd parts of the Hankel sums of orders
@@ -13,7 +14,7 @@ q = -z^2/4; the asymptotics: even and odd parts of the Hankel sums of orders
 terms a point takes is read from its own |q| or |u| before the recurrence
 starts, never by a test inside it, so its value does not depend on the points
 evaluated with it.  A point whose log z is real (sheet 0, z > 0) runs either
-branch in float64 (J and Y stay float64 where all do), others in complex.
+branch in float64 (J stays float64 where all do), others in complex.
 
 All functions are pure; inputs are value types, so concurrent use is safe.
 """
@@ -247,13 +248,14 @@ def _asym_table(orders: tuple[int, ...] = (0, 1)):
 # power-series branch (|z| <= SERIES_RADIUS)
 # ----------------------------------------------------------------------------
 
-def _jyh_series(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
-                orders: tuple[int, ...] = (0, 1)):
-    """(J, Y, H^(1)), each (len(orders), len(ls), P): the orders l + o for o
+def _jh_series(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
+               orders: tuple[int, ...] = (0, 1)):
+    """(J, H^(1)), each (len(orders), len(ls), P): the orders l + o for o
     in orders of each l in ls by ascending series, each distinct order
-    summed once; logz supplies the branch of log z, and a real z with a real
-    log stays real.  The powers of z / 2 take one scalar exponent per order:
-    numpy's power of an exponent array rounds them otherwise."""
+    summed once, and H = J + iY; logz supplies the branch of log z, and J at
+    a real z with a real log stays real.  The powers of z / 2 take one scalar
+    exponent per order: numpy's power of an exponent array rounds them
+    otherwise."""
     ms, table, reach, finite, index = _series_table(ls, orders)
     q = -0.25 * z * z
     sums = _horner(table, q, reach)
@@ -267,7 +269,7 @@ def _jyh_series(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
                                            * _horner(finite, -q) * (1 / math.pi))
     J = half_pow * sums[0]
     Y = (2.0 / math.pi) * (logz - LOG2) * J - fin - half_pow * sums[1] * (1 / math.pi)
-    return J[index], Y[index], (J + 1j * Y)[index]
+    return J[index], (J + 1j * Y)[index]
 
 
 # ----------------------------------------------------------------------------
@@ -285,8 +287,9 @@ def _raise_orders(ls: tuple[int, ...], z: np.ndarray, f: np.ndarray,
                   orders: tuple[int, ...]) -> np.ndarray:
     """The orders l + o for o in orders of each l in ls, on the axes
     (-3, -2) of the result (len(orders), len(ls)), from orders 0 and 1 on
-    axis -2 of f by one upward recurrence (DLMF 10.6.1), stable for J, Y and
-    H together as long as the order stays below ~|z| (oscillatory regime);
+    axis -2 of f (J and Y on the real axis, J and H off it) by one upward
+    recurrence (DLMF 10.6.1), stable for each of them as long as the order
+    stays below ~|z| (oscillatory regime);
     callers switch to the series otherwise.  Order l + o takes the steps
     n = 1 .. l that it takes alone."""
     at = {}
@@ -330,9 +333,9 @@ def _h12_window(zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-def _jyh_big(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
-             orders: tuple[int, ...] = (0, 1)):
-    """(J, Y, H^(1)), each (len(orders), len(ls), P): the orders l + o for o
+def _jh_big(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
+            orders: tuple[int, ...] = (0, 1)):
+    """(J, H^(1)), each (len(orders), len(ls), P): the orders l + o for o
     in orders of each l in ls, for |z| > SERIES_RADIUS.
 
     The sums at orders 0 and 1 serve every order through one recurrence.  A
@@ -341,7 +344,7 @@ def _jyh_big(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
     H = J + iY has no cancellation on the real axis; at ls = (0,) it sums
     only the orders asked for.  Any other point is reduced to the principal
     sheet, and H^(1) is formed directly from the window values, avoiding the
-    J + iY cancellation.
+    J + iY cancellation, and raised with J.
     """
     if not np.iscomplexobj(z):
         cols = orders if ls == (0,) else (0, 1)
@@ -352,14 +355,13 @@ def _jyh_big(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
         wq = w * sums[1]
         f = front * np.stack((sums[0] * cos - wq * sin, sums[0] * sin + wq * cos))
         J, Y = _raise_orders(ls, z, f, orders)
-        return J, Y, J + 1j * Y
+        return J, J + 1j * Y
     arg = np.imag(logz)
     k = np.round(arg / (2.0 * math.pi) - 1e-12 * np.sign(arg))     # the sheet
     zp = np.abs(z) * np.exp(1j * (arg - 2.0 * math.pi * k))
     h1, h2 = _h12_window(zp)
     J = 0.5 * (h1 + h2)
-    return tuple(_raise_orders(ls, zp, np.stack((J, (h1 - h2) / 2j + 4j * k * J, h1 - 4.0 * k * J)),
-                               orders))
+    return tuple(_raise_orders(ls, zp, np.stack((J, h1 - 4.0 * k * J)), orders))
 
 
 # ----------------------------------------------------------------------------
@@ -367,20 +369,20 @@ def _jyh_big(ls: tuple[int, ...], z: np.ndarray, logz: np.ndarray,
 # ----------------------------------------------------------------------------
 
 def bessel_pair(l, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
-    """(J, Y, H) on the log cover: orders l, l + 1 for l an int, each of
-    shape (2, *z.shape), or for each l of a 1-D array of orders, each of
-    shape (2, len(l), *z.shape).
+    """(J, H^(1)) on the log cover, the pair every solver reads: orders
+    l, l + 1 for l an int, each of shape (2, *z.shape), or for each l of a
+    1-D array of orders, each of shape (2, len(l), *z.shape).
 
     Each (order, point) pair takes the branch of its order l + 1 (series
     for |z| <= SERIES_RADIUS or l + 1 > 0.75|z|, asymptotics beyond), so one
-    dispatch and one sheet reduction serve all six functions of a pair, and
+    dispatch and one sheet reduction serve all four functions of a pair, and
     the upward recurrence never runs past the order its branch was chosen
     for.  z does not depend on the order: |z|, the routing and the sheet
     reduction are formed once per call, the series columns of every order
     are summed in one recurrence, and the asymptotic branch takes every
     order from one upward recurrence.  A point whose own log z is real
     (sheet 0, z > 0) goes through either branch in float64, and where every
-    point's is, J and Y are float64 (H complex).  A branch evaluates every
+    point's is, J is float64 (H complex).  A branch evaluates every
     order at the points that any order routes to it and keeps the pairs
     routed there, and one that takes every point returns its own arrays; the
     work arrays are O(orders x P).  Each pair has the bits of a call for its
@@ -406,7 +408,7 @@ def bessel_pair(l, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
     each = None         # the routing of each order, where the orders route a point apart
     if hi != lo and (top != small).any():
         each = (absz <= SERIES_RADIUS) | (np.array(ls)[:, None] + 1 > 0.75 * absz)
-    branches = ((top, _jyh_series, each), (~small, _jyh_big, None if each is None else ~each))
+    branches = ((top, _jh_series, each), (~small, _jh_big, None if each is None else ~each))
     runs = [(pts & union, fn, mine, zs, logs)
             for pts, zs, logs in ((real, zf.real, logf.real), (~real, zf, logf))
             for union, fn, mine in branches if (pts & union).any()]
@@ -414,8 +416,8 @@ def bessel_pair(l, z: np.ndarray, logz: np.ndarray, slot: int | None = None):
         _, fn, _, zs, logs = runs[0]
         fs = fn(ls, zs, logs, orders)
     else:
-        jy = float if real.all() else complex
-        fs = [np.empty((len(orders), len(ls), z.size), dtype=t) for t in (jy, jy, complex)]
+        fs = [np.empty((len(orders), len(ls), z.size), dtype=t)
+              for t in (float if real.all() else complex, complex)]
         for sel, fn, mine, zs, logs in runs:
             idx = slice(None) if sel.all() else np.flatnonzero(sel)
             part = fn(ls, zs[idx], logs[idx], orders)

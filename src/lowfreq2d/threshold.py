@@ -48,7 +48,10 @@ class ThresholdMode:
 
     @property
     def growing_is_zero(self) -> bool:
-        return abs(self.growing) < ZERO_COEFF_RTOL * abs(self.decaying)
+        """|growing| below ZERO_COEFF_RTOL |decaying|, each term at the
+        exterior's start R for l >= 1, where r^l and r^-l differ by R^2l."""
+        scale = self.solution.segments[-1].a ** (2 * self.mode) if self.mode else 1.0
+        return abs(self.growing) * scale < ZERO_COEFF_RTOL * abs(self.decaying)
 
     def on_grid(self, grid: PanelGrid, c: complex, decaying_only: bool) -> RadialFunction:
         """c times the solution sampled on grid, with its exterior expansion

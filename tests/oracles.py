@@ -4,7 +4,7 @@ The Bessel oracle is its own ascending series, validated in the tests by the
 classical Wronskian identity, and circle_pairing is a plain trapezoid rule in
 the angle; neither imports the package code it checks.  point_formulas gives
 a point's value, square and log by Python's scalar arithmetic, which a
-SpectralBatch reproduces bit for bit.  bessel_jy and hankel1 are not
+SpectralBatch reproduces bit for bit.  bessel_jh and hankel1 are not
 independent: they read one point of `lowfreq2d.specfun.bessel_pair`
 and add the order-raising recurrence for the derivatives, as a scalar view of
 the package's Bessel functions for the tests to hold against the oracles.
@@ -105,19 +105,17 @@ def y0_prime(x: float, h: float = 1e-6) -> float:
     return (y0_series(x + h) - y0_series(x - h)) / (2.0 * h)
 
 
-def bessel_jy(l: int, s: SpectralBatch) -> tuple[complex, complex, complex, complex]:
-    """(J_l, Y_l, J_l', Y_l') at a point of the log cover, from bessel_pair."""
+def bessel_jh(l: int, s: SpectralBatch) -> tuple[complex, complex, complex, complex]:
+    """(J_l, H^(1)_l, J_l', H^(1)_l') at a point of the log cover, from bessel_pair."""
     z = np.array([s.value])
-    J, Y, _ = bessel_pair(l, z, np.array([s.log]))
-    Jd, Yd = l / z * J[0] - J[1], l / z * Y[0] - Y[1]     # order-raising recurrence
-    return complex(J[0, 0]), complex(Y[0, 0]), complex(Jd[0]), complex(Yd[0])
+    J, H = bessel_pair(l, z, np.array([s.log]))
+    Jd, Hd = l / z * J[0] - J[1], l / z * H[0] - H[1]     # order-raising recurrence
+    return complex(J[0, 0]), complex(H[0, 0]), complex(Jd[0]), complex(Hd[0])
 
 
 def hankel1(l: int, s: SpectralBatch) -> tuple[complex, complex]:
     """(H^(1)_l, d/ds H^(1)_l) at a point of the log cover, from bessel_pair."""
-    z = np.array([s.value])
-    _, _, H = bessel_pair(l, z, np.array([s.log]))
-    return complex(H[0, 0]), complex((l / z * H[0] - H[1])[0])
+    return bessel_jh(l, s)[1::2]
 
 
 def _dist(x, y) -> float:

@@ -16,7 +16,7 @@ from lowfreq2d import (FitTerm, GAMMA0, PanelGrid, SpectralBatch, bump, bump_edg
                        sigma_asymptotic, standard_grid, two_parameter_identity_residual)
 from lowfreq2d.radial import Exterior
 
-from oracles import (bessel_jy, boundary_pairing_fourier, breit_wigner_metrics,
+from oracles import (bessel_jh, boundary_pairing_fourier, breit_wigner_metrics,
                      circle_pairing, constant_one, find_pole_in_disk, free_truncation_error,
                      from_callable, hankel1, imaginary_axis_poles, j0_series,
                      log_power_terms, plane_integral, shifted,
@@ -37,9 +37,9 @@ def test_criterion_1_special_functions():
     for l in range(11):
         for mod in np.exp(np.linspace(math.log(1e-4), math.log(10.0), 7)):
             s = SpectralBatch(float(mod), 0.0)
-            J, Y, Jd, Yd = bessel_jy(l, s)
+            J, H, Jd, Hd = bessel_jh(l, s)
             t = 2.0 / (math.pi * s.value)
-            ok &= abs(J * Yd - Jd * Y - t) < 1e-9 * abs(t)
+            ok &= abs(J * Hd - Jd * H - 1j * t) < 1e-9 * abs(t)       # W(J, H1) = i W(J, Y)
     # sheet-shift identity, 20 random points, 1e-10
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -47,7 +47,7 @@ def test_criterion_1_special_functions():
         th = float(rng.uniform(-6.0, 6.0))
         a = hankel1(0, SpectralBatch(rho, th + 2 * math.pi))[0]
         b = hankel1(0, SpectralBatch(rho, th))[0]
-        J0 = bessel_jy(0, SpectralBatch(rho, th))[0]
+        J0 = bessel_jh(0, SpectralBatch(rho, th))[0]
         ok &= abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
     _report(1, "log-cover special functions (oracle, Wronskian, sheet shift)", bool(ok))
 

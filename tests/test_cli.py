@@ -69,6 +69,16 @@ def test_verify_disk(tmp_path):
     _check_verify(code, out)
 
 
+@pytest.mark.parametrize("cfg", ["kind = disk\nradius = 100\nbc = dirichlet\n",
+                                 DISK_CFG + "cutoff.width = 100\n"])
+def test_verify_passes_where_phi_grows_across_the_grid(tmp_path, cfg):
+    # phi grows like e^{0.4 r} over the grid at lam_b = 0.4i, so |W| over
+    # phi's largest value fell to 7e-18; the pole guard weighs |W| against the
+    # probes' own r (|phi psi'| + |phi' psi|) and finds no pole there
+    code, out = _run(tmp_path, "disk.cfg", cfg, "verify")
+    _check_verify(code, out)
+
+
 def _check_verify(code, out):
     assert code == 0
     lines = (out / "verify.csv").read_text().strip().splitlines()
@@ -83,8 +93,8 @@ def _check_verify(code, out):
 
 
 def test_verify_fails_on_a_failing_identity(tmp_path, capsys):
-    # a 300-high barrier: the two-parameter residual is about 2e-3
-    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 300\n", "verify")
+    # a 3000-high barrier: the two-parameter residual is about 1
+    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 3000\n", "verify")
     assert code == 3
     rows = [line.split(",") for line in (out / "verify.csv").read_text().splitlines()[1:]]
     failed = [(r[0], float(r[5])) for r in rows if r[6] == "fail"]
@@ -97,10 +107,19 @@ def test_verify_fails_on_a_failing_identity(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_verify_names_the_identities_with_non_finite_residuals(tmp_path, capsys):
-    # an 800-high barrier: the solves at lam and z break down, and the two
-    # identities that read them have NaN residuals; nothing is written
-    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 800\n", "verify")
+def test_verify_names_the_identities_with_non_finite_residuals(tmp_path, capsys, monkeypatch):
+    # a 400000-high barrier: the two-parameter identity's solves break down
+    # and its residual is NaN; nothing is written
+    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 400000\n", "verify")
+    assert code == 3
+    assert not (out / "verify.csv").exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(x) for x in lines] == [{
+        "error": "NumericalError", "message": "non-finite identity residuals: two-parameter nan"}]
+    # no input found makes two residuals NaN: with both made NaN, both are named
+    for name in ("two_parameter_identity_residual", "one_sided_identity_residual"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: math.nan)
+    code, out = _run(tmp_path, "well.cfg", WELL_CFG, "verify", sub="nan")
     assert code == 3
     assert not (out / "verify.csv").exists()
     lines = capsys.readouterr().err.strip().splitlines()
@@ -139,8 +158,8 @@ def test_cli_verify_work(tmp_path, monkeypatch):
 
 
 def test_expand_fails_on_its_held_out_fit_residual(tmp_path, capsys):
-    # a 300-high barrier: the held-out fit residual is about 2e-3
-    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 300\n", "expand")
+    # a 3000-high barrier: the held-out fit residual is about 1.6
+    code, out = _run(tmp_path, "step.cfg", "kind = potential\nbreaks = 1\nvalues = 3000\n", "expand")
     assert code == 3
     residual = json.loads((out / "fit.json").read_text())["residualHeldOut"]
     assert residual > 1e-6
@@ -148,6 +167,22 @@ def test_expand_fails_on_its_held_out_fit_residual(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert [json.loads(x) for x in lines] == [{
         "error": "NumericalError", "message": f"held-out fit residual {residual:.3g} above 1e-6"}]
+
+
+@pytest.mark.parametrize("values", [300, 500, 800])
+def test_verify_and_expand_pass_on_a_high_barrier(tmp_path, values):
+    # J_l and Y_l grow together inside a barrier, and H1_l is recessive there:
+    # the (J, H1) glue keeps the two-parameter residual and the held-out fit
+    # residual small, where a (J, Y) glue lost them from V = 300 on
+    cfg = f"kind = potential\nbreaks = 1\nvalues = {values}\n"
+    code, out = _run(tmp_path, "step.cfg", cfg, "verify")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "verify.csv").read_text().splitlines()[1:]]
+    assert [r[6] for r in rows] == ["pass"] * 3
+    assert float(rows[0][5]) <= 2e-7                 # two-parameter
+    code, out = _run(tmp_path, "step.cfg", cfg, "expand", sub="expand")
+    assert code == 0
+    assert json.loads((out / "fit.json").read_text())["residualHeldOut"] <= 1e-7
 
 
 def test_an_allocation_failure_is_one_json_error(tmp_path, capsys):
@@ -315,7 +350,7 @@ def test_console_entry_point(tmp_path):
 
 # barrier steps where the solve breaks down: numpy warns on the way to the
 # NumericalError, and stderr must hold the JSON error alone
-@pytest.mark.parametrize("command, values", [("wave", 10000), ("expand", 10000), ("verify", 800)])
+@pytest.mark.parametrize("command, values", [("wave", 10000), ("expand", 1000000), ("verify", 1000000)])
 def test_breakdown_stderr_is_one_json_line(tmp_path, command, values):
     cfg = tmp_path / "step.cfg"
     cfg.write_text(f"kind = potential\nbreaks = 1\nvalues = {values}\n")

@@ -434,7 +434,7 @@ def test_fit_reuses_the_solves_of_shifts_it_has_solved(dirichlet_fx, samples_dir
 
 @pytest.mark.parametrize("cfg_text", [
     # threshold-tuned: its last failed line search has a step below an ulp of the shift
-    "kind = potential; breaks = 0.5512959285134055,1.0; values = -31.638610685432084,-11.37666104513994",
+    "kind = potential; breaks = 0.5512959285134055,1.0; values = -31.638610685432052,-11.37666104513994",
     # its last failed line search has a step that a move by t < 1e-4 would not lose
     "kind = disk; radius = 1.134724433232578; bc = dirichlet"])
 def test_fit_reports_a_shift_it_solved(tmp_path, monkeypatch, cfg_text):

@@ -42,6 +42,9 @@ GREEN_BOUND = {
     "neumann-disk": 5e-13,
     "repulsive-step-30": 8e-12,
     "repulsive-step-100": 2e-7,
+    "repulsive-step-300": 3e-10,
+    "repulsive-step-500": 3e-8,
+    "repulsive-step-800": 4e-6,
 }
 
 

@@ -518,7 +518,7 @@ def test_harmonic_rows_of_a_mode_array_keep_scalar_exponent_bits():
     from lowfreq2d.radialsolve import Segment
     r = np.linspace(0.3, 7.0, 2000)
     flat = np.zeros(1, dtype=complex)
-    h = Segment(1.0, math.inf, np.arange(4), "hankel", flat, flat)._harmonic(r)
+    h = Segment(1.0, math.inf, np.arange(4), flat, flat)._harmonic(r)
     assert h.shape == (4, 4, r.size)
     scalar = ([np.ones(r.size), np.log(r), np.zeros(r.size), 1.0 / r],
               [r, 1.0 / r, np.ones(r.size), -1 * r ** -2],
@@ -535,14 +535,13 @@ def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
     from lowfreq2d import radialsolve
     parts = [complex(a, b) for a in (0.0, -0.0, 0.5, -0.5) for b in (0.0, -0.0, 0.5, -0.5)]
     f0, f1 = (np.array(x).reshape(1, 2, 128) for x in np.meshgrid(parts, parts))
-    monkeypatch.setattr(radialsolve, "bessel_pair", lambda l, z, logz, slot: np.array([[f0, f1]] * 3))
+    monkeypatch.setattr(radialsolve, "bessel_pair", lambda l, z, logz, slot: np.array([[f0, f1]] * 2))
     eta, r = np.array([0.7, 1.3]) + 0j, np.linspace(0.5, 2.0, 128)
-    for kind in ("bessel", "hankel"):
-        seg = radialsolve.Segment(0.5, 2.0, np.array([0]), kind, eta, np.log(eta))
-        _, _, d1, d2 = radialsolve._bases([seg], [r], None)[0]
-        ref = eta[:, None] * (0 / (eta[:, None] * r) * f0 - f1)
-        for d in (d1, d2):
-            assert np.array_equal(d.view(np.uint64), ref.view(np.uint64))
+    seg = radialsolve.Segment(0.5, 2.0, np.array([0]), eta, np.log(eta))
+    _, _, d1, d2 = radialsolve._bases([seg], [r], None)[0]
+    ref = eta[:, None] * (0 / (eta[:, None] * r) * f0 - f1)
+    for d in (d1, d2):
+        assert np.array_equal(d.view(np.uint64), ref.view(np.uint64))
 
 
 def test_lam4_log_coefficient_kernel():

@@ -15,7 +15,7 @@ from lowfreq2d.errors import BasinError, NumericalError, ShapeMismatchError, Val
 from lowfreq2d.scattering import AXIS_COUNT, BISECT_DEPTH, MAX_CANDIDATES
 from lowfreq2d.util import log_grid
 
-from oracles import (FREE, MODE_AXIS_SCATTERERS, admissible, bessel_jy, born_phase_shift_mode0,
+from oracles import (FREE, MODE_AXIS_SCATTERERS, admissible, bessel_jh, born_phase_shift_mode0,
                      bit_pattern, breit_wigner_metrics, det_s_modulus, find_pole,
                      find_pole_in_disk, imaginary_axis_poles, j0_series,
                      scan_pole_candidates, sequential_axis_poles, sequential_find_pole,
@@ -226,7 +226,8 @@ def _projected_smatrix(s, lam, l):
     R = s.support_radius
     sol = regular_solution(s, l, SpectralBatch(lam, 0.0))
     (u,), (du,) = (a[..., 0] for a in sol.eval(np.array([R])))
-    J, Y, Jd, Yd = bessel_jy(l, SpectralBatch(lam * R, 0.0))
+    J, H, Jd, Hd = bessel_jh(l, SpectralBatch(lam * R, 0.0))
+    Y, Yd = H.imag, Hd.imag         # on the real axis H.imag is Y bit for bit
     D = lam * (J * Yd - Jd * Y)
     A = (u * lam * Yd - du * Y) / D
     B = (du * J - u * lam * Jd) / D

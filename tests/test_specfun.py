@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from lowfreq2d import EULER, GAMMA0, SpectralBatch
 from lowfreq2d.errors import DomainError
-from lowfreq2d.specfun import _jyh_big, _jyh_series
+from lowfreq2d.specfun import _jh_big, _jh_series
 
-from oracles import (EULER_ORACLE, bessel_jy, hankel1, j0_series, j0_prime, point_formulas,
+from oracles import (EULER_ORACLE, bessel_jh, hankel1, j0_series, j0_prime, point_formulas,
                      y0_series, y0_prime)
 
 
@@ -113,7 +113,7 @@ def test_sheet_shift_identity_seeded():
         th = float(rng.uniform(-6.0, 6.0))
         a = hankel1(0, SpectralBatch(rho, th + 2.0 * math.pi))[0]
         b = hankel1(0, SpectralBatch(rho, th))[0]
-        J0 = bessel_jy(0, SpectralBatch(rho, th))[0]
+        J0 = bessel_jh(0, SpectralBatch(rho, th))[0]
         assert abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
 
 
@@ -122,7 +122,7 @@ def test_sheet_shift_identity_seeded():
 def test_sheet_shift_identity_property(rho, th):
     a = hankel1(0, SpectralBatch(rho, th + 2.0 * math.pi))[0]
     b = hankel1(0, SpectralBatch(rho, th))[0]
-    J0 = bessel_jy(0, SpectralBatch(rho, th))[0]
+    J0 = bessel_jh(0, SpectralBatch(rho, th))[0]
     assert abs(a - b + 4.0 * J0) < 1e-10 * max(1.0, abs(b))
 
 
@@ -130,24 +130,24 @@ def test_sheet_shift_identity_property(rho, th):
 def test_wronskian_identity(l):
     for mod in np.exp(np.linspace(math.log(1e-4), math.log(10.0), 9)):
         s = SpectralBatch(float(mod), 0.0)
-        J, Y, Jd, Yd = bessel_jy(l, s)
+        J, H, Jd, Hd = bessel_jh(l, s)
         target = 2.0 / (math.pi * s.value)
-        assert abs(J * Yd - Jd * Y - target) < 1e-9 * abs(target)
+        assert abs(J * Hd - Jd * H - 1j * target) < 1e-9 * abs(target)     # W(J, H1) = i W(J, Y)
 
 
 def test_wronskian_identity_triple_at_half():
     for l in (0, 1, 2):
         s = SpectralBatch(0.5, 0.0)
-        J, Y, Jd, Yd = bessel_jy(l, s)
-        assert abs(J * Yd - Jd * Y - 2.0 / (math.pi * 0.5)) < 1e-12
+        J, H, Jd, Hd = bessel_jh(l, s)
+        assert abs(J * Hd - Jd * H - 2j / (math.pi * 0.5)) < 1e-12
 
 
 def test_series_leading_terms():
     s = SpectralBatch(1e-8, 0.0)
-    J, Y, _, _ = bessel_jy(0, s)
+    J, H, _, _ = bessel_jh(0, s)
     assert abs(J - 1.0) < 1e-14
     lead = 2.0 / math.pi * (math.log(1e-8 / 2.0) + EULER)
-    assert abs(Y - lead) < 1e-12 * abs(lead)
+    assert abs(H.imag - lead) < 1e-12 * abs(lead)      # on the real axis H.imag is Y
 
 
 def test_hankel_derivative_relation():
@@ -166,20 +166,28 @@ def test_series_asymptotic_crossover(l):
         for th in (0.0, 0.7, math.pi / 2, 2.6, -2.8):
             z = np.array([mod * np.exp(1j * th)])
             lz = np.array([math.log(mod) + 1j * th])
-            (Js, _), (Ys, _), _ = (f[:, 0] for f in _jyh_series((l,), z, lz))
-            (Jb, _), (Yb, _), _ = (f[:, 0] for f in _jyh_big((l,), z, lz))
-            scale = abs(Js[0]) + abs(Ys[0])
-            worst = max(worst, (abs(Js[0] - Jb[0]) + abs(Ys[0] - Yb[0])) / scale)
+            (Js, _), (Hs, _) = (f[:, 0] for f in _jh_series((l,), z, lz))
+            (Jb, _), (Hb, _) = (f[:, 0] for f in _jh_big((l,), z, lz))
+            scale = abs(Js[0]) + abs(Hs[0] - Js[0])         # |J| + |Y|
+            worst = max(worst, (abs(Js[0] - Jb[0]) + abs(Hs[0] - Hb[0])) / scale)
     assert worst < 1e-8
 
 
 def test_hankel1_consistent_with_jy():
+    # H and H' against J + iY and J' + iY' of mpmath at 30 digits, relative
+    # to |J| + |Y| as in the crossover test
+    mpmath = pytest.importorskip("mpmath")
     for mod, th in ((0.4, 0.3), (3.0, -1.0), (9.0, 2.0)):
         s = SpectralBatch(mod, th)
-        J, Y, Jd, Yd = bessel_jy(2, s)
         H, Hd = hankel1(2, s)
-        assert abs(H - (J + 1j * Y)) < 1e-12 * abs(H)
-        assert abs(Hd - (Jd + 1j * Yd)) < 1e-12 * max(abs(Hd), 1.0)
+        with mpmath.workdps(30):
+            z = mpmath.mpc(s.value)
+            j, y = (f(2, z) for f in (mpmath.besselj, mpmath.bessely))
+            jd, yd = ((f(1, z) - f(3, z)) / 2 for f in (mpmath.besselj, mpmath.bessely))
+            scale, dscale = float(abs(j) + abs(y)), float(abs(jd) + abs(yd))
+            h, hd = complex(j + 1j * y), complex(jd + 1j * yd)
+        assert abs(H - h) < 1e-12 * scale
+        assert abs(Hd - hd) < 1e-12 * max(dscale, 1.0)
 
 
 def test_hankel_decay_upper_imaginary_axis():
@@ -191,18 +199,18 @@ def test_hankel_decay_upper_imaginary_axis():
 
 
 def _bessel_pair_error(l, mods, args):
-    """Worst error of bessel_pair against scipy (AMOS) over orders l, l + 1,
-    relative to |J| + |Y| as in the crossover test."""
+    """Worst error of bessel_pair's J and H against scipy (AMOS) over orders
+    l, l + 1, relative to |J| + |Y| as in the crossover test."""
     sp = pytest.importorskip("scipy.special")
     from lowfreq2d.specfun import bessel_pair
     m, t = (a.ravel() for a in np.meshgrid(mods, args))
     z = m * np.exp(1j * t)
-    J, Y, H = bessel_pair(l, z, np.log(m) + 1j * t)
+    J, H = bessel_pair(l, z, np.log(m) + 1j * t)
     worst = 0.0
     for k in (0, 1):
         ref_j, ref_y = sp.jv(l + k, z), sp.yv(l + k, z)
         scale = np.abs(ref_j) + np.abs(ref_y)
-        for ours, ref in ((J[k], ref_j), (Y[k], ref_y), (H[k], sp.hankel1(l + k, z))):
+        for ours, ref in ((J[k], ref_j), (H[k], sp.hankel1(l + k, z))):
             worst = max(worst, float(np.max(np.abs(ours - ref) / scale)))
     return worst
 
@@ -240,12 +248,11 @@ def test_block_term_count_matches_single_points(l):
                      2 * math.pi, -2 * math.pi])
     m, t = (a.ravel() for a in np.meshgrid(mods, args))
     z, logz = m * np.exp(1j * t), np.log(m) + 1j * t
-    J, Y, H = bessel_pair(l, z, logz)
+    J, H = bessel_pair(l, z, logz)
     for i in range(z.size):
-        j, y, h = (f[:, 0] for f in bessel_pair(l, z[i:i + 1], logz[i:i + 1]))
-        scale = np.abs(j) + np.abs(y)
+        j, h = (f[:, 0] for f in bessel_pair(l, z[i:i + 1], logz[i:i + 1]))
+        scale = np.abs(j) + np.abs(h - j)           # |J| + |Y|
         assert np.all(np.abs(J[:, i] - j) <= 1e-14 * scale)
-        assert np.all(np.abs(Y[:, i] - y) <= 1e-14 * scale)
         assert np.all(np.abs(H[:, i] - h) <= 1e-14 * np.abs(h))
 
 
@@ -268,13 +275,12 @@ def test_large_call_matches_single_points_bit_for_bit(l):
     z, logz = _mixed_route_points(6000, l)
     assert (logz.imag == 0).any() and (np.abs(logz.imag) > math.pi).any()
     assert (np.abs(z) <= 12.0).any() and (np.abs(z) > 12.0).any()
-    J, Y, H = bessel_pair(l, z, logz)
+    J, H = bessel_pair(l, z, logz)
     for i in range(z.size):
-        j, y, h = bessel_pair(l, z[i:i + 1], logz[i:i + 1])
-        assert np.array_equal(J[:, i:i + 1], j) and np.array_equal(Y[:, i:i + 1], y)
-        assert np.array_equal(H[:, i:i + 1], h)
+        j, h = bessel_pair(l, z[i:i + 1], logz[i:i + 1])
+        assert np.array_equal(J[:, i:i + 1], j) and np.array_equal(H[:, i:i + 1], h)
     perm = np.random.default_rng(7).permutation(z.size)
-    for ours, ref in zip(bessel_pair(l, z[perm], logz[perm]), (J, Y, H)):
+    for ours, ref in zip(bessel_pair(l, z[perm], logz[perm]), (J, H)):
         assert np.array_equal(ours, ref[:, perm])
 
 
@@ -298,7 +304,7 @@ def test_slot_calls_match_the_pair_bit_for_bit(l):
 
 def test_bessel_pair_work_memory_is_linear_in_points():
     # the masked Horner rows are formed one at a time, so a large mixed-route
-    # call peaks at a few times its (3, 2, P) complex output
+    # call peaks at a few times its (2, 2, P) complex output (about 4.2 times)
     import tracemalloc
     from lowfreq2d.specfun import bessel_pair
     z, logz = _mixed_route_points(60_000, 5)
@@ -309,7 +315,7 @@ def test_bessel_pair_work_memory_is_linear_in_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (3 * 2 * z.size * 16)
+    assert peak <= 6 * (2 * 2 * z.size * 16)
 
 
 def _seam_points(orders):
@@ -366,7 +372,7 @@ def test_series_powers_keep_numpy_scalar_exponent_bits():
 def test_order_array_work_memory_is_linear_in_its_output():
     # nine orders at once: the series columns and the recurrence's orders
     # stack on the order axis, and the peak stays a few times the
-    # (3, 2, 9, P) complex output
+    # (2, 2, 9, P) complex output (about 2.9 times)
     import tracemalloc
     from lowfreq2d.specfun import bessel_pair
     orders = np.arange(9)
@@ -378,27 +384,27 @@ def test_order_array_work_memory_is_linear_in_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (3 * 2 * len(orders) * z.size * 16)
+    assert peak <= 4 * (2 * 2 * len(orders) * z.size * 16)
 
 
 @pytest.mark.parametrize("l", [0, 1, 3])
 def test_float64_route_matches_complex_route(l):
     # real z with a real log runs both branches in float64; the same points as
     # complex numbers take the complex route (sheet reduction, exponentials)
-    for fn, x in ((_jyh_series, np.linspace(0.01, 12.0, 300)),
-                  (_jyh_big, np.linspace(12.01, 90.0, 400))):
+    for fn, x in ((_jh_series, np.linspace(0.01, 12.0, 300)),
+                  (_jh_big, np.linspace(12.01, 90.0, 400))):
         real = fn((l,), x, np.log(x))
         cplx = fn((l,), x + 0j, np.log(x) + 0j)
-        assert real[0].dtype == real[1].dtype == np.float64
-        scale = np.abs(cplx[0]) + np.abs(cplx[1])
+        assert real[0].dtype == np.float64 and real[1].dtype == complex
+        scale = np.abs(cplx[0]) + np.abs(cplx[1].imag)      # |J| + |Y|
         for ours, ref in zip(real, cplx):
             assert np.all(np.abs(ours - ref) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("slot", [None, 0])
 @pytest.mark.parametrize("l", [0, 3, (0, 1, 2, 3), (0, 9, 12)])
-def test_real_axis_calls_return_float64_j_and_y(l, slot):
-    # real z with a real log: J and Y come back float64 and H complex, with
+def test_real_axis_calls_return_float64_j(l, slot):
+    # real z with a real log: J comes back float64 and H complex, with
     # the bits a call gives them when one complex point added to it makes
     # every output complex; on a block all on the series, one all on the
     # asymptotics and one across the seam and (orders 9 and 12, beyond the
@@ -411,7 +417,7 @@ def test_real_axis_calls_return_float64_j_and_y(l, slot):
         ref = bessel_pair(l, np.append(x, extra), np.append(np.log(x), np.log(extra)), slot)
         for k, (f, g) in enumerate(zip(ours, ref)):
             g = g[..., :-1]
-            if k < 2:
+            if k == 0:
                 assert f.dtype == np.float64
                 assert np.array_equal(_bits(f), _bits(g.real)) and not _bits(g.imag).any()
             else:
@@ -425,27 +431,23 @@ def test_underflowing_argument_takes_one_term_without_warning():
     args = np.array([0.0, 1.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        J, Y, H = bessel_pair(0, mods * np.exp(1j * args), np.log(mods) + 1j * args)
+        J, H = bessel_pair(0, mods * np.exp(1j * args), np.log(mods) + 1j * args)
     assert J[0, 0] == 1.0 and J[0, 1] == 1.0
-    assert np.all(np.isfinite(Y[0, :2]))
-    assert np.all(np.isfinite(J[:, 2:])) and np.all(np.isfinite(Y[:, 2:]))
+    assert np.all(np.isfinite(H[0, :2]))
+    assert np.all(np.isfinite(J[:, 2:])) and np.all(np.isfinite(H[:, 2:]))
 
 
 def test_bessel_pair_feeds_the_single_order_functions():
     from lowfreq2d.specfun import bessel_pair
     z = np.array([0.3 + 0.1j, 4.0, 12.5 - 3.0j, 30.0j])
-    for k, (mod, arg) in enumerate(zip(np.abs(z), np.angle(z))):
+    for mod, arg in zip(np.abs(z), np.angle(z)):
         s = SpectralBatch(float(mod), float(arg))
-        J, Y, H = (f[:, 0] for f in bessel_pair(2, np.array([s.value]), np.array([s.log])))
-        j, y, jd, yd = bessel_jy(2, s)
-        h, hd = hankel1(2, s)
-        assert (j, y, h) == (J[0], Y[0], H[0])
+        J, H = (f[:, 0] for f in bessel_pair(2, np.array([s.value]), np.array([s.log])))
+        j, h, jd, hd = bessel_jh(2, s)
+        assert (j, h) == (J[0], H[0]) and hankel1(2, s) == (h, hd)
         # derivatives by the order-raising recurrence f_2' = (2/z) f_2 - f_3
-        for d, f in ((jd, J), (yd, Y), (hd, H)):
+        for d, f in ((jd, J), (hd, H)):
             assert abs(d - (2.0 / s.value * f[0] - f[1])) <= 1e-14 * (abs(d) + abs(f[1]))
-        # J' + iY' cancels where H is exponentially small (on the imaginary axis)
-        if k < 3:
-            assert abs(jd + 1j * yd - hd) <= 1e-12 * abs(hd)
 
 
 @pytest.mark.parametrize("l", [0, 1, 3, 10])
@@ -469,12 +471,12 @@ def test_bessel_pair_off_principal_sheet_against_mpmath(l):
                        for n in (l, l + 1)]
             for m in sheets:
                 th = arg + m * math.pi
-                J, Y, H = bessel_pair(l, np.array([mod * complex(math.cos(th), math.sin(th))]),
-                                      np.array([complex(math.log(mod), th)]))
+                J, H = bessel_pair(l, np.array([mod * complex(math.cos(th), math.sin(th))]),
+                                   np.array([complex(math.log(mod), th)]))
                 for k, (j0, y0) in enumerate(ref):
                     sign = (-1) ** (m * (l + k))
                     jr, yr = sign * j0, sign * (y0 + 2j * m * j0)
                     scale = abs(jr) + abs(yr)
-                    for ours, want in ((J[k, 0], jr), (Y[k, 0], yr), (H[k, 0], jr + 1j * yr)):
+                    for ours, want in ((J[k, 0], jr), (H[k, 0], jr + 1j * yr)):
                         worst = max(worst, abs(ours - want) / scale)
     assert worst < 1e-9, worst

@@ -92,6 +92,31 @@ def test_classification_stable_under_grid_refinement(s_well_fx, p_well_fx, eig_w
         assert [l for l, _ in fine.eigen_modes] == [l for l, _ in rep.eigen_modes]
 
 
+def _dilated(s, c: float):
+    """s dilated by c: radii times c, values over c^2; its class is s's."""
+    if isinstance(s, DiskObstacle):
+        return DiskObstacle(s.radius * c, s.bc)
+    return PiecewisePotential(tuple(b * c for b in s.breaks), tuple(v / c**2 for v in s.values))
+
+
+def test_classification_is_dilation_invariant(s_well_fx, p_well_fx, eig_well_fx):
+    # r^l and r^-l differ by R^2l at the support, so the zero test weighs the
+    # growing coefficient there; with fixed weights a disk of radius 10 read
+    # modes 5-8 as eigenvalues, and tuned wells lost theirs at small c
+    scatterers = [DiskObstacle(1.0, "dirichlet"), DiskObstacle(1.0, "neumann"),
+                  PiecewisePotential((1.0,), (-2.5,)), PiecewisePotential((0.55, 1.0), (-18.0, -6.3)),
+                  PiecewisePotential((1.0,), (30.0,)),
+                  s_well_fx.scatterer, p_well_fx.scatterer, eig_well_fx.scatterer]
+    for s in scatterers:
+        classes = set()
+        for k in range(-3, 4):
+            r = classify(_dilated(s, 10.0**k))
+            classes.add((r.dim_g0_mod_g1, r.dim_g1_mod_g2, tuple(r.eigen_mode_numbers)))
+        assert len(classes) == 1, (s, classes)
+    assert (s_well_fx.report.dim_g0_mod_g1, p_well_fx.report.dim_g1_mod_g2,
+            eig_well_fx.report.eigen_mode_numbers) == (1, 2, [2])
+
+
 def test_p_well_alpha_degenerate_and_exact(p_well_fx):
     rep = p_well_fx.report
     assert len(rep.alpha) == 2

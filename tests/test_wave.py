@@ -354,9 +354,9 @@ def test_cli_wave_work(tmp_path, monkeypatch):
     # the 16-node source, 1 397 024 in 67 on the 32-node source with 64
     # spectral points per call).  Each of the 7 chunks is solved once, with
     # its probes and observation radius in its boundary's bessel_pair call:
-    # 7 green_pair and 30 bessel_pair calls (22 node calls, 7 boundary calls
-    # and the bound-state scan's one), where a solve per mode_green call made
-    # 22 and 89.  No call takes more than BESSEL_BATCH node points, which
+    # 7 green_pair and 29 bessel_pair calls (22 node calls and 7 boundary
+    # calls; an obstacle has no bound state to scan for), where a solve per
+    # mode_green call made 22 and 89.  No call takes more than BESSEL_BATCH node points, which
     # bounds the temporaries (one call per chunk would raise peak memory)
     from lowfreq2d import radialsolve, resolvent
     from lowfreq2d.cli import main
@@ -387,7 +387,7 @@ def test_cli_wave_work(tmp_path, monkeypatch):
     assert points[0] <= 400_000
     assert calls[0] <= 22
     assert solves[0] <= 7
-    assert bessel_calls[0] == 30
+    assert bessel_calls[0] == 29
 
 
 def test_moment_table_matches_per_time_calls(tmp_path, monkeypatch):
