@@ -192,7 +192,7 @@ class PiecewiseSolution:
     the stacked pair of green_pair).  solution[sl], sl a slice of the batch
     axis, is the solution of those spectral points.  kept, when not None, is
     green_pair's table (sorted radii, rows of (u, u') there): a read of radii
-    that all lie in it takes its columns."""
+    that all lie in it takes its columns, a run of them as a view."""
 
     segments: list[Segment]
     coeffs: list[tuple[np.ndarray, np.ndarray]]
@@ -210,6 +210,8 @@ class PiecewiseSolution:
                 return table
             at = radii.searchsorted(r)
             if (radii.take(at, mode="clip") == r).all():
+                if len(at) and (np.diff(at) == 1).all():
+                    return table[..., at[0]:at[-1] + 1]     # a run of columns: a view
                 return table.take(at, axis=-1)
         cover = _cover(self.segments, r)
         if bases is None:
@@ -232,6 +234,12 @@ class PiecewiseSolution:
         the segments and coefficients a solve of that mode alone gives."""
         segs = [replace(seg, l=seg.l[i:i + 1]) for seg in self.segments]
         return PiecewiseSolution(segs, [(c1[i:i + 1], c2[i:i + 1]) for c1, c2 in self.coeffs])
+
+    def member(self, k: int) -> PiecewiseSolution:
+        """The k-th solution of green_pair's stacked pair (0 phi, 1 psi) on its
+        own, with its kept columns: a read combines that solution alone."""
+        return PiecewiseSolution(self.segments, [(c1[k], c2[k]) for c1, c2 in self.coeffs],
+                                 self.kept and (self.kept[0], self.kept[1][:, k]))
 
     def eval(self, r: np.ndarray) -> np.ndarray:
         """The rows u, u' at radii r, each of shape coefficient shape + (len(r),)."""

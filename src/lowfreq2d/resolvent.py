@@ -5,7 +5,9 @@ The Green function of one angular mode is built from the regular solution
 support, continued inward); only the outgoing factor carries log(lam), which
 is how everything continues across sheets.  Cumulative Gauss-Legendre
 integrals make the variation-of-parameters formula spectrally accurate, and
-the constancy of the Wronskian is tracked as a structural invariant.
+the constancy of the Wronskian is tracked as a structural invariant, at five
+probe radii.  A sample forms its node data on first read; a point read off
+the source's grid combines only the one solution it integrates against f.
 
 Also here: residual evaluations of the one-sided and two-spectral-parameter
 resolvent identities and of the exterior pairing identity, each against the
@@ -44,34 +46,58 @@ FREE = PiecewisePotential((1.0,), (0.0,))
 @dataclass
 class ResolventSample:
     """phi/psi data of one scatterer and mode on a grid, at a batch of
-    spectral points: the node arrays have the batch's shape + (nodes,), the
-    Wronskian and phi_scale the batch's shape.  The Wronskian is exact, from
-    phi's exterior J coefficient; wronskian_spread is the largest relative
-    deviation of the sampled one from it, over the batch.
+    spectral points.  The Wronskian W = c1 2i/pi of phi and psi as solved
+    (c1 phi's exterior J coefficient) has the batch's shape, and
+    wronskian_spread is the largest relative deviation of the one sampled
+    at the five probes from it, over the batch.
 
-    The node values and, on the first apply, the node derivatives (_ders)
-    are reads of the solution; phi_vals is scaled on first read, and
-    apply_values and every caller of values never form the derivatives."""
+    The node data are reads of the solution formed together on first use
+    (_nodes), each node array of the batch's shape + (nodes,): psi_vals,
+    phi_scale = max|phi| on the nodes with phi_vals = phi / phi_scale and
+    the scaled Wronskian apply reads; the node derivatives (_ders) wait for
+    the first apply.  apply_values and value_at never form the
+    derivatives, and value_at off the grid forms none of them."""
 
     scatterer: Scatterer
     lam: SpectralBatch
     mode: int
     grid: PanelGrid
-    phi_nodes: np.ndarray             # phi (unscaled) at the nodes
-    psi_vals: np.ndarray
-    wronskian: complex | np.ndarray
+    wronskian: complex | np.ndarray   # W of phi (unscaled) and psi
     wronskian_spread: float
     solutions: PiecewiseSolution      # phi (unscaled) and psi, stacked
-    phi_scale: np.ndarray             # phi_vals = phi / phi_scale
 
     @cached_property
+    def _nodes(self) -> tuple:
+        """The node data, formed together on first read: psi on the nodes,
+        phi_scale = max|phi| there (1 where phi vanishes), phi_vals = phi /
+        phi_scale and the scaled Wronskian W / phi_scale."""
+        phi, psi = self.solutions.values(self.grid.nodes).reshape((2,) + self.lam.shape + (-1,))
+        scale = np.max(np.abs(phi), axis=-1, keepdims=True)
+        scale[scale == 0] = 1.0
+        w = self.solutions.coeffs[-1][0][0, 0] / scale.reshape(-1) * (2j / math.pi)
+        return psi, scale[..., 0][()], phi / scale, w.reshape(self.lam.shape)[()]
+
+    @property
+    def psi_vals(self) -> np.ndarray:
+        return self._nodes[0]
+
+    @property
+    def phi_scale(self):
+        return self._nodes[1]
+
+    @property
     def phi_vals(self) -> np.ndarray:
-        return self.phi_nodes / np.expand_dims(self.phi_scale, -1)
+        return self._nodes[2]
+
+    @property
+    def scaled_wronskian(self):
+        """W / phi_scale, the Wronskian of phi_vals and psi."""
+        return self._nodes[3]
 
     @cached_property
     def _ders(self) -> tuple[np.ndarray, np.ndarray]:
         phi_d, psi_d = self.solutions.eval(self.grid.nodes)[1]
-        shape = self.psi_vals.shape
+        shape = self.lam.shape + (len(self.grid),)
         return (phi_d / np.reshape(self.phi_scale, (-1, 1))).reshape(shape), psi_d.reshape(shape)
 
     def _check_source(self, f: RadialFunction) -> None:
@@ -89,7 +115,7 @@ class ResolventSample:
         inner2 = self.psi_vals * f.values * g.nodes
         C = g.cumulative(inner1)
         Dtail = np.asarray(g.integrate(inner2))[..., None] - g.cumulative(inner2)
-        return C, Dtail, np.asarray(self.wronskian)[..., None]
+        return C, Dtail, np.asarray(self.scaled_wronskian)[..., None]
 
     def apply(self, f: RadialFunction) -> RadialFunction:
         """u with (P - lam^2) u = f, outgoing at infinity, and its exact u'."""
@@ -106,10 +132,12 @@ class ResolventSample:
     def value_at(self, f: RadialFunction, x: float):
         """(R(lam) f)(x): a complex, or an array over the batch.
 
-        Off the grid f vanishes, so u is phi(x) times -integral(psi f r dr) / W
-        below it and psi(x) times -integral(phi f r dr) / W above it: the end
-        values of apply's two cumulative integrals; on the grid apply_values.
-        No node derivatives are formed.  A non-finite x raises ValidationError.
+        Off the grid f vanishes, so u(x) = -sol(x) integral(partner f r dr) / W,
+        the partner psi and sol phi below the grid, phi and psi above it.  The
+        partner alone is combined on the nodes and integrated against f r;
+        sol(x) is read off the kept table, or is (l == 0) at x = 0, where phi
+        starts as J_l(eta r) or r^l.  On the grid, apply_values.  A non-finite
+        x raises ValidationError.
         """
         if not math.isfinite(x):
             raise ValidationError(f"observation radius must be finite, got {x}")
@@ -119,15 +147,15 @@ class ResolventSample:
         self._check_source(f)
         if x < self.scatterer.inner_radius:
             raise ValidationError(f"r = {x} lies inside the obstacle")
-        below = x < g.rmin
-        partner = self.psi_vals if below else self.phi_vals
-        coeff = -np.asarray(g.integrate(partner * f.values * g.nodes)) / self.wronskian
-        if below and x == 0.0:
-            # phi starts as J_l(eta r) or r^l: 1 at the origin for mode 0, else 0
-            return float(self.mode == 0) / self.phi_scale * coeff
-        phi_x, psi_x = self.solutions.values(np.array([x]))[..., 0]
-        sol_x = phi_x / self.phi_scale if below else psi_x
-        return sol_x.reshape(np.shape(coeff)) * coeff
+        k = int(x < g.rmin)         # the partner: psi (1) below the grid, phi (0) above it
+        partner = self.solutions.member(k).values(g.nodes)
+        w = np.reshape(self.wronskian, -1)
+        coeff = -g.integrate(partner * (f.values * g.nodes)) / w
+        if x == 0.0:
+            sol_x = float(self.mode == 0)
+        else:
+            sol_x = self.solutions.values(np.array([x]))[1 - k, ..., 0]
+        return (sol_x * coeff).reshape(self.lam.shape)[()]
 
 
 def _vary(psi_x: np.ndarray, phi_x: np.ndarray, C: np.ndarray, Dtail: np.ndarray,
@@ -149,34 +177,32 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
                solution: PiecewiseSolution | None = None) -> ResolventSample:
     """The mode-l Green function data on grid, for a batch of spectral points.
 
-    phi and psi share one segment set and every basis evaluation.  The
-    sample reads the node values, then (u, u') at the five Wronskian probes,
-    each from the solution's kept table when that holds them; the node
-    derivatives wait for the first apply.  A non-finite Wronskian raises
-    NumericalError, and one of modulus at most POLE_GUARD times the least
-    r (|phi psi'| + |phi' psi|) at the probes raises AtPoleError for the first
-    such point.
+    phi and psi share one segment set and every basis evaluation.
+    mode_green reads (u, u') at the five Wronskian probes alone, from the
+    solution's kept table when that holds them, and takes W = c1 2i/pi,
+    the spread and the pole guard from them, none of which needs a scale;
+    the node values and derivatives wait for their first read (see
+    ResolventSample).  A Wronskian that is not finite, exact or at a probe,
+    raises NumericalError, and one of modulus at most POLE_GUARD times the
+    least r (|phi psi'| + |phi' psi|) at the probes raises AtPoleError, with
+    that W, for the first such point.
 
     solution, when given, is green_pair(s, l, lam) solved already, its one
     mode read as a view, typically a slice of one solve of many points
     (green_sweep, verify); without, mode_green solves keeping the probes.
     """
-    idx = _probe_index(len(grid.nodes))
-    sols = solution or green_pair(s, l, lam, grid.nodes[idx])
     # the Wronskian sampled at five nodes away from the endpoints is the invariant check
-    phi_v, psi_v = sols.values(grid.nodes)[:, 0]
-    phi_d, psi_d = sols.eval(grid.nodes[idx])[1][:, 0]
-    # phi scaled to at most 1 on the grid; W and the pole guard take the same scale
-    scale = np.max(np.abs(phi_v), axis=-1, keepdims=True)
-    scale[scale == 0] = 1.0
-    # outside the support psi = H1 and phi = (c1 J + c2 H1) / scale, and the
-    # (J, H1) basis has Wronskian 2i/pi; only phi's probe columns are scaled
-    w = sols.coeffs[-1][0][0, 0] / scale[:, 0] * (2j / math.pi)
-    terms = phi_v[:, idx] / scale * psi_d, phi_d / scale * psi_v[:, idx]
-    w_all = grid.nodes[idx] * (terms[0] - terms[1])
-    size = np.min(grid.nodes[idx] * (np.abs(terms[0]) + np.abs(terms[1])), axis=-1)
+    r = grid.nodes[_probe_index(len(grid.nodes))]
+    sols = solution or green_pair(s, l, lam, r)
+    (phi_v, psi_v), (phi_d, psi_d) = sols.eval(r)[:, :, 0]
+    # outside the support psi = H1 and phi = c1 J + c2 H1, and the (J, H1)
+    # basis has Wronskian 2i/pi
+    w = sols.coeffs[-1][0][0, 0] * (2j / math.pi)
+    terms = phi_v * psi_d, phi_d * psi_v
+    w_all = r * (terms[0] - terms[1])
+    size = np.min(r * (np.abs(terms[0]) + np.abs(terms[1])), axis=-1)
     absw = np.abs(w)
-    if not np.all(np.isfinite(absw)):
+    if not (np.all(np.isfinite(absw)) and np.all(np.isfinite(w_all))):
         raise NumericalError("mode Wronskian is not finite")
     spread = float(np.max(np.max(np.abs(w_all - w[:, None]), axis=-1) / np.maximum(absw, 1e-300)))
     # np.hypot rounds as abs() of one complex does; np.abs's vector loop may not
@@ -185,9 +211,7 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
         i = at_pole[0]
         raise AtPoleError(lam[np.unravel_index(i, lam.shape)], w[i])
     # to the batch's shape; [()] makes a 0-d result a scalar
-    shape = lam.shape + phi_v.shape[-1:]
-    return ResolventSample(s, lam, l, grid, phi_v.reshape(shape), psi_v.reshape(shape),
-                           w.reshape(lam.shape)[()], spread, sols, scale.reshape(lam.shape)[()])
+    return ResolventSample(s, lam, l, grid, w.reshape(lam.shape)[()], spread, sols)
 
 
 def green_sweep(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid, read,
@@ -198,8 +222,9 @@ def green_sweep(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid, read,
     and at x, read's value_at radius, when x lies off the grid.  Each mode_green
     call takes a slice of that solve, as many consecutive points as make
     about BESSEL_BATCH Bessel points on grid, so the slice, not the batch,
-    sets the size of the temporaries.  read runs on each slice's sample
-    before the next is formed."""
+    sets the size of the temporaries (one solution's node values per slice
+    for a value_at off the grid).  read runs on each slice's sample before
+    the next is formed."""
     keep = grid.nodes[_probe_index(len(grid.nodes))]
     if x is not None and x > 0 and x >= s.inner_radius and not grid.rmin <= x <= grid.rmax:
         keep = np.append(keep, x)

@@ -445,6 +445,14 @@ def _axis_steps(selfadjoint: bool, mode: int, kmin: float, kmax: float):
     return out
 
 
+def bound_kappa_max(s: Scatterer) -> float:
+    """sqrt(max(0, -min Re V)): a bound state -kappa^2 of a real V lies above
+    min V, so no kappa beyond it need be scanned; 0 for an obstacle."""
+    if isinstance(s, DiskObstacle):
+        return 0.0
+    return math.sqrt(max(0.0, -min(complex(v).real for v in s.values)))
+
+
 def axis_search(s: Scatterer, mode: int, kmin: float = 1e-3, kmax: float = 2.0,
                 shift: float | None = None) -> PoleSearch:
     """The bound-state search of V + shift, whose result is the list of its
@@ -455,8 +463,9 @@ def axis_search(s: Scatterer, mode: int, kmin: float = 1e-3, kmax: float = 2.0,
     local minima of |defect| below 1e-6, which carry no sign to bisect; those
     Newton does not polish are not reported.  An exterior Dirichlet or Neumann
     Laplacian has no negative eigenvalue, so an obstacle's search requests no
-    point and finds none; with a shift its request raises ValidationError."""
-    if isinstance(s, DiskObstacle) and shift is None:
+    point and finds none; with a shift its request raises ValidationError.
+    An empty range, kmax <= kmin, requests no point either."""
+    if (isinstance(s, DiskObstacle) and shift is None) or kmax <= kmin:
         return PoleSearch(mode, _no_poles(), shift)
     return PoleSearch(mode, _axis_steps(s.selfadjoint, mode, kmin, kmax), shift)
 

@@ -49,9 +49,14 @@ class ThresholdMode:
     @property
     def growing_is_zero(self) -> bool:
         """|growing| below ZERO_COEFF_RTOL |decaying|, each term at the
-        exterior's start R for l >= 1, where r^l and r^-l differ by R^2l."""
-        scale = self.solution.segments[-1].a ** (2 * self.mode) if self.mode else 1.0
-        return abs(self.growing) * scale < ZERO_COEFF_RTOL * abs(self.decaying)
+        exterior's start R for l >= 1, where r^l and r^-l differ by R^2l;
+        an R^2l beyond the float range compares logarithms."""
+        R = self.solution.segments[-1].a
+        g, d = abs(self.growing), ZERO_COEFF_RTOL * abs(self.decaying)
+        try:
+            return g * (R ** (2 * self.mode) if self.mode else 1.0) < d
+        except OverflowError:
+            return d > 0 and (g == 0 or math.log(g) + 2 * self.mode * math.log(R) < math.log(d))
 
     def on_grid(self, grid: PanelGrid, c: complex, decaying_only: bool) -> RadialFunction:
         """c times the solution sampled on grid, with its exterior expansion

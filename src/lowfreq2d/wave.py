@@ -37,10 +37,15 @@ partial integrals of that integrand as well, which hold to rounding only on
 SUPPORT_NODES nodes per panel under the same split rule.  Each chunk
 sampling is one resolvent sweep (resolvent.green_sweep, which expand's matrix
 elements share): one Green solve, whose boundary bases' call also takes
-the Wronskian probes and the observation radius, read by its slices.
+the Wronskian probes and the observation radius, read by its slices.  Off
+the source a slice forms one solution on the source nodes, the one paired
+with f (psi below the source, phi above it), and reads the other at the
+observation radius from that call.
 
 Scatterers with discrete spectrum are refused: a bound state would add an
-oscillatory term the spectral integral over the continuum misses.
+oscillatory term the spectral integral over the continuum misses.  f is
+mode 0, so the mode-0 bound states are looked for, on kappa in [1e-3,
+sqrt(-min V)], where every bound state -kappa^2 of a real V lies.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .radial import RadialFunction, support_panels
 from .radialsolve import BESSEL_BATCH
 from .resolvent import green_sweep
 from .scatterer import Scatterer
-from .scattering import axis_search, run_searches, settle
+from .scattering import axis_search, bound_kappa_max, run_searches, settle
 from .specfun import SpectralBatch
 
 LAM_FLOOR = 1e-9
@@ -249,8 +254,12 @@ def _green_source(f: RadialFunction, x: float) -> RadialFunction:
 
 
 def evolve(q: WaveQuery, nodes_per_panel: int = 16) -> WaveResult:
-    """w(x, t) for each requested time; one resolvent sweep serves all times."""
-    poles = settle(run_searches(q.scatterer, [axis_search(q.scatterer, 0)])[0])
+    """w(x, t) for each requested time; one resolvent sweep serves all times.
+
+    A mode-0 bound state of any depth, scanned for on kappa up to
+    scattering.bound_kappa_max, raises BoundStateRefusal before the sweep."""
+    s = q.scatterer
+    poles = settle(run_searches(s, [axis_search(s, 0, kmax=bound_kappa_max(s))])[0])
     if poles:
         ks = [float(p.lam.modulus) for p in poles]
         raise BoundStateRefusal(

@@ -41,9 +41,10 @@ MODE_AXIS_SCATTERERS, compared by bit_pattern.
 MpModeMarch is the independent mode solver: it matches u and u' at each
 break in mpmath at 40 digits, on (J, Y) inside the support and (J, H1)
 outside, and gives the regular solution's exterior coefficients (so S_l),
-phi and psi at given radii with their Wronskian (so G_l(x, y)), and the
-zero-energy connection coefficients.  It reads the scatterer's fields alone
-and shares no code with `lowfreq2d`.
+phi and psi at given radii with their Wronskian (so G_l(x, y), paired by
+radius), the resolvent applied at one radius as a quadrature sum over a
+source's nodes, and the zero-energy connection coefficients.  It reads the
+scatterer's fields alone and shares no code with `lowfreq2d`.
 """
 
 from __future__ import annotations
@@ -691,20 +692,45 @@ class MpModeMarch:
         c1, c2 = (complex(c) for c in self.phi[l][-1])
         return (c2, c1) if l == 0 else (c1, c2)
 
+    def _values(self, l: int, r):
+        """(phi(r), psi(r)) of mode l; at a potential's origin phi = J_l(0) =
+        (l == 0), its first basis function alone, and psi is not finite."""
+        mp = self.mp
+        if r == 0:
+            return mp.mpf(int(l == 0)), mp.inf
+        j = max([0] + [k for k, b in enumerate(self.edges[1:], 1) if r > b])
+        f1, f2 = self._basis(l, j, r)[:2]
+        return tuple(c[0] * f1 + c[1] * f2 for c in (self.phi[l][j], self.psi[l][j]))
+
+    def _kernel(self, l: int, x, px, sx, y, py, sy):
+        """G_l(x, y) = phi(min) psi(max) / W from the two radii's (phi, psi)."""
+        return (px * sy if x <= y else py * sx) / self.wronskian[l]
+
     def green(self, l: int, radii) -> np.ndarray:
         """G_l(x, y) = phi(min) psi(max) / W, W = r (phi psi' - phi' psi), at
-        every pair of radii: a (len(radii), len(radii)) complex array."""
+        every pair of radii, paired by radius in any order of them: a
+        (len(radii), len(radii)) complex array."""
         mp = self.mp
         with mp.workdps(self.dps):
-            vals = []
-            for x in radii:
-                r = mp.mpf(x)
-                j = max([0] + [k for k, b in enumerate(self.edges[1:], 1) if r > b])
-                f1, f2 = self._basis(l, j, r)[:2]
-                vals.append([c[0] * f1 + c[1] * f2 for c in (self.phi[l][j], self.psi[l][j])])
-            n = len(radii)
-            return np.array([[complex(vals[min(i, k)][0] * vals[max(i, k)][1] / self.wronskian[l])
-                              for k in range(n)] for i in range(n)])
+            rs = [mp.mpf(x) for x in radii]
+            vals = [self._values(l, r) for r in rs]
+            return np.array([[complex(self._kernel(l, x, *a, y, *b)) for y, b in zip(rs, vals)]
+                             for x, a in zip(rs, vals)])
+
+    def point_read(self, l: int, x: float, nodes, f, weights) -> complex:
+        """(R f)(x) = -sum_j G_l(x, y_j) f_j y_j w_j over quadrature nodes y_j
+        with weights w_j and source values f_j, summed at dps digits: the
+        kernel of R(lam) = (P - lam^2)^-1 is -G_l."""
+        mp = self.mp
+        with mp.workdps(self.dps):
+            x = mp.mpf(x)
+            at_x = self._values(l, x)
+            total = mp.mpc(0)
+            for y, fy, w in zip(nodes, f, weights):
+                y = mp.mpf(y)
+                g = self._kernel(l, x, *at_x, y, *self._values(l, y))
+                total += g * mp.mpc(fy) * y * mp.mpf(w)
+            return complex(-total)
 
 
 def sequential_classify_modes(s, lmax: int = 8) -> list:

@@ -707,6 +707,8 @@ def test_mutated_readme_configs_keep_the_contract_of_wave(cfg_text):
     ("expand", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 100000000000\n", 3),
     ("phase", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 100000000000\n", 3),
     ("perturb", "kind = potential\nbreaks = 1\nvalues = -2.5\ngrid.count = 100000000000\n", 3),
+    # classify's R^2l at mode 8 once overflowed a Python float (OverflowError)
+    ("classify", "kind = potential\nbreaks = 1.8446744073709552e+19\nvalues = -2.5\n", 0),
     # refused before its term list is built (once too many terms to hold in memory)
     ("expand", "kind = disk\nradius = 1\nfit.jmax = 1000000000\n", 2),
 ])

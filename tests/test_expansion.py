@@ -432,27 +432,33 @@ def test_fit_reuses_the_solves_of_shifts_it_has_solved(dirichlet_fx, samples_dir
     assert (n_cached, n_every) == (7, 9)
 
 
-@pytest.mark.parametrize("cfg_text", [
-    # threshold-tuned: its last failed line search has a step below an ulp of the shift
-    "kind = potential; breaks = 0.5512959285134055,1.0; values = -31.638610685432052,-11.37666104513994",
+@pytest.mark.parametrize("cfg_text, forced", [
+    # a synthetic residual that grows with the distance from the starting
+    # shift, so that the first line search finds no trial that beats its base
+    ("kind = disk; radius = 1; bc = dirichlet", True),
     # its last failed line search has a step that a move by t < 1e-4 would not lose
-    "kind = disk; radius = 1.134724433232578; bc = dirichlet"])
-def test_fit_reports_a_shift_it_solved(tmp_path, monkeypatch, cfg_text):
+    ("kind = disk; radius = 1.134724433232578; bc = dirichlet", False)])
+def test_fit_reports_a_shift_it_solved(tmp_path, monkeypatch, cfg_text, forced):
     # near convergence a line search finds no trial that beats its base; the
     # fit stops at the last solved shift, so the final solve at the reported
     # shift reads a solve already made
     from lowfreq2d import expansion
     from lowfreq2d.cli import main
-    keys, solves = [], []
+    keys, solves, shifts, first = [], [], [], []
     shift_key, lstsq = expansion._shift_key, expansion._weighted_lstsq
 
     def recorded(sh):
+        shifts.append(sh)
         keys.append(shift_key(sh))
         return keys[-1]
 
     def counted(A, y, w):
         solves.append(keys[-1])
-        return lstsq(A, y, w)
+        coef, r, As = lstsq(A, y, w)
+        if forced:
+            first.append(r)
+            r = first[0] * (1.0 + abs(shifts[-1] - shifts[0]))
+        return coef, r, As
 
     monkeypatch.setattr(expansion, "_shift_key", recorded)
     monkeypatch.setattr(expansion, "_weighted_lstsq", counted)
@@ -460,3 +466,4 @@ def test_fit_reports_a_shift_it_solved(tmp_path, monkeypatch, cfg_text):
     cfg.write_text(cfg_text + "\n")
     assert main(["expand", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert keys[-1] in keys[:-1] and solves[-1] != keys[-1]
+    assert not forced or shifts[-1] == shifts[0]        # the forced fit stops at its start

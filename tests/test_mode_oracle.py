@@ -1,6 +1,7 @@
-"""The mode solves against an independent one: S_l, Green values and the
-zero-energy connection coefficients of modes 0-2, each held against
-`oracles.MpModeMarch` at 40 digits.
+"""The mode solves against an independent one: S_l, Green values, the
+zero-energy connection coefficients of modes 0-2 and the mode-0 point read
+off a source grid (value_at), each held against `oracles.MpModeMarch` at 40
+digits.
 
 The cases are the MODE_AXIS_SCATTERERS and the repulsive steps V = 30 to
 800 on the unit disk, at lam = 0.05 and 1.5 on arg 0 and pi/4.  Each bound
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from lowfreq2d import PiecewisePotential, SpectralBatch, mode_green
+from lowfreq2d import PiecewisePotential, SpectralBatch, bump, mode_green
 from lowfreq2d.quadrature import PanelGrid
 from lowfreq2d.radialsolve import regular_solution
 from lowfreq2d.threshold import solve_zero_mode
@@ -85,7 +86,7 @@ def test_green_values_against_the_mode_march(name):
     worst = 0.0
     for l in MODES:
         g = mode_green(s, LAM, int(l), grid)
-        ours = g.phi_vals[:, lo] * g.psi_vals[:, hi] / g.wronskian[:, None, None]
+        ours = g.phi_vals[:, lo] * g.psi_vals[:, hi] / g.scaled_wronskian[:, None, None]
         ref = [o.green(int(l), grid.nodes[idx]) for o in _marches(name)]
         worst = max(worst, _rel(ours, ref))
     assert worst <= GREEN_BOUND[name]
@@ -98,3 +99,42 @@ def test_zero_energy_coefficients_against_the_mode_march(name):
         growing, decaying = o.zero_energy(m.mode)
         assert abs(m.decaying - decaying) <= ZERO_BOUND * abs(decaying)
         assert abs(m.growing - growing) <= ZERO_BOUND * abs(growing)
+
+
+# the wave's point read off the grid: below and above a disk's source, and at
+# the origin and above on a potential, on a source of two 12-node panels; the
+# errors at lam = 30 (4e-14 to 6e-14) set the bounds
+POINT_LAM = SpectralBatch([0.5, 30.0, 1.5], [0.0, 0.0, math.pi / 4])
+POINT_GRID = PanelGrid(np.array([1.5, 2.0, 2.5]), 12)
+POINT_BOUND = {
+    ("dirichlet-disk", 1.2): 2e-13,
+    ("dirichlet-disk", 3.0): 9e-14,
+    ("readme-well", 0.0): 1e-13,
+    ("readme-well", 3.0): 9e-14,
+}
+
+
+@lru_cache(maxsize=None)
+def _point_marches(name: str) -> tuple:
+    s = MODE_AXIS_SCATTERERS[name]
+    return tuple(MpModeMarch(s, [0], m, a) for m, a in zip(POINT_LAM.modulus, POINT_LAM.arg))
+
+
+@pytest.mark.parametrize("name, x", POINT_BOUND)
+def test_point_read_against_the_mode_march(name, x):
+    # value_at off the grid, -sol(x) integral(partner f r dr) / W, against the
+    # oracle's sum of G_0(x, y) f(y) y over the source's quadrature nodes
+    g = POINT_GRID
+    f = bump(g, 2.0, 0.5, 0)
+    got = mode_green(MODE_AXIS_SCATTERERS[name], POINT_LAM, 0, g).value_at(f, x)
+    ref = [o.point_read(0, x, g.nodes, f.values, g.weights) for o in _point_marches(name)]
+    assert _rel(got, ref) <= POINT_BOUND[name, x]
+
+
+def test_green_pairs_radii_by_radius():
+    # the oracle pairs phi(min) with psi(max) by radius, whatever the order of
+    # the radii it is given
+    o = _point_marches("dirichlet-disk")[0]
+    radii = [3.0, 1.2, 2.0]
+    order = np.argsort(radii)
+    assert np.array_equal(o.green(0, radii)[np.ix_(order, order)], o.green(0, sorted(radii)))

@@ -253,6 +253,19 @@ def test_sweep_is_the_batched_single_point_table(generic_well_fx):
         assert t.smatrix == single.smatrix
 
 
+def test_bound_state_scan_ends_at_sqrt_of_minus_min_v():
+    # a bound state -kappa^2 of a real V lies above min V, so no kappa beyond
+    # sqrt(-min V) is scanned; V >= 0 and an obstacle give an empty range,
+    # whose search requests no point and finds nothing
+    assert scattering.bound_kappa_max(PiecewisePotential((0.5, 1.0), (-3.0, 2.0))) == math.sqrt(3.0)
+    for s in (PiecewisePotential((1.0,), (2.5,)), DiskObstacle(1.0, "dirichlet")):
+        assert scattering.bound_kappa_max(s) == 0.0
+        steps = scattering.axis_search(s, 0, kmax=scattering.bound_kappa_max(s)).steps
+        with pytest.raises(StopIteration) as stop:
+            next(steps)
+        assert stop.value.value == []
+
+
 def test_non_selfadjoint_axis_hit_is_not_bisected():
     # V = -c on r < 1 puts the mode-0 bound state on the scan node kappa0; a
     # 1e-13 imaginary part leaves |defect| without a sign change, so the hit

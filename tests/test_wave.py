@@ -170,6 +170,28 @@ def test_bound_state_refusal():
         evolve(WaveQuery(s, f, 0.0, (100.0,)))
 
 
+@pytest.mark.parametrize("breaks, value, kappas", [
+    (1.0, -10.0, [2.6013]),
+    (1.0, -100.0, [6.302, 8.662, 9.758]),
+    (0.01, -25000.0, [81.0027]),
+])
+def test_bound_states_above_kappa_2_are_refused(breaks, value, kappas):
+    # a bound state -kappa^2 of a real V lies above min V, so the mode-0 scan
+    # runs to kappa = sqrt(-min V) and refuses these wells, whose bound
+    # states all lie above kappa = 2, where a scan that stops there finds none
+    import json
+    import re
+    from lowfreq2d import default_cutoff, standard_grid, bump_edges
+    s = PiecewisePotential((breaks,), (value,))
+    chi = default_cutoff(s)
+    fc, fh = 0.5 * chi.r0, 0.4 * chi.r0
+    f = bump(standard_grid(s, chi, extra_edges=bump_edges(fc, fh)), fc, fh, 0)
+    with pytest.raises(BoundStateRefusal) as err:
+        evolve(WaveQuery(s, f, 0.0, (100.0,)))
+    found = json.loads(re.search(r"\[.*\]", str(err.value)).group())
+    assert found == pytest.approx(kappas, rel=2e-4)
+
+
 def test_mode_zero_required(free_fx):
     with pytest.raises(ValidationError):
         WaveQuery(free_fx.scatterer, free_fx.source(1), 0.0, (1.0,))
@@ -460,11 +482,38 @@ def test_below_support_value_leaves_phi_unscaled_until_read(dirichlet_fx, generi
         for lams in (SpectralBatch([0.3, 2.4, 7.0], 0.0), SpectralBatch(1.3, 0.2)):
             sample = mode_green(fx.scatterer, lams, 0, src.grid)
             sample.value_at(src, x_obs)
-            assert "phi_vals" not in vars(sample)
+            assert "_nodes" not in vars(sample)
             phi = sample.solutions.values(src.grid.nodes)[0]
             eager = (phi / np.reshape(sample.phi_scale, (-1, 1))).reshape(sample.psi_vals.shape)
             assert sample.phi_vals.dtype == complex
             assert np.array_equal(sample.phi_vals.view(np.uint64), eager.view(np.uint64))
+
+
+def test_point_read_off_the_source_combines_its_partner_alone(dirichlet_fx, generic_well_fx,
+                                                             monkeypatch):
+    # value_at off the source combines one solution on the nodes, the partner
+    # (psi below the source, phi above it), and forms no node table of the
+    # other, no phi_scale and no scaled Wronskian: mode_green reads the
+    # Wronskian probes alone
+    from lowfreq2d import SpectralBatch, mode_green, radialsolve
+    from lowfreq2d.radial import support_panels
+    combine, shapes = radialsolve.PiecewiseSolution._combine, []
+
+    def spy(self, r, slot, bases=None):
+        out = combine(self, r, slot, bases)
+        shapes.append((len(r), out.shape))
+        return out
+
+    monkeypatch.setattr(radialsolve.PiecewiseSolution, "_combine", spy)
+    lams = SpectralBatch([0.3, 2.4, 7.0], 0.0)
+    for fx, below in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
+        for x in (below, support_panels(fx.f)[0].grid.rmax + 0.7):
+            src = _green_source(fx.f, x)
+            shapes.clear()
+            sample = mode_green(fx.scatterer, lams, 0, src.grid)
+            sample.value_at(src, x)
+            assert [shape for n, shape in shapes if n == len(src.grid)] == [(1, 1, 3, len(src.grid))]
+            assert not {"_nodes", "_ders"} & set(vars(sample))
 
 
 def test_tail_status_reported(wave_free_result, wave_well_result):

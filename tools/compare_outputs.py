@@ -72,6 +72,10 @@ BUILTIN_CONFIGS = {
     # expand, phase and perturb cannot allocate the spectral grid: exit 3 on MemoryError
     "huge-count-well": "kind = potential; breaks = 1; values = -2.5; grid.count = 100000000000\n",
     "huge-count-disk": "kind = disk; radius = 1; bc = dirichlet; grid.count = 100000000000\n",
+    # the benchmark's tightest wave case: 1.08e-8 from its reference wave
+    "dirichlet-1.06": "kind = disk; radius = 1.06; bc = dirichlet\n",
+    # a mode-0 bound state at kappa = 2.6013, above kappa = 2: wave refuses it (exit 2)
+    "deep-well": "kind = potential; breaks = 1; values = -10\n",
 }
 IGNORED_KEYS = {"wallTimeSeconds"}
 WARNING_LINE = re.compile(r"^.+?:\d+: (\w+): (.*)$", re.MULTILINE)    # path:line: Category: message
