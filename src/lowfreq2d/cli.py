@@ -35,8 +35,8 @@ from .resolvent import (FREE, one_sided_identity_residual, pairing_identity_resi
                         two_parameter_identity_residual)
 from .scatterer import (PiecewisePotential, ScattererConfig, parse_config,
                         standard_grid)
-from .scattering import (axis_search, disk_search, phase_shift_family, phase_shift_sweep,
-                         run_searches, settle, sigma_asymptotic)
+from .scattering import (axis_search, bound_kappa_max, disk_search, phase_shift_family,
+                         phase_shift_sweep, run_searches, settle, sigma_asymptotic)
 from .specfun import SpectralBatch
 from .threshold import classify, report_to_dict
 from .util import log_grid
@@ -218,11 +218,12 @@ def _cmd_phase(run: _Run) -> None:
 
 
 def _resonance_searches(s) -> list[tuple]:
-    """(disk pole or None, axis poles) of modes 0, 1 and 2, every search in
-    one lockstep run; the first error in the order mode by mode, disk search
-    first, is raised."""
+    """(disk pole or None, axis poles up to bound_kappa_max(s)) of modes 0,
+    1 and 2, every search in one lockstep run; the first error in the order
+    mode by mode, disk search first, is raised."""
+    kmax = bound_kappa_max(s)
     found = run_searches(s, [q for mode in (0, 1, 2)
-                             for q in (disk_search(mode, 0.45), axis_search(s, mode))])
+                             for q in (disk_search(mode, 0.45), axis_search(s, mode, kmax=kmax))])
     return [(settle(disk), settle(axis)) for disk, axis in zip(found[0::2], found[1::2])]
 
 

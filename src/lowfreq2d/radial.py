@@ -146,21 +146,13 @@ def _tail(f: RadialFunction, g: RadialFunction) -> complex:
                 for l, cf in ef.v.items() for m, cg in eg.v.items()), 0.0)
 
 
-def inner(f: RadialFunction, g: RadialFunction, tail: bool = False) -> complex:
-    """<f, g> over the plane (conjugates g); 0 across distinct channels.
-
-    With tail=True the exact integral of the decaying harmonic tails beyond
-    the grid is added (both exteriors must be pure r^{-l}).
-    """
+def inner(f: RadialFunction, g: RadialFunction) -> complex:
+    """<f, g> over the grid's annulus (conjugates g); 0 across distinct channels."""
     if not f.same_channel(g):
         return 0.0
     if not f.grid.same(g.grid):
         raise ValidationError("inner() needs both functions on the same grid")
-    rad = f.grid.integrate(f.values * np.conj(g.values) * f.grid.nodes)
-    total = f.angular_weight * rad
-    if tail:
-        total += f.angular_weight * _tail(f, g)
-    return total
+    return f.angular_weight * f.grid.integrate(f.values * np.conj(g.values) * f.grid.nodes)
 
 
 def norm_sq(f: RadialFunction, include_tail: bool = False) -> float:

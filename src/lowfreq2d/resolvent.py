@@ -46,59 +46,31 @@ FREE = PiecewisePotential((1.0,), (0.0,))
 @dataclass
 class ResolventSample:
     """phi/psi data of one scatterer and mode on a grid, at a batch of
-    spectral points.  The Wronskian W = c1 2i/pi of phi and psi as solved
+    spectral points, phi and psi as solved.  Their one Wronskian W = c1 2i/pi
     (c1 phi's exterior J coefficient) has the batch's shape, and
     wronskian_spread is the largest relative deviation of the one sampled
     at the five probes from it, over the batch.
 
-    The node data are reads of the solution formed together on first use
-    (_nodes), each node array of the batch's shape + (nodes,): psi_vals,
-    phi_scale = max|phi| on the nodes with phi_vals = phi / phi_scale and
-    the scaled Wronskian apply reads; the node derivatives (_ders) wait for
-    the first apply.  apply_values and value_at never form the
-    derivatives, and value_at off the grid forms none of them."""
+    The node values (_nodes, phi and psi, each of the batch's shape +
+    (nodes,)) are formed together on first read and the node derivatives
+    (_ders) on the first apply; apply_values and value_at never form the
+    derivatives, and value_at off the grid forms neither."""
 
     scatterer: Scatterer
     lam: SpectralBatch
     mode: int
     grid: PanelGrid
-    wronskian: complex | np.ndarray   # W of phi (unscaled) and psi
+    wronskian: complex | np.ndarray   # W of phi and psi
     wronskian_spread: float
-    solutions: PiecewiseSolution      # phi (unscaled) and psi, stacked
+    solutions: PiecewiseSolution      # phi and psi, stacked
 
     @cached_property
-    def _nodes(self) -> tuple:
-        """The node data, formed together on first read: psi on the nodes,
-        phi_scale = max|phi| there (1 where phi vanishes), phi_vals = phi /
-        phi_scale and the scaled Wronskian W / phi_scale."""
-        phi, psi = self.solutions.values(self.grid.nodes).reshape((2,) + self.lam.shape + (-1,))
-        scale = np.max(np.abs(phi), axis=-1, keepdims=True)
-        scale[scale == 0] = 1.0
-        w = self.solutions.coeffs[-1][0][0, 0] / scale.reshape(-1) * (2j / math.pi)
-        return psi, scale[..., 0][()], phi / scale, w.reshape(self.lam.shape)[()]
-
-    @property
-    def psi_vals(self) -> np.ndarray:
-        return self._nodes[0]
-
-    @property
-    def phi_scale(self):
-        return self._nodes[1]
-
-    @property
-    def phi_vals(self) -> np.ndarray:
-        return self._nodes[2]
-
-    @property
-    def scaled_wronskian(self):
-        """W / phi_scale, the Wronskian of phi_vals and psi."""
-        return self._nodes[3]
+    def _nodes(self) -> np.ndarray:
+        return self.solutions.values(self.grid.nodes).reshape((2,) + self.lam.shape + (-1,))
 
     @cached_property
-    def _ders(self) -> tuple[np.ndarray, np.ndarray]:
-        phi_d, psi_d = self.solutions.eval(self.grid.nodes)[1]
-        shape = self.lam.shape + (len(self.grid),)
-        return (phi_d / np.reshape(self.phi_scale, (-1, 1))).reshape(shape), psi_d.reshape(shape)
+    def _ders(self) -> np.ndarray:
+        return self.solutions.eval(self.grid.nodes)[1].reshape((2,) + self.lam.shape + (-1,))
 
     def _check_source(self, f: RadialFunction) -> None:
         if not f.grid.same(self.grid):
@@ -111,22 +83,22 @@ class ResolventSample:
         rmax at each node, and the Wronskian, for variation of parameters."""
         self._check_source(f)
         g = self.grid
-        inner1 = self.phi_vals * f.values * g.nodes
-        inner2 = self.psi_vals * f.values * g.nodes
+        phi, psi = self._nodes
+        inner1 = phi * f.values * g.nodes
+        inner2 = psi * f.values * g.nodes
         C = g.cumulative(inner1)
         Dtail = np.asarray(g.integrate(inner2))[..., None] - g.cumulative(inner2)
-        return C, Dtail, np.asarray(self.scaled_wronskian)[..., None]
+        return C, Dtail, np.asarray(self.wronskian)[..., None]
 
     def apply(self, f: RadialFunction) -> RadialFunction:
         """u with (P - lam^2) u = f, outgoing at infinity, and its exact u'."""
         parts = self._integrals(f)
-        phi_d, psi_d = self._ders
-        return RadialFunction(self.mode, self.grid, _vary(self.psi_vals, self.phi_vals, *parts),
-                              _vary(psi_d, phi_d, *parts), f.trig)
+        return RadialFunction(self.mode, self.grid, _vary(self._nodes, *parts),
+                              _vary(self._ders, *parts), f.trig)
 
     def apply_values(self, f: RadialFunction) -> RadialFunction:
         """apply(f)'s values alone, with derivs None: no node derivatives are formed."""
-        u = _vary(self.psi_vals, self.phi_vals, *self._integrals(f))
+        u = _vary(self._nodes, *self._integrals(f))
         return RadialFunction(self.mode, self.grid, u, None, f.trig)
 
     def value_at(self, f: RadialFunction, x: float):
@@ -158,9 +130,10 @@ class ResolventSample:
         return (sol_x * coeff).reshape(self.lam.shape)[()]
 
 
-def _vary(psi_x: np.ndarray, phi_x: np.ndarray, C: np.ndarray, Dtail: np.ndarray,
-          w: np.ndarray) -> np.ndarray:
-    """-(psi_x C + phi_x D) / W: u from psi and phi at the nodes, u' from psi' and phi'."""
+def _vary(pair: np.ndarray, C: np.ndarray, Dtail: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """-(psi C + phi D) / W for pair = (phi, psi) at the nodes: u from the
+    node values, u' from the node derivatives."""
+    phi_x, psi_x = pair
     # psi blows up toward r = 0 for l >= 1; C vanishes identically there
     return -(np.where(C == 0.0, 0.0, psi_x * C) + phi_x * Dtail) / w
 
@@ -179,10 +152,11 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
 
     phi and psi share one segment set and every basis evaluation.
     mode_green reads (u, u') at the five Wronskian probes alone, from the
-    solution's kept table when that holds them, and takes W = c1 2i/pi,
-    the spread and the pole guard from them, none of which needs a scale;
-    the node values and derivatives wait for their first read (see
-    ResolventSample).  A Wronskian that is not finite, exact or at a probe,
+    solution's kept table when that holds them, and takes the spread and
+    the pole guard from them and W = c1 2i/pi from phi's exterior
+    coefficient: the one Wronskian of phi as solved, which apply,
+    apply_values and value_at all divide by.  The node values and
+    derivatives wait for their first read (see ResolventSample).  A Wronskian that is not finite, exact or at a probe,
     raises NumericalError, and one of modulus at most POLE_GUARD times the
     least r (|phi psi'| + |phi' psi|) at the probes raises AtPoleError, with
     that W, for the first such point.

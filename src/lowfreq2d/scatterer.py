@@ -157,9 +157,6 @@ class CutoffProfile:
                 np.where(inside, Sp / self.width, 0.0),
                 np.where(inside, Spp / np.float64(self.width) ** 2, 0.0))
 
-    def chi(self, r) -> np.ndarray:
-        return self.jet(r)[0]
-
 
 def _laplacian(r: np.ndarray, dchi: np.ndarray, d2chi: np.ndarray) -> np.ndarray:
     return d2chi + np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)

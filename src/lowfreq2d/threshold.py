@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateScattererError, NumericalError, ValidationError
+from .errors import DegenerateScattererError, NumericalError
 from .quadrature import PanelGrid
 from .radial import Exterior, RadialFunction, norm_sq, with_trig
 from .radialsolve import PiecewiseSolution, regular_solution
@@ -35,6 +35,7 @@ from .specfun import GAMMA0
 
 ZERO_COEFF_RTOL = 1e-10   # growing coefficient counts as zero below this, relative
 DEGENERATE_ATOL = 1e-13
+CLASSIFY_LMAX = 8         # classify reads the connections of modes 0 .. CLASSIFY_LMAX
 
 
 @dataclass
@@ -167,16 +168,14 @@ def solve_zero_mode(s: Scatterer, l) -> ThresholdMode | list[ThresholdMode]:
     return out if np.ndim(l) else out[0]
 
 
-def classify(s: Scatterer, lmax: int = 8, cutoff: CutoffProfile | None = None,
+def classify(s: Scatterer, cutoff: CutoffProfile | None = None,
              grid: PanelGrid | None = None) -> ThresholdReport:
-    """Classify the zero-energy nullspace from the connections of modes 0 .. lmax,
-    all from one transfer-matrix solve.  The report samples its states on grid,
-    or on the standard grid of the cutoff, when they are first read."""
-    if lmax < 2:
-        raise ValidationError("lmax must be at least 2")
+    """Classify the zero-energy nullspace from the connections of modes 0 ..
+    CLASSIFY_LMAX, all from one transfer-matrix solve.  The report samples its
+    states on grid, or on the standard grid of the cutoff, when first read."""
     if cutoff is None:
         cutoff = default_cutoff(s)
-    modes = solve_zero_mode(s, np.arange(lmax + 1))
+    modes = solve_zero_mode(s, np.arange(CLASSIFY_LMAX + 1))
 
     m0 = modes[0]
     c0_ulog = a = capacity = None

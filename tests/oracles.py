@@ -18,7 +18,8 @@ resolvent application against the mode equation by numerical
 differentiation on its grid.  det_s_modulus multiplies out a phase-shift
 table's S-matrix and breit_wigner_metrics reads a peak off a phase sweep.
 eigen_projection projects onto a report's zero eigenspace with the package's
-`inner` and `with_trig`.  from_callable samples a plain function onto a
+`inner`, `with_trig` and the exact tail integral beyond the grid of a
+decaying f.  from_callable samples a plain function onto a
 grid, one node at a time, constant_one is 1 with its exterior, and
 plane_integral and laplacian_chi are the mode-0 integral over the plane and
 Delta chi of a cutoff.  serialize_config writes a config that parse_config
@@ -59,7 +60,7 @@ from lowfreq2d import cli, scattering
 from lowfreq2d.errors import BasinError, DomainError, NumericalError, ValidationError
 from lowfreq2d.expansion import FitTerm
 from lowfreq2d.quadrature import PanelGrid
-from lowfreq2d.radial import Exterior, RadialFunction, inner, with_trig
+from lowfreq2d.radial import Exterior, RadialFunction, _tail, inner, with_trig
 from lowfreq2d.radialsolve import regular_solution
 from lowfreq2d.scatterer import (CutoffProfile, DiskObstacle, PiecewisePotential,
                                  ScattererConfig, _laplacian)
@@ -308,7 +309,8 @@ def eigen_projection(report: ThresholdReport, f: RadialFunction) -> RadialFuncti
                 continue
             if not f.grid.same(psi.grid):
                 raise ValidationError("eigen projection needs f on the report grid")
-            out_vals = out_vals + psi.values * inner(f, psi, tail=f_decaying_tail)
+            coeff = inner(f, psi) + (f.angular_weight * _tail(f, psi) if f_decaying_tail else 0.0)
+            out_vals = out_vals + psi.values * coeff
             hit = psi
     if hit is None:
         return RadialFunction(f.mode, f.grid, out_vals, np.zeros_like(out_vals), f.trig)
@@ -488,7 +490,9 @@ def sequential_find_pole(s, mode: int, seed: SpectralBatch):
 
 def sequential_axis_poles(s, mode: int, kmin: float = 1e-3, kmax: float = 2.0) -> list:
     """`imaginary_axis_poles`, with `sequential_find_pole` and one
-    defect call per bisection step."""
+    defect call per bisection step; none on an empty range, kmax <= kmin."""
+    if kmax <= kmin:
+        return []
     defect = scattering.outgoing_defect
     ks = log_grid(kmin, kmax, scattering.AXIS_COUNT)
     ds = defect(s, mode, SpectralBatch(ks, math.pi / 2.0))
@@ -548,8 +552,10 @@ def sequential_disk_pole(s, mode: int, r_search: float = 0.3):
 
 def sequential_resonance(s) -> list:
     """`resonance`'s searches before they ran in lockstep: (disk pole or None,
-    axis poles) of modes 0, 1 and 2, one search after the other."""
-    return [(sequential_disk_pole(s, mode, 0.45), sequential_axis_poles(s, mode))
+    axis poles up to `scattering.bound_kappa_max(s)`) of modes 0, 1 and 2,
+    one search after the other."""
+    kmax = scattering.bound_kappa_max(s)
+    return [(sequential_disk_pole(s, mode, 0.45), sequential_axis_poles(s, mode, kmax=kmax))
             for mode in (0, 1, 2)]
 
 

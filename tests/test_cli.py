@@ -498,6 +498,21 @@ def test_resonance_lists_a_shallow_bound_state_once(tmp_path, depth, kappa):
         assert bound[0]["arg"] == math.pi / 2
 
 
+# the axis scan reaches kappa = sqrt(-min V), past the default kappa = 2:
+# the -10 unit well's ground state at 2.6013i, and the -100 well's 8 states
+# (3, 3 and 2 in modes 0, 1 and 2), the deepest at 9.7585i
+@pytest.mark.parametrize("depth, counts, deepest", [(10, [1, 1, 0], 2.60131995706862),
+                                                    (100, [3, 3, 2], 9.758477216080248)])
+def test_resonance_lists_bound_states_above_kappa_2(tmp_path, depth, counts, deepest):
+    code, out = _run(tmp_path, "deep.cfg", f"kind = potential\nbreaks = 1\nvalues = -{depth}\n",
+                     "resonance")
+    assert code == 0
+    poles = json.loads((out / "resonance.json").read_text())["poles"]
+    assert all(p["kind"] == "boundState" and p["arg"] == math.pi / 2 for p in poles)
+    assert [sum(p["mode"] == m for p in poles) for m in (0, 1, 2)] == counts
+    assert abs(max(p["modulus"] for p in poles) - deepest) < 1e-11
+
+
 def test_perturb_command(tmp_path):
     cfg = WELL_CFG + "grid.min = 0.02\ngrid.max = 0.2\ngrid.count = 6\n"
     code, out = _run(tmp_path, "well.cfg", cfg, "perturb")
@@ -646,8 +661,10 @@ def _check_contract(command: str, cfg_text: str) -> int:
     return code
 
 
+# derandomize: every run draws the same examples, so each run of the suite is
+# the same test; a crash found some other way joins the former crashes below
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=800, deadline=None)
+@settings(max_examples=800, deadline=None, derandomize=True)
 @given(_mutated_config())
 def test_mutated_readme_configs_keep_the_cli_contract(cfg_text):
     event(f"exit {_check_contract('classify', cfg_text)}")
@@ -657,7 +674,7 @@ def test_mutated_readme_configs_keep_the_cli_contract(cfg_text):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["capacity", "phase", "resonance", "perturb",
                                      "expand", "verify"])
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(cfg_text=_mutated_config())
 def test_mutated_readme_configs_keep_the_contract_of(command, cfg_text):
     event(f"exit {_check_contract(command, cfg_text)}")
@@ -666,7 +683,7 @@ def test_mutated_readme_configs_keep_the_contract_of(command, cfg_text):
 # a valid wave takes about a second, so a handful of examples; most mutants
 # exit 2 at once, and wells are refused for their bound states
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(cfg_text=_mutated_config())
 def test_mutated_readme_configs_keep_the_contract_of_wave(cfg_text):
     event(f"exit {_check_contract('wave', cfg_text)}")

@@ -58,20 +58,23 @@ def _external_base_attrs(cls: ast.ClassDef) -> set[str]:
 
 
 def unnamed_definitions(sources: dict[str, str]) -> list[str]:
-    """`module.name` and `module.Class.method` for each top-level function,
-    class or class method in sources (module -> text) whose name no module
-    reads, as a name, an attribute or an import; dunder methods and overrides
-    of methods of outside bases are left out."""
+    """`module.name` for each top-level function or class in sources (module
+    -> text) whose name no module reads, as a name, an attribute or an
+    import, and `module.Class.method` for each class method that no module
+    reads as an attribute (a local variable of the same name does not name
+    it); dunder methods and overrides of methods of outside bases are left
+    out."""
     trees = {m: ast.parse(text) for m, text in sources.items()}
-    named = set()
+    named, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
+    named |= attrs
     out = []
     for m, tree in trees.items():
         for node in tree.body:
@@ -83,7 +86,7 @@ def unnamed_definitions(sources: dict[str, str]) -> list[str]:
                 skip = _external_base_attrs(node)
                 out += [f"{m}.{node.name}.{item.name}" for item in node.body
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and item.name not in named | skip
+                        and item.name not in attrs | skip
                         and not (item.name.startswith("__") and item.name.endswith("__"))]
     return sorted(out)
 
@@ -91,9 +94,10 @@ def unnamed_definitions(sources: dict[str, str]) -> list[str]:
 def test_unnamed_definitions_are_found():
     a = ("import argparse\nclass P(argparse.ArgumentParser):\n    def error(self, m): pass\n"
          "class C(Exception):\n    def __str__(self): return ''\n    def used(self): pass\n"
-         "    def spare(self): pass\ndef f(): return C().used()\ndef g(): pass\n")
-    b = "from a import f\nf()\n"
-    assert unnamed_definitions({"a": a, "b": b}) == ["a.C.spare", "a.P", "a.g"]
+         "    def spare(self): pass\n    def shadowed(self): pass\n"
+         "def f(): return C().used()\ndef g(): pass\n")
+    b = "from a import f\nshadowed = f()\n"
+    assert unnamed_definitions({"a": a, "b": b}) == ["a.C.shadowed", "a.C.spare", "a.P", "a.g"]
 
 
 def test_every_package_definition_is_named_in_the_package():

@@ -86,7 +86,8 @@ def test_green_values_against_the_mode_march(name):
     worst = 0.0
     for l in MODES:
         g = mode_green(s, LAM, int(l), grid)
-        ours = g.phi_vals[:, lo] * g.psi_vals[:, hi] / g.scaled_wronskian[:, None, None]
+        phi, psi = g._nodes
+        ours = phi[:, lo] * psi[:, hi] / g.wronskian[:, None, None]
         ref = [o.green(int(l), grid.nodes[idx]) for o in _marches(name)]
         worst = max(worst, _rel(ours, ref))
     assert worst <= GREEN_BOUND[name]

@@ -104,13 +104,13 @@ def test_roundtrip_identity():
 def test_chi_values_and_smoothness():
     chi = CutoffProfile(1.5, 1.0)
     r = np.linspace(1.0, 3.0, 41)
-    v = chi.chi(r)
+    v = chi.jet(r)[0]
     assert np.all((0.0 <= v) & (v <= 1.0))
     assert v[0] == 1.0 and v[-1] == 0.0
     rr = np.linspace(1.55, 2.45, 13)
     h = 1e-4
-    fd1 = (chi.chi(rr + h) - chi.chi(rr - h)) / (2 * h)
-    fd2 = (chi.chi(rr + h) - 2 * chi.chi(rr) + chi.chi(rr - h)) / h**2
+    fd1 = (chi.jet(rr + h)[0] - chi.jet(rr - h)[0]) / (2 * h)
+    fd2 = (chi.jet(rr + h)[0] - 2 * chi.jet(rr)[0] + chi.jet(rr - h)[0]) / h**2
     _, d1, d2 = chi.jet(rr)
     assert np.max(np.abs(fd1 - d1)) < 1e-6
     assert np.max(np.abs(fd2 - d2)) < 1e-4

@@ -185,11 +185,6 @@ def test_eigen_projection_cases(eig_well_fx, dirichlet_fx):
     assert np.max(np.abs(z2.values)) == 0.0
 
 
-def test_lmax_validation():
-    with pytest.raises(Exception):
-        classify(FREE, lmax=1)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_underflowed_well_raises_where_the_nan_arises():
     # eta r underflows, so Y_l of it and both connection coefficients are NaN

@@ -472,10 +472,10 @@ def test_below_support_value_leaves_node_derivatives_unbuilt(dirichlet_fx, gener
         assert "_ders" in vars(sample)
 
 
-def test_below_support_value_leaves_phi_unscaled_until_read(dirichlet_fx, generic_well_fx):
+def test_below_support_value_leaves_the_node_values_until_read(dirichlet_fx, generic_well_fx):
     # value_at below the source reads psi on the nodes and phi at x alone:
-    # the scaled node values of phi are formed on first read, with the bits
-    # of phi on the nodes divided by phi_scale
+    # the node values of phi and psi are formed on first read, with the bits
+    # of the solutions on the nodes, phi as solved
     from lowfreq2d import SpectralBatch, mode_green
     for fx, x_obs in ((dirichlet_fx, 1.02), (generic_well_fx, 0.0)):
         src = _green_source(fx.f, x_obs)
@@ -483,18 +483,16 @@ def test_below_support_value_leaves_phi_unscaled_until_read(dirichlet_fx, generi
             sample = mode_green(fx.scatterer, lams, 0, src.grid)
             sample.value_at(src, x_obs)
             assert "_nodes" not in vars(sample)
-            phi = sample.solutions.values(src.grid.nodes)[0]
-            eager = (phi / np.reshape(sample.phi_scale, (-1, 1))).reshape(sample.psi_vals.shape)
-            assert sample.phi_vals.dtype == complex
-            assert np.array_equal(sample.phi_vals.view(np.uint64), eager.view(np.uint64))
+            eager = sample.solutions.values(src.grid.nodes).reshape((2,) + lams.shape + (-1,))
+            assert sample._nodes.dtype == complex
+            assert np.array_equal(sample._nodes.view(np.uint64), eager.view(np.uint64))
 
 
 def test_point_read_off_the_source_combines_its_partner_alone(dirichlet_fx, generic_well_fx,
                                                              monkeypatch):
     # value_at off the source combines one solution on the nodes, the partner
     # (psi below the source, phi above it), and forms no node table of the
-    # other, no phi_scale and no scaled Wronskian: mode_green reads the
-    # Wronskian probes alone
+    # other: mode_green reads the Wronskian probes alone
     from lowfreq2d import SpectralBatch, mode_green, radialsolve
     from lowfreq2d.radial import support_panels
     combine, shapes = radialsolve.PiecewiseSolution._combine, []
