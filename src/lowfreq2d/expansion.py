@@ -39,6 +39,7 @@ from .util import log_grid
 
 CONDITION_LIMIT = 1e12
 EXTRA_COUNT = 8         # points on expansion_grid's secondary ray
+EXTRA_ARG = math.pi / 3     # the arg of that ray
 SHIFT_MAX_ITER = 40     # Gauss-Newton steps on the pole shift
 
 
@@ -53,16 +54,12 @@ class ExpansionGrid:
 
 
 def expansion_grid(count: int = 24, modmin: float = 1e-6, modmax: float = 1e-2,
-                   arg: float = math.pi / 4, extra_arg: float | None = math.pi / 3
-                   ) -> ExpansionGrid:
+                   arg: float = math.pi / 4) -> ExpansionGrid:
     """Log-spaced moduli on a main ray (every third point held out) plus
-    EXTRA_COUNT on a secondary ray for robustness across log-branch mistakes."""
-    mods, args = log_grid(modmin, modmax, count), np.full(count, arg)
-    held = [(i % 3 == 2) for i in range(count)]
-    if extra_arg is not None:
-        mods = np.concatenate((mods, log_grid(modmin, modmax, EXTRA_COUNT)))
-        args = np.concatenate((args, np.full(EXTRA_COUNT, extra_arg)))
-        held += [False] * EXTRA_COUNT
+    EXTRA_COUNT on the EXTRA_ARG ray for robustness across log-branch mistakes."""
+    mods = np.concatenate((log_grid(modmin, modmax, count), log_grid(modmin, modmax, EXTRA_COUNT)))
+    args = np.concatenate((np.full(count, arg), np.full(EXTRA_COUNT, EXTRA_ARG)))
+    held = [(i % 3 == 2) for i in range(count)] + [False] * EXTRA_COUNT
     return ExpansionGrid(SpectralBatch(mods, args), tuple(held))
 
 

@@ -179,8 +179,7 @@ def mode_green(s: Scatterer, lam: SpectralBatch, l: int, grid: PanelGrid,
     if not (np.all(np.isfinite(absw)) and np.all(np.isfinite(w_all))):
         raise NumericalError("mode Wronskian is not finite")
     spread = float(np.max(np.max(np.abs(w_all - w[:, None]), axis=-1) / np.maximum(absw, 1e-300)))
-    # np.hypot rounds as abs() of one complex does; np.abs's vector loop may not
-    at_pole = np.flatnonzero(np.hypot(w.real, w.imag) <= POLE_GUARD * size)
+    at_pole = np.flatnonzero(absw <= POLE_GUARD * size)
     if at_pole.size:
         i = at_pole[0]
         raise AtPoleError(lam[np.unravel_index(i, lam.shape)], w[i])

@@ -201,7 +201,9 @@ def outgoing_defect(s: Scatterer, l, lam: SpectralBatch, *, checked: bool = True
     zeros on the log cover are exactly the resolvent poles of the mode.  A
     potential's regular solution starts as J_l(eta0 r), eta0^2 = lam^2 - V0,
     which vanishes to order l at lam^2 = V0; rescaled by l! (2/eta0)^l it starts
-    as r^l and has no zero there.  l, the mode, and shift, make_segments' eps
+    as r^l and has no zero there.  The rescale is one out-of-place array
+    expression over the points: an in-place product rounded some points
+    apart from a call of their own.  l, the mode, and shift, make_segments' eps
     of V + eps, broadcast to the batch's shape (or raise ValidationError), so
     each point may take its own.  One solve serves every mode, on the
     distinct points (equal in modulus, arg and shift to the bit) when several
@@ -226,9 +228,9 @@ def outgoing_defect(s: Scatterer, l, lam: SpectralBatch, *, checked: bool = True
     sol = regular_solution(s, modes, pts, eps)
     c1, eta = sol.coeffs[-1][0][np.searchsorted(modes, l), at], sol.segments[0].eta[at]
     if isinstance(s, PiecewisePotential):
-        for k in np.flatnonzero(l * (eta != 0)).tolist():     # l >= 1 and eta0 != 0
-            m = int(l[k])
-            c1[k] = c1[k] * math.factorial(m) * (2.0 / eta[k]) ** m
+        k = np.flatnonzero(l * (eta != 0))      # l >= 1 and eta0 != 0
+        fact = np.cumprod(np.arange(1.0, modes[-1] + 1))     # m! at m - 1, exact to 22!
+        c1[k] = c1[k] * fact[l[k] - 1] * (2.0 / eta[k]) ** l[k]
     if checked:
         _finite(c1, l)
     return c1.reshape(lam.shape)[()]
@@ -395,7 +397,7 @@ def _disk_steps(mode: int, r_search: float):
     pts = SpectralBatch(np.tile(log_grid(1e-4, r_search * 0.98, n), len(SCAN_ARGS)),
                         np.repeat(SCAN_ARGS, n))
     d = _finite((yield pts), mode)
-    v = np.hypot(d.real, d.imag).reshape(len(SCAN_ARGS), n)    # abs() of each complex
+    v = np.abs(d).reshape(len(SCAN_ARGS), n)
     ray, i = np.nonzero((v[:, 1:-1] < v[:, :-2]) & (v[:, 1:-1] < v[:, 2:]))
     order = np.argsort(v[ray, i + 1], kind="stable")
     for k in (ray * n + i + 1)[order][:MAX_CANDIDATES]:

@@ -39,37 +39,20 @@ SERIES_CAP = 80       # length of the coefficient tables
 SERIES_EPS = 1e-17    # terms below this are not summed (the J and P sums start at 1)
 
 
-def _from_parts(re, im):
-    """The complex array re + i im, each part kept as given, signed zeros too;
-    a numpy scalar when re is one."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out[()]
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b with each real product rounded on its own, as in scalar complex
-    arithmetic; numpy's vector loop fuses multiply-adds instead.  The 2x2
-    glue of radialsolve is tiny, and ill-conditioned fits downstream amplify
-    its last bit, so it keeps the scalar rounding for any batch size."""
-    return _from_parts(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
 class SpectralBatch:
     """Points of the log cover, the one type every solver takes: float arrays
     of modulus and (unreduced) arg in the batch's shape.  A batch of shape ()
     is one point, and its modulus and arg are numpy scalars.  A modulus that
     is not positive raises DomainError.
 
-    value, lam2 = value ** 2 and log take the batch's shape, and each element
-    has the bits of Python's scalar formulas m * complex(cos a, sin a), its
-    square and complex(math.log m, a): cos, sin and the real products round
-    as in math and Python's complex multiply, lam2 takes _mul's split
-    products, and log takes math.log per modulus (np.log differs in about
-    0.1% of them).  Indexing gives the batch of the points indexed (a point
-    for an integer) with the parent's value, lam2 and log sliced, formed
-    once on the parent and never validated or formed again.  len counts the
-    points; a point takes only the index ().
+    value = modulus * exp(i arg), lam2 = value * value and
+    log = log(modulus) + i arg take the batch's shape, each by numpy's own
+    array kernels: a point has the bits it has in any batch (so, alone, those
+    of a batch of its own), and each is within a few ulps of the scalar
+    formulas.  Indexing gives the batch of the points indexed (a point for an
+    integer) with the parent's value, lam2 and log sliced, formed once on the
+    parent and never validated or formed again.  len counts the points; a
+    point takes only the index ().
     """
 
     def __init__(self, modulus, arg):
@@ -99,22 +82,21 @@ class SpectralBatch:
         part.value, part.lam2, part.log = self.value[idx], self.lam2[idx], self.log[idx]
         return part
 
+    # each formed on a (0-d for a point) array, so that a point takes the
+    # array kernels it takes in a batch, not numpy's scalar arithmetic
     @cached_property
     def value(self):
-        # the products by 0 are the ones Python's float * complex takes
-        cos, sin = np.cos(self.arg), np.sin(self.arg)
-        return _from_parts(self.modulus * cos - 0.0 * sin, self.modulus * sin + 0.0 * cos)
+        return (np.asarray(self.modulus) * np.exp(1j * np.asarray(self.arg)))[()]
 
     @cached_property
     def lam2(self):
         """value ** 2, with inf or nan where it leaves the float range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _mul(self.value, self.value)
+            return (np.asarray(self.value) * self.value)[()]
 
     @cached_property
     def log(self):
-        logm = [math.log(m) for m in np.ravel(self.modulus).tolist()]
-        return _from_parts(np.reshape(logm, self.shape), self.arg)
+        return (np.log(np.asarray(self.modulus)) + 1j * np.asarray(self.arg))[()]
 
 
 # ----------------------------------------------------------------------------

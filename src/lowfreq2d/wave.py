@@ -79,19 +79,19 @@ def spherical_jn_table(nmax: int, w: np.ndarray) -> np.ndarray:
     Each w runs on its own: the upward recurrence for w > nmax + 12, else
     Miller's downward recurrence j_{n-1} = (2n+1)/w j_n - j_{n+1} from its
     start N = nmax + 20 + int(w), rescaled by 1e-250 whenever its j_n passes
-    1e250 and normalized by j_0.  sin w and cos w are math's, element by
-    element, so each row has the bits of a scalar recurrence at that w.
+    1e250 and normalized by j_0.  sin w and cos w are numpy's array
+    kernels, so each row has the bits of a table of that w alone.
     """
     w = np.asarray(w, dtype=float)
     out = np.zeros((w.size, nmax + 1))
     out[w == 0.0, 0] = 1.0
-    sin = np.array([math.sin(x) for x in w])
+    sin = np.sin(w)
     up = w > nmax + 12
     if up.any():
         wu, j = w[up], out[up]
         j[:, 0] = sin[up] / wu
         if nmax >= 1:
-            j[:, 1] = j[:, 0] / wu - np.array([math.cos(x) for x in wu]) / wu
+            j[:, 1] = j[:, 0] / wu - np.cos(wu) / wu
         for n in range(1, nmax):
             j[:, n + 1] = (2 * n + 1) / wu * j[:, n] - j[:, n - 1]
         out[up] = j
@@ -151,7 +151,8 @@ class OscillatoryPanels:
             G cos(tL)/t - G' sin(tL)/t^2 - G'' cos(tL)/t^3 + G''' sin(tL)/t^4
         with remainder O(G''''/t^5 scale), assuming G keeps decaying beyond
         the sampled range.  G, ..., G''' come from the last panel's expansion,
-        once for all times; each time takes the scalar formula.
+        once for all times, and the formula is one array expression over the
+        times, so each time has the bits of a call of its own.
         """
         top = float(self.edges[-1])
         h = 0.5 * (self.edges[-1] - self.edges[-2])
@@ -161,11 +162,10 @@ class OscillatoryPanels:
             g.append(float(np.real(legendre.legval(1.0, c))) / h**k)
             c = legendre.legder(c)
         t = np.asarray(times, dtype=float)
-        out = []
-        for x in t.ravel().tolist():
-            cos, sin = math.cos(x * top), math.sin(x * top)
-            out.append(g[0] * cos / x - g[1] * sin / x**2 - g[2] * cos / x**3 + g[3] * sin / x**4)
-        return np.array(out).reshape(t.shape)[()]
+        x = t.reshape(-1)       # 1-D: numpy's scalar power may round apart from its array kernel
+        cos, sin = np.cos(x * top), np.sin(x * top)
+        out = g[0] * cos / x - g[1] * sin / x**2 - g[2] * cos / x**3 + g[3] * sin / x**4
+        return out.reshape(t.shape)[()]
 
 
 @dataclass

@@ -2,12 +2,11 @@
 
 The Bessel oracle is its own ascending series, validated in the tests by the
 classical Wronskian identity, and circle_pairing is a plain trapezoid rule in
-the angle; neither imports the package code it checks.  point_formulas gives
-a point's value, square and log by Python's scalar arithmetic, which a
-SpectralBatch reproduces bit for bit.  bessel_jh and hankel1 are not
-independent: they read one point of `lowfreq2d.specfun.bessel_pair`
-and add the order-raising recurrence for the derivatives, as a scalar view of
-the package's Bessel functions for the tests to hold against the oracles.
+the angle; neither imports the package code it checks.  bessel_jh and
+hankel1 are not independent: they read one point of
+`lowfreq2d.specfun.bessel_pair` and add the order-raising recurrence for
+the derivatives, as a scalar view of the package's Bessel functions for the
+tests to hold against the oracles.
 free_kernel (through hankel1) and FreeCoeffKernel are the free resolvent's
 kernel and its low-frequency coefficient kernels; free_truncation_error sets
 one against the other.  boundary_pairing_samples and boundary_pairing_fourier
@@ -45,7 +44,8 @@ outside, and gives the regular solution's exterior coefficients (so S_l),
 phi and psi at given radii with their Wronskian (so G_l(x, y), paired by
 radius), the resolvent applied at one radius as a quadrature sum over a
 source's nodes, and the zero-energy connection coefficients.  It reads the
-scatterer's fields alone and shares no code with `lowfreq2d`.
+scatterer's fields alone and shares no code with `lowfreq2d`, as does
+mp_bound_states, the bound states of a unit-step well by J/K matching.
 """
 
 from __future__ import annotations
@@ -324,14 +324,6 @@ def det_s_modulus(table) -> float:
     for l, s in table.smatrix.items():
         out *= abs(s) ** (1 if l == 0 else 2)
     return out
-
-
-def point_formulas(modulus: float, arg: float) -> tuple[complex, complex, complex]:
-    """value, value ** 2 and log of one point of the log cover by Python's
-    scalar arithmetic: m * complex(cos a, sin a), its square and
-    complex(math.log m, a)."""
-    value = modulus * complex(math.cos(arg), math.sin(arg))
-    return value, value ** 2, complex(math.log(modulus), arg)
 
 
 def from_callable(grid: PanelGrid, fn, dfn=None, mode: int = 0, trig: str = "cos",
@@ -737,6 +729,33 @@ class MpModeMarch:
                 g = self._kernel(l, x, *at_x, y, *self._values(l, y))
                 total += g * mp.mpc(fy) * y * mp.mpf(w)
             return complex(-total)
+
+
+def mp_bound_states(depth: float, radius: float, l: int, dps: int = 40) -> list:
+    """The bound states lam = i kappa of mode l of the well V = -depth on
+    r < radius, by J/K matching in mpmath at dps digits: the kappa in
+    (0, sqrt(depth)), ascending, where u = J_l(k r) inside, k^2 = depth -
+    kappa^2, meets K_l(kappa r) outside with equal log-derivatives, that is
+    where kappa J_l(kR) K_l+1(kappa R) = k J_l+1(kR) K_l(kappa R).  The roots
+    lie about pi / R apart in k: each is bracketed on a grid of k of step
+    below pi / (4 R), closed by a point at kappa = 1.4e-6 sqrt(depth) (the
+    sign there is that of J_l-1(kR), as at kappa = 0), and polished by a
+    bracketing solver.  A state with a smaller kappa is not found."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        V, R = mp.mpf(depth), mp.mpf(radius)
+
+        def match(k):
+            kappa = mp.sqrt(V - k * k)
+            return (kappa * mp.besselj(l, k * R) * mp.besselk(l + 1, kappa * R)
+                    - k * mp.besselj(l + 1, k * R) * mp.besselk(l, kappa * R))
+
+        n = int(mp.ceil(4 * mp.sqrt(V) * R / mp.pi)) + 1
+        ks = [mp.sqrt(V) * j / n for j in range(1, n)] + [mp.sqrt(V) * (1 - mp.mpf(10) ** -12)]
+        fs = [match(k) for k in ks]
+        roots = [mp.findroot(match, (a, b), solver="anderson")
+                 for a, b, fa, fb in zip(ks, ks[1:], fs, fs[1:]) if fa * fb < 0]
+        return sorted(float(mp.sqrt(V - k * k)) for k in roots)
 
 
 def sequential_classify_modes(s, lmax: int = 8) -> list:

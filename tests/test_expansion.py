@@ -192,9 +192,9 @@ def test_fit_evaluates_regular_terms_then_pole_terms(p_well_fx, samples_p_well,
 
 
 def test_needs_enough_samples():
-    eg = expansion_grid(count=6, extra_arg=None)
+    eg = expansion_grid(count=6)        # 12 training samples for 10 terms
     with pytest.raises(ValidationError, match="2x"):
-        fit_log_laurent(np.ones(6, dtype=complex), eg, resonant_terms(2, 3))
+        fit_log_laurent(np.ones(14, dtype=complex), eg, resonant_terms(2, 3))
 
 
 def test_ill_conditioned_fit_raises(samples_dirichlet, default_grid_pts):

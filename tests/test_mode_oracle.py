@@ -3,6 +3,11 @@ zero-energy connection coefficients of modes 0-2 and the mode-0 point read
 off a source grid (value_at), each held against `oracles.MpModeMarch` at 40
 digits.
 
+The bound states that `resonance` lists for the unit wells V = -10 and
+V = -100 are held against `oracles.mp_bound_states`, J/K matching at 40
+digits: the same count in each of modes 0-2, and each kappa within twice
+the largest relative error measured on the three numpy dispatch targets.
+
 The cases are the MODE_AXIS_SCATTERERS and the repulsive steps V = 30 to
 800 on the unit disk, at lam = 0.05 and 1.5 on arg 0 and pi/4.  Each bound
 is a relative error: twice the largest one measured over the case's modes
@@ -13,6 +18,7 @@ error left on the steps is that of the power series' H = J + iY at large
 |Im z| (ROADMAP item 3).
 """
 
+import json
 import math
 from functools import lru_cache
 
@@ -20,11 +26,12 @@ import numpy as np
 import pytest
 
 from lowfreq2d import PiecewisePotential, SpectralBatch, bump, mode_green
+from lowfreq2d.cli import main
 from lowfreq2d.quadrature import PanelGrid
 from lowfreq2d.radialsolve import regular_solution
 from lowfreq2d.threshold import solve_zero_mode
 
-from oracles import MODE_AXIS_SCATTERERS, MpModeMarch
+from oracles import MODE_AXIS_SCATTERERS, MpModeMarch, mp_bound_states
 
 CASES = {**MODE_AXIS_SCATTERERS,
          **{f"repulsive-step-{v}": PiecewisePotential((1.0,), (float(v),))
@@ -139,3 +146,23 @@ def test_green_pairs_radii_by_radius():
     radii = [3.0, 1.2, 2.0]
     order = np.argsort(radii)
     assert np.array_equal(o.green(0, radii)[np.ix_(order, order)], o.green(0, sorted(radii)))
+
+
+# mode 1's deepest state of V = -100 (9.3760614828 against 9.3760614797) is
+# off by 3.3e-10 relative on every dispatch target; V = -10's by 2e-16
+BOUND_STATE_BOUND = 7e-10
+
+
+@pytest.mark.parametrize("depth", [10, 100])
+def test_resonance_bound_states_against_j_k_matching(tmp_path, depth):
+    cfg = tmp_path / "well.cfg"
+    cfg.write_text(f"kind = potential\nbreaks = 1\nvalues = -{depth}\n")
+    assert main(["resonance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    poles = json.loads((tmp_path / "out" / "resonance.json").read_text())["poles"]
+    assert all(p["kind"] == "boundState" for p in poles)
+    for l in MODES.tolist():
+        got = sorted(p["modulus"] for p in poles if p["mode"] == l)
+        ref = mp_bound_states(depth, 1.0, l)
+        assert len(got) == len(ref), l
+        if ref:
+            assert _rel(got, ref) <= BOUND_STATE_BOUND, l

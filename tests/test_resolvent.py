@@ -511,22 +511,23 @@ def test_eval_matches_single_radii_bit_for_bit():
                     assert np.array_equal(u[..., i], u1) and np.array_equal(du[..., i], du1)
 
 
-def test_harmonic_rows_of_a_mode_array_keep_scalar_exponent_bits():
-    # numpy takes r ** 2 and r ** -1 by fast paths (r * r, 1 / r) that a
-    # power with an array of exponents rounds differently: each mode's rows
-    # (r^l, r^-l and their derivatives; 1, log r, 0, 1 / r for l = 0) have
-    # the bits of the scalar formulas
+def test_harmonic_rows_of_a_mode_array_keep_one_mode_bits():
+    # each mode's rows (r^l, r^-l and their derivatives; 1, log r, 0, 1 / r
+    # for l = 0) in a mode array have the bits of a one-mode segment's rows,
+    # and the closed forms within rounding
     from lowfreq2d.radialsolve import Segment
     r = np.linspace(0.3, 7.0, 2000)
     flat = np.zeros(1, dtype=complex)
     h = Segment(1.0, math.inf, np.arange(4), flat, flat)._harmonic(r)
     assert h.shape == (4, 4, r.size)
-    scalar = ([np.ones(r.size), np.log(r), np.zeros(r.size), 1.0 / r],
-              [r, 1.0 / r, np.ones(r.size), -1 * r ** -2],
-              [r * r, r ** -2, 2 * r, -2 * r ** -3],
-              [r ** 3, r ** -3, 3 * (r * r), -3 * r ** -4])
-    for mode, rows in enumerate(scalar):
-        assert np.array_equal(h[:, mode].view(np.uint64), np.array(rows).view(np.uint64)), mode
+    closed = ([np.ones(r.size), np.log(r), np.zeros(r.size), 1.0 / r],
+              [r, 1.0 / r, np.ones(r.size), -1.0 / (r * r)],
+              [r * r, 1.0 / (r * r), 2.0 * r, -2.0 / (r * r * r)],
+              [r * r * r, 1.0 / (r * r * r), 3.0 * (r * r), -3.0 / (r * r * r * r)])
+    for mode, rows in enumerate(closed):
+        one = Segment(1.0, math.inf, np.array([mode]), flat, flat)._harmonic(r)
+        assert np.array_equal(h[:, mode].view(np.uint64), one[:, 0].view(np.uint64)), mode
+        assert np.all(np.abs(h[:, mode] - rows) <= 4 * np.finfo(float).eps * np.abs(rows)), mode
 
 
 def test_order_zero_derivative_on_positive_z_keeps_every_bit(monkeypatch):
